@@ -20,7 +20,7 @@ from .estimation import (EstimationProblem, expected_payoff, joint_problem,
                          payoff_operators, problem_from_raw_payoff,
                          shifted_problem)
 from .sdp import (CertificateReport, SdpSolution, SolverOptions, YklResult,
-                  build_dual, build_primal, certify_dual, slater_point, solve,
+                  build_primal, certify_dual, slater_point, solve,
                   yuen_kennedy_lax)
 from .covariant import (CovariantResult, FiniteGroupAction, PhaseOptimum,
                         SumOfPhases, TwoPhaseOptimum, act, covariant_gamma,
@@ -44,7 +44,7 @@ __all__ = [
     "validate_comb", "validate_tester", "EstimationProblem",
     "expected_payoff", "joint_problem", "payoff_operators",
     "problem_from_raw_payoff", "shifted_problem", "CertificateReport",
-    "SdpSolution", "SolverOptions", "YklResult", "build_dual", "build_primal",
+    "SdpSolution", "SolverOptions", "YklResult", "build_primal",
     "certify_dual", "slater_point", "solve", "yuen_kennedy_lax",
     "CovariantResult", "FiniteGroupAction", "PhaseOptimum", "SumOfPhases",
     "TwoPhaseOptimum", "act", "covariant_gamma", "cyclic_group",

@@ -28,8 +28,7 @@ from .networks import (CombSpace, QuantumComb, choi_of_channel,
                        comb_of_memoryless_sequence, validate_comb)
 from .operators import LabeledOperator, SystemLabel
 from .sdp.ipm import BlockConstraintMap, ConstraintEntry, SolverOptions, solve_ipm
-from .sdp.standard_form import (coords_from_hermitian, embed, embed_stack,
-                                hermitian_basis_stack, unembed)
+from .sdp.standard_form import coords_from_hermitian, hermitian_basis_stack
 
 HOMOMORPHISM_TOL = 1e-10
 INVARIANCE_TOL = 1e-10
@@ -255,24 +254,20 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
 
     entries = []
     eyeD = np.eye(D, dtype=complex)[None, :, :]
-    entries.append(ConstraintEntry(0, 1, 0, embed_stack(eyeD)))
+    entries.append(ConstraintEntry(0, 1, 0, eyeD))
     off = 1
     for t in struct_tensors:
-        entries.append(ConstraintEntry(off, off + t.shape[0], 0, embed_stack(t)))
+        entries.append(ConstraintEntry(off, off + t.shape[0], 0, t))
         off += t.shape[0]
-    entries.append(ConstraintEntry(off, m, 0, embed_stack(twirled)))
-    entries.append(ConstraintEntry(off, m, 1, embed_stack(basis, scale=-0.5)))
-    seed_coords = coords_from_hermitian(seed)
-    t_tensor = np.zeros((D * D, 2, 2))
-    t_tensor[:, 0, 0] = -seed_coords / 2.0
-    t_tensor[:, 1, 1] = -seed_coords / 2.0
+    entries.append(ConstraintEntry(off, m, 0, twirled))
+    entries.append(ConstraintEntry(off, m, 1, -basis))
+    t_tensor = -coords_from_hermitian(seed).astype(complex)[:, None, None]
     entries.append(ConstraintEntry(off, m, 2, t_tensor))
 
-    cmap = BlockConstraintMap(m, (2 * D, 2 * D, 2), entries)
+    cmap = BlockConstraintMap(m, (D, D, 1), entries)
     b = np.zeros(m)
     b[0] = float(in_total)
-    C = (np.zeros((2 * D, 2 * D)), np.zeros((2 * D, 2 * D)),
-         -0.5 * np.eye(2))
+    C = (np.zeros((D, D)), np.zeros((D, D)), -np.eye(1))
 
     mixed = np.eye(D) / out_total
     lam_seed = float(np.linalg.eigvalsh((seed + seed.conj().T) / 2.0)[-1])
@@ -280,20 +275,14 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
         raise BadParameter("seed operator has no positive part")
     t0 = 0.5 / (out_total * lam_seed)
     M0 = mixed - t0 * seed  # twirl(mixed) = mixed
-    X0 = [embed(mixed), embed(M0), t0 * np.eye(2)]
+    X0 = [mixed, M0, t0 * np.eye(1)]
     y0 = np.zeros(m)
     y0[0] = -4.0 / in_total
     y0[off:] = coords_from_hermitian((2.0 / in_total) * np.eye(D))
 
-    def project(blocks):
-        return [embed(unembed(B)) for B in blocks[:2]] + \
-            [np.eye(2) * (float(np.trace(blocks[2])) / 2.0)]
-
-    res = solve_ipm(cmap, C, b, X0, y0, opts, post_step=project)
+    res = solve_ipm(cmap, C, b, X0, y0, opts)
     q = -res.pobj
-    r_data = unembed(res.X[0])
-    r_data = (r_data + r_data.conj().T) / 2.0
-    inv = twirl(LabeledOperator(factors, r_data), action)
+    inv = twirl(LabeledOperator(factors, res.X[0]), action)
     return q, inv, res
 
 

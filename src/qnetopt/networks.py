@@ -58,8 +58,12 @@ class CombSpace:
 
     def factors(self) -> tuple:
         """Canonical factor order (out_1, in_1, ..., out_N, in_N)."""
+        return self.prefix_factors(self.num_steps)
+
+    def prefix_factors(self, j: int) -> tuple:
+        """Factors (out_1, in_1, ..., out_j, in_j) of the first j steps."""
         out = []
-        for s in self.steps:
+        for s in self.steps[:j]:
             out.extend([s.out_sys, s.in_sys])
         return tuple(out)
 

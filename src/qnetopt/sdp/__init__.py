@@ -10,10 +10,10 @@ discrimination front end.
 from .engine import (CertificateReport, SdpSolution, YklResult, certify_dual,
                      slater_point, solve, yuen_kennedy_lax)
 from .ipm import IpmResult, SolverOptions
-from .standard_form import DualState, StandardSdp, build_dual, build_primal
+from .standard_form import DualState, StandardSdp, build_primal
 
 __all__ = [
     "CertificateReport", "DualState", "IpmResult", "SdpSolution",
-    "SolverOptions", "StandardSdp", "YklResult", "build_dual", "build_primal",
+    "SolverOptions", "StandardSdp", "YklResult", "build_primal",
     "certify_dual", "slater_point", "solve", "yuen_kennedy_lax",
 ]

@@ -1,7 +1,7 @@
 """End-to-end solution of tester optimization problems.
 
 ``solve`` builds the standard-form program, runs the interior-point core on
-the real embedding, maps the result back to complex operators, and returns a
+its Hermitian blocks, wraps the result as labeled operators, and returns a
 validated tester together with a scalar-times-comb certificate: a pair
 (lambda, R) with R a valid comb and lambda * R dominating every payoff
 operator, which upper-bounds the payoff of *every* admissible strategy.
@@ -28,8 +28,8 @@ from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
 from ..operators import LabeledOperator, identity_on, min_eig
 from .ipm import SolverOptions, solve_ipm
-from .standard_form import (DualState, build_primal, commutant_project,
-                            dual_from_y, unembed, y_from_dual, _kron_into_last)
+from .standard_form import (DualState, build_primal, dual_from_y, trace_middle,
+                            y_from_dual)
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,6 @@ class SdpSolution:
     feas_dual: float
 
 
-def _prefix_factors(space, j: int) -> tuple:
-    facs = []
-    for i in range(j):
-        s = space.steps[i]
-        facs.extend([s.out_sys, s.in_sys])
-    return tuple(facs)
-
-
 def slater_point(problem: EstimationProblem) -> DualState:
     """A strictly feasible dual chain of scaled identities.
 
@@ -97,9 +89,17 @@ def slater_point(problem: EstimationProblem) -> DualState:
     scales.reverse()  # scales[j] multiplies the level-j identity, j = 0..N
     ops = []
     for j in range(1, space.num_steps + 1):
-        facs = _prefix_factors(space, j)
-        ops.append(identity_on(facs) * scales[j])
+        ops.append(identity_on(space.prefix_factors(j)) * scales[j])
     return DualState(scales[0], tuple(ops))
+
+
+def _kron_into_last(xi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
+    """I_out (x) Xi, with the identity inserted before the trailing input factor."""
+    pre = xi.shape[0] // d_in
+    t = xi.reshape(pre, d_in, pre, d_in)
+    grown = np.einsum("aibj,cd->acibdj", t, np.eye(d_out, dtype=complex))
+    n = pre * d_out * d_in
+    return grown.reshape(n, n)
 
 
 def tighten_dual(problem: EstimationProblem, dual: DualState) -> DualState:
@@ -117,8 +117,7 @@ def tighten_dual(problem: EstimationProblem, dual: DualState) -> DualState:
         d_out, d_in = step.out_sys.dim, step.in_sys.dim
         sn = dual.operators[n - 1].data
         pre = sn.shape[0] // (d_out * d_in)
-        t = sn.reshape(pre, d_out, d_in, pre, d_out, d_in)
-        traced = np.trace(t, axis1=1, axis2=4).reshape(pre * d_in, pre * d_in)
+        traced = trace_middle(sn[None, :, :], pre, d_out, d_in)[0]
         grown = np.kron(prev, np.eye(d_in))
         delta = grown - traced
         corrected = sn + _kron_into_last(delta, d_out, d_in) / d_out
@@ -163,10 +162,6 @@ def mixed_comb(space) -> QuantumComb:
     return validate_comb(QuantumComb(space, op))
 
 
-def _post_project(blocks):
-    return [commutant_project(B) for B in blocks]
-
-
 def solve(problem: EstimationProblem,
           options: Optional[SolverOptions] = None) -> SdpSolution:
     """Optimize a tester for the problem and certify the result.
@@ -179,12 +174,14 @@ def solve(problem: EstimationProblem,
     problem.validated()
     space = problem.space
 
+    # Sum the complex block sides; the cap bounds twice that sum, the
+    # dimension of the program over the reals.
     total = 0
     d = 1
     for step in space.steps:
-        total += 2 * d * step.in_sys.dim
+        total += d * step.in_sys.dim
         d *= step.in_sys.dim * step.out_sys.dim
-    total += 2 * d * problem.num_params
+    total = 2 * (total + d * problem.num_params)
     if total > opts.dimension_cap:
         raise DimensionCap("total SDP dimension %d exceeds cap %d"
                            % (total, opts.dimension_cap))
@@ -192,14 +189,12 @@ def solve(problem: EstimationProblem,
     sdp = build_primal(problem)
     X0 = sdp.primal_start()
     y0 = y_from_dual(sdp, slater_point(problem))
-    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, X0, y0, opts,
-                    post_step=_post_project)
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, X0, y0, opts)
 
     factors = space.factors()
     outcomes = []
     for k, label in enumerate(problem.labels_x):
-        mat = unembed(res.X[sdp.outcome_block(k)])
-        mat = (mat + mat.conj().T) / 2.0
+        mat = res.X[sdp.outcome_block(k)]
         outcomes.append((label, LabeledOperator(factors, mat)))
     check_tol = 10.0 * opts.tol
     dual_raw = dual_from_y(sdp, res.y)

@@ -1,22 +1,24 @@
 """Feasible-start primal-dual interior-point core for block-diagonal SDPs.
 
-Solves   min <C, X>  s.t.  A(X) = b,  X >= 0 (block diagonal, real symmetric)
+Solves   min <C, X>  s.t.  A(X) = b,  X >= 0 (block diagonal, complex Hermitian)
 and its dual simultaneously, with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  The caller supplies strictly feasible primal and
 dual starting points; with those, every iterate stays (numerically) feasible,
 so primal and dual objectives bracket the optimum and the duality gap is an
 honest error bound.
 
-Constraints are supplied as a BlockConstraintMap: a list of dense coefficient
-tensors, one per (row-group, variable-block) pair.  Tensors shared between
-several blocks (identical ndarray objects) are exploited when assembling the
-Schur complement, which is what makes many-outcome testers affordable.
+Constraints are supplied as a BlockConstraintMap: a list of dense Hermitian
+coefficient tensors, one per (row-group, variable-block) pair.  Row i of A(X)
+is Re<A_i, X>, taken as one real product over the interleaved (re, im) view
+of the complex stacks.  Tensors shared between several blocks (identical
+ndarray objects) are exploited when assembling the Schur complement, which
+is what makes many-outcome testers affordable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -43,7 +45,7 @@ class ConstraintEntry:
     row_start: int
     row_stop: int
     block: int
-    tensor: np.ndarray  # (rows, n, n) real; shared ndarray => shared structure
+    tensor: np.ndarray  # (rows, n, n) complex; shared ndarray => shared structure
 
     @property
     def rows(self) -> slice:
@@ -61,9 +63,9 @@ class BlockConstraintMap:
         for e in self.entries:
             n = self.block_dims[e.block]
             r = e.row_stop - e.row_start
-            if e.tensor.shape != (r, n, n):
-                raise ValueError("entry tensor shape %r vs (%d, %d, %d)"
-                                 % (e.tensor.shape, r, n, n))
+            if e.tensor.shape != (r, n, n) or e.tensor.dtype != complex:
+                raise ValueError("entry tensor %s%r vs complex (%d, %d, %d)"
+                                 % (e.tensor.dtype, e.tensor.shape, r, n, n))
         # group entries that share (rows, tensor object): their row values add
         shared = {}
         for e in self.entries:
@@ -84,24 +86,24 @@ class BlockConstraintMap:
         y = np.zeros(self.m)
         for group in self._shared_groups:
             e0 = group[0]
-            acc = blocks[group[0].block]
+            acc = np.ascontiguousarray(blocks[e0.block], dtype=complex)
             for e in group[1:]:
                 acc = acc + blocks[e.block]
-            r = e0.row_stop - e0.row_start
-            y[e0.rows] += e0.tensor.reshape(r, -1) @ acc.reshape(-1)
+            y[e0.rows] += _real_rows(e0.tensor) @ acc.reshape(-1).view(float)
         return y
 
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
-        out = [np.zeros((n, n)) for n in self.block_dims]
+        out = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
         for group in self._shared_groups:
             e0 = group[0]
-            mat = np.tensordot(y[e0.rows], e0.tensor, axes=1)
+            mat = (y[e0.rows] @ _real_rows(e0.tensor)).view(complex)
+            mat = mat.reshape(out[e0.block].shape)
             for e in group:
                 out[e.block] += mat
         return out
 
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
-        """H[i, j] = sum_blocks <A_i, W A_j W> for the NT scaling matrices W."""
+        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the NT scaling matrices W."""
         H = np.zeros((self.m, self.m))
         for block_ids in self._sig_groups:
             entry_list = self._by_block[block_ids[0]]
@@ -113,18 +115,21 @@ class BlockConstraintMap:
                     W = scalings[b]
                     s = W @ e.tensor @ W  # batched over the row index
                     acc = s if acc is None else acc + s
-                sandwiches.append(acc)
+                sandwiches.append(_real_rows(acc))
             for i, ei in enumerate(entry_list):
-                ri = ei.row_stop - ei.row_start
-                ti = ei.tensor.reshape(ri, -1)
+                ti = _real_rows(ei.tensor)
                 for j in range(i, len(entry_list)):
                     ej = entry_list[j]
-                    rj = ej.row_stop - ej.row_start
-                    hij = ti @ sandwiches[j].reshape(rj, -1).T
+                    hij = ti @ sandwiches[j].T
                     H[ei.rows, ej.rows] += hij
                     if j != i:
                         H[ej.rows, ei.rows] += hij.T
         return (H + H.T) / 2.0
+
+
+def _real_rows(stack: np.ndarray) -> np.ndarray:
+    """(r, n, n) complex -> (r, 2 n^2) real; row dot products give Re<A, B>."""
+    return stack.reshape(stack.shape[0], -1).view(float)
 
 
 @dataclass
@@ -140,13 +145,12 @@ class IpmResult:
     rel_gap: float
     feas_primal: float
     feas_dual: float
-    mu_history: list = field(default_factory=list)
 
 
 def _chol_jitter(M: np.ndarray, what: str):
     """Cholesky with escalating diagonal jitter; raises NumericalFailure."""
     n = M.shape[0]
-    scale = max(1.0, float(np.trace(M)) / max(n, 1))
+    scale = max(1.0, float(np.trace(M).real) / max(n, 1))
     jitter = 0.0
     for _ in range(6):
         try:
@@ -158,11 +162,18 @@ def _chol_jitter(M: np.ndarray, what: str):
                            {"jitter": jitter, "dim": n})
 
 
+def _herm(M: np.ndarray) -> np.ndarray:
+    return (M + M.conj().T) / 2.0
+
+
 def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with  M + alpha*delta >= 0, where M = L L^T."""
+    """Largest alpha with  M + alpha*delta >= 0, where M = L L^H."""
     s = solve_triangular(L, delta, lower=True)
-    s = solve_triangular(L, s.T, lower=True).T
-    lam = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
+    s = solve_triangular(L, s.conj().T, lower=True)
+    try:
+        lam = float(np.linalg.eigvalsh(_herm(s))[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("step-length eigenvalues: %s" % exc, {}) from exc
     if lam >= -1e-13:
         return np.inf
     return -1.0 / lam
@@ -170,25 +181,19 @@ def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
 
 def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
               X0: Sequence[np.ndarray], y0: np.ndarray,
-              opts: SolverOptions = SolverOptions(),
-              post_step: Optional[Callable] = None) -> IpmResult:
-    """Run the predictor-corrector loop from the given strictly feasible pair.
-
-    post_step, when given, is applied to the block lists of X and Z after each
-    update (used to re-project iterates onto the complex-embedding subspace).
-    """
+              opts: SolverOptions = SolverOptions()) -> IpmResult:
+    """Run the predictor-corrector loop from the given strictly feasible pair."""
     nu = float(sum(cmap.block_dims))
-    X = [np.array(Xb, dtype=float) for Xb in X0]
+    X = [np.array(Xb, dtype=complex) for Xb in X0]
     y = np.array(y0, dtype=float)
     Z = [C[v] - ATy for v, ATy in enumerate(cmap.apply_AT(y))]
     b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     c_scale = 1.0 + max(float(np.max(np.abs(Cb))) if Cb.size else 0.0 for Cb in C)
-    mu_history = []
     slow_steps = 0
 
     def gather(status, it, pobj, dobj, gap, fp, fd):
         return IpmResult(X, y, Z, it, status, pobj, dobj, gap,
-                         gap / (1.0 + abs(pobj) + abs(dobj)), fp, fd, mu_history)
+                         gap / (1.0 + abs(pobj) + abs(dobj)), fp, fd)
 
     for it in range(opts.max_iter + 1):
         r_p = b - cmap.apply_A(X)
@@ -201,7 +206,6 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         feas_p = float(np.max(np.abs(r_p))) / b_scale if r_p.size else 0.0
         feas_d = max(float(np.max(np.abs(Rb))) for Rb in R_d) / c_scale
         mu = gap / nu
-        mu_history.append(mu)
         feas_tol = opts.tol * opts.feas_tol_factor
         if rel_gap <= opts.tol and feas_p <= feas_tol and feas_d <= feas_tol:
             return gather("optimal", it, pobj, dobj, gap, feas_p, feas_d)
@@ -217,17 +221,21 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         for v in range(len(X)):
             lx = _chol_jitter(X[v], "primal block %d" % v)
             lz = _chol_jitter(Z[v], "dual block %d" % v)
-            u, s, vh = np.linalg.svd(lz.T @ lx)
+            try:
+                u, s, vh = np.linalg.svd(lz.conj().T @ lx)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure("NT scaling SVD: %s" % exc,
+                                       {"iteration": it, "block": v}) from exc
             if s.min() <= 0:
                 raise NumericalFailure("NT scaling broke down", {"block": v})
-            g = (lx @ vh.T) * (1.0 / np.sqrt(s))[None, :]
+            g = (lx @ vh.conj().T) * (1.0 / np.sqrt(s))[None, :]
             lxinv = solve_triangular(lx, np.eye(lx.shape[0]), lower=True)
             ginv = (np.sqrt(s)[:, None]) * (vh @ lxinv)
             Lx.append(lx)
             Lz.append(lz)
             Gs.append(g)
             Ginvs.append(ginv)
-            Ws.append(g @ g.T)
+            Ws.append(g @ g.conj().T)
             svals.append(s)
 
         H = cmap.schur(Ws)
@@ -245,10 +253,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             resid = rhs - H @ dy
             dy = dy + cho_solve(Hf, resid)
             ATdy = cmap.apply_AT(dy)
-            dZ = [R_d[v] - ATdy[v] for v in range(len(X))]
-            dZ = [(d + d.T) / 2.0 for d in dZ]
-            dX = [Rc[v] - Ws[v] @ dZ[v] @ Ws[v] for v in range(len(X))]
-            dX = [(d + d.T) / 2.0 for d in dX]
+            dZ = [_herm(R_d[v] - ATdy[v]) for v in range(len(X))]
+            dX = [_herm(Rc[v] - Ws[v] @ dZ[v] @ Ws[v]) for v in range(len(X))]
             return dX, dy, dZ
 
         # predictor
@@ -267,28 +273,22 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         for v in range(len(X)):
             lz = Lz[v]
             lzinv = solve_triangular(lz, np.eye(lz.shape[0]), lower=True)
-            Zinv = lzinv.T @ lzinv
-            dxt = Ginvs[v] @ dX_a[v] @ Ginvs[v].T
-            dzt = Gs[v].T @ dZ_a[v] @ Gs[v]
-            cross = dxt @ dzt
-            cross = (cross + cross.T) / 2.0
+            Zinv = lzinv.conj().T @ lzinv
+            dxt = Ginvs[v] @ dX_a[v] @ Ginvs[v].conj().T
+            dzt = Gs[v].conj().T @ dZ_a[v] @ Gs[v]
+            cross = _herm(dxt @ dzt)
             s = svals[v]
             cross = 2.0 * cross / (s[:, None] + s[None, :])
-            Rc.append(sigma * mu * Zinv - X[v] - Gs[v] @ cross @ Gs[v].T)
+            Rc.append(sigma * mu * Zinv - X[v] - Gs[v] @ cross @ Gs[v].conj().T)
         dX, dy, dZ = newton(Rc)
         ap = min([opts.step_fraction * _max_step(Lx[v], dX[v])
                   for v in range(len(X))] + [1.0])
         ad = min([opts.step_fraction * _max_step(Lz[v], dZ[v])
                   for v in range(len(X))] + [1.0])
 
-        X = [X[v] + ap * dX[v] for v in range(len(X))]
+        X = [_herm(X[v] + ap * dX[v]) for v in range(len(X))]
         y = y + ad * dy
-        Z = [Z[v] + ad * dZ[v] for v in range(len(X))]
-        X = [(Xb + Xb.T) / 2.0 for Xb in X]
-        Z = [(Zb + Zb.T) / 2.0 for Zb in Z]
-        if post_step is not None:
-            X = post_step(X)
-            Z = post_step(Z)
+        Z = [_herm(Z[v] + ad * dZ[v]) for v in range(len(X))]
 
         if min(ap, ad) < 1e-5:
             slow_steps += 1

@@ -10,12 +10,11 @@ tester normalization recursion, written level by level:
 
 and the objective is  max sum_est <G_est, T_est>.
 
-Complex Hermitian blocks are embedded as real symmetric blocks
-[[Re, -Im], [Im, Re]]; inner products double under the embedding, so objective
-and constraint coefficients are halved to keep all row values and objective
-numbers on the original complex scale.  Constraint rows are indexed by a
-complex Hermitian basis of each level's operator space only, which keeps the
-row count at 1 + sum_j D_j^2 and the Schur complement positive definite.
+Blocks are complex Hermitian and every coefficient is a Hermitian operator,
+so row values and objective numbers are Hilbert-Schmidt inner products on the
+operators themselves.  Constraint rows are indexed by a Hermitian basis of
+each level's operator space only, which keeps the row count at
+1 + sum_j D_j^2 and the Schur complement positive definite.
 
 Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
 in_j); with that choice every coefficient is either a basis element, a basis
@@ -26,7 +25,7 @@ permutations appear in the hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -36,25 +35,8 @@ from ..operators import LabeledOperator
 from .ipm import BlockConstraintMap, ConstraintEntry
 
 # ---------------------------------------------------------------------------
-# real embedding of complex Hermitian matrices
+# Hermitian bases and partial traces of coefficient stacks
 # ---------------------------------------------------------------------------
-
-
-def embed(h: np.ndarray) -> np.ndarray:
-    """Complex (n, n) -> real (2n, 2n) via [[Re, -Im], [Im, Re]]."""
-    h = np.asarray(h, dtype=complex)
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
-
-
-def unembed(m: np.ndarray) -> np.ndarray:
-    """Left inverse of embed; averages the two copies."""
-    n = m.shape[0] // 2
-    return (m[:n, :n] + m[n:, n:]) / 2.0 + 1j * (m[n:, :n] - m[:n, n:]) / 2.0
-
-
-def commutant_project(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the image of embed (a PSD-preserving average)."""
-    return embed(unembed(m))
 
 
 _basis_cache = {}
@@ -99,17 +81,6 @@ def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
     return np.tensordot(stack.conj(), h, axes=([1, 2], [0, 1])).real
 
 
-def embed_stack(mats: np.ndarray, scale: float = 0.5) -> np.ndarray:
-    """Embed a (r, n, n) complex stack into a (r, 2n, 2n) real tensor, scaled."""
-    r, n, _ = mats.shape
-    out = np.zeros((r, 2 * n, 2 * n))
-    out[:, :n, :n] = mats.real
-    out[:, n:, n:] = mats.real
-    out[:, n:, :n] = mats.imag
-    out[:, :n, n:] = -mats.imag
-    return out * scale
-
-
 def trace_middle(mats: np.ndarray, pre: int, mid: int, post: int) -> np.ndarray:
     """Partial trace of a (r, pre*mid*post, ...) stack over the middle factor."""
     r = mats.shape[0]
@@ -128,13 +99,11 @@ class StandardSdp:
 
     problem: EstimationProblem
     payoff_ops: PayoffOperators
-    cdims: tuple          # complex side of each variable block
-    block_dims: tuple     # embedded real side of each variable block
-    level_dims: tuple     # complex side of each constraint level space, 1..N
+    block_dims: tuple     # side of each variable block
+    level_dims: tuple     # side of each constraint level space, 1..N
     level_offsets: tuple  # row offset of each level, level 0 at offset 0
-    xi_factors: tuple     # factor tuples for Xi^(1)..Xi^(N)
     cmap: BlockConstraintMap
-    C: tuple              # real objective blocks (min <C, X> convention)
+    C: tuple              # objective blocks (min <C, X> convention)
     b: np.ndarray
 
     @property
@@ -184,19 +153,8 @@ def build_primal(problem: EstimationProblem) -> StandardSdp:
     for j in range(n_steps):
         prefix.append(prefix[-1] * d_out[j] * d_in[j])
 
-    cdims = []
-    xi_factors = []
-    for j in range(1, n_steps + 1):
-        facs = []
-        for i in range(j - 1):
-            s = space.steps[i]
-            facs.extend([s.out_sys, s.in_sys])
-        facs.append(space.steps[j - 1].in_sys)
-        xi_factors.append(tuple(facs))
-        cdims.append(prefix[j - 1] * d_in[j - 1])
-    for _ in range(problem.num_params):
-        cdims.append(prefix[n_steps])
-    block_dims = [2 * c for c in cdims]
+    block_dims = [prefix[j - 1] * d_in[j - 1] for j in range(1, n_steps + 1)]
+    block_dims += [prefix[n_steps]] * problem.num_params
 
     level_dims = tuple(prefix[1:])
     offsets = [0, 1]
@@ -206,8 +164,8 @@ def build_primal(problem: EstimationProblem) -> StandardSdp:
 
     entries = []
     # level 0: full trace of Xi^(1)
-    eye0 = np.eye(cdims[0], dtype=complex)[None, :, :]
-    entries.append(ConstraintEntry(0, 1, 0, embed_stack(eye0)))
+    eye0 = np.eye(block_dims[0], dtype=complex)[None, :, :]
+    entries.append(ConstraintEntry(0, 1, 0, eye0))
     # levels 1..N-1: Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j)
     for j in range(1, n_steps):
         rows = slice(offsets[j], offsets[j] + prefix[j] ** 2)
@@ -216,22 +174,20 @@ def build_primal(problem: EstimationProblem) -> StandardSdp:
                           np.eye(d_in[j], dtype=complex)).reshape(
                               prefix[j] ** 2, prefix[j] * d_in[j],
                               prefix[j] * d_in[j])
-        entries.append(ConstraintEntry(rows.start, rows.stop, j,
-                                       embed_stack(grown)))
+        entries.append(ConstraintEntry(rows.start, rows.stop, j, grown))
         shrunk = trace_middle(basis, prefix[j - 1], d_out[j - 1], d_in[j - 1])
-        entries.append(ConstraintEntry(rows.start, rows.stop, j - 1,
-                                       embed_stack(shrunk, scale=-0.5)))
+        entries.append(ConstraintEntry(rows.start, rows.stop, j - 1, -shrunk))
     # level N: sum_est T_est - I_out(N) (x) Xi^(N)
     rows = slice(offsets[n_steps], m)
     basis = hermitian_basis_stack(prefix[n_steps])
-    t_tensor = embed_stack(basis)  # one ndarray shared by every outcome block
     for k in range(problem.num_params):
+        # one ndarray shared by every outcome block
         entries.append(ConstraintEntry(rows.start, rows.stop, n_steps + k,
-                                       t_tensor))
+                                       basis))
     shrunk = trace_middle(basis, prefix[n_steps - 1], d_out[n_steps - 1],
                           d_in[n_steps - 1])
     entries.append(ConstraintEntry(rows.start, rows.stop, n_steps - 1,
-                                   embed_stack(shrunk, scale=-0.5)))
+                                   -shrunk))
 
     cmap = BlockConstraintMap(m, block_dims, entries)
     b = np.zeros(m)
@@ -240,15 +196,13 @@ def build_primal(problem: EstimationProblem) -> StandardSdp:
     gops = payoff_operators(problem)
     C = [np.zeros((n, n)) for n in block_dims[:n_steps]]
     order = space.factor_ids()
-    for k in range(problem.num_params):
-        g = gops.operators[k]
+    for g in gops.operators:
         if g.label_ids() != order:
             raise ShapeMismatch("payoff operator out of canonical order")
-        C.append(embed_stack(g.data[None, :, :], scale=-0.5)[0])
+        C.append(-g.data)
 
-    return StandardSdp(problem, gops, tuple(cdims), tuple(block_dims),
-                       level_dims, tuple(offsets), tuple(xi_factors), cmap,
-                       tuple(C), b)
+    return StandardSdp(problem, gops, tuple(block_dims), level_dims,
+                       tuple(offsets), cmap, tuple(C), b)
 
 
 # ---------------------------------------------------------------------------
@@ -264,64 +218,13 @@ class DualState:
     operators: tuple  # LabeledOperator for S^(1)..S^(N) on the step prefixes
 
 
-@dataclass(frozen=True)
-class DualProgram:
-    """Inequality blocks of the dual: evaluable residuals M_1..M_N, M_est."""
-
-    sdp: StandardSdp
-
-    def level_factors(self, j: int) -> tuple:
-        facs = []
-        for i in range(j):
-            s = self.sdp.problem.space.steps[i]
-            facs.extend([s.out_sys, s.in_sys])
-        return tuple(facs)
-
-    def chain_residuals(self, dual: DualState) -> List[LabeledOperator]:
-        """M_j = S^(j-1) (x) I_in(j) - Tr_out(j)[S^(j)] on the Xi^(j) factors."""
-        space = self.sdp.problem.space
-        out = []
-        for j in range(1, space.num_steps + 1):
-            step = space.steps[j - 1]
-            sj = dual.operators[j - 1].data
-            pre = int(np.prod([f.dim for f in self.level_factors(j - 1)],
-                              dtype=np.int64)) if j > 1 else 1
-            traced = trace_middle(sj[None, :, :], pre, step.out_sys.dim,
-                                  step.in_sys.dim)[0]
-            if j == 1:
-                prev = np.array([[dual.s0]], dtype=complex)
-            else:
-                prev = dual.operators[j - 2].data
-            grown = np.kron(prev, np.eye(step.in_sys.dim))
-            out.append(LabeledOperator(self.sdp.xi_factors[j - 1],
-                                       grown - traced))
-        return out
-
-    def outcome_residuals(self, dual: DualState) -> List[LabeledOperator]:
-        """M_est = S^(N) - G_est on the full comb factors."""
-        sN = dual.operators[-1]
-        out = []
-        for g in self.sdp.payoff_ops.operators:
-            out.append(LabeledOperator(g.factors, sN.data - g.data))
-        return out
-
-    def objective(self, dual: DualState) -> float:
-        return dual.s0
-
-
-def build_dual(problem: EstimationProblem) -> DualProgram:
-    return DualProgram(build_primal(problem))
-
-
 def dual_from_y(sdp: StandardSdp, y: np.ndarray) -> DualState:
     """Recover the operator-form dual variables from the row multipliers."""
+    space = sdp.problem.space
     dual_ops = []
-    prog = DualProgram(sdp)
     for j in range(1, sdp.num_steps + 1):
-        rows = sdp.level_rows(j)
-        d = sdp.level_dims[j - 1]
-        mat = hermitian_from_coords(-y[rows], d)
-        dual_ops.append(LabeledOperator(prog.level_factors(j), mat))
+        mat = hermitian_from_coords(-y[sdp.level_rows(j)], sdp.level_dims[j - 1])
+        dual_ops.append(LabeledOperator(space.prefix_factors(j), mat))
     return DualState(float(-y[0]), tuple(dual_ops))
 
 
@@ -332,41 +235,3 @@ def y_from_dual(sdp: StandardSdp, dual: DualState) -> np.ndarray:
         rows = sdp.level_rows(j)
         y[rows] = -coords_from_hermitian(dual.operators[j - 1].data)
     return y
-
-
-def structural_row_values(sdp: StandardSdp, xi_ops: Sequence[np.ndarray],
-                          t_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """The constraint values computed with explicit partial traces.
-
-    Independent of the coefficient tensors; used to cross-check the
-    constraint map (same numbers, two routes).
-    """
-    space = sdp.problem.space
-    n_steps = space.num_steps
-    vals = np.zeros(sdp.cmap.m)
-    vals[0] = float(np.trace(xi_ops[0]).real)
-    for j in range(1, n_steps + 1):
-        rows = sdp.level_rows(j)
-        if j < n_steps:
-            d_next = space.steps[j].in_sys.dim
-            pre = sdp.cdims[j] // d_next
-            t = xi_ops[j].reshape(pre, d_next, pre, d_next)
-            traced = np.trace(t, axis1=1, axis2=3)
-        else:
-            traced = sum(t_ops)
-        step = space.steps[j - 1]
-        grown = _kron_into_last(xi_ops[j - 1], step.out_sys.dim,
-                                step.in_sys.dim)
-        resid = traced - grown
-        d = sdp.level_dims[j - 1]
-        vals[rows] = coords_from_hermitian(resid.reshape(d, d))
-    return vals
-
-
-def _kron_into_last(xi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    """I_out (x) Xi, with the identity inserted before the trailing input factor."""
-    pre = xi.shape[0] // d_in
-    t = xi.reshape(pre, d_in, pre, d_in)
-    grown = np.einsum("aibj,cd->acibdj", t, np.eye(d_out, dtype=complex))
-    n = pre * d_out * d_in
-    return grown.reshape(n, n)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qnetopt.estimation import EstimationProblem
+from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_memory_comb, random_problem,
                                random_product_pair, random_product_tester,
                                random_state_problem)
 from qnetopt.networks import CombSpace, comb_of_state
-from qnetopt.operators import LabeledOperator, SystemLabel
+from qnetopt.operators import (LabeledOperator, SystemLabel, embed_identity,
+                               identity, partial_trace, tensor)
+from qnetopt.sdp.standard_form import coords_from_hermitian
 
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LOG = []
@@ -86,3 +88,45 @@ def helstrom_problem(tag="hel"):
 
 
 HELSTROM_VALUE = 0.5 * (1.0 + np.sqrt(2.0) / 2.0)  # 0.8535533905932737
+
+
+# ---------------------------------------------------------------------------
+# the tester program's constraints and dual inequalities, computed with
+# explicit partial traces: a second route, independent of the coefficient
+# tensors the solver assembles
+# ---------------------------------------------------------------------------
+
+
+def chain_residuals(problem, dual):
+    """M_j = S^(j-1) (x) I_in(j) - Tr_out(j)[S^(j)] on the Xi^(j) factors."""
+    out = []
+    for j, step in enumerate(problem.space.steps, start=1):
+        traced = partial_trace(dual.operators[j - 1], [step.out_sys.id])
+        if j == 1:
+            grown = identity(step.in_sys) * dual.s0
+        else:
+            grown = tensor(dual.operators[j - 2], identity(step.in_sys))
+        out.append(grown - traced)
+    return out
+
+
+def outcome_residuals(problem, dual):
+    """M_est = S^(N) - G_est on the full comb factors."""
+    return [dual.operators[-1] - g for g in payoff_operators(problem).operators]
+
+
+def structural_row_values(sdp, xi_ops, t_ops):
+    """Constraint row values of labeled Xi^(1..N) and outcome operators."""
+    steps = sdp.problem.space.steps
+    vals = np.zeros(sdp.cmap.m)
+    vals[0] = float(np.trace(xi_ops[0].data).real)
+    for j in range(1, len(steps) + 1):
+        if j < len(steps):
+            traced = partial_trace(xi_ops[j], [steps[j].in_sys.id])
+        else:
+            traced = t_ops[0]
+            for t in t_ops[1:]:
+                traced = traced + t
+        grown = embed_identity(xi_ops[j - 1], steps[j - 1].out_sys, 2 * (j - 1))
+        vals[sdp.level_rows(j)] = coords_from_hermitian((traced - grown).data)
+    return vals

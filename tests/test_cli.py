@@ -81,6 +81,18 @@ def test_solve_iteration_limit_exit(problem_file, capsys):
     assert rc == 5
 
 
+def test_solve_svd_failure_is_numerical_exit(problem_file, tmp_path, capsys,
+                                             monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    rc, _out, err = run(capsys, "solve", problem_file,
+                        "--out", str(tmp_path / "solution.json"))
+    assert rc == 6
+    assert "numerical failure" in err
+
+
 def test_dual_check_rejects_scaled_lambda(problem_file, tmp_path, capsys):
     sol = solve(helstrom_problem())
     doc = serde.solution_to_json(sol)

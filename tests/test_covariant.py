@@ -1,10 +1,15 @@
 """Group actions, invariant reductions, and the phase-estimation family."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnetopt
 from qnetopt.covariant import (FiniteGroupAction, act, covariant_gamma,
                                cyclic_group, is_invariant, phase_action,
                                phase_estimation_optimum, phase_grid_problem,
@@ -239,3 +244,22 @@ def test_sum_of_phases_ratio_approaches_copies():
         r = sum_of_phases(d, 2).ratio
         assert prev < r < 2.0
         prev = r
+
+
+def test_two_phase_grid_8_solves_with_one_blas_thread():
+    # The real-embedded NT scaling raised an untyped "SVD did not converge"
+    # on this input, with one BLAS thread only; so run it pinned to one.
+    p = 0.2601612582347196
+    code = ("from qnetopt.covariant import covariant_gamma, two_phase_problem\n"
+            "problem, action = two_phase_problem(%r, 8)\n"
+            "res = covariant_gamma(problem, action)\n"
+            "print(repr(res.gamma_max - problem.payoff_shift))" % p)
+    src = os.path.dirname(os.path.dirname(qnetopt.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert float(done.stdout) == pytest.approx(
+        two_phase_correlated(p).gamma_max, abs=1e-6)

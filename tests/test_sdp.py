@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (HELSTROM_VALUE, helstrom_problem, qubit_state_problem,
-                      state_problems)
+from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
+                      outcome_residuals, qubit_state_problem, state_problems)
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
-                            MaxIterations)
+                            MaxIterations, NumericalFailure)
 from qnetopt.estimation import expected_payoff, shifted_problem
 from qnetopt.instances import random_channel_problem, random_memory_comb
 from qnetopt.networks import (QuantumComb, uniform_tester, validate_comb,
@@ -16,7 +16,7 @@ from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
                          yuen_kennedy_lax)
 from qnetopt.sdp.engine import mixed_comb, tighten_dual
-from qnetopt.sdp.standard_form import build_dual
+from qnetopt.sdp.ipm import _max_step
 
 
 def test_helstrom_two_pure_states():
@@ -57,6 +57,15 @@ def test_dimension_cap_checked_before_work():
         solve(p, SolverOptions(dimension_cap=30))
 
 
+def test_step_length_eigen_failure_is_numerical_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericalFailure, match="step-length"):
+        _max_step(np.eye(2), -np.eye(2))
+
+
 def test_certify_dual_rejects_negative_lambda():
     p = helstrom_problem()
     with pytest.raises(BadParameter):
@@ -81,24 +90,21 @@ def test_mixed_comb_gives_a_loose_certificate():
 
 def test_slater_point_is_strictly_feasible_on_random_problems():
     g = np.random.default_rng(11)
-    dual_prog = None
     for _ in range(5):
         p = random_channel_problem(g, 2, [(2, 2), (2, 2)], delta=False,
                                    memory=True)
-        dual_prog = build_dual(p)
         point = slater_point(p)
-        for r in dual_prog.chain_residuals(point):
+        for r in chain_residuals(p, point):
             assert min_eig(r) > 1e-9
-        for r in dual_prog.outcome_residuals(point):
+        for r in outcome_residuals(p, point):
             assert min_eig(r) > 1e-9
 
 
 def test_tighten_dual_makes_chain_exact():
     p = helstrom_problem()
     sol = solve(p)
-    prog = build_dual(p)
     tightened = tighten_dual(p, sol.dual)
-    for r in prog.chain_residuals(tightened):
+    for r in chain_residuals(p, tightened):
         assert np.max(np.abs(r.data)) < 1e-12
     report = certify_dual(tightened.s0, sol.comb_certificate, p)
     assert report.certified

@@ -1,9 +1,10 @@
-"""Real embedding and the assembled constraint tensors.
+"""Hermitian bases and the assembled constraint tensors.
 
 The heavy check here is the dual route for the constraint matrix: row
 values produced by the assembled coefficient tensors must agree with the
 same rows computed directly from partial traces, for arbitrary (not
-necessarily feasible) Hermitian block values.
+necessarily feasible) Hermitian block values.  The Schur and adjoint
+kernels are checked against dense per-row coefficient stacks.
 """
 
 import numpy as np
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import helstrom_problem, seeds, state_problems
+from conftest import (helstrom_problem, seeds, state_problems,
+                      structural_row_values)
 from qnetopt.instances import random_channel_problem
-from qnetopt.sdp.standard_form import (build_primal, commutant_project,
-                                       coords_from_hermitian, dual_from_y,
-                                       embed, hermitian_basis_stack,
+from qnetopt.operators import LabeledOperator
+from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
+                                       dual_from_y, hermitian_basis_stack,
                                        hermitian_from_coords, trace_middle,
-                                       unembed, y_from_dual)
+                                       y_from_dual)
 
 
 def rand_herm(g, d):
@@ -49,31 +51,6 @@ def test_coords_round_trip(rng):
     c = coords_from_hermitian(h)
     assert np.max(np.abs(c.imag)) < 1e-12
     np.testing.assert_allclose(hermitian_from_coords(c.real, 3), h, atol=1e-12)
-
-
-def test_embed_round_trip_and_inner_product(rng):
-    a, b = rand_herm(rng, 3), rand_herm(rng, 3)
-    ea, eb = embed(a), embed(b)
-    np.testing.assert_allclose(unembed(ea), a, atol=1e-13)
-    # the embedding doubles Hilbert-Schmidt inner products
-    assert np.tensordot(ea, eb) == pytest.approx(2.0 * np.tensordot(a.conj(), b).real,
-                                                 abs=1e-10)
-
-
-def test_embed_doubles_spectrum(rng):
-    a = rand_herm(rng, 3)
-    w = np.linalg.eigvalsh(a)
-    we = np.linalg.eigvalsh(embed(a))
-    np.testing.assert_allclose(we, np.sort(np.concatenate([w, w])), atol=1e-10)
-
-
-def test_commutant_projection_is_idempotent(rng):
-    m = rng.normal(size=(6, 6))
-    m = m + m.T
-    p1 = commutant_project(m)
-    np.testing.assert_allclose(commutant_project(p1), p1, atol=1e-12)
-    h = rand_herm(rng, 3)
-    np.testing.assert_allclose(commutant_project(embed(h)), embed(h), atol=1e-12)
 
 
 def test_trace_middle_matches_loop(rng):
@@ -112,8 +89,8 @@ def test_objective_blocks_encode_payoff():
     problem = helstrom_problem()
     sdp = build_primal(problem)
     for k, op in enumerate(sdp.payoff_ops.operators):
-        np.testing.assert_allclose(sdp.C[sdp.outcome_block(k)],
-                                   -0.5 * embed(op.data), atol=1e-13)
+        np.testing.assert_allclose(sdp.C[sdp.outcome_block(k)], -op.data,
+                                   atol=1e-13)
     for j in range(1, sdp.num_steps + 1):
         assert np.max(np.abs(sdp.C[sdp.xi_block(j)])) == 0.0
 
@@ -133,15 +110,60 @@ def test_adjoint_identity_channels(seed, pseed, memory):
 
 
 def _assert_rows_agree(sdp, g):
-    from qnetopt.sdp.standard_form import structural_row_values
-    n = sdp.num_steps
-    xi_ops = [rand_herm(g, sdp.cdims[sdp.xi_block(j)]) for j in range(1, n + 1)]
-    t_ops = [rand_herm(g, sdp.cdims[sdp.outcome_block(k)])
+    space = sdp.problem.space
+    xi_ops = [LabeledOperator(space.prefix_factors(j - 1)
+                              + (space.steps[j - 1].in_sys,),
+                              rand_herm(g, sdp.block_dims[sdp.xi_block(j)]))
+              for j in range(1, sdp.num_steps + 1)]
+    t_ops = [LabeledOperator(space.factors(),
+                             rand_herm(g, sdp.block_dims[sdp.outcome_block(k)]))
              for k in range(sdp.num_outcomes)]
     direct = structural_row_values(sdp, xi_ops, t_ops)
-    blocks = [embed(h) for h in xi_ops + t_ops]
-    assembled = sdp.cmap.apply_A(blocks)
+    assembled = sdp.cmap.apply_A([op.data for op in xi_ops + t_ops])
     np.testing.assert_allclose(assembled, direct, atol=1e-10)
+
+
+def _dense_rows(cmap):
+    """Per-block (m, n, n) stacks of every row's coefficient, from the entries."""
+    dense = [np.zeros((cmap.m, n, n), dtype=complex) for n in cmap.block_dims]
+    for e in cmap.entries:
+        dense[e.block][e.rows] += e.tensor
+    return dense
+
+
+def test_kernels_match_dense_rows(rng):
+    problem = random_channel_problem(np.random.default_rng(7), 3,
+                                     [(2, 2), (2, 2)], memory=True)
+    sdp = build_primal(problem)
+    cmap = sdp.cmap
+    dense = _dense_rows(cmap)
+    Ws = []
+    for n in cmap.block_dims:
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        Ws.append(a @ a.conj().T + n * np.eye(n))
+    expect = np.zeros((cmap.m, cmap.m))
+    for A, W in zip(dense, Ws):
+        # sum_b Re Tr(A_i W_b A_j W_b)
+        expect += np.einsum("ikl,lp,jpq,qk->ij", A, W, A, W,
+                            optimize=True).real
+    np.testing.assert_allclose(cmap.schur(Ws), expect, rtol=1e-10)
+
+    X = [rand_herm(rng, n) for n in cmap.block_dims]
+    y = rng.normal(size=cmap.m)
+    AX = cmap.apply_A(X)
+    np.testing.assert_allclose(
+        AX, sum(np.einsum("ikl,lk->i", A, Xb).real for A, Xb in zip(dense, X)),
+        rtol=1e-10)
+    ATy = cmap.apply_AT(y)
+    pairing = sum(np.vdot(Ab, Xb).real for Ab, Xb in zip(ATy, X))
+    assert np.dot(y, AX) == pytest.approx(pairing, rel=1e-10)
+
+    # real-typed blocks, as primal_start() returns them, are accepted
+    x0 = sdp.primal_start()
+    assert all(blk.dtype == float for blk in x0)
+    np.testing.assert_allclose(
+        cmap.apply_A(x0), cmap.apply_A([blk.astype(complex) for blk in x0]),
+        rtol=1e-10)
 
 
 def test_dual_vector_round_trip(rng):
