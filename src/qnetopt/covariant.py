@@ -4,8 +4,12 @@ For a finite group acting on the parameter set, with a payoff that only
 depends on group-relative displacement and process operators forming an
 orbit, the full tester optimization collapses to a much smaller question:
 how large a multiple of the weighted seed operator fits under an invariant
-state (or comb).  ``covariant_gamma`` runs that reduced program and returns
-gamma_max = gamma_0 / q_max together with the invariant optimizer.
+state (or comb).  An optimal tester can be taken covariant, so that question
+is the ordinary tester program (``sdp.standard_form.build_primal``) with a
+single seed outcome T whose normalization is imposed on twirl(T) rather
+than on T; only the outcome rows change, to the twirled Hermitian basis.
+``covariant_gamma`` solves it and returns gamma_max = gamma_0 / q_max, read
+off the tightened dual, together with the invariant comb that certifies it.
 
 The phase-estimation helpers cover the standard cyclic-group instances:
 single-phase optima on d levels, the correlated two-phase payoff, and the
@@ -27,8 +31,10 @@ from .estimation import EstimationProblem, problem_from_raw_payoff
 from .networks import (CombSpace, QuantumComb, choi_of_channel,
                        comb_of_memoryless_sequence, validate_comb)
 from .operators import LabeledOperator, SystemLabel
-from .sdp.ipm import BlockConstraintMap, ConstraintEntry, SolverOptions, solve_ipm
-from .sdp.standard_form import coords_from_hermitian, hermitian_basis_stack
+from .sdp.engine import check_dimension_cap, slater_point, tighten_dual
+from .sdp.ipm import SolverOptions, solve_ipm
+from .sdp.standard_form import (build_primal, dual_from_y,
+                                hermitian_basis_stack, y_from_dual)
 
 HOMOMORPHISM_TOL = 1e-10
 INVARIANCE_TOL = 1e-10
@@ -68,18 +74,15 @@ class FiniteGroupAction:
             raise BadParameter("table has no identity element")
         self.identity_index = ident
         for lid, mats in self.rep.items():
-            for g in range(n):
-                u = np.asarray(mats[self.elements[g]], dtype=complex)
+            us = [np.asarray(mats[el], dtype=complex) for el in self.elements]
+            for el, u in zip(self.elements, us):
                 d = u.shape[0]
                 if u.shape != (d, d) or \
                         np.max(np.abs(u.conj().T @ u - np.eye(d))) > HOMOMORPHISM_TOL:
-                    raise BadParameter("rep[%r][%r] is not unitary" % (lid, self.elements[g]))
+                    raise BadParameter("rep[%r][%r] is not unitary" % (lid, el))
             for g in range(n):
                 for h in range(n):
-                    ug = np.asarray(mats[self.elements[g]], dtype=complex)
-                    uh = np.asarray(mats[self.elements[h]], dtype=complex)
-                    ugh = np.asarray(mats[self.elements[table[g, h]]], dtype=complex)
-                    prod = ugh.conj().T @ (ug @ uh)
+                    prod = us[table[g, h]].conj().T @ (us[g] @ us[h])
                     d = prod.shape[0]
                     phase = np.trace(prod) / d
                     if abs(abs(phase) - 1.0) > HOMOMORPHISM_TOL or \
@@ -120,13 +123,19 @@ def act(action: FiniteGroupAction, element, op: LabeledOperator) -> LabeledOpera
     return op.with_data(u @ op.data @ u.conj().T)
 
 
+def _twirl_stack(mats: np.ndarray, action: FiniteGroupAction,
+                 factors: Sequence[SystemLabel]) -> np.ndarray:
+    """Group average of u X u^H for X a matrix or a (rows, D, D) stack."""
+    acc = np.zeros(mats.shape, dtype=complex)
+    for element in action.elements:
+        u = action.unitary_for(element, factors)
+        acc += u @ mats @ u.conj().T
+    return acc / action.size
+
+
 def twirl(op: LabeledOperator, action: FiniteGroupAction) -> LabeledOperator:
     """Group average of the conjugation action; idempotent, trace preserving."""
-    acc = np.zeros_like(np.asarray(op.data, dtype=complex))
-    for element in action.elements:
-        u = action.unitary_for(element, op.factors)
-        acc += u @ op.data @ u.conj().T
-    return op.with_data(acc / action.size)
+    return op.with_data(_twirl_stack(op.data, action, op.factors))
 
 
 def is_invariant(op: LabeledOperator, action: FiniteGroupAction,
@@ -163,21 +172,15 @@ def product_group(ea, ta, eb, tb) -> Tuple[tuple, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def traceless_hermitian_basis_stack(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of the traceless subspace, (d^2-1, d, d)."""
-    full = hermitian_basis_stack(d)
-    mats = [full[k] for k in range(d, d * d)]  # off-diagonal part is traceless
-    for k in range(1, d):
-        h = np.zeros((d, d), dtype=complex)
-        h[np.diag_indices(d)[0][:k], np.diag_indices(d)[1][:k]] = 1.0
-        h[k, k] = -k
-        mats.append(h / np.sqrt(k * (k + 1)))
-    return np.stack(mats)
-
-
 @dataclass(frozen=True)
 class CovariantResult:
-    """Reduced covariant optimum: gamma_max * q_max = gamma_0."""
+    """Reduced covariant optimum: gamma_max * q_max = gamma_0.
+
+    gamma_max is the tightened dual value of the reduced program, an upper
+    bound on the stored-scale optimum; invariant_op is the invariant comb R
+    with gamma_max * R >= G_x for every x, so (gamma_max, R) certifies the
+    full problem.  gap and iterations describe the reduced program's solve.
+    """
 
     gamma_max: float
     q_max: float
@@ -187,103 +190,34 @@ class CovariantResult:
     iterations: int
 
 
-def _comb_structure_rows(space: CombSpace):
-    """Constraint tensors expressing 'R is a valid comb' on the full space.
-
-    One overall trace row (value prod of input dims), then for each step n a
-    block of rows pairing a full basis of the step prefix with a traceless
-    basis of the step input: those inner products vanish exactly when the
-    partial trace over the step output factorizes with an identity input.
-    """
-    d_in = space.in_dims()
-    d_out = space.out_dims()
-    n_steps = space.num_steps
-    D = space.total_dim()
-    prefix = [1]
-    for j in range(n_steps):
-        prefix.append(prefix[-1] * d_out[j] * d_in[j])
-    tensors = []
-    row_counts = []
-    for n in range(1, n_steps + 1):
-        q = d_in[n - 1]
-        if q == 1:
-            continue
-        pre_basis = hermitian_basis_stack(prefix[n - 1])
-        tl_basis = traceless_hermitian_basis_stack(q)
-        o = d_out[n - 1]
-        rest = D // (prefix[n - 1] * o * q)
-        later_in = int(np.prod(d_in[n:], dtype=np.int64))
-        # coefficient (E_pre (x) I_out (x) F_in (x) I_rest) / later_in
-        p = prefix[n - 1]
-        grown = np.einsum("aij,kl->aikjl", pre_basis,
-                          np.eye(o, dtype=complex)).reshape(len(pre_basis),
-                                                            p * o, p * o)
-        paired = np.einsum("aij,bkl->abikjl", grown, tl_basis).reshape(
-            len(pre_basis) * len(tl_basis), p * o * q, p * o * q)
-        full = np.einsum("xij,kl->xikjl", paired,
-                         np.eye(rest, dtype=complex)).reshape(
-                             paired.shape[0], D, D)
-        tensors.append(full / later_in)
-        row_counts.append(full.shape[0])
-    return tensors, row_counts
-
-
 def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
                 options: Optional[SolverOptions] = None):
-    """max t such that R is a comb, M >= 0, twirl(R) - t*seed = M.
+    """Smallest lambda with lambda * R >= seed for an invariant comb R.
 
-    Blocks are (R, M, t); all equality rows are exact at the feasible start
-    (mixed comb, small t), so the interior-point core runs in feasible mode.
+    This is the one-outcome tester program for the seed comb with the
+    normalization imposed on twirl(T) instead of T: build_primal gets the
+    twirled basis as its outcome rows.  Its dual asks for a dual chain with
+    twirl(S^(N)) >= seed; after tightening, R = twirl(S^(N)) / lambda is an
+    invariant comb with lambda = S^(0), and q_max = 1 / lambda is the largest
+    q with q * seed dominated by an invariant comb.  Returns (lambda, R, the
+    interior-point result).
     """
     opts = options if options is not None else SolverOptions()
     factors = space.factors()
-    D = space.total_dim()
-    in_total = space.total_in_dim()
-    out_total = D // in_total
-
-    struct_tensors, struct_counts = _comb_structure_rows(space)
-    n_struct = sum(struct_counts)
-    basis = hermitian_basis_stack(D)
-    m = 1 + n_struct + D * D
-
-    twirled = np.zeros_like(basis)
-    for element in action.elements:
-        u = action.unitary_for(element, factors)
-        twirled += np.einsum("ij,ajk,kl->ail", u, basis, u.conj().T)
-    twirled /= action.size
-
-    entries = []
-    eyeD = np.eye(D, dtype=complex)[None, :, :]
-    entries.append(ConstraintEntry(0, 1, 0, eyeD))
-    off = 1
-    for t in struct_tensors:
-        entries.append(ConstraintEntry(off, off + t.shape[0], 0, t))
-        off += t.shape[0]
-    entries.append(ConstraintEntry(off, m, 0, twirled))
-    entries.append(ConstraintEntry(off, m, 1, -basis))
-    t_tensor = -coords_from_hermitian(seed).astype(complex)[:, None, None]
-    entries.append(ConstraintEntry(off, m, 2, t_tensor))
-
-    cmap = BlockConstraintMap(m, (D, D, 1), entries)
-    b = np.zeros(m)
-    b[0] = float(in_total)
-    C = (np.zeros((D, D)), np.zeros((D, D)), -np.eye(1))
-
-    mixed = np.eye(D) / out_total
-    lam_seed = float(np.linalg.eigvalsh((seed + seed.conj().T) / 2.0)[-1])
-    if lam_seed <= 0:
-        raise BadParameter("seed operator has no positive part")
-    t0 = 0.5 / (out_total * lam_seed)
-    M0 = mixed - t0 * seed  # twirl(mixed) = mixed
-    X0 = [mixed, M0, t0 * np.eye(1)]
-    y0 = np.zeros(m)
-    y0[0] = -4.0 / in_total
-    y0[off:] = coords_from_hermitian((2.0 / in_total) * np.eye(D))
-
-    res = solve_ipm(cmap, C, b, X0, y0, opts)
-    q = -res.pobj
-    inv = twirl(LabeledOperator(factors, res.X[0]), action)
-    return q, inv, res
+    reduced = EstimationProblem(
+        space, (0,), np.ones(1),
+        (QuantumComb(space, LabeledOperator(factors, seed)),), np.ones((1, 1)))
+    check_dimension_cap(reduced, opts)
+    twirled = _twirl_stack(hermitian_basis_stack(space.total_dim()), action,
+                           factors)
+    sdp = build_primal(reduced, twirled)
+    y0 = y_from_dual(sdp, slater_point(reduced))
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(), y0, opts)
+    dual = tighten_dual(reduced, dual_from_y(sdp, res.y))
+    lam = dual.s0
+    top = twirl(dual.operators[-1], action).data
+    inv = LabeledOperator(factors, (top + top.conj().T) / (2.0 * lam))
+    return lam, inv, res
 
 
 def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
@@ -301,21 +235,18 @@ def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
         raise BadParameter("seed state trace deviates from 1")
     in_sys = SystemLabel(out_sys.id + "#src", 1)
     space = CombSpace(((in_sys, out_sys),))
-    q, inv, _res = _qmax_solve(space, np.asarray(rho0.data, dtype=complex),
-                               action, options)
-    rho = LabeledOperator((out_sys,), inv.data)
-    return q, rho
+    lam, inv, _res = _qmax_solve(space, rho0.data, action, options)
+    return 1.0 / lam, LabeledOperator((out_sys,), inv.data)
 
 
 def qmax_comb(comb0: QuantumComb, action: FiniteGroupAction,
               options: Optional[SolverOptions] = None):
     """Comb version of qmax_state: domination within invariant combs."""
     comb0 = validate_comb(comb0)
-    q, inv, _res = _qmax_solve(comb0.space, np.asarray(comb0.op.data, dtype=complex),
-                               action, options)
+    lam, inv, _res = _qmax_solve(comb0.space, comb0.op.data, action, options)
     opts = options if options is not None else SolverOptions()
     comb = validate_comb(QuantumComb(comb0.space, inv), 100.0 * opts.tol)
-    return q, comb
+    return 1.0 / lam, comb
 
 
 def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
@@ -363,8 +294,8 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         raise BadParameter("payoff row at the identity is all zero")
     seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
     seed = (seed + seed.conj().T) / 2.0
-    q, inv, res = _qmax_solve(problem.space, seed, action, options)
-    return CovariantResult(gamma_0 / q, q, gamma_0, inv,
+    lam, inv, res = _qmax_solve(problem.space, seed, action, options)
+    return CovariantResult(gamma_0 * lam, 1.0 / lam, gamma_0, inv,
                            res.gap, res.iterations)
 
 

@@ -162,6 +162,24 @@ def mixed_comb(space) -> QuantumComb:
     return validate_comb(QuantumComb(space, op))
 
 
+def check_dimension_cap(problem: EstimationProblem, opts: SolverOptions):
+    """Raise DimensionCap if the tester program is too large to build.
+
+    Sums the complex block sides (one chain block per step, one outcome
+    block per estimate); the cap bounds twice that sum, the dimension of the
+    program over the reals.
+    """
+    total = 0
+    d = 1
+    for step in problem.space.steps:
+        total += d * step.in_sys.dim
+        d *= step.in_sys.dim * step.out_sys.dim
+    total = 2 * (total + d * problem.num_params)
+    if total > opts.dimension_cap:
+        raise DimensionCap("total SDP dimension %d exceeds cap %d"
+                           % (total, opts.dimension_cap))
+
+
 def solve(problem: EstimationProblem,
           options: Optional[SolverOptions] = None) -> SdpSolution:
     """Optimize a tester for the problem and certify the result.
@@ -173,18 +191,7 @@ def solve(problem: EstimationProblem,
     opts = options if options is not None else SolverOptions()
     problem.validated()
     space = problem.space
-
-    # Sum the complex block sides; the cap bounds twice that sum, the
-    # dimension of the program over the reals.
-    total = 0
-    d = 1
-    for step in space.steps:
-        total += d * step.in_sys.dim
-        d *= step.in_sys.dim * step.out_sys.dim
-    total = 2 * (total + d * problem.num_params)
-    if total > opts.dimension_cap:
-        raise DimensionCap("total SDP dimension %d exceeds cap %d"
-                           % (total, opts.dimension_cap))
+    check_dimension_cap(problem, opts)
 
     sdp = build_primal(problem)
     X0 = sdp.primal_start()

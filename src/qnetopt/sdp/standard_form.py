@@ -25,7 +25,7 @@ permutations appear in the hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -141,8 +141,16 @@ class StandardSdp:
         return blocks
 
 
-def build_primal(problem: EstimationProblem) -> StandardSdp:
-    """Assemble blocks, objective, and the structured constraint map."""
+def build_primal(problem: EstimationProblem,
+                 outcome_rows: Optional[np.ndarray] = None) -> StandardSdp:
+    """Assemble blocks, objective, and the structured constraint map.
+
+    outcome_rows is the coefficient stack of the outcome blocks in the
+    level-N rows, (D_N^2, D_N, D_N); None means the Hermitian basis, which
+    imposes sum_est T_est = I_out(N) (x) Xi^(N).  The covariant program passes
+    the twirled basis twirl(B_a): the twirl is self-adjoint, so row a reads
+    <B_a, twirl(T)> and the constraint becomes twirl(T) = I_out(N) (x) Xi^(N).
+    """
     space = problem.space
     n_steps = space.num_steps
     d_in = space.in_dims()
@@ -180,10 +188,12 @@ def build_primal(problem: EstimationProblem) -> StandardSdp:
     # level N: sum_est T_est - I_out(N) (x) Xi^(N)
     rows = slice(offsets[n_steps], m)
     basis = hermitian_basis_stack(prefix[n_steps])
+    if outcome_rows is None:
+        outcome_rows = basis
     for k in range(problem.num_params):
         # one ndarray shared by every outcome block
         entries.append(ConstraintEntry(rows.start, rows.stop, n_steps + k,
-                                       basis))
+                                       outcome_rows))
     shrunk = trace_middle(basis, prefix[n_steps - 1], d_out[n_steps - 1],
                           d_in[n_steps - 1])
     entries.append(ConstraintEntry(rows.start, rows.stop, n_steps - 1,

@@ -16,13 +16,14 @@ from qnetopt.covariant import (FiniteGroupAction, act, covariant_gamma,
                                product_group, qmax_comb, qmax_state,
                                sum_of_phases, twirl, two_phase_correlated,
                                two_phase_payoff_matrix, two_phase_problem)
-from qnetopt.errors import (BadDimension, BadParameter, NotLeftInvariant,
-                            ShapeMismatch)
+from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
+                            NotLeftInvariant, ShapeMismatch)
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_unitary
-from qnetopt.networks import comb_of_memoryless_sequence, choi_of_channel
+from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
+                              choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
-from qnetopt.sdp import solve
+from qnetopt.sdp import SolverOptions, certify_dual, solve
 
 Q = SystemLabel("q", 2)
 X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -120,6 +121,64 @@ def test_covariant_gamma_matches_direct_solve():
     stored_gamma = direct.gamma_primal + problem.payoff_shift
     assert red.gamma_max == pytest.approx(stored_gamma, abs=1e-6)
     assert red.gamma_max * red.q_max == pytest.approx(red.gamma_0, abs=1e-8)
+
+
+def two_step_phase_problem(grid=8):
+    """Two sequential uses of diag(1, w^j) on a grid, payoff 1 + cos."""
+    i1, o1, i2, o2 = (SystemLabel(n, 2) for n in ("i1", "o1", "i2", "o2"))
+    rep = {j: np.diag([1.0, np.exp(2j * np.pi * j / grid)])
+           for j in range(grid)}
+    combs = tuple(comb_of_memoryless_sequence(
+        [choi_of_channel([rep[j]], i1, o1), choi_of_channel([rep[j]], i2, o2)])
+        for j in range(grid))
+    d = np.arange(grid)
+    payoff = 1.0 + np.cos(2 * np.pi * (d[:, None] - d[None, :]) / grid)
+    problem = EstimationProblem(combs[0].space, tuple(range(grid)),
+                                np.full(grid, 1.0 / grid), combs, payoff,
+                                payoff_shift=1.0)
+    elements, table = cyclic_group(grid)
+    return problem, FiniteGroupAction(elements, table, {"o1": rep, "o2": rep})
+
+
+def test_covariant_gamma_two_step_matches_direct_and_oracle():
+    problem, action = two_step_phase_problem()
+    red = covariant_gamma(problem, action)
+    assert red.gamma_max == pytest.approx(solve(problem).gamma_primal + 1.0,
+                                          abs=1e-6)
+    # two uses of a qubit phase gate reach three phase levels
+    assert red.gamma_max == pytest.approx(
+        1.0 + phase_estimation_optimum(3).cos_max, abs=1e-6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: phase_grid_problem(2),
+    two_step_phase_problem,
+    lambda: two_phase_problem(0.2601612582347196, 8),
+], ids=["phase-2", "two-step", "two-phase-8"])
+def test_reduced_result_certifies_full_problem(make):
+    problem, action = make()
+    res = covariant_gamma(problem, action)
+    report = certify_dual(res.gamma_max,
+                          QuantumComb(problem.space, res.invariant_op),
+                          problem, tol=1e-7)
+    assert report.certified, report.min_margin
+
+
+@pytest.mark.parametrize("levels,grid", [(3, 18), (3, 24), (3, 30), (5, None)])
+def test_covariant_gamma_matches_phase_oracle(levels, grid):
+    problem, action = phase_grid_problem(levels, grid)
+    res = covariant_gamma(problem, action)
+    assert res.gamma_max == pytest.approx(
+        problem.payoff_shift + phase_estimation_optimum(levels).cos_max,
+        abs=1e-7)
+
+
+def test_covariant_gamma_honours_dimension_cap():
+    # the reduced program has block sides 3 + 9, so 2 * 12 = 24 > 20
+    with pytest.raises(DimensionCap):
+        covariant_gamma(*phase_grid_problem(3), SolverOptions(dimension_cap=20))
+    assert covariant_gamma(*phase_grid_problem(3),
+                           SolverOptions(dimension_cap=24)).iterations > 0
 
 
 def test_covariant_gamma_requires_uniform_prior():
