@@ -7,7 +7,7 @@ how large a multiple of the weighted seed operator fits under an invariant
 state (or comb).  An optimal tester can be taken covariant, so that question
 is the ordinary tester program (``sdp.standard_form.build_primal``) with a
 single seed outcome T whose normalization is imposed on twirl(T) rather
-than on T; only the outcome rows change, to the twirled Hermitian basis.
+than on T; only the outcome rows change, to the twirl's coordinate matrix.
 ``covariant_gamma`` solves it and returns gamma_max = gamma_0 / q_max, read
 off the tightened dual, together with the invariant comb that certifies it.
 
@@ -32,9 +32,8 @@ from .networks import (CombSpace, QuantumComb, choi_of_channel,
                        comb_of_memoryless_sequence, validate_comb)
 from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import check_dimension_cap, slater_point, tighten_dual
-from .sdp.ipm import SolverOptions, solve_ipm
-from .sdp.standard_form import (build_primal, dual_from_y,
-                                hermitian_basis_stack, y_from_dual)
+from .sdp.ipm import SolverOptions, basis_kernel, solve_ipm
+from .sdp.standard_form import build_primal, dual_from_y, y_from_dual
 
 HOMOMORPHISM_TOL = 1e-10
 INVARIANCE_TOL = 1e-10
@@ -123,19 +122,25 @@ def act(action: FiniteGroupAction, element, op: LabeledOperator) -> LabeledOpera
     return op.with_data(u @ op.data @ u.conj().T)
 
 
-def _twirl_stack(mats: np.ndarray, action: FiniteGroupAction,
-                 factors: Sequence[SystemLabel]) -> np.ndarray:
-    """Group average of u X u^H for X a matrix or a (rows, D, D) stack."""
-    acc = np.zeros(mats.shape, dtype=complex)
-    for element in action.elements:
-        u = action.unitary_for(element, factors)
-        acc += u @ mats @ u.conj().T
-    return acc / action.size
-
-
 def twirl(op: LabeledOperator, action: FiniteGroupAction) -> LabeledOperator:
     """Group average of the conjugation action; idempotent, trace preserving."""
-    return op.with_data(_twirl_stack(op.data, action, op.factors))
+    acc = np.zeros(op.data.shape, dtype=complex)
+    for element in action.elements:
+        u = action.unitary_for(element, op.factors)
+        acc += u @ op.data @ u.conj().T
+    return op.with_data(acc / action.size)
+
+
+def twirl_coordinates(action: FiniteGroupAction,
+                      factors: Sequence[SystemLabel]) -> np.ndarray:
+    """The twirl in Hermitian-basis coordinates: P[a, c] = Re<B_a, twirl(B_c)>.
+
+    P = (1/|G|) sum_g Re Tr(B_a U_g B_c U_g^H), the basis kernel of the stack
+    of U_g; it is a symmetric projector because the twirl is a self-adjoint
+    idempotent.
+    """
+    us = np.stack([action.unitary_for(el, factors) for el in action.elements])
+    return basis_kernel(us) / action.size
 
 
 def is_invariant(op: LabeledOperator, action: FiniteGroupAction,
@@ -196,11 +201,11 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
 
     This is the one-outcome tester program for the seed comb with the
     normalization imposed on twirl(T) instead of T: build_primal gets the
-    twirled basis as its outcome rows.  Its dual asks for a dual chain with
-    twirl(S^(N)) >= seed; after tightening, R = twirl(S^(N)) / lambda is an
-    invariant comb with lambda = S^(0), and q_max = 1 / lambda is the largest
-    q with q * seed dominated by an invariant comb.  Returns (lambda, R, the
-    interior-point result).
+    twirl's coordinate matrix as its outcome rows.  Its dual asks for a dual
+    chain with twirl(S^(N)) >= seed; after tightening, R = twirl(S^(N)) /
+    lambda is an invariant comb with lambda = S^(0), and q_max = 1 / lambda is
+    the largest q with q * seed dominated by an invariant comb.  Returns
+    (lambda, R, the interior-point result).
     """
     opts = options if options is not None else SolverOptions()
     factors = space.factors()
@@ -208,9 +213,7 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
         space, (0,), np.ones(1),
         (QuantumComb(space, LabeledOperator(factors, seed)),), np.ones((1, 1)))
     check_dimension_cap(reduced, opts)
-    twirled = _twirl_stack(hermitian_basis_stack(space.total_dim()), action,
-                           factors)
-    sdp = build_primal(reduced, twirled)
+    sdp = build_primal(reduced, twirl_coordinates(action, factors))
     y0 = y_from_dual(sdp, slater_point(reduced))
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(), y0, opts)
     dual = tighten_dual(reduced, dual_from_y(sdp, res.y))

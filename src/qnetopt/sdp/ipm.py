@@ -7,16 +7,19 @@ dual starting points; with those, every iterate stays (numerically) feasible,
 so primal and dual objectives bracket the optimum and the duality gap is an
 honest error bound.
 
-Constraints are supplied as a BlockConstraintMap: a list of dense Hermitian
-coefficient tensors, one per (row-group, variable-block) pair.  Row i of A(X)
-is Re<A_i, X>, taken as one real product over the interleaved (re, im) view
-of the complex stacks.  Tensors shared between several blocks (identical
-ndarray objects) are exploited when assembling the Schur complement, which
-is what makes many-outcome testers affordable.
+Constraints are supplied as a BlockConstraintMap in coordinates: x_a =
+Re<B_a, X> in the orthonormal Hermitian basis B (basis_layout), and each
+(row group, block) entry is a real coordinate map R, so its rows read R x.
+The Schur complement then needs, per group of blocks with the same entries,
+only S[a, c] = Re sum_k Tr(B_a W_k B_c W_k), which one GEMM and an index
+gather give in closed form (basis_kernel); entry pairs add R_i S R_j^T.
+This is the structure-exploiting assembly of Fujisawa, Kojima and Nakata
+(Math. Program. 79, 1997), specialised to comb constraints.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -24,6 +27,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from ..errors import MaxIterations, NumericalFailure
+
+_R2 = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -38,18 +43,142 @@ class SolverOptions:
     dimension_cap: int = 4096
 
 
+@functools.lru_cache(maxsize=None)
+def basis_layout(n: int):
+    """Position (row[a], col[a]), row <= col, of each basis coordinate a.
+
+    The Hermitian basis of side n is e_ii, then (e_ij + e_ji)/sqrt2, then
+    i(e_ij - e_ji)/sqrt2 (imag[a] true), pairs i < j in row-major order.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    layout = (np.concatenate([diag, iu, iu]), np.concatenate([diag, ju, ju]),
+              np.arange(n * n) >= n + len(iu))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def coordinate_index(row, col, imag, n: int):
+    """Inverse of basis_layout: the coordinate on (row, col), row <= col."""
+    pair = row * n - row * (row + 1) // 2 + col - row - 1
+    return np.where(row == col, row, n + pair + imag * (n * (n - 1) // 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_positions(n: int):
+    """Flat index of the diagonal, and of each pair's upper and lower entry."""
+    row, col, _ = basis_layout(n)
+    h = (n * n + n) // 2
+    return row[:n] * (n + 1), row[n:h] * n + col[n:h], col[n:h] * n + row[n:h]
+
+
+@functools.lru_cache(maxsize=None)
+def _float_positions(n: int):
+    """coords = w f[i] + v f[j] over the (re, im) floats f of a matrix."""
+    diag, up, lo = _flat_positions(n)
+    w = np.full(n * n, _R2)
+    w[:n] = 0.5
+    v = w.copy()
+    v[n + len(up):] *= -1.0
+    return (np.concatenate([2 * diag, 2 * up, 2 * up + 1]),
+            np.concatenate([2 * diag, 2 * lo, 2 * lo + 1]), w, v)
+
+
+def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
+    """Re<B_a, h>: (..., n, n) -> (..., n^2); the Hermitian part's coordinates."""
+    n = h.shape[-1]
+    i, j, w, v = _float_positions(n)
+    f = np.ascontiguousarray(h, dtype=complex).reshape(
+        h.shape[:-2] + (n * n,)).view(float)
+    return w * f[..., i] + v * f[..., j]
+
+
+def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
+    """sum_a coords[..., a] B_a, the transpose of coords_from_hermitian."""
+    i, j, w, v = _float_positions(n)
+    coords = np.asarray(coords, dtype=float)
+    f = np.zeros(coords.shape[:-1] + (2 * n * n,))
+    f[..., i] = w * coords
+    f[..., j] += v * coords
+    return f.view(complex).reshape(coords.shape[:-1] + (n, n))
+
+
+def basis_kernel(stack: np.ndarray) -> np.ndarray:
+    """S[a, c] = Re sum_k Tr(B_a L_k B_c L_k^H) for a (K, n, n) stack L.
+
+    One GEMM gives G[(q, r), (p, s)] = sum_k L_k[q, r] conj(L_k[p, s]);
+    transposed to T[(p, q), (r, s)] it turns each trace into
+    vec(B_a)^T T vec(B_c).  Each B_a has at most two nonzero entries and
+    T[(q, p), (s, r)] = conj T[(p, q), (r, s)], so S is a gather of the rows
+    p <= q of T at the diagonal, upper and lower positions.
+    """
+    k, n, _ = stack.shape
+    flat = stack.reshape(k, n * n)
+    G = (flat.T @ flat.conj()).reshape(n, n, n, n)
+    row, col, _ = basis_layout(n)
+    h = (n * n + n) // 2  # coordinates: diagonal | symmetric | antisymmetric
+    V = G[col[:h], :, row[:h], :].reshape(h, n * n)  # rows p <= q of T
+    del G  # the gather copied all that S needs
+    diag, up, lo = _flat_positions(n)
+    Vd, Vu, Vl = V[:, diag], V[:, up], V[:, lo]
+    plus, minus = Vu + Vl, Vl - Vu
+    S = np.empty((n * n, n * n))
+    S[:h, :n], S[h:, :n] = Vd.real, -Vd[n:].imag
+    S[:h, n:h], S[:h, h:] = plus.real, minus.imag
+    S[h:, n:h], S[h:, h:] = -plus[n:].imag, minus[n:].real
+    S[n:, :n] *= np.sqrt(2.0)
+    S[:n, n:] *= _R2
+    return S
+
+
 @dataclass
 class ConstraintEntry:
-    """Coefficient tensor of one row group acting on one variable block."""
+    """Coordinate map R of one row group on one block: the rows read R x.
+
+    R is scale times the tensor's map.  A float tensor is a (rows, n^2)
+    matrix; an integer tensor (rows, k) lists the coordinates whose unit
+    vectors sum to each row, with -1 padding short rows.  Blocks whose
+    entries share ndarray objects share one Schur kernel.
+    """
 
     row_start: int
     row_stop: int
     block: int
-    tensor: np.ndarray  # (rows, n, n) complex; shared ndarray => shared structure
+    tensor: np.ndarray
+    scale: float = 1.0
+
+    def __post_init__(self):
+        t = self.tensor
+        self.unit = t.dtype.kind in "iu"
+        self.padded = self.unit and t.min(initial=0) < 0
+        self.identity = self.unit and self.scale == 1.0 and \
+            t.shape[1:] == (1,) and np.array_equal(t[:, 0], np.arange(len(t)))
 
     @property
     def rows(self) -> slice:
         return slice(self.row_start, self.row_stop)
+
+    def left(self, M: np.ndarray) -> np.ndarray:
+        """R @ M, for M with the block's coordinates along axis 0."""
+        if self.identity:
+            return M
+        if not self.unit:
+            return self.scale * (self.tensor @ M)
+        if self.padded:  # index -1 reads an appended zero row
+            M = np.concatenate([M, np.zeros((1,) + M.shape[1:])])
+        t = self.tensor
+        return self.scale * (M[t[:, 0]] if t.shape[1] == 1 else M[t].sum(axis=1))
+
+    def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
+        """R^T @ y, the block's size coordinates."""
+        if self.identity:
+            return y
+        if not self.unit:
+            return self.scale * (y @ self.tensor)
+        weights = np.repeat(y, self.tensor.shape[1])
+        return self.scale * np.bincount(self.tensor.ravel() + 1, weights,
+                                        minlength=size + 1)[1:]
 
 
 class BlockConstraintMap:
@@ -61,16 +190,16 @@ class BlockConstraintMap:
         self.block_dims = tuple(int(n) for n in block_dims)
         self.entries = list(entries)
         for e in self.entries:
-            n = self.block_dims[e.block]
-            r = e.row_stop - e.row_start
-            if e.tensor.shape != (r, n, n) or e.tensor.dtype != complex:
-                raise ValueError("entry tensor %s%r vs complex (%d, %d, %d)"
-                                 % (e.tensor.dtype, e.tensor.shape, r, n, n))
-        # group entries that share (rows, tensor object): their row values add
+            if len(e.tensor) != e.row_stop - e.row_start:
+                raise ValueError("entry map with %d rows for %d constraints"
+                                 % (len(e.tensor), e.row_stop - e.row_start))
+        # entries that share (rows, tensor object) act on the sum of their
+        # blocks; each distinct block set needs one coordinate conversion
         shared = {}
         for e in self.entries:
             shared.setdefault((e.row_start, e.row_stop, id(e.tensor)), []).append(e)
-        self._shared_groups = list(shared.values())
+        self._shared_groups = [(g[0], tuple(e.block for e in g))
+                               for g in shared.values()]
         # group variable blocks by their full entry signature for the Schur pass
         by_block = {}
         for e in self.entries:
@@ -84,22 +213,24 @@ class BlockConstraintMap:
 
     def apply_A(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
-        for group in self._shared_groups:
-            e0 = group[0]
-            acc = np.ascontiguousarray(blocks[e0.block], dtype=complex)
-            for e in group[1:]:
-                acc = acc + blocks[e.block]
-            y[e0.rows] += _real_rows(e0.tensor) @ acc.reshape(-1).view(float)
+        coords = {}
+        for e0, block_set in self._shared_groups:
+            if block_set not in coords:
+                coords[block_set] = coords_from_hermitian(
+                    sum(np.asarray(blocks[b]) for b in block_set))
+            y[e0.rows] += e0.left(coords[block_set])
         return y
 
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
+        coords = {}
+        for e0, block_set in self._shared_groups:
+            c = e0.adjoint(y[e0.rows], self.block_dims[e0.block] ** 2)
+            coords[block_set] = coords[block_set] + c if block_set in coords else c
         out = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
-        for group in self._shared_groups:
-            e0 = group[0]
-            mat = (y[e0.rows] @ _real_rows(e0.tensor)).view(complex)
-            mat = mat.reshape(out[e0.block].shape)
-            for e in group:
-                out[e.block] += mat
+        for block_set, c in coords.items():
+            mat = hermitian_from_coords(c, self.block_dims[block_set[0]])
+            for b in block_set:
+                out[b] += mat
         return out
 
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
@@ -107,29 +238,15 @@ class BlockConstraintMap:
         H = np.zeros((self.m, self.m))
         for block_ids in self._sig_groups:
             entry_list = self._by_block[block_ids[0]]
-            # one sandwich per entry, accumulated over the blocks of the group
-            sandwiches = []
-            for e in entry_list:
-                acc = None
-                for b in block_ids:
-                    W = scalings[b]
-                    s = W @ e.tensor @ W  # batched over the row index
-                    acc = s if acc is None else acc + s
-                sandwiches.append(_real_rows(acc))
+            S = basis_kernel(np.stack([scalings[b] for b in block_ids]))
             for i, ei in enumerate(entry_list):
-                ti = _real_rows(ei.tensor)
-                for j in range(i, len(entry_list)):
-                    ej = entry_list[j]
-                    hij = ti @ sandwiches[j].T
+                left = ei.left(S)
+                for ej in entry_list[i:]:
+                    hij = ej.left(left.T).T  # R_i S R_j^T
                     H[ei.rows, ej.rows] += hij
-                    if j != i:
+                    if ej is not ei:
                         H[ej.rows, ei.rows] += hij.T
-        return (H + H.T) / 2.0
-
-
-def _real_rows(stack: np.ndarray) -> np.ndarray:
-    """(r, n, n) complex -> (r, 2 n^2) real; row dot products give Re<A, B>."""
-    return stack.reshape(stack.shape[0], -1).view(float)
+        return H
 
 
 @dataclass
@@ -239,9 +356,12 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             svals.append(s)
 
         H = cmap.schur(Ws)
+        # factor a diagonally shifted copy in place (its transpose is the
+        # Fortran-ordered view LAPACK overwrites); refinement uses H itself
+        F = H.copy()
+        F.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
         try:
-            Hf = cho_factor(H + 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
-                            * np.eye(cmap.m))
+            Hf = cho_factor(F.T, overwrite_a=True)
         except np.linalg.LinAlgError:
             raise NumericalFailure("Schur complement not positive definite",
                                    {"iteration": it})

@@ -32,53 +32,33 @@ import numpy as np
 from ..errors import ShapeMismatch
 from ..estimation import EstimationProblem, PayoffOperators, payoff_operators
 from ..operators import LabeledOperator
-from .ipm import BlockConstraintMap, ConstraintEntry
-
-# ---------------------------------------------------------------------------
-# Hermitian bases and partial traces of coefficient stacks
-# ---------------------------------------------------------------------------
+from .ipm import (BlockConstraintMap, ConstraintEntry, basis_layout,
+                  coordinate_index, coords_from_hermitian,
+                  hermitian_from_coords)
 
 
-_basis_cache = {}
+def _grown_rows(d: int, d_in: int) -> np.ndarray:
+    """Coordinates of B_a (x) I_in on side d * d_in: d_in unit entries a row."""
+    row, col, imag = basis_layout(d)
+    k = np.arange(d_in)
+    return coordinate_index(row[:, None] * d_in + k, col[:, None] * d_in + k,
+                            imag[:, None], d * d_in)
 
 
-def hermitian_basis_stack(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of C^{d x d}, stacked as a (d^2, d, d) array.
+def _shrunk_rows(pre: int, d_out: int, d_in: int) -> np.ndarray:
+    """Coordinates of Tr_out B_a for B_a on (pre, out, in): one unit or none.
 
-    Order: diagonal units, then (e_ij + e_ji)/sqrt2 for i<j, then
-    i(e_ij - e_ji)/sqrt2 for i<j.
+    e_PQ traces to e_P'Q' (output index dropped) if P and Q share the output
+    index and to zero otherwise; dropping it keeps P' < Q'.
     """
-    if d in _basis_cache:
-        return _basis_cache[d]
-    mats = np.zeros((d * d, d, d), dtype=complex)
-    k = 0
-    for i in range(d):
-        mats[k, i, i] = 1.0
-        k += 1
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            mats[k, i, j] = r
-            mats[k, j, i] = r
-            k += 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            mats[k, i, j] = 1j * r
-            mats[k, j, i] = -1j * r
-            k += 1
-    mats.setflags(write=False)
-    _basis_cache[d] = mats
-    return mats
+    row, col, imag = basis_layout(pre * d_out * d_in)
 
+    def keep(i):
+        return i // (d_out * d_in) * d_in + i % d_in
 
-def hermitian_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
-    return np.tensordot(np.asarray(coords), hermitian_basis_stack(d), axes=1)
-
-
-def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    stack = hermitian_basis_stack(d)
-    return np.tensordot(stack.conj(), h, axes=([1, 2], [0, 1])).real
+    idx = coordinate_index(keep(row), keep(col), imag, pre * d_in)
+    same_out = row // d_in % d_out == col // d_in % d_out
+    return np.where(same_out, idx, -1)[:, None]
 
 
 def trace_middle(mats: np.ndarray, pre: int, mid: int, post: int) -> np.ndarray:
@@ -145,10 +125,10 @@ def build_primal(problem: EstimationProblem,
                  outcome_rows: Optional[np.ndarray] = None) -> StandardSdp:
     """Assemble blocks, objective, and the structured constraint map.
 
-    outcome_rows is the coefficient stack of the outcome blocks in the
-    level-N rows, (D_N^2, D_N, D_N); None means the Hermitian basis, which
-    imposes sum_est T_est = I_out(N) (x) Xi^(N).  The covariant program passes
-    the twirled basis twirl(B_a): the twirl is self-adjoint, so row a reads
+    outcome_rows is the coordinate map of the outcome blocks in the level-N
+    rows, a real (D_N^2, D_N^2) matrix; None means the identity, which imposes
+    sum_est T_est = I_out(N) (x) Xi^(N).  The covariant program passes the
+    twirl's coordinate matrix P[a, c] = Re<B_a, twirl(B_c)>: row a then reads
     <B_a, twirl(T)> and the constraint becomes twirl(T) = I_out(N) (x) Xi^(N).
     """
     space = problem.space
@@ -170,34 +150,28 @@ def build_primal(problem: EstimationProblem,
         offsets.append(offsets[-1] + prefix[j] ** 2)
     m = offsets[-1] + prefix[n_steps] ** 2
 
-    entries = []
-    # level 0: full trace of Xi^(1)
-    eye0 = np.eye(block_dims[0], dtype=complex)[None, :, :]
-    entries.append(ConstraintEntry(0, 1, 0, eye0))
+    # level 0: full trace of Xi^(1), the sum of its diagonal coordinates
+    entries = [ConstraintEntry(0, 1, 0, np.arange(block_dims[0])[None, :])]
     # levels 1..N-1: Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j)
     for j in range(1, n_steps):
         rows = slice(offsets[j], offsets[j] + prefix[j] ** 2)
-        basis = hermitian_basis_stack(prefix[j])
-        grown = np.einsum("rab,cd->racbd", basis,
-                          np.eye(d_in[j], dtype=complex)).reshape(
-                              prefix[j] ** 2, prefix[j] * d_in[j],
-                              prefix[j] * d_in[j])
-        entries.append(ConstraintEntry(rows.start, rows.stop, j, grown))
-        shrunk = trace_middle(basis, prefix[j - 1], d_out[j - 1], d_in[j - 1])
-        entries.append(ConstraintEntry(rows.start, rows.stop, j - 1, -shrunk))
+        entries.append(ConstraintEntry(rows.start, rows.stop, j,
+                                       _grown_rows(prefix[j], d_in[j])))
+        entries.append(ConstraintEntry(
+            rows.start, rows.stop, j - 1,
+            _shrunk_rows(prefix[j - 1], d_out[j - 1], d_in[j - 1]), -1.0))
     # level N: sum_est T_est - I_out(N) (x) Xi^(N)
     rows = slice(offsets[n_steps], m)
-    basis = hermitian_basis_stack(prefix[n_steps])
     if outcome_rows is None:
-        outcome_rows = basis
+        outcome_rows = np.arange(prefix[n_steps] ** 2)[:, None]
     for k in range(problem.num_params):
         # one ndarray shared by every outcome block
         entries.append(ConstraintEntry(rows.start, rows.stop, n_steps + k,
                                        outcome_rows))
-    shrunk = trace_middle(basis, prefix[n_steps - 1], d_out[n_steps - 1],
-                          d_in[n_steps - 1])
-    entries.append(ConstraintEntry(rows.start, rows.stop, n_steps - 1,
-                                   -shrunk))
+    entries.append(ConstraintEntry(
+        rows.start, rows.stop, n_steps - 1,
+        _shrunk_rows(prefix[n_steps - 1], d_out[n_steps - 1],
+                    d_in[n_steps - 1]), -1.0))
 
     cmap = BlockConstraintMap(m, block_dims, entries)
     b = np.zeros(m)

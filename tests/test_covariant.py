@@ -14,8 +14,9 @@ from qnetopt.covariant import (FiniteGroupAction, act, covariant_gamma,
                                cyclic_group, is_invariant, phase_action,
                                phase_estimation_optimum, phase_grid_problem,
                                product_group, qmax_comb, qmax_state,
-                               sum_of_phases, twirl, two_phase_correlated,
-                               two_phase_payoff_matrix, two_phase_problem)
+                               sum_of_phases, twirl, twirl_coordinates,
+                               two_phase_correlated, two_phase_payoff_matrix,
+                               two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
                             NotLeftInvariant, ShapeMismatch)
 from qnetopt.estimation import EstimationProblem
@@ -24,6 +25,8 @@ from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import SolverOptions, certify_dual, solve
+from qnetopt.sdp.standard_form import (coords_from_hermitian,
+                                       hermitian_from_coords)
 
 Q = SystemLabel("q", 2)
 X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -77,6 +80,38 @@ def test_twirl_is_an_invariant_projection(seed):
     np.testing.assert_allclose(twirl(avg, action).data, avg.data, atol=1e-11)
     # trace is preserved by averaging over unitaries
     assert np.trace(avg.data) == pytest.approx(np.trace(op.data), abs=1e-10)
+
+
+def _shift_action():
+    """Z_3 by the cyclic shift on a qutrit and, conjugated, on a qubit."""
+    elements, table = cyclic_group(3)
+    shift = np.roll(np.eye(3), 1, axis=0)
+    basis = random_unitary(np.random.default_rng(3), 2)
+    turn = basis @ np.diag([1.0, np.exp(2j * np.pi / 3)]) @ basis.conj().T
+    rep = {"s": {j: np.linalg.matrix_power(shift, j) for j in elements},
+           "t": {j: np.linalg.matrix_power(turn, j) for j in elements}}
+    action = FiniteGroupAction(elements, table, rep, conjugated={"t"})
+    return action, (SystemLabel("t", 2), SystemLabel("s", 3))
+
+
+def _phase_grid_action():
+    problem, action = phase_grid_problem(3, 8)
+    return action, problem.space.factors()
+
+
+@pytest.mark.parametrize("make", [_phase_grid_action, _shift_action],
+                         ids=["phase-grid", "shift"])
+def test_twirl_coordinates_match_twirl(make):
+    action, factors = make()
+    d = int(np.prod([f.dim for f in factors]))
+    P = twirl_coordinates(action, factors)
+    basis = hermitian_from_coords(np.eye(d * d), d)
+    for c in range(d * d):
+        twirled = twirl(LabeledOperator(factors, basis[c]), action).data
+        np.testing.assert_allclose(P[:, c], coords_from_hermitian(twirled),
+                                   atol=1e-12)
+    np.testing.assert_allclose(P, P.T, atol=1e-12)
+    np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
 
 def test_product_group_structure():

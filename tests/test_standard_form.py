@@ -1,10 +1,10 @@
-"""Hermitian bases and the assembled constraint tensors.
+"""Hermitian bases and the assembled constraint maps.
 
 The heavy check here is the dual route for the constraint matrix: row
-values produced by the assembled coefficient tensors must agree with the
+values produced by the assembled coordinate maps must agree with the
 same rows computed directly from partial traces, for arbitrary (not
-necessarily feasible) Hermitian block values.  The Schur and adjoint
-kernels are checked against dense per-row coefficient stacks.
+necessarily feasible) Hermitian block values.  The Schur kernel is checked
+against dense per-row coefficient stacks read off the adjoint.
 """
 
 import numpy as np
@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from conftest import (helstrom_problem, seeds, state_problems,
                       structural_row_values)
+from qnetopt.covariant import phase_grid_problem, twirl_coordinates
+from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_channel_problem
+from qnetopt.networks import QuantumComb
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
-                                       dual_from_y, hermitian_basis_stack,
-                                       hermitian_from_coords, trace_middle,
-                                       y_from_dual)
+                                       dual_from_y, hermitian_from_coords,
+                                       trace_middle, y_from_dual)
 
 
 def rand_herm(g, d):
@@ -27,8 +29,29 @@ def rand_herm(g, d):
     return m + m.conj().T
 
 
+def basis_stack(d):
+    """The Hermitian basis in its documented order, built entry by entry."""
+    mats = np.zeros((d * d, d, d), dtype=complex)
+    k = 0
+    for i in range(d):
+        mats[k, i, i] = 1.0
+        k += 1
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            mats[k, i, j] = r
+            mats[k, j, i] = r
+            k += 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            mats[k, i, j] = 1j * r
+            mats[k, j, i] = -1j * r
+            k += 1
+    return mats
+
+
 def test_basis_order_is_the_documented_one():
-    s = hermitian_basis_stack(2)
+    s = hermitian_from_coords(np.eye(4), 2)
     np.testing.assert_allclose(s[0], np.diag([1.0, 0.0]))
     np.testing.assert_allclose(s[1], np.diag([0.0, 1.0]))
     r = 1.0 / np.sqrt(2.0)
@@ -39,7 +62,7 @@ def test_basis_order_is_the_documented_one():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_basis_is_orthonormal_and_hermitian(d):
-    s = hermitian_basis_stack(d)
+    s = hermitian_from_coords(np.eye(d * d), d)
     assert s.shape == (d * d, d, d)
     gram = np.einsum("aij,bij->ab", s.conj(), s)
     np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-12)
@@ -51,6 +74,19 @@ def test_coords_round_trip(rng):
     c = coords_from_hermitian(h)
     assert np.max(np.abs(c.imag)) < 1e-12
     np.testing.assert_allclose(hermitian_from_coords(c.real, 3), h, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_coords_match_basis_tensordot(d, rng):
+    basis = basis_stack(d)
+    x = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    expect = np.tensordot(x, basis.conj(), axes=([1, 2], [1, 2])).real
+    np.testing.assert_allclose(coords_from_hermitian(x), expect, atol=1e-12)
+    # for non-Hermitian input they are the coordinates of the Hermitian part
+    np.testing.assert_allclose(hermitian_from_coords(expect, d),
+                               (x + x.conj().transpose(0, 2, 1)) / 2, atol=1e-12)
+    np.testing.assert_allclose(hermitian_from_coords(expect, d),
+                               np.tensordot(expect, basis, axes=1), atol=1e-12)
 
 
 def test_trace_middle_matches_loop(rng):
@@ -124,19 +160,41 @@ def _assert_rows_agree(sdp, g):
 
 
 def _dense_rows(cmap):
-    """Per-block (m, n, n) stacks of every row's coefficient, from the entries."""
-    dense = [np.zeros((cmap.m, n, n), dtype=complex) for n in cmap.block_dims]
-    for e in cmap.entries:
-        dense[e.block][e.rows] += e.tensor
-    return dense
+    """Per-block (m, n, n) stacks of every row's coefficient: A^T of unit rows."""
+    per_row = [cmap.apply_AT(unit) for unit in np.eye(cmap.m)]
+    return [np.stack([blocks[b] for blocks in per_row])
+            for b in range(len(cmap.block_dims))]
+
+
+def _twirled_program():
+    """The covariant program of the 3-level phase grid, as _qmax_solve builds it."""
+    problem, action = phase_grid_problem(3, 8)
+    space = problem.space
+    seed = problem.combs[0]
+    reduced = EstimationProblem(space, (0,), np.ones(1), (seed,),
+                                np.ones((1, 1)))
+    return build_primal(reduced, twirl_coordinates(action, space.factors()))
 
 
 def test_kernels_match_dense_rows(rng):
-    problem = random_channel_problem(np.random.default_rng(7), 3,
-                                     [(2, 2), (2, 2)], memory=True)
-    sdp = build_primal(problem)
+    for sdp in (
+            build_primal(random_channel_problem(
+                np.random.default_rng(7), 3, [(2, 2), (2, 2)], memory=True)),
+            # three steps, and steps with d_out != d_in
+            build_primal(random_channel_problem(
+                np.random.default_rng(8), 2, [(2, 1), (1, 2), (2, 1)],
+                memory=True)),
+            build_primal(random_channel_problem(
+                np.random.default_rng(9), 2, [(1, 3), (2, 2)], memory=True)),
+            _twirled_program()):
+        _assert_kernels_match_dense_rows(sdp, rng)
+
+
+def _assert_kernels_match_dense_rows(sdp, rng):
     cmap = sdp.cmap
     dense = _dense_rows(cmap)
+    for A in dense:
+        np.testing.assert_allclose(A, A.conj().transpose(0, 2, 1), atol=1e-14)
     Ws = []
     for n in cmap.block_dims:
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
