@@ -216,8 +216,10 @@ class BlockConstraintMap:
         coords = {}
         for e0, block_set in self._shared_groups:
             if block_set not in coords:
-                coords[block_set] = coords_from_hermitian(
-                    sum(np.asarray(blocks[b]) for b in block_set))
+                acc = np.asarray(blocks[block_set[0]])
+                for b in block_set[1:]:
+                    acc = acc + blocks[b]
+                coords[block_set] = coords_from_hermitian(acc)
             y[e0.rows] += e0.left(coords[block_set])
         return y
 
