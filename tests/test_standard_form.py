@@ -17,7 +17,6 @@ from conftest import (helstrom_problem, seeds, state_problems,
 from qnetopt.covariant import phase_grid_problem, twirl_coordinates
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_channel_problem
-from qnetopt.networks import QuantumComb
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
                                        dual_from_y, hermitian_from_coords,
