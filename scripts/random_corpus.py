@@ -26,9 +26,9 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     opts = SolverOptions(tol=args.tol)
     worst_gap = 0.0
-    worst_margin = 0.0
+    worst_margin = np.inf
     failures = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     for k in range(args.count):
         problem = random_problem(rng)
         try:
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
             continue
         worst_gap = max(worst_gap, sol.rel_gap)
         worst_margin = min(worst_margin, sol.certificate.min_margin)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     print("%d instances, %d failures, %.1fs total (%.2fs each)"
           % (args.count, failures, dt, dt / max(1, args.count)))
     print("worst relative gap   %.3e" % worst_gap)

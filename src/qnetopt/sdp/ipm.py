@@ -14,7 +14,10 @@ The Schur complement then needs, per group of blocks with the same entries,
 only S[a, c] = Re sum_k Tr(B_a W_k B_c W_k), which one GEMM and an index
 gather give in closed form (basis_kernel); entry pairs add R_i S R_j^T.
 This is the structure-exploiting assembly of Fujisawa, Kojima and Nakata
-(Math. Program. 79, 1997), specialised to comb constraints.
+(Math. Program. 79, 1997), specialised to comb constraints.  The iteration
+works on one (k, n, n) stack per block side, one batched LAPACK/BLAS call per
+side and step; the inverse Cholesky factors of X and Z, formed once per
+iteration, serve the NT scaling, Z^-1 and all four step lengths.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import MaxIterations, NumericalFailure
 
@@ -91,7 +94,7 @@ def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
     i, j, w, v = _float_positions(n)
     f = np.ascontiguousarray(h, dtype=complex).reshape(
         h.shape[:-2] + (n * n,)).view(float)
-    return w * f[..., i] + v * f[..., j]
+    return w * f.take(i, axis=-1) + v * f.take(j, axis=-1)
 
 
 def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
@@ -182,7 +185,11 @@ class ConstraintEntry:
 
 
 class BlockConstraintMap:
-    """The linear map A and its adjoint, with a structured Schur assembler."""
+    """The linear map A and its adjoint, with a structured Schur assembler.
+
+    They act on one (k, n, n) stack per block side: sides[s] = (n, ids) lists
+    the blocks of stack s; stack / unstack convert from and to block order.
+    """
 
     def __init__(self, m: int, block_dims: Sequence[int],
                  entries: Sequence[ConstraintEntry]):
@@ -193,54 +200,59 @@ class BlockConstraintMap:
             if len(e.tensor) != e.row_stop - e.row_start:
                 raise ValueError("entry map with %d rows for %d constraints"
                                  % (len(e.tensor), e.row_stop - e.row_start))
+        self.sides = [(n, [b for b, nb in enumerate(self.block_dims) if nb == n])
+                      for n in dict.fromkeys(self.block_dims)]
+        slot = {b: (s, i) for s, (_, ids) in enumerate(self.sides)
+                for i, b in enumerate(ids)}
+        self._slots = [slot[b] for b in range(len(self.block_dims))]
         # entries that share (rows, tensor object) act on the sum of their
-        # blocks; each distinct block set needs one coordinate conversion
+        # blocks: one entry, its side and how often each block of it appears
         shared = {}
         for e in self.entries:
-            shared.setdefault((e.row_start, e.row_stop, id(e.tensor)), []).append(e)
-        self._shared_groups = [(g[0], tuple(e.block for e in g))
-                               for g in shared.values()]
+            s, i = slot[e.block]
+            key = (s, e.row_start, e.row_stop, id(e.tensor))
+            shared.setdefault(key, (e, []))[1].append(i)
+        self._shared = [(e, s, np.bincount(pos, minlength=len(self.sides[s][1])))
+                        for (s, *_), (e, pos) in shared.items()]
         # group variable blocks by their full entry signature for the Schur pass
         by_block = {}
         for e in self.entries:
             by_block.setdefault(e.block, []).append(e)
-        self._by_block = by_block
         sig_groups = {}
         for b, es in by_block.items():
             sig = tuple(sorted((e.row_start, e.row_stop, id(e.tensor)) for e in es))
-            sig_groups.setdefault(sig, []).append(b)
-        self._sig_groups = list(sig_groups.values())
+            sig_groups.setdefault((slot[b][0],) + sig, []).append(b)
+        self._sig_groups = [(sig[0], np.array([slot[b][1] for b in bs]),
+                             by_block[bs[0]]) for sig, bs in sig_groups.items()]
 
-    def apply_A(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    def stack(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """One complex (k, n, n) stack per side from blocks in block order."""
+        return [np.array([blocks[b] for b in ids], dtype=complex)
+                for _, ids in self.sides]
+
+    def unstack(self, stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """The blocks in block order, as views of the side stacks."""
+        return [stacks[s][i] for s, i in self._slots]
+
+    def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
-        coords = {}
-        for e0, block_set in self._shared_groups:
-            if block_set not in coords:
-                acc = np.asarray(blocks[block_set[0]])
-                for b in block_set[1:]:
-                    acc = acc + blocks[b]
-                coords[block_set] = coords_from_hermitian(acc)
-            y[e0.rows] += e0.left(coords[block_set])
+        coords = [coords_from_hermitian(st) for st in stacks]
+        for e, s, count in self._shared:
+            y[e.rows] += e.left(count @ coords[s])
         return y
 
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
-        coords = {}
-        for e0, block_set in self._shared_groups:
-            c = e0.adjoint(y[e0.rows], self.block_dims[e0.block] ** 2)
-            coords[block_set] = coords[block_set] + c if block_set in coords else c
-        out = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
-        for block_set, c in coords.items():
-            mat = hermitian_from_coords(c, self.block_dims[block_set[0]])
-            for b in block_set:
-                out[b] += mat
-        return out
+        coords = [np.zeros((len(ids), n * n)) for n, ids in self.sides]
+        for e, s, count in self._shared:
+            coords[s] += np.outer(count, e.adjoint(y[e.rows], coords[s].shape[1]))
+        return [hermitian_from_coords(c, n)
+                for c, (n, _) in zip(coords, self.sides)]
 
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
-        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the NT scaling matrices W."""
+        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the side stacks of W."""
         H = np.zeros((self.m, self.m))
-        for block_ids in self._sig_groups:
-            entry_list = self._by_block[block_ids[0]]
-            S = basis_kernel(np.stack([scalings[b] for b in block_ids]))
+        for s, pos, entry_list in self._sig_groups:
+            S = basis_kernel(scalings[s][pos])
             for i, ei in enumerate(entry_list):
                 left = ei.left(S)
                 for ej in entry_list[i:]:
@@ -281,16 +293,31 @@ def _chol_jitter(M: np.ndarray, what: str):
                            {"jitter": jitter, "dim": n})
 
 
-def _herm(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2.0
-
-
-def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with  M + alpha*delta >= 0, where M = L L^H."""
-    s = solve_triangular(L, delta, lower=True)
-    s = solve_triangular(L, s.conj().T, lower=True)
+def _chol_stack(M: np.ndarray, ids, what: str) -> np.ndarray:
+    """Cholesky factors of a (k, n, n) stack; only failing blocks get jitter."""
     try:
-        lam = float(np.linalg.eigvalsh(_herm(s))[0])
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return np.array([_chol_jitter(Mb, "%s block %d" % (what, b))
+                         for Mb, b in zip(M, ids)])
+
+
+def _ct(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
+def _herm(M: np.ndarray) -> np.ndarray:
+    return (M + _ct(M)) / 2.0
+
+
+def _max_step(Linv: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha with M + alpha*delta >= 0 for every M = L L^H of a stack.
+
+    Linv is the stack of inverse factors: I + alpha L^-1 delta L^-H >= 0.
+    """
+    s = _herm(Linv @ delta @ _ct(Linv))
+    try:
+        lam = float(np.linalg.eigvalsh(s)[:, 0].min())
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("step-length eigenvalues: %s" % exc, {}) from exc
     if lam >= -1e-13:
@@ -298,29 +325,52 @@ def _max_step(L: np.ndarray, delta: np.ndarray) -> float:
     return -1.0 / lam
 
 
+def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int):
+    """G = Lx V diag(s)^-1/2, G^-1 and s from Lz^H Lx = U diag(s) V^H; W = G G^H."""
+    M = _ct(Lz) @ Lx
+    try:
+        _, s, vh = np.linalg.svd(M)
+    except np.linalg.LinAlgError as exc:
+        block = None  # name the first block that fails on its own
+        for b, Mb in zip(ids, M):
+            try:
+                np.linalg.svd(Mb)
+            except np.linalg.LinAlgError:
+                block = int(b)
+                break
+        raise NumericalFailure("NT scaling SVD: %s" % exc,
+                               {"iteration": it, "block": block}) from exc
+    broken = np.flatnonzero(s.min(axis=1) <= 0)
+    if broken.size:
+        raise NumericalFailure("NT scaling broke down",
+                               {"block": int(ids[broken[0]])})
+    return ((Lx @ _ct(vh)) / np.sqrt(s)[:, None, :],
+            np.sqrt(s)[:, :, None] * (vh @ Lxinv), s)
+
+
 def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
               X0: Sequence[np.ndarray], y0: np.ndarray,
               opts: SolverOptions = SolverOptions()) -> IpmResult:
     """Run the predictor-corrector loop from the given strictly feasible pair."""
     nu = float(sum(cmap.block_dims))
-    X = [np.array(Xb, dtype=complex) for Xb in X0]
+    side_ids = [ids for _, ids in cmap.sides]
+    X, Cs = cmap.stack(X0), cmap.stack(C)
     y = np.array(y0, dtype=float)
-    Z = [C[v] - ATy for v, ATy in enumerate(cmap.apply_AT(y))]
+    Z = [c - a for c, a in zip(Cs, cmap.apply_AT(y))]
     b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     c_scale = 1.0 + max(float(np.max(np.abs(Cb))) if Cb.size else 0.0 for Cb in C)
     slow_steps = 0
 
     def gather(status, it, pobj, dobj, gap, fp, fd):
-        return IpmResult(X, y, Z, it, status, pobj, dobj, gap,
-                         gap / (1.0 + abs(pobj) + abs(dobj)), fp, fd)
+        return IpmResult(cmap.unstack(X), y, cmap.unstack(Z), it, status, pobj,
+                         dobj, gap, gap / (1.0 + abs(pobj) + abs(dobj)), fp, fd)
 
     for it in range(opts.max_iter + 1):
         r_p = b - cmap.apply_A(X)
-        ATy = cmap.apply_AT(y)
-        R_d = [C[v] - Z[v] - ATy[v] for v in range(len(X))]
-        pobj = float(sum(np.vdot(C[v], X[v]).real for v in range(len(X))))
+        R_d = [c - z - a for c, z, a in zip(Cs, Z, cmap.apply_AT(y))]
+        pobj = float(sum(np.vdot(c, x).real for c, x in zip(Cs, X)))
         dobj = float(np.dot(b, y))
-        gap = float(sum(np.vdot(X[v], Z[v]).real for v in range(len(X))))
+        gap = float(sum(np.vdot(x, z).real for x, z in zip(X, Z)))
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         feas_p = float(np.max(np.abs(r_p))) / b_scale if r_p.size else 0.0
         feas_d = max(float(np.max(np.abs(Rb))) for Rb in R_d) / c_scale
@@ -335,27 +385,15 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                 {"iterations": it, "rel_gap": rel_gap, "gap": gap,
                  "pobj": pobj, "dobj": dobj})
 
-        # Nesterov-Todd scaling per block
-        Lx, Lz, Gs, Ginvs, Ws, svals = [], [], [], [], [], []
-        for v in range(len(X)):
-            lx = _chol_jitter(X[v], "primal block %d" % v)
-            lz = _chol_jitter(Z[v], "dual block %d" % v)
-            try:
-                u, s, vh = np.linalg.svd(lz.conj().T @ lx)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure("NT scaling SVD: %s" % exc,
-                                       {"iteration": it, "block": v}) from exc
-            if s.min() <= 0:
-                raise NumericalFailure("NT scaling broke down", {"block": v})
-            g = (lx @ vh.conj().T) * (1.0 / np.sqrt(s))[None, :]
-            lxinv = solve_triangular(lx, np.eye(lx.shape[0]), lower=True)
-            ginv = (np.sqrt(s)[:, None]) * (vh @ lxinv)
-            Lx.append(lx)
-            Lz.append(lz)
-            Gs.append(g)
-            Ginvs.append(ginv)
-            Ws.append(g @ g.conj().T)
-            svals.append(s)
+        # Nesterov-Todd scaling, one stacked call per side; the inverse
+        # factors also serve Z^-1 and every step length of the iteration
+        Lx = [_chol_stack(x, ids, "primal") for x, ids in zip(X, side_ids)]
+        Lz = [_chol_stack(z, ids, "dual") for z, ids in zip(Z, side_ids)]
+        Lxinv = [np.linalg.inv(lx) for lx in Lx]
+        Lzinv = [np.linalg.inv(lz) for lz in Lz]
+        Gs, Ginvs, svals = zip(*[_nt_scaling(*args, it) for args in
+                                 zip(Lx, Lxinv, Lz, side_ids)])
+        Ws = [g @ _ct(g) for g in Gs]
 
         H = cmap.schur(Ws)
         # factor a diagonally shifted copy in place (its transpose is the
@@ -369,48 +407,39 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                                    {"iteration": it})
 
         def newton(Rc):
-            E = [Rc[v] - Ws[v] @ R_d[v] @ Ws[v] for v in range(len(X))]
+            E = [rc - w @ rd @ w for rc, w, rd in zip(Rc, Ws, R_d)]
             rhs = r_p - cmap.apply_A(E)
             dy = cho_solve(Hf, rhs)
             resid = rhs - H @ dy
             dy = dy + cho_solve(Hf, resid)
-            ATdy = cmap.apply_AT(dy)
-            dZ = [_herm(R_d[v] - ATdy[v]) for v in range(len(X))]
-            dX = [_herm(Rc[v] - Ws[v] @ dZ[v] @ Ws[v]) for v in range(len(X))]
+            dZ = [_herm(rd - a) for rd, a in zip(R_d, cmap.apply_AT(dy))]
+            dX = [_herm(rc - w @ dz @ w) for rc, w, dz in zip(Rc, Ws, dZ)]
             return dX, dy, dZ
 
+        def step(Linv, delta):
+            return min([opts.step_fraction * _max_step(li, d)
+                        for li, d in zip(Linv, delta)] + [1.0])
+
         # predictor
-        Rc_aff = [-X[v] for v in range(len(X))]
-        dX_a, dy_a, dZ_a = newton(Rc_aff)
-        ap = min([opts.step_fraction * _max_step(Lx[v], dX_a[v])
-                  for v in range(len(X))] + [1.0])
-        ad = min([opts.step_fraction * _max_step(Lz[v], dZ_a[v])
-                  for v in range(len(X))] + [1.0])
-        mu_aff = sum(np.vdot(X[v] + ap * dX_a[v], Z[v] + ad * dZ_a[v]).real
-                     for v in range(len(X))) / nu
+        dX_a, dy_a, dZ_a = newton([-x for x in X])
+        ap, ad = step(Lxinv, dX_a), step(Lzinv, dZ_a)
+        mu_aff = sum(np.vdot(x + ap * dx, z + ad * dz).real
+                     for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / nu
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, opts.min_sigma, 1.0))
 
         # corrector with Mehrotra second-order term in the scaled space
         Rc = []
-        for v in range(len(X)):
-            lz = Lz[v]
-            lzinv = solve_triangular(lz, np.eye(lz.shape[0]), lower=True)
-            Zinv = lzinv.conj().T @ lzinv
-            dxt = Ginvs[v] @ dX_a[v] @ Ginvs[v].conj().T
-            dzt = Gs[v].conj().T @ dZ_a[v] @ Gs[v]
-            cross = _herm(dxt @ dzt)
-            s = svals[v]
-            cross = 2.0 * cross / (s[:, None] + s[None, :])
-            Rc.append(sigma * mu * Zinv - X[v] - Gs[v] @ cross @ Gs[v].conj().T)
+        for x, lzinv, g, ginv, s, dxa, dza in zip(X, Lzinv, Gs, Ginvs, svals,
+                                                  dX_a, dZ_a):
+            cross = _herm((ginv @ dxa @ _ct(ginv)) @ (_ct(g) @ dza @ g))
+            cross = 2.0 * cross / (s[:, :, None] + s[:, None, :])
+            Rc.append(sigma * mu * (_ct(lzinv) @ lzinv) - x - g @ cross @ _ct(g))
         dX, dy, dZ = newton(Rc)
-        ap = min([opts.step_fraction * _max_step(Lx[v], dX[v])
-                  for v in range(len(X))] + [1.0])
-        ad = min([opts.step_fraction * _max_step(Lz[v], dZ[v])
-                  for v in range(len(X))] + [1.0])
+        ap, ad = step(Lxinv, dX), step(Lzinv, dZ)
 
-        X = [_herm(X[v] + ap * dX[v]) for v in range(len(X))]
+        X = [_herm(x + ap * d) for x, d in zip(X, dX)]
         y = y + ad * dy
-        Z = [_herm(Z[v] + ad * dZ[v]) for v in range(len(X))]
+        Z = [_herm(z + ad * d) for z, d in zip(Z, dZ)]
 
         if min(ap, ad) < 1e-5:
             slow_steps += 1

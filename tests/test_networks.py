@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import memory_combs, seeds
-from qnetopt.errors import (NormalizationViolation, NotAState, NotPSD,
-                            NotTracePreserving, ShapeMismatch)
+from qnetopt.errors import (DimensionCap, NormalizationViolation, NotAState,
+                            NotPSD, NotTracePreserving, ShapeMismatch)
 from qnetopt.instances import random_density, random_product_tester, random_unitary
 from qnetopt.networks import (CombSpace, QuantumComb, Tester, born_probability,
                               choi_of_channel, comb_of_memoryless_sequence,
                               comb_of_state, tensor_combs, tensor_testers,
                               uniform_tester, validate_comb, validate_tester)
-from qnetopt.operators import LabeledOperator, SystemLabel, partial_trace
+from qnetopt.operators import (DIMENSION_CAP, LabeledOperator, SystemLabel,
+                               partial_trace)
 
 I2 = SystemLabel("in", 2)
 O2 = SystemLabel("out", 2)
@@ -119,6 +120,10 @@ def test_born_rule_is_a_distribution(comb, seed, n_out):
 @settings(max_examples=20, deadline=None)
 @given(ca=memory_combs(prefix="u"), cb=memory_combs(prefix="v"))
 def test_tensor_combs_validates(ca, cb):
+    if len(ca.op.data) * len(cb.op.data) > DIMENSION_CAP:
+        with pytest.raises(DimensionCap):
+            tensor_combs(ca, cb)
+        return
     both = tensor_combs(ca, cb)
     validate_comb(both)
     assert both.space.num_steps == ca.space.num_steps + cb.space.num_steps

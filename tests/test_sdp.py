@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.linalg import solve_triangular
 
 from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
                       outcome_residuals, qubit_state_problem, state_problems)
@@ -16,7 +17,7 @@ from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
                          yuen_kennedy_lax)
 from qnetopt.sdp.engine import mixed_comb, tighten_dual
-from qnetopt.sdp.ipm import _max_step
+from qnetopt.sdp.ipm import _chol_stack, _max_step, _nt_scaling
 
 
 def test_helstrom_two_pure_states():
@@ -63,7 +64,64 @@ def test_step_length_eigen_failure_is_numerical_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(NumericalFailure, match="step-length"):
-        _max_step(np.eye(2), -np.eye(2))
+        _max_step(np.eye(2)[None], -np.eye(2)[None])
+
+
+def _reference_step(L, delta):
+    """Per-block step length with triangular solves, as a loop over blocks."""
+    lam = np.inf
+    for Lb, Db in zip(L, delta):
+        s = solve_triangular(Lb, Db, lower=True)
+        s = solve_triangular(Lb, s.conj().T, lower=True)
+        lam = min(lam, np.linalg.eigvalsh((s + s.conj().T) / 2)[0])
+    return np.inf if lam >= -1e-13 else -1.0 / lam
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_batched_step_length_matches_per_block_reference(rng, n):
+    def herm(k):
+        a = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+        return a + a.conj().transpose(0, 2, 1)
+
+    a = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    L = np.linalg.cholesky(a @ a.conj().transpose(0, 2, 1) + 0.1 * np.eye(n))
+    Linv = np.linalg.inv(L)
+    for delta in (herm(4), herm(4) - 5.0 * n * np.eye(n)):
+        step = _max_step(Linv, delta)
+        assert np.isfinite(step)
+        assert step == pytest.approx(_reference_step(L, delta), rel=1e-9)
+    psd = a.conj().transpose(0, 2, 1) @ a
+    assert _max_step(Linv, psd) == np.inf == _reference_step(L, psd)
+
+
+def test_stacked_cholesky_jitters_only_the_failing_block(rng):
+    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    M = a @ a.conj().transpose(0, 2, 1) + np.eye(4)
+    M[1] = np.diag([2.0, 1.0, 1.0, 0.0])  # PSD but singular
+    L = _chol_stack(M, [5, 6, 7], "primal")
+    for i in (0, 2):
+        np.testing.assert_array_equal(L[i], np.linalg.cholesky(M[i]))
+    assert L[1][3, 3].real > 0
+    np.testing.assert_allclose(L[1] @ L[1].conj().T, M[1], atol=1e-12)
+
+    M[2] = np.diag([1.0, -1.0, 1.0, 1.0])  # indefinite
+    with pytest.raises(NumericalFailure, match="primal block 7"):
+        _chol_stack(M, [5, 6, 7], "primal")
+
+
+def test_nt_scaling_failures_name_their_block():
+    eye = np.array([np.eye(2)] * 3, dtype=complex)
+    ids = np.array([4, 5, 6])
+    singular = eye.copy()
+    singular[2] = np.diag([1.0, 0.0])
+    with pytest.raises(NumericalFailure, match="broke down") as err:
+        _nt_scaling(singular, eye, eye, ids, 0)
+    assert err.value.diagnostics["block"] == 6
+    nan = eye.copy()
+    nan[1] = np.nan
+    with pytest.raises(NumericalFailure, match="SVD") as err:
+        _nt_scaling(nan, eye, eye, ids, 3)
+    assert err.value.diagnostics == {"iteration": 3, "block": 5}
 
 
 def test_certify_dual_rejects_negative_lambda():

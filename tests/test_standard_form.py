@@ -115,7 +115,8 @@ def test_primal_start_is_feasible():
                                            [(2, 2), (2, 2)], memory=True)):
         sdp = build_primal(problem)
         x0 = sdp.primal_start()
-        np.testing.assert_allclose(sdp.cmap.apply_A(x0), sdp.b, atol=1e-12)
+        np.testing.assert_allclose(sdp.cmap.apply_A(sdp.cmap.stack(x0)), sdp.b,
+                                   atol=1e-12)
         for blk in x0:
             assert np.linalg.eigvalsh(blk)[0] > 0
 
@@ -154,13 +155,14 @@ def _assert_rows_agree(sdp, g):
                              rand_herm(g, sdp.block_dims[sdp.outcome_block(k)]))
              for k in range(sdp.num_outcomes)]
     direct = structural_row_values(sdp, xi_ops, t_ops)
-    assembled = sdp.cmap.apply_A([op.data for op in xi_ops + t_ops])
+    assembled = sdp.cmap.apply_A(
+        sdp.cmap.stack([op.data for op in xi_ops + t_ops]))
     np.testing.assert_allclose(assembled, direct, atol=1e-10)
 
 
 def _dense_rows(cmap):
     """Per-block (m, n, n) stacks of every row's coefficient: A^T of unit rows."""
-    per_row = [cmap.apply_AT(unit) for unit in np.eye(cmap.m)]
+    per_row = [cmap.unstack(cmap.apply_AT(unit)) for unit in np.eye(cmap.m)]
     return [np.stack([blocks[b] for blocks in per_row])
             for b in range(len(cmap.block_dims))]
 
@@ -203,23 +205,24 @@ def _assert_kernels_match_dense_rows(sdp, rng):
         # sum_b Re Tr(A_i W_b A_j W_b)
         expect += np.einsum("ikl,lp,jpq,qk->ij", A, W, A, W,
                             optimize=True).real
-    np.testing.assert_allclose(cmap.schur(Ws), expect, rtol=1e-10)
+    np.testing.assert_allclose(cmap.schur(cmap.stack(Ws)), expect, rtol=1e-10)
 
     X = [rand_herm(rng, n) for n in cmap.block_dims]
     y = rng.normal(size=cmap.m)
-    AX = cmap.apply_A(X)
+    AX = cmap.apply_A(cmap.stack(X))
     np.testing.assert_allclose(
         AX, sum(np.einsum("ikl,lk->i", A, Xb).real for A, Xb in zip(dense, X)),
         rtol=1e-10)
-    ATy = cmap.apply_AT(y)
+    ATy = cmap.unstack(cmap.apply_AT(y))
     pairing = sum(np.vdot(Ab, Xb).real for Ab, Xb in zip(ATy, X))
     assert np.dot(y, AX) == pytest.approx(pairing, rel=1e-10)
 
     # real-typed blocks, as primal_start() returns them, are accepted
     x0 = sdp.primal_start()
     assert all(blk.dtype == float for blk in x0)
+    stacks = cmap.stack(x0)
     np.testing.assert_allclose(
-        cmap.apply_A(x0), cmap.apply_A([blk.astype(complex) for blk in x0]),
+        cmap.apply_A([st.real for st in stacks]), cmap.apply_A(stacks),
         rtol=1e-10)
 
 
