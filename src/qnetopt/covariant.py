@@ -33,7 +33,7 @@ from .networks import (CombSpace, QuantumComb, choi_of_channel,
 from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import check_dimension_cap, slater_point, tighten_dual
 from .sdp.ipm import SolverOptions, basis_kernel, solve_ipm
-from .sdp.standard_form import build_primal, dual_from_y, y_from_dual
+from .sdp.standard_form import build_primal, dual_from_y
 
 HOMOMORPHISM_TOL = 1e-10
 INVARIANCE_TOL = 1e-10
@@ -214,9 +214,9 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
         (QuantumComb(space, LabeledOperator(factors, seed)),), np.ones((1, 1)))
     check_dimension_cap(reduced, opts)
     sdp = build_primal(reduced, twirl_coordinates(action, factors))
-    y0 = y_from_dual(sdp, slater_point(reduced))
-    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(), y0, opts)
-    dual = tighten_dual(reduced, dual_from_y(sdp, res.y))
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                    slater_point(sdp), opts)
+    dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
     lam = dual.s0
     top = twirl(dual.operators[-1], action).data
     inv = LabeledOperator(factors, (top + top.conj().T) / (2.0 * lam))

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import (DuplicateLabel, NormalizationViolation, NotAState, NotPSD,
                      NotTracePreserving, ShapeMismatch)
-from .operators import (LabeledOperator, SystemLabel, identity_on, min_eig,
-                        partial_trace, permute_systems, tensor, tensor_all)
+from .operators import (LabeledOperator, SystemLabel, embed_identity,
+                        identity_on, min_eig, partial_trace, permute_systems,
+                        tensor, tensor_all)
 
 DEFAULT_TOL = 1e-8
 
@@ -204,9 +205,8 @@ def validate_comb(comb: QuantumComb, tol: float = DEFAULT_TOL) -> QuantumComb:
         step = space.steps[n - 1]
         traced = partial_trace(current, [step.out_sys.id])
         reduced = partial_trace(traced, [step.in_sys.id]) * (1.0 / step.in_sys.dim)
-        expected = tensor(reduced, LabeledOperator((step.in_sys,),
-                                                   np.eye(step.in_sys.dim)))
-        expected = permute_systems(expected, traced.label_ids())
+        expected = embed_identity(reduced, step.in_sys,
+                                  traced.label_ids().index(step.in_sys.id))
         residual = float(np.max(np.abs(traced.data - expected.data)))
         if residual > tol:
             raise NormalizationViolation(n, residual)
@@ -241,8 +241,8 @@ def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:
         total = total + op
     last = space.steps[-1]
     xi = partial_trace(total, [last.out_sys.id]) * (1.0 / last.out_sys.dim)
-    expected = tensor(xi, LabeledOperator((last.out_sys,), np.eye(last.out_sys.dim)))
-    expected = permute_systems(expected, total.label_ids())
+    expected = embed_identity(xi, last.out_sys,
+                              total.label_ids().index(last.out_sys.id))
     residual = float(np.max(np.abs(total.data - expected.data)))
     if residual > tol:
         raise NormalizationViolation(n_steps + 1, residual)
@@ -251,8 +251,8 @@ def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:
         prev_out = space.steps[n - 2].out_sys
         traced = partial_trace(xi, [space.steps[n - 1].in_sys.id])
         xi_next = partial_trace(traced, [prev_out.id]) * (1.0 / prev_out.dim)
-        expected = tensor(xi_next, LabeledOperator((prev_out,), np.eye(prev_out.dim)))
-        expected = permute_systems(expected, traced.label_ids())
+        expected = embed_identity(xi_next, prev_out,
+                                  traced.label_ids().index(prev_out.id))
         residual = float(np.max(np.abs(traced.data - expected.data)))
         if residual > tol:
             raise NormalizationViolation(n - 1, residual)

@@ -234,7 +234,3 @@ def hs_inner(a: LabeledOperator, b: LabeledOperator) -> complex:
     """Hilbert-Schmidt inner product Tr[a^dagger b]."""
     _require_same_structure(a, b)
     return complex(np.vdot(a.data, b.data))
-
-
-def max_entry_norm(a: LabeledOperator) -> float:
-    return float(np.max(np.abs(a.data))) if a.data.size else 0.0

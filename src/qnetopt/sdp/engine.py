@@ -6,11 +6,12 @@ validated tester together with a scalar-times-comb certificate: a pair
 (lambda, R) with R a valid comb and lambda * R dominating every payoff
 operator, which upper-bounds the payoff of *every* admissible strategy.
 
-The certificate comes from the dual chain: the raw dual satisfies its chain
-conditions as inequalities, and a mixing correction (add the spread, averaged
-over a maximally mixed state on each output) turns them into exact equalities
-without breaking positivity.  After that correction the top-level dual
-operator divided by the dual objective is a normalized comb.
+The certificate comes from the dual chain, read off the row multipliers: the
+raw dual satisfies its chain conditions as inequalities, and a mixing
+correction of the multipliers (add the shortfall, averaged over a maximally
+mixed state on each output) turns them into exact equalities without breaking
+positivity.  After that correction the top-level dual operator divided by the
+dual objective is a normalized comb.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
 from ..operators import LabeledOperator, identity_on, min_eig
 from .ipm import SolverOptions, solve_ipm
-from .standard_form import (DualState, build_primal, dual_from_y, trace_middle,
-                            y_from_dual)
+from .standard_form import (DualState, StandardSdp, block_sides, build_primal,
+                            dual_from_y)
 
 
 @dataclass(frozen=True)
@@ -71,59 +72,48 @@ class SdpSolution:
     feas_dual: float
 
 
-def slater_point(problem: EstimationProblem) -> DualState:
-    """A strictly feasible dual chain of scaled identities.
+def slater_point(sdp: StandardSdp) -> np.ndarray:
+    """Row multipliers of a strictly feasible dual chain of scaled identities.
 
-    The top level dominates every payoff operator with definite margin; each
-    step down doubles the traced-out scale, which keeps the chain inequalities
-    strict regardless of the step dimensions.
+    Level j's rows hold -c_j on its diagonal coordinates, the coordinates of
+    -c_j I.  The top level dominates every payoff operator with definite
+    margin; each step down doubles the traced-out scale, which keeps the chain
+    inequalities strict regardless of the step dimensions.
     """
-    space = problem.space
-    gops = payoff_operators(problem)
-    lam_max = max(float(np.linalg.eigvalsh(g.data)[-1]) for g in gops.operators)
+    problem = sdp.problem
+    lam_max = max(float(np.linalg.eigvalsh(g.data)[-1])
+                  for g in sdp.payoff_ops.operators)
     c = max(problem.g_max(), 1.5 * lam_max, 1.0)
-    scales = [c]
-    for step in reversed(space.steps):
+    y = np.zeros(sdp.cmap.m)
+    for j in range(sdp.num_steps, 0, -1):
+        start = sdp.level_offsets[j]
+        y[start:start + sdp.level_dims[j - 1]] = -c
+        step = problem.space.steps[j - 1]
         c = 2.0 * step.out_sys.dim * step.in_sys.dim * c
-        scales.append(c)
-    scales.reverse()  # scales[j] multiplies the level-j identity, j = 0..N
-    ops = []
-    for j in range(1, space.num_steps + 1):
-        ops.append(identity_on(space.prefix_factors(j)) * scales[j])
-    return DualState(scales[0], tuple(ops))
+    y[0] = -c
+    return y
 
 
-def _kron_into_last(xi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    """I_out (x) Xi, with the identity inserted before the trailing input factor."""
-    pre = xi.shape[0] // d_in
-    t = xi.reshape(pre, d_in, pre, d_in)
-    grown = np.einsum("aibj,cd->acibdj", t, np.eye(d_out, dtype=complex))
-    n = pre * d_out * d_in
-    return grown.reshape(n, n)
+def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
+    """Row multipliers whose chain inequalities hold as equalities.
 
-
-def tighten_dual(problem: EstimationProblem, dual: DualState) -> DualState:
-    """Promote the chain inequalities to exact equalities, keeping positivity.
-
-    Level by level, the shortfall delta = prev (x) I_in - Tr_out[S] is
-    reinstated as (I_out / d_out) (x) delta.  Deltas are PSD for a feasible
-    dual, so each corrected level still dominates the original one.
+    Level by level, the shortfall Delta_n = S^(n-1) (x) I_in - Tr_out S^(n)
+    is the dual slack of the Xi^(n) block.  It is added to the level-n rows
+    as (I_out / d_out) (x) Delta_n, through the level's entry that reads
+    I_out (x) Xi^(n).  Deltas are PSD for a feasible dual, so each corrected
+    level still dominates the original one; row 0 (S^(0)) is unchanged.
     """
-    space = problem.space
-    ops = []
-    prev = np.array([[dual.s0]], dtype=complex)
-    for n in range(1, space.num_steps + 1):
-        step = space.steps[n - 1]
-        d_out, d_in = step.out_sys.dim, step.in_sys.dim
-        sn = dual.operators[n - 1].data
-        pre = sn.shape[0] // (d_out * d_in)
-        traced = trace_middle(sn[None, :, :], pre, d_out, d_in)[0]
-        grown = np.kron(prev, np.eye(d_in))
-        delta = grown - traced
-        corrected = sn + _kron_into_last(delta, d_out, d_in) / d_out
-        ops.append(dual.operators[n - 1].with_data(corrected))
-        prev = corrected
-    return DualState(dual.s0, tuple(ops))
+    y = np.array(y, dtype=float)
+    cmap = sdp.cmap
+    for n in range(1, sdp.num_steps + 1):
+        block = sdp.xi_block(n)
+        entries = [e for e in cmap.entries if e.block == block]
+        size = cmap.block_dims[block] ** 2
+        delta = -sum(e.adjoint(y[e.rows], size) for e in entries)
+        rows = sdp.level_rows(n)
+        shrunk = next(e for e in entries if e.row_start == rows.start)
+        y[rows] += shrunk.left(delta) / sdp.problem.space.steps[n - 1].out_sys.dim
+    return y
 
 
 def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
@@ -165,16 +155,10 @@ def mixed_comb(space) -> QuantumComb:
 def check_dimension_cap(problem: EstimationProblem, opts: SolverOptions):
     """Raise DimensionCap if the tester program is too large to build.
 
-    Sums the complex block sides (one chain block per step, one outcome
-    block per estimate); the cap bounds twice that sum, the dimension of the
-    program over the reals.
+    The cap bounds twice the sum of the complex block sides, the dimension
+    of the program over the reals.
     """
-    total = 0
-    d = 1
-    for step in problem.space.steps:
-        total += d * step.in_sys.dim
-        d *= step.in_sys.dim * step.out_sys.dim
-    total = 2 * (total + d * problem.num_params)
+    total = 2 * sum(block_sides(problem))
     if total > opts.dimension_cap:
         raise DimensionCap("total SDP dimension %d exceeds cap %d"
                            % (total, opts.dimension_cap))
@@ -194,9 +178,8 @@ def solve(problem: EstimationProblem,
     check_dimension_cap(problem, opts)
 
     sdp = build_primal(problem)
-    X0 = sdp.primal_start()
-    y0 = y_from_dual(sdp, slater_point(problem))
-    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, X0, y0, opts)
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                    slater_point(sdp), opts)
 
     factors = space.factors()
     outcomes = []
@@ -204,11 +187,9 @@ def solve(problem: EstimationProblem,
         mat = res.X[sdp.outcome_block(k)]
         outcomes.append((label, LabeledOperator(factors, mat)))
     check_tol = 10.0 * opts.tol
-    dual_raw = dual_from_y(sdp, res.y)
-    dual = tighten_dual(problem, dual_raw)
+    dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
     lambda_ = dual.s0
-    top = dual.operators[-1].data
-    top = (top + top.conj().T) / 2.0
+    top = dual.operators[-1].data  # exactly Hermitian, built from coordinates
     try:
         tester = validate_tester(Tester(space, tuple(outcomes)), check_tol)
         comb = validate_comb(

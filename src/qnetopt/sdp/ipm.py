@@ -32,6 +32,9 @@ from scipy.linalg import cho_factor, cho_solve
 from ..errors import MaxIterations, NumericalFailure
 
 _R2 = np.sqrt(0.5)
+STEP_FRACTION = 0.98     # share of the distance to the cone boundary taken
+MIN_SIGMA = 1e-10        # floor of the centering parameter
+FEAS_TOL_FACTOR = 100.0  # feasibility residuals may reach this times tol
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,6 @@ class SolverOptions:
 
     tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
-    min_sigma: float = 1e-10
-    feas_tol_factor: float = 100.0
     dimension_cap: int = 4096
 
 
@@ -375,7 +375,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         feas_p = float(np.max(np.abs(r_p))) / b_scale if r_p.size else 0.0
         feas_d = max(float(np.max(np.abs(Rb))) for Rb in R_d) / c_scale
         mu = gap / nu
-        feas_tol = opts.tol * opts.feas_tol_factor
+        feas_tol = opts.tol * FEAS_TOL_FACTOR
         if rel_gap <= opts.tol and feas_p <= feas_tol and feas_d <= feas_tol:
             return gather("optimal", it, pobj, dobj, gap, feas_p, feas_d)
         if it == opts.max_iter:
@@ -417,7 +417,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             return dX, dy, dZ
 
         def step(Linv, delta):
-            return min([opts.step_fraction * _max_step(li, d)
+            return min([STEP_FRACTION * _max_step(li, d)
                         for li, d in zip(Linv, delta)] + [1.0])
 
         # predictor
@@ -425,7 +425,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         ap, ad = step(Lxinv, dX_a), step(Lzinv, dZ_a)
         mu_aff = sum(np.vdot(x + ap * dx, z + ad * dz).real
                      for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / nu
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, opts.min_sigma, 1.0))
+        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, MIN_SIGMA, 1.0))
 
         # corrector with Mehrotra second-order term in the scaled space
         Rc = []

@@ -32,6 +32,7 @@ import numpy as np
 from ..errors import ShapeMismatch
 from ..estimation import EstimationProblem, PayoffOperators, payoff_operators
 from ..operators import LabeledOperator
+# coords_from_hermitian is unused here: it is exported beside its transpose
 from .ipm import (BlockConstraintMap, ConstraintEntry, basis_layout,
                   coordinate_index, coords_from_hermitian,
                   hermitian_from_coords)
@@ -61,11 +62,17 @@ def _shrunk_rows(pre: int, d_out: int, d_in: int) -> np.ndarray:
     return np.where(same_out, idx, -1)[:, None]
 
 
-def trace_middle(mats: np.ndarray, pre: int, mid: int, post: int) -> np.ndarray:
-    """Partial trace of a (r, pre*mid*post, ...) stack over the middle factor."""
-    r = mats.shape[0]
-    t = mats.reshape(r, pre, mid, post, pre, mid, post)
-    return np.trace(t, axis1=2, axis2=5).reshape(r, pre * post, pre * post)
+def block_sides(problem: EstimationProblem) -> List[int]:
+    """Sides of the variable blocks: Xi^(1)..Xi^(N), then one per estimate.
+
+    Xi^(j) has side D_(j-1) d_in(j), where D_j = prod_(i<=j) d_out(i) d_in(i)
+    is the side of level j; every outcome block has side D_N.
+    """
+    sides, d = [], 1
+    for step in problem.space.steps:
+        sides.append(d * step.in_sys.dim)
+        d = sides[-1] * step.out_sys.dim
+    return sides + [d] * problem.num_params
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +88,7 @@ class StandardSdp:
     payoff_ops: PayoffOperators
     block_dims: tuple     # side of each variable block
     level_dims: tuple     # side of each constraint level space, 1..N
-    level_offsets: tuple  # row offset of each level, level 0 at offset 0
+    level_offsets: tuple  # first row of each level 0..N, then the row count
     cmap: BlockConstraintMap
     C: tuple              # objective blocks (min <C, X> convention)
     b: np.ndarray
@@ -102,10 +109,7 @@ class StandardSdp:
         return self.num_steps + k
 
     def level_rows(self, j: int) -> slice:
-        start = self.level_offsets[j]
-        stop = self.level_offsets[j + 1] if j + 1 < len(self.level_offsets) \
-            else self.cmap.m
-        return slice(start, stop)
+        return slice(self.level_offsets[j], self.level_offsets[j + 1])
 
     def primal_start(self) -> List[np.ndarray]:
         """The uniform tester chain: strictly feasible, all equalities exact."""
@@ -136,42 +140,31 @@ def build_primal(problem: EstimationProblem,
     d_in = space.in_dims()
     d_out = space.out_dims()
 
-    # prefix dims D_j = prod_{i<=j} d_out_i * d_in_i, D_0 = 1
-    prefix = [1]
-    for j in range(n_steps):
-        prefix.append(prefix[-1] * d_out[j] * d_in[j])
-
-    block_dims = [prefix[j - 1] * d_in[j - 1] for j in range(1, n_steps + 1)]
-    block_dims += [prefix[n_steps]] * problem.num_params
+    block_dims = block_sides(problem)
+    # prefix dims D_j = D_(j-1) * d_in_j * d_out_j, D_0 = 1
+    prefix = [1] + [block_dims[j] * d_out[j] for j in range(n_steps)]
 
     level_dims = tuple(prefix[1:])
     offsets = [0, 1]
-    for j in range(1, n_steps):
+    for j in range(1, n_steps + 1):
         offsets.append(offsets[-1] + prefix[j] ** 2)
-    m = offsets[-1] + prefix[n_steps] ** 2
+    m = offsets[-1]
 
     # level 0: full trace of Xi^(1), the sum of its diagonal coordinates
     entries = [ConstraintEntry(0, 1, 0, np.arange(block_dims[0])[None, :])]
-    # levels 1..N-1: Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j)
-    for j in range(1, n_steps):
-        rows = slice(offsets[j], offsets[j] + prefix[j] ** 2)
-        entries.append(ConstraintEntry(rows.start, rows.stop, j,
-                                       _grown_rows(prefix[j], d_in[j])))
-        entries.append(ConstraintEntry(
-            rows.start, rows.stop, j - 1,
-            _shrunk_rows(prefix[j - 1], d_out[j - 1], d_in[j - 1]), -1.0))
-    # level N: sum_est T_est - I_out(N) (x) Xi^(N)
-    rows = slice(offsets[n_steps], m)
     if outcome_rows is None:
         outcome_rows = np.arange(prefix[n_steps] ** 2)[:, None]
-    for k in range(problem.num_params):
-        # one ndarray shared by every outcome block
-        entries.append(ConstraintEntry(rows.start, rows.stop, n_steps + k,
-                                       outcome_rows))
-    entries.append(ConstraintEntry(
-        rows.start, rows.stop, n_steps - 1,
-        _shrunk_rows(prefix[n_steps - 1], d_out[n_steps - 1],
-                    d_in[n_steps - 1]), -1.0))
+    for j in range(1, n_steps + 1):
+        start, stop = offsets[j], offsets[j + 1]
+        if j < n_steps:  # Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j)
+            entries.append(ConstraintEntry(start, stop, j,
+                                           _grown_rows(prefix[j], d_in[j])))
+        else:  # sum_est T_est - I_out(N) (x) Xi^(N); one shared ndarray
+            entries += [ConstraintEntry(start, stop, n_steps + k, outcome_rows)
+                        for k in range(problem.num_params)]
+        entries.append(ConstraintEntry(
+            start, stop, j - 1,
+            _shrunk_rows(prefix[j - 1], d_out[j - 1], d_in[j - 1]), -1.0))
 
     cmap = BlockConstraintMap(m, block_dims, entries)
     b = np.zeros(m)
@@ -210,12 +203,3 @@ def dual_from_y(sdp: StandardSdp, y: np.ndarray) -> DualState:
         mat = hermitian_from_coords(-y[sdp.level_rows(j)], sdp.level_dims[j - 1])
         dual_ops.append(LabeledOperator(space.prefix_factors(j), mat))
     return DualState(float(-y[0]), tuple(dual_ops))
-
-
-def y_from_dual(sdp: StandardSdp, dual: DualState) -> np.ndarray:
-    y = np.zeros(sdp.cmap.m)
-    y[0] = -dual.s0
-    for j in range(1, sdp.num_steps + 1):
-        rows = sdp.level_rows(j)
-        y[rows] = -coords_from_hermitian(dual.operators[j - 1].data)
-    return y

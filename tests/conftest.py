@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qnetopt.covariant import phase_grid_problem, twirl_coordinates
 from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_memory_comb, random_problem,
                                random_product_pair, random_product_tester,
@@ -11,7 +12,7 @@ from qnetopt.instances import (random_memory_comb, random_problem,
 from qnetopt.networks import CombSpace, comb_of_state
 from qnetopt.operators import (LabeledOperator, SystemLabel, embed_identity,
                                identity, partial_trace, tensor)
-from qnetopt.sdp.standard_form import coords_from_hermitian
+from qnetopt.sdp.standard_form import build_primal, coords_from_hermitian
 
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LOG = []
@@ -88,6 +89,19 @@ def helstrom_problem(tag="hel"):
 
 
 HELSTROM_VALUE = 0.5 * (1.0 + np.sqrt(2.0) / 2.0)  # 0.8535533905932737
+
+
+def twirled_phase_program():
+    """The covariant program of the 3-level phase grid, and the group action.
+
+    Built as covariant_gamma builds it: one seed outcome, twirled outcome rows.
+    """
+    problem, action = phase_grid_problem(3, 8)
+    space = problem.space
+    reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
+                                np.ones((1, 1)))
+    rows = twirl_coordinates(action, space.factors())
+    return build_primal(reduced, rows), action
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Command-line front end, exercised in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import HELSTROM_VALUE, helstrom_problem
 
 from qnetopt import serde
-from qnetopt.cli import main
+from qnetopt.cli import EXAMPLE_NAMES, main
 from qnetopt.sdp import solve
 
 
@@ -179,3 +183,17 @@ def test_product_rule_over_files(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["certified"] is True
     assert doc["gamma_joint"] == pytest.approx(HELSTROM_VALUE ** 2, abs=2e-6)
+
+
+def test_run_examples_script_passes_every_example():
+    """scripts/run_examples.py runs each named example and exits 0."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    script = root / "scripts" / "run_examples.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(EXAMPLE_NAMES)
+    assert len(lines) == 8 and all(" rc=0 " in line for line in lines)

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from scipy.linalg import solve_triangular
 
 from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
-                      outcome_residuals, qubit_state_problem, state_problems)
+                      outcome_residuals, qubit_state_problem, state_problems,
+                      twirled_phase_program)
+from qnetopt.covariant import twirl
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
                             MaxIterations, NumericalFailure)
-from qnetopt.estimation import expected_payoff, shifted_problem
+from qnetopt.estimation import (expected_payoff, payoff_operators,
+                                shifted_problem)
 from qnetopt.instances import random_channel_problem, random_memory_comb
 from qnetopt.networks import (QuantumComb, uniform_tester, validate_comb,
                               validate_tester)
@@ -17,7 +20,8 @@ from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
                          yuen_kennedy_lax)
 from qnetopt.sdp.engine import mixed_comb, tighten_dual
-from qnetopt.sdp.ipm import _chol_stack, _max_step, _nt_scaling
+from qnetopt.sdp.ipm import _chol_stack, _max_step, _nt_scaling, solve_ipm
+from qnetopt.sdp.standard_form import build_primal, dual_from_y
 
 
 def test_helstrom_two_pure_states():
@@ -151,21 +155,46 @@ def test_slater_point_is_strictly_feasible_on_random_problems():
     for _ in range(5):
         p = random_channel_problem(g, 2, [(2, 2), (2, 2)], delta=False,
                                    memory=True)
-        point = slater_point(p)
+        sdp = build_primal(p)
+        point = dual_from_y(sdp, slater_point(sdp))
         for r in chain_residuals(p, point):
             assert min_eig(r) > 1e-9
         for r in outcome_residuals(p, point):
             assert min_eig(r) > 1e-9
 
 
-def test_tighten_dual_makes_chain_exact():
-    p = helstrom_problem()
-    sol = solve(p)
-    tightened = tighten_dual(p, sol.dual)
-    for r in chain_residuals(p, tightened):
-        assert np.max(np.abs(r.data)) < 1e-12
-    report = certify_dual(tightened.s0, sol.comb_certificate, p)
-    assert report.certified
+TIGHTEN_CASES = {
+    "helstrom": lambda: (build_primal(helstrom_problem()), None),
+    # two steps with d_out != d_in, so dividing by the wrong one shows
+    "memory-2step": lambda: (build_primal(random_channel_problem(
+        np.random.default_rng(3), 2, [(2, 3), (3, 2)], memory=True)), None),
+    "memory-3step": lambda: (build_primal(random_channel_problem(
+        np.random.default_rng(8), 2, [(2, 1), (1, 2), (2, 1)],
+        memory=True)), None),
+    "twirled-phase3": twirled_phase_program,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIGHTEN_CASES))
+def test_tighten_dual_makes_chain_exact(case):
+    """Tightening the raw interior-point dual closes every chain inequality."""
+    sdp, action = TIGHTEN_CASES[case]()
+    problem = sdp.problem
+    opts = SolverOptions()
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                    slater_point(sdp), opts)
+    raw = dual_from_y(sdp, res.y)
+    tight = dual_from_y(sdp, tighten_dual(sdp, res.y))
+    for r in chain_residuals(problem, tight):
+        assert np.max(np.abs(r.data)) <= 1e-12
+    assert tight.s0 == raw.s0
+    for new, old in zip(tight.operators, raw.operators):
+        assert min_eig(new - old) >= -1e-12
+    top = tight.operators[-1]
+    if action is not None:  # the covariant program dominates with twirl(S^(N))
+        top = twirl(top, action)
+    for g in payoff_operators(problem).operators:
+        assert min_eig(top - g) >= -opts.tol
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,14 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (helstrom_problem, seeds, state_problems,
-                      structural_row_values)
-from qnetopt.covariant import phase_grid_problem, twirl_coordinates
-from qnetopt.estimation import EstimationProblem
+                      structural_row_values, twirled_phase_program)
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
-                                       dual_from_y, hermitian_from_coords,
-                                       trace_middle, y_from_dual)
+                                       dual_from_y, hermitian_from_coords)
 
 
 def rand_herm(g, d):
@@ -86,16 +83,6 @@ def test_coords_match_basis_tensordot(d, rng):
                                (x + x.conj().transpose(0, 2, 1)) / 2, atol=1e-12)
     np.testing.assert_allclose(hermitian_from_coords(expect, d),
                                np.tensordot(expect, basis, axes=1), atol=1e-12)
-
-
-def test_trace_middle_matches_loop(rng):
-    mats = rng.normal(size=(5, 24, 24)) + 1j * rng.normal(size=(5, 24, 24))
-    got = trace_middle(mats, 2, 3, 4)
-    view = mats.reshape(5, 2, 3, 4, 2, 3, 4)
-    expect = np.zeros((5, 8, 8), dtype=complex)
-    for j in range(3):
-        expect += view[:, :, j, :, :, j, :].reshape(5, 8, 8)
-    np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
 def test_block_layout_and_row_partition():
@@ -167,16 +154,6 @@ def _dense_rows(cmap):
             for b in range(len(cmap.block_dims))]
 
 
-def _twirled_program():
-    """The covariant program of the 3-level phase grid, as _qmax_solve builds it."""
-    problem, action = phase_grid_problem(3, 8)
-    space = problem.space
-    seed = problem.combs[0]
-    reduced = EstimationProblem(space, (0,), np.ones(1), (seed,),
-                                np.ones((1, 1)))
-    return build_primal(reduced, twirl_coordinates(action, space.factors()))
-
-
 def test_kernels_match_dense_rows(rng):
     for sdp in (
             build_primal(random_channel_problem(
@@ -187,7 +164,7 @@ def test_kernels_match_dense_rows(rng):
                 memory=True)),
             build_primal(random_channel_problem(
                 np.random.default_rng(9), 2, [(1, 3), (2, 2)], memory=True)),
-            _twirled_program()):
+            twirled_phase_program()[0]):
         _assert_kernels_match_dense_rows(sdp, rng)
 
 
@@ -229,5 +206,8 @@ def _assert_kernels_match_dense_rows(sdp, rng):
 def test_dual_vector_round_trip(rng):
     sdp = build_primal(helstrom_problem())
     y = rng.normal(size=sdp.cmap.m)
-    back = y_from_dual(sdp, dual_from_y(sdp, y))
-    np.testing.assert_allclose(back, y, atol=1e-12)
+    dual = dual_from_y(sdp, y)
+    assert dual.s0 == -y[0]
+    for j, op in enumerate(dual.operators, start=1):
+        np.testing.assert_allclose(coords_from_hermitian(op.data),
+                                   -y[sdp.level_rows(j)], atol=1e-12)
