@@ -34,8 +34,8 @@ import numpy as np
 from . import serde
 from .covariant import (FiniteGroupAction, cyclic_group, phase_estimation_optimum,
                         phase_grid_problem, qmax_state, sum_of_phases)
-from .errors import (BadDimension, BadParameter, DimensionCap, InvalidComb,
-                     MaxIterations, NumericalFailure, ParseError, QnetoptError,
+from .errors import (BadDimension, BadParameter, DimensionCap, MaxIterations,
+                     NumericalFailure, ParseError, QnetoptError,
                      UnknownExample)
 from .estimation import EstimationProblem
 from .networks import comb_of_state, validate_comb, validate_tester

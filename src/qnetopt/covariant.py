@@ -11,6 +11,19 @@ than on T; only the outcome rows change, to the twirl's coordinate matrix.
 ``covariant_gamma`` solves it and returns gamma_max = gamma_0 / q_max, read
 off the tightened dual, together with the invariant comb that certifies it.
 
+When every representative is diagonal (phases, and products of cyclic
+groups), the twirl multiplies entry (p, q) by the mean of a character,
+which is 0 or 1: it keeps a coordinate iff its row and column carry the
+same charge.  That selector comes in closed form from the diagonal phases
+(``diagonal_phases``, ``twirl_mask``, ``kept_coordinates``), and the
+program gets the kept coordinates instead of the matrix, so it has no
+identically zero rows and the solver's Schur kernel covers only the
+coordinates its rows read.  This is the block-diagonalisation of de Klerk,
+Pasechnik and Schrijver (Math. Program. 109, 2007) and Gatermann and
+Parrilo (J. Pure Appl. Algebra 192, 2004), specialised to charge sectors.
+Other actions, such as a cyclic shift, keep the dense coordinate matrix
+(``twirl_coordinates``).
+
 The phase-estimation helpers cover the standard cyclic-group instances:
 single-phase optima on d levels, the correlated two-phase payoff, and the
 entangled-versus-product cost of estimating a sum of phases.
@@ -32,7 +45,7 @@ from .networks import (CombSpace, QuantumComb, choi_of_channel,
                        comb_of_memoryless_sequence, validate_comb)
 from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import check_dimension_cap, slater_point, tighten_dual
-from .sdp.ipm import SolverOptions, basis_kernel, solve_ipm
+from .sdp.ipm import SolverOptions, basis_kernel, basis_layout, solve_ipm
 from .sdp.standard_form import build_primal, dual_from_y
 
 HOMOMORPHISM_TOL = 1e-10
@@ -143,6 +156,49 @@ def twirl_coordinates(action: FiniteGroupAction,
     return basis_kernel(us) / action.size
 
 
+def diagonal_phases(action: FiniteGroupAction,
+                    factors: Sequence[SystemLabel]) -> Optional[np.ndarray]:
+    """The diagonals of every U_g on the factors, or None if one is not diagonal.
+
+    Row g of the (|G|, D) result is diag(unitary_for(elements[g], factors)),
+    the Kronecker product of the per-factor diagonals.
+    """
+    phases = np.ones((action.size, 1), dtype=complex)
+    for f in factors:
+        if f.id in action.rep:
+            mats = np.array([action.rep[f.id][el] for el in action.elements],
+                            dtype=complex)
+            if mats.shape[1:] != (f.dim, f.dim):
+                raise ShapeMismatch("rep[%r] has shape %r for dim-%d factor"
+                                    % (f.id, mats.shape[1:], f.dim))
+            diag = np.diagonal(mats, axis1=1, axis2=2)
+            if np.count_nonzero(mats) != np.count_nonzero(diag):
+                return None
+            if f.id in action.conjugated:
+                diag = diag.conj()
+        else:
+            diag = np.ones((action.size, f.dim))
+        phases = (phases[:, :, None] * diag[:, None, :]).reshape(action.size, -1)
+    return phases
+
+
+def twirl_mask(phases: np.ndarray) -> np.ndarray:
+    """The twirl of a diagonal action as an entrywise 0/1 mask.
+
+    twirl(X)[p, q] = X[p, q] mean_g ph_g[p] conj(ph_g[q]); that mean is the
+    average of a character of the group, so it is 1 when row and column
+    carry the same charge and 0 otherwise.
+    """
+    mean = phases.T @ phases.conj() / len(phases)
+    return (mean.real > 0.5).astype(float)
+
+
+def kept_coordinates(mask: np.ndarray) -> np.ndarray:
+    """The Hermitian-basis coordinates the twirl keeps: P = diag(kept)."""
+    row, col, _ = basis_layout(mask.shape[0])
+    return np.flatnonzero(mask[row, col])
+
+
 def is_invariant(op: LabeledOperator, action: FiniteGroupAction,
                  tol: float = INVARIANCE_TOL) -> bool:
     scale = 1.0 + float(np.max(np.abs(op.data)))
@@ -196,16 +252,19 @@ class CovariantResult:
 
 
 def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
-                options: Optional[SolverOptions] = None):
+                options: Optional[SolverOptions] = None,
+                phases: Optional[np.ndarray] = None):
     """Smallest lambda with lambda * R >= seed for an invariant comb R.
 
     This is the one-outcome tester program for the seed comb with the
-    normalization imposed on twirl(T) instead of T: build_primal gets the
-    twirl's coordinate matrix as its outcome rows.  Its dual asks for a dual
-    chain with twirl(S^(N)) >= seed; after tightening, R = twirl(S^(N)) /
-    lambda is an invariant comb with lambda = S^(0), and q_max = 1 / lambda is
-    the largest q with q * seed dominated by an invariant comb.  Returns
-    (lambda, R, the interior-point result).
+    normalization imposed on twirl(T) instead of T.  For a diagonal action
+    (phases from diagonal_phases) build_primal gets the kept coordinates,
+    so the program has rows on those and on the coordinates Xi^(N) reaches
+    only; otherwise it gets the twirl's dense coordinate matrix.  Its dual
+    asks for a dual chain with twirl(S^(N)) >= seed; after tightening,
+    R = twirl(S^(N)) / lambda is an invariant comb with lambda = S^(0), and
+    q_max = 1 / lambda is the largest q with q * seed dominated by an
+    invariant comb.  Returns (lambda, R, the interior-point result).
     """
     opts = options if options is not None else SolverOptions()
     factors = space.factors()
@@ -213,12 +272,18 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
         space, (0,), np.ones(1),
         (QuantumComb(space, LabeledOperator(factors, seed)),), np.ones((1, 1)))
     check_dimension_cap(reduced, opts)
-    sdp = build_primal(reduced, twirl_coordinates(action, factors))
+    if phases is None:
+        phases = diagonal_phases(action, factors)
+    mask = None if phases is None else twirl_mask(phases)
+    rows = twirl_coordinates(action, factors) if mask is None else \
+        kept_coordinates(mask)
+    sdp = build_primal(reduced, rows)
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
     dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
     lam = dual.s0
-    top = twirl(dual.operators[-1], action).data
+    top = dual.operators[-1]
+    top = twirl(top, action).data if mask is None else top.data * mask
     inv = LabeledOperator(factors, (top + top.conj().T) / (2.0 * lam))
     return lam, inv, res
 
@@ -281,14 +346,18 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         mats.append(np.asarray(op.data, dtype=complex))
     factors = problem.space.factors()
     scale = 1.0 + max(float(np.max(np.abs(r))) for r in mats)
+    phases = diagonal_phases(action, factors)
+    stack = np.array(mats)
     for gi in range(n):
-        u = action.unitary_for(action.elements[gi], factors)
-        for x in range(n):
-            moved = u @ mats[x] @ u.conj().T
-            if np.max(np.abs(moved - mats[action.table[gi, x]])) > 1e-8 * scale:
-                raise NotLeftInvariant(
-                    "combs do not form an orbit of the action (element %r)"
-                    % (action.elements[gi],))
+        if phases is None:
+            u = action.unitary_for(action.elements[gi], factors)
+            moved = u @ stack @ u.conj().T
+        else:  # U R U^H = R * outer(ph, conj ph), for every x at once
+            moved = stack * np.outer(phases[gi], phases[gi].conj())
+        if np.max(np.abs(moved - stack[action.table[gi]])) > 1e-8 * scale:
+            raise NotLeftInvariant(
+                "combs do not form an orbit of the action (element %r)"
+                % (action.elements[gi],))
 
     e = action.identity_index
     weights = g[e] / n
@@ -297,7 +366,7 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         raise BadParameter("payoff row at the identity is all zero")
     seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
     seed = (seed + seed.conj().T) / 2.0
-    lam, inv, res = _qmax_solve(problem.space, seed, action, options)
+    lam, inv, res = _qmax_solve(problem.space, seed, action, options, phases)
     return CovariantResult(gamma_0 * lam, 1.0 / lam, gamma_0, inv,
                            res.gap, res.iterations)
 

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimation import EstimationProblem
-from .networks import (CombSpace, QuantumComb, Tester, choi_of_channel,
-                       comb_of_state, validate_comb, validate_tester)
+from .networks import (CombSpace, QuantumComb, Tester, comb_of_state,
+                       validate_comb, validate_tester)
 from .operators import LabeledOperator, SystemLabel, permute_systems
 
 _counter = itertools.count()

@@ -24,7 +24,8 @@ import numpy as np
 from ..errors import (BadParameter, DimensionCap, InvalidComb,
                       NormalizationViolation, NotPSD, NumericalFailure,
                       ShapeMismatch)
-from ..estimation import EstimationProblem, payoff_operators
+from ..estimation import (EstimationProblem, PayoffOperators,
+                          payoff_operators)
 from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
 from ..operators import LabeledOperator, identity_on, min_eig
@@ -86,8 +87,8 @@ def slater_point(sdp: StandardSdp) -> np.ndarray:
     c = max(problem.g_max(), 1.5 * lam_max, 1.0)
     y = np.zeros(sdp.cmap.m)
     for j in range(sdp.num_steps, 0, -1):
-        start = sdp.level_offsets[j]
-        y[start:start + sdp.level_dims[j - 1]] = -c
+        diagonal = sdp.level_coords(j) < sdp.level_dims[j - 1]
+        y[sdp.level_offsets[j] + np.flatnonzero(diagonal)] = -c
         step = problem.space.steps[j - 1]
         c = 2.0 * step.out_sys.dim * step.in_sys.dim * c
     y[0] = -c
@@ -129,12 +130,18 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
         comb = validate_comb(comb, max(tol, 1e-8))
     except (NotPSD, NormalizationViolation, ShapeMismatch) as exc:
         raise InvalidComb(str(exc)) from exc
-    gops = payoff_operators(problem)
     order = problem.space.factor_ids()
-    op = comb.op
-    if op.label_ids() != order:
+    if comb.op.label_ids() != order:
         raise ShapeMismatch("comb factors %r do not match problem space %r"
-                            % (op.label_ids(), order))
+                            % (comb.op.label_ids(), order))
+    return _margin_report(lambda_, comb, problem, payoff_operators(problem), tol)
+
+
+def _margin_report(lambda_: float, comb: QuantumComb,
+                   problem: EstimationProblem, gops: PayoffOperators,
+                   tol: float) -> CertificateReport:
+    """Margins of lambda * R - G_est for a validated comb in canonical order."""
+    op = comb.op
     margins = []
     for g in gops.operators:
         margins.append(min_eig(g.with_data(lambda_ * op.data - g.data)))
@@ -195,11 +202,11 @@ def solve(problem: EstimationProblem,
         comb = validate_comb(
             QuantumComb(space, LabeledOperator(factors, top / lambda_)),
             check_tol)
-        report = certify_dual(lambda_, comb, problem, tol=check_tol)
-    except (NotPSD, NormalizationViolation, InvalidComb) as exc:
+    except (NotPSD, NormalizationViolation) as exc:
         raise NumericalFailure(
             "converged point failed validation: %s" % exc,
             {"rel_gap": res.rel_gap, "iterations": res.iterations}) from exc
+    report = _margin_report(lambda_, comb, problem, sdp.payoff_ops, check_tol)
     if not report.certified:
         raise NumericalFailure(
             "dual certificate margin %.3e below -%.1e"

@@ -14,7 +14,10 @@ The Schur complement then needs, per group of blocks with the same entries,
 only S[a, c] = Re sum_k Tr(B_a W_k B_c W_k), which one GEMM and an index
 gather give in closed form (basis_kernel); entry pairs add R_i S R_j^T.
 This is the structure-exploiting assembly of Fujisawa, Kojima and Nakata
-(Math. Program. 79, 1997), specialised to comb constraints.  The iteration
+(Math. Program. 79, 1997), specialised to comb constraints.  A group of
+unit-map entries that reads only some coordinates (the kept coordinates of
+a covariant program) gets S on those only, entry by entry from W
+(coordinate_kernel), without the n^4 GEMM output.  The iteration
 works on one (k, n, n) stack per block side, one batched LAPACK/BLAS call per
 side and step; the inverse Cholesky factors of X and Z, formed once per
 iteration, serve the NT scaling, Z^-1 and all four step lengths.
@@ -35,6 +38,7 @@ _R2 = np.sqrt(0.5)
 STEP_FRACTION = 0.98     # share of the distance to the cone boundary taken
 MIN_SIGMA = 1e-10        # floor of the centering parameter
 FEAS_TOL_FACTOR = 100.0  # feasibility residuals may reach this times tol
+KERNEL_CHUNK = 1 << 16   # entries per row chunk of coordinate_kernel
 
 
 @dataclass(frozen=True)
@@ -97,14 +101,27 @@ def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
     return w * f.take(i, axis=-1) + v * f.take(j, axis=-1)
 
 
+@functools.lru_cache(maxsize=None)
+def _float_sources(n: int):
+    """Each float f[t] of a Hermitian matrix is wt[t] * coords[src[t]].
+
+    The imaginary parts of the diagonal get weight zero.
+    """
+    i, j, w, v = _float_positions(n)
+    src = np.zeros(2 * n * n, dtype=np.intp)
+    wt = np.zeros(2 * n * n)
+    src[i] = src[j] = np.arange(n * n)
+    np.add.at(wt, i, w)
+    np.add.at(wt, j, v)  # the diagonal's two halves add up to one
+    return src, wt
+
+
 def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
     """sum_a coords[..., a] B_a, the transpose of coords_from_hermitian."""
-    i, j, w, v = _float_positions(n)
-    coords = np.asarray(coords, dtype=float)
-    f = np.zeros(coords.shape[:-1] + (2 * n * n,))
-    f[..., i] = w * coords
-    f[..., j] += v * coords
-    return f.view(complex).reshape(coords.shape[:-1] + (n, n))
+    src, wt = _float_sources(n)
+    f = np.asarray(coords, dtype=float).take(src, axis=-1)
+    f *= wt
+    return f.view(complex).reshape(f.shape[:-1] + (n, n))
 
 
 def basis_kernel(stack: np.ndarray) -> np.ndarray:
@@ -132,6 +149,46 @@ def basis_kernel(stack: np.ndarray) -> np.ndarray:
     S[h:, n:h], S[h:, h:] = -plus[n:].imag, minus[n:].real
     S[n:, :n] *= np.sqrt(2.0)
     S[:n, n:] *= _R2
+    return S
+
+
+def coordinate_kernel(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """basis_kernel(stack)[np.ix_(coords, coords)] without the n^4 GEMM.
+
+    Write B_a = alpha_a e_pq + conj(alpha_a) e_qp for coordinate a on (p, q),
+    with alpha 1/2 on the diagonal, 1/sqrt2 symmetric and i/sqrt2
+    antisymmetric.  Each L_k is Hermitian, so the four terms of
+    Tr(B_a L_k B_c L_k) pair into conjugates, and with (r, s) the position
+    and beta the weight of c:
+    S[a, c] = 2 Re alpha_a sum_k (beta_c L[q, r] conj L[p, s]
+                                  + conj(beta_c) L[q, s] conj L[p, r]).
+    S is symmetric: each chunk of rows is formed right of the diagonal, in
+    about KERNEL_CHUNK entries, and mirrored below it.
+    """
+    row, col, imag = basis_layout(stack.shape[-1])
+    p, q = row[coords], col[coords]
+    alpha = np.where(p == q, 0.5, _R2) * np.where(imag[coords], 1j, 1.0)
+    beta, beta_c = 2.0 * alpha, 2.0 * alpha.conj()  # the 2 of 2 Re
+    u = len(coords)
+    S = np.empty((u, u))
+    step = max(1, KERNEL_CHUNK // u)
+    for lo in range(0, u, step):
+        hi = min(lo + step, u)
+        r, c = p[lo:], q[lo:]
+        acc = np.zeros((hi - lo, u - lo), dtype=complex)
+        for L in stack:
+            Lq, Lp = L[q[lo:hi]], L[p[lo:hi]].conj()
+            t = Lq.take(r, axis=1)
+            t *= Lp.take(c, axis=1)
+            t *= beta[lo:]
+            acc += t
+            t = Lq.take(c, axis=1)
+            t *= Lp.take(r, axis=1)
+            t *= beta_c[lo:]
+            acc += t
+        acc *= alpha[lo:hi, None]
+        S[lo:hi, lo:] = acc.real
+        S[hi:, lo:hi] = S[lo:hi, hi:].T
     return S
 
 
@@ -166,12 +223,20 @@ class ConstraintEntry:
         """R @ M, for M with the block's coordinates along axis 0."""
         if self.identity:
             return M
-        if not self.unit:
-            return self.scale * (self.tensor @ M)
-        if self.padded:  # index -1 reads an appended zero row
-            M = np.concatenate([M, np.zeros((1,) + M.shape[1:])])
         t = self.tensor
-        return self.scale * (M[t[:, 0]] if t.shape[1] == 1 else M[t].sum(axis=1))
+        if not self.unit:
+            out = t @ M
+        elif t.shape[1] == 1:
+            out = M.take(t[:, 0], axis=0)
+            if self.padded:
+                out[t[:, 0] < 0] = 0.0
+        else:
+            if self.padded:  # index -1 reads an appended zero row
+                M = np.concatenate([M, np.zeros((1,) + M.shape[1:])])
+            out = M[t].sum(axis=1)
+        if self.scale != 1.0:
+            out *= self.scale
+        return out
 
     def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
         """R^T @ y, the block's size coordinates."""
@@ -182,6 +247,26 @@ class ConstraintEntry:
         weights = np.repeat(y, self.tensor.shape[1])
         return self.scale * np.bincount(self.tensor.ravel() + 1, weights,
                                         minlength=size + 1)[1:]
+
+
+def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
+    """(used, entries): the coordinates a block group's rows read, if few.
+
+    When every entry is a unit map and together they read fewer than n^2
+    coordinates, the entries are returned remapped to positions in the
+    sorted array `used`, so the Schur pass needs the kernel on those only;
+    otherwise used is None and the entries are returned as they are.
+    """
+    if not all(e.unit for e in entries):
+        return None, entries
+    used = np.unique(np.concatenate([e.tensor.ravel() for e in entries]))
+    used = used[used >= 0]
+    if len(used) == n * n:
+        return None, entries
+    position = np.full(n * n + 1, -1)  # index -1 keeps the padding
+    position[used] = np.arange(len(used))
+    return used, [ConstraintEntry(e.row_start, e.row_stop, e.block,
+                                  position[e.tensor], e.scale) for e in entries]
 
 
 class BlockConstraintMap:
@@ -223,7 +308,9 @@ class BlockConstraintMap:
             sig = tuple(sorted((e.row_start, e.row_stop, id(e.tensor)) for e in es))
             sig_groups.setdefault((slot[b][0],) + sig, []).append(b)
         self._sig_groups = [(sig[0], np.array([slot[b][1] for b in bs]),
-                             by_block[bs[0]]) for sig, bs in sig_groups.items()]
+                             *_kernel_coords(by_block[bs[0]],
+                                             self.block_dims[bs[0]]))
+                            for sig, bs in sig_groups.items()]
 
     def stack(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """One complex (k, n, n) stack per side from blocks in block order."""
@@ -251,16 +338,22 @@ class BlockConstraintMap:
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
         """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the side stacks of W."""
         H = np.zeros((self.m, self.m))
-        for s, pos, entry_list in self._sig_groups:
-            S = basis_kernel(scalings[s][pos])
-            for i, ei in enumerate(entry_list):
-                left = ei.left(S)
-                for ej in entry_list[i:]:
-                    hij = ej.left(left.T).T  # R_i S R_j^T
-                    H[ei.rows, ej.rows] += hij
-                    if ej is not ei:
-                        H[ej.rows, ei.rows] += hij.T
+        for s, pos, used, entry_list in self._sig_groups:
+            stack = scalings[s][pos]
+            _add_pairs(H, basis_kernel(stack) if used is None else
+                       coordinate_kernel(stack, used), entry_list)
         return H
+
+
+def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):
+    """H[rows_i, rows_j] += R_i S R_j^T over the pairs of one block group."""
+    for i, ei in enumerate(entries):
+        left = ei.left(S)
+        for ej in entries[i:]:
+            hij = ej.left(left.T).T
+            H[ei.rows, ej.rows] += hij
+            if ej is not ei:
+                H[ej.rows, ei.rows] += hij.T
 
 
 @dataclass
@@ -440,6 +533,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         X = [_herm(x + ap * d) for x, d in zip(X, dX)]
         y = y + ad * dy
         Z = [_herm(z + ad * d) for z, d in zip(Z, dZ)]
+        del H, F, Hf  # free the Schur pair before the next assembly
 
         if min(ap, ad) < 1e-5:
             slow_steps += 1

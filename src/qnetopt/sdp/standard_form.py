@@ -14,7 +14,10 @@ Blocks are complex Hermitian and every coefficient is a Hermitian operator,
 so row values and objective numbers are Hilbert-Schmidt inner products on the
 operators themselves.  Constraint rows are indexed by a Hermitian basis of
 each level's operator space only, which keeps the row count at
-1 + sum_j D_j^2 and the Schur complement positive definite.
+1 + sum_j D_j^2 and the Schur complement positive definite.  A covariant
+program whose outcome enters on kept coordinates only has fewer level-N
+rows: those coordinates and the ones I_out(N) (x) Xi^(N) reaches, recorded
+in top_coords.
 
 Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
 in_j); with that choice every coefficient is either a basis element, a basis
@@ -92,6 +95,7 @@ class StandardSdp:
     cmap: BlockConstraintMap
     C: tuple              # objective blocks (min <C, X> convention)
     b: np.ndarray
+    top_coords: np.ndarray  # level-space coordinate of each level-N row
 
     @property
     def num_steps(self) -> int:
@@ -111,6 +115,12 @@ class StandardSdp:
     def level_rows(self, j: int) -> slice:
         return slice(self.level_offsets[j], self.level_offsets[j + 1])
 
+    def level_coords(self, j: int) -> np.ndarray:
+        """Coordinate of each row of level j >= 1 in its level space."""
+        if j == self.num_steps:
+            return self.top_coords
+        return np.arange(self.level_dims[j - 1] ** 2)
+
     def primal_start(self) -> List[np.ndarray]:
         """The uniform tester chain: strictly feasible, all equalities exact."""
         space = self.problem.space
@@ -129,11 +139,15 @@ def build_primal(problem: EstimationProblem,
                  outcome_rows: Optional[np.ndarray] = None) -> StandardSdp:
     """Assemble blocks, objective, and the structured constraint map.
 
-    outcome_rows is the coordinate map of the outcome blocks in the level-N
-    rows, a real (D_N^2, D_N^2) matrix; None means the identity, which imposes
-    sum_est T_est = I_out(N) (x) Xi^(N).  The covariant program passes the
-    twirl's coordinate matrix P[a, c] = Re<B_a, twirl(B_c)>: row a then reads
+    outcome_rows says how the outcome blocks enter the level-N rows.  None
+    means the identity, which imposes sum_est T_est = I_out(N) (x) Xi^(N).  A
+    real (D_N^2, D_N^2) matrix is a coordinate map: the covariant program
+    passes the twirl's matrix P[a, c] = Re<B_a, twirl(B_c)>, so row a reads
     <B_a, twirl(T)> and the constraint becomes twirl(T) = I_out(N) (x) Xi^(N).
+    A 1-D array lists kept coordinates, the twirl of a 0/1 diagonal P: T
+    enters on those only.  The level-N rows are then the kept coordinates
+    together with every coordinate that I_out(N) (x) Xi^(N) reaches; the
+    other rows are zero in every entry and are left out.
     """
     space = problem.space
     n_steps = space.num_steps
@@ -143,28 +157,38 @@ def build_primal(problem: EstimationProblem,
     block_dims = block_sides(problem)
     # prefix dims D_j = D_(j-1) * d_in_j * d_out_j, D_0 = 1
     prefix = [1] + [block_dims[j] * d_out[j] for j in range(n_steps)]
-
     level_dims = tuple(prefix[1:])
+
+    # level-N rows: their coordinates, and how the outcome blocks enter them
+    shrunk_top = _shrunk_rows(prefix[n_steps - 1], d_out[-1], d_in[-1])
+    top_coords = np.arange(prefix[n_steps] ** 2)
+    if outcome_rows is None:
+        outcome_rows = top_coords[:, None]
+    elif np.ndim(outcome_rows) == 1:
+        kept = np.asarray(outcome_rows)
+        top_coords = np.union1d(kept, np.flatnonzero(shrunk_top[:, 0] >= 0))
+        outcome_rows = np.where(np.isin(top_coords, kept), top_coords, -1)[:, None]
+        shrunk_top = shrunk_top[top_coords]
+
     offsets = [0, 1]
-    for j in range(1, n_steps + 1):
+    for j in range(1, n_steps):
         offsets.append(offsets[-1] + prefix[j] ** 2)
+    offsets.append(offsets[-1] + len(top_coords))
     m = offsets[-1]
 
     # level 0: full trace of Xi^(1), the sum of its diagonal coordinates
     entries = [ConstraintEntry(0, 1, 0, np.arange(block_dims[0])[None, :])]
-    if outcome_rows is None:
-        outcome_rows = np.arange(prefix[n_steps] ** 2)[:, None]
     for j in range(1, n_steps + 1):
         start, stop = offsets[j], offsets[j + 1]
         if j < n_steps:  # Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j)
             entries.append(ConstraintEntry(start, stop, j,
                                            _grown_rows(prefix[j], d_in[j])))
+            shrunk = _shrunk_rows(prefix[j - 1], d_out[j - 1], d_in[j - 1])
         else:  # sum_est T_est - I_out(N) (x) Xi^(N); one shared ndarray
             entries += [ConstraintEntry(start, stop, n_steps + k, outcome_rows)
                         for k in range(problem.num_params)]
-        entries.append(ConstraintEntry(
-            start, stop, j - 1,
-            _shrunk_rows(prefix[j - 1], d_out[j - 1], d_in[j - 1]), -1.0))
+            shrunk = shrunk_top
+        entries.append(ConstraintEntry(start, stop, j - 1, shrunk, -1.0))
 
     cmap = BlockConstraintMap(m, block_dims, entries)
     b = np.zeros(m)
@@ -179,7 +203,7 @@ def build_primal(problem: EstimationProblem,
         C.append(-g.data)
 
     return StandardSdp(problem, gops, tuple(block_dims), level_dims,
-                       tuple(offsets), cmap, tuple(C), b)
+                       tuple(offsets), cmap, tuple(C), b, top_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +224,9 @@ def dual_from_y(sdp: StandardSdp, y: np.ndarray) -> DualState:
     space = sdp.problem.space
     dual_ops = []
     for j in range(1, sdp.num_steps + 1):
-        mat = hermitian_from_coords(-y[sdp.level_rows(j)], sdp.level_dims[j - 1])
+        d = sdp.level_dims[j - 1]
+        coords = np.zeros(d * d)
+        coords[sdp.level_coords(j)] = -y[sdp.level_rows(j)]
+        mat = hermitian_from_coords(coords, d)
         dual_ops.append(LabeledOperator(space.prefix_factors(j), mat))
     return DualState(float(-y[0]), tuple(dual_ops))

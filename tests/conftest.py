@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qnetopt.covariant import phase_grid_problem, twirl_coordinates
+from qnetopt.covariant import (diagonal_phases, kept_coordinates,
+                               phase_grid_problem, twirl_coordinates,
+                               twirl_mask)
 from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_memory_comb, random_problem,
                                random_product_pair, random_product_tester,
@@ -91,16 +93,21 @@ def helstrom_problem(tag="hel"):
 HELSTROM_VALUE = 0.5 * (1.0 + np.sqrt(2.0) / 2.0)  # 0.8535533905932737
 
 
-def twirled_phase_program():
+def twirled_phase_program(selector: bool = False):
     """The covariant program of the 3-level phase grid, and the group action.
 
-    Built as covariant_gamma builds it: one seed outcome, twirled outcome rows.
+    One seed outcome with twirled outcome rows: the dense twirl matrix, or
+    with selector=True the kept coordinates, as covariant_gamma builds it.
     """
     problem, action = phase_grid_problem(3, 8)
     space = problem.space
     reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
                                 np.ones((1, 1)))
-    rows = twirl_coordinates(action, space.factors())
+    if selector:
+        rows = kept_coordinates(twirl_mask(
+            diagonal_phases(action, space.factors())))
+    else:
+        rows = twirl_coordinates(action, space.factors())
     return build_primal(reduced, rows), action
 
 

@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 
 import qnetopt
 from qnetopt.covariant import (FiniteGroupAction, act, covariant_gamma,
-                               cyclic_group, is_invariant, phase_action,
-                               phase_estimation_optimum, phase_grid_problem,
-                               product_group, qmax_comb, qmax_state,
-                               sum_of_phases, twirl, twirl_coordinates,
+                               cyclic_group, diagonal_phases, is_invariant,
+                               kept_coordinates, phase_estimation_optimum,
+                               phase_grid_problem, product_group, qmax_comb,
+                               qmax_state, sum_of_phases, twirl,
+                               twirl_coordinates, twirl_mask,
                                two_phase_correlated, two_phase_payoff_matrix,
                                two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
-                            NotLeftInvariant, ShapeMismatch)
+                            NotLeftInvariant)
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import SolverOptions, certify_dual, solve
-from qnetopt.sdp.standard_form import (coords_from_hermitian,
+from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
                                        hermitian_from_coords)
 
 Q = SystemLabel("q", 2)
@@ -112,6 +113,97 @@ def test_twirl_coordinates_match_twirl(make):
                                    atol=1e-12)
     np.testing.assert_allclose(P, P.T, atol=1e-12)
     np.testing.assert_allclose(P @ P, P, atol=1e-12)
+
+
+DIAGONAL_CASES = {
+    "phase-grid": lambda: phase_grid_problem(3, 8),
+    "two-step": lambda: two_step_phase_problem(),
+    "two-phase": lambda: two_phase_problem(0.7, 8),
+}
+
+
+def _selector(problem, action):
+    factors = problem.space.factors()
+    return kept_coordinates(twirl_mask(diagonal_phases(action, factors)))
+
+
+@pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
+def test_selector_is_the_dense_twirl_matrix(case):
+    problem, action = DIAGONAL_CASES[case]()
+    P = twirl_coordinates(action, problem.space.factors())
+    kept = _selector(problem, action)
+    selector = np.zeros(len(P))
+    selector[kept] = 1.0
+    np.testing.assert_allclose(P, np.diag(selector), atol=1e-12)
+    assert 0 < len(kept) < len(P)
+
+
+def test_diagonal_phases_are_the_unitary_diagonals():
+    problem, action = two_step_phase_problem()
+    factors = problem.space.factors()
+    phases = diagonal_phases(action, factors)
+    for g, el in enumerate(action.elements):
+        np.testing.assert_array_equal(np.diag(phases[g]),
+                                      action.unitary_for(el, factors))
+
+
+def test_shift_action_keeps_the_dense_twirl():
+    action, factors = _shift_action()
+    assert diagonal_phases(action, factors) is None
+
+
+def _level_n_nonzero_coords(sdp):
+    """Level-N coordinates whose row has a nonzero coefficient somewhere.
+
+    The dense P is computed, so its zero rows hold entries near 1e-17.
+    """
+    ones = [np.eye(n) for n in sdp.cmap.block_dims]
+    weight = np.diag(sdp.cmap.schur(sdp.cmap.stack(ones)))
+    top = sdp.num_steps
+    return sdp.level_coords(top)[weight[sdp.level_rows(top)] > 1e-12]
+
+
+@pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
+def test_reduced_rows_are_the_nonzero_rows_of_the_dense_program(case):
+    problem, action = DIAGONAL_CASES[case]()
+    reduced = EstimationProblem(problem.space, (0,), np.ones(1),
+                                (problem.combs[0],), np.ones((1, 1)))
+    kept = _selector(problem, action)
+    dense = build_primal(reduced, twirl_coordinates(action,
+                                                    problem.space.factors()))
+    sdp = build_primal(reduced, kept)
+    np.testing.assert_array_equal(sdp.level_coords(sdp.num_steps),
+                                  _level_n_nonzero_coords(dense))
+    np.testing.assert_array_equal(_level_n_nonzero_coords(sdp),
+                                  sdp.level_coords(sdp.num_steps))
+    assert set(kept) <= set(sdp.level_coords(sdp.num_steps))
+    # the Xi^(N) entry reaches coordinates outside the kept ones here
+    if case == "two-step":
+        assert len(sdp.level_coords(sdp.num_steps)) > len(kept)
+
+
+PARITY_CASES = {
+    "grid-3": lambda: phase_grid_problem(3),
+    "grid-4": lambda: phase_grid_problem(4),
+    "grid-5": lambda: phase_grid_problem(5),
+    "two-step": lambda: two_step_phase_problem(),
+    "two-phase-0.26": lambda: two_phase_problem(0.2601612582347196, 8),
+    "two-phase-0.7": lambda: two_phase_problem(0.7, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_reduced_program_matches_dense_twirl_program(case, monkeypatch):
+    problem, action = PARITY_CASES[case]()
+    reduced = covariant_gamma(problem, action)
+    # without diagonal phases covariant_gamma falls back to the dense P
+    monkeypatch.setattr("qnetopt.covariant.diagonal_phases",
+                        lambda action, factors: None)
+    dense = covariant_gamma(problem, action)
+    assert reduced.gamma_max == pytest.approx(dense.gamma_max, abs=1e-12)
+    assert reduced.iterations == dense.iterations
+    np.testing.assert_allclose(reduced.invariant_op.data,
+                               dense.invariant_op.data, atol=1e-9)
 
 
 def test_product_group_structure():

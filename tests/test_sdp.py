@@ -13,9 +13,8 @@ from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
                             MaxIterations, NumericalFailure)
 from qnetopt.estimation import (expected_payoff, payoff_operators,
                                 shifted_problem)
-from qnetopt.instances import random_channel_problem, random_memory_comb
-from qnetopt.networks import (QuantumComb, uniform_tester, validate_comb,
-                              validate_tester)
+from qnetopt.instances import random_channel_problem
+from qnetopt.networks import QuantumComb, uniform_tester, validate_tester
 from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
                          yuen_kennedy_lax)
@@ -172,6 +171,7 @@ TIGHTEN_CASES = {
         np.random.default_rng(8), 2, [(2, 1), (1, 2), (2, 1)],
         memory=True)), None),
     "twirled-phase3": twirled_phase_program,
+    "selected-phase3": lambda: twirled_phase_program(selector=True),
 }
 
 

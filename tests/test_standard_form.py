@@ -16,6 +16,8 @@ from conftest import (helstrom_problem, seeds, state_problems,
                       structural_row_values, twirled_phase_program)
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
+from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
+                             coordinate_kernel)
 from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
                                        dual_from_y, hermitian_from_coords)
 
@@ -83,6 +85,19 @@ def test_coords_match_basis_tensordot(d, rng):
                                (x + x.conj().transpose(0, 2, 1)) / 2, atol=1e-12)
     np.testing.assert_allclose(hermitian_from_coords(expect, d),
                                np.tensordot(expect, basis, axes=1), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_hermitian_from_coords_matches_two_pass_scatter(d, rng):
+    # the transpose of coords = w f[i] + v f[j], scattered pass by pass
+    i, j, w, v = _float_positions(d)
+    coords = rng.normal(size=(3, d * d))
+    f = np.zeros((3, 2 * d * d))
+    f[:, i] = w * coords
+    f[:, j] += v * coords
+    np.testing.assert_allclose(hermitian_from_coords(coords, d),
+                               f.view(complex).reshape(3, d, d),
+                               atol=1e-15, rtol=0)
 
 
 def test_block_layout_and_row_partition():
@@ -164,8 +179,41 @@ def test_kernels_match_dense_rows(rng):
                 memory=True)),
             build_primal(random_channel_problem(
                 np.random.default_rng(9), 2, [(1, 3), (2, 2)], memory=True)),
-            twirled_phase_program()[0]):
+            twirled_phase_program()[0],
+            # the outcome group reads the kept coordinates only
+            twirled_phase_program(selector=True)[0]):
         _assert_kernels_match_dense_rows(sdp, rng)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_coordinate_kernel_is_the_basis_kernel_restricted(n, k, rng):
+    stack = np.array([rand_herm(rng, n) for _ in range(k)])
+    full = basis_kernel(stack)
+    half = n * (n - 1) // 2
+    for used in (np.arange(n * n),
+                 np.arange(n),                          # diagonal
+                 np.arange(n, n + half),                # symmetric
+                 np.arange(n + half, n * n),            # antisymmetric
+                 np.sort(rng.choice(n * n, (n * n + 1) // 2, replace=False))):
+        if len(used):
+            np.testing.assert_allclose(coordinate_kernel(stack, used),
+                                       full[np.ix_(used, used)], atol=1e-12,
+                                       rtol=0)
+
+
+def test_restricted_top_level_scatters_through_its_coordinates(rng):
+    sdp = twirled_phase_program(selector=True)[0]
+    top = sdp.num_steps
+    coords = sdp.level_coords(top)
+    d = sdp.level_dims[top - 1]
+    assert sdp.cmap.m == 1 + len(coords) < 1 + d * d
+    y = rng.normal(size=sdp.cmap.m)
+    expect = np.zeros(d * d)
+    expect[coords] = -y[sdp.level_rows(top)]
+    dual = dual_from_y(sdp, y)
+    np.testing.assert_allclose(coords_from_hermitian(dual.operators[-1].data),
+                               expect, atol=1e-12)
 
 
 def _assert_kernels_match_dense_rows(sdp, rng):
