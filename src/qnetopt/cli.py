@@ -26,6 +26,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -291,7 +292,15 @@ def _add_io_flags(sub) -> None:
     sub.add_argument("--quiet", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    parse_args leaves the parser unchanged and returns a fresh Namespace,
+    so repeated main() calls in one process share it.  Each subcommand's
+    handler (cmd_*) is bound when the parser is built: replacing a cmd_*
+    function after the first call has no effect on main().
+    """
     parser = argparse.ArgumentParser(prog="qnetopt",
                                      description="network estimation toolkit")
     subs = parser.add_subparsers(dest="command", required=True)

@@ -346,10 +346,26 @@ class BlockConstraintMap:
 
 
 def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):
-    """H[rows_i, rows_j] += R_i S R_j^T over the pairs of one block group."""
+    """H[rows_i, rows_j] += R_i S R_j^T over the pairs of one block group.
+
+    A padded one-unit entry paired with itself adds scale^2 S[t, t] on the
+    rows it reaches only (Tr_out reaches 1/d_out of them), never the mostly
+    zero block over all its rows.
+    """
     for i, ei in enumerate(entries):
+        if ei.padded and ei.tensor.shape[1] == 1:
+            reached = np.flatnonzero(ei.tensor[:, 0] >= 0)
+            t, r = ei.tensor[reached], ei.row_start + reached[:, None]
+            block = S[t, t.T]
+            block *= ei.scale ** 2
+            H[r, r.T] += block
+            others = entries[i + 1:]
+        else:
+            others = entries[i:]
+        if not others:
+            continue
         left = ei.left(S)
-        for ej in entries[i:]:
+        for ej in others:
             hij = ej.left(left.T).T
             H[ei.rows, ej.rows] += hij
             if ej is not ei:
@@ -493,18 +509,29 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         # Fortran-ordered view LAPACK overwrites); refinement uses H itself
         F = H.copy()
         F.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
+        # cho_factor checks F is finite, so its factor is; each solve then
+        # checks only its right-hand side
         try:
             Hf = cho_factor(F.T, overwrite_a=True)
         except np.linalg.LinAlgError:
             raise NumericalFailure("Schur complement not positive definite",
                                    {"iteration": it})
+        except ValueError as exc:  # a NaN or inf in H
+            raise NumericalFailure("Schur complement not finite at iteration %d"
+                                   % it, {"iteration": it}) from exc
+
+        def solve_schur(rhs):
+            if not np.isfinite(rhs).all():
+                raise NumericalFailure("Newton right-hand side not finite at "
+                                       "iteration %d" % it,
+                                       {"iteration": it})
+            return cho_solve(Hf, rhs, check_finite=False)
 
         def newton(Rc):
             E = [rc - w @ rd @ w for rc, w, rd in zip(Rc, Ws, R_d)]
             rhs = r_p - cmap.apply_A(E)
-            dy = cho_solve(Hf, rhs)
-            resid = rhs - H @ dy
-            dy = dy + cho_solve(Hf, resid)
+            dy = solve_schur(rhs)
+            dy = dy + solve_schur(rhs - H @ dy)
             dZ = [_herm(rd - a) for rd, a in zip(R_d, cmap.apply_AT(dy))]
             dX = [_herm(rc - w @ dz @ w) for rc, w, dz in zip(Rc, Ws, dZ)]
             return dX, dy, dZ

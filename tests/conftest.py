@@ -8,9 +8,7 @@ from qnetopt.covariant import (diagonal_phases, kept_coordinates,
                                phase_grid_problem, twirl_coordinates,
                                twirl_mask)
 from qnetopt.estimation import EstimationProblem, payoff_operators
-from qnetopt.instances import (random_memory_comb, random_problem,
-                               random_product_pair, random_product_tester,
-                               random_state_problem)
+from qnetopt.instances import random_memory_comb, random_state_problem
 from qnetopt.networks import CombSpace, comb_of_state
 from qnetopt.operators import (LabeledOperator, SystemLabel, embed_identity,
                                identity, partial_trace, tensor)

@@ -11,7 +11,7 @@ import pytest
 from conftest import HELSTROM_VALUE, helstrom_problem
 
 from qnetopt import serde
-from qnetopt.cli import EXAMPLE_NAMES, main
+from qnetopt.cli import EXAMPLE_NAMES, build_parser, main
 from qnetopt.sdp import solve
 
 
@@ -77,6 +77,31 @@ def test_solve_report_is_reproducible(problem_file, tmp_path, capsys):
     assert run(capsys, "solve", problem_file, "--out", str(a))[0] == 0
     assert run(capsys, "solve", problem_file, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_calls_do_not_share_options(problem_file, tmp_path,
+                                                  capsys):
+    a, b, fresh = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
+    rc, out, err = run(capsys, "solve", problem_file, "--tol", "1e-6",
+                       "--quiet", "--out", str(a))
+    assert rc == 0 and out == "" and err == ""
+    rc, _out, err = run(capsys, "solve", problem_file, "--out", str(b))
+    assert rc == 0
+    assert "gamma 0.8535533" in err
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qnetopt.cli", "solve",
+                           problem_file, "--out", str(fresh)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert b.read_bytes() == fresh.read_bytes()
+    assert a.read_bytes() != b.read_bytes()
 
 
 def test_solve_iteration_limit_exit(problem_file, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import helstrom_problem, qubit_state_problem, state_problems
+from conftest import helstrom_problem, state_problems
 from qnetopt.errors import BadParameter, DuplicateLabel, ShapeMismatch
 from qnetopt.estimation import (EstimationProblem, expected_payoff,
                                 joint_problem, payoff_operators,

@@ -8,6 +8,8 @@ from scipy.linalg import solve_triangular
 from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
                       outcome_residuals, qubit_state_problem, state_problems,
                       twirled_phase_program)
+from qnetopt import serde
+from qnetopt.cli import main
 from qnetopt.covariant import twirl
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
                             MaxIterations, NumericalFailure)
@@ -19,7 +21,8 @@ from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
                          yuen_kennedy_lax)
 from qnetopt.sdp.engine import mixed_comb, tighten_dual
-from qnetopt.sdp.ipm import _chol_stack, _max_step, _nt_scaling, solve_ipm
+from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_stack, _max_step,
+                             _nt_scaling, solve_ipm)
 from qnetopt.sdp.standard_form import build_primal, dual_from_y
 
 
@@ -125,6 +128,40 @@ def test_nt_scaling_failures_name_their_block():
     with pytest.raises(NumericalFailure, match="SVD") as err:
         _nt_scaling(nan, eye, eye, ids, 3)
     assert err.value.diagnostics == {"iteration": 3, "block": 5}
+
+
+# apply_A runs three times an iteration (residual, predictor, corrector), so
+# its fifth call is iteration 1's predictor; schur runs once an iteration
+@pytest.mark.parametrize("method, calls, what", [
+    ("apply_A", 4, "right-hand side"),
+    ("schur", 1, "Schur complement"),
+])
+def test_non_finite_newton_system_is_numerical_failure(
+        method, calls, what, tmp_path, monkeypatch, capsys):
+    real = getattr(BlockConstraintMap, method)
+
+    def poison():
+        seen = []
+
+        def poisoned(self, *args):
+            seen.append(None)
+            out = real(self, *args)
+            return out * np.nan if len(seen) > calls else out
+
+        monkeypatch.setattr(BlockConstraintMap, method, poisoned)
+
+    poison()
+    with pytest.raises(NumericalFailure, match=what) as err:
+        solve(helstrom_problem())
+    assert "iteration 1" in str(err.value)
+    assert err.value.diagnostics == {"iteration": 1}
+
+    path = tmp_path / "problem.json"
+    serde.dump_path(serde.problem_to_json(helstrom_problem()), str(path))
+    poison()
+    assert main(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == 6
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("numerical failure: ") and what in stderr
 
 
 def test_certify_dual_rejects_negative_lambda():

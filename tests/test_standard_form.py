@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (helstrom_problem, seeds, state_problems,
                       structural_row_values, twirled_phase_program)
+from qnetopt.covariant import phase_grid_problem
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
@@ -179,6 +180,8 @@ def test_kernels_match_dense_rows(rng):
                 memory=True)),
             build_primal(random_channel_problem(
                 np.random.default_rng(9), 2, [(1, 3), (2, 2)], memory=True)),
+            # the direct phase program: Tr_out reaches 1/3 of its rows
+            build_primal(phase_grid_problem(3)[0]),
             twirled_phase_program()[0],
             # the outcome group reads the kept coordinates only
             twirled_phase_program(selector=True)[0]):
