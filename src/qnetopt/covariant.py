@@ -107,12 +107,6 @@ class FiniteGroupAction:
     def size(self) -> int:
         return len(self.elements)
 
-    def index_of(self, element) -> int:
-        return self.elements.index(element)
-
-    def compose(self, a, b):
-        return self.elements[self.table[self.index_of(a), self.index_of(b)]]
-
     def unitary_for(self, element, factors: Sequence[SystemLabel]) -> np.ndarray:
         """Kronecker product of the per-factor representatives."""
         u = np.eye(1, dtype=complex)
@@ -337,13 +331,7 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         if np.max(np.abs(shuffled - g)) > 1e-9:
             raise NotLeftInvariant(
                 "payoff changes under left translation by %r" % (action.elements[y],))
-    order = problem.space.factor_ids()
-    mats = []
-    for c in problem.combs:
-        op = c.op
-        if op.label_ids() != order:
-            raise ShapeMismatch("comb out of canonical factor order")
-        mats.append(np.asarray(op.data, dtype=complex))
+    mats = [c.op.data for c in problem.combs]
     factors = problem.space.factors()
     scale = 1.0 + max(float(np.max(np.abs(r))) for r in mats)
     phases = diagonal_phases(action, factors)

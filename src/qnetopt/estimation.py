@@ -75,9 +75,6 @@ class EstimationProblem:
     def num_params(self) -> int:
         return len(self.labels_x)
 
-    def comb_for(self, label) -> QuantumComb:
-        return self.combs[self.labels_x.index(label)]
-
     def validated(self, tol: float = 1e-8) -> "EstimationProblem":
         """Re-run validate_comb on every comb; returns self on success."""
         for c in self.combs:
@@ -101,25 +98,12 @@ class PayoffOperators:
 
 def payoff_operators(problem: EstimationProblem) -> PayoffOperators:
     """G_est = sum_x prior(x) g(est, x) R_x on the canonical factor order."""
-    order = problem.space.factor_ids()
-    mats = []
-    for c in problem.combs:
-        op = c.op
-        if op.label_ids() != order:
-            op = permute_systems(op, order)
-        mats.append(op.data)
+    stack = np.array([c.op.data for c in problem.combs], dtype=complex)
+    acc = np.tensordot(problem.payoff * problem.prior[None, :], stack, 1)
+    acc = (acc + acc.conj().swapaxes(-1, -2)) / 2.0
     factors = problem.space.factors()
-    dim = mats[0].shape[0]
-    ops = []
-    for i in range(problem.num_params):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for j in range(problem.num_params):
-            w = problem.prior[j] * problem.payoff[i, j]
-            if w != 0.0:
-                acc += w * mats[j]
-        acc = (acc + acc.conj().T) / 2.0
-        ops.append(LabeledOperator(factors, acc))
-    return PayoffOperators(problem.labels_x, tuple(ops))
+    return PayoffOperators(problem.labels_x,
+                           tuple(LabeledOperator(factors, g) for g in acc))
 
 
 def expected_payoff(tester: Tester, problem: EstimationProblem) -> float:

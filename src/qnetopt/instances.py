@@ -16,7 +16,7 @@ import numpy as np
 from .estimation import EstimationProblem
 from .networks import (CombSpace, QuantumComb, Tester, comb_of_state,
                        validate_comb, validate_tester)
-from .operators import LabeledOperator, SystemLabel, permute_systems
+from .operators import LabeledOperator, SystemLabel
 
 _counter = itertools.count()
 
@@ -133,8 +133,7 @@ def random_memory_comb(rng: np.random.Generator, space: CombSpace,
     r = np.einsum("aei,bej->aibj", w, w.conj()).reshape(d_out_tot * d_in_tot, -1)
     outs = tuple(s.out_sys for s in steps)
     ins = tuple(s.in_sys for s in steps)
-    op = permute_systems(LabeledOperator(outs + ins, r), space.factor_ids())
-    return validate_comb(QuantumComb(space, op))
+    return validate_comb(QuantumComb(space, LabeledOperator(outs + ins, r)))
 
 
 def random_sequence_comb(rng: np.random.Generator, space: CombSpace,
@@ -208,14 +207,11 @@ def random_product_tester(rng: np.random.Generator, space: CombSpace,
     in_part = np.array([[1.0]])
     for step in space.steps:
         in_part = np.kron(in_part, random_density(rng, step.in_sys.dim).T)
-    outs = [s.out_sys for s in space.steps]
-    ins = [s.in_sys for s in space.steps]
-    order = tuple(f.id for f in space.factors())
-    outcomes = []
-    for m, p in enumerate(povm):
-        op = LabeledOperator(tuple(outs) + tuple(ins), np.kron(p, in_part))
-        outcomes.append((str(m), permute_systems(op, order)))
-    return validate_tester(Tester(space, tuple(outcomes)))
+    factors = tuple(s.out_sys for s in space.steps) + \
+        tuple(s.in_sys for s in space.steps)
+    outcomes = tuple((str(m), LabeledOperator(factors, np.kron(p, in_part)))
+                     for m, p in enumerate(povm))
+    return validate_tester(Tester(space, outcomes))
 
 
 def random_product_pair(rng: np.random.Generator) -> tuple:

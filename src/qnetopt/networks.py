@@ -11,7 +11,10 @@ Conventions fixed here and used end-to-end:
 * Choi operators are ordered (output, input):  choi(C) = sum_ij C(|i><j|) (x) |i><j|.
   With this choice  Tr[choi(C) (A_out (x) B_in^T)] = Tr[A C(B)]  and the partial
   trace over the output equals the identity on the input.
-* A comb on steps s = 1..N lives on (out_1, in_1, ..., out_N, in_N).
+* A comb on steps s = 1..N lives on (out_1, in_1, ..., out_N, in_N), the
+  canonical factor order.  QuantumComb and Tester store their operators in
+  that order from construction, whatever order they were given in, so no
+  code downstream permutes or checks it again.
 * A step with input dimension 1 is a preparation; output dimension 1 is a sink.
 """
 
@@ -80,11 +83,16 @@ class CombSpace:
     def total_in_dim(self) -> int:
         return int(np.prod(self.in_dims(), dtype=np.int64))
 
-    def total_dim(self) -> int:
-        return int(np.prod([f.dim for f in self.factors()], dtype=np.int64))
-
     def concat(self, other: "CombSpace") -> "CombSpace":
         return CombSpace(self.steps + other.steps)
+
+
+def _canonical(op: LabeledOperator, space: CombSpace) -> LabeledOperator:
+    """op in the space's factor order; BadPermutation if its labels differ."""
+    want = space.factor_ids()
+    if op.label_ids() != want:
+        op = permute_systems(op, want)
+    return op
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,9 @@ class QuantumComb:
     space: CombSpace
     op: LabeledOperator
     witness_chain: Optional[tuple] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "op", _canonical(self.op, self.space))
 
 
 @dataclass(frozen=True)
@@ -106,24 +117,18 @@ class Tester:
     outcomes: tuple  # of (outcome_id, LabeledOperator) pairs, order preserved
     xi_chain: Optional[tuple] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "outcomes", tuple(
+            (m, _canonical(op, self.space)) for m, op in self.outcomes))
+
     def outcome_ids(self) -> tuple:
         return tuple(m for m, _ in self.outcomes)
-
-    def outcome_ops(self) -> tuple:
-        return tuple(op for _, op in self.outcomes)
 
     def op_for(self, outcome_id) -> LabeledOperator:
         for m, op in self.outcomes:
             if m == outcome_id:
                 return op
         raise KeyError(outcome_id)
-
-
-def _canonical(op: LabeledOperator, space: CombSpace) -> LabeledOperator:
-    want = space.factor_ids()
-    if op.label_ids() != want:
-        op = permute_systems(op, want)
-    return op
 
 
 def choi_of_channel(kraus_list: Sequence[np.ndarray], in_label: SystemLabel,
@@ -197,7 +202,7 @@ def validate_comb(comb: QuantumComb, tol: float = DEFAULT_TOL) -> QuantumComb:
     entry is the scalar 1.  Raises NotPSD or NormalizationViolation(level, residual).
     """
     space = comb.space
-    op = _canonical(comb.op, space)
+    op = comb.op
     _check_psd(op, tol, "comb operator")
     chain = []
     current = op
@@ -231,11 +236,9 @@ def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:
     n_steps = space.num_steps
     if not tester.outcomes:
         raise ShapeMismatch("a tester needs at least one outcome")
-    ops = []
-    for m, op in tester.outcomes:
-        op = _canonical(op, space)
+    ops = tester.outcomes
+    for m, op in ops:
         _check_psd(op, tol, "outcome %r" % (m,))
-        ops.append((m, op))
     total = ops[0][1]
     for _, op in ops[1:]:
         total = total + op
@@ -261,7 +264,7 @@ def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:
     final = float(np.abs(np.trace(xi.data) - 1.0))
     if final > tol:
         raise NormalizationViolation(0, final)
-    return Tester(space, tuple(ops), xi_chain=tuple(chain))
+    return Tester(space, ops, xi_chain=tuple(chain))
 
 
 def born_probability(t_m: LabeledOperator, comb) -> float:
@@ -281,23 +284,14 @@ def born_probability(t_m: LabeledOperator, comb) -> float:
 
 def tensor_combs(a: QuantumComb, b: QuantumComb) -> QuantumComb:
     """Parallel composition; a's steps first, then b's."""
-    space = a.space.concat(b.space)
-    op = tensor(_canonical(a.op, a.space), _canonical(b.op, b.space))
-    op = permute_systems(op, space.factor_ids())
-    return QuantumComb(space, op)
+    return QuantumComb(a.space.concat(b.space), tensor(a.op, b.op))
 
 
 def tensor_testers(a: Tester, b: Tester) -> Tester:
     """Parallel composition; outcome ids become (id_a, id_b) pairs."""
-    space = a.space.concat(b.space)
-    outcomes = []
-    for ma, opa in a.outcomes:
-        opa = _canonical(opa, a.space)
-        for mb, opb in b.outcomes:
-            opb = _canonical(opb, b.space)
-            op = permute_systems(tensor(opa, opb), space.factor_ids())
-            outcomes.append(((ma, mb), op))
-    return Tester(space, tuple(outcomes))
+    outcomes = tuple(((ma, mb), tensor(opa, opb))
+                     for ma, opa in a.outcomes for mb, opb in b.outcomes)
+    return Tester(a.space.concat(b.space), outcomes)
 
 
 def uniform_tester(space: CombSpace, outcome_ids: Sequence) -> Tester:

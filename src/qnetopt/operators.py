@@ -26,9 +26,6 @@ DIMENSION_CAP = 4096
 #: Default relative scale for the Hermiticity check.
 HERM_TOL = 1e-10
 
-#: Default reconstruction tolerance for eigendecompositions.
-EIG_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SystemLabel:

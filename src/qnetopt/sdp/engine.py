@@ -108,12 +108,12 @@ def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     cmap = sdp.cmap
     for n in range(1, sdp.num_steps + 1):
         block = sdp.xi_block(n)
-        entries = [e for e in cmap.entries if e.block == block]
+        lower, shrunk = cmap.groups[block].entries
         size = cmap.block_dims[block] ** 2
-        delta = -sum(e.adjoint(y[e.rows], size) for e in entries)
-        rows = sdp.level_rows(n)
-        shrunk = next(e for e in entries if e.row_start == rows.start)
-        y[rows] += shrunk.left(delta) / sdp.problem.space.steps[n - 1].out_sys.dim
+        delta = -(lower.adjoint(y[lower.rows], size)
+                  + shrunk.adjoint(y[shrunk.rows], size))
+        y[shrunk.rows] += shrunk.left(delta) / \
+            sdp.problem.space.steps[n - 1].out_sys.dim
     return y
 
 

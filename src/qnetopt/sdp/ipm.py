@@ -9,17 +9,18 @@ honest error bound.
 
 Constraints are supplied as a BlockConstraintMap in coordinates: x_a =
 Re<B_a, X> in the orthonormal Hermitian basis B (basis_layout), and each
-(row group, block) entry is a real coordinate map R, so its rows read R x.
-The Schur complement then needs, per group of blocks with the same entries,
-only S[a, c] = Re sum_k Tr(B_a W_k B_c W_k), which one GEMM and an index
-gather give in closed form (basis_kernel); entry pairs add R_i S R_j^T.
+row group's entry is a real coordinate map R, so its rows read R x.  The
+caller declares the block groups: blocks of one side that every entry reads
+alike.  The Schur complement then needs, per group, only
+S[a, c] = Re sum_k Tr(B_a W_k B_c W_k), which one GEMM and an index gather
+give in closed form (basis_kernel); entry pairs add R_i S R_j^T.
 This is the structure-exploiting assembly of Fujisawa, Kojima and Nakata
 (Math. Program. 79, 1997), specialised to comb constraints.  A group of
 unit-map entries that reads only some coordinates (the kept coordinates of
 a covariant program) gets S on those only, entry by entry from W
 (coordinate_kernel), without the n^4 GEMM output.  The iteration
-works on one (k, n, n) stack per block side, one batched LAPACK/BLAS call per
-side and step; the inverse Cholesky factors of X and Z, formed once per
+works on one (k, n, n) stack per block group, one batched LAPACK/BLAS call
+per group and step; the inverse Cholesky factors of X and Z, formed once per
 iteration, serve the NT scaling, Z^-1 and all four step lengths.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -194,17 +195,15 @@ def coordinate_kernel(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConstraintEntry:
-    """Coordinate map R of one row group on one block: the rows read R x.
+    """Coordinate map R of one row group on a block: the rows read R x.
 
-    R is scale times the tensor's map.  A float tensor is a (rows, n^2)
-    matrix; an integer tensor (rows, k) lists the coordinates whose unit
-    vectors sum to each row, with -1 padding short rows.  Blocks whose
-    entries share ndarray objects share one Schur kernel.
+    R is scale times the tensor's map, on rows row_start onwards, one per
+    tensor row.  A float tensor is a (rows, n^2) matrix; an integer tensor
+    (rows, k) lists the coordinates whose unit vectors sum to each row, with
+    -1 padding short rows.
     """
 
     row_start: int
-    row_stop: int
-    block: int
     tensor: np.ndarray
     scale: float = 1.0
 
@@ -217,7 +216,7 @@ class ConstraintEntry:
 
     @property
     def rows(self) -> slice:
-        return slice(self.row_start, self.row_stop)
+        return slice(self.row_start, self.row_start + len(self.tensor))
 
     def left(self, M: np.ndarray) -> np.ndarray:
         """R @ M, for M with the block's coordinates along axis 0."""
@@ -265,83 +264,79 @@ def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
         return None, entries
     position = np.full(n * n + 1, -1)  # index -1 keeps the padding
     position[used] = np.arange(len(used))
-    return used, [ConstraintEntry(e.row_start, e.row_stop, e.block,
-                                  position[e.tensor], e.scale) for e in entries]
+    return used, [ConstraintEntry(e.row_start, position[e.tensor], e.scale)
+                  for e in entries]
+
+
+class BlockGroup(NamedTuple):
+    """Blocks of one side that the same entries read; A sums over them."""
+
+    blocks: tuple
+    entries: list
 
 
 class BlockConstraintMap:
     """The linear map A and its adjoint, with a structured Schur assembler.
 
-    They act on one (k, n, n) stack per block side: sides[s] = (n, ids) lists
-    the blocks of stack s; stack / unstack convert from and to block order.
+    They act on one (k, n, n) stack per block group, in the order of groups;
+    stack / unstack convert from and to block order.  entries lists every
+    group's entries.
     """
 
     def __init__(self, m: int, block_dims: Sequence[int],
-                 entries: Sequence[ConstraintEntry]):
+                 groups: Sequence[BlockGroup]):
         self.m = int(m)
         self.block_dims = tuple(int(n) for n in block_dims)
-        self.entries = list(entries)
-        for e in self.entries:
-            if len(e.tensor) != e.row_stop - e.row_start:
-                raise ValueError("entry map with %d rows for %d constraints"
-                                 % (len(e.tensor), e.row_stop - e.row_start))
-        self.sides = [(n, [b for b, nb in enumerate(self.block_dims) if nb == n])
-                      for n in dict.fromkeys(self.block_dims)]
-        slot = {b: (s, i) for s, (_, ids) in enumerate(self.sides)
-                for i, b in enumerate(ids)}
-        self._slots = [slot[b] for b in range(len(self.block_dims))]
-        # entries that share (rows, tensor object) act on the sum of their
-        # blocks: one entry, its side and how often each block of it appears
-        shared = {}
-        for e in self.entries:
-            s, i = slot[e.block]
-            key = (s, e.row_start, e.row_stop, id(e.tensor))
-            shared.setdefault(key, (e, []))[1].append(i)
-        self._shared = [(e, s, np.bincount(pos, minlength=len(self.sides[s][1])))
-                        for (s, *_), (e, pos) in shared.items()]
-        # group variable blocks by their full entry signature for the Schur pass
-        by_block = {}
-        for e in self.entries:
-            by_block.setdefault(e.block, []).append(e)
-        sig_groups = {}
-        for b, es in by_block.items():
-            sig = tuple(sorted((e.row_start, e.row_stop, id(e.tensor)) for e in es))
-            sig_groups.setdefault((slot[b][0],) + sig, []).append(b)
-        self._sig_groups = [(sig[0], np.array([slot[b][1] for b in bs]),
-                             *_kernel_coords(by_block[bs[0]],
-                                             self.block_dims[bs[0]]))
-                            for sig, bs in sig_groups.items()]
+        self.groups = list(groups)
+        sides = [{self.block_dims[b] for b in g.blocks} for g in self.groups]
+        covered = sorted(b for g in self.groups for b in g.blocks)
+        if covered != list(range(len(self.block_dims))) or \
+                any(len(s) != 1 for s in sides):
+            raise ValueError("block groups %r of sides %r must cover blocks "
+                             "0..%d once, one side a group"
+                             % ([g.blocks for g in self.groups], sides,
+                                len(self.block_dims) - 1))
+        self._sides = [s.pop() for s in sides]
+        self.entries = [e for g in self.groups for e in g.entries]
+        self._kernels = [_kernel_coords(g.entries, n)
+                         for g, n in zip(self.groups, self._sides)]
 
     def stack(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One complex (k, n, n) stack per side from blocks in block order."""
-        return [np.array([blocks[b] for b in ids], dtype=complex)
-                for _, ids in self.sides]
+        """One complex (k, n, n) stack per group from blocks in block order."""
+        return [np.array([blocks[b] for b in g.blocks], dtype=complex)
+                for g in self.groups]
 
     def unstack(self, stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """The blocks in block order, as views of the side stacks."""
-        return [stacks[s][i] for s, i in self._slots]
+        """The blocks in block order, as views of the group stacks."""
+        blocks = [None] * len(self.block_dims)
+        for g, st in zip(self.groups, stacks):
+            for b, x in zip(g.blocks, st):
+                blocks[b] = x
+        return blocks
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
-        coords = [coords_from_hermitian(st) for st in stacks]
-        for e, s, count in self._shared:
-            y[e.rows] += e.left(count @ coords[s])
+        for g, st in zip(self.groups, stacks):
+            coords = coords_from_hermitian(st.sum(axis=0))
+            for e in g.entries:
+                y[e.rows] += e.left(coords)
         return y
 
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
-        coords = [np.zeros((len(ids), n * n)) for n, ids in self.sides]
-        for e, s, count in self._shared:
-            coords[s] += np.outer(count, e.adjoint(y[e.rows], coords[s].shape[1]))
-        return [hermitian_from_coords(c, n)
-                for c, (n, _) in zip(coords, self.sides)]
+        """Per group, the one block every member gets, broadcast read-only."""
+        out = []
+        for g, n in zip(self.groups, self._sides):
+            coords = sum(e.adjoint(y[e.rows], n * n) for e in g.entries)
+            out.append(np.broadcast_to(hermitian_from_coords(coords, n),
+                                       (len(g.blocks), n, n)))
+        return out
 
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
-        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the side stacks of W."""
+        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W."""
         H = np.zeros((self.m, self.m))
-        for s, pos, used, entry_list in self._sig_groups:
-            stack = scalings[s][pos]
+        for stack, (used, entries) in zip(scalings, self._kernels):
             _add_pairs(H, basis_kernel(stack) if used is None else
-                       coordinate_kernel(stack, used), entry_list)
+                       coordinate_kernel(stack, used), entries)
         return H
 
 
@@ -462,7 +457,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
               opts: SolverOptions = SolverOptions()) -> IpmResult:
     """Run the predictor-corrector loop from the given strictly feasible pair."""
     nu = float(sum(cmap.block_dims))
-    side_ids = [ids for _, ids in cmap.sides]
+    group_ids = [g.blocks for g in cmap.groups]
     X, Cs = cmap.stack(X0), cmap.stack(C)
     y = np.array(y0, dtype=float)
     Z = [c - a for c, a in zip(Cs, cmap.apply_AT(y))]
@@ -494,14 +489,14 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                 {"iterations": it, "rel_gap": rel_gap, "gap": gap,
                  "pobj": pobj, "dobj": dobj})
 
-        # Nesterov-Todd scaling, one stacked call per side; the inverse
+        # Nesterov-Todd scaling, one stacked call per group; the inverse
         # factors also serve Z^-1 and every step length of the iteration
-        Lx = [_chol_stack(x, ids, "primal") for x, ids in zip(X, side_ids)]
-        Lz = [_chol_stack(z, ids, "dual") for z, ids in zip(Z, side_ids)]
+        Lx = [_chol_stack(x, ids, "primal") for x, ids in zip(X, group_ids)]
+        Lz = [_chol_stack(z, ids, "dual") for z, ids in zip(Z, group_ids)]
         Lxinv = [np.linalg.inv(lx) for lx in Lx]
         Lzinv = [np.linalg.inv(lz) for lz in Lz]
         Gs, Ginvs, svals = zip(*[_nt_scaling(*args, it) for args in
-                                 zip(Lx, Lxinv, Lz, side_ids)])
+                                 zip(Lx, Lxinv, Lz, group_ids)])
         Ws = [g @ _ct(g) for g in Gs]
 
         H = cmap.schur(Ws)

@@ -32,12 +32,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import ShapeMismatch
 from ..estimation import EstimationProblem, PayoffOperators, payoff_operators
 from ..operators import LabeledOperator
 # coords_from_hermitian is unused here: it is exported beside its transpose
-from .ipm import (BlockConstraintMap, ConstraintEntry, basis_layout,
-                  coordinate_index, coords_from_hermitian,
+from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
+                  basis_layout, coordinate_index, coords_from_hermitian,
                   hermitian_from_coords)
 
 
@@ -148,6 +147,11 @@ def build_primal(problem: EstimationProblem,
     enters on those only.  The level-N rows are then the kept coordinates
     together with every coordinate that I_out(N) (x) Xi^(N) reaches; the
     other rows are zero in every entry and are left out.
+
+    The constraint map gets one block group per chain operator, in chain
+    order, holding the entry of the level below that reads Xi^(j) and the
+    level-j entry -I_out(j) (x) Xi^(j); then one group of all the outcome
+    blocks, which share the level-N entry.
     """
     space = problem.space
     n_steps = space.num_steps
@@ -176,31 +180,26 @@ def build_primal(problem: EstimationProblem,
     offsets.append(offsets[-1] + len(top_coords))
     m = offsets[-1]
 
-    # level 0: full trace of Xi^(1), the sum of its diagonal coordinates
-    entries = [ConstraintEntry(0, 1, 0, np.arange(block_dims[0])[None, :])]
-    for j in range(1, n_steps + 1):
-        start, stop = offsets[j], offsets[j + 1]
-        if j < n_steps:  # Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j)
-            entries.append(ConstraintEntry(start, stop, j,
-                                           _grown_rows(prefix[j], d_in[j])))
-            shrunk = _shrunk_rows(prefix[j - 1], d_out[j - 1], d_in[j - 1])
-        else:  # sum_est T_est - I_out(N) (x) Xi^(N); one shared ndarray
-            entries += [ConstraintEntry(start, stop, n_steps + k, outcome_rows)
-                        for k in range(problem.num_params)]
-            shrunk = shrunk_top
-        entries.append(ConstraintEntry(start, stop, j - 1, shrunk, -1.0))
+    # lower[j] reads Xi^(j+1) at level j; level 0 reads its trace, the sum
+    # of its diagonal coordinates
+    lower = [ConstraintEntry(0, np.arange(block_dims[0])[None, :])]
+    lower += [ConstraintEntry(offsets[j], _grown_rows(prefix[j], d_in[j]))
+              for j in range(1, n_steps)]
+    shrunk = [_shrunk_rows(prefix[j], d_out[j], d_in[j])
+              for j in range(n_steps - 1)] + [shrunk_top]
+    groups = [BlockGroup((j,), [lower[j], ConstraintEntry(offsets[j + 1],
+                                                          shrunk[j], -1.0)])
+              for j in range(n_steps)]
+    groups.append(BlockGroup(tuple(range(n_steps, len(block_dims))),
+                             [ConstraintEntry(offsets[n_steps], outcome_rows)]))
 
-    cmap = BlockConstraintMap(m, block_dims, entries)
+    cmap = BlockConstraintMap(m, block_dims, groups)
     b = np.zeros(m)
     b[0] = 1.0
 
     gops = payoff_operators(problem)
     C = [np.zeros((n, n)) for n in block_dims[:n_steps]]
-    order = space.factor_ids()
-    for g in gops.operators:
-        if g.label_ids() != order:
-            raise ShapeMismatch("payoff operator out of canonical order")
-        C.append(-g.data)
+    C += [-g.data for g in gops.operators]
 
     return StandardSdp(problem, gops, tuple(block_dims), level_dims,
                        tuple(offsets), cmap, tuple(C), b, top_coords)

@@ -24,14 +24,12 @@ import numpy as np
 from .errors import ParseError
 from .estimation import EstimationProblem
 from .networks import CombSpace, QuantumComb, Tester
-from .operators import LabeledOperator, SystemLabel, permute_systems
+from .operators import LabeledOperator, SystemLabel
 
 
 def complex_to_json(data: np.ndarray) -> list:
-    out = []
-    for row in np.asarray(data, dtype=complex):
-        out.append([[float(z.real), float(z.imag)] for z in row])
-    return out
+    data = np.asarray(data, dtype=complex)
+    return np.stack([data.real, data.imag], axis=-1).tolist()
 
 
 def complex_from_json(doc) -> np.ndarray:
@@ -87,12 +85,8 @@ def space_from_json(doc) -> CombSpace:
 
 
 def comb_to_json(comb: QuantumComb) -> dict:
-    op = comb.op
-    order = comb.space.factor_ids()
-    if op.label_ids() != order:
-        op = permute_systems(op, order)
     return {"steps": steps_to_json(comb.space),
-            "matrix": complex_to_json(op.data)}
+            "matrix": complex_to_json(comb.op.data)}
 
 
 def comb_from_json(doc) -> QuantumComb:
@@ -106,10 +100,7 @@ def comb_from_json(doc) -> QuantumComb:
 
 def tester_to_json(tester: Tester) -> dict:
     outcomes = {}
-    order = tester.space.factor_ids()
     for m, op in tester.outcomes:
-        if op.label_ids() != order:
-            op = permute_systems(op, order)
         key = str(m)
         if key in outcomes:
             raise ParseError("outcome ids collide as strings: %r" % key)
@@ -135,13 +126,8 @@ def problem_to_json(problem: EstimationProblem) -> dict:
     labels = [str(x) for x in problem.labels_x]
     if len(set(labels)) != len(labels):
         raise ParseError("parameter labels collide as strings: %r" % labels)
-    combs = {}
-    order = problem.space.factor_ids()
-    for x, c in zip(labels, problem.combs):
-        op = c.op
-        if op.label_ids() != order:
-            op = permute_systems(op, order)
-        combs[x] = complex_to_json(op.data)
+    combs = {x: complex_to_json(c.op.data)
+             for x, c in zip(labels, problem.combs)}
     return {"steps": steps_to_json(problem.space),
             "labels_x": labels,
             "prior": [float(p) for p in problem.prior],

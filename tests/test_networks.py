@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import memory_combs, seeds
-from qnetopt.errors import (DimensionCap, NormalizationViolation, NotAState,
-                            NotPSD, NotTracePreserving, ShapeMismatch)
-from qnetopt.instances import random_density, random_product_tester, random_unitary
+from qnetopt import serde
+from qnetopt.errors import (BadPermutation, DimensionCap, NormalizationViolation,
+                            NotAState, NotPSD, NotTracePreserving,
+                            ShapeMismatch)
+from qnetopt.estimation import EstimationProblem, payoff_operators
+from qnetopt.instances import (random_density, random_memory_comb,
+                               random_product_tester, random_unitary)
 from qnetopt.networks import (CombSpace, QuantumComb, Tester, born_probability,
                               choi_of_channel, comb_of_memoryless_sequence,
                               comb_of_state, tensor_combs, tensor_testers,
                               uniform_tester, validate_comb, validate_tester)
 from qnetopt.operators import (DIMENSION_CAP, LabeledOperator, SystemLabel,
-                               partial_trace)
+                               partial_trace, permute_systems)
 
 I2 = SystemLabel("in", 2)
 O2 = SystemLabel("out", 2)
@@ -155,3 +159,41 @@ def test_tensor_tester_born_factorizes(rng):
         pa = born_probability(ta.op_for(ma), ca)
         pb = born_probability(tb.op_for(mb), cb)
         assert born_probability(op, joint_comb) == pytest.approx(pa * pb, abs=1e-9)
+
+
+def test_combs_and_testers_store_the_canonical_factor_order(rng):
+    space = CombSpace(tuple((SystemLabel("i%d" % k, 2), SystemLabel("o%d" % k, 2))
+                            for k in range(2)))
+    shuffled = ("i1", "o0", "o1", "i0")
+    combs = [random_memory_comb(rng, space) for _ in range(2)]
+    moved = [QuantumComb(space, permute_systems(c.op, shuffled)) for c in combs]
+    for c, m in zip(combs, moved):
+        assert m.op.label_ids() == space.factor_ids()
+        np.testing.assert_array_equal(m.op.data, c.op.data)
+        assert serde.comb_to_json(m) == serde.comb_to_json(c)
+
+    tester = random_product_tester(rng, space, 3)
+    moved_tester = Tester(space, tuple((k, permute_systems(op, shuffled))
+                                       for k, op in tester.outcomes))
+    for (_, op), (_, mop) in zip(tester.outcomes, moved_tester.outcomes):
+        assert mop.label_ids() == space.factor_ids()
+        np.testing.assert_array_equal(mop.data, op.data)
+    assert serde.tester_to_json(moved_tester) == serde.tester_to_json(tester)
+
+    problems = [EstimationProblem(space, (0, 1), [0.3, 0.7], cs,
+                                  [[1.0, 0.2], [0.0, 0.5]])
+                for cs in (combs, moved)]
+    assert serde.problem_to_json(problems[1]) == serde.problem_to_json(problems[0])
+    canonical, permuted = (payoff_operators(p) for p in problems)
+    for g, h in zip(canonical.operators, permuted.operators):
+        assert h.label_ids() == g.label_ids()
+        np.testing.assert_array_equal(h.data, g.data)
+
+
+def test_operator_on_other_factors_is_refused_at_construction():
+    space = CombSpace(((I2, O2),))
+    other = LabeledOperator((O2, SystemLabel("x", 2)), np.eye(4))
+    with pytest.raises(BadPermutation):
+        QuantumComb(space, other)
+    with pytest.raises(BadPermutation):
+        Tester(space, (("a", other),))

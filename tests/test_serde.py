@@ -22,6 +22,22 @@ def test_complex_round_trip_is_exact(rng):
     assert np.array_equal(back, m)
 
 
+def _complex_to_json_rows(data):
+    """The per-entry loop complex_to_json replaced, kept as its reference."""
+    return [[[float(z.real), float(z.imag)] for z in row]
+            for row in np.asarray(data, dtype=complex)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_complex_to_json_matches_the_entry_loop(n, rng):
+    data = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    special = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1e-300, 1e-300)]
+    data.flat[:3] = special[:n * n]
+    assert serde.dumps(serde.complex_to_json(data)) == \
+        serde.dumps(_complex_to_json_rows(data))
+    assert serde.complex_to_json(data.real) == _complex_to_json_rows(data.real)
+
+
 def test_complex_rejects_flat_arrays():
     with pytest.raises(ParseError, match="pairs"):
         serde.complex_from_json([[1.0, 2.0], [3.0, 4.0]])

@@ -17,7 +17,8 @@ from conftest import (helstrom_problem, seeds, state_problems,
 from qnetopt.covariant import phase_grid_problem
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
-from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
+from qnetopt.sdp.ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
+                             _float_positions, basis_kernel,
                              coordinate_kernel)
 from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
                                        dual_from_y, hermitian_from_coords)
@@ -262,3 +263,18 @@ def test_dual_vector_round_trip(rng):
     for j, op in enumerate(dual.operators, start=1):
         np.testing.assert_allclose(coords_from_hermitian(op.data),
                                    -y[sdp.level_rows(j)], atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0,), (1,)),           # block 2 is in no group
+    ((0, 1), (1, 2)),       # block 1 is in two
+    ((0,), (1, 2)),         # sides 2 and 3 in one group
+    ((0, 1), (), (2,)),     # a group without a side
+])
+def test_block_groups_cover_each_block_once_on_one_side(blocks):
+    entry = ConstraintEntry(0, np.arange(2)[None, :])
+    groups = [BlockGroup(bs, [entry]) for bs in blocks]
+    with pytest.raises(ValueError, match="must cover blocks"):
+        BlockConstraintMap(1, (2, 2, 3), groups)
+    BlockConstraintMap(1, (2, 2, 3), [BlockGroup((1, 0), [entry]),
+                                      BlockGroup((2,), [entry])])
