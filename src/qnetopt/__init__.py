@@ -23,8 +23,8 @@ from .sdp import (CertificateReport, SdpSolution, SolverOptions, YklResult,
                   build_primal, certify_dual, slater_point, solve,
                   yuen_kennedy_lax)
 from .covariant import (CovariantResult, FiniteGroupAction, PhaseOptimum,
-                        SumOfPhases, TwoPhaseOptimum, act, covariant_gamma,
-                        cyclic_group, is_invariant, phase_action,
+                        SumOfPhases, TwoPhaseOptimum, covariant_gamma,
+                        cyclic_group, phase_action,
                         phase_estimation_optimum, phase_grid_problem,
                         product_group, qmax_comb, qmax_state, sum_of_phases,
                         twirl, two_phase_correlated, two_phase_payoff_matrix,
@@ -47,8 +47,8 @@ __all__ = [
     "SdpSolution", "SolverOptions", "YklResult", "build_primal",
     "certify_dual", "slater_point", "solve", "yuen_kennedy_lax",
     "CovariantResult", "FiniteGroupAction", "PhaseOptimum", "SumOfPhases",
-    "TwoPhaseOptimum", "act", "covariant_gamma", "cyclic_group",
-    "is_invariant", "phase_action", "phase_estimation_optimum",
+    "TwoPhaseOptimum", "covariant_gamma", "cyclic_group",
+    "phase_action", "phase_estimation_optimum",
     "phase_grid_problem", "product_group", "qmax_comb", "qmax_state",
     "sum_of_phases", "twirl", "two_phase_correlated",
     "two_phase_payoff_matrix", "two_phase_problem", "CorrelatedPayoffReport",

@@ -49,7 +49,6 @@ from .sdp.ipm import SolverOptions, basis_kernel, basis_layout, solve_ipm
 from .sdp.standard_form import build_primal, dual_from_y
 
 HOMOMORPHISM_TOL = 1e-10
-INVARIANCE_TOL = 1e-10
 
 
 @dataclass
@@ -124,11 +123,6 @@ class FiniteGroupAction:
         return u
 
 
-def act(action: FiniteGroupAction, element, op: LabeledOperator) -> LabeledOperator:
-    u = action.unitary_for(element, op.factors)
-    return op.with_data(u @ op.data @ u.conj().T)
-
-
 def twirl(op: LabeledOperator, action: FiniteGroupAction) -> LabeledOperator:
     """Group average of the conjugation action; idempotent, trace preserving."""
     acc = np.zeros(op.data.shape, dtype=complex)
@@ -191,16 +185,6 @@ def kept_coordinates(mask: np.ndarray) -> np.ndarray:
     """The Hermitian-basis coordinates the twirl keeps: P = diag(kept)."""
     row, col, _ = basis_layout(mask.shape[0])
     return np.flatnonzero(mask[row, col])
-
-
-def is_invariant(op: LabeledOperator, action: FiniteGroupAction,
-                 tol: float = INVARIANCE_TOL) -> bool:
-    scale = 1.0 + float(np.max(np.abs(op.data)))
-    for element in action.elements:
-        u = action.unitary_for(element, op.factors)
-        if np.max(np.abs(u @ op.data @ u.conj().T - op.data)) > tol * scale:
-            return False
-    return True
 
 
 def cyclic_group(n: int) -> Tuple[tuple, np.ndarray]:

@@ -209,13 +209,6 @@ def embed_identity(a: LabeledOperator, new: SystemLabel, position: int) -> Label
     return permute_systems(grown, order)
 
 
-def eig_hermitian(a: LabeledOperator, rel: float = HERM_TOL):
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    require_hermitian(a, rel)
-    vals, vecs = np.linalg.eigh((a.data + a.data.conj().T) / 2.0)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def min_eig(a: LabeledOperator, rel: float = HERM_TOL) -> float:
     require_hermitian(a, rel)
     return float(np.linalg.eigvalsh((a.data + a.data.conj().T) / 2.0)[0])

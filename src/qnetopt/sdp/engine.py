@@ -28,10 +28,10 @@ from ..estimation import (EstimationProblem, PayoffOperators,
                           payoff_operators)
 from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
-from ..operators import LabeledOperator, identity_on, min_eig
+from ..operators import LabeledOperator, min_eig
 from .ipm import SolverOptions, solve_ipm
 from .standard_form import (DualState, StandardSdp, block_sides, build_primal,
-                            dual_from_y)
+                            charge_sectors, dual_from_y)
 
 
 @dataclass(frozen=True)
@@ -99,21 +99,24 @@ def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     """Row multipliers whose chain inequalities hold as equalities.
 
     Level by level, the shortfall Delta_n = S^(n-1) (x) I_in - Tr_out S^(n)
-    is the dual slack of the Xi^(n) block.  It is added to the level-n rows
-    as (I_out / d_out) (x) Delta_n, through the level's entry that reads
-    I_out (x) Xi^(n).  Deltas are PSD for a feasible dual, so each corrected
-    level still dominates the original one; row 0 (S^(0)) is unchanged.
+    is the dual slack of the Xi^(n) block, read group by group of its
+    sectors.  It is added to the level-n rows as (I_out / d_out) (x)
+    Delta_n, through the level's entries that read I_out (x) Xi^(n).
+    Deltas are PSD for a feasible dual, so each corrected level still
+    dominates the original one; row 0 (S^(0)) is unchanged.
     """
     y = np.array(y, dtype=float)
     cmap = sdp.cmap
     for n in range(1, sdp.num_steps + 1):
-        block = sdp.xi_block(n)
-        lower, shrunk = cmap.groups[block].entries
-        size = cmap.block_dims[block] ** 2
-        delta = -(lower.adjoint(y[lower.rows], size)
-                  + shrunk.adjoint(y[shrunk.rows], size))
-        y[shrunk.rows] += shrunk.left(delta) / \
-            sdp.problem.space.steps[n - 1].out_sys.dim
+        updates = []
+        for g in sdp.xi_groups[n - 1]:
+            lower, shrunk = cmap.groups[g].entries
+            size = cmap.sizes[g]
+            delta = -(lower.adjoint(y[lower.rows], size)
+                      + shrunk.adjoint(y[shrunk.rows], size))
+            updates.append((shrunk.rows, shrunk.left(delta)))
+        for rows, update in updates:
+            y[rows] += update / sdp.problem.space.steps[n - 1].out_sys.dim
     return y
 
 
@@ -151,14 +154,6 @@ def _margin_report(lambda_: float, comb: QuantumComb,
                              float(lambda_), problem.payoff_shift)
 
 
-def mixed_comb(space) -> QuantumComb:
-    """The maximally mixed valid comb: identity over the product of out dims."""
-    factors = space.factors()
-    d_out_total = int(np.prod(space.out_dims(), dtype=np.int64))
-    op = identity_on(factors) * (1.0 / d_out_total)
-    return validate_comb(QuantumComb(space, op))
-
-
 def check_dimension_cap(problem: EstimationProblem, opts: SolverOptions):
     """Raise DimensionCap if the tester program is too large to build.
 
@@ -175,23 +170,27 @@ def solve(problem: EstimationProblem,
           options: Optional[SolverOptions] = None) -> SdpSolution:
     """Optimize a tester for the problem and certify the result.
 
-    Raises DimensionCap when the total block dimension exceeds the configured
-    cap, MaxIterations / NumericalFailure when the interior-point loop cannot
-    reach the requested tolerance.
+    The program runs on the charge sectors of the largest local diagonal
+    torus that fixes the combs (charge_sectors); the tester and the dual
+    chain come back at full size, exactly zero off the sectors, and are
+    validated and certified there.  Raises DimensionCap when the total
+    block dimension exceeds the configured cap, MaxIterations /
+    NumericalFailure when the interior-point loop cannot reach the
+    requested tolerance.
     """
     opts = options if options is not None else SolverOptions()
     problem.validated()
     space = problem.space
     check_dimension_cap(problem, opts)
 
-    sdp = build_primal(problem)
+    sdp = build_primal(problem, sectors=charge_sectors(problem))
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
 
     factors = space.factors()
     outcomes = []
     for k, label in enumerate(problem.labels_x):
-        mat = res.X[sdp.outcome_block(k)]
+        mat = sdp.assemble(sdp.outcome_block(k), res.X)
         outcomes.append((label, LabeledOperator(factors, mat)))
     check_tol = 10.0 * opts.tol
     dual = dual_from_y(sdp, tighten_dual(sdp, res.y))

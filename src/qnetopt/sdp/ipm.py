@@ -10,17 +10,22 @@ honest error bound.
 Constraints are supplied as a BlockConstraintMap in coordinates: x_a =
 Re<B_a, X> in the orthonormal Hermitian basis B (basis_layout), and each
 row group's entry is a real coordinate map R, so its rows read R x.  The
-caller declares the block groups: blocks of one side that every entry reads
-alike.  The Schur complement then needs, per group, only
-S[a, c] = Re sum_k Tr(B_a W_k B_c W_k), which one GEMM and an index gather
-give in closed form (basis_kernel); entry pairs add R_i S R_j^T.
-This is the structure-exploiting assembly of Fujisawa, Kojima and Nakata
-(Math. Program. 79, 1997), specialised to comb constraints.  A group of
+caller declares the block groups: K copies of s sectors, blocks of one
+side n, where every entry reads the copies alike and the sectors one after
+another, so a group has s n^2 coordinates, sector-major.  (The copies are
+the outcome blocks of a tester; the sectors are the charge sectors of one
+block, or of every outcome block.)  The Schur complement then needs, per
+group, only the block-diagonal S with blocks
+S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt), which one batched GEMM and an
+index gather give in closed form (basis_kernel); for n = 1 that is the
+diagonal sum_k |W_kt|^2.  Entry pairs add R_i S R_j^T.  This is the
+structure-exploiting assembly of Fujisawa, Kojima and Nakata (Math.
+Program. 79, 1997), specialised to comb constraints.  A one-sector group of
 unit-map entries that reads only some coordinates (the kept coordinates of
 a covariant program) gets S on those only, entry by entry from W
-(coordinate_kernel), without the n^4 GEMM output.  The iteration
-works on one (k, n, n) stack per block group, one batched LAPACK/BLAS call
-per group and step; the inverse Cholesky factors of X and Z, formed once per
+(coordinate_kernel), without the n^4 GEMM output.  The iteration works on
+one (K s, n, n) stack per block group, one batched LAPACK/BLAS call per
+group and step; the inverse Cholesky factors of X and Z, formed once per
 iteration, serve the NT scaling, Z^-1 and all four step lengths.
 """
 
@@ -128,29 +133,47 @@ def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
 def basis_kernel(stack: np.ndarray) -> np.ndarray:
     """S[a, c] = Re sum_k Tr(B_a L_k B_c L_k^H) for a (K, n, n) stack L.
 
-    One GEMM gives G[(q, r), (p, s)] = sum_k L_k[q, r] conj(L_k[p, s]);
-    transposed to T[(p, q), (r, s)] it turns each trace into
-    vec(B_a)^T T vec(B_c).  Each B_a has at most two nonzero entries and
+    A (K, s, n, n) stack gives the (s, n^2, n^2) kernels of its s sectors,
+    one batched GEMM for all of them.  The GEMM gives
+    G[(q, r), (p, s)] = sum_k L_k[q, r] conj(L_k[p, s]); transposed to
+    T[(p, q), (r, s)] it turns each trace into vec(B_a)^T T vec(B_c).  Each
+    B_a has at most two nonzero entries and
     T[(q, p), (s, r)] = conj T[(p, q), (r, s)], so S is a gather of the rows
     p <= q of T at the diagonal, upper and lower positions.
     """
-    k, n, _ = stack.shape
-    flat = stack.reshape(k, n * n)
-    G = (flat.T @ flat.conj()).reshape(n, n, n, n)
+    batched = stack.ndim == 4
+    if not batched:
+        stack = stack[:, None]
+    k, s, n, _ = stack.shape
+    flat = stack.reshape(k, s, n * n)
+    G = (flat.transpose(1, 2, 0) @ flat.transpose(1, 0, 2).conj()).reshape(
+        s, n, n, n, n)
     row, col, _ = basis_layout(n)
     h = (n * n + n) // 2  # coordinates: diagonal | symmetric | antisymmetric
-    V = G[col[:h], :, row[:h], :].reshape(h, n * n)  # rows p <= q of T
+    V = G[:, col[:h], :, row[:h], :].reshape(h, s, n * n)  # rows p <= q of T
     del G  # the gather copied all that S needs
     diag, up, lo = _flat_positions(n)
-    Vd, Vu, Vl = V[:, diag], V[:, up], V[:, lo]
+    Vd, Vu, Vl = V.take(diag, axis=-1), V.take(up, axis=-1), V.take(lo, axis=-1)
     plus, minus = Vu + Vl, Vl - Vu
-    S = np.empty((n * n, n * n))
-    S[:h, :n], S[h:, :n] = Vd.real, -Vd[n:].imag
-    S[:h, n:h], S[:h, h:] = plus.real, minus.imag
-    S[h:, n:h], S[h:, h:] = -plus[n:].imag, minus[n:].real
-    S[n:, :n] *= np.sqrt(2.0)
-    S[:n, n:] *= _R2
-    return S
+    S = np.empty((s, n * n, n * n))
+    T = S.transpose(1, 0, 2)  # T[a, t, c] = S_t[a, c], in V's axis order
+    T[:h, :, :n], T[h:, :, :n] = Vd.real, -Vd[n:].imag
+    T[:h, :, n:h], T[:h, :, h:] = plus.real, minus.imag
+    T[h:, :, n:h], T[h:, :, h:] = -plus[n:].imag, minus[n:].real
+    T[n:, :, :n] *= np.sqrt(2.0)
+    T[:n, :, n:] *= _R2
+    return S if batched else S[0]
+
+
+def _block_diagonal(S: np.ndarray) -> np.ndarray:
+    """The (s d, s d) block-diagonal matrix of an (s, d, d) stack."""
+    s, d, _ = S.shape
+    if s == 1:
+        return S[0]
+    out = np.zeros((s, d, s, d))
+    idx = np.arange(s)
+    out[idx, :, idx, :] = S
+    return out.reshape(s * d, s * d)
 
 
 def coordinate_kernel(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -232,7 +255,7 @@ class ConstraintEntry:
         else:
             if self.padded:  # index -1 reads an appended zero row
                 M = np.concatenate([M, np.zeros((1,) + M.shape[1:])])
-            out = M[t].sum(axis=1)
+            out = M.take(t, axis=0).sum(axis=1)
         if self.scale != 1.0:
             out *= self.scale
         return out
@@ -243,7 +266,8 @@ class ConstraintEntry:
             return y
         if not self.unit:
             return self.scale * (y @ self.tensor)
-        weights = np.repeat(y, self.tensor.shape[1])
+        width = self.tensor.shape[1]
+        weights = y if width == 1 else np.repeat(y, width)
         return self.scale * np.bincount(self.tensor.ravel() + 1, weights,
                                         minlength=size + 1)[1:]
 
@@ -258,8 +282,10 @@ def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
     """
     if not all(e.unit for e in entries):
         return None, entries
-    used = np.unique(np.concatenate([e.tensor.ravel() for e in entries]))
-    used = used[used >= 0]
+    read = np.zeros(n * n + 1, dtype=bool)  # index -1 marks the padding
+    for e in entries:
+        read[e.tensor] = True
+    used = np.flatnonzero(read[:-1])
     if len(used) == n * n:
         return None, entries
     position = np.full(n * n + 1, -1)  # index -1 keeps the padding
@@ -269,18 +295,26 @@ def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
 
 
 class BlockGroup(NamedTuple):
-    """Blocks of one side that the same entries read; A sums over them."""
+    """K copies of s sector blocks of one side n, which the entries read alike.
+
+    blocks lists the copies one after another, each its s sectors:
+    blocks[k * sectors + t] is sector t of copy k.  A sums the copies, and
+    the entries read the sectors' coordinates one after another, s n^2 of
+    them.
+    """
 
     blocks: tuple
     entries: list
+    sectors: int = 1
 
 
 class BlockConstraintMap:
     """The linear map A and its adjoint, with a structured Schur assembler.
 
-    They act on one (k, n, n) stack per block group, in the order of groups;
-    stack / unstack convert from and to block order.  entries lists every
-    group's entries.
+    They act on one (K s, n, n) stack per block group, in the order of
+    groups; stack / unstack convert from and to block order.  entries lists
+    every group's entries, and sizes the number of coordinates they read in
+    each group.
     """
 
     def __init__(self, m: int, block_dims: Sequence[int],
@@ -291,18 +325,26 @@ class BlockConstraintMap:
         sides = [{self.block_dims[b] for b in g.blocks} for g in self.groups]
         covered = sorted(b for g in self.groups for b in g.blocks)
         if covered != list(range(len(self.block_dims))) or \
-                any(len(s) != 1 for s in sides):
+                any(len(s) != 1 or len(g.blocks) % g.sectors
+                    for s, g in zip(sides, self.groups)):
             raise ValueError("block groups %r of sides %r must cover blocks "
-                             "0..%d once, one side a group"
+                             "0..%d once, one side a group, whole copies"
                              % ([g.blocks for g in self.groups], sides,
                                 len(self.block_dims) - 1))
         self._sides = [s.pop() for s in sides]
+        self.sizes = [g.sectors * n * n
+                      for g, n in zip(self.groups, self._sides)]
+        # each group's stack as copies of (s, n, n), or of (n, n) for s = 1
+        self._shapes = [(len(g.blocks) // g.sectors,)
+                        + (g.sectors,) * (g.sectors > 1) + (n, n)
+                        for g, n in zip(self.groups, self._sides)]
         self.entries = [e for g in self.groups for e in g.entries]
-        self._kernels = [_kernel_coords(g.entries, n)
+        self._kernels = [_kernel_coords(g.entries, n) if g.sectors == 1 else
+                         (None, g.entries)
                          for g, n in zip(self.groups, self._sides)]
 
     def stack(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One complex (k, n, n) stack per group from blocks in block order."""
+        """One complex (K s, n, n) stack per group from blocks in block order."""
         return [np.array([blocks[b] for b in g.blocks], dtype=complex)
                 for g in self.groups]
 
@@ -316,28 +358,38 @@ class BlockConstraintMap:
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
-        for g, st in zip(self.groups, stacks):
-            coords = coords_from_hermitian(st.sum(axis=0))
+        for g, st, shape in zip(self.groups, stacks, self._shapes):
+            summed = st.reshape(shape).sum(axis=0)
+            coords = coords_from_hermitian(summed).ravel()
             for e in g.entries:
                 y[e.rows] += e.left(coords)
         return y
 
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
-        """Per group, the one block every member gets, broadcast read-only."""
+        """Per group, the sector blocks every copy gets, broadcast read-only."""
         out = []
-        for g, n in zip(self.groups, self._sides):
-            coords = sum(e.adjoint(y[e.rows], n * n) for e in g.entries)
-            out.append(np.broadcast_to(hermitian_from_coords(coords, n),
-                                       (len(g.blocks), n, n)))
+        for g, n, size, shape in zip(self.groups, self._sides, self.sizes,
+                                     self._shapes):
+            coords = sum(e.adjoint(y[e.rows], size) for e in g.entries)
+            h = hermitian_from_coords(coords.reshape(shape[1:-2] + (-1,)), n)
+            out.append(np.broadcast_to(h, shape).reshape(-1, n, n))
         return out
 
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
         """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W."""
         H = np.zeros((self.m, self.m))
-        for stack, (used, entries) in zip(scalings, self._kernels):
-            _add_pairs(H, basis_kernel(stack) if used is None else
-                       coordinate_kernel(stack, used), entries)
+        for stack, g, (used, entries) in zip(scalings, self.groups,
+                                             self._kernels):
+            _add_pairs(H, _group_kernel(stack, g.sectors, used), entries)
         return H
+
+
+def _group_kernel(stack: np.ndarray, sectors: int, used) -> np.ndarray:
+    """A group's S: block diagonal over its sectors, or on the used coordinates."""
+    if used is not None:
+        return coordinate_kernel(stack, used)
+    n = stack.shape[-1]
+    return _block_diagonal(basis_kernel(stack.reshape(-1, sectors, n, n)))
 
 
 def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):

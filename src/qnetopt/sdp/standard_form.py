@@ -12,49 +12,64 @@ and the objective is  max sum_est <G_est, T_est>.
 
 Blocks are complex Hermitian and every coefficient is a Hermitian operator,
 so row values and objective numbers are Hilbert-Schmidt inner products on the
-operators themselves.  Constraint rows are indexed by a Hermitian basis of
-each level's operator space only, which keeps the row count at
-1 + sum_j D_j^2 and the Schur complement positive definite.  A covariant
-program whose outcome enters on kept coordinates only has fewer level-N
-rows: those coordinates and the ones I_out(N) (x) Xi^(N) reaches, recorded
-in top_coords.
+operators themselves.  The combs are often fixed by a torus of local
+diagonal unitaries, a phase on each level of each factor (charge_sectors
+finds the largest one).  Such a torus maps testers to testers and leaves
+every payoff unchanged, so an optimal tester and an optimal dual chain can
+be taken invariant: block diagonal by charge, the sum of a position's level
+charges.  Each tester block is therefore split into its charge sectors, and
+the constraint rows of each level are its invariant coordinates, those of
+the Hermitian basis whose row and column positions share a charge: the sum
+of the squared sector sides, not D_j^2.  A trivial torus has one sector per
+space and gives 1 + sum_j D_j^2 rows, which keeps the Schur complement
+positive definite.  A covariant program whose outcome enters on kept
+coordinates only has fewer level-N rows: those coordinates and the ones
+I_out(N) (x) Xi^(N) reaches.
 
 Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
 in_j); with that choice every coefficient is either a basis element, a basis
 element with an identity appended, or a partial trace of one, and no factor
-permutations appear in the hot path.
+permutations appear in the hot path.  A sector's positions are kept in
+ascending order, so each of its coordinates is one coordinate of its block,
+and the sector maps are these maps composed with that index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import math
+from dataclasses import dataclass, field
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..estimation import EstimationProblem, PayoffOperators, payoff_operators
-from ..operators import LabeledOperator
-# coords_from_hermitian is unused here: it is exported beside its transpose
+from ..operators import LabeledOperator, SystemLabel
 from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
-                  basis_layout, coordinate_index, coords_from_hermitian,
-                  hermitian_from_coords)
+                  basis_layout, coordinate_index, hermitian_from_coords)
+
+CHARGE_DECIMALS = 8  # charges that agree to this many decimals are equal
 
 
-def _grown_rows(d: int, d_in: int) -> np.ndarray:
-    """Coordinates of B_a (x) I_in on side d * d_in: d_in unit entries a row."""
-    row, col, imag = basis_layout(d)
+def _grown_rows(d: int, d_in: int, coords=slice(None)) -> np.ndarray:
+    """Coordinates of B_a (x) I_in on side d * d_in: d_in unit entries a row.
+
+    One row per coordinate a in coords of side d.
+    """
+    row, col, imag = (x[coords] for x in basis_layout(d))
     k = np.arange(d_in)
     return coordinate_index(row[:, None] * d_in + k, col[:, None] * d_in + k,
                             imag[:, None], d * d_in)
 
 
-def _shrunk_rows(pre: int, d_out: int, d_in: int) -> np.ndarray:
+def _shrunk_rows(pre: int, d_out: int, d_in: int,
+                 coords=slice(None)) -> np.ndarray:
     """Coordinates of Tr_out B_a for B_a on (pre, out, in): one unit or none.
 
     e_PQ traces to e_P'Q' (output index dropped) if P and Q share the output
-    index and to zero otherwise; dropping it keeps P' < Q'.
+    index and to zero otherwise; dropping it keeps P' < Q'.  One row per
+    coordinate a in coords.
     """
-    row, col, imag = basis_layout(pre * d_out * d_in)
+    row, col, imag = (x[coords] for x in basis_layout(pre * d_out * d_in))
 
     def keep(i):
         return i // (d_out * d_in) * d_in + i % d_in
@@ -65,7 +80,7 @@ def _shrunk_rows(pre: int, d_out: int, d_in: int) -> np.ndarray:
 
 
 def block_sides(problem: EstimationProblem) -> List[int]:
-    """Sides of the variable blocks: Xi^(1)..Xi^(N), then one per estimate.
+    """Sides of the tester blocks: Xi^(1)..Xi^(N), then one per estimate.
 
     Xi^(j) has side D_(j-1) d_in(j), where D_j = prod_(i<=j) d_out(i) d_in(i)
     is the side of level j; every outcome block has side D_N.
@@ -78,23 +93,138 @@ def block_sides(problem: EstimationProblem) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
+# charge sectors
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChargeSectors:
+    """A torus of local diagonal unitaries, as the charges of every level.
+
+    charges maps a factor id to a (dim, r) array, the charge of each of its
+    levels: the phase phi_f(i) that level i gets, as a vector over an
+    orthonormal basis of the torus's r directions.  A position of a space
+    carries the sum of its levels' charges, and the positions of one charge
+    form a sector.  With no charges the torus is trivial, and every space
+    is one sector.
+    """
+
+    charges: Mapping = field(default_factory=dict)
+
+    def labels(self, factors: Sequence[SystemLabel]) -> np.ndarray:
+        """The sector of each position of the space, numbered by charge."""
+        if not self.charges:
+            return np.zeros(math.prod(f.dim for f in factors), np.intp)
+        r = next(iter(self.charges.values())).shape[1]
+        q = np.zeros((1, r))
+        for f in factors:
+            q = (q[:, None, :] + self.charges[f.id][None]).reshape(-1, r)
+        keys = np.rint(q * 10.0 ** CHARGE_DECIMALS).astype(np.int64)
+        return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+
+
+def charge_sectors(problem: EstimationProblem) -> ChargeSectors:
+    """The largest torus of local diagonal unitaries that fixes every comb.
+
+    The unknowns are one phase phi_f(i) per factor f and level i.  Each
+    nonzero entry (p, q) of any comb (exactly nonzero, no tolerance) asks
+    (e_p - e_q) . phi = 0, where e_p has a 1 at each factor's level of
+    position p, and the torus is the nullspace of these equations: that of
+    their Gram matrix sum (e_p - e_q)(e_p - e_q)^T, an integer matrix
+    summed exactly, whose orthonormal nullspace basis comes from an SVD.
+    Every nonzero entry joins two positions of one charge, so the combs,
+    and the payoff operators summed from them, are exactly zero off the
+    sectors; a stray tiny entry can only merge sectors.  A comb with no
+    zero entry gives the trivial torus at the cost of one comparison pass.
+    """
+    combs = problem.combs
+    support = combs[0].op.data != 0
+    if not support.all():
+        for c in combs[1:]:
+            support |= c.op.data != 0
+    if support.all():
+        return ChargeSectors()
+    factors = problem.space.factors()
+    dims = [f.dim for f in factors]
+    size = len(support)
+    starts = np.cumsum([0] + dims[:-1])
+    levels = np.array(np.unravel_index(np.arange(size), dims)).T
+    e = np.zeros((size, sum(dims)))
+    e[np.arange(size)[:, None], starts + levels] = 1.0
+    # sum_pq W_pq (e_p - e_q)(e_p - e_q)^T, with W the support
+    w = support.astype(float)
+    cross = e.T @ (w @ e)
+    gram = (e.T * (w.sum(axis=0) + w.sum(axis=1))) @ e - cross - cross.T
+    _, sv, vt = np.linalg.svd(gram)
+    rank = int(np.sum(sv > sv[0] * len(sv) * np.finfo(float).eps))
+    null = vt[rank:].T
+    torus = ChargeSectors({f.id: null[s:s + f.dim]
+                           for f, s in zip(factors, starts)})
+    return torus if torus.labels(factors).max() > 0 else ChargeSectors()
+
+
+def _invariant_coords(labels: np.ndarray) -> np.ndarray:
+    """The coordinates whose row and column share a sector, ascending."""
+    if not labels.any():
+        return np.arange(len(labels) ** 2)
+    row, col, _ = basis_layout(len(labels))
+    return np.flatnonzero(labels[row] == labels[col])
+
+
+def _side_groups(labels: np.ndarray) -> list:
+    """A block space's sectors, grouped by side: (positions, map) pairs.
+
+    positions is (s, n): the s sectors of side n, each ascending.  map[c]
+    is the group coordinate of the block coordinate c, t n^2 plus the local
+    coordinate in sector t, or -1 off the group; map[-1] = -1 keeps padding.
+    A single sector needs no map (None): its coordinates are the block's.
+    """
+    if not labels.any():
+        return [(np.arange(len(labels))[None], None)]
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels)
+    sectors = np.split(order, np.cumsum(counts)[:-1])
+    side = len(labels)
+    groups = []
+    for n in dict.fromkeys(counts.tolist()):
+        pos = np.array([p for p in sectors if len(p) == n])
+        row, col, imag = basis_layout(n)
+        parent = coordinate_index(pos[:, row], pos[:, col], imag, side)
+        pmap = np.full(side * side + 1, -1)
+        pmap[parent.ravel()] = np.arange(parent.size)
+        groups.append((pos, pmap))
+    return groups
+
+
+def _remap(tensor: np.ndarray, pmap: Optional[np.ndarray]) -> np.ndarray:
+    return tensor if pmap is None else pmap[tensor]
+
+
+# ---------------------------------------------------------------------------
 # the tester SDP
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class StandardSdp:
-    """Block structure, objective, constraint map, and right-hand side."""
+    """Block structure, objective, constraint map, and right-hand side.
+
+    The tester blocks (Xi^(1)..Xi^(N), then the outcomes) are split into
+    the solver's blocks: parts[b] lists, per side, the solver block indices
+    (s,) of tester block b's sectors and their positions (s, n).
+    """
 
     problem: EstimationProblem
     payoff_ops: PayoffOperators
-    block_dims: tuple     # side of each variable block
+    block_dims: tuple     # side of each solver block
     level_dims: tuple     # side of each constraint level space, 1..N
     level_offsets: tuple  # first row of each level 0..N, then the row count
     cmap: BlockConstraintMap
     C: tuple              # objective blocks (min <C, X> convention)
     b: np.ndarray
-    top_coords: np.ndarray  # level-space coordinate of each level-N row
+    coords: tuple         # per level 1..N, each row's level-space coordinate
+    parts: tuple          # per tester block, (solver blocks, positions) by side
+    xi_groups: tuple      # per step, the cmap groups of Xi^(j)'s sectors
 
     @property
     def num_steps(self) -> int:
@@ -105,7 +235,7 @@ class StandardSdp:
         return self.problem.num_params
 
     def xi_block(self, j: int) -> int:
-        """Variable-block index of Xi^(j), 1-based j."""
+        """Tester-block index of Xi^(j), 1-based j."""
         return j - 1
 
     def outcome_block(self, k: int) -> int:
@@ -116,93 +246,141 @@ class StandardSdp:
 
     def level_coords(self, j: int) -> np.ndarray:
         """Coordinate of each row of level j >= 1 in its level space."""
-        if j == self.num_steps:
-            return self.top_coords
-        return np.arange(self.level_dims[j - 1] ** 2)
+        return self.coords[j - 1]
+
+    def assemble(self, b: int, X: Sequence[np.ndarray]) -> np.ndarray:
+        """Tester block b at full size from the solver blocks X, 0 off-sector."""
+        side = sum(pos.size for _, pos in self.parts[b])
+        out = np.zeros((side, side), dtype=complex)
+        for idx, pos in self.parts[b]:
+            out[pos[:, :, None], pos[:, None, :]] = [X[i] for i in idx]
+        return out
 
     def primal_start(self) -> List[np.ndarray]:
         """The uniform tester chain: strictly feasible, all equalities exact."""
         space = self.problem.space
-        blocks = []
-        c = 1.0
-        for j in range(1, self.num_steps + 1):
-            c = c / space.steps[j - 1].in_sys.dim
-            blocks.append(c * np.eye(self.block_dims[self.xi_block(j)]))
-        t_val = c / self.num_outcomes
-        for k in range(self.num_outcomes):
-            blocks.append(t_val * np.eye(self.block_dims[self.outcome_block(k)]))
+        scales, c = [], 1.0
+        for step in space.steps:
+            c = c / step.in_sys.dim
+            scales.append(c)
+        scales += [c / self.num_outcomes] * self.num_outcomes
+        blocks = [None] * len(self.block_dims)
+        for value, parts in zip(scales, self.parts):
+            for idx, pos in parts:
+                for i in idx:
+                    blocks[i] = value * np.eye(pos.shape[1])
         return blocks
 
 
 def build_primal(problem: EstimationProblem,
-                 outcome_rows: Optional[np.ndarray] = None) -> StandardSdp:
+                 outcome_rows: Optional[np.ndarray] = None,
+                 sectors: Optional[ChargeSectors] = None) -> StandardSdp:
     """Assemble blocks, objective, and the structured constraint map.
 
-    outcome_rows says how the outcome blocks enter the level-N rows.  None
-    means the identity, which imposes sum_est T_est = I_out(N) (x) Xi^(N).  A
-    real (D_N^2, D_N^2) matrix is a coordinate map: the covariant program
-    passes the twirl's matrix P[a, c] = Re<B_a, twirl(B_c)>, so row a reads
-    <B_a, twirl(T)> and the constraint becomes twirl(T) = I_out(N) (x) Xi^(N).
-    A 1-D array lists kept coordinates, the twirl of a 0/1 diagonal P: T
-    enters on those only.  The level-N rows are then the kept coordinates
-    together with every coordinate that I_out(N) (x) Xi^(N) reaches; the
-    other rows are zero in every entry and are left out.
+    sectors is the torus whose charge sectors split the blocks and select
+    the rows (charge_sectors); None is the trivial torus, one sector a
+    space.  outcome_rows says how the outcome blocks enter the level-N
+    rows, and needs the trivial torus.  None means the identity, which
+    imposes sum_est T_est = I_out(N) (x) Xi^(N).  A real (D_N^2, D_N^2)
+    matrix is a coordinate map: the covariant program passes the twirl's
+    matrix P[a, c] = Re<B_a, twirl(B_c)>, so row a reads <B_a, twirl(T)> and
+    the constraint becomes twirl(T) = I_out(N) (x) Xi^(N).  A 1-D array
+    lists kept coordinates, the twirl of a 0/1 diagonal P: T enters on
+    those only.  The level-N rows are then the kept coordinates together
+    with every coordinate that I_out(N) (x) Xi^(N) reaches; the other rows
+    are zero in every entry and are left out.
 
-    The constraint map gets one block group per chain operator, in chain
-    order, holding the entry of the level below that reads Xi^(j) and the
-    level-j entry -I_out(j) (x) Xi^(j); then one group of all the outcome
-    blocks, which share the level-N entry.
+    The constraint map gets, in chain order, one block group per sector side
+    of each chain operator, holding the entry of the level below that reads
+    Xi^(j) and the level-j entry -I_out(j) (x) Xi^(j); then one group per
+    sector side of the outcome space, with every outcome block's sectors of
+    that side, which share the level-N entry.
     """
+    torus = sectors if sectors is not None else ChargeSectors()
     space = problem.space
     n_steps = space.num_steps
+    n_out = problem.num_params
     d_in = space.in_dims()
     d_out = space.out_dims()
 
-    block_dims = block_sides(problem)
+    sides = block_sides(problem)
     # prefix dims D_j = D_(j-1) * d_in_j * d_out_j, D_0 = 1
-    prefix = [1] + [block_dims[j] * d_out[j] for j in range(n_steps)]
+    prefix = [1] + [sides[j] * d_out[j] for j in range(n_steps)]
     level_dims = tuple(prefix[1:])
 
-    # level-N rows: their coordinates, and how the outcome blocks enter them
-    shrunk_top = _shrunk_rows(prefix[n_steps - 1], d_out[-1], d_in[-1])
-    top_coords = np.arange(prefix[n_steps] ** 2)
+    # every level's rows: its invariant coordinates; the level-N rows of a
+    # covariant program and how its outcome blocks enter them
+    coords = [_invariant_coords(torus.labels(space.prefix_factors(j)))
+              for j in range(1, n_steps + 1)]
     if outcome_rows is None:
-        outcome_rows = top_coords[:, None]
+        outcome_rows = coords[-1][:, None]
     elif np.ndim(outcome_rows) == 1:
         kept = np.asarray(outcome_rows)
-        top_coords = np.union1d(kept, np.flatnonzero(shrunk_top[:, 0] >= 0))
-        outcome_rows = np.where(np.isin(top_coords, kept), top_coords, -1)[:, None]
-        shrunk_top = shrunk_top[top_coords]
+        reached = _shrunk_rows(prefix[n_steps - 1], d_out[-1], d_in[-1])
+        coords[-1] = np.union1d(kept, np.flatnonzero(reached[:, 0] >= 0))
+        outcome_rows = np.where(np.isin(coords[-1], kept), coords[-1],
+                                -1)[:, None]
 
     offsets = [0, 1]
-    for j in range(1, n_steps):
-        offsets.append(offsets[-1] + prefix[j] ** 2)
-    offsets.append(offsets[-1] + len(top_coords))
+    for c in coords:
+        offsets.append(offsets[-1] + len(c))
     m = offsets[-1]
+
+    # the sectors of each tester block, by side, and their solver blocks
+    xi_split = [_side_groups(torus.labels(space.prefix_factors(j)
+                                          + (space.steps[j].in_sys,)))
+                for j in range(n_steps)]
+    out_split = _side_groups(torus.labels(space.factors()))
+    block_dims, parts = [], []
+    for split in xi_split + [out_split] * n_out:
+        block_part = []
+        for pos, _ in split:
+            first = len(block_dims)
+            block_part.append((range(first, first + len(pos)), pos))
+            block_dims += [pos.shape[1]] * len(pos)
+        parts.append(tuple(block_part))
 
     # lower[j] reads Xi^(j+1) at level j; level 0 reads its trace, the sum
     # of its diagonal coordinates
-    lower = [ConstraintEntry(0, np.arange(block_dims[0])[None, :])]
-    lower += [ConstraintEntry(offsets[j], _grown_rows(prefix[j], d_in[j]))
+    lower = [np.arange(sides[0])[None, :]]
+    lower += [_grown_rows(prefix[j], d_in[j], coords[j - 1])
               for j in range(1, n_steps)]
-    shrunk = [_shrunk_rows(prefix[j], d_out[j], d_in[j])
-              for j in range(n_steps - 1)] + [shrunk_top]
-    groups = [BlockGroup((j,), [lower[j], ConstraintEntry(offsets[j + 1],
-                                                          shrunk[j], -1.0)])
-              for j in range(n_steps)]
-    groups.append(BlockGroup(tuple(range(n_steps, len(block_dims))),
-                             [ConstraintEntry(offsets[n_steps], outcome_rows)]))
+    groups, xi_groups = [], []
+    for j in range(n_steps):
+        shrunk = _shrunk_rows(prefix[j], d_out[j], d_in[j], coords[j])
+        xi_groups.append(tuple(range(len(groups),
+                                     len(groups) + len(xi_split[j]))))
+        for (idx, pos), (_, pmap) in zip(parts[j], xi_split[j]):
+            groups.append(BlockGroup(
+                tuple(idx),
+                [ConstraintEntry(offsets[j], _remap(lower[j], pmap)),
+                 ConstraintEntry(offsets[j + 1], _remap(shrunk, pmap), -1.0)],
+                len(pos)))
+    for g, (pos, pmap) in enumerate(out_split):
+        blocks = tuple(i for k in range(n_out) for i in parts[n_steps + k][g][0])
+        groups.append(BlockGroup(
+            blocks,
+            [ConstraintEntry(offsets[n_steps], _remap(outcome_rows, pmap))],
+            len(pos)))
 
     cmap = BlockConstraintMap(m, block_dims, groups)
     b = np.zeros(m)
     b[0] = 1.0
 
+    # objective: zero on the chain, -G_est on each outcome's sectors
     gops = payoff_operators(problem)
-    C = [np.zeros((n, n)) for n in block_dims[:n_steps]]
-    C += [-g.data for g in gops.operators]
+    C = []
+    for t, block_part in enumerate(parts):
+        for _, pos in block_part:
+            if t < n_steps:
+                C.extend(np.zeros((len(pos), pos.shape[1], pos.shape[1])))
+            else:
+                g = gops.operators[t - n_steps].data
+                C.extend(-g[pos[:, :, None], pos[:, None, :]])
 
     return StandardSdp(problem, gops, tuple(block_dims), level_dims,
-                       tuple(offsets), cmap, tuple(C), b, top_coords)
+                       tuple(offsets), cmap, tuple(C), b, tuple(coords),
+                       tuple(parts), tuple(xi_groups))
 
 
 # ---------------------------------------------------------------------------

@@ -53,20 +53,6 @@ def _label_from_json(doc) -> SystemLabel:
         raise ParseError("bad factor header: %s" % e)
 
 
-def operator_to_json(op: LabeledOperator) -> dict:
-    return {"factors": [_label_to_json(f) for f in op.factors],
-            "matrix": complex_to_json(op.data)}
-
-
-def operator_from_json(doc) -> LabeledOperator:
-    try:
-        factors = tuple(_label_from_json(f) for f in doc["factors"])
-        data = complex_from_json(doc["matrix"])
-    except (KeyError, TypeError) as e:
-        raise ParseError("bad operator payload: %s" % e)
-    return LabeledOperator(factors, data)
-
-
 def steps_to_json(space: CombSpace) -> list:
     return [{"in": _label_to_json(s.in_sys), "out": _label_to_json(s.out_sys)}
             for s in space.steps]

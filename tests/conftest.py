@@ -1,18 +1,26 @@
-"""Shared fixtures, instance builders, and the acceptance summary hook."""
+"""Shared fixtures, instance builders, test-only helpers, and the acceptance
+summary hook."""
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qnetopt.covariant import (diagonal_phases, kept_coordinates,
+from qnetopt import serde
+from qnetopt.covariant import (FiniteGroupAction, cyclic_group,
+                               diagonal_phases, kept_coordinates,
                                phase_grid_problem, twirl_coordinates,
                                twirl_mask)
+from qnetopt.errors import ParseError
 from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import random_memory_comb, random_state_problem
-from qnetopt.networks import CombSpace, comb_of_state
-from qnetopt.operators import (LabeledOperator, SystemLabel, embed_identity,
-                               identity, partial_trace, tensor)
-from qnetopt.sdp.standard_form import build_primal, coords_from_hermitian
+from qnetopt.networks import (CombSpace, QuantumComb, choi_of_channel,
+                              comb_of_memoryless_sequence, comb_of_state,
+                              validate_comb)
+from qnetopt.operators import (HERM_TOL, LabeledOperator, SystemLabel,
+                               embed_identity, identity, identity_on,
+                               partial_trace, require_hermitian, tensor)
+from qnetopt.sdp.ipm import coords_from_hermitian
+from qnetopt.sdp.standard_form import build_primal
 
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LOG = []
@@ -71,6 +79,70 @@ def memory_combs(draw, prefix="h"):
     space = draw(comb_spaces(prefix=prefix))
     g = np.random.default_rng(draw(seeds))
     return random_memory_comb(g, space)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call
+# ---------------------------------------------------------------------------
+
+
+def mixed_comb(space) -> QuantumComb:
+    """The maximally mixed valid comb: identity over the product of out dims."""
+    d_out_total = int(np.prod(space.out_dims(), dtype=np.int64))
+    op = identity_on(space.factors()) * (1.0 / d_out_total)
+    return validate_comb(QuantumComb(space, op))
+
+
+def eig_hermitian(a: LabeledOperator, rel: float = HERM_TOL):
+    """Eigenvalues (descending) and matching eigenvector columns."""
+    require_hermitian(a, rel)
+    vals, vecs = np.linalg.eigh((a.data + a.data.conj().T) / 2.0)
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def operator_to_json(op: LabeledOperator) -> dict:
+    return {"factors": [{"id": f.id, "dim": f.dim} for f in op.factors],
+            "matrix": serde.complex_to_json(op.data)}
+
+
+def operator_from_json(doc) -> LabeledOperator:
+    try:
+        factors = tuple(SystemLabel(str(f["id"]), int(f["dim"]))
+                        for f in doc["factors"])
+        data = serde.complex_from_json(doc["matrix"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError("bad operator payload: %s" % e)
+    return LabeledOperator(factors, data)
+
+
+def act(action: FiniteGroupAction, element, op: LabeledOperator):
+    """U_g op U_g^H for the group element's unitary on op's factors."""
+    u = action.unitary_for(element, op.factors)
+    return op.with_data(u @ op.data @ u.conj().T)
+
+
+def is_invariant(op: LabeledOperator, action: FiniteGroupAction,
+                 tol: float = 1e-10) -> bool:
+    scale = 1.0 + float(np.max(np.abs(op.data)))
+    return all(np.max(np.abs(act(action, el, op).data - op.data)) <= tol * scale
+               for el in action.elements)
+
+
+def two_step_phase_problem(grid=8):
+    """Two sequential uses of diag(1, w^j) on a grid, payoff 1 + cos."""
+    i1, o1, i2, o2 = (SystemLabel(n, 2) for n in ("i1", "o1", "i2", "o2"))
+    rep = {j: np.diag([1.0, np.exp(2j * np.pi * j / grid)])
+           for j in range(grid)}
+    combs = tuple(comb_of_memoryless_sequence(
+        [choi_of_channel([rep[j]], i1, o1), choi_of_channel([rep[j]], i2, o2)])
+        for j in range(grid))
+    d = np.arange(grid)
+    payoff = 1.0 + np.cos(2 * np.pi * (d[:, None] - d[None, :]) / grid)
+    problem = EstimationProblem(combs[0].space, tuple(range(grid)),
+                                np.full(grid, 1.0 / grid), combs, payoff,
+                                payoff_shift=1.0)
+    elements, table = cyclic_group(grid)
+    return problem, FiniteGroupAction(elements, table, {"o1": rep, "o2": rep})
 
 
 def qubit_state_problem(tag, vectors, priors, payoff=None):
@@ -147,5 +219,6 @@ def structural_row_values(sdp, xi_ops, t_ops):
             for t in t_ops[1:]:
                 traced = traced + t
         grown = embed_identity(xi_ops[j - 1], steps[j - 1].out_sys, 2 * (j - 1))
-        vals[sdp.level_rows(j)] = coords_from_hermitian((traced - grown).data)
+        coords = coords_from_hermitian((traced - grown).data)
+        vals[sdp.level_rows(j)] = coords[sdp.level_coords(j)]
     return vals

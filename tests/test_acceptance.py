@@ -22,7 +22,7 @@ from qnetopt.product_rule import (counterexample_correlated_payoff,
                                   counterexample_multicopy,
                                   verify_product_rule)
 from qnetopt.sdp import certify_dual, solve
-from qnetopt.sdp.standard_form import coords_from_hermitian, hermitian_from_coords
+from qnetopt.sdp.ipm import coords_from_hermitian, hermitian_from_coords
 
 
 def _finish(number, label, ok, detail):

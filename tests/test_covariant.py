@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnetopt
-from qnetopt.covariant import (FiniteGroupAction, act, covariant_gamma,
-                               cyclic_group, diagonal_phases, is_invariant,
+from conftest import act, is_invariant, two_step_phase_problem
+from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
+                               cyclic_group, diagonal_phases,
                                kept_coordinates, phase_estimation_optimum,
                                phase_grid_problem, product_group, qmax_comb,
                                qmax_state, sum_of_phases, twirl,
@@ -26,8 +27,8 @@ from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import SolverOptions, certify_dual, solve
-from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
-                                       hermitian_from_coords)
+from qnetopt.sdp.ipm import coords_from_hermitian, hermitian_from_coords
+from qnetopt.sdp.standard_form import build_primal
 
 Q = SystemLabel("q", 2)
 X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -248,23 +249,6 @@ def test_covariant_gamma_matches_direct_solve():
     stored_gamma = direct.gamma_primal + problem.payoff_shift
     assert red.gamma_max == pytest.approx(stored_gamma, abs=1e-6)
     assert red.gamma_max * red.q_max == pytest.approx(red.gamma_0, abs=1e-8)
-
-
-def two_step_phase_problem(grid=8):
-    """Two sequential uses of diag(1, w^j) on a grid, payoff 1 + cos."""
-    i1, o1, i2, o2 = (SystemLabel(n, 2) for n in ("i1", "o1", "i2", "o2"))
-    rep = {j: np.diag([1.0, np.exp(2j * np.pi * j / grid)])
-           for j in range(grid)}
-    combs = tuple(comb_of_memoryless_sequence(
-        [choi_of_channel([rep[j]], i1, o1), choi_of_channel([rep[j]], i2, o2)])
-        for j in range(grid))
-    d = np.arange(grid)
-    payoff = 1.0 + np.cos(2 * np.pi * (d[:, None] - d[None, :]) / grid)
-    problem = EstimationProblem(combs[0].space, tuple(range(grid)),
-                                np.full(grid, 1.0 / grid), combs, payoff,
-                                payoff_shift=1.0)
-    elements, table = cyclic_group(grid)
-    return problem, FiniteGroupAction(elements, table, {"o1": rep, "o2": rep})
 
 
 def test_covariant_gamma_two_step_matches_direct_and_oracle():

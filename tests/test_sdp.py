@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from scipy.linalg import solve_triangular
 
 from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
-                      outcome_residuals, qubit_state_problem, state_problems,
-                      twirled_phase_program)
+                      mixed_comb, outcome_residuals, qubit_state_problem,
+                      state_problems, twirled_phase_program,
+                      two_step_phase_problem)
 from qnetopt import serde
 from qnetopt.cli import main
 from qnetopt.covariant import twirl
@@ -20,10 +21,11 @@ from qnetopt.networks import QuantumComb, uniform_tester, validate_tester
 from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
                          yuen_kennedy_lax)
-from qnetopt.sdp.engine import mixed_comb, tighten_dual
+from qnetopt.sdp.engine import tighten_dual
 from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_stack, _max_step,
                              _nt_scaling, solve_ipm)
-from qnetopt.sdp.standard_form import build_primal, dual_from_y
+from qnetopt.sdp.standard_form import (build_primal, charge_sectors,
+                                       dual_from_y)
 
 
 def test_helstrom_two_pure_states():
@@ -199,6 +201,10 @@ def test_slater_point_is_strictly_feasible_on_random_problems():
             assert min_eig(r) > 1e-9
 
 
+def sector_program(problem):
+    return build_primal(problem, sectors=charge_sectors(problem))
+
+
 TIGHTEN_CASES = {
     "helstrom": lambda: (build_primal(helstrom_problem()), None),
     # two steps with d_out != d_in, so dividing by the wrong one shows
@@ -209,6 +215,9 @@ TIGHTEN_CASES = {
         memory=True)), None),
     "twirled-phase3": twirled_phase_program,
     "selected-phase3": lambda: twirled_phase_program(selector=True),
+    # Xi^(2) has sectors of two sides, so two groups to tighten
+    "sectors-phase-2step": lambda: (sector_program(
+        two_step_phase_problem()[0]), None),
 }
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import helstrom_problem
+from conftest import helstrom_problem, operator_from_json, operator_to_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +49,7 @@ def test_operator_round_trip(rng):
     a, b = SystemLabel("a", 2), SystemLabel("b", 3)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     op = LabeledOperator((a, b), m)
-    back = serde.operator_from_json(serde.operator_to_json(op))
+    back = operator_from_json(operator_to_json(op))
     assert back.factors == (a, b)
     assert np.array_equal(back.data, op.data)
 

@@ -14,14 +14,29 @@ from hypothesis import strategies as st
 
 from conftest import (helstrom_problem, seeds, state_problems,
                       structural_row_values, twirled_phase_program)
-from qnetopt.covariant import phase_grid_problem
+from qnetopt.covariant import phase_grid_problem, two_phase_problem
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
                              _float_positions, basis_kernel,
-                             coordinate_kernel)
-from qnetopt.sdp.standard_form import (build_primal, coords_from_hermitian,
-                                       dual_from_y, hermitian_from_coords)
+                             coordinate_kernel, coords_from_hermitian,
+                             hermitian_from_coords)
+from qnetopt.sdp.standard_form import (build_primal, charge_sectors,
+                                       dual_from_y)
+
+
+def sector_program(problem):
+    return build_primal(problem, sectors=charge_sectors(problem))
+
+
+def solver_blocks(sdp, tester_blocks):
+    """The solver blocks of full-size tester blocks: their sector parts."""
+    out = [None] * len(sdp.block_dims)
+    for full, parts in zip(tester_blocks, sdp.parts):
+        for idx, pos in parts:
+            for i, p in zip(idx, pos):
+                out[i] = full[np.ix_(p, p)]
+    return out
 
 
 def rand_herm(g, d):
@@ -103,21 +118,29 @@ def test_hermitian_from_coords_matches_two_pass_scatter(d, rng):
 
 
 def test_block_layout_and_row_partition():
-    sdp = build_primal(helstrom_problem())
-    n = sdp.num_steps
-    assert len(sdp.block_dims) == n + sdp.num_outcomes
-    covered = []
-    for j in range(n + 1):
-        sl = sdp.level_rows(j)
-        covered.extend(range(sl.start, sl.stop))
-    assert covered == list(range(sdp.cmap.m))
+    problem = phase_grid_problem(3)[0]
+    for sdp in (build_primal(problem), sector_program(problem)):
+        n = sdp.num_steps
+        assert len(sdp.parts) == n + sdp.num_outcomes
+        solver = sorted(i for parts in sdp.parts for idx, _ in parts
+                        for i in idx)
+        assert solver == list(range(len(sdp.block_dims)))
+        for parts in sdp.parts:  # a block's sectors partition its positions
+            positions = np.concatenate([pos.ravel() for _, pos in parts])
+            assert sorted(positions) == list(range(len(positions)))
+        covered = []
+        for j in range(n + 1):
+            sl = sdp.level_rows(j)
+            covered.extend(range(sl.start, sl.stop))
+        assert covered == list(range(sdp.cmap.m))
 
 
 def test_primal_start_is_feasible():
-    for problem in (helstrom_problem(),
-                    random_channel_problem(np.random.default_rng(5), 2,
-                                           [(2, 2), (2, 2)], memory=True)):
-        sdp = build_primal(problem)
+    for sdp in (build_primal(helstrom_problem()),
+                build_primal(random_channel_problem(
+                    np.random.default_rng(5), 2, [(2, 2), (2, 2)],
+                    memory=True)),
+                sector_program(phase_grid_problem(4)[0])):
         x0 = sdp.primal_start()
         np.testing.assert_allclose(sdp.cmap.apply_A(sdp.cmap.stack(x0)), sdp.b,
                                    atol=1e-12)
@@ -126,13 +149,14 @@ def test_primal_start_is_feasible():
 
 
 def test_objective_blocks_encode_payoff():
-    problem = helstrom_problem()
-    sdp = build_primal(problem)
-    for k, op in enumerate(sdp.payoff_ops.operators):
-        np.testing.assert_allclose(sdp.C[sdp.outcome_block(k)], -op.data,
-                                   atol=1e-13)
-    for j in range(1, sdp.num_steps + 1):
-        assert np.max(np.abs(sdp.C[sdp.xi_block(j)])) == 0.0
+    for problem in (helstrom_problem(), phase_grid_problem(3)[0]):
+        sdp = sector_program(problem)
+        for k, op in enumerate(sdp.payoff_ops.operators):
+            # the payoff is exactly zero off the sectors, so nothing is lost
+            assert np.array_equal(sdp.assemble(sdp.outcome_block(k), sdp.C),
+                                  -op.data)
+        for j in range(1, sdp.num_steps + 1):
+            assert not np.any(sdp.assemble(sdp.xi_block(j), sdp.C))
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,18 +173,27 @@ def test_adjoint_identity_channels(seed, pseed, memory):
     _assert_rows_agree(build_primal(problem), np.random.default_rng(seed))
 
 
+@pytest.mark.parametrize("make", [lambda: phase_grid_problem(3)[0],
+                                  lambda: two_phase_problem(1.0, 4)[0]])
+def test_adjoint_identity_sector_programs(make, rng):
+    # the invariant rows read the invariant coordinates only, so the sector
+    # program's rows agree with those of the full operators
+    _assert_rows_agree(sector_program(make()), rng)
+
+
 def _assert_rows_agree(sdp, g):
     space = sdp.problem.space
+    sides = [sum(pos.size for _, pos in parts) for parts in sdp.parts]
     xi_ops = [LabeledOperator(space.prefix_factors(j - 1)
                               + (space.steps[j - 1].in_sys,),
-                              rand_herm(g, sdp.block_dims[sdp.xi_block(j)]))
+                              rand_herm(g, sides[sdp.xi_block(j)]))
               for j in range(1, sdp.num_steps + 1)]
     t_ops = [LabeledOperator(space.factors(),
-                             rand_herm(g, sdp.block_dims[sdp.outcome_block(k)]))
+                             rand_herm(g, sides[sdp.outcome_block(k)]))
              for k in range(sdp.num_outcomes)]
     direct = structural_row_values(sdp, xi_ops, t_ops)
-    assembled = sdp.cmap.apply_A(
-        sdp.cmap.stack([op.data for op in xi_ops + t_ops]))
+    assembled = sdp.cmap.apply_A(sdp.cmap.stack(
+        solver_blocks(sdp, [op.data for op in xi_ops + t_ops])))
     np.testing.assert_allclose(assembled, direct, atol=1e-10)
 
 
@@ -185,8 +218,23 @@ def test_kernels_match_dense_rows(rng):
             build_primal(phase_grid_problem(3)[0]),
             twirled_phase_program()[0],
             # the outcome group reads the kept coordinates only
-            twirled_phase_program(selector=True)[0]):
+            twirled_phase_program(selector=True)[0],
+            # sector programs: groups of many sectors, of side 1 and more
+            sector_program(phase_grid_problem(3)[0]),
+            sector_program(two_phase_problem(1.0, 4)[0])):
         _assert_kernels_match_dense_rows(sdp, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_basis_kernel_is_each_sectors_kernel(n, rng):
+    stack = np.array([[rand_herm(rng, n) for _ in range(4)] for _ in range(3)])
+    batched = basis_kernel(stack)
+    assert batched.shape == (4, n * n, n * n)
+    for t in range(4):
+        np.testing.assert_array_equal(batched[t], basis_kernel(stack[:, t]))
+    if n == 1:  # the kernel of 1x1 sectors is sum_k |W_kt|^2
+        np.testing.assert_allclose(batched[:, 0, 0],
+                                   (np.abs(stack[:, :, 0, 0]) ** 2).sum(0))
 
 
 @pytest.mark.parametrize("k", [1, 3])
