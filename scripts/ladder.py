@@ -3,12 +3,12 @@
 
 A rung is one call: a direct ``solve`` of a phase grid or of a memoryful
 random comb, or ``covariant_gamma`` on a phase grid.  Each runs in a fresh
-Python process with BLAS pinned to one thread, an address-space limit
-(RLIMIT_AS) and a wall-clock budget, so running out of memory or time is a
-result, not a crash.  A record holds the wall seconds of the call, the
-child's peak RSS (ru_maxrss), iterations, gamma (on the caller's score
-scale), its distance to the oracle where there is one, and the outcome:
-ok, timeout, memory_limit, dimension_cap or error.
+Python process with BLAS pinned to one thread, an address-space limit of
+MEMORY_GIB (RLIMIT_AS) and a wall-clock budget, so running out of memory or
+time is a result, not a crash.  A record holds the wall seconds of the
+call, the child's peak RSS (ru_maxrss), iterations, gamma (on the caller's
+score scale), its distance to the oracle where there is one, and the
+outcome: ok, timeout, memory_limit, dimension_cap or error.
 
     python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --side parent=OLD/src --side change=src \\
@@ -37,6 +37,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "memory-3x22",
          "covariant-12")
 POLL_S = 0.05
+MEMORY_GIB = 3  # address-space limit of each child
 
 
 def _grid(levels):
@@ -152,8 +153,6 @@ def main(argv=None) -> int:
     ap.add_argument("--rungs", default=",".join(RUNGS),
                     help="comma-separated subset of %s" % ", ".join(RUNGS))
     ap.add_argument("--repeat", type=int, default=1)
-    ap.add_argument("--memory-gib", type=float, default=3.0,
-                    help="address-space limit of each child")
     ap.add_argument("--budget-s", type=float, default=300.0,
                     help="wall-clock budget of each child")
     ap.add_argument("--out", default=None, help="JSON path (default stdout)")
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
     unknown = set(rungs) - set(RUNGS)
     if unknown:
         ap.error("unknown rungs %s" % sorted(unknown))
-    memory_bytes = int(args.memory_gib * 2 ** 30)
+    memory_bytes = MEMORY_GIB * 2 ** 30
     results = {name: {r: [] for r in rungs} for name, _ in sides}
     for rung in rungs:
         for rep in range(args.repeat):
@@ -182,7 +181,7 @@ def main(argv=None) -> int:
     doc = {"rungs": rungs, "repeat": args.repeat,
            "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
-           "limits": {"memory_gib": args.memory_gib,
+           "limits": {"memory_gib": MEMORY_GIB,
                       "budget_s": args.budget_s, "blas_threads": 1},
            "sides": results}
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"

@@ -141,7 +141,7 @@ def twirl_coordinates(action: FiniteGroupAction,
     idempotent.
     """
     us = np.stack([action.unitary_for(el, factors) for el in action.elements])
-    return basis_kernel(us) / action.size
+    return basis_kernel(us[:, None])[0] / action.size
 
 
 def diagonal_phases(action: FiniteGroupAction,

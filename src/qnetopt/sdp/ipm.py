@@ -131,23 +131,21 @@ def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def basis_kernel(stack: np.ndarray) -> np.ndarray:
-    """S[a, c] = Re sum_k Tr(B_a L_k B_c L_k^H) for a (K, n, n) stack L.
+    """S_t[a, c] = Re sum_k Tr(B_a L_kt B_c L_kt^H) for a (K, s, n, n) stack L.
 
-    A (K, s, n, n) stack gives the (s, n^2, n^2) kernels of its s sectors,
-    one batched GEMM for all of them.  The GEMM gives
-    G[(q, r), (p, s)] = sum_k L_k[q, r] conj(L_k[p, s]); transposed to
-    T[(p, q), (r, s)] it turns each trace into vec(B_a)^T T vec(B_c).  Each
-    B_a has at most two nonzero entries and
-    T[(q, p), (s, r)] = conj T[(p, q), (r, s)], so S is a gather of the rows
-    p <= q of T at the diagonal, upper and lower positions.
+    The (s, n^2, n^2) kernels of the s sectors come from one batched GEMM,
+    G_t[(q, r), (p, s)] = sum_k L_kt[q, r] conj(L_kt[p, s]); for n = 1 its
+    real part is S.  Transposed to T[(p, q), (r, s)] it turns each trace
+    into vec(B_a)^T T vec(B_c).  Each B_a has at most two nonzero entries
+    and T[(q, p), (s, r)] = conj T[(p, q), (r, s)], so S is a gather of the
+    rows p <= q of T at the diagonal, upper and lower positions.
     """
-    batched = stack.ndim == 4
-    if not batched:
-        stack = stack[:, None]
     k, s, n, _ = stack.shape
     flat = stack.reshape(k, s, n * n)
-    G = (flat.transpose(1, 2, 0) @ flat.transpose(1, 0, 2).conj()).reshape(
-        s, n, n, n, n)
+    G = flat.transpose(1, 2, 0) @ flat.transpose(1, 0, 2).conj()
+    if n == 1:
+        return G.real.copy()
+    G = G.reshape(s, n, n, n, n)
     row, col, _ = basis_layout(n)
     h = (n * n + n) // 2  # coordinates: diagonal | symmetric | antisymmetric
     V = G[:, col[:h], :, row[:h], :].reshape(h, s, n * n)  # rows p <= q of T
@@ -162,7 +160,7 @@ def basis_kernel(stack: np.ndarray) -> np.ndarray:
     T[h:, :, n:h], T[h:, :, h:] = -plus[n:].imag, minus[n:].real
     T[n:, :, :n] *= np.sqrt(2.0)
     T[:n, :, n:] *= _R2
-    return S if batched else S[0]
+    return S
 
 
 def _block_diagonal(S: np.ndarray) -> np.ndarray:
@@ -177,7 +175,7 @@ def _block_diagonal(S: np.ndarray) -> np.ndarray:
 
 
 def coordinate_kernel(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """basis_kernel(stack)[np.ix_(coords, coords)] without the n^4 GEMM.
+    """basis_kernel(stack[:, None])[0][np.ix_(coords, coords)], no n^4 GEMM.
 
     Write B_a = alpha_a e_pq + conj(alpha_a) e_qp for coordinate a on (p, q),
     with alpha 1/2 on the diagonal, 1/sqrt2 symmetric and i/sqrt2
@@ -334,10 +332,9 @@ class BlockConstraintMap:
         self._sides = [s.pop() for s in sides]
         self.sizes = [g.sectors * n * n
                       for g, n in zip(self.groups, self._sides)]
-        # each group's stack as copies of (s, n, n), or of (n, n) for s = 1
-        self._shapes = [(len(g.blocks) // g.sectors,)
-                        + (g.sectors,) * (g.sectors > 1) + (n, n)
-                        for g, n in zip(self.groups, self._sides)]
+        # each group's copies K, sectors s and side n
+        self._layouts = [(len(g.blocks) // g.sectors, g.sectors, n)
+                         for g, n in zip(self.groups, self._sides)]
         self.entries = [e for g in self.groups for e in g.entries]
         self._kernels = [_kernel_coords(g.entries, n) if g.sectors == 1 else
                          (None, g.entries)
@@ -358,9 +355,12 @@ class BlockConstraintMap:
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
-        for g, st, shape in zip(self.groups, stacks, self._shapes):
-            summed = st.reshape(shape).sum(axis=0)
-            coords = coords_from_hermitian(summed).ravel()
+        for g, st, (k, s, n) in zip(self.groups, stacks, self._layouts):
+            if s == 1:
+                coords = coords_from_hermitian(st.sum(axis=0))
+            else:  # the copies summed sector by sector, sector-major
+                coords = coords_from_hermitian(
+                    st.reshape(k, s, n, n).sum(axis=0)).ravel()
             for e in g.entries:
                 y[e.rows] += e.left(coords)
         return y
@@ -368,28 +368,31 @@ class BlockConstraintMap:
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
         """Per group, the sector blocks every copy gets, broadcast read-only."""
         out = []
-        for g, n, size, shape in zip(self.groups, self._sides, self.sizes,
-                                     self._shapes):
+        for g, size, (k, s, n) in zip(self.groups, self.sizes, self._layouts):
             coords = sum(e.adjoint(y[e.rows], size) for e in g.entries)
-            h = hermitian_from_coords(coords.reshape(shape[1:-2] + (-1,)), n)
-            out.append(np.broadcast_to(h, shape).reshape(-1, n, n))
+            if s == 1:
+                out.append(np.broadcast_to(hermitian_from_coords(coords, n),
+                                           (k, n, n)))
+            else:
+                h = hermitian_from_coords(coords.reshape(s, n * n), n)
+                out.append(np.broadcast_to(h, (k, s, n, n)).reshape(-1, n, n))
         return out
 
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
         """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W."""
         H = np.zeros((self.m, self.m))
-        for stack, g, (used, entries) in zip(scalings, self.groups,
-                                             self._kernels):
-            _add_pairs(H, _group_kernel(stack, g.sectors, used), entries)
+        for stack, layout, (used, entries) in zip(scalings, self._layouts,
+                                                  self._kernels):
+            _add_pairs(H, _group_kernel(stack, layout, used), entries)
         return H
 
 
-def _group_kernel(stack: np.ndarray, sectors: int, used) -> np.ndarray:
+def _group_kernel(stack: np.ndarray, layout, used) -> np.ndarray:
     """A group's S: block diagonal over its sectors, or on the used coordinates."""
     if used is not None:
         return coordinate_kernel(stack, used)
-    n = stack.shape[-1]
-    return _block_diagonal(basis_kernel(stack.reshape(-1, sectors, n, n)))
+    k, s, n = layout
+    return _block_diagonal(basis_kernel(stack.reshape(k, s, n, n)))
 
 
 def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):

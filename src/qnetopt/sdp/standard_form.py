@@ -132,17 +132,20 @@ def charge_sectors(problem: EstimationProblem) -> ChargeSectors:
     position p, and the torus is the nullspace of these equations: that of
     their Gram matrix sum (e_p - e_q)(e_p - e_q)^T, an integer matrix
     summed exactly, whose orthonormal nullspace basis comes from an SVD.
-    Every nonzero entry joins two positions of one charge, so the combs,
-    and the payoff operators summed from them, are exactly zero off the
-    sectors; a stray tiny entry can only merge sectors.  A comb with no
-    zero entry gives the trivial torus at the cost of one comparison pass.
+    Every nonzero entry joins two positions of one charge, and a stray tiny
+    entry can only merge sectors.  Sectors are told apart by rounding the
+    float charges (CHARGE_DECIMALS), so the torus is returned only if no
+    nonzero entry joins two positions that rounding labels apart: the
+    combs, and the payoff operators summed from them, are then exactly
+    zero off the sectors.  Otherwise, as for a comb with no zero entry
+    (found at the cost of one comparison pass), the torus is trivial.
     """
     combs = problem.combs
     support = combs[0].op.data != 0
-    if not support.all():
+    if np.count_nonzero(support) < support.size:
         for c in combs[1:]:
             support |= c.op.data != 0
-    if support.all():
+    if np.count_nonzero(support) == support.size:
         return ChargeSectors()
     factors = problem.space.factors()
     dims = [f.dim for f in factors]
@@ -160,12 +163,16 @@ def charge_sectors(problem: EstimationProblem) -> ChargeSectors:
     null = vt[rank:].T
     torus = ChargeSectors({f.id: null[s:s + f.dim]
                            for f, s in zip(factors, starts)})
-    return torus if torus.labels(factors).max() > 0 else ChargeSectors()
+    labels = torus.labels(factors)
+    if not np.count_nonzero(labels) or \
+            np.count_nonzero(support[labels[:, None] != labels]):
+        return ChargeSectors()
+    return torus
 
 
 def _invariant_coords(labels: np.ndarray) -> np.ndarray:
     """The coordinates whose row and column share a sector, ascending."""
-    if not labels.any():
+    if not np.count_nonzero(labels):
         return np.arange(len(labels) ** 2)
     row, col, _ = basis_layout(len(labels))
     return np.flatnonzero(labels[row] == labels[col])
@@ -179,7 +186,7 @@ def _side_groups(labels: np.ndarray) -> list:
     coordinate in sector t, or -1 off the group; map[-1] = -1 keeps padding.
     A single sector needs no map (None): its coordinates are the block's.
     """
-    if not labels.any():
+    if not np.count_nonzero(labels):
         return [(np.arange(len(labels))[None], None)]
     order = np.argsort(labels, kind="stable")
     counts = np.bincount(labels)
@@ -198,6 +205,11 @@ def _side_groups(labels: np.ndarray) -> list:
 
 def _remap(tensor: np.ndarray, pmap: Optional[np.ndarray]) -> np.ndarray:
     return tensor if pmap is None else pmap[tensor]
+
+
+def _whole(pos: np.ndarray, side: int) -> bool:
+    """Whether the sectors pos are one sector of every position."""
+    return pos.shape == (1, side)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +262,12 @@ class StandardSdp:
 
     def assemble(self, b: int, X: Sequence[np.ndarray]) -> np.ndarray:
         """Tester block b at full size from the solver blocks X, 0 off-sector."""
-        side = sum(pos.size for _, pos in self.parts[b])
+        parts = self.parts[b]
+        side = sum(pos.size for _, pos in parts)
+        if _whole(parts[0][1], side):
+            return X[parts[0][0][0]]
         out = np.zeros((side, side), dtype=complex)
-        for idx, pos in self.parts[b]:
+        for idx, pos in parts:
             out[pos[:, :, None], pos[:, None, :]] = [X[i] for i in idx]
         return out
 
@@ -308,16 +323,20 @@ def build_primal(problem: EstimationProblem,
     prefix = [1] + [sides[j] * d_out[j] for j in range(n_steps)]
     level_dims = tuple(prefix[1:])
 
-    # every level's rows: its invariant coordinates; the level-N rows of a
-    # covariant program and how its outcome blocks enter them
-    coords = [_invariant_coords(torus.labels(space.prefix_factors(j)))
-              for j in range(1, n_steps + 1)]
+    # every level's rows: its invariant coordinates, and the entry that
+    # reads I_out(j) (x) Xi^(j) on them; the level-N rows of a covariant
+    # program and how its outcome blocks enter them
+    level_labels = [torus.labels(space.prefix_factors(j))
+                    for j in range(1, n_steps + 1)]
+    coords = [_invariant_coords(labels) for labels in level_labels]
+    shrunk = [_shrunk_rows(prefix[j], d_out[j], d_in[j], coords[j])
+              for j in range(n_steps)]
     if outcome_rows is None:
         outcome_rows = coords[-1][:, None]
     elif np.ndim(outcome_rows) == 1:
         kept = np.asarray(outcome_rows)
-        reached = _shrunk_rows(prefix[n_steps - 1], d_out[-1], d_in[-1])
-        coords[-1] = np.union1d(kept, np.flatnonzero(reached[:, 0] >= 0))
+        coords[-1] = np.union1d(kept, np.flatnonzero(shrunk[-1][:, 0] >= 0))
+        shrunk[-1] = shrunk[-1][coords[-1]]
         outcome_rows = np.where(np.isin(coords[-1], kept), coords[-1],
                                 -1)[:, None]
 
@@ -330,7 +349,7 @@ def build_primal(problem: EstimationProblem,
     xi_split = [_side_groups(torus.labels(space.prefix_factors(j)
                                           + (space.steps[j].in_sys,)))
                 for j in range(n_steps)]
-    out_split = _side_groups(torus.labels(space.factors()))
+    out_split = _side_groups(level_labels[-1])
     block_dims, parts = [], []
     for split in xi_split + [out_split] * n_out:
         block_part = []
@@ -347,14 +366,14 @@ def build_primal(problem: EstimationProblem,
               for j in range(1, n_steps)]
     groups, xi_groups = [], []
     for j in range(n_steps):
-        shrunk = _shrunk_rows(prefix[j], d_out[j], d_in[j], coords[j])
         xi_groups.append(tuple(range(len(groups),
                                      len(groups) + len(xi_split[j]))))
         for (idx, pos), (_, pmap) in zip(parts[j], xi_split[j]):
             groups.append(BlockGroup(
                 tuple(idx),
                 [ConstraintEntry(offsets[j], _remap(lower[j], pmap)),
-                 ConstraintEntry(offsets[j + 1], _remap(shrunk, pmap), -1.0)],
+                 ConstraintEntry(offsets[j + 1], _remap(shrunk[j], pmap),
+                                 -1.0)],
                 len(pos)))
     for g, (pos, pmap) in enumerate(out_split):
         blocks = tuple(i for k in range(n_out) for i in parts[n_steps + k][g][0])
@@ -376,7 +395,8 @@ def build_primal(problem: EstimationProblem,
                 C.extend(np.zeros((len(pos), pos.shape[1], pos.shape[1])))
             else:
                 g = gops.operators[t - n_steps].data
-                C.extend(-g[pos[:, :, None], pos[:, None, :]])
+                C.extend([-g] if _whole(pos, len(g)) else
+                         -g[pos[:, :, None], pos[:, None, :]])
 
     return StandardSdp(problem, gops, tuple(block_dims), level_dims,
                        tuple(offsets), cmap, tuple(C), b, tuple(coords),

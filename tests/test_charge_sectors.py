@@ -18,7 +18,8 @@ from qnetopt.instances import (random_channel_problem, random_sequence_comb,
                                random_state_problem)
 from qnetopt.networks import QuantumComb, validate_comb, validate_tester
 from qnetopt.sdp import engine, solve
-from qnetopt.sdp.standard_form import build_primal, charge_sectors
+from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
+                                       charge_sectors)
 
 
 def sector_sides(problem):
@@ -63,6 +64,27 @@ def test_a_tiny_full_comb_mixed_in_gives_the_trivial_torus():
     assert charge_sectors(EstimationProblem(
         problem.space, problem.labels_x, problem.prior, combs,
         problem.payoff)).charges == {}
+
+
+def test_a_sector_that_rounding_splits_gives_the_trivial_torus(monkeypatch):
+    # a sector's charges agree only up to float error; should rounding label
+    # one of its positions apart, a comb entry joins it to the others, and
+    # the torus is not used
+    problem = phase_grid_problem(3)[0]
+    real_labels = ChargeSectors.labels
+
+    def split(self, factors):
+        labels = real_labels(self, factors).copy()
+        if labels.any():
+            largest = np.flatnonzero(labels == np.bincount(labels).argmax())
+            labels[largest[-1]] = labels.max() + 1
+        return labels
+
+    monkeypatch.setattr(ChargeSectors, "labels", split)
+    assert charge_sectors(problem).charges == {}
+    sol = solve(problem)
+    assert sol.certificate.certified
+    assert abs(sol.gamma_primal - phase_estimation_optimum(3).cos_max) <= 1e-7
 
 
 def test_combs_and_payoffs_are_exactly_zero_off_the_sectors():

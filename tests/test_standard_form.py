@@ -231,7 +231,8 @@ def test_batched_basis_kernel_is_each_sectors_kernel(n, rng):
     batched = basis_kernel(stack)
     assert batched.shape == (4, n * n, n * n)
     for t in range(4):
-        np.testing.assert_array_equal(batched[t], basis_kernel(stack[:, t]))
+        np.testing.assert_array_equal(batched[t],
+                                      basis_kernel(stack[:, t:t + 1])[0])
     if n == 1:  # the kernel of 1x1 sectors is sum_k |W_kt|^2
         np.testing.assert_allclose(batched[:, 0, 0],
                                    (np.abs(stack[:, :, 0, 0]) ** 2).sum(0))
@@ -241,7 +242,7 @@ def test_batched_basis_kernel_is_each_sectors_kernel(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_coordinate_kernel_is_the_basis_kernel_restricted(n, k, rng):
     stack = np.array([rand_herm(rng, n) for _ in range(k)])
-    full = basis_kernel(stack)
+    full = basis_kernel(stack[:, None])[0]
     half = n * (n - 1) // 2
     for used in (np.arange(n * n),
                  np.arange(n),                          # diagonal
