@@ -2,13 +2,16 @@
 """The performance ladder: each rung in its own process, under limits.
 
 A rung is one call: a direct ``solve`` of a phase grid or of a memoryful
-random comb, or ``covariant_gamma`` on a phase grid.  Each runs in a fresh
+random comb, or ``covariant_gamma`` on a phase grid, on N sequential uses of
+a qubit phase gate, or on a phase grid rotated by a random unitary (a
+non-diagonal action).  Each runs in a fresh
 Python process with BLAS pinned to one thread, an address-space limit of
 MEMORY_GIB (RLIMIT_AS) and a wall-clock budget, so running out of memory or
 time is a result, not a crash.  A record holds the wall seconds of the
 call, the child's peak RSS (ru_maxrss), iterations, gamma (on the caller's
-score scale), its distance to the oracle where there is one, and the
-outcome: ok, timeout, memory_limit, dimension_cap or error.
+score scale), its distance to the oracle where there is one, whether the
+certificate checks on the full problem (not timed), and the outcome: ok,
+timeout, memory_limit, dimension_cap or error.
 
     python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --side parent=OLD/src --side change=src \\
@@ -35,7 +38,7 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "memory-3x22",
-         "covariant-12")
+         "covariant-12", "gates-3", "rotated-7")
 POLL_S = 0.05
 MEMORY_GIB = 3  # address-space limit of each child
 
@@ -57,12 +60,64 @@ def _memory():
     return lambda: solve(problem), None
 
 
-def _covariant(levels):
-    from qnetopt.covariant import (covariant_gamma, phase_estimation_optimum,
-                                   phase_grid_problem)
+def _phase_grid(levels):
+    from qnetopt.covariant import phase_estimation_optimum, phase_grid_problem
     problem, action = phase_grid_problem(levels)
-    oracle = phase_estimation_optimum(levels).cos_max
-    return lambda: covariant_gamma(problem, action), oracle
+    return problem, action, phase_estimation_optimum(levels).cos_max
+
+
+def _gates(steps):
+    """steps sequential uses of diag(1, w^j), j on a grid of 8; payoff 1 + cos.
+
+    They reach steps + 1 phase levels, whose optimum is the oracle's.
+    """
+    import numpy as np
+    from qnetopt.covariant import (FiniteGroupAction, cyclic_group,
+                                   phase_estimation_optimum)
+    from qnetopt.estimation import EstimationProblem
+    from qnetopt.networks import choi_of_channel, comb_of_memoryless_sequence
+    from qnetopt.operators import SystemLabel
+    grid = 8
+    systems = [(SystemLabel("i%d" % s, 2), SystemLabel("o%d" % s, 2))
+               for s in range(steps)]
+    rep = {j: np.diag([1.0, np.exp(2j * np.pi * j / grid)])
+           for j in range(grid)}
+    combs = tuple(comb_of_memoryless_sequence(
+        [choi_of_channel([rep[j]], i, o) for i, o in systems])
+        for j in range(grid))
+    d = np.arange(grid)
+    payoff = 1.0 + np.cos(2 * np.pi * (d[:, None] - d[None, :]) / grid)
+    problem = EstimationProblem(combs[0].space, tuple(range(grid)),
+                                np.full(grid, 1.0 / grid), combs, payoff,
+                                payoff_shift=1.0)
+    elements, table = cyclic_group(grid)
+    action = FiniteGroupAction(elements, table,
+                               {o.id: rep for _, o in systems})
+    return problem, action, phase_estimation_optimum(steps + 1).cos_max
+
+
+def _rotated(levels):
+    """The phase grid with every channel conjugated by a seeded random V."""
+    import numpy as np
+    from qnetopt.covariant import FiniteGroupAction
+    from qnetopt.estimation import EstimationProblem
+    from qnetopt.instances import random_unitary
+    from qnetopt.networks import choi_of_channel, comb_of_memoryless_sequence
+    problem, action, oracle = _phase_grid(levels)
+    step = problem.space.steps[0]
+    v = random_unitary(np.random.default_rng(0), levels)
+    rep = {el: v @ action.rep[step.out_sys.id][el] @ v.conj().T
+           for el in action.elements}
+    combs = tuple(comb_of_memoryless_sequence(
+        [choi_of_channel([rep[el]], step.in_sys, step.out_sys)])
+        for el in action.elements)
+    rotated = EstimationProblem(problem.space, problem.labels_x, problem.prior,
+                                combs, problem.payoff, problem.payoff_shift)
+    return rotated, FiniteGroupAction(action.elements, action.table,
+                                      {step.out_sys.id: rep}), oracle
+
+
+COVARIANT = {"covariant": _phase_grid, "gates": _gates, "rotated": _rotated}
 
 
 def run_rung(name: str) -> dict:
@@ -71,8 +126,10 @@ def run_rung(name: str) -> dict:
     kind, _, arg = name.partition("-")
     if kind == "grid":
         call, oracle = _grid(int(arg))
-    elif kind == "covariant":
-        call, oracle = _covariant(int(arg))
+    elif kind in COVARIANT:
+        from qnetopt.covariant import covariant_gamma
+        problem, action, oracle = COVARIANT[kind](int(arg))
+        call = lambda: covariant_gamma(problem, action)
     else:
         call, oracle = _memory()
     start = time.perf_counter()
@@ -83,16 +140,20 @@ def run_rung(name: str) -> dict:
     except MemoryError as exc:
         return {"outcome": "memory_limit", "detail": str(exc)}
     wall = time.perf_counter() - start
-    if kind == "covariant":
-        gamma = result.gamma_max - 1.0  # phase grids store 1 + cos
+    if kind in COVARIANT:
+        from qnetopt.networks import QuantumComb
+        from qnetopt.sdp import certify_dual
+        gamma = result.gamma_max - 1.0  # phase problems store 1 + cos
+        certified = certify_dual(
+            result.gamma_max, QuantumComb(problem.space, result.invariant_op),
+            problem, tol=1e-7).certified
     else:
         gamma = result.gamma_primal
+        certified = result.certificate.certified
     rec = {"outcome": "ok", "wall_s": wall, "iterations": result.iterations,
-           "gamma": gamma}
+           "gamma": gamma, "certified": bool(certified)}
     if oracle is not None:
         rec["oracle_distance"] = abs(gamma - oracle)
-    if kind != "covariant":
-        rec["certified"] = bool(result.certificate.certified)
     return rec
 
 
@@ -128,17 +189,18 @@ def spawn(name: str, src: str, memory_bytes: int, budget_s: float) -> dict:
         out.seek(0)
         err.seek(0)
         lines = out.read().splitlines()
-        tail = err.read()[-400:]
+        # the exception, without the traceback's file paths
+        error = (err.read().strip().splitlines() or [""])[-1]
     peak_mb = usage.ru_maxrss / 1024.0  # kilobytes on Linux
     if timed_out:
         return {"outcome": "timeout", "budget_s": budget_s,
                 "peak_rss_mb": peak_mb}
     if proc.returncode == 0 and lines:
         rec = json.loads(lines[-1])
-    elif "MemoryError" in tail:
+    elif "MemoryError" in error:
         rec = {"outcome": "memory_limit"}
     else:
-        rec = {"outcome": "error", "exit": proc.returncode, "stderr": tail}
+        rec = {"outcome": "error", "exit": proc.returncode, "error": error}
     rec["peak_rss_mb"] = peak_mb
     return rec
 

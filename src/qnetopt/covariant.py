@@ -7,22 +7,24 @@ how large a multiple of the weighted seed operator fits under an invariant
 state (or comb).  An optimal tester can be taken covariant, so that question
 is the ordinary tester program (``sdp.standard_form.build_primal``) with a
 single seed outcome T whose normalization is imposed on twirl(T) rather
-than on T; only the outcome rows change, to the twirl's coordinate matrix.
-``covariant_gamma`` solves it and returns gamma_max = gamma_0 / q_max, read
-off the tightened dual, together with the invariant comb that certifies it.
+than on T.  ``covariant_gamma`` solves it and returns gamma_max = gamma_0 /
+q_max, read off the tightened dual, together with the invariant comb that
+certifies it.
 
 When every representative is diagonal (phases, and products of cyclic
 groups), the twirl multiplies entry (p, q) by the mean of a character,
 which is 0 or 1: it keeps a coordinate iff its row and column carry the
-same charge.  That selector comes in closed form from the diagonal phases
-(``diagonal_phases``, ``twirl_mask``, ``kept_coordinates``), and the
-program gets the kept coordinates instead of the matrix, so it has no
-identically zero rows and the solver's Schur kernel covers only the
-coordinates its rows read.  This is the block-diagonalisation of de Klerk,
-Pasechnik and Schrijver (Math. Program. 109, 2007) and Gatermann and
-Parrilo (J. Pure Appl. Algebra 192, 2004), specialised to charge sectors.
-Other actions, such as a cyclic shift, keep the dense coordinate matrix
-(``twirl_coordinates``).
+same charge.  Those coordinates come in closed form from the diagonal
+phases (``diagonal_phases``, ``kept_coordinates``), and they are the
+program's level-N rows: the direct program's rows with the others left
+out.  The group acts locally, so twirling the Xi chain keeps it a chain,
+and the rows left out never bind; the dual's S^(N) lives on the kept
+coordinates, so it is invariant as it comes.  This is the
+block-diagonalisation of de Klerk, Pasechnik and Schrijver (Math. Program.
+109, 2007) and Gatermann and Parrilo (J. Pure Appl. Algebra 192, 2004),
+specialised to charge sectors.  Other actions, such as a cyclic shift,
+solve the seed's orbit directly, as a discrimination problem with a uniform
+prior, and twirl its certificate.
 
 The phase-estimation helpers cover the standard cyclic-group instances:
 single-phase optima on d levels, the correlated two-phase payoff, and the
@@ -44,8 +46,8 @@ from .estimation import EstimationProblem, problem_from_raw_payoff
 from .networks import (CombSpace, QuantumComb, choi_of_channel,
                        comb_of_memoryless_sequence, validate_comb)
 from .operators import LabeledOperator, SystemLabel
-from .sdp.engine import check_dimension_cap, slater_point, tighten_dual
-from .sdp.ipm import SolverOptions, basis_kernel, basis_layout, solve_ipm
+from .sdp.engine import check_dimension_cap, slater_point, solve, tighten_dual
+from .sdp.ipm import SolverOptions, basis_layout, solve_ipm
 from .sdp.standard_form import build_primal, dual_from_y
 
 HOMOMORPHISM_TOL = 1e-10
@@ -132,18 +134,6 @@ def twirl(op: LabeledOperator, action: FiniteGroupAction) -> LabeledOperator:
     return op.with_data(acc / action.size)
 
 
-def twirl_coordinates(action: FiniteGroupAction,
-                      factors: Sequence[SystemLabel]) -> np.ndarray:
-    """The twirl in Hermitian-basis coordinates: P[a, c] = Re<B_a, twirl(B_c)>.
-
-    P = (1/|G|) sum_g Re Tr(B_a U_g B_c U_g^H), the basis kernel of the stack
-    of U_g; it is a symmetric projector because the twirl is a self-adjoint
-    idempotent.
-    """
-    us = np.stack([action.unitary_for(el, factors) for el in action.elements])
-    return basis_kernel(us[:, None])[0] / action.size
-
-
 def diagonal_phases(action: FiniteGroupAction,
                     factors: Sequence[SystemLabel]) -> Optional[np.ndarray]:
     """The diagonals of every U_g on the factors, or None if one is not diagonal.
@@ -170,21 +160,17 @@ def diagonal_phases(action: FiniteGroupAction,
     return phases
 
 
-def twirl_mask(phases: np.ndarray) -> np.ndarray:
-    """The twirl of a diagonal action as an entrywise 0/1 mask.
+def kept_coordinates(phases: np.ndarray) -> np.ndarray:
+    """The Hermitian-basis coordinates the twirl of a diagonal action keeps.
 
     twirl(X)[p, q] = X[p, q] mean_g ph_g[p] conj(ph_g[q]); that mean is the
     average of a character of the group, so it is 1 when row and column
-    carry the same charge and 0 otherwise.
+    carry the same charge and 0 otherwise.  The twirl keeps the coordinates
+    on those positions and zeroes the others.
     """
     mean = phases.T @ phases.conj() / len(phases)
-    return (mean.real > 0.5).astype(float)
-
-
-def kept_coordinates(mask: np.ndarray) -> np.ndarray:
-    """The Hermitian-basis coordinates the twirl keeps: P = diag(kept)."""
-    row, col, _ = basis_layout(mask.shape[0])
-    return np.flatnonzero(mask[row, col])
+    row, col, _ = basis_layout(phases.shape[1])
+    return np.flatnonzero(mean.real[row, col] > 0.5)
 
 
 def cyclic_group(n: int) -> Tuple[tuple, np.ndarray]:
@@ -234,36 +220,65 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
                 phases: Optional[np.ndarray] = None):
     """Smallest lambda with lambda * R >= seed for an invariant comb R.
 
-    This is the one-outcome tester program for the seed comb with the
-    normalization imposed on twirl(T) instead of T.  For a diagonal action
-    (phases from diagonal_phases) build_primal gets the kept coordinates,
-    so the program has rows on those and on the coordinates Xi^(N) reaches
-    only; otherwise it gets the twirl's dense coordinate matrix.  Its dual
-    asks for a dual chain with twirl(S^(N)) >= seed; after tightening,
-    R = twirl(S^(N)) / lambda is an invariant comb with lambda = S^(0), and
-    q_max = 1 / lambda is the largest q with q * seed dominated by an
-    invariant comb.  Returns (lambda, R, the interior-point result).
+    For a diagonal action (phases from diagonal_phases) this is the
+    one-outcome tester program for the seed comb with the normalization
+    imposed on twirl(T) instead of T: build_primal gets the kept
+    coordinates as the level-N rows.  Its dual asks for a dual chain whose
+    S^(N), which lives on the kept coordinates, dominates the seed; after
+    tightening, R = S^(N) / lambda is an invariant comb, whose chain is the
+    twirled dual chain, with lambda = S^(0).  Any other action solves the seed's orbit
+    (_orbit_solve).  q_max = 1 / lambda is the largest q with q * seed
+    dominated by an invariant comb.  Returns (lambda, R, the duality gap on
+    lambda's scale, the interior-point iterations).
     """
     opts = options if options is not None else SolverOptions()
     factors = space.factors()
-    reduced = EstimationProblem(
-        space, (0,), np.ones(1),
-        (QuantumComb(space, LabeledOperator(factors, seed)),), np.ones((1, 1)))
-    check_dimension_cap(reduced, opts)
     if phases is None:
         phases = diagonal_phases(action, factors)
-    mask = None if phases is None else twirl_mask(phases)
-    rows = twirl_coordinates(action, factors) if mask is None else \
-        kept_coordinates(mask)
-    sdp = build_primal(reduced, rows)
-    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
-                    slater_point(sdp), opts)
-    dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
-    lam = dual.s0
-    top = dual.operators[-1]
-    top = twirl(top, action).data if mask is None else top.data * mask
-    inv = LabeledOperator(factors, (top + top.conj().T) / (2.0 * lam))
-    return lam, inv, res
+    if phases is None:
+        lam, top, gap, iterations = _orbit_solve(space, seed, action, opts)
+    else:
+        reduced = EstimationProblem(
+            space, (0,), np.ones(1),
+            (QuantumComb(space, LabeledOperator(factors, seed)),),
+            np.ones((1, 1)))
+        check_dimension_cap(reduced, opts)
+        sdp = build_primal(reduced, kept_coordinates(phases))
+        res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                        slater_point(sdp), opts)
+        dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
+        lam = dual.s0
+        top = dual.operators[-1].data / lam
+        gap, iterations = res.gap, res.iterations
+    inv = LabeledOperator(factors, (top + top.conj().T) / 2.0)
+    return lam, inv, gap, iterations
+
+
+def _orbit_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
+                 opts: SolverOptions):
+    """_qmax_solve through the direct program of the seed's orbit.
+
+    The orbit problem discriminates the combs U_g seed U_g^H under a uniform
+    prior, scoring |G| for a hit, so that its payoff operators are the
+    combs themselves and its optimum is lambda.  Its certificate (lambda, R)
+    has lambda R >= U_g seed U_g^H for every g; conjugating by U_g^H
+    (projective phases cancel) and averaging gives lambda twirl(R) >= seed,
+    and twirl(R) is an invariant comb.  Returns (lambda, twirl(R), gap,
+    iterations).
+    """
+    factors = space.factors()
+    size = action.size
+    combs = []
+    for el in action.elements:
+        u = action.unitary_for(el, factors)
+        combs.append(QuantumComb(space,
+                                 LabeledOperator(factors, u @ seed @ u.conj().T)))
+    orbit = EstimationProblem(space, tuple(range(size)),
+                              np.full(size, 1.0 / size), tuple(combs),
+                              size * np.eye(size))
+    sol = solve(orbit, opts)
+    inv = twirl(sol.comb_certificate.op, action).data
+    return sol.lambda_, inv, sol.gap, sol.iterations
 
 
 def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
@@ -281,7 +296,7 @@ def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
         raise BadParameter("seed state trace deviates from 1")
     in_sys = SystemLabel(out_sys.id + "#src", 1)
     space = CombSpace(((in_sys, out_sys),))
-    lam, inv, _res = _qmax_solve(space, rho0.data, action, options)
+    lam, inv, _, _ = _qmax_solve(space, rho0.data, action, options)
     return 1.0 / lam, LabeledOperator((out_sys,), inv.data)
 
 
@@ -289,7 +304,7 @@ def qmax_comb(comb0: QuantumComb, action: FiniteGroupAction,
               options: Optional[SolverOptions] = None):
     """Comb version of qmax_state: domination within invariant combs."""
     comb0 = validate_comb(comb0)
-    lam, inv, _res = _qmax_solve(comb0.space, comb0.op.data, action, options)
+    lam, inv, _, _ = _qmax_solve(comb0.space, comb0.op.data, action, options)
     opts = options if options is not None else SolverOptions()
     comb = validate_comb(QuantumComb(comb0.space, inv), 100.0 * opts.tol)
     return 1.0 / lam, comb
@@ -338,9 +353,10 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         raise BadParameter("payoff row at the identity is all zero")
     seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
     seed = (seed + seed.conj().T) / 2.0
-    lam, inv, res = _qmax_solve(problem.space, seed, action, options, phases)
-    return CovariantResult(gamma_0 * lam, 1.0 / lam, gamma_0, inv,
-                           res.gap, res.iterations)
+    lam, inv, gap, iterations = _qmax_solve(problem.space, seed, action,
+                                            options, phases)
+    return CovariantResult(gamma_0 * lam, 1.0 / lam, gamma_0, inv, gap,
+                           iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimation import EstimationProblem
-from .networks import (CombSpace, QuantumComb, Tester, comb_of_state,
-                       validate_comb, validate_tester)
+from .networks import CombSpace, QuantumComb, comb_of_state, validate_comb
 from .operators import LabeledOperator, SystemLabel
 
 _counter = itertools.count()
@@ -184,44 +183,3 @@ def random_problem(rng: np.random.Generator) -> EstimationProblem:
         dims = [(2, 2), (2, 2)]
     return random_channel_problem(rng, n, dims, delta=bool(rng.uniform() < 0.7),
                                   memory=bool(rng.uniform() < 0.5))
-
-
-def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> list:
-    """Random informationally unstructured POVM via S^(-1/2) conjugation."""
-    raws = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raws.append(g @ g.conj().T)
-    s = np.sum(raws, axis=0)
-    vals, vecs = np.linalg.eigh(s)
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    return [inv_sqrt @ a @ inv_sqrt for a in raws]
-
-
-def random_product_tester(rng: np.random.Generator, space: CombSpace,
-                          n_outcomes: int) -> Tester:
-    """Random causal tester without memory: fresh input states per step and
-    one POVM measuring all outputs jointly."""
-    d_out = int(np.prod(space.out_dims(), dtype=np.int64))
-    povm = random_povm(rng, d_out, n_outcomes)
-    in_part = np.array([[1.0]])
-    for step in space.steps:
-        in_part = np.kron(in_part, random_density(rng, step.in_sys.dim).T)
-    factors = tuple(s.out_sys for s in space.steps) + \
-        tuple(s.in_sys for s in space.steps)
-    outcomes = tuple((str(m), LabeledOperator(factors, np.kron(p, in_part)))
-                     for m, p in enumerate(povm))
-    return validate_tester(Tester(space, outcomes))
-
-
-def random_product_pair(rng: np.random.Generator) -> tuple:
-    """Two independent problems on disjoint systems, for product-rule runs."""
-    a = random_state_problem(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)),
-                             delta=bool(rng.uniform() < 0.7))
-    if rng.uniform() < 0.3:
-        b = random_channel_problem(rng, 2, [(2, 2)], delta=True)
-    else:
-        b = random_state_problem(rng, int(rng.integers(2, 4)),
-                                 int(rng.integers(2, 4)),
-                                 delta=bool(rng.uniform() < 0.7))
-    return a, b

@@ -44,8 +44,7 @@ class CertificateReport:
     min_margin: float
     tol: float
     certified: bool
-    gamma_bound: float   # equals lambda_: a bound on the stored-payoff optimum
-    payoff_shift: float  # subtract from the bound to reach the unshifted score
+    payoff_shift: float  # subtract from lambda_ to reach the unshifted score
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,10 @@ def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     sectors.  It is added to the level-n rows as (I_out / d_out) (x)
     Delta_n, through the level's entries that read I_out (x) Xi^(n).
     Deltas are PSD for a feasible dual, so each corrected level still
-    dominates the original one; row 0 (S^(0)) is unchanged.
+    dominates the original one; row 0 (S^(0)) is unchanged.  A covariant
+    program's level-N rows are the kept coordinates, so there the update is
+    the twirl of (I_out / d_out) (x) Delta_N, and Tr_out S^(N) equals the
+    twirl of S^(N-1) (x) I_in.
     """
     y = np.array(y, dtype=float)
     cmap = sdp.cmap
@@ -151,7 +153,7 @@ def _margin_report(lambda_: float, comb: QuantumComb,
     min_margin = float(min(margins))
     return CertificateReport(float(lambda_), problem.labels_x, tuple(margins),
                              min_margin, tol, min_margin >= -tol,
-                             float(lambda_), problem.payoff_shift)
+                             problem.payoff_shift)
 
 
 def check_dimension_cap(problem: EstimationProblem, opts: SolverOptions):

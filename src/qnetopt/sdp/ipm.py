@@ -9,10 +9,11 @@ honest error bound.
 
 Constraints are supplied as a BlockConstraintMap in coordinates: x_a =
 Re<B_a, X> in the orthonormal Hermitian basis B (basis_layout), and each
-row group's entry is a real coordinate map R, so its rows read R x.  The
-caller declares the block groups: K copies of s sectors, blocks of one
-side n, where every entry reads the copies alike and the sectors one after
-another, so a group has s n^2 coordinates, sector-major.  (The copies are
+row group's entry is a unit coordinate map R: each of its rows reads a
+scaled sum of coordinates, R x.  The caller declares the block groups: K
+copies of s sectors, blocks of one side n, where every entry reads the
+copies alike and the sectors one after another, so a group has s n^2
+coordinates, sector-major.  (The copies are
 the outcome blocks of a tester; the sectors are the charge sectors of one
 block, or of every outcome block.)  The Schur complement then needs, per
 group, only the block-diagonal S with blocks
@@ -20,9 +21,9 @@ S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt), which one batched GEMM and an
 index gather give in closed form (basis_kernel); for n = 1 that is the
 diagonal sum_k |W_kt|^2.  Entry pairs add R_i S R_j^T.  This is the
 structure-exploiting assembly of Fujisawa, Kojima and Nakata (Math.
-Program. 79, 1997), specialised to comb constraints.  A one-sector group of
-unit-map entries that reads only some coordinates (the kept coordinates of
-a covariant program) gets S on those only, entry by entry from W
+Program. 79, 1997), specialised to comb constraints.  A one-sector group
+whose entries read only some coordinates (the kept coordinates of a
+covariant program) gets S on those only, entry by entry from W
 (coordinate_kernel), without the n^4 GEMM output.  The iteration works on
 one (K s, n, n) stack per block group, one batched LAPACK/BLAS call per
 group and step; the inverse Cholesky factors of X and Z, formed once per
@@ -218,10 +219,9 @@ def coordinate_kernel(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
 class ConstraintEntry:
     """Coordinate map R of one row group on a block: the rows read R x.
 
-    R is scale times the tensor's map, on rows row_start onwards, one per
-    tensor row.  A float tensor is a (rows, n^2) matrix; an integer tensor
-    (rows, k) lists the coordinates whose unit vectors sum to each row, with
-    -1 padding short rows.
+    R is scale times the tensor's unit map, on rows row_start onwards, one
+    per tensor row: the integer tensor (rows, k) lists the coordinates whose
+    unit vectors sum to each row, with -1 padding short rows.
     """
 
     row_start: int
@@ -230,10 +230,9 @@ class ConstraintEntry:
 
     def __post_init__(self):
         t = self.tensor
-        self.unit = t.dtype.kind in "iu"
-        self.padded = self.unit and t.min(initial=0) < 0
-        self.identity = self.unit and self.scale == 1.0 and \
-            t.shape[1:] == (1,) and np.array_equal(t[:, 0], np.arange(len(t)))
+        self.padded = t.min(initial=0) < 0
+        self.identity = self.scale == 1.0 and t.shape[1:] == (1,) and \
+            np.array_equal(t[:, 0], np.arange(len(t)))
 
     @property
     def rows(self) -> slice:
@@ -244,9 +243,7 @@ class ConstraintEntry:
         if self.identity:
             return M
         t = self.tensor
-        if not self.unit:
-            out = t @ M
-        elif t.shape[1] == 1:
+        if t.shape[1] == 1:
             out = M.take(t[:, 0], axis=0)
             if self.padded:
                 out[t[:, 0] < 0] = 0.0
@@ -262,8 +259,6 @@ class ConstraintEntry:
         """R^T @ y, the block's size coordinates."""
         if self.identity:
             return y
-        if not self.unit:
-            return self.scale * (y @ self.tensor)
         width = self.tensor.shape[1]
         weights = y if width == 1 else np.repeat(y, width)
         return self.scale * np.bincount(self.tensor.ravel() + 1, weights,
@@ -273,13 +268,11 @@ class ConstraintEntry:
 def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
     """(used, entries): the coordinates a block group's rows read, if few.
 
-    When every entry is a unit map and together they read fewer than n^2
-    coordinates, the entries are returned remapped to positions in the
-    sorted array `used`, so the Schur pass needs the kernel on those only;
-    otherwise used is None and the entries are returned as they are.
+    When the entries together read fewer than n^2 coordinates, they are
+    returned remapped to positions in the sorted array `used`, so the Schur
+    pass needs the kernel on those only; otherwise used is None and the
+    entries are returned as they are.
     """
-    if not all(e.unit for e in entries):
-        return None, entries
     read = np.zeros(n * n + 1, dtype=bool)  # index -1 marks the padding
     for e in entries:
         read[e.tensor] = True

@@ -22,9 +22,8 @@ the constraint rows of each level are its invariant coordinates, those of
 the Hermitian basis whose row and column positions share a charge: the sum
 of the squared sector sides, not D_j^2.  A trivial torus has one sector per
 space and gives 1 + sum_j D_j^2 rows, which keeps the Schur complement
-positive definite.  A covariant program whose outcome enters on kept
-coordinates only has fewer level-N rows: those coordinates and the ones
-I_out(N) (x) Xi^(N) reaches.
+positive definite.  A covariant program has fewer level-N rows: the
+coordinates its twirl keeps, and no others.
 
 Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
 in_j); with that choice every coefficient is either a basis element, a basis
@@ -246,10 +245,6 @@ class StandardSdp:
     def num_outcomes(self) -> int:
         return self.problem.num_params
 
-    def xi_block(self, j: int) -> int:
-        """Tester-block index of Xi^(j), 1-based j."""
-        return j - 1
-
     def outcome_block(self, k: int) -> int:
         return self.num_steps + k
 
@@ -288,22 +283,19 @@ class StandardSdp:
 
 
 def build_primal(problem: EstimationProblem,
-                 outcome_rows: Optional[np.ndarray] = None,
+                 kept: Optional[np.ndarray] = None,
                  sectors: Optional[ChargeSectors] = None) -> StandardSdp:
     """Assemble blocks, objective, and the structured constraint map.
 
     sectors is the torus whose charge sectors split the blocks and select
     the rows (charge_sectors); None is the trivial torus, one sector a
-    space.  outcome_rows says how the outcome blocks enter the level-N
-    rows, and needs the trivial torus.  None means the identity, which
-    imposes sum_est T_est = I_out(N) (x) Xi^(N).  A real (D_N^2, D_N^2)
-    matrix is a coordinate map: the covariant program passes the twirl's
-    matrix P[a, c] = Re<B_a, twirl(B_c)>, so row a reads <B_a, twirl(T)> and
-    the constraint becomes twirl(T) = I_out(N) (x) Xi^(N).  A 1-D array
-    lists kept coordinates, the twirl of a 0/1 diagonal P: T enters on
-    those only.  The level-N rows are then the kept coordinates together
-    with every coordinate that I_out(N) (x) Xi^(N) reaches; the other rows
-    are zero in every entry and are left out.
+    space.  kept, which needs the trivial torus, lists the level-N
+    coordinates that the covariant program keeps, those that the twirl of
+    a diagonal group action leaves alone; they are then the level-N rows,
+    so the program imposes twirl(sum_est T_est) = twirl(I_out(N) (x)
+    Xi^(N)).  Twirling the Xi chain by the local action keeps it a chain,
+    so the rows left out never bind.  None keeps every coordinate, which
+    imposes sum_est T_est = I_out(N) (x) Xi^(N).
 
     The constraint map gets, in chain order, one block group per sector side
     of each chain operator, holding the entry of the level below that reads
@@ -323,22 +315,16 @@ def build_primal(problem: EstimationProblem,
     prefix = [1] + [sides[j] * d_out[j] for j in range(n_steps)]
     level_dims = tuple(prefix[1:])
 
-    # every level's rows: its invariant coordinates, and the entry that
-    # reads I_out(j) (x) Xi^(j) on them; the level-N rows of a covariant
-    # program and how its outcome blocks enter them
+    # every level's rows: its invariant coordinates, or a covariant
+    # program's kept ones at level N, and the entry that reads
+    # I_out(j) (x) Xi^(j) on them
     level_labels = [torus.labels(space.prefix_factors(j))
                     for j in range(1, n_steps + 1)]
     coords = [_invariant_coords(labels) for labels in level_labels]
+    if kept is not None:
+        coords[-1] = np.asarray(kept)
     shrunk = [_shrunk_rows(prefix[j], d_out[j], d_in[j], coords[j])
               for j in range(n_steps)]
-    if outcome_rows is None:
-        outcome_rows = coords[-1][:, None]
-    elif np.ndim(outcome_rows) == 1:
-        kept = np.asarray(outcome_rows)
-        coords[-1] = np.union1d(kept, np.flatnonzero(shrunk[-1][:, 0] >= 0))
-        shrunk[-1] = shrunk[-1][coords[-1]]
-        outcome_rows = np.where(np.isin(coords[-1], kept), coords[-1],
-                                -1)[:, None]
 
     offsets = [0, 1]
     for c in coords:
@@ -379,7 +365,8 @@ def build_primal(problem: EstimationProblem,
         blocks = tuple(i for k in range(n_out) for i in parts[n_steps + k][g][0])
         groups.append(BlockGroup(
             blocks,
-            [ConstraintEntry(offsets[n_steps], _remap(outcome_rows, pmap))],
+            [ConstraintEntry(offsets[n_steps], _remap(coords[-1][:, None],
+                                                      pmap))],
             len(pos)))
 
     cmap = BlockConstraintMap(m, block_dims, groups)

@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from qnetopt import serde
 from qnetopt.covariant import (FiniteGroupAction, cyclic_group,
                                diagonal_phases, kept_coordinates,
-                               phase_grid_problem, twirl_coordinates,
-                               twirl_mask)
+                               phase_grid_problem)
 from qnetopt.errors import ParseError
 from qnetopt.estimation import EstimationProblem, payoff_operators
-from qnetopt.instances import random_memory_comb, random_state_problem
-from qnetopt.networks import (CombSpace, QuantumComb, choi_of_channel,
+from qnetopt.instances import (random_channel_problem, random_density,
+                               random_memory_comb, random_state_problem,
+                               random_unitary)
+from qnetopt.networks import (CombSpace, QuantumComb, Tester, choi_of_channel,
                               comb_of_memoryless_sequence, comb_of_state,
-                              validate_comb)
+                              validate_comb, validate_tester)
 from qnetopt.operators import (HERM_TOL, LabeledOperator, SystemLabel,
                                embed_identity, identity, identity_on,
                                partial_trace, require_hermitian, tensor)
-from qnetopt.sdp.ipm import coords_from_hermitian
+from qnetopt.sdp.ipm import basis_kernel, coords_from_hermitian
 from qnetopt.sdp.standard_form import build_primal
 
 # one line per acceptance criterion, printed at the end of the run
@@ -128,13 +129,19 @@ def is_invariant(op: LabeledOperator, action: FiniteGroupAction,
                for el in action.elements)
 
 
-def two_step_phase_problem(grid=8):
-    """Two sequential uses of diag(1, w^j) on a grid, payoff 1 + cos."""
-    i1, o1, i2, o2 = (SystemLabel(n, 2) for n in ("i1", "o1", "i2", "o2"))
+def sequential_phase_problem(steps, grid=8):
+    """steps sequential uses of diag(1, w^j) on a grid, payoff 1 + cos.
+
+    steps uses of a qubit phase gate reach steps + 1 phase levels, so the
+    grid must have at least 2 steps + 2 points to carry the continuous
+    optimum.
+    """
+    systems = [(SystemLabel("i%d" % s, 2), SystemLabel("o%d" % s, 2))
+               for s in range(1, steps + 1)]
     rep = {j: np.diag([1.0, np.exp(2j * np.pi * j / grid)])
            for j in range(grid)}
     combs = tuple(comb_of_memoryless_sequence(
-        [choi_of_channel([rep[j]], i1, o1), choi_of_channel([rep[j]], i2, o2)])
+        [choi_of_channel([rep[j]], i, o) for i, o in systems])
         for j in range(grid))
     d = np.arange(grid)
     payoff = 1.0 + np.cos(2 * np.pi * (d[:, None] - d[None, :]) / grid)
@@ -142,7 +149,28 @@ def two_step_phase_problem(grid=8):
                                 np.full(grid, 1.0 / grid), combs, payoff,
                                 payoff_shift=1.0)
     elements, table = cyclic_group(grid)
-    return problem, FiniteGroupAction(elements, table, {"o1": rep, "o2": rep})
+    return problem, FiniteGroupAction(elements, table,
+                                      {o.id: rep for _, o in systems})
+
+
+def rotated_phase_grid(levels):
+    """The phase grid with every channel conjugated by one seeded unitary V.
+
+    The channels are V diag(w^jk) V^H and the action V diag V^H on the
+    output, which is not diagonal; the optimum is the plain grid's.
+    """
+    problem, action = phase_grid_problem(levels)
+    step = problem.space.steps[0]
+    v = random_unitary(np.random.default_rng(0), levels)
+    rep = {el: v @ action.rep[step.out_sys.id][el] @ v.conj().T
+           for el in action.elements}
+    combs = tuple(comb_of_memoryless_sequence(
+        [choi_of_channel([rep[el]], step.in_sys, step.out_sys)])
+        for el in action.elements)
+    rotated = EstimationProblem(problem.space, problem.labels_x, problem.prior,
+                                combs, problem.payoff, problem.payoff_shift)
+    return rotated, FiniteGroupAction(action.elements, action.table,
+                                      {step.out_sys.id: rep})
 
 
 def qubit_state_problem(tag, vectors, priors, payoff=None):
@@ -163,22 +191,70 @@ def helstrom_problem(tag="hel"):
 HELSTROM_VALUE = 0.5 * (1.0 + np.sqrt(2.0) / 2.0)  # 0.8535533905932737
 
 
-def twirled_phase_program(selector: bool = False):
+def twirl_coordinates(action: FiniteGroupAction, factors) -> np.ndarray:
+    """The twirl in Hermitian-basis coordinates: P[a, c] = Re<B_a, twirl(B_c)>.
+
+    P = (1/|G|) sum_g Re Tr(B_a U_g B_c U_g^H), the basis kernel of the stack
+    of U_g; it is a symmetric projector because the twirl is a self-adjoint
+    idempotent.  The reference that the kept coordinates are checked against.
+    """
+    us = np.stack([action.unitary_for(el, factors) for el in action.elements])
+    return basis_kernel(us[:, None])[0] / action.size
+
+
+def selected_phase_program():
     """The covariant program of the 3-level phase grid, and the group action.
 
-    One seed outcome with twirled outcome rows: the dense twirl matrix, or
-    with selector=True the kept coordinates, as covariant_gamma builds it.
+    One seed outcome, with the twirl's kept coordinates as the level-N rows,
+    as covariant_gamma builds it.
     """
     problem, action = phase_grid_problem(3, 8)
     space = problem.space
     reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
                                 np.ones((1, 1)))
-    if selector:
-        rows = kept_coordinates(twirl_mask(
-            diagonal_phases(action, space.factors())))
+    kept = kept_coordinates(diagonal_phases(action, space.factors()))
+    return build_primal(reduced, kept), action
+
+
+def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> list:
+    """Random informationally unstructured POVM via S^(-1/2) conjugation."""
+    raws = []
+    for _ in range(n_outcomes):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raws.append(g @ g.conj().T)
+    s = np.sum(raws, axis=0)
+    vals, vecs = np.linalg.eigh(s)
+    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    return [inv_sqrt @ a @ inv_sqrt for a in raws]
+
+
+def random_product_tester(rng: np.random.Generator, space: CombSpace,
+                          n_outcomes: int) -> Tester:
+    """Random causal tester without memory: fresh input states per step and
+    one POVM measuring all outputs jointly."""
+    d_out = int(np.prod(space.out_dims(), dtype=np.int64))
+    povm = random_povm(rng, d_out, n_outcomes)
+    in_part = np.array([[1.0]])
+    for step in space.steps:
+        in_part = np.kron(in_part, random_density(rng, step.in_sys.dim).T)
+    factors = tuple(s.out_sys for s in space.steps) + \
+        tuple(s.in_sys for s in space.steps)
+    outcomes = tuple((str(m), LabeledOperator(factors, np.kron(p, in_part)))
+                     for m, p in enumerate(povm))
+    return validate_tester(Tester(space, outcomes))
+
+
+def random_product_pair(rng: np.random.Generator) -> tuple:
+    """Two independent problems on disjoint systems, for product-rule runs."""
+    a = random_state_problem(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)),
+                             delta=bool(rng.uniform() < 0.7))
+    if rng.uniform() < 0.3:
+        b = random_channel_problem(rng, 2, [(2, 2)], delta=True)
     else:
-        rows = twirl_coordinates(action, space.factors())
-    return build_primal(reduced, rows), action
+        b = random_state_problem(rng, int(rng.integers(2, 4)),
+                                 int(rng.integers(2, 4)),
+                                 delta=bool(rng.uniform() < 0.7))
+    return a, b
 
 
 # ---------------------------------------------------------------------------

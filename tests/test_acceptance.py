@@ -8,14 +8,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import HELSTROM_VALUE, helstrom_problem, record_acceptance
+from conftest import (HELSTROM_VALUE, helstrom_problem, random_product_pair,
+                      random_product_tester, record_acceptance)
 
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                cyclic_group, phase_estimation_optimum,
                                phase_grid_problem, qmax_state, sum_of_phases)
 from qnetopt.estimation import EstimationProblem
-from qnetopt.instances import (random_memory_comb, random_problem,
-                               random_product_pair, random_product_tester)
+from qnetopt.instances import random_memory_comb, random_problem
 from qnetopt.networks import CombSpace, born_probability, comb_of_state
 from qnetopt.operators import LabeledOperator, SystemLabel, partial_trace
 from qnetopt.product_rule import (counterexample_correlated_payoff,

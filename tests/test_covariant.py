@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnetopt
-from conftest import act, is_invariant, two_step_phase_problem
+from conftest import (act, is_invariant, qubit_state_problem,
+                      rotated_phase_grid, sequential_phase_problem,
+                      twirl_coordinates)
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                cyclic_group, diagonal_phases,
                                kept_coordinates, phase_estimation_optimum,
                                phase_grid_problem, product_group, qmax_comb,
                                qmax_state, sum_of_phases, twirl,
-                               twirl_coordinates, twirl_mask,
                                two_phase_correlated, two_phase_payoff_matrix,
                                two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
                             NotLeftInvariant)
 from qnetopt.estimation import EstimationProblem
-from qnetopt.instances import random_unitary
+from qnetopt.instances import random_pure_state, random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
@@ -118,14 +119,14 @@ def test_twirl_coordinates_match_twirl(make):
 
 DIAGONAL_CASES = {
     "phase-grid": lambda: phase_grid_problem(3, 8),
-    "two-step": lambda: two_step_phase_problem(),
+    "two-step": lambda: sequential_phase_problem(2),
     "two-phase": lambda: two_phase_problem(0.7, 8),
 }
 
 
 def _selector(problem, action):
     factors = problem.space.factors()
-    return kept_coordinates(twirl_mask(diagonal_phases(action, factors)))
+    return kept_coordinates(diagonal_phases(action, factors))
 
 
 @pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
@@ -140,7 +141,7 @@ def test_selector_is_the_dense_twirl_matrix(case):
 
 
 def test_diagonal_phases_are_the_unitary_diagonals():
-    problem, action = two_step_phase_problem()
+    problem, action = sequential_phase_problem(2)
     factors = problem.space.factors()
     phases = diagonal_phases(action, factors)
     for g, el in enumerate(action.elements):
@@ -148,16 +149,22 @@ def test_diagonal_phases_are_the_unitary_diagonals():
                                       action.unitary_for(el, factors))
 
 
-def test_shift_action_keeps_the_dense_twirl():
+def test_shift_action_solves_its_orbit():
     action, factors = _shift_action()
     assert diagonal_phases(action, factors) is None
+    # a qutrit state and its orbit under the cyclic shift
+    v = random_pure_state(np.random.default_rng(4), 3)
+    problem = qubit_state_problem("s", [np.roll(v, j) for j in range(3)],
+                                  np.full(3, 1.0 / 3.0))
+    res = covariant_gamma(problem, action)
+    assert res.gamma_max == pytest.approx(solve(problem).gamma_primal,
+                                          abs=1e-7)
+    assert is_invariant(res.invariant_op, action, tol=1e-9)
+    assert _certifies(problem, res)
 
 
 def _level_n_nonzero_coords(sdp):
-    """Level-N coordinates whose row has a nonzero coefficient somewhere.
-
-    The dense P is computed, so its zero rows hold entries near 1e-17.
-    """
+    """Level-N coordinates whose row has a nonzero coefficient somewhere."""
     ones = [np.eye(n) for n in sdp.cmap.block_dims]
     weight = np.diag(sdp.cmap.schur(sdp.cmap.stack(ones)))
     top = sdp.num_steps
@@ -170,41 +177,70 @@ def test_reduced_rows_are_the_nonzero_rows_of_the_dense_program(case):
     reduced = EstimationProblem(problem.space, (0,), np.ones(1),
                                 (problem.combs[0],), np.ones((1, 1)))
     kept = _selector(problem, action)
-    dense = build_primal(reduced, twirl_coordinates(action,
-                                                    problem.space.factors()))
+    # the dense twirl matrix reads the outcome on its nonzero rows only,
+    # and those are the kept coordinates; the computed P has zero rows
+    # near 1e-17
+    P = twirl_coordinates(action, problem.space.factors())
+    np.testing.assert_array_equal(
+        np.flatnonzero(np.abs(P).max(axis=1) > 1e-12), kept)
     sdp = build_primal(reduced, kept)
-    np.testing.assert_array_equal(sdp.level_coords(sdp.num_steps),
-                                  _level_n_nonzero_coords(dense))
-    np.testing.assert_array_equal(_level_n_nonzero_coords(sdp),
-                                  sdp.level_coords(sdp.num_steps))
-    assert set(kept) <= set(sdp.level_coords(sdp.num_steps))
-    # the Xi^(N) entry reaches coordinates outside the kept ones here
-    if case == "two-step":
-        assert len(sdp.level_coords(sdp.num_steps)) > len(kept)
+    np.testing.assert_array_equal(sdp.level_coords(sdp.num_steps), kept)
+    np.testing.assert_array_equal(_level_n_nonzero_coords(sdp), kept)
+    assert sdp.cmap.m == sdp.level_offsets[sdp.num_steps] + len(kept)
+    if case == "two-step":  # of the 256 coordinates of level 2
+        assert len(kept) == 96
 
 
 PARITY_CASES = {
     "grid-3": lambda: phase_grid_problem(3),
     "grid-4": lambda: phase_grid_problem(4),
     "grid-5": lambda: phase_grid_problem(5),
-    "two-step": lambda: two_step_phase_problem(),
+    "two-step": lambda: sequential_phase_problem(2),
     "two-phase-0.26": lambda: two_phase_problem(0.2601612582347196, 8),
     "two-phase-0.7": lambda: two_phase_problem(0.7, 8),
 }
+
+
+def _certifies(problem, res):
+    report = certify_dual(res.gamma_max,
+                          QuantumComb(problem.space, res.invariant_op),
+                          problem, tol=1e-7)
+    return report.certified
 
 
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
 def test_reduced_program_matches_dense_twirl_program(case, monkeypatch):
     problem, action = PARITY_CASES[case]()
     reduced = covariant_gamma(problem, action)
-    # without diagonal phases covariant_gamma falls back to the dense P
+    # without diagonal phases covariant_gamma solves the seed's orbit
     monkeypatch.setattr("qnetopt.covariant.diagonal_phases",
                         lambda action, factors: None)
-    dense = covariant_gamma(problem, action)
-    assert reduced.gamma_max == pytest.approx(dense.gamma_max, abs=1e-12)
-    assert reduced.iterations == dense.iterations
-    np.testing.assert_allclose(reduced.invariant_op.data,
-                               dense.invariant_op.data, atol=1e-9)
+    orbit = covariant_gamma(problem, action)
+    assert reduced.gamma_max == pytest.approx(orbit.gamma_max, abs=1e-7)
+    assert _certifies(problem, reduced) and _certifies(problem, orbit)
+
+
+@pytest.mark.parametrize("levels", [4, 7])
+def test_rotated_phase_grid_solves_its_orbit(levels):
+    # a non-diagonal action; at 7 levels the Schur complement of a dense
+    # twirl program, with its linearly dependent rows, is singular
+    problem, action = rotated_phase_grid(levels)
+    assert diagonal_phases(action, problem.space.factors()) is None
+    res = covariant_gamma(problem, action)
+    assert res.gamma_max == pytest.approx(
+        problem.payoff_shift + phase_estimation_optimum(levels).cos_max,
+        abs=1e-7)
+    assert _certifies(problem, res)
+
+
+def test_three_sequential_gates_match_the_phase_oracle():
+    # three uses of a qubit phase gate do as well as one 4-level probe
+    problem, action = sequential_phase_problem(3)
+    res = covariant_gamma(problem, action)
+    assert res.gamma_max == pytest.approx(
+        problem.payoff_shift + phase_estimation_optimum(4).cos_max, abs=1e-7)
+    # the level-3 rows are the kept coordinates only, of 4096
+    assert len(_selector(problem, action)) == 1280
 
 
 def test_product_group_structure():
@@ -224,6 +260,20 @@ def test_qmax_orthogonal_orbit():
     np.testing.assert_allclose(rho.data, np.eye(2) / 2.0, atol=1e-6)
     # hit-or-miss success over the orbit: 1 / (|X| q) = 1
     assert 1.0 / (2 * q) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_qmax_projective_pauli_action():
+    # X and Z anticommute, so the Pauli action of Z_2 x Z_2 is projective;
+    # the orbit path's certificate must not depend on the phases
+    e, t = cyclic_group(2)
+    elements, table = product_group(e, t, e, t)
+    rep = {(a, b): np.linalg.matrix_power(X_MAT, a)
+           @ np.linalg.matrix_power(np.diag([1.0, -1.0]), b)
+           for a, b in elements}
+    action = FiniteGroupAction(elements, table, {"q": rep})
+    q, rho = qmax_state(LabeledOperator((Q,), np.diag([1.0, 0.0])), action)
+    assert q == pytest.approx(0.5, abs=1e-7)
+    np.testing.assert_allclose(rho.data, np.eye(2) / 2.0, atol=1e-6)
 
 
 def test_qmax_invariant_seed_is_one():
@@ -252,7 +302,7 @@ def test_covariant_gamma_matches_direct_solve():
 
 
 def test_covariant_gamma_two_step_matches_direct_and_oracle():
-    problem, action = two_step_phase_problem()
+    problem, action = sequential_phase_problem(2)
     red = covariant_gamma(problem, action)
     assert red.gamma_max == pytest.approx(solve(problem).gamma_primal + 1.0,
                                           abs=1e-6)
@@ -263,12 +313,14 @@ def test_covariant_gamma_two_step_matches_direct_and_oracle():
 
 @pytest.mark.parametrize("make", [
     lambda: phase_grid_problem(2),
-    two_step_phase_problem,
+    lambda: sequential_phase_problem(2),
+    lambda: sequential_phase_problem(3),
     lambda: two_phase_problem(0.2601612582347196, 8),
-], ids=["phase-2", "two-step", "two-phase-8"])
+], ids=["phase-2", "two-step", "three-step", "two-phase-8"])
 def test_reduced_result_certifies_full_problem(make):
     problem, action = make()
     res = covariant_gamma(problem, action)
+    assert is_invariant(res.invariant_op, action)
     report = certify_dual(res.gamma_max,
                           QuantumComb(problem.space, res.invariant_op),
                           problem, tol=1e-7)

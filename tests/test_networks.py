@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import memory_combs, seeds
+from conftest import memory_combs, random_product_tester, seeds
 from qnetopt import serde
 from qnetopt.errors import (BadPermutation, DimensionCap, NormalizationViolation,
                             NotAState, NotPSD, NotTracePreserving,
                             ShapeMismatch)
 from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_density, random_memory_comb,
-                               random_product_tester, random_unitary)
+                               random_unitary)
 from qnetopt.networks import (CombSpace, QuantumComb, Tester, born_probability,
                               choi_of_channel, comb_of_memoryless_sequence,
                               comb_of_state, tensor_combs, tensor_testers,

@@ -25,7 +25,7 @@ def test_twin_helstrom_product():
     assert rep.gamma_joint == pytest.approx(TWIN, abs=2e-6)
     assert rep.relative_deviation <= 1e-6
     assert rep.certified
-    assert rep.joint_certificate.gamma_bound == pytest.approx(
+    assert rep.joint_certificate.lambda_ == pytest.approx(
         np.prod(rep.lambdas), abs=1e-12)
 
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from scipy.linalg import solve_triangular
 
 from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
-                      mixed_comb, outcome_residuals, qubit_state_problem,
-                      state_problems, twirled_phase_program,
-                      two_step_phase_problem)
+                      is_invariant, mixed_comb, outcome_residuals,
+                      qubit_state_problem, selected_phase_program,
+                      sequential_phase_problem, state_problems)
 from qnetopt import serde
 from qnetopt.cli import main
-from qnetopt.covariant import twirl
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
                             MaxIterations, NumericalFailure)
 from qnetopt.estimation import (expected_payoff, payoff_operators,
@@ -183,9 +182,9 @@ def test_mixed_comb_gives_a_loose_certificate():
     p = helstrom_problem()
     report = certify_dual(2.0, mixed_comb(p.space), p)
     assert report.certified
-    assert report.gamma_bound >= HELSTROM_VALUE - 1e-9
+    assert report.lambda_ >= HELSTROM_VALUE - 1e-9
     tight = solve(p)
-    assert report.gamma_bound > tight.gamma_primal
+    assert report.lambda_ > tight.gamma_primal
 
 
 def test_slater_point_is_strictly_feasible_on_random_problems():
@@ -213,11 +212,10 @@ TIGHTEN_CASES = {
     "memory-3step": lambda: (build_primal(random_channel_problem(
         np.random.default_rng(8), 2, [(2, 1), (1, 2), (2, 1)],
         memory=True)), None),
-    "twirled-phase3": twirled_phase_program,
-    "selected-phase3": lambda: twirled_phase_program(selector=True),
+    "selected-phase3": selected_phase_program,
     # Xi^(2) has sectors of two sides, so two groups to tighten
     "sectors-phase-2step": lambda: (sector_program(
-        two_step_phase_problem()[0]), None),
+        sequential_phase_problem(2)[0]), None),
 }
 
 
@@ -237,8 +235,8 @@ def test_tighten_dual_makes_chain_exact(case):
     for new, old in zip(tight.operators, raw.operators):
         assert min_eig(new - old) >= -1e-12
     top = tight.operators[-1]
-    if action is not None:  # the covariant program dominates with twirl(S^(N))
-        top = twirl(top, action)
+    if action is not None:  # the covariant program's S^(N) is invariant
+        assert is_invariant(top, action)
     for g in payoff_operators(problem).operators:
         assert min_eig(top - g) >= -opts.tol
 
@@ -261,7 +259,7 @@ def test_certificate_transfers_to_off_optimum_comb():
     lam, cert = sol.lambda_, sol.comb_certificate
     # lambda * R - G_x is PSD, so every strategy value is below lambda
     rep = certify_dual(lam, cert, p)
-    assert rep.gamma_bound == pytest.approx(sol.gamma_dual, abs=1e-9)
+    assert rep.lambda_ == pytest.approx(sol.gamma_dual, abs=1e-9)
 
 
 def test_ykl_binary_matches_trace_norm_formula(rng):
@@ -306,4 +304,4 @@ def test_memory_comb_strategy_value_is_feasible(rng):
     sol = solve(p)
     lam, cert = sol.lambda_, sol.comb_certificate
     rep = certify_dual(lam, cert, p)
-    assert rep.certified and rep.gamma_bound >= sol.gamma_primal - 1e-8
+    assert rep.certified and rep.lambda_ >= sol.gamma_primal - 1e-8

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (helstrom_problem, seeds, state_problems,
-                      structural_row_values, twirled_phase_program)
+from conftest import (helstrom_problem, seeds, selected_phase_program,
+                      state_problems, structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
@@ -156,7 +156,7 @@ def test_objective_blocks_encode_payoff():
             assert np.array_equal(sdp.assemble(sdp.outcome_block(k), sdp.C),
                                   -op.data)
         for j in range(1, sdp.num_steps + 1):
-            assert not np.any(sdp.assemble(sdp.xi_block(j), sdp.C))
+            assert not np.any(sdp.assemble(j - 1, sdp.C))
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,7 +186,7 @@ def _assert_rows_agree(sdp, g):
     sides = [sum(pos.size for _, pos in parts) for parts in sdp.parts]
     xi_ops = [LabeledOperator(space.prefix_factors(j - 1)
                               + (space.steps[j - 1].in_sys,),
-                              rand_herm(g, sides[sdp.xi_block(j)]))
+                              rand_herm(g, sides[j - 1]))
               for j in range(1, sdp.num_steps + 1)]
     t_ops = [LabeledOperator(space.factors(),
                              rand_herm(g, sides[sdp.outcome_block(k)]))
@@ -216,9 +216,8 @@ def test_kernels_match_dense_rows(rng):
                 np.random.default_rng(9), 2, [(1, 3), (2, 2)], memory=True)),
             # the direct phase program: Tr_out reaches 1/3 of its rows
             build_primal(phase_grid_problem(3)[0]),
-            twirled_phase_program()[0],
             # the outcome group reads the kept coordinates only
-            twirled_phase_program(selector=True)[0],
+            selected_phase_program()[0],
             # sector programs: groups of many sectors, of side 1 and more
             sector_program(phase_grid_problem(3)[0]),
             sector_program(two_phase_problem(1.0, 4)[0])):
@@ -256,7 +255,7 @@ def test_coordinate_kernel_is_the_basis_kernel_restricted(n, k, rng):
 
 
 def test_restricted_top_level_scatters_through_its_coordinates(rng):
-    sdp = twirled_phase_program(selector=True)[0]
+    sdp = selected_phase_program()[0]
     top = sdp.num_steps
     coords = sdp.level_coords(top)
     d = sdp.level_dims[top - 1]
