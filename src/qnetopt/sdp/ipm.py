@@ -24,20 +24,24 @@ structure-exploiting assembly of Fujisawa, Kojima and Nakata (Math.
 Program. 79, 1997), specialised to comb constraints.  A one-sector group
 whose entries read only some coordinates (the kept coordinates of a
 covariant program) gets S on those only, entry by entry from W
-(coordinate_kernel), without the n^4 GEMM output.  The iteration works on
-one (K s, n, n) stack per block group, one batched LAPACK/BLAS call per
-group and step; the inverse Cholesky factors of X and Z, formed once per
-iteration, serve the NT scaling, Z^-1 and all four step lengths.
+(coordinate_kernel), without the n^4 GEMM output.  The iteration keeps one
+(2 K s, n, n) stack [X; Z] per group: one batched Cholesky and inverse an
+iteration serve the NT scaling and Z^-1, and one eigensolve of each
+direction [dX; dZ] gives both step lengths.  The predictor and corrector
+share W R_d W and its image under A.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+# LAPACK itself: at small m, SciPy's checking cho_factor and cho_solve cost
+# several times the work.  solve_ipm looks the names up at call time.
+from scipy.linalg.lapack import dpotrf as cho_factor, dpotrs as cho_solve
 
 from ..errors import MaxIterations, NumericalFailure
 
@@ -415,6 +419,11 @@ def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry])
                 H[ej.rows, ei.rows] += hij.T
 
 
+# iterate it of a solve, and the step (centering sigma, lengths alpha) to it
+IpmStep = namedtuple("IpmStep",
+                     "it pobj dobj rel_gap mu sigma alpha_p alpha_d")
+
+
 @dataclass
 class IpmResult:
     X: List[np.ndarray]
@@ -428,6 +437,7 @@ class IpmResult:
     rel_gap: float
     feas_primal: float
     feas_dual: float
+    history: tuple  # one IpmStep per iteration, in order
 
 
 def _chol_jitter(M: np.ndarray, what: str):
@@ -445,13 +455,14 @@ def _chol_jitter(M: np.ndarray, what: str):
                            {"jitter": jitter, "dim": n})
 
 
-def _chol_stack(M: np.ndarray, ids, what: str) -> np.ndarray:
-    """Cholesky factors of a (k, n, n) stack; only failing blocks get jitter."""
+def _chol_pair(XZ: np.ndarray, ids) -> np.ndarray:
+    """Cholesky factors of a stacked [X; Z]; only failing blocks get jitter."""
     try:
-        return np.linalg.cholesky(M)
+        return np.linalg.cholesky(XZ)
     except np.linalg.LinAlgError:
-        return np.array([_chol_jitter(Mb, "%s block %d" % (what, b))
-                         for Mb, b in zip(M, ids)])
+        names = ["%s block %d" % (half, b) for half in ("primal", "dual")
+                 for b in ids]
+        return np.array([_chol_jitter(M, what) for M, what in zip(XZ, names)])
 
 
 def _ct(M: np.ndarray) -> np.ndarray:
@@ -462,19 +473,19 @@ def _herm(M: np.ndarray) -> np.ndarray:
     return (M + _ct(M)) / 2.0
 
 
-def _max_step(Linv: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with M + alpha*delta >= 0 for every M = L L^H of a stack.
+def _step_pair(Linv: np.ndarray, D: np.ndarray):
+    """Largest (alpha_p, alpha_d) keeping each half of [X; Z] + alpha D >= 0.
 
-    Linv is the stack of inverse factors: I + alpha L^-1 delta L^-H >= 0.
+    Linv stacks the inverse factors L^-1: I + alpha L^-1 D L^-H >= 0, whose
+    one triangle eigvalsh reads.  A half that D keeps >= 0 gets inf.
     """
-    s = _herm(Linv @ delta @ _ct(Linv))
     try:
-        lam = float(np.linalg.eigvalsh(s)[:, 0].min())
+        lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[:, 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("step-length eigenvalues: %s" % exc, {}) from exc
-    if lam >= -1e-13:
-        return np.inf
-    return -1.0 / lam
+    k = len(lam) // 2
+    return tuple(np.inf if low >= -1e-13 else -1.0 / low
+                 for low in (float(lam[:k].min()), float(lam[k:].min())))
 
 
 def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int):
@@ -506,18 +517,18 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
     """Run the predictor-corrector loop from the given strictly feasible pair."""
     nu = float(sum(cmap.block_dims))
     group_ids = [g.blocks for g in cmap.groups]
-    X, Cs = cmap.stack(X0), cmap.stack(C)
+    halves = [len(ids) for ids in group_ids]
+    Cs = cmap.stack(C)
     y = np.array(y0, dtype=float)
-    Z = [c - a for c, a in zip(Cs, cmap.apply_AT(y))]
+    XZ = [np.concatenate([x, c - a]) for x, c, a in
+          zip(cmap.stack(X0), Cs, cmap.apply_AT(y))]  # [X; Z] per group
     b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     c_scale = 1.0 + max(float(np.max(np.abs(Cb))) if Cb.size else 0.0 for Cb in C)
     slow_steps = 0
-
-    def gather(status, it, pobj, dobj, gap, fp, fd):
-        return IpmResult(cmap.unstack(X), y, cmap.unstack(Z), it, status, pobj,
-                         dobj, gap, gap / (1.0 + abs(pobj) + abs(dobj)), fp, fd)
+    history = []
 
     for it in range(opts.max_iter + 1):
+        X, Z = zip(*[(xz[:k], xz[k:]) for xz, k in zip(XZ, halves)])
         r_p = b - cmap.apply_A(X)
         R_d = [c - z - a for c, z, a in zip(Cs, Z, cmap.apply_AT(y))]
         pobj = float(sum(np.vdot(c, x).real for c, x in zip(Cs, X)))
@@ -527,9 +538,13 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         feas_p = float(np.max(np.abs(r_p))) / b_scale if r_p.size else 0.0
         feas_d = max(float(np.max(np.abs(Rb))) for Rb in R_d) / c_scale
         mu = gap / nu
+        if it:
+            history.append(IpmStep(it, pobj, dobj, rel_gap, mu, sigma, ap, ad))
         feas_tol = opts.tol * FEAS_TOL_FACTOR
         if rel_gap <= opts.tol and feas_p <= feas_tol and feas_d <= feas_tol:
-            return gather("optimal", it, pobj, dobj, gap, feas_p, feas_d)
+            return IpmResult(cmap.unstack(X), y, cmap.unstack(Z), it,
+                             "optimal", pobj, dobj, gap, rel_gap, feas_p,
+                             feas_d, tuple(history))
         if it == opts.max_iter:
             raise MaxIterations(
                 "no convergence in %d iterations (relative gap %.3e)"
@@ -539,70 +554,74 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
 
         # Nesterov-Todd scaling, one stacked call per group; the inverse
         # factors also serve Z^-1 and every step length of the iteration
-        Lx = [_chol_stack(x, ids, "primal") for x, ids in zip(X, group_ids)]
-        Lz = [_chol_stack(z, ids, "dual") for z, ids in zip(Z, group_ids)]
-        Lxinv = [np.linalg.inv(lx) for lx in Lx]
-        Lzinv = [np.linalg.inv(lz) for lz in Lz]
-        Gs, Ginvs, svals = zip(*[_nt_scaling(*args, it) for args in
-                                 zip(Lx, Lxinv, Lz, group_ids)])
+        Ls = [_chol_pair(xz, ids) for xz, ids in zip(XZ, group_ids)]
+        Linvs = [np.linalg.inv(lf) for lf in Ls]
+        Gs, Ginvs, svals = zip(*[
+            _nt_scaling(lf[:k], li[:k], lf[k:], ids, it)
+            for lf, li, k, ids in zip(Ls, Linvs, halves, group_ids)])
         Ws = [g @ _ct(g) for g in Gs]
+        A_WRW = cmap.apply_A([w @ rd @ w for w, rd in zip(Ws, R_d)])
 
         H = cmap.schur(Ws)
         # factor a diagonally shifted copy in place (its transpose is the
         # Fortran-ordered view LAPACK overwrites); refinement uses H itself
         F = H.copy()
         F.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
-        # cho_factor checks F is finite, so its factor is; each solve then
-        # checks only its right-hand side
-        try:
-            Hf = cho_factor(F.T, overwrite_a=True)
-        except np.linalg.LinAlgError:
+        # F is checked finite once, so its factor is; each solve then checks
+        # only its right-hand side
+        if not np.isfinite(F).all():
+            raise NumericalFailure("Schur complement not finite at iteration %d"
+                                   % it, {"iteration": it})
+        Hf, info = cho_factor(F.T, clean=0, overwrite_a=1)
+        if info:
             raise NumericalFailure("Schur complement not positive definite",
                                    {"iteration": it})
-        except ValueError as exc:  # a NaN or inf in H
-            raise NumericalFailure("Schur complement not finite at iteration %d"
-                                   % it, {"iteration": it}) from exc
 
         def solve_schur(rhs):
             if not np.isfinite(rhs).all():
                 raise NumericalFailure("Newton right-hand side not finite at "
                                        "iteration %d" % it,
                                        {"iteration": it})
-            return cho_solve(Hf, rhs, check_finite=False)
+            return cho_solve(Hf, rhs)[0]
 
-        def newton(Rc):
-            E = [rc - w @ rd @ w for rc, w, rd in zip(Rc, Ws, R_d)]
-            rhs = r_p - cmap.apply_A(E)
+        def newton(rhs, Rc):
+            """dy, and per group [dX; dZ], for rhs = r_p - A(Rc - W R_d W)."""
             dy = solve_schur(rhs)
             dy = dy + solve_schur(rhs - H @ dy)
-            dZ = [_herm(rd - a) for rd, a in zip(R_d, cmap.apply_AT(dy))]
-            dX = [_herm(rc - w @ dz @ w) for rc, w, dz in zip(Rc, Ws, dZ)]
-            return dX, dy, dZ
+            D = []
+            for rc, w, rd, a in zip(Rc, Ws, R_d, cmap.apply_AT(dy)):
+                dz = rd - a  # exactly Hermitian, as R_d and A^T dy are
+                D.append(np.concatenate([_herm(rc - w @ dz @ w), dz]))
+            return D, dy
 
-        def step(Linv, delta):
-            return min([STEP_FRACTION * _max_step(li, d)
-                        for li, d in zip(Linv, delta)] + [1.0])
+        def step(D):
+            pairs = zip(*[_step_pair(li, d) for li, d in zip(Linvs, D)])
+            return [min(1.0, STEP_FRACTION * min(al)) for al in pairs]
 
-        # predictor
-        dX_a, dy_a, dZ_a = newton([-x for x in X])
-        ap, ad = step(Lxinv, dX_a), step(Lzinv, dZ_a)
-        mu_aff = sum(np.vdot(x + ap * dx, z + ad * dz).real
-                     for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / nu
+        # predictor, Rc = -X: r_p - A(-X - W R_d W) = b + A(W R_d W)
+        D_a, _ = newton(b + A_WRW, [-x for x in X])
+        ap, ad = step(D_a)
+        mu_aff = sum(np.vdot(xz[:k] + ap * d[:k], xz[k:] + ad * d[k:]).real
+                     for xz, d, k in zip(XZ, D_a, halves)) / nu
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, MIN_SIGMA, 1.0))
 
         # corrector with Mehrotra second-order term in the scaled space
         Rc = []
-        for x, lzinv, g, ginv, s, dxa, dza in zip(X, Lzinv, Gs, Ginvs, svals,
-                                                  dX_a, dZ_a):
-            cross = _herm((ginv @ dxa @ _ct(ginv)) @ (_ct(g) @ dza @ g))
+        for x, li, g, ginv, s, d, k in zip(X, Linvs, Gs, Ginvs, svals, D_a,
+                                           halves):
+            cross = _herm((ginv @ d[:k] @ _ct(ginv)) @ (_ct(g) @ d[k:] @ g))
             cross = 2.0 * cross / (s[:, :, None] + s[:, None, :])
-            Rc.append(sigma * mu * (_ct(lzinv) @ lzinv) - x - g @ cross @ _ct(g))
-        dX, dy, dZ = newton(Rc)
-        ap, ad = step(Lxinv, dX), step(Lzinv, dZ)
+            Rc.append(sigma * mu * (_ct(li[k:]) @ li[k:]) - x
+                      - g @ cross @ _ct(g))
+        D, dy = newton(r_p - cmap.apply_A(Rc) + A_WRW, Rc)
+        ap, ad = step(D)
 
-        X = [_herm(x + ap * d) for x, d in zip(X, dX)]
+        # X, Z and the directions stay exactly Hermitian: no projection
+        for xz, d, k in zip(XZ, D, halves):
+            d[:k] *= ap
+            d[k:] *= ad
+            xz += d
         y = y + ad * dy
-        Z = [_herm(z + ad * d) for z, d in zip(Z, dZ)]
         del H, F, Hf  # free the Schur pair before the next assembly
 
         if min(ap, ad) < 1e-5:

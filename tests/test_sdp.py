@@ -21,8 +21,9 @@ from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
                          yuen_kennedy_lax)
 from qnetopt.sdp.engine import tighten_dual
-from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_stack, _max_step,
-                             _nt_scaling, solve_ipm)
+from qnetopt.covariant import phase_grid_problem
+from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _nt_scaling,
+                             _step_pair, solve_ipm)
 from qnetopt.sdp.standard_form import (build_primal, charge_sectors,
                                        dual_from_y)
 
@@ -59,6 +60,28 @@ def test_max_iterations_raises_with_diagnostics():
     assert "iteration" in str(err.value).lower() or err.value.diagnostics
 
 
+def test_iteration_counts_are_pinned():
+    # every per-iteration cost is multiplied by these; a change of one shows
+    assert solve(phase_grid_problem(4)[0]).iterations == 8
+    assert solve(helstrom_problem()).iterations == 6
+
+
+def test_ipm_history_records_every_iteration():
+    sdp = build_primal(phase_grid_problem(4)[0])
+    opts = SolverOptions()
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                    slater_point(sdp), opts)
+    assert len(res.history) == res.iterations
+    assert [h.it for h in res.history] == list(range(1, res.iterations + 1))
+    for h in res.history:
+        assert 0.0 < h.alpha_p <= 1.0 and 0.0 < h.alpha_d <= 1.0
+        assert 0.0 < h.sigma <= 1.0 and h.mu > 0.0
+    last = res.history[-1]
+    assert last.rel_gap <= opts.tol
+    assert (last.pobj, last.dobj, last.rel_gap) == (res.pobj, res.dobj,
+                                                     res.rel_gap)
+
+
 def test_dimension_cap_checked_before_work():
     p = random_channel_problem(np.random.default_rng(0), 2, [(2, 2), (2, 2)])
     with pytest.raises(DimensionCap):
@@ -70,8 +93,9 @@ def test_step_length_eigen_failure_is_numerical_failure(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    eye = np.array([np.eye(2)] * 2)
     with pytest.raises(NumericalFailure, match="step-length"):
-        _max_step(np.eye(2)[None], -np.eye(2)[None])
+        _step_pair(eye, -eye)
 
 
 def _reference_step(L, delta):
@@ -90,30 +114,42 @@ def test_batched_step_length_matches_per_block_reference(rng, n):
         a = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
         return a + a.conj().transpose(0, 2, 1)
 
-    a = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    # [X; Z] of 4 + 4 blocks; each half's step must be its own reference
+    a = rng.normal(size=(8, n, n)) + 1j * rng.normal(size=(8, n, n))
     L = np.linalg.cholesky(a @ a.conj().transpose(0, 2, 1) + 0.1 * np.eye(n))
     Linv = np.linalg.inv(L)
-    for delta in (herm(4), herm(4) - 5.0 * n * np.eye(n)):
-        step = _max_step(Linv, delta)
-        assert np.isfinite(step)
-        assert step == pytest.approx(_reference_step(L, delta), rel=1e-9)
-    psd = a.conj().transpose(0, 2, 1) @ a
-    assert _max_step(Linv, psd) == np.inf == _reference_step(L, psd)
+    dX, dZ = herm(4), herm(4) - 5.0 * n * np.eye(n)
+    for D in (np.concatenate([dX, dZ]), np.concatenate([dZ, dX])):
+        steps = _step_pair(Linv, D)
+        for half, step in zip((slice(0, 4), slice(4, 8)), steps):
+            assert np.isfinite(step)
+            assert step == pytest.approx(_reference_step(L[half], D[half]),
+                                         rel=1e-9)
+    psd = a[:4].conj().transpose(0, 2, 1) @ a[:4]
+    ap, ad = _step_pair(Linv, np.concatenate([psd, dZ]))
+    assert ap == np.inf == _reference_step(L[:4], psd)
+    assert ad == pytest.approx(_reference_step(L[4:], dZ), rel=1e-9)
+    ap, ad = _step_pair(Linv, np.concatenate([dX, psd]))
+    assert np.isfinite(ap) and ad == np.inf
 
 
 def test_stacked_cholesky_jitters_only_the_failing_block(rng):
-    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    # a stacked [X; Z] of 3 + 3 blocks; only a failing block gets jitter
+    a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
     M = a @ a.conj().transpose(0, 2, 1) + np.eye(4)
-    M[1] = np.diag([2.0, 1.0, 1.0, 0.0])  # PSD but singular
-    L = _chol_stack(M, [5, 6, 7], "primal")
-    for i in (0, 2):
-        np.testing.assert_array_equal(L[i], np.linalg.cholesky(M[i]))
-    assert L[1][3, 3].real > 0
-    np.testing.assert_allclose(L[1] @ L[1].conj().T, M[1], atol=1e-12)
+    for bad, name in ((1, "primal block 7"), (4, "dual block 7")):
+        XZ = M.copy()
+        XZ[bad] = np.diag([2.0, 1.0, 1.0, 0.0])  # PSD but singular
+        L = _chol_pair(XZ, [5, 6, 7])
+        for i in set(range(6)) - {bad}:
+            np.testing.assert_array_equal(L[i], np.linalg.cholesky(XZ[i]))
+        assert L[bad][3, 3].real > 0
+        np.testing.assert_allclose(L[bad] @ L[bad].conj().T, XZ[bad],
+                                   atol=1e-12)
 
-    M[2] = np.diag([1.0, -1.0, 1.0, 1.0])  # indefinite
-    with pytest.raises(NumericalFailure, match="primal block 7"):
-        _chol_stack(M, [5, 6, 7], "primal")
+        XZ[bad + 1] = np.diag([1.0, -1.0, 1.0, 1.0])  # indefinite
+        with pytest.raises(NumericalFailure, match=name):
+            _chol_pair(XZ, [5, 6, 7])
 
 
 def test_nt_scaling_failures_name_their_block():
@@ -131,8 +167,8 @@ def test_nt_scaling_failures_name_their_block():
     assert err.value.diagnostics == {"iteration": 3, "block": 5}
 
 
-# apply_A runs three times an iteration (residual, predictor, corrector), so
-# its fifth call is iteration 1's predictor; schur runs once an iteration
+# apply_A runs three times an iteration (residual, A(W R_d W), corrector), so
+# its fifth call feeds iteration 1's predictor; schur runs once an iteration
 @pytest.mark.parametrize("method, calls, what", [
     ("apply_A", 4, "right-hand side"),
     ("schur", 1, "Schur complement"),
@@ -163,6 +199,21 @@ def test_non_finite_newton_system_is_numerical_failure(
     assert main(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == 6
     stderr = capsys.readouterr().err
     assert stderr.startswith("numerical failure: ") and what in stderr
+
+
+def test_indefinite_schur_complement_is_numerical_failure(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(BlockConstraintMap, "schur",
+                        lambda self, Ws: -np.eye(self.m))
+    with pytest.raises(NumericalFailure,
+                       match="Schur complement not positive definite") as err:
+        solve(helstrom_problem())
+    assert err.value.diagnostics == {"iteration": 0}
+
+    path = tmp_path / "problem.json"
+    serde.dump_path(serde.problem_to_json(helstrom_problem()), str(path))
+    assert main(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == 6
+    assert "Schur complement not positive definite" in capsys.readouterr().err
 
 
 def test_certify_dual_rejects_negative_lambda():
