@@ -37,8 +37,8 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
-RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "memory-3x22",
-         "covariant-12", "gates-3", "rotated-7")
+RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "memory-3x22", "memory-2x33",
+         "covariant-12", "covariant-16", "gates-3", "rotated-7")
 POLL_S = 0.05
 MEMORY_GIB = 3  # address-space limit of each child
 
@@ -51,12 +51,15 @@ def _grid(levels):
     return lambda: solve(problem), oracle
 
 
-def _memory():
+def _memory(shape):
+    """A random memoryful comb, K=2: shape "3x22" is 3 steps of (2, 2)."""
     import numpy as np
     from qnetopt.instances import random_channel_problem
     from qnetopt.sdp import solve
+    steps, (d_in, d_out) = shape.split("x")
     problem = random_channel_problem(np.random.default_rng(0), 2,
-                                     [(2, 2)] * 3, memory=True)
+                                     [(int(d_in), int(d_out))] * int(steps),
+                                     memory=True)
     return lambda: solve(problem), None
 
 
@@ -131,7 +134,7 @@ def run_rung(name: str) -> dict:
         problem, action, oracle = COVARIANT[kind](int(arg))
         call = lambda: covariant_gamma(problem, action)
     else:
-        call, oracle = _memory()
+        call, oracle = _memory(arg)
     start = time.perf_counter()
     try:
         result = call()

@@ -10,8 +10,8 @@ factorizes and reproduces the counterexamples that break it.
 
 from . import errors
 from .operators import (DIMENSION_CAP, LabeledOperator, SystemLabel,
-                        embed_identity, hs_inner, is_psd, min_eig,
-                        partial_trace, permute_systems)
+                        embed_identity, min_eig, partial_trace,
+                        permute_systems)
 from .networks import (CombSpace, QuantumComb, Tester, born_probability,
                        choi_of_channel, comb_of_memoryless_sequence,
                        comb_of_state, tensor_combs, tensor_testers,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors", "DIMENSION_CAP", "LabeledOperator", "SystemLabel",
-    "embed_identity", "hs_inner", "is_psd", "min_eig", "partial_trace",
+    "embed_identity", "min_eig", "partial_trace",
     "permute_systems", "CombSpace", "QuantumComb", "Tester",
     "born_probability", "choi_of_channel", "comb_of_memoryless_sequence",
     "comb_of_state", "tensor_combs", "tensor_testers", "uniform_tester",

@@ -213,14 +213,3 @@ def min_eig(a: LabeledOperator, rel: float = HERM_TOL) -> float:
     require_hermitian(a, rel)
     return float(np.linalg.eigvalsh((a.data + a.data.conj().T) / 2.0)[0])
 
-
-def is_psd(a: LabeledOperator, tol: float = 1e-8) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * max(1, max-entry norm)."""
-    scale = max(1.0, float(np.max(np.abs(a.data))) if a.data.size else 1.0)
-    return min_eig(a) >= -tol * scale
-
-
-def hs_inner(a: LabeledOperator, b: LabeledOperator) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dagger b]."""
-    _require_same_structure(a, b)
-    return complex(np.vdot(a.data, b.data))

@@ -129,8 +129,8 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
     Any pair passing this check proves that no admissible strategy can exceed
     an expected payoff of lambda on the stored scale.
     """
-    if lambda_ < 0:
-        raise BadParameter("certificate scalar must be nonnegative")
+    if not np.isfinite(lambda_) or lambda_ < 0:
+        raise BadParameter("certificate scalar must be finite and nonnegative")
     try:
         comb = validate_comb(comb, max(tol, 1e-8))
     except (NotPSD, NormalizationViolation, ShapeMismatch) as exc:
@@ -190,10 +190,8 @@ def solve(problem: EstimationProblem,
                     slater_point(sdp), opts)
 
     factors = space.factors()
-    outcomes = []
-    for k, label in enumerate(problem.labels_x):
-        mat = sdp.assemble(sdp.outcome_block(k), res.X)
-        outcomes.append((label, LabeledOperator(factors, mat)))
+    outcomes = [(label, LabeledOperator(factors, sdp.outcome(k, res.X)))
+                for k, label in enumerate(problem.labels_x)]
     check_tol = 10.0 * opts.tol
     dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
     lambda_ = dual.s0

@@ -7,28 +7,29 @@ dual starting points; with those, every iterate stays (numerically) feasible,
 so primal and dual objectives bracket the optimum and the duality gap is an
 honest error bound.
 
+The program is its block groups: each is K copies of s sector blocks of
+one side n, held as one (K s, n, n) stack, copy k's sectors at rows
+k s .. k s + s - 1.  C, the start X0 and the result's X and Z come as one
+such stack per group; blocks are numbered group by group, stack row by
+stack row.  (The copies are the outcome blocks of a tester; the sectors
+are the charge sectors of one block, or of every outcome block.)
 Constraints are supplied as a BlockConstraintMap in coordinates: x_a =
 Re<B_a, X> in the orthonormal Hermitian basis B (basis_layout), and each
 row group's entry is a unit coordinate map R: each of its rows reads a
-scaled sum of coordinates, R x.  The caller declares the block groups: K
-copies of s sectors, blocks of one side n, where every entry reads the
-copies alike and the sectors one after another, so a group has s n^2
-coordinates, sector-major.  (The copies are
-the outcome blocks of a tester; the sectors are the charge sectors of one
-block, or of every outcome block.)  The Schur complement then needs, per
-group, only the block-diagonal S with blocks
-S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt), which one batched GEMM and an
-index gather give in closed form (basis_kernel); for n = 1 that is the
-diagonal sum_k |W_kt|^2.  Entry pairs add R_i S R_j^T.  This is the
-structure-exploiting assembly of Fujisawa, Kojima and Nakata (Math.
-Program. 79, 1997), specialised to comb constraints.  A one-sector group
-whose entries read only some coordinates (the kept coordinates of a
-covariant program) gets S on those only, entry by entry from W
-(coordinate_kernel), without the n^4 GEMM output.  The iteration keeps one
-(2 K s, n, n) stack [X; Z] per group: one batched Cholesky and inverse an
-iteration serve the NT scaling and Z^-1, and one eigensolve of each
-direction [dX; dZ] gives both step lengths.  The predictor and corrector
-share W R_d W and its image under A.
+scaled sum of coordinates, R x, of the copies summed, s n^2 coordinates
+sector-major.  The Schur complement then needs, per group, only the
+block-diagonal S with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt),
+which one batched GEMM and an index gather give in closed form
+(basis_kernel); for n = 1 that is the diagonal sum_k |W_kt|^2.  Entry
+pairs add R_i S R_j^T.  This is the structure-exploiting assembly of
+Fujisawa, Kojima and Nakata (Math. Program. 79, 1997), specialised to comb
+constraints.  A one-sector group whose entries read only some coordinates
+(the kept coordinates of a covariant program) gets S on those only, entry
+by entry from W (coordinate_kernel), without the n^4 GEMM output.  The
+iteration keeps one (2 K s, n, n) stack [X; Z] per group: one batched
+Cholesky and inverse an iteration serve the NT scaling and Z^-1, and one
+eigensolve of each direction [dX; dZ] gives both step lengths.  The
+predictor and corrector share W R_d W and its image under A.
 """
 
 from __future__ import annotations
@@ -292,13 +293,13 @@ def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
 class BlockGroup(NamedTuple):
     """K copies of s sector blocks of one side n, which the entries read alike.
 
-    blocks lists the copies one after another, each its s sectors:
-    blocks[k * sectors + t] is sector t of copy k.  A sums the copies, and
-    the entries read the sectors' coordinates one after another, s n^2 of
-    them.
+    Its stack is (K s, n, n), sector t of copy k at row k s + t.  A sums the
+    copies, and the entries read the sectors' coordinates one after
+    another, s n^2 of them.
     """
 
-    blocks: tuple
+    copies: int
+    side: int
     entries: list
     sectors: int = 1
 
@@ -307,57 +308,26 @@ class BlockConstraintMap:
     """The linear map A and its adjoint, with a structured Schur assembler.
 
     They act on one (K s, n, n) stack per block group, in the order of
-    groups; stack / unstack convert from and to block order.  entries lists
-    every group's entries, and sizes the number of coordinates they read in
-    each group.
+    groups.  entries lists every group's entries, and sizes the number of
+    coordinates they read in each group.
     """
 
-    def __init__(self, m: int, block_dims: Sequence[int],
-                 groups: Sequence[BlockGroup]):
+    def __init__(self, m: int, groups: Sequence[BlockGroup]):
         self.m = int(m)
-        self.block_dims = tuple(int(n) for n in block_dims)
         self.groups = list(groups)
-        sides = [{self.block_dims[b] for b in g.blocks} for g in self.groups]
-        covered = sorted(b for g in self.groups for b in g.blocks)
-        if covered != list(range(len(self.block_dims))) or \
-                any(len(s) != 1 or len(g.blocks) % g.sectors
-                    for s, g in zip(sides, self.groups)):
-            raise ValueError("block groups %r of sides %r must cover blocks "
-                             "0..%d once, one side a group, whole copies"
-                             % ([g.blocks for g in self.groups], sides,
-                                len(self.block_dims) - 1))
-        self._sides = [s.pop() for s in sides]
-        self.sizes = [g.sectors * n * n
-                      for g, n in zip(self.groups, self._sides)]
-        # each group's copies K, sectors s and side n
-        self._layouts = [(len(g.blocks) // g.sectors, g.sectors, n)
-                         for g, n in zip(self.groups, self._sides)]
+        self.sizes = [g.sectors * g.side ** 2 for g in self.groups]
         self.entries = [e for g in self.groups for e in g.entries]
-        self._kernels = [_kernel_coords(g.entries, n) if g.sectors == 1 else
-                         (None, g.entries)
-                         for g, n in zip(self.groups, self._sides)]
-
-    def stack(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One complex (K s, n, n) stack per group from blocks in block order."""
-        return [np.array([blocks[b] for b in g.blocks], dtype=complex)
-                for g in self.groups]
-
-    def unstack(self, stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """The blocks in block order, as views of the group stacks."""
-        blocks = [None] * len(self.block_dims)
-        for g, st in zip(self.groups, stacks):
-            for b, x in zip(g.blocks, st):
-                blocks[b] = x
-        return blocks
+        self._kernels = [_kernel_coords(g.entries, g.side) if g.sectors == 1
+                         else (None, g.entries) for g in self.groups]
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
-        for g, st, (k, s, n) in zip(self.groups, stacks, self._layouts):
-            if s == 1:
+        for g, st in zip(self.groups, stacks):
+            if g.sectors == 1:
                 coords = coords_from_hermitian(st.sum(axis=0))
             else:  # the copies summed sector by sector, sector-major
-                coords = coords_from_hermitian(
-                    st.reshape(k, s, n, n).sum(axis=0)).ravel()
+                coords = coords_from_hermitian(st.reshape(
+                    g.copies, g.sectors, g.side, g.side).sum(axis=0)).ravel()
             for e in g.entries:
                 y[e.rows] += e.left(coords)
         return y
@@ -365,8 +335,9 @@ class BlockConstraintMap:
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
         """Per group, the sector blocks every copy gets, broadcast read-only."""
         out = []
-        for g, size, (k, s, n) in zip(self.groups, self.sizes, self._layouts):
+        for g, size in zip(self.groups, self.sizes):
             coords = sum(e.adjoint(y[e.rows], size) for e in g.entries)
+            k, s, n = g.copies, g.sectors, g.side
             if s == 1:
                 out.append(np.broadcast_to(hermitian_from_coords(coords, n),
                                            (k, n, n)))
@@ -378,18 +349,18 @@ class BlockConstraintMap:
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
         """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W."""
         H = np.zeros((self.m, self.m))
-        for stack, layout, (used, entries) in zip(scalings, self._layouts,
-                                                  self._kernels):
-            _add_pairs(H, _group_kernel(stack, layout, used), entries)
+        for g, stack, (used, entries) in zip(self.groups, scalings,
+                                             self._kernels):
+            _add_pairs(H, _group_kernel(stack, g, used), entries)
         return H
 
 
-def _group_kernel(stack: np.ndarray, layout, used) -> np.ndarray:
+def _group_kernel(stack: np.ndarray, g: BlockGroup, used) -> np.ndarray:
     """A group's S: block diagonal over its sectors, or on the used coordinates."""
     if used is not None:
         return coordinate_kernel(stack, used)
-    k, s, n = layout
-    return _block_diagonal(basis_kernel(stack.reshape(k, s, n, n)))
+    return _block_diagonal(basis_kernel(
+        stack.reshape(g.copies, g.sectors, g.side, g.side)))
 
 
 def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):
@@ -426,6 +397,8 @@ IpmStep = namedtuple("IpmStep",
 
 @dataclass
 class IpmResult:
+    """The optimum: X and Z one (K s, n, n) stack per group, as C was."""
+
     X: List[np.ndarray]
     y: np.ndarray
     Z: List[np.ndarray]
@@ -514,24 +487,29 @@ def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int)
 def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
               X0: Sequence[np.ndarray], y0: np.ndarray,
               opts: SolverOptions = SolverOptions()) -> IpmResult:
-    """Run the predictor-corrector loop from the given strictly feasible pair."""
-    nu = float(sum(cmap.block_dims))
-    group_ids = [g.blocks for g in cmap.groups]
-    halves = [len(ids) for ids in group_ids]
-    Cs = cmap.stack(C)
+    """Run the predictor-corrector loop from the given strictly feasible pair.
+
+    C and X0 hold one (K s, n, n) stack per group of cmap, and so do the
+    result's X and Z.
+    """
+    halves = [g.copies * g.sectors for g in cmap.groups]
+    nu = float(sum(k * g.side for k, g in zip(halves, cmap.groups)))
+    # blocks are numbered group by group
+    group_ids = [range(first - k, first)
+                 for k, first in zip(halves, np.cumsum(halves))]
     y = np.array(y0, dtype=float)
     XZ = [np.concatenate([x, c - a]) for x, c, a in
-          zip(cmap.stack(X0), Cs, cmap.apply_AT(y))]  # [X; Z] per group
+          zip(X0, C, cmap.apply_AT(y))]  # [X; Z] per group
     b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
-    c_scale = 1.0 + max(float(np.max(np.abs(Cb))) if Cb.size else 0.0 for Cb in C)
+    c_scale = 1.0 + max(float(np.abs(c).max(initial=0.0)) for c in C)
     slow_steps = 0
     history = []
 
     for it in range(opts.max_iter + 1):
         X, Z = zip(*[(xz[:k], xz[k:]) for xz, k in zip(XZ, halves)])
         r_p = b - cmap.apply_A(X)
-        R_d = [c - z - a for c, z, a in zip(Cs, Z, cmap.apply_AT(y))]
-        pobj = float(sum(np.vdot(c, x).real for c, x in zip(Cs, X)))
+        R_d = [c - z - a for c, z, a in zip(C, Z, cmap.apply_AT(y))]
+        pobj = float(sum(np.vdot(c, x).real for c, x in zip(C, X)))
         dobj = float(np.dot(b, y))
         gap = float(sum(np.vdot(x, z).real for x, z in zip(X, Z)))
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
@@ -542,9 +520,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             history.append(IpmStep(it, pobj, dobj, rel_gap, mu, sigma, ap, ad))
         feas_tol = opts.tol * FEAS_TOL_FACTOR
         if rel_gap <= opts.tol and feas_p <= feas_tol and feas_d <= feas_tol:
-            return IpmResult(cmap.unstack(X), y, cmap.unstack(Z), it,
-                             "optimal", pobj, dobj, gap, rel_gap, feas_p,
-                             feas_d, tuple(history))
+            return IpmResult(list(X), y, list(Z), it, "optimal", pobj, dobj,
+                             gap, rel_gap, feas_p, feas_d, tuple(history))
         if it == opts.max_iter:
             raise MaxIterations(
                 "no convergence in %d iterations (relative gap %.3e)"

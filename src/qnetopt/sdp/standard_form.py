@@ -23,7 +23,9 @@ the Hermitian basis whose row and column positions share a charge: the sum
 of the squared sector sides, not D_j^2.  A trivial torus has one sector per
 space and gives 1 + sum_j D_j^2 rows, which keeps the Schur complement
 positive definite.  A covariant program has fewer level-N rows: the
-coordinates its twirl keeps, and no others.
+coordinates its twirl keeps, and no others.  The sectors of one side are
+one block group of the solver: those of each Xi^(j), and those of every
+outcome block, the outcomes as its copies.
 
 Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
 in_j); with that choice every coefficient is either a basis element, a basis
@@ -206,11 +208,6 @@ def _remap(tensor: np.ndarray, pmap: Optional[np.ndarray]) -> np.ndarray:
     return tensor if pmap is None else pmap[tensor]
 
 
-def _whole(pos: np.ndarray, side: int) -> bool:
-    """Whether the sectors pos are one sector of every position."""
-    return pos.shape == (1, side)
-
-
 # ---------------------------------------------------------------------------
 # the tester SDP
 # ---------------------------------------------------------------------------
@@ -218,23 +215,23 @@ def _whole(pos: np.ndarray, side: int) -> bool:
 
 @dataclass(frozen=True)
 class StandardSdp:
-    """Block structure, objective, constraint map, and right-hand side.
+    """Block groups, objective, constraint map, and right-hand side.
 
-    The tester blocks (Xi^(1)..Xi^(N), then the outcomes) are split into
-    the solver's blocks: parts[b] lists, per side, the solver block indices
-    (s,) of tester block b's sectors and their positions (s, n).
+    The program's blocks are the cmap groups' stacks: first, step by step,
+    the groups of Xi^(j)'s sectors (xi_groups), then those of the outcome
+    blocks' sectors, every outcome a copy.  positions[g] holds the (s, n)
+    positions of group g's sectors in their tester block.
     """
 
     problem: EstimationProblem
     payoff_ops: PayoffOperators
-    block_dims: tuple     # side of each solver block
     level_dims: tuple     # side of each constraint level space, 1..N
     level_offsets: tuple  # first row of each level 0..N, then the row count
     cmap: BlockConstraintMap
-    C: tuple              # objective blocks (min <C, X> convention)
+    C: tuple              # objective stacks (min <C, X> convention)
     b: np.ndarray
     coords: tuple         # per level 1..N, each row's level-space coordinate
-    parts: tuple          # per tester block, (solver blocks, positions) by side
+    positions: tuple      # per group, its sectors' positions (s, n)
     xi_groups: tuple      # per step, the cmap groups of Xi^(j)'s sectors
 
     @property
@@ -245,9 +242,6 @@ class StandardSdp:
     def num_outcomes(self) -> int:
         return self.problem.num_params
 
-    def outcome_block(self, k: int) -> int:
-        return self.num_steps + k
-
     def level_rows(self, j: int) -> slice:
         return slice(self.level_offsets[j], self.level_offsets[j + 1])
 
@@ -255,37 +249,34 @@ class StandardSdp:
         """Coordinate of each row of level j >= 1 in its level space."""
         return self.coords[j - 1]
 
-    def assemble(self, b: int, X: Sequence[np.ndarray]) -> np.ndarray:
-        """Tester block b at full size from the solver blocks X, 0 off-sector."""
-        parts = self.parts[b]
-        side = sum(pos.size for _, pos in parts)
-        if _whole(parts[0][1], side):
-            return X[parts[0][0][0]]
+    def outcome(self, k: int, X: Sequence[np.ndarray]) -> np.ndarray:
+        """Outcome k at full size from the group stacks X, 0 off-sector."""
+        side = self.level_dims[-1]
         out = np.zeros((side, side), dtype=complex)
-        for idx, pos in parts:
-            out[pos[:, :, None], pos[:, None, :]] = [X[i] for i in idx]
+        first = self.xi_groups[-1][-1] + 1
+        for pos, x in zip(self.positions[first:], X[first:]):
+            s = len(pos)
+            out[pos[:, :, None], pos[:, None, :]] = x[k * s:(k + 1) * s]
         return out
 
     def primal_start(self) -> List[np.ndarray]:
-        """The uniform tester chain: strictly feasible, all equalities exact."""
-        space = self.problem.space
-        scales, c = [], 1.0
-        for step in space.steps:
+        """The uniform tester chain: strictly feasible, all equalities exact.
+
+        Xi^(j) is I / (d_in(1) ... d_in(j)), and each outcome I_N / K.
+        """
+        scale, c = [], 1.0
+        for step, groups in zip(self.problem.space.steps, self.xi_groups):
             c = c / step.in_sys.dim
-            scales.append(c)
-        scales += [c / self.num_outcomes] * self.num_outcomes
-        blocks = [None] * len(self.block_dims)
-        for value, parts in zip(scales, self.parts):
-            for idx, pos in parts:
-                for i in idx:
-                    blocks[i] = value * np.eye(pos.shape[1])
-        return blocks
+            scale += [c] * len(groups)
+        scale += [c / self.num_outcomes] * (len(self.positions) - len(scale))
+        return [v * np.broadcast_to(np.eye(st.shape[-1]), st.shape)
+                for v, st in zip(scale, self.C)]
 
 
 def build_primal(problem: EstimationProblem,
                  kept: Optional[np.ndarray] = None,
                  sectors: Optional[ChargeSectors] = None) -> StandardSdp:
-    """Assemble blocks, objective, and the structured constraint map.
+    """Assemble the block groups, objective, and the structured constraint map.
 
     sectors is the torus whose charge sectors split the blocks and select
     the rows (charge_sectors); None is the trivial torus, one sector a
@@ -297,11 +288,13 @@ def build_primal(problem: EstimationProblem,
     so the rows left out never bind.  None keeps every coordinate, which
     imposes sum_est T_est = I_out(N) (x) Xi^(N).
 
-    The constraint map gets, in chain order, one block group per sector side
-    of each chain operator, holding the entry of the level below that reads
-    Xi^(j) and the level-j entry -I_out(j) (x) Xi^(j); then one group per
-    sector side of the outcome space, with every outcome block's sectors of
-    that side, which share the level-N entry.
+    The program gets, in chain order, one block group per sector side of
+    each chain operator, one copy holding the entry of the level below
+    that reads Xi^(j) and the level-j entry -I_out(j) (x) Xi^(j); then one
+    group per sector side of the outcome space, a copy per outcome, which
+    share the level-N entry.  Its objective is zero on the chain and -G_est
+    on outcome est's sectors, one gather of the stacked payoff operators
+    per outcome group.
     """
     torus = sectors if sectors is not None else ChargeSectors()
     space = problem.space
@@ -331,63 +324,40 @@ def build_primal(problem: EstimationProblem,
         offsets.append(offsets[-1] + len(c))
     m = offsets[-1]
 
-    # the sectors of each tester block, by side, and their solver blocks
-    xi_split = [_side_groups(torus.labels(space.prefix_factors(j)
-                                          + (space.steps[j].in_sys,)))
-                for j in range(n_steps)]
-    out_split = _side_groups(level_labels[-1])
-    block_dims, parts = [], []
-    for split in xi_split + [out_split] * n_out:
-        block_part = []
-        for pos, _ in split:
-            first = len(block_dims)
-            block_part.append((range(first, first + len(pos)), pos))
-            block_dims += [pos.shape[1]] * len(pos)
-        parts.append(tuple(block_part))
-
     # lower[j] reads Xi^(j+1) at level j; level 0 reads its trace, the sum
     # of its diagonal coordinates
     lower = [np.arange(sides[0])[None, :]]
     lower += [_grown_rows(prefix[j], d_in[j], coords[j - 1])
               for j in range(1, n_steps)]
-    groups, xi_groups = [], []
+    groups, positions, xi_groups, C = [], [], [], []
     for j in range(n_steps):
-        xi_groups.append(tuple(range(len(groups),
-                                     len(groups) + len(xi_split[j]))))
-        for (idx, pos), (_, pmap) in zip(parts[j], xi_split[j]):
-            groups.append(BlockGroup(
-                tuple(idx),
-                [ConstraintEntry(offsets[j], _remap(lower[j], pmap)),
-                 ConstraintEntry(offsets[j + 1], _remap(shrunk[j], pmap),
-                                 -1.0)],
-                len(pos)))
-    for g, (pos, pmap) in enumerate(out_split):
-        blocks = tuple(i for k in range(n_out) for i in parts[n_steps + k][g][0])
-        groups.append(BlockGroup(
-            blocks,
-            [ConstraintEntry(offsets[n_steps], _remap(coords[-1][:, None],
-                                                      pmap))],
-            len(pos)))
+        split = _side_groups(torus.labels(space.prefix_factors(j)
+                                          + (space.steps[j].in_sys,)))
+        xi_groups.append(tuple(range(len(groups), len(groups) + len(split))))
+        for pos, pmap in split:
+            s, n = pos.shape
+            groups.append(BlockGroup(1, n, [
+                ConstraintEntry(offsets[j], _remap(lower[j], pmap)),
+                ConstraintEntry(offsets[j + 1], _remap(shrunk[j], pmap),
+                                -1.0)], s))
+            positions.append(pos)
+            C.append(np.zeros((s, n, n), dtype=complex))
 
-    cmap = BlockConstraintMap(m, block_dims, groups)
+    # objective: -G_est on each outcome's sectors, the outcomes as copies
+    gops = payoff_operators(problem)
+    G = -np.array([g.data for g in gops.operators], dtype=complex)
+    for pos, pmap in _side_groups(level_labels[-1]):
+        s, n = pos.shape
+        groups.append(BlockGroup(n_out, n, [ConstraintEntry(
+            offsets[n_steps], _remap(coords[-1][:, None], pmap))], s))
+        positions.append(pos)
+        C.append(G[:, pos[:, :, None], pos[:, None, :]].reshape(-1, n, n))
+
     b = np.zeros(m)
     b[0] = 1.0
-
-    # objective: zero on the chain, -G_est on each outcome's sectors
-    gops = payoff_operators(problem)
-    C = []
-    for t, block_part in enumerate(parts):
-        for _, pos in block_part:
-            if t < n_steps:
-                C.extend(np.zeros((len(pos), pos.shape[1], pos.shape[1])))
-            else:
-                g = gops.operators[t - n_steps].data
-                C.extend([-g] if _whole(pos, len(g)) else
-                         -g[pos[:, :, None], pos[:, None, :]])
-
-    return StandardSdp(problem, gops, tuple(block_dims), level_dims,
-                       tuple(offsets), cmap, tuple(C), b, tuple(coords),
-                       tuple(parts), tuple(xi_groups))
+    return StandardSdp(problem, gops, level_dims, tuple(offsets),
+                       BlockConstraintMap(m, groups), tuple(C), b,
+                       tuple(coords), tuple(positions), tuple(xi_groups))
 
 
 # ---------------------------------------------------------------------------

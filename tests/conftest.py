@@ -19,7 +19,8 @@ from qnetopt.networks import (CombSpace, QuantumComb, Tester, choi_of_channel,
                               validate_comb, validate_tester)
 from qnetopt.operators import (HERM_TOL, LabeledOperator, SystemLabel,
                                embed_identity, identity, identity_on,
-                               partial_trace, require_hermitian, tensor)
+                               min_eig, partial_trace, require_hermitian,
+                               tensor)
 from qnetopt.sdp.ipm import basis_kernel, coords_from_hermitian
 from qnetopt.sdp.standard_form import build_primal
 
@@ -99,6 +100,18 @@ def eig_hermitian(a: LabeledOperator, rel: float = HERM_TOL):
     require_hermitian(a, rel)
     vals, vecs = np.linalg.eigh((a.data + a.data.conj().T) / 2.0)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def is_psd(a: LabeledOperator, tol: float = 1e-8) -> bool:
+    """True iff the smallest eigenvalue is >= -tol * max(1, max-entry norm)."""
+    scale = max(1.0, float(np.max(np.abs(a.data))) if a.data.size else 1.0)
+    return min_eig(a) >= -tol * scale
+
+
+def hs_inner(a: LabeledOperator, b: LabeledOperator) -> complex:
+    """Hilbert-Schmidt inner product Tr[a^dagger b] on one factor structure."""
+    assert a.factors == b.factors, (a.label_ids(), b.label_ids())
+    return complex(np.vdot(a.data, b.data))
 
 
 def operator_to_json(op: LabeledOperator) -> dict:

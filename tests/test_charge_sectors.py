@@ -36,7 +36,7 @@ def test_phase_grid_has_one_level_sector_and_singletons(levels):
     assert len(sdp.level_coords(1)) == 2 * levels ** 2 - levels
     assert sdp.cmap.m == 1 + 2 * levels ** 2 - levels
     # the input levels carry distinct charges: Xi^(1) is diagonal
-    assert [pos.shape for _, pos in sdp.parts[0]] == [(levels, 1)]
+    assert [sdp.positions[g].shape for g in sdp.xi_groups[0]] == [(levels, 1)]
 
 
 def test_two_phase_splits_four_and_twelve_singletons():

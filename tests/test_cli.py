@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,19 @@ def test_dual_check_rejects_scaled_lambda(problem_file, tmp_path, capsys):
     rc, _out, err = run(capsys, "dual-check", problem_file, str(path))
     assert rc == 2
     assert "certified False" in err
+
+
+@pytest.mark.parametrize("lam", ["-Infinity", "Infinity", "NaN"])
+def test_dual_check_rejects_non_finite_lambda(problem_file, tmp_path, capsys,
+                                              lam):
+    doc = serde.comb_to_json(solve(helstrom_problem()).comb_certificate)
+    path = tmp_path / "lambda.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "lambda": %s}' % lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        rc, _out, err = run(capsys, "dual-check", problem_file, str(path))
+    assert rc == 7
+    assert "finite and nonnegative" in err
 
 
 def test_dual_check_accepts_bare_comb_with_lambda(problem_file, tmp_path,

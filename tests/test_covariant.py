@@ -165,8 +165,9 @@ def test_shift_action_solves_its_orbit():
 
 def _level_n_nonzero_coords(sdp):
     """Level-N coordinates whose row has a nonzero coefficient somewhere."""
-    ones = [np.eye(n) for n in sdp.cmap.block_dims]
-    weight = np.diag(sdp.cmap.schur(sdp.cmap.stack(ones)))
+    ones = [np.broadcast_to(np.eye(c.shape[-1], dtype=complex), c.shape)
+            for c in sdp.C]
+    weight = np.diag(sdp.cmap.schur(ones))
     top = sdp.num_steps
     return sdp.level_coords(top)[weight[sdp.level_rows(top)] > 1e-12]
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import helstrom_problem, random_product_tester, state_problems
+from conftest import (helstrom_problem, hs_inner, is_psd,
+                      random_product_tester, state_problems)
 from qnetopt.errors import BadParameter, DuplicateLabel, ShapeMismatch
 from qnetopt.estimation import (EstimationProblem, expected_payoff,
                                 joint_problem, payoff_operators,
                                 problem_from_raw_payoff, shifted_problem)
 from qnetopt.networks import born_probability, uniform_tester, validate_tester
-from qnetopt.operators import hs_inner, is_psd
 
 
 def test_prior_must_normalize():

@@ -167,6 +167,28 @@ def test_nt_scaling_failures_name_their_block():
     assert err.value.diagnostics == {"iteration": 3, "block": 5}
 
 
+def test_solve_ipm_keeps_one_stack_per_group():
+    sdp = sector_program(phase_grid_problem(3)[0])
+    groups = sdp.cmap.groups
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                    slater_point(sdp))
+    assert len(res.X) == len(res.Z) == len(groups)
+    for g, x, z in zip(groups, res.X, res.Z):
+        assert x.shape == z.shape == (g.copies * g.sectors, g.side, g.side)
+
+    # raising the rows that read coordinate 0 of the second outcome group
+    # makes that group's dual slack indefinite (Xi^(1)'s only grows); its
+    # first block fails, numbered group by group
+    second = sdp.xi_groups[-1][-1] + 2
+    entry, = groups[second].entries
+    y0 = slater_point(sdp)
+    y0[entry.row_start + np.flatnonzero(entry.tensor[:, 0] == 0)] += 1e6
+    first = sum(g.copies * g.sectors for g in groups[:second])
+    with pytest.raises(NumericalFailure,
+                       match="Cholesky failed for dual block %d$" % first):
+        solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(), y0)
+
+
 # apply_A runs three times an iteration (residual, A(W R_d W), corrector), so
 # its fifth call feeds iteration 1's predictor; schur runs once an iteration
 @pytest.mark.parametrize("method, calls, what", [

@@ -17,26 +17,30 @@ from conftest import (helstrom_problem, seeds, selected_phase_program,
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
-from qnetopt.sdp.ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
-                             _float_positions, basis_kernel,
+from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
                              coordinate_kernel, coords_from_hermitian,
                              hermitian_from_coords)
-from qnetopt.sdp.standard_form import (build_primal, charge_sectors,
-                                       dual_from_y)
+from qnetopt.sdp.standard_form import (block_sides, build_primal,
+                                       charge_sectors, dual_from_y)
 
 
 def sector_program(problem):
     return build_primal(problem, sectors=charge_sectors(problem))
 
 
-def solver_blocks(sdp, tester_blocks):
-    """The solver blocks of full-size tester blocks: their sector parts."""
-    out = [None] * len(sdp.block_dims)
-    for full, parts in zip(tester_blocks, sdp.parts):
-        for idx, pos in parts:
-            for i, p in zip(idx, pos):
-                out[i] = full[np.ix_(p, p)]
-    return out
+def group_owners(sdp):
+    """Per group, the tester blocks whose sectors it stacks, copy by copy."""
+    outcomes = range(sdp.num_steps, sdp.num_steps + sdp.num_outcomes)
+    owners = {g: (j,) for j, gs in enumerate(sdp.xi_groups) for g in gs}
+    return [owners.get(g, outcomes) for g in range(len(sdp.positions))]
+
+
+def group_stacks(sdp, tester_blocks):
+    """The group stacks of full-size tester blocks: their sector parts."""
+    return [np.array([tester_blocks[t][np.ix_(p, p)] for t in owners
+                      for p in pos], dtype=complex)
+            for owners, pos in zip(group_owners(sdp),
+                                   sdp.positions)]
 
 
 def rand_herm(g, d):
@@ -121,12 +125,21 @@ def test_block_layout_and_row_partition():
     problem = phase_grid_problem(3)[0]
     for sdp in (build_primal(problem), sector_program(problem)):
         n = sdp.num_steps
-        assert len(sdp.parts) == n + sdp.num_outcomes
-        solver = sorted(i for parts in sdp.parts for idx, _ in parts
-                        for i in idx)
-        assert solver == list(range(len(sdp.block_dims)))
-        for parts in sdp.parts:  # a block's sectors partition its positions
-            positions = np.concatenate([pos.ravel() for _, pos in parts])
+        groups = sdp.cmap.groups
+        assert len(sdp.positions) == len(groups) == len(sdp.C)
+        owners = group_owners(sdp)
+        for g, c, pos, own in zip(groups, sdp.C, sdp.positions, owners):
+            assert pos.shape == (g.sectors, g.side)
+            assert c.shape == (g.copies * g.sectors, g.side, g.side)
+            assert len(own) == g.copies
+        # every tester block is in a group, and its sectors partition its
+        # positions
+        assert sorted({t for own in owners for t in own}) == \
+            list(range(n + sdp.num_outcomes))
+        for t in range(n + sdp.num_outcomes):
+            positions = np.concatenate([pos.ravel() for pos, own in
+                                        zip(sdp.positions, owners)
+                                        if t in own])
             assert sorted(positions) == list(range(len(positions)))
         covered = []
         for j in range(n + 1):
@@ -142,10 +155,10 @@ def test_primal_start_is_feasible():
                     memory=True)),
                 sector_program(phase_grid_problem(4)[0])):
         x0 = sdp.primal_start()
-        np.testing.assert_allclose(sdp.cmap.apply_A(sdp.cmap.stack(x0)), sdp.b,
-                                   atol=1e-12)
-        for blk in x0:
-            assert np.linalg.eigvalsh(blk)[0] > 0
+        np.testing.assert_allclose(sdp.cmap.apply_A(x0), sdp.b, atol=1e-12)
+        for st, c in zip(x0, sdp.C):
+            assert st.shape == c.shape
+            assert np.linalg.eigvalsh(st)[:, 0].min() > 0
 
 
 def test_objective_blocks_encode_payoff():
@@ -153,10 +166,9 @@ def test_objective_blocks_encode_payoff():
         sdp = sector_program(problem)
         for k, op in enumerate(sdp.payoff_ops.operators):
             # the payoff is exactly zero off the sectors, so nothing is lost
-            assert np.array_equal(sdp.assemble(sdp.outcome_block(k), sdp.C),
-                                  -op.data)
-        for j in range(1, sdp.num_steps + 1):
-            assert not np.any(sdp.assemble(j - 1, sdp.C))
+            assert np.array_equal(sdp.outcome(k, sdp.C), -op.data)
+        for gs in sdp.xi_groups:
+            assert not any(np.any(sdp.C[g]) for g in gs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,25 +195,24 @@ def test_adjoint_identity_sector_programs(make, rng):
 
 def _assert_rows_agree(sdp, g):
     space = sdp.problem.space
-    sides = [sum(pos.size for _, pos in parts) for parts in sdp.parts]
+    sides = block_sides(sdp.problem)
     xi_ops = [LabeledOperator(space.prefix_factors(j - 1)
                               + (space.steps[j - 1].in_sys,),
                               rand_herm(g, sides[j - 1]))
               for j in range(1, sdp.num_steps + 1)]
-    t_ops = [LabeledOperator(space.factors(),
-                             rand_herm(g, sides[sdp.outcome_block(k)]))
+    t_ops = [LabeledOperator(space.factors(), rand_herm(g, sides[-1]))
              for k in range(sdp.num_outcomes)]
     direct = structural_row_values(sdp, xi_ops, t_ops)
-    assembled = sdp.cmap.apply_A(sdp.cmap.stack(
-        solver_blocks(sdp, [op.data for op in xi_ops + t_ops])))
+    assembled = sdp.cmap.apply_A(
+        group_stacks(sdp, [op.data for op in xi_ops + t_ops]))
     np.testing.assert_allclose(assembled, direct, atol=1e-10)
 
 
 def _dense_rows(cmap):
-    """Per-block (m, n, n) stacks of every row's coefficient: A^T of unit rows."""
-    per_row = [cmap.unstack(cmap.apply_AT(unit)) for unit in np.eye(cmap.m)]
-    return [np.stack([blocks[b] for blocks in per_row])
-            for b in range(len(cmap.block_dims))]
+    """Per group, every row's coefficient (m, K s, n, n): A^T of unit rows."""
+    per_row = [cmap.apply_AT(unit) for unit in np.eye(cmap.m)]
+    return [np.stack([stacks[g] for stacks in per_row])
+            for g in range(len(cmap.groups))]
 
 
 def test_kernels_match_dense_rows(rng):
@@ -272,34 +283,33 @@ def _assert_kernels_match_dense_rows(sdp, rng):
     cmap = sdp.cmap
     dense = _dense_rows(cmap)
     for A in dense:
-        np.testing.assert_allclose(A, A.conj().transpose(0, 2, 1), atol=1e-14)
+        np.testing.assert_allclose(A, A.conj().swapaxes(-1, -2), atol=1e-14)
+    shapes = [(g.copies * g.sectors, g.side, g.side) for g in cmap.groups]
     Ws = []
-    for n in cmap.block_dims:
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Ws.append(a @ a.conj().T + n * np.eye(n))
+    for shape in shapes:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        Ws.append(a @ a.conj().swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1]))
     expect = np.zeros((cmap.m, cmap.m))
     for A, W in zip(dense, Ws):
         # sum_b Re Tr(A_i W_b A_j W_b)
-        expect += np.einsum("ikl,lp,jpq,qk->ij", A, W, A, W,
+        expect += np.einsum("ibkl,blp,jbpq,bqk->ij", A, W, A, W,
                             optimize=True).real
-    np.testing.assert_allclose(cmap.schur(cmap.stack(Ws)), expect, rtol=1e-10)
+    np.testing.assert_allclose(cmap.schur(Ws), expect, rtol=1e-10)
 
-    X = [rand_herm(rng, n) for n in cmap.block_dims]
+    X = [np.array([rand_herm(rng, n) for _ in range(k)]) for k, n, _ in shapes]
     y = rng.normal(size=cmap.m)
-    AX = cmap.apply_A(cmap.stack(X))
+    AX = cmap.apply_A(X)
     np.testing.assert_allclose(
-        AX, sum(np.einsum("ikl,lk->i", A, Xb).real for A, Xb in zip(dense, X)),
+        AX, sum(np.einsum("ibkl,blk->i", A, Xg).real for A, Xg in zip(dense, X)),
         rtol=1e-10)
-    ATy = cmap.unstack(cmap.apply_AT(y))
-    pairing = sum(np.vdot(Ab, Xb).real for Ab, Xb in zip(ATy, X))
+    pairing = sum(np.vdot(Ag, Xg).real for Ag, Xg in zip(cmap.apply_AT(y), X))
     assert np.dot(y, AX) == pytest.approx(pairing, rel=1e-10)
 
-    # real-typed blocks, as primal_start() returns them, are accepted
+    # real-typed stacks, as primal_start() returns them, are accepted
     x0 = sdp.primal_start()
-    assert all(blk.dtype == float for blk in x0)
-    stacks = cmap.stack(x0)
+    assert all(st.dtype == float for st in x0)
     np.testing.assert_allclose(
-        cmap.apply_A([st.real for st in stacks]), cmap.apply_A(stacks),
+        cmap.apply_A(x0), cmap.apply_A([st.astype(complex) for st in x0]),
         rtol=1e-10)
 
 
@@ -311,18 +321,3 @@ def test_dual_vector_round_trip(rng):
     for j, op in enumerate(dual.operators, start=1):
         np.testing.assert_allclose(coords_from_hermitian(op.data),
                                    -y[sdp.level_rows(j)], atol=1e-12)
-
-
-@pytest.mark.parametrize("blocks", [
-    ((0,), (1,)),           # block 2 is in no group
-    ((0, 1), (1, 2)),       # block 1 is in two
-    ((0,), (1, 2)),         # sides 2 and 3 in one group
-    ((0, 1), (), (2,)),     # a group without a side
-])
-def test_block_groups_cover_each_block_once_on_one_side(blocks):
-    entry = ConstraintEntry(0, np.arange(2)[None, :])
-    groups = [BlockGroup(bs, [entry]) for bs in blocks]
-    with pytest.raises(ValueError, match="must cover blocks"):
-        BlockConstraintMap(1, (2, 2, 3), groups)
-    BlockConstraintMap(1, (2, 2, 3), [BlockGroup((1, 0), [entry]),
-                                      BlockGroup((2,), [entry])])
