@@ -50,6 +50,8 @@ class EstimationProblem:
         object.__setattr__(self, "prior", prior)
         if prior.shape != (len(labels),):
             raise ShapeMismatch("prior length %r vs %d labels" % (prior.shape, len(labels)))
+        if not np.isfinite(prior).all():
+            raise BadParameter("prior has non-finite entries")
         if np.any(prior < -PRIOR_TOL):
             raise BadParameter("prior has negative entries")
         if abs(float(prior.sum()) - 1.0) > 1e-9:
@@ -59,6 +61,10 @@ class EstimationProblem:
         object.__setattr__(self, "payoff", payoff)
         if payoff.shape != (len(labels), len(labels)):
             raise ShapeMismatch("payoff shape %r vs %d labels" % (payoff.shape, len(labels)))
+        if not np.isfinite(payoff).all():
+            raise BadParameter("payoff has non-finite entries")
+        if not np.isfinite(self.payoff_shift):
+            raise BadParameter("payoff_shift %r is not finite" % self.payoff_shift)
         if np.any(payoff < -1e-12):
             raise BadParameter(
                 "payoff has negative entries (min %.3e); apply a shift first"

@@ -8,28 +8,29 @@ so primal and dual objectives bracket the optimum and the duality gap is an
 honest error bound.
 
 The program is its block groups: each is K copies of s sector blocks of
-one side n, held as one (K s, n, n) stack, copy k's sectors at rows
-k s .. k s + s - 1.  C, the start X0 and the result's X and Z come as one
-such stack per group; blocks are numbered group by group, stack row by
-stack row.  (The copies are the outcome blocks of a tester; the sectors
-are the charge sectors of one block, or of every outcome block.)
-Constraints are supplied as a BlockConstraintMap in coordinates: x_a =
-Re<B_a, X> in the orthonormal Hermitian basis B (basis_layout), and each
-row group's entry is a unit coordinate map R: each of its rows reads a
-scaled sum of coordinates, R x, of the copies summed, s n^2 coordinates
-sector-major.  The Schur complement then needs, per group, only the
-block-diagonal S with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt),
-which one batched GEMM and an index gather give in closed form
-(basis_kernel); for n = 1 that is the diagonal sum_k |W_kt|^2.  Entry
-pairs add R_i S R_j^T.  This is the structure-exploiting assembly of
-Fujisawa, Kojima and Nakata (Math. Program. 79, 1997), specialised to comb
-constraints.  A one-sector group whose entries read only some coordinates
-(the kept coordinates of a covariant program) gets S on those only, entry
-by entry from W (coordinate_kernel), without the n^4 GEMM output.  The
-iteration keeps one (2 K s, n, n) stack [X; Z] per group: one batched
-Cholesky and inverse an iteration serve the NT scaling and Z^-1, and one
-eigensolve of each direction [dX; dZ] gives both step lengths.  The
-predictor and corrector share W R_d W and its image under A.
+one side n, held as one (K, s, n, n) stack.  C, the start X0 and the
+result's X and Z come as one such stack per group; blocks are numbered
+group by group, copy by copy.  (The copies are the outcome blocks of a
+tester; the sectors are the charge sectors of one block, or of every
+outcome block.)  Constraints are supplied as a BlockConstraintMap in
+coordinates: x_a = Re<B_a, X> in the orthonormal Hermitian basis B
+(basis_layout), and each row group's entry is a unit coordinate map R:
+each of its rows reads a scaled sum of coordinates, R x, of the copies
+summed, s n^2 coordinates sector-major.  So A^T y is one (s, n, n) stack
+per group, the same for every copy, and broadcasting hands it to each.
+The Schur complement then needs, per group, only the block-diagonal S
+with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt), which one batched
+GEMM and an index gather give in closed form (basis_kernel); for n = 1
+that is the diagonal sum_k |W_kt|^2.  Entry pairs add R_i S R_j^T.  This
+is the structure-exploiting assembly of Fujisawa, Kojima and Nakata (Math.
+Program. 79, 1997), specialised to comb constraints.  A group of one block
+whose entries read only some coordinates (the kept coordinates of a
+covariant program) gets S on those only, entry by entry from W
+(coordinate_kernel), without the n^4 GEMM output.  The iteration keeps one
+(2 K, s, n, n) stack [X; Z] per group: one batched Cholesky and inverse an
+iteration serve the NT scaling and Z^-1, and one eigensolve of each
+direction [dX; dZ] gives both step lengths.  The predictor and corrector
+share W R_d W and its image under A.
 """
 
 from __future__ import annotations
@@ -180,20 +181,20 @@ def _block_diagonal(S: np.ndarray) -> np.ndarray:
     return out.reshape(s * d, s * d)
 
 
-def coordinate_kernel(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """basis_kernel(stack[:, None])[0][np.ix_(coords, coords)], no n^4 GEMM.
+def coordinate_kernel(L: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """basis_kernel(L[None, None])[0][np.ix_(coords, coords)], no n^4 GEMM.
 
     Write B_a = alpha_a e_pq + conj(alpha_a) e_qp for coordinate a on (p, q),
     with alpha 1/2 on the diagonal, 1/sqrt2 symmetric and i/sqrt2
-    antisymmetric.  Each L_k is Hermitian, so the four terms of
-    Tr(B_a L_k B_c L_k) pair into conjugates, and with (r, s) the position
-    and beta the weight of c:
-    S[a, c] = 2 Re alpha_a sum_k (beta_c L[q, r] conj L[p, s]
-                                  + conj(beta_c) L[q, s] conj L[p, r]).
+    antisymmetric.  L is Hermitian, so the four terms of Tr(B_a L B_c L)
+    pair into conjugates, and with (r, s) the position and beta the weight
+    of c:
+    S[a, c] = 2 Re alpha_a (beta_c L[q, r] conj L[p, s]
+                            + conj(beta_c) L[q, s] conj L[p, r]).
     S is symmetric: each chunk of rows is formed right of the diagonal, in
     about KERNEL_CHUNK entries, and mirrored below it.
     """
-    row, col, imag = basis_layout(stack.shape[-1])
+    row, col, imag = basis_layout(L.shape[-1])
     p, q = row[coords], col[coords]
     alpha = np.where(p == q, 0.5, _R2) * np.where(imag[coords], 1j, 1.0)
     beta, beta_c = 2.0 * alpha, 2.0 * alpha.conj()  # the 2 of 2 Re
@@ -203,17 +204,14 @@ def coordinate_kernel(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
     for lo in range(0, u, step):
         hi = min(lo + step, u)
         r, c = p[lo:], q[lo:]
-        acc = np.zeros((hi - lo, u - lo), dtype=complex)
-        for L in stack:
-            Lq, Lp = L[q[lo:hi]], L[p[lo:hi]].conj()
-            t = Lq.take(r, axis=1)
-            t *= Lp.take(c, axis=1)
-            t *= beta[lo:]
-            acc += t
-            t = Lq.take(c, axis=1)
-            t *= Lp.take(r, axis=1)
-            t *= beta_c[lo:]
-            acc += t
+        Lq, Lp = L[q[lo:hi]], L[p[lo:hi]].conj()
+        acc = Lq.take(r, axis=1)
+        acc *= Lp.take(c, axis=1)
+        acc *= beta[lo:]
+        t = Lq.take(c, axis=1)
+        t *= Lp.take(r, axis=1)
+        t *= beta_c[lo:]
+        acc += t
         acc *= alpha[lo:hi, None]
         S[lo:hi, lo:] = acc.real
         S[hi:, lo:hi] = S[lo:hi, hi:].T
@@ -271,7 +269,7 @@ class ConstraintEntry:
 
 
 def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
-    """(used, entries): the coordinates a block group's rows read, if few.
+    """(used, entries): the coordinates a one-block group's rows read, if few.
 
     When the entries together read fewer than n^2 coordinates, they are
     returned remapped to positions in the sorted array `used`, so the Schur
@@ -293,9 +291,8 @@ def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
 class BlockGroup(NamedTuple):
     """K copies of s sector blocks of one side n, which the entries read alike.
 
-    Its stack is (K s, n, n), sector t of copy k at row k s + t.  A sums the
-    copies, and the entries read the sectors' coordinates one after
-    another, s n^2 of them.
+    Its stack is (K, s, n, n).  A sums the copies, and the entries read the
+    sectors' coordinates one after another, s n^2 of them.
     """
 
     copies: int
@@ -307,7 +304,7 @@ class BlockGroup(NamedTuple):
 class BlockConstraintMap:
     """The linear map A and its adjoint, with a structured Schur assembler.
 
-    They act on one (K s, n, n) stack per block group, in the order of
+    They act on one (K, s, n, n) stack per block group, in the order of
     groups.  entries lists every group's entries, and sizes the number of
     coordinates they read in each group.
     """
@@ -317,50 +314,37 @@ class BlockConstraintMap:
         self.groups = list(groups)
         self.sizes = [g.sectors * g.side ** 2 for g in self.groups]
         self.entries = [e for g in self.groups for e in g.entries]
-        self._kernels = [_kernel_coords(g.entries, g.side) if g.sectors == 1
-                         else (None, g.entries) for g in self.groups]
+        self._kernels = [_kernel_coords(g.entries, g.side)
+                         if g.copies == g.sectors == 1 else (None, g.entries)
+                         for g in self.groups]
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
         for g, st in zip(self.groups, stacks):
-            if g.sectors == 1:
-                coords = coords_from_hermitian(st.sum(axis=0))
-            else:  # the copies summed sector by sector, sector-major
-                coords = coords_from_hermitian(st.reshape(
-                    g.copies, g.sectors, g.side, g.side).sum(axis=0)).ravel()
+            # the copies summed, the sectors' coordinates one after another
+            coords = coords_from_hermitian(st.sum(axis=0)).ravel()
             for e in g.entries:
                 y[e.rows] += e.left(coords)
         return y
 
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
-        """Per group, the sector blocks every copy gets, broadcast read-only."""
+        """Per group, the (s, n, n) sector blocks that every copy gets."""
         out = []
         for g, size in zip(self.groups, self.sizes):
             coords = sum(e.adjoint(y[e.rows], size) for e in g.entries)
-            k, s, n = g.copies, g.sectors, g.side
-            if s == 1:
-                out.append(np.broadcast_to(hermitian_from_coords(coords, n),
-                                           (k, n, n)))
-            else:
-                h = hermitian_from_coords(coords.reshape(s, n * n), n)
-                out.append(np.broadcast_to(h, (k, s, n, n)).reshape(-1, n, n))
+            out.append(hermitian_from_coords(coords.reshape(g.sectors, -1),
+                                             g.side))
         return out
 
     def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
         """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W."""
         H = np.zeros((self.m, self.m))
-        for g, stack, (used, entries) in zip(self.groups, scalings,
-                                             self._kernels):
-            _add_pairs(H, _group_kernel(stack, g, used), entries)
+        for stack, (used, entries) in zip(scalings, self._kernels):
+            S = _block_diagonal(basis_kernel(stack)) if used is None else \
+                coordinate_kernel(stack[0, 0], used)
+            _add_pairs(H, S, entries)
+            del S  # a kernel can be as large as H: free it before the next
         return H
-
-
-def _group_kernel(stack: np.ndarray, g: BlockGroup, used) -> np.ndarray:
-    """A group's S: block diagonal over its sectors, or on the used coordinates."""
-    if used is not None:
-        return coordinate_kernel(stack, used)
-    return _block_diagonal(basis_kernel(
-        stack.reshape(g.copies, g.sectors, g.side, g.side)))
 
 
 def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):
@@ -397,7 +381,7 @@ IpmStep = namedtuple("IpmStep",
 
 @dataclass
 class IpmResult:
-    """The optimum: X and Z one (K s, n, n) stack per group, as C was."""
+    """The optimum: X and Z one (K, s, n, n) stack per group, as C was."""
 
     X: List[np.ndarray]
     y: np.ndarray
@@ -429,13 +413,18 @@ def _chol_jitter(M: np.ndarray, what: str):
 
 
 def _chol_pair(XZ: np.ndarray, ids) -> np.ndarray:
-    """Cholesky factors of a stacked [X; Z]; only failing blocks get jitter."""
+    """Cholesky factors of a stacked [X; Z]; only failing blocks get jitter.
+
+    ids numbers the blocks of each half, in the order of the flat stack.
+    """
     try:
         return np.linalg.cholesky(XZ)
     except np.linalg.LinAlgError:
         names = ["%s block %d" % (half, b) for half in ("primal", "dual")
                  for b in ids]
-        return np.array([_chol_jitter(M, what) for M, what in zip(XZ, names)])
+        flat = XZ.reshape((-1,) + XZ.shape[-2:])
+        return np.array([_chol_jitter(M, what) for M, what in
+                         zip(flat, names)]).reshape(XZ.shape)
 
 
 def _ct(M: np.ndarray) -> np.ndarray:
@@ -453,7 +442,7 @@ def _step_pair(Linv: np.ndarray, D: np.ndarray):
     one triangle eigvalsh reads.  A half that D keeps >= 0 gets inf.
     """
     try:
-        lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[:, 0]
+        lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("step-length eigenvalues: %s" % exc, {}) from exc
     k = len(lam) // 2
@@ -468,7 +457,7 @@ def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int)
         _, s, vh = np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:
         block = None  # name the first block that fails on its own
-        for b, Mb in zip(ids, M):
+        for b, Mb in zip(ids, M.reshape((-1,) + M.shape[-2:])):
             try:
                 np.linalg.svd(Mb)
             except np.linalg.LinAlgError:
@@ -476,12 +465,12 @@ def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int)
                 break
         raise NumericalFailure("NT scaling SVD: %s" % exc,
                                {"iteration": it, "block": block}) from exc
-    broken = np.flatnonzero(s.min(axis=1) <= 0)
+    broken = np.flatnonzero(s.min(axis=-1) <= 0)
     if broken.size:
         raise NumericalFailure("NT scaling broke down",
                                {"block": int(ids[broken[0]])})
-    return ((Lx @ _ct(vh)) / np.sqrt(s)[:, None, :],
-            np.sqrt(s)[:, :, None] * (vh @ Lxinv), s)
+    return ((Lx @ _ct(vh)) / np.sqrt(s)[..., None, :],
+            np.sqrt(s)[..., :, None] * (vh @ Lxinv), s)
 
 
 def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
@@ -489,14 +478,16 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
               opts: SolverOptions = SolverOptions()) -> IpmResult:
     """Run the predictor-corrector loop from the given strictly feasible pair.
 
-    C and X0 hold one (K s, n, n) stack per group of cmap, and so do the
-    result's X and Z.
+    C and X0 hold one (K, s, n, n) stack per group of cmap, and so do the
+    result's X and Z; A^T y, one (s, n, n) stack, broadcasts over the K
+    copies.
     """
-    halves = [g.copies * g.sectors for g in cmap.groups]
-    nu = float(sum(k * g.side for k, g in zip(halves, cmap.groups)))
-    # blocks are numbered group by group
+    halves = [g.copies for g in cmap.groups]
+    blocks = [g.copies * g.sectors for g in cmap.groups]
+    nu = float(sum(k * g.side for k, g in zip(blocks, cmap.groups)))
+    # blocks are numbered group by group, copy by copy, sector by sector
     group_ids = [range(first - k, first)
-                 for k, first in zip(halves, np.cumsum(halves))]
+                 for k, first in zip(blocks, np.cumsum(blocks))]
     y = np.array(y0, dtype=float)
     XZ = [np.concatenate([x, c - a]) for x, c, a in
           zip(X0, C, cmap.apply_AT(y))]  # [X; Z] per group
@@ -587,7 +578,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         for x, li, g, ginv, s, d, k in zip(X, Linvs, Gs, Ginvs, svals, D_a,
                                            halves):
             cross = _herm((ginv @ d[:k] @ _ct(ginv)) @ (_ct(g) @ d[k:] @ g))
-            cross = 2.0 * cross / (s[:, :, None] + s[:, None, :])
+            cross = 2.0 * cross / (s[..., :, None] + s[..., None, :])
             Rc.append(sigma * mu * (_ct(li[k:]) @ li[k:]) - x
                       - g @ cross @ _ct(g))
         D, dy = newton(r_p - cmap.apply_A(Rc) + A_WRW, Rc)

@@ -217,10 +217,11 @@ def _remap(tensor: np.ndarray, pmap: Optional[np.ndarray]) -> np.ndarray:
 class StandardSdp:
     """Block groups, objective, constraint map, and right-hand side.
 
-    The program's blocks are the cmap groups' stacks: first, step by step,
-    the groups of Xi^(j)'s sectors (xi_groups), then those of the outcome
-    blocks' sectors, every outcome a copy.  positions[g] holds the (s, n)
-    positions of group g's sectors in their tester block.
+    The program's blocks are the cmap groups' (copies, sectors, n, n)
+    stacks: first, step by step, the groups of Xi^(j)'s sectors
+    (xi_groups), one copy each, then those of the outcome blocks' sectors,
+    outcome k the copy k.  positions[g] holds the (s, n) positions of
+    group g's sectors in their tester block.
     """
 
     problem: EstimationProblem
@@ -255,8 +256,7 @@ class StandardSdp:
         out = np.zeros((side, side), dtype=complex)
         first = self.xi_groups[-1][-1] + 1
         for pos, x in zip(self.positions[first:], X[first:]):
-            s = len(pos)
-            out[pos[:, :, None], pos[:, None, :]] = x[k * s:(k + 1) * s]
+            out[pos[:, :, None], pos[:, None, :]] = x[k]
         return out
 
     def primal_start(self) -> List[np.ndarray]:
@@ -341,7 +341,7 @@ def build_primal(problem: EstimationProblem,
                 ConstraintEntry(offsets[j + 1], _remap(shrunk[j], pmap),
                                 -1.0)], s))
             positions.append(pos)
-            C.append(np.zeros((s, n, n), dtype=complex))
+            C.append(np.zeros((1, s, n, n), dtype=complex))
 
     # objective: -G_est on each outcome's sectors, the outcomes as copies
     gops = payoff_operators(problem)
@@ -351,7 +351,7 @@ def build_primal(problem: EstimationProblem,
         groups.append(BlockGroup(n_out, n, [ConstraintEntry(
             offsets[n_steps], _remap(coords[-1][:, None], pmap))], s))
         positions.append(pos)
-        C.append(G[:, pos[:, :, None], pos[:, None, :]].reshape(-1, n, n))
+        C.append(G[:, pos[:, :, None], pos[:, None, :]])
 
     b = np.zeros(m)
     b[0] = 1.0

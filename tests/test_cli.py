@@ -147,6 +147,39 @@ def test_dual_check_rejects_non_finite_lambda(problem_file, tmp_path, capsys,
     assert "finite and nonnegative" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("key, index, value", [
+    ("prior", (0,), "NaN"),
+    ("payoff", (0, 1), "NaN"),
+    ("payoff", (1, 1), "Infinity"),
+    ("payoff_shift", (), "NaN"),
+    ("payoff_shift", (), "Infinity"),
+    ("payoff_shift", (), "-Infinity"),
+], ids=["prior-nan", "payoff-nan", "payoff-inf", "shift-nan", "shift-inf",
+        "shift-minus-inf"])
+def test_non_finite_problem_input_is_usage_exit(tmp_path, capsys, command,
+                                                key, index, value):
+    doc = serde.problem_to_json(helstrom_problem())
+    if index:
+        row = doc[key]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = float(value)
+    else:
+        doc[key] = float(value)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "solution.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        rc, _out, err = run(capsys, *argv)
+    assert rc == 7
+    assert "%s " % key in err and "finite" in err
+    assert not (tmp_path / "solution.json").exists()
+
+
 def test_dual_check_accepts_bare_comb_with_lambda(problem_file, tmp_path,
                                                   capsys):
     sol = solve(helstrom_problem())

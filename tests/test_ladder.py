@@ -21,6 +21,8 @@ def test_a_rung_records_its_solve(tmp_path):
     assert rec["outcome"] == "ok" and rec["certified"]
     assert rec["iterations"] > 0 and rec["oracle_distance"] < 1e-7
     assert rec["wall_s"] > 0 and rec["peak_rss_mb"] > 0
+    # a sub-second rung is timed over several calls, at most five
+    assert 2 <= rec["calls"] <= 5
 
 
 def test_running_out_of_time_is_a_result(tmp_path):

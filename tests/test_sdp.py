@@ -174,7 +174,7 @@ def test_solve_ipm_keeps_one_stack_per_group():
                     slater_point(sdp))
     assert len(res.X) == len(res.Z) == len(groups)
     for g, x, z in zip(groups, res.X, res.Z):
-        assert x.shape == z.shape == (g.copies * g.sectors, g.side, g.side)
+        assert x.shape == z.shape == (g.copies, g.sectors, g.side, g.side)
 
     # raising the rows that read coordinate 0 of the second outcome group
     # makes that group's dual slack indefinite (Xi^(1)'s only grows); its

@@ -37,8 +37,8 @@ def group_owners(sdp):
 
 def group_stacks(sdp, tester_blocks):
     """The group stacks of full-size tester blocks: their sector parts."""
-    return [np.array([tester_blocks[t][np.ix_(p, p)] for t in owners
-                      for p in pos], dtype=complex)
+    return [np.array([[tester_blocks[t][np.ix_(p, p)] for p in pos]
+                      for t in owners], dtype=complex)
             for owners, pos in zip(group_owners(sdp),
                                    sdp.positions)]
 
@@ -130,7 +130,7 @@ def test_block_layout_and_row_partition():
         owners = group_owners(sdp)
         for g, c, pos, own in zip(groups, sdp.C, sdp.positions, owners):
             assert pos.shape == (g.sectors, g.side)
-            assert c.shape == (g.copies * g.sectors, g.side, g.side)
+            assert c.shape == (g.copies, g.sectors, g.side, g.side)
             assert len(own) == g.copies
         # every tester block is in a group, and its sectors partition its
         # positions
@@ -158,7 +158,7 @@ def test_primal_start_is_feasible():
         np.testing.assert_allclose(sdp.cmap.apply_A(x0), sdp.b, atol=1e-12)
         for st, c in zip(x0, sdp.C):
             assert st.shape == c.shape
-            assert np.linalg.eigvalsh(st)[:, 0].min() > 0
+            assert np.linalg.eigvalsh(st)[..., 0].min() > 0
 
 
 def test_objective_blocks_encode_payoff():
@@ -209,7 +209,7 @@ def _assert_rows_agree(sdp, g):
 
 
 def _dense_rows(cmap):
-    """Per group, every row's coefficient (m, K s, n, n): A^T of unit rows."""
+    """Per group, every row's coefficient (m, s, n, n): A^T of unit rows."""
     per_row = [cmap.apply_AT(unit) for unit in np.eye(cmap.m)]
     return [np.stack([stacks[g] for stacks in per_row])
             for g in range(len(cmap.groups))]
@@ -251,6 +251,7 @@ def test_batched_basis_kernel_is_each_sectors_kernel(n, rng):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_coordinate_kernel_is_the_basis_kernel_restricted(n, k, rng):
+    # the kernel of k copies is the sum of each copy's kernel
     stack = np.array([rand_herm(rng, n) for _ in range(k)])
     full = basis_kernel(stack[:, None])[0]
     half = n * (n - 1) // 2
@@ -260,7 +261,8 @@ def test_coordinate_kernel_is_the_basis_kernel_restricted(n, k, rng):
                  np.arange(n + half, n * n),            # antisymmetric
                  np.sort(rng.choice(n * n, (n * n + 1) // 2, replace=False))):
         if len(used):
-            np.testing.assert_allclose(coordinate_kernel(stack, used),
+            np.testing.assert_allclose(sum(coordinate_kernel(L, used)
+                                           for L in stack),
                                        full[np.ix_(used, used)], atol=1e-12,
                                        rtol=0)
 
@@ -284,25 +286,31 @@ def _assert_kernels_match_dense_rows(sdp, rng):
     dense = _dense_rows(cmap)
     for A in dense:
         np.testing.assert_allclose(A, A.conj().swapaxes(-1, -2), atol=1e-14)
-    shapes = [(g.copies * g.sectors, g.side, g.side) for g in cmap.groups]
+    shapes = [(g.copies, g.sectors, g.side, g.side) for g in cmap.groups]
     Ws = []
     for shape in shapes:
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         Ws.append(a @ a.conj().swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1]))
     expect = np.zeros((cmap.m, cmap.m))
     for A, W in zip(dense, Ws):
-        # sum_b Re Tr(A_i W_b A_j W_b)
-        expect += np.einsum("ibkl,blp,jbpq,bqk->ij", A, W, A, W,
+        # sum_b Re Tr(A_i W_b A_j W_b) over blocks b = (copy u, sector t);
+        # a row's coefficient is the same on every copy
+        expect += np.einsum("itkl,utlp,jtpq,utqk->ij", A, W, A, W,
                             optimize=True).real
     np.testing.assert_allclose(cmap.schur(Ws), expect, rtol=1e-10)
 
-    X = [np.array([rand_herm(rng, n) for _ in range(k)]) for k, n, _ in shapes]
+    X = [np.array([[rand_herm(rng, n) for _ in range(s)] for _ in range(k)])
+         for k, s, n, _ in shapes]
     y = rng.normal(size=cmap.m)
     AX = cmap.apply_A(X)
     np.testing.assert_allclose(
-        AX, sum(np.einsum("ibkl,blk->i", A, Xg).real for A, Xg in zip(dense, X)),
+        AX, sum(np.einsum("itkl,utlk->i", A, Xg).real for A, Xg in zip(dense, X)),
         rtol=1e-10)
-    pairing = sum(np.vdot(Ag, Xg).real for Ag, Xg in zip(cmap.apply_AT(y), X))
+    ATy = cmap.apply_AT(y)
+    for g, a in zip(cmap.groups, ATy):
+        assert a.shape == (g.sectors, g.side, g.side)
+    pairing = sum(np.vdot(np.broadcast_to(Ag, Xg.shape), Xg).real
+                  for Ag, Xg in zip(ATy, X))
     assert np.dot(y, AX) == pytest.approx(pairing, rel=1e-10)
 
     # real-typed stacks, as primal_start() returns them, are accepted
