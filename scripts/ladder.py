@@ -13,8 +13,9 @@ rung is timed more than once.  A record holds the median wall seconds of
 those calls and how many there were, the child's peak RSS (ru_maxrss),
 iterations, gamma (on the caller's score scale), its distance to the oracle
 where there is one, whether the certificate checks on the full problem (not
-timed), and the outcome: ok, timeout, memory_limit, dimension_cap or
-error.
+timed), the largest peak-memory estimate the call checked (estimate_mb,
+null on a tree without check_memory), and the outcome: ok, timeout,
+memory_limit, refused (DimensionCap) or error.
 
     python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --side parent=OLD/src --side change=src \\
@@ -41,11 +42,12 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
-RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "memory-3x22", "memory-2x33",
-         "covariant-12", "covariant-16", "gates-3", "rotated-7")
+RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "grid-16", "grid-24",
+         "memory-3x22", "memory-2x33", "covariant-12", "covariant-16",
+         "gates-3", "rotated-7")
 POLL_S = 0.05
 MEMORY_GIB = 3  # address-space limit of each child
-REPEAT_S = 1.0  # a child repeats its call while the calls total less
+REPEAT_S = 6.0  # a child repeats its call while the calls total less
 MAX_CALLS = 5
 
 
@@ -129,6 +131,27 @@ def _rotated(levels):
 COVARIANT = {"covariant": _phase_grid, "gates": _gates, "rotated": _rotated}
 
 
+def _record_estimates() -> list:
+    """Wrap check_memory where the package looks it up; collect its results.
+
+    Each estimate lands in the returned list, which stays empty on a tree
+    without check_memory.
+    """
+    import importlib
+    estimates = []
+    for name in ("qnetopt.sdp.engine", "qnetopt.covariant"):
+        module = importlib.import_module(name)
+        check = getattr(module, "check_memory", None)
+        if check is None:
+            continue
+
+        def wrapped(*args, _check=check, **kwargs):
+            estimates.append(_check(*args, **kwargs))
+            return estimates[-1]
+        module.check_memory = wrapped
+    return estimates
+
+
 def run_rung(name: str) -> dict:
     """Set up and time one rung in this process; the record, without RSS."""
     from qnetopt.errors import DimensionCap
@@ -141,14 +164,16 @@ def run_rung(name: str) -> dict:
         call = lambda: covariant_gamma(problem, action)
     else:
         call, oracle = _memory(arg)
+    estimates = _record_estimates()
     walls = []
     try:
         while len(walls) < MAX_CALLS and sum(walls) < REPEAT_S:
+            result = None  # not held while the next call runs
             start = time.perf_counter()
             result = call()
             walls.append(time.perf_counter() - start)
     except DimensionCap as exc:
-        return {"outcome": "dimension_cap", "detail": str(exc)}
+        return {"outcome": "refused", "detail": str(exc)}
     except MemoryError as exc:
         return {"outcome": "memory_limit", "detail": str(exc)}
     if kind in COVARIANT:
@@ -163,7 +188,8 @@ def run_rung(name: str) -> dict:
         certified = result.certificate.certified
     rec = {"outcome": "ok", "wall_s": statistics.median(walls),
            "calls": len(walls), "iterations": result.iterations,
-           "gamma": gamma, "certified": bool(certified)}
+           "gamma": gamma, "certified": bool(certified),
+           "estimate_mb": max(estimates) / 2 ** 20 if estimates else None}
     if oracle is not None:
         rec["oracle_distance"] = abs(gamma - oracle)
     return rec

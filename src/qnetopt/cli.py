@@ -13,7 +13,8 @@ Exit codes (stable):
   1  unexpected internal error
   2  validation or certificate failure
   3  malformed input file
-  4  dimension cap exceeded
+  4  size cap exceeded (an operator side over 4096, or a program whose
+     estimated peak memory is over sdp.engine.MEMORY_CAP_BYTES)
   5  iteration limit reached
   6  numerical failure inside the solver
   7  bad usage (unknown example, bad parameter)

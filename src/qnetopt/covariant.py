@@ -46,7 +46,7 @@ from .estimation import EstimationProblem, problem_from_raw_payoff
 from .networks import (CombSpace, QuantumComb, choi_of_channel,
                        comb_of_memoryless_sequence, validate_comb)
 from .operators import LabeledOperator, SystemLabel
-from .sdp.engine import check_dimension_cap, slater_point, solve, tighten_dual
+from .sdp.engine import check_memory, slater_point, solve, tighten_dual
 from .sdp.ipm import SolverOptions, basis_layout, solve_ipm
 from .sdp.standard_form import build_primal, dual_from_y
 
@@ -242,8 +242,8 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
             space, (0,), np.ones(1),
             (QuantumComb(space, LabeledOperator(factors, seed)),),
             np.ones((1, 1)))
-        check_dimension_cap(reduced, opts)
         sdp = build_primal(reduced, kept_coordinates(phases))
+        check_memory(sdp, action.size)
         res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                         slater_point(sdp), opts)
         dual = dual_from_y(sdp, tighten_dual(sdp, res.y))

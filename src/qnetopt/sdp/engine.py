@@ -30,7 +30,7 @@ from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
 from ..operators import LabeledOperator, min_eig
 from .ipm import SolverOptions, solve_ipm
-from .standard_form import (DualState, StandardSdp, block_sides, build_primal,
+from .standard_form import (DualState, StandardSdp, build_primal,
                             charge_sectors, dual_from_y)
 
 
@@ -156,16 +156,24 @@ def _margin_report(lambda_: float, comb: QuantumComb,
                              problem.payoff_shift)
 
 
-def check_dimension_cap(problem: EstimationProblem, opts: SolverOptions):
-    """Raise DimensionCap if the tester program is too large to build.
+# Cap on check_memory's estimate: half of an 8 GB host, a constant so no exit
+# code depends on the host.  Overcommit kills oversized solves: no MemoryError.
+MEMORY_CAP_BYTES = 4 << 30
 
-    The cap bounds twice the sum of the complex block sides, the dimension
-    of the program over the reals.
+
+def check_memory(sdp: StandardSdp, outcomes: Optional[int] = None) -> int:
+    """The estimated peak bytes of solving sdp; DimensionCap over the cap.
+
+    cmap.peak_bytes() plus five complex stacks of (D, D) operators, one per
+    outcome (or group element of a covariant program): combs, payoffs and
+    objective, then the tester and its checks.
     """
-    total = 2 * sum(block_sides(problem))
-    if total > opts.dimension_cap:
-        raise DimensionCap("total SDP dimension %d exceeds cap %d"
-                           % (total, opts.dimension_cap))
+    k = sdp.num_outcomes if outcomes is None else outcomes
+    estimate = sdp.cmap.peak_bytes() + 5 * 16 * k * sdp.level_dims[-1] ** 2
+    if estimate > MEMORY_CAP_BYTES:
+        raise DimensionCap("estimated peak of %d MB exceeds the %d MB cap"
+                           % (estimate >> 20, MEMORY_CAP_BYTES >> 20))
+    return estimate
 
 
 def solve(problem: EstimationProblem,
@@ -175,17 +183,16 @@ def solve(problem: EstimationProblem,
     The program runs on the charge sectors of the largest local diagonal
     torus that fixes the combs (charge_sectors); the tester and the dual
     chain come back at full size, exactly zero off the sectors, and are
-    validated and certified there.  Raises DimensionCap when the total
-    block dimension exceeds the configured cap, MaxIterations /
-    NumericalFailure when the interior-point loop cannot reach the
-    requested tolerance.
+    validated and certified there.  Raises DimensionCap when the program's
+    estimated peak memory exceeds MEMORY_CAP_BYTES (check_memory), before
+    the interior-point loop allocates, and MaxIterations / NumericalFailure
+    when that loop cannot reach the requested tolerance.
     """
     opts = options if options is not None else SolverOptions()
     problem.validated()
     space = problem.space
-    check_dimension_cap(problem, opts)
-
     sdp = build_primal(problem, sectors=charge_sectors(problem))
+    check_memory(sdp)
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
 

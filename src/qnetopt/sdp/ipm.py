@@ -60,7 +60,6 @@ class SolverOptions:
 
     tol: float = 1e-8
     max_iter: int = 200
-    dimension_cap: int = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,6 +316,20 @@ class BlockConstraintMap:
         self._kernels = [_kernel_coords(g.entries, g.side)
                          if g.copies == g.sectors == 1 else (None, g.entries)
                          for g in self.groups]
+
+    def peak_bytes(self) -> int:
+        """Estimated peak bytes of solve_ipm, from the shapes only.
+
+        H (8 m^2) is held while each group kernel is formed: the larger of
+        about 36 s n^4 (basis_kernel) and 24 (s n^2)^2 (S block-diagonal and
+        its pair products), or 8 u^2 (coordinate_kernel); F (8 m^2) comes
+        after.  About 20 complex (K, s, n, n) stacks a group besides.
+        """
+        kernel = max(8 * len(used) ** 2 if used is not None else
+                     12 * g.sectors * g.side ** 4 * max(3, 2 * g.sectors)
+                     for g, (used, _) in zip(self.groups, self._kernels))
+        stacks = sum(g.copies * g.sectors * g.side ** 2 for g in self.groups)
+        return 8 * self.m ** 2 + max(8 * self.m ** 2, kernel) + 20 * 16 * stacks
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)

@@ -81,6 +81,8 @@ def comb_from_json(doc) -> QuantumComb:
         data = complex_from_json(doc["matrix"])
     except KeyError as e:
         raise ParseError("comb file missing key %s" % e)
+    except TypeError as e:
+        raise ParseError("bad comb payload: %s" % e)
     return QuantumComb(space, LabeledOperator(space.factors(), data))
 
 
@@ -129,11 +131,13 @@ def problem_from_json(doc) -> EstimationProblem:
         prior = np.asarray(doc["prior"], dtype=float)
         payoff = np.asarray(doc["payoff"], dtype=float)
         raw_combs = doc["combs"]
+        shift = float(doc.get("payoff_shift", 0.0))
     except KeyError as e:
         raise ParseError("problem file missing key %s" % e)
     except (TypeError, ValueError) as e:
         raise ParseError("bad problem payload: %s" % e)
-    shift = float(doc.get("payoff_shift", 0.0))
+    if not isinstance(raw_combs, dict):
+        raise ParseError("problem combs must be an object")
     factors = space.factors()
     combs = []
     for x in labels:
@@ -204,12 +208,16 @@ def loads(text: str):
         raise ParseError("invalid JSON: %s" % e)
 
 
-def load_path(path: str):
+def load_path(path: str) -> dict:
+    """The JSON object in a file; every file format here is one."""
     try:
         with open(path, "r") as fh:
-            return loads(fh.read())
+            doc = loads(fh.read())
     except OSError as e:
         raise ParseError("cannot read %s: %s" % (path, e))
+    if not isinstance(doc, dict):
+        raise ParseError("%s does not hold a JSON object" % path)
+    return doc
 
 
 def dump_path(doc, path: Optional[str]) -> str:

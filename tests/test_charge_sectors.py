@@ -12,7 +12,6 @@ from qnetopt import serde
 from qnetopt.cli import main
 from qnetopt.covariant import (phase_estimation_optimum, phase_grid_problem,
                                two_phase_problem)
-from qnetopt.errors import DimensionCap
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import (random_channel_problem, random_sequence_comb,
                                random_state_problem)
@@ -149,13 +148,11 @@ def test_phase_grid_solution_file_passes_dual_check_cold(tmp_path):
     assert dual_check(lowered_path) == 2
 
 
-def test_ten_level_grid_is_refused_before_any_allocation(monkeypatch, capsys):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the program was built past the cap")
-
-    monkeypatch.setattr(engine, "charge_sectors", unreachable)
-    monkeypatch.setattr(engine, "build_primal", unreachable)
-    with pytest.raises(DimensionCap):
-        solve(phase_grid_problem(10)[0])
-    assert main(["example", "phase", "--levels", "10", "--quiet"]) == 4
-    assert capsys.readouterr().out == ""
+def test_ten_level_grid_certifies(capsys):
+    # 191 rows; the sum of its full block sides once kept it out
+    sol = solve(phase_grid_problem(10)[0])
+    assert sol.certificate.certified
+    assert sol.gamma_primal == pytest.approx(
+        phase_estimation_optimum(10).cos_max, abs=1e-7)
+    assert main(["example", "phase", "--levels", "10", "--quiet"]) == 0
+    capsys.readouterr()

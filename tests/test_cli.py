@@ -180,6 +180,39 @@ def test_non_finite_problem_input_is_usage_exit(tmp_path, capsys, command,
     assert not (tmp_path / "solution.json").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "dual-check"])
+@pytest.mark.parametrize("key, value", [
+    ("payoff_shift", "abc"),
+    ("payoff_shift", None),
+    ("payoff_shift", [1]),
+    ("combs", 5),
+], ids=["shift-string", "shift-null", "shift-list", "combs-number"])
+def test_malformed_problem_is_parse_exit(problem_file, tmp_path, capsys,
+                                         command, key, value):
+    doc = serde.problem_to_json(helstrom_problem())
+    doc[key] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "dual-check":
+        argv.append(problem_file)  # never read: the problem fails first
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], "lambda", 5, {"comb_certificate": [1, 2], "lambda": 1.0},
+], ids=["list", "string", "number", "certificate-list"])
+def test_dual_check_malformed_solution_is_parse_exit(problem_file, tmp_path,
+                                                      capsys, doc):
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    rc, _out, err = run(capsys, "dual-check", problem_file, str(path))
+    assert rc == 3
+    assert err.startswith("parse error:")
+
+
 def test_dual_check_accepts_bare_comb_with_lambda(problem_file, tmp_path,
                                                   capsys):
     sol = solve(helstrom_problem())

@@ -27,7 +27,7 @@ from qnetopt.instances import random_pure_state, random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
-from qnetopt.sdp import SolverOptions, certify_dual, solve
+from qnetopt.sdp import certify_dual, solve
 from qnetopt.sdp.ipm import coords_from_hermitian, hermitian_from_coords
 from qnetopt.sdp.standard_form import build_primal
 
@@ -337,12 +337,14 @@ def test_covariant_gamma_matches_phase_oracle(levels, grid):
         abs=1e-7)
 
 
-def test_covariant_gamma_honours_dimension_cap():
-    # the reduced program has block sides 3 + 9, so 2 * 12 = 24 > 20
-    with pytest.raises(DimensionCap):
-        covariant_gamma(*phase_grid_problem(3), SolverOptions(dimension_cap=20))
-    assert covariant_gamma(*phase_grid_problem(3),
-                           SolverOptions(dimension_cap=24)).iterations > 0
+def test_covariant_gamma_honours_memory_cap(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_ipm ran past the memory cap")
+
+    monkeypatch.setattr(qnetopt.covariant, "solve_ipm", unreachable)
+    monkeypatch.setattr(qnetopt.sdp.engine, "MEMORY_CAP_BYTES", 1 << 10)
+    with pytest.raises(DimensionCap, match="estimated peak"):
+        covariant_gamma(*phase_grid_problem(3))
 
 
 def test_covariant_gamma_requires_uniform_prior():

@@ -21,6 +21,7 @@ def test_a_rung_records_its_solve(tmp_path):
     assert rec["outcome"] == "ok" and rec["certified"]
     assert rec["iterations"] > 0 and rec["oracle_distance"] < 1e-7
     assert rec["wall_s"] > 0 and rec["peak_rss_mb"] > 0
+    assert 0 < rec["estimate_mb"] < rec["peak_rss_mb"]  # no interpreter in it
     # a sub-second rung is timed over several calls, at most five
     assert 2 <= rec["calls"] <= 5
 

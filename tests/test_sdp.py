@@ -18,8 +18,8 @@ from qnetopt.estimation import (expected_payoff, payoff_operators,
 from qnetopt.instances import random_channel_problem
 from qnetopt.networks import QuantumComb, uniform_tester, validate_tester
 from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
-from qnetopt.sdp import (SolverOptions, certify_dual, slater_point, solve,
-                         yuen_kennedy_lax)
+from qnetopt.sdp import (SolverOptions, certify_dual, engine, slater_point,
+                         solve, yuen_kennedy_lax)
 from qnetopt.sdp.engine import tighten_dual
 from qnetopt.covariant import phase_grid_problem
 from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _nt_scaling,
@@ -82,10 +82,32 @@ def test_ipm_history_records_every_iteration():
                                                      res.rel_gap)
 
 
-def test_dimension_cap_checked_before_work():
+def _unreachable(*args, **kwargs):
+    raise AssertionError("solve_ipm ran past the memory cap")
+
+
+def test_memory_cap_checked_before_the_solver(monkeypatch):
     p = random_channel_problem(np.random.default_rng(0), 2, [(2, 2), (2, 2)])
-    with pytest.raises(DimensionCap):
-        solve(p, SolverOptions(dimension_cap=30))
+    monkeypatch.setattr(engine, "solve_ipm", _unreachable)
+    monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", 1 << 10)
+    with pytest.raises(DimensionCap, match="estimated peak"):
+        solve(p)
+
+
+def test_four_by_four_memory_comb_is_refused_by_its_estimate(
+        monkeypatch, tmp_path, capsys):
+    # m = 65,793 rows: its Schur pair alone would take 69 GB
+    p = random_channel_problem(np.random.default_rng(0), 2, [(4, 4)] * 2,
+                               memory=True)
+    monkeypatch.setattr(engine, "solve_ipm", _unreachable)
+    with pytest.raises(DimensionCap, match="estimated peak"):
+        solve(p)
+    path = tmp_path / "problem.json"
+    serde.dump_path(serde.problem_to_json(p), str(path))
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dimension cap:")
 
 
 def test_step_length_eigen_failure_is_numerical_failure(monkeypatch):
