@@ -236,8 +236,6 @@ def _example_multicopy(args) -> dict:
 
 
 def _example_product_rule(args) -> dict:
-    if args.spec != "twin-helstrom":
-        raise UnknownExample("unknown product-rule spec %r" % args.spec)
     a = _helstrom_problem()
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     lab = SystemLabel("r", 2)
@@ -330,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--levels", type=int, default=2)
     e.add_argument("--copies", type=int, default=2)
     e.add_argument("--d-grid", type=int, default=0, help="0 selects the default")
-    e.add_argument("--spec", default="twin-helstrom")
     _add_solver_flags(e)
     _add_io_flags(e)
     e.set_defaults(func=cmd_example)

@@ -44,7 +44,8 @@ from .errors import (BadDimension, BadParameter, NotLeftInvariant,
                      ShapeMismatch)
 from .estimation import EstimationProblem, problem_from_raw_payoff
 from .networks import (CombSpace, QuantumComb, choi_of_channel,
-                       comb_of_memoryless_sequence, validate_comb)
+                       comb_of_memoryless_sequence, comb_of_state,
+                       validate_comb)
 from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import check_memory, slater_point, solve, tighten_dual
 from .sdp.ipm import SolverOptions, basis_layout, solve_ipm
@@ -287,17 +288,12 @@ def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
 
     Returns (q_max, rho) with rho the invariant optimizer.  For the
     hit-or-miss payoff with a uniform prior over the orbit, the best success
-    probability is 1 / (orbit size * q_max).
+    probability is 1 / (orbit size * q_max).  A seed that is not a state
+    raises NotAState (comb_of_state) before any program is built.
     """
-    if len(rho0.factors) != 1:
-        raise ShapeMismatch("expected a single-factor state")
-    out_sys = rho0.factors[0]
-    if abs(float(np.trace(rho0.data).real) - 1.0) > 1e-8:
-        raise BadParameter("seed state trace deviates from 1")
-    in_sys = SystemLabel(out_sys.id + "#src", 1)
-    space = CombSpace(((in_sys, out_sys),))
-    lam, inv, _, _ = _qmax_solve(space, rho0.data, action, options)
-    return 1.0 / lam, LabeledOperator((out_sys,), inv.data)
+    comb = comb_of_state(rho0)
+    lam, inv, _, _ = _qmax_solve(comb.space, comb.op.data, action, options)
+    return 1.0 / lam, LabeledOperator(rho0.factors, inv.data)
 
 
 def qmax_comb(comb0: QuantumComb, action: FiniteGroupAction,

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BadParameter, DuplicateLabel, OutcomeMismatch, ShapeMismatch
 from .networks import (CombSpace, QuantumComb, Tester, tensor_combs,
                        validate_comb)
-from .operators import LabeledOperator, permute_systems
+from .operators import LabeledOperator
 
 PRIOR_TOL = 1e-12
 
@@ -106,7 +106,9 @@ def payoff_operators(problem: EstimationProblem) -> PayoffOperators:
     """G_est = sum_x prior(x) g(est, x) R_x on the canonical factor order."""
     stack = np.array([c.op.data for c in problem.combs], dtype=complex)
     acc = np.tensordot(problem.payoff * problem.prior[None, :], stack, 1)
-    acc = (acc + acc.conj().swapaxes(-1, -2)) / 2.0
+    del stack  # the combs' copy, freed before the Hermitian part is taken
+    acc += acc.conj().swapaxes(-1, -2)
+    acc /= 2.0
     factors = problem.space.factors()
     return PayoffOperators(problem.labels_x,
                            tuple(LabeledOperator(factors, g) for g in acc))
@@ -124,11 +126,8 @@ def expected_payoff(tester: Tester, problem: EstimationProblem) -> float:
             "tester outcomes %r vs problem labels %r"
             % (tester.outcome_ids(), problem.labels_x))
     gops = payoff_operators(problem)
-    order = problem.space.factor_ids()
     total = 0.0
-    for m, op in tester.outcomes:
-        if op.label_ids() != order:
-            op = permute_systems(op, order)
+    for m, op in tester.outcomes:  # in canonical order, as Tester keeps them
         total += float(np.trace(op.data @ gops.op_for(m).data).real)
     return total
 

@@ -101,7 +101,6 @@ class QuantumComb:
 
     space: CombSpace
     op: LabeledOperator
-    witness_chain: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "op", _canonical(self.op, self.space))
@@ -196,16 +195,15 @@ def _check_psd(op: LabeledOperator, tol: float, what: str):
 
 
 def validate_comb(comb: QuantumComb, tol: float = DEFAULT_TOL) -> QuantumComb:
-    """Check the comb recursion; return the comb with its witness chain attached.
+    """Check the comb recursion; return the comb.
 
-    The chain lists the reduced combs from level N-1 down to level 0; the level-0
-    entry is the scalar 1.  Raises NotPSD or NormalizationViolation(level, residual).
+    Each level's reduced comb, from level N-1 down to level 0, must be the
+    partial trace of the level above; the level-0 one is the scalar 1.
+    Raises NotPSD or NormalizationViolation(level, residual).
     """
     space = comb.space
-    op = comb.op
-    _check_psd(op, tol, "comb operator")
-    chain = []
-    current = op
+    _check_psd(comb.op, tol, "comb operator")
+    current = comb.op
     for n in range(space.num_steps, 0, -1):
         step = space.steps[n - 1]
         traced = partial_trace(current, [step.out_sys.id])
@@ -215,14 +213,13 @@ def validate_comb(comb: QuantumComb, tol: float = DEFAULT_TOL) -> QuantumComb:
         residual = float(np.max(np.abs(traced.data - expected.data)))
         if residual > tol:
             raise NormalizationViolation(n, residual)
-        chain.append(reduced)
         current = reduced
     # level 0: the innermost reduction must be the scalar 1, not merely
     # proportional to the identity
-    scalar = complex(chain[-1].data[0, 0])
+    scalar = complex(current.data[0, 0])
     if abs(scalar - 1.0) > tol:
         raise NormalizationViolation(0, abs(scalar - 1.0))
-    return QuantumComb(space, op, witness_chain=tuple(chain))
+    return comb
 
 
 def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:

@@ -164,12 +164,12 @@ MEMORY_CAP_BYTES = 4 << 30
 def check_memory(sdp: StandardSdp, outcomes: Optional[int] = None) -> int:
     """The estimated peak bytes of solving sdp; DimensionCap over the cap.
 
-    cmap.peak_bytes() plus five complex stacks of (D, D) operators, one per
-    outcome (or group element of a covariant program): combs, payoffs and
-    objective, then the tester and its checks.
+    cmap.peak_bytes() plus three complex stacks of (D, D) operators, one per
+    outcome (or group element of a covariant program): combs, payoffs, and
+    their weighted sum in build_primal or, after the solve, the tester.
     """
     k = sdp.num_outcomes if outcomes is None else outcomes
-    estimate = sdp.cmap.peak_bytes() + 5 * 16 * k * sdp.level_dims[-1] ** 2
+    estimate = sdp.cmap.peak_bytes() + 3 * 16 * k * sdp.level_dims[-1] ** 2
     if estimate > MEMORY_CAP_BYTES:
         raise DimensionCap("estimated peak of %d MB exceeds the %d MB cap"
                            % (estimate >> 20, MEMORY_CAP_BYTES >> 20))

@@ -158,6 +158,7 @@ def basis_kernel(stack: np.ndarray) -> np.ndarray:
     del G  # the gather copied all that S needs
     diag, up, lo = _flat_positions(n)
     Vd, Vu, Vl = V.take(diag, axis=-1), V.take(up, axis=-1), V.take(lo, axis=-1)
+    del V  # and so did these three
     plus, minus = Vu + Vl, Vl - Vu
     S = np.empty((s, n * n, n * n))
     T = S.transpose(1, 0, 2)  # T[a, t, c] = S_t[a, c], in V's axis order
@@ -223,7 +224,8 @@ class ConstraintEntry:
 
     R is scale times the tensor's unit map, on rows row_start onwards, one
     per tensor row: the integer tensor (rows, k) lists the coordinates whose
-    unit vectors sum to each row, with -1 padding short rows.
+    unit vectors sum to each row, with -1 padding short rows.  On a block of
+    r coordinates, the tensor 0..r-1 at scale 1 is the identity (identity).
     """
 
     row_start: int
@@ -242,7 +244,7 @@ class ConstraintEntry:
 
     def left(self, M: np.ndarray) -> np.ndarray:
         """R @ M, for M with the block's coordinates along axis 0."""
-        if self.identity:
+        if self.identity and len(M) == len(self.tensor):
             return M
         t = self.tensor
         if t.shape[1] == 1:
@@ -259,7 +261,7 @@ class ConstraintEntry:
 
     def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
         """R^T @ y, the block's size coordinates."""
-        if self.identity:
+        if self.identity and size == len(self.tensor):
             return y
         width = self.tensor.shape[1]
         weights = y if width == 1 else np.repeat(y, width)
@@ -320,16 +322,21 @@ class BlockConstraintMap:
     def peak_bytes(self) -> int:
         """Estimated peak bytes of solve_ipm, from the shapes only.
 
-        H (8 m^2) is held while each group kernel is formed: the larger of
-        about 36 s n^4 (basis_kernel) and 24 (s n^2)^2 (S block-diagonal and
-        its pair products), or 8 u^2 (coordinate_kernel); F (8 m^2) comes
-        after.  About 20 complex (K, s, n, n) stacks a group besides.
+        H (8 m^2), factored in place, is alive while each group's kernel S
+        is formed, about 30 s n^4 (basis_kernel) or, on u coordinates, 8 u^2
+        and 64 bytes a chunk entry (coordinate_kernel), and its pairs added:
+        S and products over the R rows an entry reaches, 24 max(u, R)^2.
+        About 24 complex (K, s, n, n) stacks a group besides.
         """
-        kernel = max(8 * len(used) ** 2 if used is not None else
-                     12 * g.sectors * g.side ** 4 * max(3, 2 * g.sectors)
-                     for g, (used, _) in zip(self.groups, self._kernels))
+        kernel = 0
+        for g, (used, entries) in zip(self.groups, self._kernels):
+            u = g.sectors * g.side ** 2 if used is None else len(used)
+            formed = 30 * g.sectors * g.side ** 4 if used is None else \
+                8 * u * u + 64 * min(u * u, KERNEL_CHUNK + u)
+            rows = max(np.count_nonzero(e.tensor.max(1) >= 0) for e in entries)
+            kernel = max(kernel, formed, 24 * max(u, rows) ** 2)
         stacks = sum(g.copies * g.sectors * g.side ** 2 for g in self.groups)
-        return 8 * self.m ** 2 + max(8 * self.m ** 2, kernel) + 20 * 16 * stacks
+        return 8 * self.m ** 2 + kernel + 24 * 16 * stacks
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
@@ -543,32 +550,25 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         Ws = [g @ _ct(g) for g in Gs]
         A_WRW = cmap.apply_A([w @ rd @ w for w, rd in zip(Ws, R_d)])
 
+        # shift H's diagonal, check it finite once (so its factor is; each
+        # solve checks only its right-hand side) and factor it in place: H.T
+        # is the Fortran-ordered view LAPACK overwrites
         H = cmap.schur(Ws)
-        # factor a diagonally shifted copy in place (its transpose is the
-        # Fortran-ordered view LAPACK overwrites); refinement uses H itself
-        F = H.copy()
-        F.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
-        # F is checked finite once, so its factor is; each solve then checks
-        # only its right-hand side
-        if not np.isfinite(F).all():
+        H.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
+        if not np.isfinite(H).all():
             raise NumericalFailure("Schur complement not finite at iteration %d"
                                    % it, {"iteration": it})
-        Hf, info = cho_factor(F.T, clean=0, overwrite_a=1)
+        Hf, info = cho_factor(H.T, clean=0, overwrite_a=1)
         if info:
             raise NumericalFailure("Schur complement not positive definite",
                                    {"iteration": it})
 
-        def solve_schur(rhs):
-            if not np.isfinite(rhs).all():
-                raise NumericalFailure("Newton right-hand side not finite at "
-                                       "iteration %d" % it,
-                                       {"iteration": it})
-            return cho_solve(Hf, rhs)[0]
-
         def newton(rhs, Rc):
             """dy, and per group [dX; dZ], for rhs = r_p - A(Rc - W R_d W)."""
-            dy = solve_schur(rhs)
-            dy = dy + solve_schur(rhs - H @ dy)
+            if not np.isfinite(rhs).all():
+                raise NumericalFailure("Newton right-hand side not finite at "
+                                       "iteration %d" % it, {"iteration": it})
+            dy = cho_solve(Hf, rhs)[0]
             D = []
             for rc, w, rd, a in zip(Rc, Ws, R_d, cmap.apply_AT(dy)):
                 dz = rd - a  # exactly Hermitian, as R_d and A^T dy are
@@ -603,7 +603,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             d[k:] *= ad
             xz += d
         y = y + ad * dy
-        del H, F, Hf  # free the Schur pair before the next assembly
+        del H, Hf  # free the Schur complement before the next assembly
 
         if min(ap, ad) < 1e-5:
             slow_steps += 1

@@ -293,8 +293,7 @@ def build_primal(problem: EstimationProblem,
     that reads Xi^(j) and the level-j entry -I_out(j) (x) Xi^(j); then one
     group per sector side of the outcome space, a copy per outcome, which
     share the level-N entry.  Its objective is zero on the chain and -G_est
-    on outcome est's sectors, one gather of the stacked payoff operators
-    per outcome group.
+    on outcome est's sectors, gathered from each G_est and then negated.
     """
     torus = sectors if sectors is not None else ChargeSectors()
     space = problem.space
@@ -345,13 +344,13 @@ def build_primal(problem: EstimationProblem,
 
     # objective: -G_est on each outcome's sectors, the outcomes as copies
     gops = payoff_operators(problem)
-    G = -np.array([g.data for g in gops.operators], dtype=complex)
     for pos, pmap in _side_groups(level_labels[-1]):
         s, n = pos.shape
         groups.append(BlockGroup(n_out, n, [ConstraintEntry(
             offsets[n_steps], _remap(coords[-1][:, None], pmap))], s))
         positions.append(pos)
-        C.append(G[:, pos[:, :, None], pos[:, None, :]])
+        ix = pos[:, :, None], pos[:, None, :]
+        C.append(-np.array([g.data[ix] for g in gops.operators]))
 
     b = np.zeros(m)
     b[0] = 1.0

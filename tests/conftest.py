@@ -215,13 +215,13 @@ def twirl_coordinates(action: FiniteGroupAction, factors) -> np.ndarray:
     return basis_kernel(us[:, None])[0] / action.size
 
 
-def selected_phase_program():
-    """The covariant program of the 3-level phase grid, and the group action.
+def selected_phase_program(levels=3, grid=8):
+    """The covariant program of a phase grid, and the group action.
 
     One seed outcome, with the twirl's kept coordinates as the level-N rows,
     as covariant_gamma builds it.
     """
-    problem, action = phase_grid_problem(3, 8)
+    problem, action = phase_grid_problem(levels, grid)
     space = problem.space
     reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
                                 np.ones((1, 1)))

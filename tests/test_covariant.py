@@ -15,13 +15,14 @@ from conftest import (act, is_invariant, qubit_state_problem,
                       twirl_coordinates)
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                cyclic_group, diagonal_phases,
-                               kept_coordinates, phase_estimation_optimum,
+                               kept_coordinates, phase_action,
+                               phase_estimation_optimum,
                                phase_grid_problem, product_group, qmax_comb,
                                qmax_state, sum_of_phases, twirl,
                                two_phase_correlated, two_phase_payoff_matrix,
                                two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
-                            NotLeftInvariant)
+                            NotAState, NotLeftInvariant)
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_pure_state, random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
@@ -283,6 +284,33 @@ def test_qmax_invariant_seed_is_one():
     assert q == pytest.approx(1.0, abs=1e-7)
 
 
+def sign_action():
+    elements, table = cyclic_group(2)
+    return FiniteGroupAction(elements, table,
+                             {"q": {0: np.eye(2), 1: np.diag([1.0, -1.0])}})
+
+
+def test_qmax_state_under_a_diagonal_action():
+    # each level has its own charge: the twirl keeps only the diagonal
+    plus = np.full((2, 2), 0.5)
+    q, rho = qmax_state(LabeledOperator((Q,), plus), sign_action())
+    assert q == pytest.approx(0.5, abs=1e-7)
+    np.testing.assert_allclose(rho.data, np.eye(2) / 2.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("make", [flip_action, sign_action],
+                         ids=["flip", "sign"])
+def test_qmax_state_refuses_a_non_state(make, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a program was built for a non-state")
+
+    monkeypatch.setattr(qnetopt.covariant, "build_primal", unreachable)
+    monkeypatch.setattr(qnetopt.covariant, "solve", unreachable)
+    rho = LabeledOperator((Q,), np.array([[1.2, 0.5], [0.5, -0.2]]))
+    with pytest.raises(NotAState):
+        qmax_state(rho, make())
+
+
 def test_qmax_comb_trivial_action():
     lab_i, lab_o = SystemLabel("ci", 2), SystemLabel("co", 2)
     comb = comb_of_memoryless_sequence([choi_of_channel([np.eye(2)], lab_i, lab_o)])
@@ -326,6 +354,22 @@ def test_reduced_result_certifies_full_problem(make):
                           QuantumComb(problem.space, res.invariant_op),
                           problem, tol=1e-7)
     assert report.certified, report.min_margin
+
+
+@pytest.mark.parametrize("levels,grid", [(2, 4), (3, 8), (4, 10)])
+def test_covariant_state_family_matches_direct_solve(levels, grid):
+    # the probe |+> under diag(1, w^j, w^2j, ...): every level of the state
+    # has its own charge, so the twirl keeps just the diagonal coordinates
+    action = phase_action(SystemLabel("s", levels), None, grid)
+    plus = np.full(levels, 1.0 / np.sqrt(levels))
+    d = np.arange(grid)
+    payoff = 1.0 + np.cos(2 * np.pi * (d[:, None] - d[None, :]) / grid)
+    problem = qubit_state_problem(
+        "s", [action.rep["s"][j] @ plus for j in range(grid)],
+        np.full(grid, 1.0 / grid), payoff)
+    res = covariant_gamma(problem, action)
+    assert res.gamma_max == pytest.approx(solve(problem).gamma_primal,
+                                          abs=1e-7)
 
 
 @pytest.mark.parametrize("levels,grid", [(3, 18), (3, 24), (3, 30), (5, None)])

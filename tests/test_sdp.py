@@ -1,5 +1,7 @@
 """Solver behavior: frozen optima, duality, certificates, failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,31 @@ def test_ipm_history_records_every_iteration():
                                                      res.rel_gap)
 
 
+def _grid_program(levels):
+    problem = phase_grid_problem(levels)[0]
+    return build_primal(problem, sectors=charge_sectors(problem))
+
+
+@pytest.mark.parametrize("make,coordinate", [
+    (lambda: _grid_program(8), False),
+    (lambda: build_primal(random_channel_problem(
+        np.random.default_rng(0), 2, [(2, 2)] * 2, memory=True)), False),
+    (lambda: selected_phase_program(6, 14)[0], True),
+], ids=["grid-8-sectors", "memory-2x22", "covariant-6"])
+def test_peak_bytes_bounds_the_solver_peak(make, coordinate):
+    sdp = make()
+    # only the covariant program has a block that takes coordinate_kernel
+    assert any(used is not None for used, _ in sdp.cmap._kernels) == coordinate
+    X0, y0 = sdp.primal_start(), slater_point(sdp)
+    tracemalloc.start()
+    try:
+        solve_ipm(sdp.cmap, sdp.C, sdp.b, X0, y0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sdp.cmap.peak_bytes() <= 3 * peak
+
+
 def _unreachable(*args, **kwargs):
     raise AssertionError("solve_ipm ran past the memory cap")
 
@@ -96,7 +123,7 @@ def test_memory_cap_checked_before_the_solver(monkeypatch):
 
 def test_four_by_four_memory_comb_is_refused_by_its_estimate(
         monkeypatch, tmp_path, capsys):
-    # m = 65,793 rows: its Schur pair alone would take 69 GB
+    # m = 65,793 rows: its Schur complement alone would take 35 GB
     p = random_channel_problem(np.random.default_rng(0), 2, [(4, 4)] * 2,
                                memory=True)
     monkeypatch.setattr(engine, "solve_ipm", _unreachable)
