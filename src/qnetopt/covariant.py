@@ -341,6 +341,7 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
             raise NotLeftInvariant(
                 "combs do not form an orbit of the action (element %r)"
                 % (action.elements[gi],))
+    del stack, moved  # two K D^2 stacks, not to be held through the solve
 
     e = action.identity_index
     weights = g[e] / n

@@ -24,8 +24,7 @@ import numpy as np
 from ..errors import (BadParameter, DimensionCap, InvalidComb,
                       NormalizationViolation, NotPSD, NumericalFailure,
                       ShapeMismatch)
-from ..estimation import (EstimationProblem, PayoffOperators,
-                          payoff_operators)
+from ..estimation import EstimationProblem, payoff_operators
 from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
 from ..operators import LabeledOperator, min_eig
@@ -36,7 +35,7 @@ from .standard_form import (DualState, StandardSdp, build_primal,
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Margins of lambda * R - G_est, one per candidate estimate."""
+    """Margins of lambda R - G_est, one per estimate; certified if >= -tol."""
 
     lambda_: float
     labels_x: tuple
@@ -45,6 +44,12 @@ class CertificateReport:
     tol: float
     certified: bool
     payoff_shift: float  # subtract from lambda_ to reach the unshifted score
+
+    @classmethod
+    def of(cls, lambda_, problem, margins, tol) -> "CertificateReport":
+        m = tuple(float(x) for x in margins)
+        return cls(float(lambda_), problem.labels_x, m, min(m), tol,
+                   min(m) >= -tol, problem.payoff_shift)
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,14 @@ def slater_point(sdp: StandardSdp) -> np.ndarray:
     """Row multipliers of a strictly feasible dual chain of scaled identities.
 
     Level j's rows hold -c_j on its diagonal coordinates, the coordinates of
-    -c_j I.  The top level dominates every payoff operator with definite
-    margin; each step down doubles the traced-out scale, which keeps the chain
-    inequalities strict regardless of the step dimensions.
+    -c_j I.  c_N tops every payoff eigenvalue, read from C, the payoffs' only
+    copy, so the top level dominates with definite margin; each step down
+    doubles the traced-out scale, which keeps the chain inequalities strict
+    whatever the step dimensions.
     """
     problem = sdp.problem
-    lam_max = max(float(np.linalg.eigvalsh(g.data)[-1])
-                  for g in sdp.payoff_ops.operators)
+    lam_max = max(float(np.linalg.eigvalsh(-c)[..., -1].max())
+                  for c in sdp.C[sdp.outcome_groups])
     c = max(problem.g_max(), 1.5 * lam_max, 1.0)
     y = np.zeros(sdp.cmap.m)
     for j in range(sdp.num_steps, 0, -1):
@@ -139,21 +145,9 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
     if comb.op.label_ids() != order:
         raise ShapeMismatch("comb factors %r do not match problem space %r"
                             % (comb.op.label_ids(), order))
-    return _margin_report(lambda_, comb, problem, payoff_operators(problem), tol)
-
-
-def _margin_report(lambda_: float, comb: QuantumComb,
-                   problem: EstimationProblem, gops: PayoffOperators,
-                   tol: float) -> CertificateReport:
-    """Margins of lambda * R - G_est for a validated comb in canonical order."""
-    op = comb.op
-    margins = []
-    for g in gops.operators:
-        margins.append(min_eig(g.with_data(lambda_ * op.data - g.data)))
-    min_margin = float(min(margins))
-    return CertificateReport(float(lambda_), problem.labels_x, tuple(margins),
-                             min_margin, tol, min_margin >= -tol,
-                             problem.payoff_shift)
+    margins = [min_eig(g.with_data(lambda_ * comb.op.data - g.data))
+               for g in payoff_operators(problem).operators]
+    return CertificateReport.of(lambda_, problem, margins, tol)
 
 
 # Cap on check_memory's estimate: half of an 8 GB host, a constant so no exit
@@ -164,9 +158,9 @@ MEMORY_CAP_BYTES = 4 << 30
 def check_memory(sdp: StandardSdp, outcomes: Optional[int] = None) -> int:
     """The estimated peak bytes of solving sdp; DimensionCap over the cap.
 
-    cmap.peak_bytes() plus three complex stacks of (D, D) operators, one per
-    outcome (or group element of a covariant program): combs, payoffs, and
-    their weighted sum in build_primal or, after the solve, the tester.
+    cmap.peak_bytes(), which counts C, plus three complex (K, D, D) stacks, K
+    the outcomes or group elements: combs, payoffs and their Hermitian part in
+    build_primal; combs, tester and validation temporaries after the solve.
     """
     k = sdp.num_outcomes if outcomes is None else outcomes
     estimate = sdp.cmap.peak_bytes() + 3 * 16 * k * sdp.level_dims[-1] ** 2
@@ -180,13 +174,13 @@ def solve(problem: EstimationProblem,
           options: Optional[SolverOptions] = None) -> SdpSolution:
     """Optimize a tester for the problem and certify the result.
 
-    The program runs on the charge sectors of the largest local diagonal
-    torus that fixes the combs (charge_sectors); the tester and the dual
-    chain come back at full size, exactly zero off the sectors, and are
-    validated and certified there.  Raises DimensionCap when the program's
-    estimated peak memory exceeds MEMORY_CAP_BYTES (check_memory), before
-    the interior-point loop allocates, and MaxIterations / NumericalFailure
-    when that loop cannot reach the requested tolerance.
+    The program runs on the charge sectors of the largest local diagonal torus
+    that fixes the combs (charge_sectors).  The tester and the comb are
+    validated at full size, the margins on the outcome sectors: R and every
+    G_est are exactly zero off them.  Raises DimensionCap when the program's
+    estimated peak memory exceeds MEMORY_CAP_BYTES (check_memory), before the
+    interior-point loop allocates, and MaxIterations / NumericalFailure when
+    that loop cannot reach the requested tolerance.
     """
     opts = options if options is not None else SolverOptions()
     problem.validated()
@@ -202,17 +196,21 @@ def solve(problem: EstimationProblem,
     check_tol = 10.0 * opts.tol
     dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
     lambda_ = dual.s0
-    top = dual.operators[-1].data  # exactly Hermitian, built from coordinates
+    top = LabeledOperator(factors, dual.operators[-1].data / lambda_)
     try:
         tester = validate_tester(Tester(space, tuple(outcomes)), check_tol)
-        comb = validate_comb(
-            QuantumComb(space, LabeledOperator(factors, top / lambda_)),
-            check_tol)
+        comb = validate_comb(QuantumComb(space, top), check_tol)
     except (NotPSD, NormalizationViolation) as exc:
         raise NumericalFailure(
             "converged point failed validation: %s" % exc,
             {"rel_gap": res.rel_gap, "iterations": res.iterations}) from exc
-    report = _margin_report(lambda_, comb, problem, sdp.payoff_ops, check_tol)
+    margins = np.inf
+    for pos, c in zip(sdp.positions[sdp.outcome_groups],
+                      sdp.C[sdp.outcome_groups]):
+        block = comb.op.data[pos[:, :, None], pos[:, None, :]]
+        lowest = np.linalg.eigvalsh(lambda_ * block + c)[..., 0]
+        margins = np.minimum(margins, lowest.min(axis=-1))
+    report = CertificateReport.of(lambda_, problem, margins, check_tol)
     if not report.certified:
         raise NumericalFailure(
             "dual certificate margin %.3e below -%.1e"
@@ -266,13 +264,9 @@ def yuen_kennedy_lax(states: Sequence[LabeledOperator],
                                 np.eye(n))
     sol = solve(problem, options)
 
-    povm = []
-    for m, op in sol.tester.outcomes:
-        povm.append(LabeledOperator((label,), op.data))
+    povm = [LabeledOperator((label,), t.data) for _, t in sol.tester.outcomes]
     witness = LabeledOperator((label,), sol.dual.operators[-1].data)
-    resid = np.zeros((label.dim, label.dim), dtype=complex)
-    for k in range(n):
-        gap_op = witness.data - priors[k] * states[k].data
-        resid += povm[k].data @ gap_op
+    resid = sum(m.data @ (witness.data - w * s.data)
+                for m, w, s in zip(povm, priors, states))
     slack = float(np.linalg.norm(resid, 2))
     return YklResult(sol.gamma_primal, tuple(povm), witness, slack, sol)

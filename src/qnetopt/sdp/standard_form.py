@@ -43,7 +43,7 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..estimation import EstimationProblem, PayoffOperators, payoff_operators
+from ..estimation import EstimationProblem, payoff_operators
 from ..operators import LabeledOperator, SystemLabel
 from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
                   basis_layout, coordinate_index, hermitian_from_coords)
@@ -217,15 +217,15 @@ def _remap(tensor: np.ndarray, pmap: Optional[np.ndarray]) -> np.ndarray:
 class StandardSdp:
     """Block groups, objective, constraint map, and right-hand side.
 
-    The program's blocks are the cmap groups' (copies, sectors, n, n)
-    stacks: first, step by step, the groups of Xi^(j)'s sectors
-    (xi_groups), one copy each, then those of the outcome blocks' sectors,
-    outcome k the copy k.  positions[g] holds the (s, n) positions of
-    group g's sectors in their tester block.
+    The program's blocks are the cmap groups' (copies, sectors, n, n) stacks:
+    first, step by step, the groups of Xi^(j)'s sectors (xi_groups), one copy
+    each, then those of the outcome blocks' sectors, outcome k the copy k.
+    positions[g] holds the (s, n) positions of group g's sectors in their
+    tester block.  C, -G_est on outcome est's sectors and so all of it
+    (charge_sectors), is the objective's only copy.
     """
 
     problem: EstimationProblem
-    payoff_ops: PayoffOperators
     level_dims: tuple     # side of each constraint level space, 1..N
     level_offsets: tuple  # first row of each level 0..N, then the row count
     cmap: BlockConstraintMap
@@ -250,12 +250,16 @@ class StandardSdp:
         """Coordinate of each row of level j >= 1 in its level space."""
         return self.coords[j - 1]
 
+    @property
+    def outcome_groups(self) -> slice:
+        return slice(self.xi_groups[-1][-1] + 1, None)
+
     def outcome(self, k: int, X: Sequence[np.ndarray]) -> np.ndarray:
         """Outcome k at full size from the group stacks X, 0 off-sector."""
         side = self.level_dims[-1]
         out = np.zeros((side, side), dtype=complex)
-        first = self.xi_groups[-1][-1] + 1
-        for pos, x in zip(self.positions[first:], X[first:]):
+        groups = self.outcome_groups
+        for pos, x in zip(self.positions[groups], X[groups]):
             out[pos[:, :, None], pos[:, None, :]] = x[k]
         return out
 
@@ -354,7 +358,7 @@ def build_primal(problem: EstimationProblem,
 
     b = np.zeros(m)
     b[0] = 1.0
-    return StandardSdp(problem, gops, level_dims, tuple(offsets),
+    return StandardSdp(problem, level_dims, tuple(offsets),
                        BlockConstraintMap(m, groups), tuple(C), b,
                        tuple(coords), tuple(positions), tuple(xi_groups))
 

@@ -12,11 +12,11 @@ from qnetopt import serde
 from qnetopt.cli import main
 from qnetopt.covariant import (phase_estimation_optimum, phase_grid_problem,
                                two_phase_problem)
-from qnetopt.estimation import EstimationProblem
+from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_channel_problem, random_sequence_comb,
                                random_state_problem)
 from qnetopt.networks import QuantumComb, validate_comb, validate_tester
-from qnetopt.sdp import engine, solve
+from qnetopt.sdp import SolverOptions, certify_dual, engine, solve
 from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
                                        charge_sectors)
 
@@ -90,8 +90,8 @@ def test_combs_and_payoffs_are_exactly_zero_off_the_sectors():
     for problem in (phase_grid_problem(4)[0], two_phase_problem(0.7, 4)[0]):
         labels = charge_sectors(problem).labels(problem.space.factors())
         off = labels[:, None] != labels[None, :]
-        sdp = build_primal(problem)
-        for op in [c.op for c in problem.combs] + list(sdp.payoff_ops.operators):
+        gops = payoff_operators(problem)
+        for op in [c.op for c in problem.combs] + list(gops.operators):
             assert not np.any(op.data[off])
 
 
@@ -120,6 +120,41 @@ def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
     for _, op in sol.tester.outcomes:
         assert not np.any(op.data[off])
     assert not np.any(sol.comb_certificate.op.data[off])
+
+
+# sector programs, then programs of the trivial torus
+PROBLEMS = {"grid-%d" % levels: lambda levels=levels:
+            phase_grid_problem(levels)[0] for levels in range(3, 9)}
+PROBLEMS["two-phase"] = lambda: two_phase_problem(0.7, 4)[0]
+PROBLEMS["memory-2x22"] = lambda: random_channel_problem(
+    np.random.default_rng(6), 2, [(2, 2), (2, 2)], memory=True)
+PROBLEMS["states-4x3"] = lambda: random_state_problem(
+    np.random.default_rng(6), 4, 3)
+TOL = 10 * SolverOptions().tol  # the tolerance solve certifies with
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_solve_margins_on_the_sectors_are_the_full_size_margins(name):
+    problem = PROBLEMS[name]()
+    sol = solve(problem)
+    full = certify_dual(sol.lambda_, sol.comb_certificate, problem, TOL)
+    if charge_sectors(problem).charges:
+        np.testing.assert_allclose(sol.certificate.margins, full.margins,
+                                   rtol=0, atol=1e-12)
+    else:  # one sector, the whole space: the same matrices
+        assert sol.certificate.margins == full.margins
+    assert sol.certificate.certified and full.certified
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_outcome_blocks_hold_the_largest_payoff_eigenvalue(name):
+    problem = PROBLEMS[name]()
+    sdp = build_primal(problem, sectors=charge_sectors(problem))
+    blocks = max(np.linalg.eigvalsh(-c)[..., -1].max()
+                 for c in sdp.C[sdp.outcome_groups])
+    full = max(np.linalg.eigvalsh(g.data)[-1]
+               for g in payoff_operators(problem).operators)
+    assert abs(blocks - full) <= 1e-12 * abs(full)
 
 
 def test_phase_grid_solution_file_passes_dual_check_cold(tmp_path):

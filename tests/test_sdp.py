@@ -109,6 +109,26 @@ def test_peak_bytes_bounds_the_solver_peak(make, coordinate):
     assert peak <= sdp.cmap.peak_bytes() <= 3 * peak
 
 
+@pytest.mark.parametrize("make", [
+    lambda: phase_grid_problem(12)[0],
+    lambda: phase_grid_problem(16)[0],
+    lambda: random_channel_problem(np.random.default_rng(0), 2,
+                                   [(2, 2)] * 2, memory=True),
+], ids=["grid-12", "grid-16", "memory-2x22"])
+def test_check_memory_bounds_the_whole_solve(make):
+    problem = make()
+    estimate = engine.check_memory(
+        build_primal(problem, sectors=charge_sectors(problem)))
+    combs = sum(c.op.data.nbytes for c in problem.combs)
+    tracemalloc.start()
+    try:
+        solve(problem)
+        peak = tracemalloc.get_traced_memory()[1] + combs
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate <= 3 * peak
+
+
 def _unreachable(*args, **kwargs):
     raise AssertionError("solve_ipm ran past the memory cap")
 

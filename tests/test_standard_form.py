@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (helstrom_problem, seeds, selected_phase_program,
                       state_problems, structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
+from qnetopt.estimation import payoff_operators
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
@@ -164,7 +165,7 @@ def test_primal_start_is_feasible():
 def test_objective_blocks_encode_payoff():
     for problem in (helstrom_problem(), phase_grid_problem(3)[0]):
         sdp = sector_program(problem)
-        for k, op in enumerate(sdp.payoff_ops.operators):
+        for k, op in enumerate(payoff_operators(problem).operators):
             # the payoff is exactly zero off the sectors, so nothing is lost
             assert np.array_equal(sdp.outcome(k, sdp.C), -op.data)
         for gs in sdp.xi_groups:
