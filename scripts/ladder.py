@@ -10,12 +10,14 @@ MEMORY_GIB (RLIMIT_AS) and a wall-clock budget, so running out of memory or
 time is a result, not a crash.  The child repeats the call while the calls
 so far total under REPEAT_S seconds, up to MAX_CALLS calls, so a sub-second
 rung is timed more than once.  A record holds the median wall seconds of
-those calls and how many there were, the child's peak RSS (ru_maxrss),
-iterations, gamma (on the caller's score scale), its distance to the oracle
-where there is one, whether the certificate checks on the full problem (not
-timed), the largest peak-memory estimate the call checked (estimate_mb,
-null on a tree without check_memory), and the outcome: ok, timeout,
-memory_limit, refused (DimensionCap) or error.
+those calls and how many there were, the child's peak RSS (ru_maxrss), its
+peak RSS when the first call returns (first_rss_mb, which the allocator's
+state after repeated calls cannot raise), iterations, gamma (on the
+caller's score scale), its distance to the oracle where there is one,
+whether the certificate checks on the full problem (not timed), the largest
+peak-memory estimate the call checked (estimate_mb, null on a tree without
+check_memory), and the outcome: ok, timeout, memory_limit, refused
+(DimensionCap) or error.
 
     python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --side parent=OLD/src --side change=src \\
@@ -172,6 +174,9 @@ def run_rung(name: str) -> dict:
             start = time.perf_counter()
             result = call()
             walls.append(time.perf_counter() - start)
+            if len(walls) == 1:  # kilobytes on Linux
+                first_mb = resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss / 1024.0
     except DimensionCap as exc:
         return {"outcome": "refused", "detail": str(exc)}
     except MemoryError as exc:
@@ -189,6 +194,7 @@ def run_rung(name: str) -> dict:
     rec = {"outcome": "ok", "wall_s": statistics.median(walls),
            "calls": len(walls), "iterations": result.iterations,
            "gamma": gamma, "certified": bool(certified),
+           "first_rss_mb": first_mb,
            "estimate_mb": max(estimates) / 2 ** 20 if estimates else None}
     if oracle is not None:
         rec["oracle_distance"] = abs(gamma - oracle)

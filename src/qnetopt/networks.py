@@ -21,15 +21,14 @@ Conventions fixed here and used end-to-end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (DuplicateLabel, NormalizationViolation, NotAState, NotPSD,
                      NotTracePreserving, ShapeMismatch)
-from .operators import (LabeledOperator, SystemLabel, embed_identity,
-                        identity_on, min_eig, partial_trace, permute_systems,
-                        tensor, tensor_all)
+from .operators import (LabeledOperator, SystemLabel, identity_on, min_eig,
+                        permute_systems, tensor, tensor_all, trace_middle)
 
 DEFAULT_TOL = 1e-8
 
@@ -114,7 +113,6 @@ class Tester:
 
     space: CombSpace
     outcomes: tuple  # of (outcome_id, LabeledOperator) pairs, order preserved
-    xi_chain: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(
@@ -122,12 +120,6 @@ class Tester:
 
     def outcome_ids(self) -> tuple:
         return tuple(m for m, _ in self.outcomes)
-
-    def op_for(self, outcome_id) -> LabeledOperator:
-        for m, op in self.outcomes:
-            if m == outcome_id:
-                return op
-        raise KeyError(outcome_id)
 
 
 def choi_of_channel(kraus_list: Sequence[np.ndarray], in_label: SystemLabel,
@@ -194,6 +186,44 @@ def _check_psd(op: LabeledOperator, tol: float, what: str):
         raise NotPSD("%s has eigenvalue %.3e below -tol*scale" % (what, me))
 
 
+def _reduce(m: np.ndarray, pre: int, d: int, post: int, level, tol):
+    """Tr_d(m) / d, after checking that m on (pre, d, post) is I_d (x) it."""
+    reduced = trace_middle(m, pre, d, post) * (1.0 / d)
+    expected = (reduced.reshape(pre, 1, post, pre, 1, post)
+                * np.eye(d).reshape(1, d, 1, 1, d, 1))
+    residual = float(np.max(np.abs(
+        m.reshape(pre, d, post, pre, d, post) - expected)))
+    if residual > tol:
+        raise NormalizationViolation(level, residual)
+    return reduced
+
+
+def _walk(m: np.ndarray, steps: tuple, tol: float, tester: bool):
+    """The normalization recursion on m, in canonical order, last step first.
+
+    At step n the matrix is on (pre, out_n, in_n).  A comb's loses out_n and
+    must then be its reduction (x) I_in, which carries on to step n-1.  A
+    tester's must be I_out (x) Xi^(n), whose trace over in_n carries on.  The
+    scalar left at the bottom must be 1.  NormalizationViolation levels: n
+    for step n, except N+1 for a tester's top step, and 0 for the scalar.
+    """
+    top = len(steps)
+    for n in range(top, 0, -1):
+        d_out, d_in = steps[n - 1].out_sys.dim, steps[n - 1].in_sys.dim
+        pre = len(m) // (d_out * d_in)
+        if tester:
+            xi = _reduce(m, pre, d_out, d_in, top + 1 if n == top else n, tol)
+            m = trace_middle(xi, pre, d_in, 1)
+        else:
+            m = _reduce(trace_middle(m, pre, d_out, d_in), pre, d_in, 1, n,
+                        tol)
+    # off the real axis np.abs rounds differently from abs(): a tester's
+    # level-0 residual is the first, a comb's the second
+    miss = float((np.abs if tester else abs)(m[0, 0] - 1.0))
+    if miss > tol:
+        raise NormalizationViolation(0, miss)
+
+
 def validate_comb(comb: QuantumComb, tol: float = DEFAULT_TOL) -> QuantumComb:
     """Check the comb recursion; return the comb.
 
@@ -201,67 +231,26 @@ def validate_comb(comb: QuantumComb, tol: float = DEFAULT_TOL) -> QuantumComb:
     partial trace of the level above; the level-0 one is the scalar 1.
     Raises NotPSD or NormalizationViolation(level, residual).
     """
-    space = comb.space
     _check_psd(comb.op, tol, "comb operator")
-    current = comb.op
-    for n in range(space.num_steps, 0, -1):
-        step = space.steps[n - 1]
-        traced = partial_trace(current, [step.out_sys.id])
-        reduced = partial_trace(traced, [step.in_sys.id]) * (1.0 / step.in_sys.dim)
-        expected = embed_identity(reduced, step.in_sys,
-                                  traced.label_ids().index(step.in_sys.id))
-        residual = float(np.max(np.abs(traced.data - expected.data)))
-        if residual > tol:
-            raise NormalizationViolation(n, residual)
-        current = reduced
-    # level 0: the innermost reduction must be the scalar 1, not merely
-    # proportional to the identity
-    scalar = complex(current.data[0, 0])
-    if abs(scalar - 1.0) > tol:
-        raise NormalizationViolation(0, abs(scalar - 1.0))
+    _walk(comb.op.data, comb.space.steps, tol, tester=False)
     return comb
 
 
 def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:
-    """Check the tester recursion; return the tester with its Xi chain attached.
+    """Check the tester recursion; return the tester.
 
-    The chain lists Xi^(N) down to Xi^(1).  Raises NotPSD when an outcome
-    operator is not positive, NormalizationViolation when the recursion fails
-    (level N+1 refers to the outcome-sum condition, level 0 to the final scalar).
+    Raises NotPSD when an outcome operator is not positive,
+    NormalizationViolation when the recursion fails: level N+1 for the
+    outcome sum I_out(N) (x) Xi^(N), level n for Tr_in(n+1) Xi^(n+1) =
+    I_out(n) (x) Xi^(n), and level 0 for the final trace.
     """
-    space = tester.space
-    n_steps = space.num_steps
     if not tester.outcomes:
         raise ShapeMismatch("a tester needs at least one outcome")
-    ops = tester.outcomes
-    for m, op in ops:
+    for m, op in tester.outcomes:
         _check_psd(op, tol, "outcome %r" % (m,))
-    total = ops[0][1]
-    for _, op in ops[1:]:
-        total = total + op
-    last = space.steps[-1]
-    xi = partial_trace(total, [last.out_sys.id]) * (1.0 / last.out_sys.dim)
-    expected = embed_identity(xi, last.out_sys,
-                              total.label_ids().index(last.out_sys.id))
-    residual = float(np.max(np.abs(total.data - expected.data)))
-    if residual > tol:
-        raise NormalizationViolation(n_steps + 1, residual)
-    chain = [xi]
-    for n in range(n_steps, 1, -1):
-        prev_out = space.steps[n - 2].out_sys
-        traced = partial_trace(xi, [space.steps[n - 1].in_sys.id])
-        xi_next = partial_trace(traced, [prev_out.id]) * (1.0 / prev_out.dim)
-        expected = embed_identity(xi_next, prev_out,
-                                  traced.label_ids().index(prev_out.id))
-        residual = float(np.max(np.abs(traced.data - expected.data)))
-        if residual > tol:
-            raise NormalizationViolation(n - 1, residual)
-        xi = xi_next
-        chain.append(xi)
-    final = float(np.abs(np.trace(xi.data) - 1.0))
-    if final > tol:
-        raise NormalizationViolation(0, final)
-    return Tester(space, ops, xi_chain=tuple(chain))
+    arrays = [op.data for _, op in tester.outcomes]
+    _walk(sum(arrays[1:], arrays[0]), tester.space.steps, tol, tester=True)
+    return tester
 
 
 def born_probability(t_m: LabeledOperator, comb) -> float:

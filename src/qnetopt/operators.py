@@ -175,10 +175,15 @@ def partial_trace(a: LabeledOperator, over) -> LabeledOperator:
         d = dims[pos]
         pre = int(np.prod(dims[:pos], dtype=np.int64)) if pos else 1
         post = int(np.prod(dims[pos + 1:], dtype=np.int64)) if pos + 1 < len(dims) else 1
-        t = data.reshape(pre, d, post, pre, d, post)
-        data = np.trace(t, axis1=1, axis2=4).reshape(pre * post, pre * post)
+        data = trace_middle(data, pre, d, post)
         del factors[pos]
     return LabeledOperator(tuple(factors), data)
+
+
+def trace_middle(data: np.ndarray, pre: int, d: int, post: int) -> np.ndarray:
+    """Trace out the middle factor of a matrix on (pre, d, post)."""
+    t = data.reshape(pre, d, post, pre, d, post)
+    return np.trace(t, axis1=1, axis2=4).reshape(pre * post, pre * post)
 
 
 def permute_systems(a: LabeledOperator, order) -> LabeledOperator:

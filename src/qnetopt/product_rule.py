@@ -21,9 +21,10 @@ import numpy as np
 from .errors import BadParameter, DimensionCap, NonProductPayoff
 from .estimation import EstimationProblem, expected_payoff, joint_problem
 from .networks import Tester, tensor_combs, validate_tester
-from .operators import DIMENSION_CAP, LabeledOperator
+from .operators import DIMENSION_CAP, LabeledOperator, trace_middle
 from .sdp import CertificateReport, SdpSolution, SolverOptions, certify_dual, solve
-from .covariant import two_phase_payoff_matrix, two_phase_problem
+from .covariant import (two_phase_correlated, two_phase_payoff_matrix,
+                        two_phase_problem)
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,25 @@ def best_product_input_value(p: float, samples: int = 37) -> float:
     return best
 
 
+def _pure_input(rho_in: np.ndarray, p: float) -> np.ndarray:
+    """A pure optimal two-phase input recovered from the input state rho_in.
+
+    The optimal face is invariant under rigid phase shifts of the input, and
+    the interior-point solution sits at its center, so this first takes the
+    support of rho_in and then fixes the phase gauge by the top eigenvector
+    of the payoff form on that support.
+    """
+    vals, vecs = np.linalg.eigh((rho_in + rho_in.conj().T) / 2.0)
+    keep = vals > 0.01 * vals[-1]
+    support = vecs[:, keep]
+    q = two_phase_payoff_matrix(p)
+    qs = support.conj().T @ q @ support
+    svals, svecs = np.linalg.eigh((qs + qs.conj().T) / 2.0)
+    state = support @ svecs[:, -1]
+    k = int(np.argmax(np.abs(state)))
+    return state * (state[k].conj() / abs(state[k]))  # fix the global phase
+
+
 def counterexample_correlated_payoff(p: float, d_grid: int = 8,
                                      options: Optional[SolverOptions] = None
                                      ) -> CorrelatedPayoffReport:
@@ -216,26 +236,15 @@ def counterexample_correlated_payoff(p: float, d_grid: int = 8,
     of product inputs against the payoff form, and one explicit product
     tester (plus input, per-qubit phase-covariant measurements) run through
     the Born rule.
-
-    The optimal face is invariant under rigid phase shifts of the input, and
-    the interior-point solution sits at its center, so the recovery first
-    takes the support of the reduced input state and then fixes the phase
-    gauge by the top eigenvector of the payoff form on that support.
     """
     problem, _action = two_phase_problem(p, d_grid)
     sol = solve(problem, options)
 
-    xi = sol.tester.xi_chain[-1]
-    rho_in = xi.data.conj()  # tester input factors pair through the transpose
-    vals, vecs = np.linalg.eigh((rho_in + rho_in.conj().T) / 2.0)
-    keep = vals > 0.01 * vals[-1]
-    support = vecs[:, keep]
-    q = two_phase_payoff_matrix(p)
-    qs = support.conj().T @ q @ support
-    svals, svecs = np.linalg.eigh((qs + qs.conj().T) / 2.0)
-    state = support @ svecs[:, -1]
-    k = int(np.argmax(np.abs(state)))
-    state = state * (state[k].conj() / abs(state[k]))  # fix the global phase
+    (step,) = problem.space.steps
+    arrays = [t.data for _, t in sol.tester.outcomes]
+    xi = trace_middle(sum(arrays[1:], arrays[0]), 1, step.out_sys.dim,
+                      step.in_sys.dim) * (1.0 / step.out_sys.dim)  # Xi^(1)
+    state = _pure_input(xi.conj(), p)  # tester inputs pair through the transpose
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     bell_sq = float(abs(np.vdot(bell, state)) ** 2)
 
@@ -253,5 +262,5 @@ def counterexample_correlated_payoff(p: float, d_grid: int = 8,
     tester_value = expected_payoff(tester, problem) - problem.payoff_shift
 
     return CorrelatedPayoffReport(p, d_grid, sol.gamma_primal,
-                                  max(p, 1.0 - p) / 2.0, grid_value,
+                                  two_phase_correlated(p).gamma_max, grid_value,
                                   tester_value, bell_sq, state, sol)

@@ -137,6 +137,8 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
     """
     if not np.isfinite(lambda_) or lambda_ < 0:
         raise BadParameter("certificate scalar must be finite and nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise BadParameter("tol must be finite and nonnegative, got %r" % (tol,))
     try:
         comb = validate_comb(comb, max(tol, 1e-8))
     except (NotPSD, NormalizationViolation, ShapeMismatch) as exc:

@@ -45,7 +45,7 @@ import numpy as np
 # several times the work.  solve_ipm looks the names up at call time.
 from scipy.linalg.lapack import dpotrf as cho_factor, dpotrs as cho_solve
 
-from ..errors import MaxIterations, NumericalFailure
+from ..errors import BadParameter, MaxIterations, NumericalFailure
 
 _R2 = np.sqrt(0.5)
 STEP_FRACTION = 0.98     # share of the distance to the cone boundary taken
@@ -60,6 +60,11 @@ class SolverOptions:
 
     tol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        if not (0.0 < self.tol < np.inf and self.max_iter >= 0):
+            raise BadParameter("need a finite tol > 0 and max_iter >= 0, got "
+                               "%r and %r" % (self.tol, self.max_iter))
 
 
 @functools.lru_cache(maxsize=None)

@@ -159,35 +159,6 @@ def solution_to_json(sol) -> dict:
             "status": str(sol.status)}
 
 
-def group_action_to_json(action) -> dict:
-    rep = {}
-    for label, table in action.rep.items():
-        rep[str(label)] = {str(g): complex_to_json(u) for g, u in table.items()}
-    doc = {"elements": [str(g) for g in action.elements],
-           "table": [[int(k) for k in row] for row in action.table],
-           "rep": rep}
-    if action.conjugated:
-        doc["conjugated"] = sorted(str(x) for x in action.conjugated)
-    return doc
-
-
-def group_action_from_json(doc):
-    from .covariant import FiniteGroupAction
-    try:
-        elements = tuple(str(g) for g in doc["elements"])
-        table = np.asarray(doc["table"], dtype=int)
-        raw_rep = doc["rep"]
-    except KeyError as e:
-        raise ParseError("group file missing key %s" % e)
-    except (TypeError, ValueError) as e:
-        raise ParseError("bad group payload: %s" % e)
-    rep = {}
-    for label, mats in raw_rep.items():
-        rep[label] = {g: complex_from_json(m) for g, m in mats.items()}
-    conjugated = frozenset(doc.get("conjugated", ()))
-    return FiniteGroupAction(elements, table, rep, conjugated)
-
-
 def product_report_to_json(report) -> dict:
     return {"gamma_joint": float(report.gamma_joint),
             "gamma_factors": [float(g) for g in report.gamma_factors],

@@ -9,7 +9,7 @@ from qnetopt import serde
 from qnetopt.covariant import (FiniteGroupAction, cyclic_group,
                                diagonal_phases, kept_coordinates,
                                phase_grid_problem)
-from qnetopt.errors import ParseError
+from qnetopt.errors import NormalizationViolation, NotPSD, ParseError
 from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_channel_problem, random_density,
                                random_memory_comb, random_state_problem,
@@ -268,6 +268,66 @@ def random_product_pair(rng: np.random.Generator) -> tuple:
                                  int(rng.integers(2, 4)),
                                  delta=bool(rng.uniform() < 0.7))
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# the normalization recursions written with labeled operators: partial_trace
+# and embed_identity level by level, a reference for the array walk of
+# validate_comb and validate_tester
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_comb(comb: QuantumComb, tol: float = 1e-8):
+    """validate_comb's checks, in its order, with its levels and residuals."""
+    if not is_psd(comb.op, tol):
+        raise NotPSD("comb operator")
+    current = comb.op
+    for n in range(comb.space.num_steps, 0, -1):
+        step = comb.space.steps[n - 1]
+        traced = partial_trace(current, [step.out_sys.id])
+        reduced = partial_trace(traced, [step.in_sys.id]) * (1.0 / step.in_sys.dim)
+        expected = embed_identity(reduced, step.in_sys,
+                                  traced.label_ids().index(step.in_sys.id))
+        residual = float(np.max(np.abs(traced.data - expected.data)))
+        if residual > tol:
+            raise NormalizationViolation(n, residual)
+        current = reduced
+    miss = abs(complex(current.data[0, 0]) - 1.0)
+    if miss > tol:
+        raise NormalizationViolation(0, miss)
+
+
+def reference_validate_tester(tester: Tester, tol: float = 1e-8) -> list:
+    """validate_tester's checks; the chain Xi^(N), ..., Xi^(1)."""
+    steps = tester.space.steps
+    for m, op in tester.outcomes:
+        if not is_psd(op, tol):
+            raise NotPSD("outcome %r" % (m,))
+    total = tester.outcomes[0][1]
+    for _, op in tester.outcomes[1:]:
+        total = total + op
+    last = steps[-1]
+    xi = partial_trace(total, [last.out_sys.id]) * (1.0 / last.out_sys.dim)
+    expected = embed_identity(xi, last.out_sys,
+                              total.label_ids().index(last.out_sys.id))
+    residual = float(np.max(np.abs(total.data - expected.data)))
+    if residual > tol:
+        raise NormalizationViolation(len(steps) + 1, residual)
+    chain = [xi]
+    for n in range(len(steps), 1, -1):
+        prev_out = steps[n - 2].out_sys
+        traced = partial_trace(xi, [steps[n - 1].in_sys.id])
+        xi = partial_trace(traced, [prev_out.id]) * (1.0 / prev_out.dim)
+        expected = embed_identity(xi, prev_out,
+                                  traced.label_ids().index(prev_out.id))
+        residual = float(np.max(np.abs(traced.data - expected.data)))
+        if residual > tol:
+            raise NormalizationViolation(n - 1, residual)
+        chain.append(xi)
+    final = float(np.abs(np.trace(xi.data) - 1.0))
+    if final > tol:
+        raise NormalizationViolation(0, final)
+    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,42 @@ def test_solve_iteration_limit_exit(problem_file, capsys):
     assert rc == 5
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "inf"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "-1"),
+    ("--max-iter", "-1")])
+def test_solve_bad_option_is_usage_exit(problem_file, capsys, flag, value):
+    rc, _out, err = run(capsys, "solve", problem_file, flag, value,
+                        "--out", "/dev/null")
+    assert rc == 7
+    assert "usage error" in err
+
+
+def test_example_negative_max_iter_is_usage_exit(capsys):
+    assert run(capsys, "example", "helstrom", "--max-iter", "-1")[0] == 7
+
+
+def test_solve_zero_iterations_is_limit_exit(problem_file, capsys):
+    rc, _out, _err = run(capsys, "solve", problem_file, "--max-iter", "0",
+                         "--out", "/dev/null")
+    assert rc == 5
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_dual_check_bad_tol_is_usage_exit(problem_file, tmp_path, capsys,
+                                          tol):
+    doc = serde.solution_to_json(solve(helstrom_problem()))
+    doc["lambda"] = 0.1  # below the optimum 0.854: no tol may certify it
+    path = tmp_path / "low.json"
+    serde.dump_path(doc, str(path))
+    rc, _out, err = run(capsys, "dual-check", problem_file, str(path),
+                        "--tol", tol)
+    assert rc == 7
+    assert "certified" not in err
+    rc, _out, err = run(capsys, "dual-check", problem_file, str(path),
+                        "--tol", "1e-3")
+    assert rc == 2 and "certified False" in err
+
+
 def test_solve_svd_failure_is_numerical_exit(problem_file, tmp_path, capsys,
                                              monkeypatch):
     def no_convergence(*args, **kwargs):

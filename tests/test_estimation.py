@@ -49,7 +49,7 @@ def test_expected_payoff_matches_born_sums(rng):
     tester = validate_tester(uniform_tester(p.space, p.labels_x))
     manual = 0.0
     for i, x_est in enumerate(p.labels_x):
-        t_op = tester.op_for(x_est)
+        t_op = dict(tester.outcomes)[x_est]
         for j, x_true in enumerate(p.labels_x):
             manual += (p.prior[j] * p.payoff[i, j]
                        * born_probability(t_op, p.combs[j]))
@@ -119,7 +119,7 @@ def test_payoff_pairing_consistent(problem):
     ops = payoff_operators(problem)
     acc = 0.0
     for x in problem.labels_x:
-        acc += hs_inner(ops.op_for(x), tester.op_for(x)).real
+        acc += hs_inner(ops.op_for(x), dict(tester.outcomes)[x]).real
     assert expected_payoff(tester, problem) == pytest.approx(acc, abs=1e-9)
 
 

@@ -22,6 +22,7 @@ def test_a_rung_records_its_solve(tmp_path):
     assert rec["iterations"] > 0 and rec["oracle_distance"] < 1e-7
     assert rec["wall_s"] > 0 and rec["peak_rss_mb"] > 0
     assert 0 < rec["estimate_mb"] < rec["peak_rss_mb"]  # no interpreter in it
+    assert 0 < rec["first_rss_mb"] <= rec["peak_rss_mb"]
     # a sub-second rung is timed over several calls, at most five
     assert 2 <= rec["calls"] <= 5
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import memory_combs, random_product_tester, seeds
+from conftest import (memory_combs, random_product_tester,
+                      reference_validate_comb, reference_validate_tester,
+                      seeds)
 from qnetopt import serde
 from qnetopt.errors import (BadPermutation, DimensionCap, NormalizationViolation,
                             NotAState, NotPSD, NotTracePreserving,
@@ -93,8 +95,9 @@ def test_tester_needs_an_outcome():
 
 def test_uniform_tester_chain_and_probabilities(rng):
     space = CombSpace(((I2, O2),))
-    t = validate_tester(uniform_tester(space, ("a", "b", "c")))
-    assert len(t.xi_chain) == 1
+    u = uniform_tester(space, ("a", "b", "c"))
+    t = validate_tester(u)
+    assert t is u
     c = choi_of_channel([random_unitary(rng, 2)], I2, O2)
     comb = validate_comb(QuantumComb(space, c))
     for _, op in t.outcomes:
@@ -108,6 +111,87 @@ def test_tester_scaled_sum_rejected():
                                   for m, op in t.outcomes))
     with pytest.raises(NormalizationViolation):
         validate_tester(doubled)
+
+
+def test_validate_comb_returns_its_argument(rng):
+    comb = QuantumComb(CombSpace(((I2, O2),)),
+                       choi_of_channel([random_unitary(rng, 2)], I2, O2))
+    assert validate_comb(comb) is comb
+
+
+PERTURBATIONS = (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6,
+                 1e-5, 1e-4, 1e-3)
+
+
+def _perturbation(g, n, scale):
+    """scale times a random Hermitian matrix, plus an anti-Hermitian part of
+    about 1e-12, within HERM_TOL, which gives every trace an imaginary part."""
+    a = g.normal(size=(n, n)) + 1j * g.normal(size=(n, n))
+    a /= np.max(np.abs(a))
+    return scale * (a + a.conj().T) + 1e-12 * (a - a.conj().T)
+
+
+def _walk_case(seed):
+    """A memoryful comb or a uniform 3-outcome tester, perturbed at one level.
+
+    The perturbation is a random matrix H on the first k steps, grown to
+    every factor so that the levels above k still hold: a comb gains H (x)
+    I / d_out for the later steps, a tester's first outcome H (x) I_out (x)
+    I_in / d_in.  So a large enough H breaks level k, or level 0 for k = 0.
+    """
+    g = np.random.default_rng(seed)
+    n_steps = 1 + seed // 2 % 3
+    top = 2 if n_steps == 3 else 3
+    space = CombSpace(tuple(
+        (SystemLabel("i%d" % s, int(g.integers(1, top + 1))),
+         SystemLabel("o%d" % s, int(g.integers(2, top + 1))))
+        for s in range(n_steps)))
+    k = int(g.integers(0, n_steps + 1))
+    scale = PERTURBATIONS[int(g.integers(len(PERTURBATIONS)))]
+    prefix = int(np.prod([s.out_sys.dim * s.in_sys.dim
+                          for s in space.steps[:k]], dtype=np.int64))
+    grow = np.ones((1, 1))
+    for s in space.steps[k:]:
+        d = s.out_sys.dim if seed % 2 == 0 else s.in_sys.dim
+        grow = np.kron(grow, np.eye(s.out_sys.dim * s.in_sys.dim) / d)
+    shift = np.kron(_perturbation(g, prefix, scale), grow)
+    factors = space.factors()
+    if seed % 2 == 0:
+        comb = random_memory_comb(g, space)
+        w = max(0.0, g.uniform(-0.25, 0.5))  # a third stay rank-deficient
+        mixed = np.eye(len(grow) * prefix) / np.prod(space.out_dims())
+        data = (1.0 - w) * comb.op.data + w * mixed + shift
+        return QuantumComb(space, LabeledOperator(factors, data))
+    (m, first), *rest = uniform_tester(space, ("a", "b", "c")).outcomes
+    return Tester(space, ((m, first.with_data(first.data + shift)), *rest))
+
+
+def _outcome(check, obj):
+    try:
+        check(obj)
+    except (NotPSD, NormalizationViolation) as exc:
+        return type(exc), getattr(exc, "level", None), \
+            getattr(exc, "residual", None)
+    return None
+
+
+def test_walk_matches_the_labeled_reference():
+    """Exception type, level and residual, bitwise, on 900 seeded cases."""
+    seen = set()
+    for seed in range(900):
+        obj = _walk_case(seed)
+        if isinstance(obj, Tester):
+            got = _outcome(validate_tester, obj)
+            want = _outcome(reference_validate_tester, obj)
+        else:
+            got = _outcome(validate_comb, obj)
+            want = _outcome(reference_validate_comb, obj)
+        assert got == want, seed
+        seen.add(got[:2] if got else None)
+    # every branch is exercised: passes, NotPSD, and levels 0 to N + 1
+    assert None in seen and (NotPSD, None) in seen
+    assert {lvl for kind, lvl in filter(None, seen)
+            if kind is NormalizationViolation} == {0, 1, 2, 3, 4}
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,8 +240,8 @@ def test_tensor_tester_born_factorizes(rng):
     joint_comb = tensor_combs(ca, cb)
     tt = tensor_testers(ta, tb)
     for (ma, mb), op in tt.outcomes:
-        pa = born_probability(ta.op_for(ma), ca)
-        pb = born_probability(tb.op_for(mb), cb)
+        pa = born_probability(dict(ta.outcomes)[ma], ca)
+        pb = born_probability(dict(tb.outcomes)[mb], cb)
         assert born_probability(op, joint_comb) == pytest.approx(pa * pb, abs=1e-9)
 
 

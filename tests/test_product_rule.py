@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import HELSTROM_VALUE, helstrom_problem, qubit_state_problem
+from conftest import (HELSTROM_VALUE, helstrom_problem, qubit_state_problem,
+                      reference_validate_tester)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from qnetopt.errors import (BadParameter, DimensionCap, NonProductPayoff)
 from qnetopt.estimation import (EstimationProblem, expected_payoff,
                                 joint_problem, shifted_problem)
 from qnetopt.networks import tensor_testers
-from qnetopt.product_rule import (best_product_input_value,
+from qnetopt.product_rule import (_pure_input, best_product_input_value,
                                   counterexample_correlated_payoff,
                                   counterexample_multicopy,
                                   verify_product_rule)
@@ -151,3 +152,16 @@ def test_correlated_payoff_beats_products():
     assert rep.product_tester_value == pytest.approx(0.25, abs=1e-6)
     assert rep.gamma_joint > rep.product_grid_value + 0.09
     assert np.linalg.norm(rep.recovered_state) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.7, 0.26])
+def test_correlated_payoff_input_matches_the_labeled_chain(p):
+    """The recovered input is the one the label-based Xi^(1) gives."""
+    rep = counterexample_correlated_payoff(p)
+    xi = reference_validate_tester(rep.solution.tester)[-1]
+    state = _pure_input(xi.data.conj(), p)
+    assert np.max(np.abs(rep.recovered_state - state)) <= 1e-12
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    assert rep.bell_sq_overlap == pytest.approx(
+        abs(np.vdot(bell, state)) ** 2, abs=1e-12)
+    assert rep.gamma_expected == max(p, 1.0 - p) / 2.0

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetopt import serde
-from qnetopt.covariant import FiniteGroupAction, cyclic_group
 from qnetopt.errors import ParseError
 from qnetopt.instances import random_memory_comb
 from qnetopt.networks import (CombSpace, born_probability, validate_comb,
@@ -121,26 +120,6 @@ def test_solution_document_keys():
     assert doc["gamma"] == pytest.approx(sol.gamma_primal)
     assert doc["lambda"] == pytest.approx(sol.lambda_)
     assert doc["status"] == "optimal"
-
-
-def test_group_action_round_trip():
-    elements, table = cyclic_group(2)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    action = FiniteGroupAction(elements, table, {"q": {0: np.eye(2), 1: x}},
-                               conjugated=frozenset({"q"}))
-    back = serde.group_action_from_json(serde.group_action_to_json(action))
-    assert back.elements == ("0", "1")
-    assert np.array_equal(back.table, table)
-    assert back.conjugated == frozenset({"q"})
-    assert np.array_equal(back.rep["q"]["1"], x)
-
-
-def test_group_action_json_omits_empty_conjugated():
-    elements, table = cyclic_group(3)
-    action = FiniteGroupAction(elements, table, {})
-    doc = serde.group_action_to_json(action)
-    assert "conjugated" not in doc
-    assert serde.group_action_from_json(doc).conjugated == frozenset()
 
 
 def test_product_report_document():
