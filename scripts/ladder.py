@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
 """The performance ladder: each rung in its own process, under limits.
 
-A rung is one call: a direct ``solve`` of a phase grid or of a memoryful
-random comb, or ``covariant_gamma`` on a phase grid, on N sequential uses of
-a qubit phase gate, or on a phase grid rotated by a random unitary (a
-non-diagonal action).  Each runs in a fresh
-Python process with BLAS pinned to one thread, an address-space limit of
-MEMORY_GIB (RLIMIT_AS) and a wall-clock budget, so running out of memory or
-time is a result, not a crash.  The child repeats the call while the calls
-so far total under REPEAT_S seconds, up to MAX_CALLS calls, so a sub-second
-rung is timed more than once.  A record holds the median wall seconds of
-those calls and how many there were, the child's peak RSS (ru_maxrss), its
-peak RSS when the first call returns (first_rss_mb, which the allocator's
-state after repeated calls cannot raise), iterations, gamma (on the
-caller's score scale), its distance to the oracle where there is one,
-whether the certificate checks on the full problem (not timed), the largest
-peak-memory estimate the call checked (estimate_mb, null on a tree without
-check_memory), and the outcome: ok, timeout, memory_limit, refused
+A rung is one call: a direct ``solve`` of a phase grid, of a memoryful
+random comb or of N sequential uses of a qubit phase gate (seq-N), or
+``covariant_gamma`` on a phase grid, on N sequential gates (gates-N), or on
+a phase grid rotated by a random unitary (a non-diagonal action).  Each runs
+in a fresh Python process with BLAS pinned to one thread, an address-space
+limit of MEMORY_GIB (RLIMIT_AS) and a wall-clock budget, so running out of
+memory or time is a result, not a crash.  The child repeats the call while
+the calls so far total under REPEAT_S seconds, up to MAX_CALLS calls, so a
+sub-second rung is timed more than once.  A record holds the median wall
+seconds of those calls and how many there were, the child's peak RSS
+(ru_maxrss), its peak RSS when the first call returns (first_rss_mb, which
+the allocator's state after repeated calls cannot raise), iterations, gamma
+(on the caller's score scale), its distance to the oracle where there is
+one, whether the certificate checks on the full problem (not timed), the
+largest peak-memory estimate the call checked (estimate_mb, null on a tree
+without check_memory), and the outcome: ok, timeout, memory_limit, refused
 (DimensionCap) or error.
 
     python scripts/ladder.py --out ladder.json
@@ -46,7 +46,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "grid-16", "grid-24",
          "memory-3x22", "memory-2x33", "covariant-12", "covariant-16",
-         "gates-3", "rotated-7")
+         "gates-3", "seq-4", "rotated-7")
 POLL_S = 0.05
 MEMORY_GIB = 3  # address-space limit of each child
 REPEAT_S = 6.0  # a child repeats its call while the calls total less
@@ -160,6 +160,10 @@ def run_rung(name: str) -> dict:
     kind, _, arg = name.partition("-")
     if kind == "grid":
         call, oracle = _grid(int(arg))
+    elif kind == "seq":
+        from qnetopt.sdp import solve
+        problem, _, oracle = _gates(int(arg))
+        call = lambda: solve(problem)
     elif kind in COVARIANT:
         from qnetopt.covariant import covariant_gamma
         problem, action, oracle = COVARIANT[kind](int(arg))

@@ -29,8 +29,11 @@ covariant program) gets S on those only, entry by entry from W
 (coordinate_kernel), without the n^4 GEMM output.  The iteration keeps one
 (2 K, s, n, n) stack [X; Z] per group: one batched Cholesky and inverse an
 iteration serve the NT scaling and Z^-1, and one eigensolve of each
-direction [dX; dZ] gives both step lengths.  The predictor and corrector
-share W R_d W and its image under A.
+direction [dX; dZ] gives both step lengths.  A group of side 1 is the
+nonnegative orthant, as in SDPT3's linear blocks (Toh, Todd and Tutuncu,
+Optim. Methods Softw. 11, 1999): its factor, inverse, NT scaling and step
+lengths are taken elementwise in closed form, with no LAPACK call.  The
+predictor and corrector share W R_d W and its image under A.
 """
 
 from __future__ import annotations
@@ -399,9 +402,10 @@ def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry])
                 H[ej.rows, ei.rows] += hij.T
 
 
-# iterate it of a solve, and the step (centering sigma, lengths alpha) to it
-IpmStep = namedtuple("IpmStep",
-                     "it pobj dobj rel_gap mu sigma alpha_p alpha_d")
+# iterate it of a solve, its scaled residuals feas_p and feas_d, and the step
+# (centering sigma, lengths alpha) to it
+IpmStep = namedtuple("IpmStep", "it pobj dobj rel_gap feas_p feas_d mu sigma "
+                                "alpha_p alpha_d")
 
 
 @dataclass
@@ -437,19 +441,26 @@ def _chol_jitter(M: np.ndarray, what: str):
                            {"jitter": jitter, "dim": n})
 
 
-def _chol_pair(XZ: np.ndarray, ids) -> np.ndarray:
-    """Cholesky factors of a stacked [X; Z]; only failing blocks get jitter.
+def _chol_pair(XZ: np.ndarray, ids):
+    """Cholesky factors L of a stacked [X; Z] and their inverses L^-1.
 
-    ids numbers the blocks of each half, in the order of the flat stack.
+    Only failing blocks get jitter; ids numbers the blocks of each half, in
+    the order of the flat stack.  On side 1, L = sqrt(x) and L^-1 = 1 / L
+    when every entry is positive; a zero, negative or NaN entry takes the
+    LAPACK path, as any other side does.
     """
+    if XZ.shape[-1] == 1 and (XZ.real > 0).all():
+        L = np.sqrt(XZ.real).astype(XZ.dtype)
+        return L, 1.0 / L
     try:
-        return np.linalg.cholesky(XZ)
+        L = np.linalg.cholesky(XZ)
     except np.linalg.LinAlgError:
         names = ["%s block %d" % (half, b) for half in ("primal", "dual")
                  for b in ids]
         flat = XZ.reshape((-1,) + XZ.shape[-2:])
-        return np.array([_chol_jitter(M, what) for M, what in
-                         zip(flat, names)]).reshape(XZ.shape)
+        L = np.array([_chol_jitter(M, what) for M, what in
+                      zip(flat, names)]).reshape(XZ.shape)
+    return L, np.linalg.inv(L)
 
 
 def _ct(M: np.ndarray) -> np.ndarray:
@@ -464,36 +475,54 @@ def _step_pair(Linv: np.ndarray, D: np.ndarray):
     """Largest (alpha_p, alpha_d) keeping each half of [X; Z] + alpha D >= 0.
 
     Linv stacks the inverse factors L^-1: I + alpha L^-1 D L^-H >= 0, whose
-    one triangle eigvalsh reads.  A half that D keeps >= 0 gets inf.
+    one triangle eigvalsh reads.  On side 1 that eigenvalue is d |l^-1|^2,
+    multiplied in the matmuls' order so that it is eigvalsh's to the bit.  A
+    half that D keeps >= 0 gets inf.
     """
-    try:
-        lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("step-length eigenvalues: %s" % exc, {}) from exc
+    if D.shape[-1] == 1:
+        lam = (Linv * D * Linv.conj()).real[..., 0, 0]
+    else:
+        try:
+            lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure("step-length eigenvalues: %s" % exc,
+                                   {}) from exc
     k = len(lam) // 2
     return tuple(np.inf if low >= -1e-13 else -1.0 / low
                  for low in (float(lam[:k].min()), float(lam[k:].min())))
 
 
 def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int):
-    """G = Lx V diag(s)^-1/2, G^-1 and s from Lz^H Lx = U diag(s) V^H; W = G G^H."""
-    M = _ct(Lz) @ Lx
-    try:
-        _, s, vh = np.linalg.svd(M)
-    except np.linalg.LinAlgError as exc:
-        block = None  # name the first block that fails on its own
-        for b, Mb in zip(ids, M.reshape((-1,) + M.shape[-2:])):
-            try:
-                np.linalg.svd(Mb)
-            except np.linalg.LinAlgError:
-                block = int(b)
-                break
-        raise NumericalFailure("NT scaling SVD: %s" % exc,
-                               {"iteration": it, "block": block}) from exc
-    broken = np.flatnonzero(s.min(axis=-1) <= 0)
+    """G = Lx V diag(s)^-1/2, G^-1 and s from Lz^H Lx = U diag(s) V^H; W = G G^H.
+
+    On side 1, s = l_z l_x, G = l_x / sqrt(s) and G^-1 = sqrt(s) / l_x, so
+    W = sqrt(x / z), the orthant's scaling.  An s that is not finite and
+    positive raises, naming its block.
+    """
+    side1 = Lx.shape[-1] == 1
+    if side1:
+        s = (Lz.conj() * Lx).real[..., 0]
+    else:
+        M = _ct(Lz) @ Lx
+        try:
+            _, s, vh = np.linalg.svd(M)
+        except np.linalg.LinAlgError as exc:
+            block = None  # name the first block that fails on its own
+            for b, Mb in zip(ids, M.reshape((-1,) + M.shape[-2:])):
+                try:
+                    np.linalg.svd(Mb)
+                except np.linalg.LinAlgError:
+                    block = int(b)
+                    break
+            raise NumericalFailure("NT scaling SVD: %s" % exc,
+                                   {"iteration": it, "block": block}) from exc
+    broken = np.flatnonzero(~(s.min(axis=-1) > 0))
     if broken.size:
         raise NumericalFailure("NT scaling broke down",
-                               {"block": int(ids[broken[0]])})
+                               {"iteration": it, "block": int(ids[broken[0]])})
+    if side1:
+        r = np.sqrt(s)[..., None]
+        return Lx / r, r * Lxinv, s
     return ((Lx @ _ct(vh)) / np.sqrt(s)[..., None, :],
             np.sqrt(s)[..., :, None] * (vh @ Lxinv), s)
 
@@ -533,7 +562,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         feas_d = max(float(np.max(np.abs(Rb))) for Rb in R_d) / c_scale
         mu = gap / nu
         if it:
-            history.append(IpmStep(it, pobj, dobj, rel_gap, mu, sigma, ap, ad))
+            history.append(IpmStep(it, pobj, dobj, rel_gap, feas_p, feas_d, mu,
+                                   sigma, ap, ad))
         feas_tol = opts.tol * FEAS_TOL_FACTOR
         if rel_gap <= opts.tol and feas_p <= feas_tol and feas_d <= feas_tol:
             return IpmResult(list(X), y, list(Z), it, "optimal", pobj, dobj,
@@ -547,8 +577,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
 
         # Nesterov-Todd scaling, one stacked call per group; the inverse
         # factors also serve Z^-1 and every step length of the iteration
-        Ls = [_chol_pair(xz, ids) for xz, ids in zip(XZ, group_ids)]
-        Linvs = [np.linalg.inv(lf) for lf in Ls]
+        Ls, Linvs = zip(*[_chol_pair(xz, ids)
+                          for xz, ids in zip(XZ, group_ids)])
         Gs, Ginvs, svals = zip(*[
             _nt_scaling(lf[:k], li[:k], lf[k:], ids, it)
             for lf, li, k, ids in zip(Ls, Linvs, halves, group_ids)])

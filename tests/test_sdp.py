@@ -24,8 +24,8 @@ from qnetopt.sdp import (SolverOptions, certify_dual, engine, slater_point,
                          solve, yuen_kennedy_lax)
 from qnetopt.sdp.engine import tighten_dual
 from qnetopt.covariant import phase_grid_problem
-from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _nt_scaling,
-                             _step_pair, solve_ipm)
+from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _ct,
+                             _nt_scaling, _step_pair, solve_ipm)
 from qnetopt.sdp.standard_form import (build_primal, charge_sectors,
                                        dual_from_y)
 
@@ -78,10 +78,11 @@ def test_ipm_history_records_every_iteration():
     for h in res.history:
         assert 0.0 < h.alpha_p <= 1.0 and 0.0 < h.alpha_d <= 1.0
         assert 0.0 < h.sigma <= 1.0 and h.mu > 0.0
+        assert h.feas_p >= 0.0 and h.feas_d >= 0.0
     last = res.history[-1]
     assert last.rel_gap <= opts.tol
-    assert (last.pobj, last.dobj, last.rel_gap) == (res.pobj, res.dobj,
-                                                     res.rel_gap)
+    assert (last.pobj, last.dobj, last.rel_gap, last.feas_p, last.feas_d) == (
+        res.pobj, res.dobj, res.rel_gap, res.feas_primal, res.feas_dual)
 
 
 def _grid_program(levels):
@@ -202,38 +203,73 @@ def test_batched_step_length_matches_per_block_reference(rng, n):
     assert np.isfinite(ap) and ad == np.inf
 
 
-def test_stacked_cholesky_jitters_only_the_failing_block(rng):
+@pytest.mark.parametrize("n", [1, 4])
+def test_stacked_cholesky_jitters_only_the_failing_block(rng, n):
     # a stacked [X; Z] of 3 + 3 blocks; only a failing block gets jitter
-    a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-    M = a @ a.conj().transpose(0, 2, 1) + np.eye(4)
+    a = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    M = a @ a.conj().transpose(0, 2, 1) + np.eye(n)
+    singular, indefinite = np.full(n, 2.0), np.ones(n)
+    singular[-1], indefinite[-1] = 0.0, -1.0
     for bad, name in ((1, "primal block 7"), (4, "dual block 7")):
         XZ = M.copy()
-        XZ[bad] = np.diag([2.0, 1.0, 1.0, 0.0])  # PSD but singular
-        L = _chol_pair(XZ, [5, 6, 7])
+        XZ[bad] = np.diag(singular)  # PSD but singular
+        L, Linv = _chol_pair(XZ, [5, 6, 7])
         for i in set(range(6)) - {bad}:
             np.testing.assert_array_equal(L[i], np.linalg.cholesky(XZ[i]))
-        assert L[bad][3, 3].real > 0
+        np.testing.assert_array_equal(Linv, np.linalg.inv(L))
+        assert L[bad][-1, -1].real > 0
         np.testing.assert_allclose(L[bad] @ L[bad].conj().T, XZ[bad],
                                    atol=1e-12)
 
-        XZ[bad + 1] = np.diag([1.0, -1.0, 1.0, 1.0])  # indefinite
+        XZ[bad + 1] = np.diag(indefinite)
         with pytest.raises(NumericalFailure, match=name):
             _chol_pair(XZ, [5, 6, 7])
 
 
-def test_nt_scaling_failures_name_their_block():
-    eye = np.array([np.eye(2)] * 3, dtype=complex)
+@pytest.mark.parametrize("n", [1, 2])
+def test_nt_scaling_failures_name_their_block(n):
+    eye = np.array([np.eye(n)] * 3, dtype=complex)
     ids = np.array([4, 5, 6])
     singular = eye.copy()
-    singular[2] = np.diag([1.0, 0.0])
+    singular[2, -1, -1] = 0.0
     with pytest.raises(NumericalFailure, match="broke down") as err:
         _nt_scaling(singular, eye, eye, ids, 0)
-    assert err.value.diagnostics["block"] == 6
+    assert err.value.diagnostics == {"iteration": 0, "block": 6}
     nan = eye.copy()
     nan[1] = np.nan
-    with pytest.raises(NumericalFailure, match="SVD") as err:
+    # side 1 has no SVD to fail: its product s is NaN
+    with pytest.raises(NumericalFailure,
+                       match="broke down" if n == 1 else "SVD") as err:
         _nt_scaling(nan, eye, eye, ids, 3)
     assert err.value.diagnostics == {"iteration": 3, "block": 5}
+
+
+def test_side_one_closed_forms_match_lapack(rng):
+    # [X; Z] of K = 3 copies of 5 one-by-one sectors, and a direction whose
+    # halves both leave the cone
+    k, shape = 3, (6, 5, 1, 1)
+    XZ = rng.uniform(1e-3, 1e3, size=shape) + 0j
+    D = rng.normal(size=shape) + 0j
+    L, Linv = _chol_pair(XZ, np.arange(15))
+    np.testing.assert_array_equal(L, np.linalg.cholesky(XZ))
+    np.testing.assert_allclose(Linv, np.linalg.inv(L), rtol=1e-14, atol=0)
+    G, Ginv, s = _nt_scaling(L[:k], Linv[:k], L[k:], np.arange(15), 0)
+
+    # the SVD path, as it runs on any other side
+    _, s_ref, vh = np.linalg.svd(_ct(L[k:]) @ L[:k])
+    G_ref = (L[:k] @ _ct(vh)) / np.sqrt(s_ref)[..., None, :]
+    Ginv_ref = np.sqrt(s_ref)[..., :, None] * (vh @ np.linalg.inv(L[:k]))
+    np.testing.assert_allclose(s, s_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(G @ _ct(G), G_ref @ _ct(G_ref), rtol=1e-14,
+                               atol=0)
+    np.testing.assert_allclose(Ginv, Ginv_ref, rtol=1e-14, atol=0)
+    # W = sqrt(x / z), the orthant's Nesterov-Todd scaling
+    np.testing.assert_allclose(G @ _ct(G), np.sqrt(XZ[:k] / XZ[k:]),
+                               rtol=1e-14, atol=0)
+
+    lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[..., 0]
+    ref = (-1.0 / lam[:k].min(), -1.0 / lam[k:].min())
+    assert _step_pair(Linv, D) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_solve_ipm_keeps_one_stack_per_group():
