@@ -12,7 +12,9 @@ the calls so far total under REPEAT_S seconds, up to MAX_CALLS calls, so a
 sub-second rung is timed more than once.  A record holds the median wall
 seconds of those calls and how many there were, the child's peak RSS
 (ru_maxrss), its peak RSS when the first call returns (first_rss_mb, which
-the allocator's state after repeated calls cannot raise), iterations, gamma
+the allocator's state after repeated calls cannot raise), the median over
+its calls of the minor page faults each call took (minflt, from getrusage
+around the call: pages the allocator mapped afresh), iterations, gamma
 (on the caller's score scale), its distance to the oracle where there is
 one, whether the certificate checks on the full problem (not timed), the
 largest peak-memory estimate the call checked (estimate_mb, null on a tree
@@ -171,16 +173,18 @@ def run_rung(name: str) -> dict:
     else:
         call, oracle = _memory(arg)
     estimates = _record_estimates()
-    walls = []
+    walls, faults = [], []
     try:
         while len(walls) < MAX_CALLS and sum(walls) < REPEAT_S:
             result = None  # not held while the next call runs
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             result = call()
             walls.append(time.perf_counter() - start)
-            if len(walls) == 1:  # kilobytes on Linux
-                first_mb = resource.getrusage(
-                    resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            faults.append(usage.ru_minflt - before)
+            if len(walls) == 1:
+                first_mb = usage.ru_maxrss / 1024.0  # kilobytes on Linux
     except DimensionCap as exc:
         return {"outcome": "refused", "detail": str(exc)}
     except MemoryError as exc:
@@ -198,7 +202,7 @@ def run_rung(name: str) -> dict:
     rec = {"outcome": "ok", "wall_s": statistics.median(walls),
            "calls": len(walls), "iterations": result.iterations,
            "gamma": gamma, "certified": bool(certified),
-           "first_rss_mb": first_mb,
+           "first_rss_mb": first_mb, "minflt": statistics.median_low(faults),
            "estimate_mb": max(estimates) / 2 ** 20 if estimates else None}
     if oracle is not None:
         rec["oracle_distance"] = abs(gamma - oracle)

@@ -122,9 +122,13 @@ def cmd_dual_check(args) -> int:
     else:
         comb = serde.comb_from_json(doc)
     try:
-        lam = float(doc["lambda"])
+        raw = doc["lambda"]
+        lam = np.nan if isinstance(raw, bool) else float(raw)
     except (KeyError, TypeError, ValueError):
-        raise ParseError("certificate file needs a numeric 'lambda'")
+        lam = np.nan
+    if not 0.0 <= lam < np.inf:  # NaN too; JSON's true is not a number here
+        raise ParseError("certificate file needs a finite, nonnegative "
+                         "numeric 'lambda'")
     report = certify_dual(lam, comb, problem, tol=args.tol)
     _say(args, "lambda %s  min margin %s  certified %s"
          % (_g(report.lambda_), _g(report.min_margin), report.certified))

@@ -205,7 +205,8 @@ class CovariantResult:
     gamma_max is the tightened dual value of the reduced program, an upper
     bound on the stored-scale optimum; invariant_op is the invariant comb R
     with gamma_max * R >= G_x for every x, so (gamma_max, R) certifies the
-    full problem.  gap and iterations describe the reduced program's solve.
+    full problem.  gap, iterations and history (one IpmStep per iteration)
+    describe the reduced program's solve.
     """
 
     gamma_max: float
@@ -214,6 +215,7 @@ class CovariantResult:
     invariant_op: LabeledOperator
     gap: float
     iterations: int
+    history: tuple
 
 
 def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
@@ -230,14 +232,15 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
     twirled dual chain, with lambda = S^(0).  Any other action solves the seed's orbit
     (_orbit_solve).  q_max = 1 / lambda is the largest q with q * seed
     dominated by an invariant comb.  Returns (lambda, R, the duality gap on
-    lambda's scale, the interior-point iterations).
+    lambda's scale, the interior-point iterations, their IpmStep history).
     """
     opts = options if options is not None else SolverOptions()
     factors = space.factors()
     if phases is None:
         phases = diagonal_phases(action, factors)
     if phases is None:
-        lam, top, gap, iterations = _orbit_solve(space, seed, action, opts)
+        lam, top, gap, iterations, history = _orbit_solve(space, seed,
+                                                           action, opts)
     else:
         reduced = EstimationProblem(
             space, (0,), np.ones(1),
@@ -250,9 +253,9 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
         dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
         lam = dual.s0
         top = dual.operators[-1].data / lam
-        gap, iterations = res.gap, res.iterations
+        gap, iterations, history = res.gap, res.iterations, res.history
     inv = LabeledOperator(factors, (top + top.conj().T) / 2.0)
-    return lam, inv, gap, iterations
+    return lam, inv, gap, iterations, history
 
 
 def _orbit_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
@@ -265,7 +268,7 @@ def _orbit_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
     has lambda R >= U_g seed U_g^H for every g; conjugating by U_g^H
     (projective phases cancel) and averaging gives lambda twirl(R) >= seed,
     and twirl(R) is an invariant comb.  Returns (lambda, twirl(R), gap,
-    iterations).
+    iterations, history).
     """
     factors = space.factors()
     size = action.size
@@ -279,7 +282,7 @@ def _orbit_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
                               size * np.eye(size))
     sol = solve(orbit, opts)
     inv = twirl(sol.comb_certificate.op, action).data
-    return sol.lambda_, inv, sol.gap, sol.iterations
+    return sol.lambda_, inv, sol.gap, sol.iterations, sol.history
 
 
 def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
@@ -292,7 +295,7 @@ def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
     raises NotAState (comb_of_state) before any program is built.
     """
     comb = comb_of_state(rho0)
-    lam, inv, _, _ = _qmax_solve(comb.space, comb.op.data, action, options)
+    lam, inv, *_ = _qmax_solve(comb.space, comb.op.data, action, options)
     return 1.0 / lam, LabeledOperator(rho0.factors, inv.data)
 
 
@@ -300,7 +303,7 @@ def qmax_comb(comb0: QuantumComb, action: FiniteGroupAction,
               options: Optional[SolverOptions] = None):
     """Comb version of qmax_state: domination within invariant combs."""
     comb0 = validate_comb(comb0)
-    lam, inv, _, _ = _qmax_solve(comb0.space, comb0.op.data, action, options)
+    lam, inv, *_ = _qmax_solve(comb0.space, comb0.op.data, action, options)
     opts = options if options is not None else SolverOptions()
     comb = validate_comb(QuantumComb(comb0.space, inv), 100.0 * opts.tol)
     return 1.0 / lam, comb
@@ -350,10 +353,10 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         raise BadParameter("payoff row at the identity is all zero")
     seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
     seed = (seed + seed.conj().T) / 2.0
-    lam, inv, gap, iterations = _qmax_solve(problem.space, seed, action,
-                                            options, phases)
+    lam, inv, gap, iterations, history = _qmax_solve(problem.space, seed,
+                                                     action, options, phases)
     return CovariantResult(gamma_0 * lam, 1.0 / lam, gamma_0, inv, gap,
-                           iterations)
+                           iterations, history)
 
 
 # ---------------------------------------------------------------------------

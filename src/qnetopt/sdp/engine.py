@@ -58,7 +58,8 @@ class SdpSolution:
 
     gamma_primal and gamma_dual are reported on the caller's original score
     scale (payoff_shift already subtracted); lambda_ stays on the stored
-    nonnegative scale, so lambda_ == gamma_dual + payoff_shift.
+    nonnegative scale, so lambda_ == gamma_dual + payoff_shift.  history
+    holds one IpmStep per interior-point iteration, in order.
     """
 
     gamma_primal: float
@@ -75,6 +76,7 @@ class SdpSolution:
     certificate: CertificateReport
     feas_primal: float
     feas_dual: float
+    history: tuple
 
 
 def slater_point(sdp: StandardSdp) -> np.ndarray:
@@ -225,7 +227,7 @@ def solve(problem: EstimationProblem,
     return SdpSolution(gamma_primal, gamma_dual, tester, lambda_, comb, dual,
                        abs(gamma_dual - gamma_primal), res.rel_gap,
                        res.iterations, res.status, shift, report,
-                       res.feas_primal, res.feas_dual)
+                       res.feas_primal, res.feas_dual, res.history)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,10 @@ direction [dX; dZ] gives both step lengths.  A group of side 1 is the
 nonnegative orthant, as in SDPT3's linear blocks (Toh, Todd and Tutuncu,
 Optim. Methods Softw. 11, 1999): its factor, inverse, NT scaling and step
 lengths are taken elementwise in closed form, with no LAPACK call.  The
-predictor and corrector share W R_d W and its image under A.
+predictor and corrector share W R_d W and its image under A.  The Schur
+complement H is one (m, m) array held for the whole loop: each iteration's
+assembly zeroes it and adds into it, and its Cholesky factor overwrites it,
+so no m x m array is allocated after the first.
 """
 
 from __future__ import annotations
@@ -330,11 +333,12 @@ class BlockConstraintMap:
     def peak_bytes(self) -> int:
         """Estimated peak bytes of solve_ipm, from the shapes only.
 
-        H (8 m^2), factored in place, is alive while each group's kernel S
-        is formed, about 30 s n^4 (basis_kernel) or, on u coordinates, 8 u^2
-        and 64 bytes a chunk entry (coordinate_kernel), and its pairs added:
-        S and products over the R rows an entry reaches, 24 max(u, R)^2.
-        About 24 complex (K, s, n, n) stacks a group besides.
+        H (8 m^2), one array for the whole loop, factored in place, is
+        alive while each group's kernel S is formed, about 30 s n^4
+        (basis_kernel) or, on u coordinates, 8 u^2 and 64 bytes a chunk
+        entry (coordinate_kernel), and its pairs added: S and products over
+        the R rows an entry reaches, 24 max(u, R)^2.  About 24 complex
+        (K, s, n, n) stacks a group besides.
         """
         kernel = 0
         for g, (used, entries) in zip(self.groups, self._kernels):
@@ -364,15 +368,20 @@ class BlockConstraintMap:
                                              g.side))
         return out
 
-    def schur(self, scalings: Sequence[np.ndarray]) -> np.ndarray:
-        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W."""
-        H = np.zeros((self.m, self.m))
+    def schur(self, scalings: Sequence[np.ndarray],
+              out: np.ndarray) -> np.ndarray:
+        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W.
+
+        H is assembled into out, an (m, m) array that is zeroed first, and
+        returned: solve_ipm hands in the same array every iteration.
+        """
+        out.fill(0.0)
         for stack, (used, entries) in zip(scalings, self._kernels):
             S = _block_diagonal(basis_kernel(stack)) if used is None else \
                 coordinate_kernel(stack[0, 0], used)
-            _add_pairs(H, S, entries)
+            _add_pairs(out, S, entries)
             del S  # a kernel can be as large as H: free it before the next
-        return H
+        return out
 
 
 def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):
@@ -549,6 +558,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
     c_scale = 1.0 + max(float(np.abs(c).max(initial=0.0)) for c in C)
     slow_steps = 0
     history = []
+    H = np.empty((cmap.m, cmap.m))  # the Schur complement, every iteration
 
     for it in range(opts.max_iter + 1):
         X, Z = zip(*[(xz[:k], xz[k:]) for xz, k in zip(XZ, halves)])
@@ -588,7 +598,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
         # shift H's diagonal, check it finite once (so its factor is; each
         # solve checks only its right-hand side) and factor it in place: H.T
         # is the Fortran-ordered view LAPACK overwrites
-        H = cmap.schur(Ws)
+        H = cmap.schur(Ws, H)
         H.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
         if not np.isfinite(H).all():
             raise NumericalFailure("Schur complement not finite at iteration %d"
@@ -638,7 +648,6 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             d[k:] *= ad
             xz += d
         y = y + ad * dy
-        del H, Hf  # free the Schur complement before the next assembly
 
         if min(ap, ad) < 1e-5:
             slow_steps += 1

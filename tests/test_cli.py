@@ -170,7 +170,10 @@ def test_dual_check_rejects_scaled_lambda(problem_file, tmp_path, capsys):
     assert "certified False" in err
 
 
-@pytest.mark.parametrize("lam", ["-Infinity", "Infinity", "NaN"])
+# JSON's true loads as a bool, which float() would take as 1.0; a string
+# goes through float(), as payoff_shift's does
+@pytest.mark.parametrize("lam", ["-Infinity", "Infinity", "NaN", "true",
+                                 "false", "-1.0", "-1e-300", '"-1"', '"nan"'])
 def test_dual_check_rejects_non_finite_lambda(problem_file, tmp_path, capsys,
                                               lam):
     doc = serde.comb_to_json(solve(helstrom_problem()).comb_certificate)
@@ -179,8 +182,19 @@ def test_dual_check_rejects_non_finite_lambda(problem_file, tmp_path, capsys,
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
         rc, _out, err = run(capsys, "dual-check", problem_file, str(path))
-    assert rc == 7
-    assert "finite and nonnegative" in err
+    assert rc == 3
+    assert err == ("parse error: certificate file needs a finite, "
+                   "nonnegative numeric 'lambda'\n")
+
+
+def test_dual_check_reads_a_numeric_string_lambda(problem_file, tmp_path,
+                                                  capsys):
+    doc = serde.solution_to_json(solve(helstrom_problem()))
+    doc["lambda"] = repr(doc["lambda"])  # as problem files' payoff_shift
+    path = tmp_path / "lambda.json"
+    serde.dump_path(doc, str(path))
+    rc, _out, err = run(capsys, "dual-check", problem_file, str(path))
+    assert rc == 0 and "certified True" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])

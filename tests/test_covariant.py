@@ -151,12 +151,8 @@ def test_diagonal_phases_are_the_unitary_diagonals():
 
 
 def test_shift_action_solves_its_orbit():
-    action, factors = _shift_action()
-    assert diagonal_phases(action, factors) is None
-    # a qutrit state and its orbit under the cyclic shift
-    v = random_pure_state(np.random.default_rng(4), 3)
-    problem = qubit_state_problem("s", [np.roll(v, j) for j in range(3)],
-                                  np.full(3, 1.0 / 3.0))
+    problem, action = _shifted_qutrit_orbit()
+    assert diagonal_phases(action, _shift_action()[1]) is None
     res = covariant_gamma(problem, action)
     assert res.gamma_max == pytest.approx(solve(problem).gamma_primal,
                                           abs=1e-7)
@@ -164,11 +160,32 @@ def test_shift_action_solves_its_orbit():
     assert _certifies(problem, res)
 
 
+def _shifted_qutrit_orbit():
+    """A qutrit state and its orbit under the cyclic shift."""
+    action, _ = _shift_action()
+    v = random_pure_state(np.random.default_rng(4), 3)
+    problem = qubit_state_problem("s", [np.roll(v, j) for j in range(3)],
+                                  np.full(3, 1.0 / 3.0))
+    return problem, action
+
+
+# a diagonal action solves the reduced program, the shift its seed's orbit
+@pytest.mark.parametrize("make", [lambda: phase_grid_problem(3),
+                                  _shifted_qutrit_orbit],
+                         ids=["diagonal", "orbit"])
+def test_covariant_result_carries_the_iteration_history(make):
+    res = covariant_gamma(*make())
+    assert len(res.history) == res.iterations > 0
+    assert [h.it for h in res.history] == list(range(1, res.iterations + 1))
+    assert res.history[-1].rel_gap <= 1e-8
+
+
 def _level_n_nonzero_coords(sdp):
     """Level-N coordinates whose row has a nonzero coefficient somewhere."""
     ones = [np.broadcast_to(np.eye(c.shape[-1], dtype=complex), c.shape)
             for c in sdp.C]
-    weight = np.diag(sdp.cmap.schur(ones))
+    m = sdp.cmap.m
+    weight = np.diag(sdp.cmap.schur(ones, np.empty((m, m))))
     top = sdp.num_steps
     return sdp.level_coords(top)[weight[sdp.level_rows(top)] > 1e-12]
 

@@ -23,6 +23,7 @@ def test_a_rung_records_its_solve(tmp_path):
     assert rec["wall_s"] > 0 and rec["peak_rss_mb"] > 0
     assert 0 < rec["estimate_mb"] < rec["peak_rss_mb"]  # no interpreter in it
     assert 0 < rec["first_rss_mb"] <= rec["peak_rss_mb"]
+    assert isinstance(rec["minflt"], int) and rec["minflt"] >= 0
     # a sub-second rung is timed over several calls, at most five
     assert 2 <= rec["calls"] <= 5
 

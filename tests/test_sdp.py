@@ -85,6 +85,15 @@ def test_ipm_history_records_every_iteration():
         res.pobj, res.dobj, res.rel_gap, res.feas_primal, res.feas_dual)
 
 
+def test_solution_carries_the_iteration_history():
+    sol = solve(phase_grid_problem(4)[0])
+    assert len(sol.history) == sol.iterations
+    assert [h.it for h in sol.history] == list(range(1, sol.iterations + 1))
+    last = sol.history[-1]
+    assert (last.rel_gap, last.feas_p, last.feas_d) == (
+        sol.rel_gap, sol.feas_primal, sol.feas_dual)
+
+
 def _grid_program(levels):
     problem = phase_grid_problem(levels)[0]
     return build_primal(problem, sectors=charge_sectors(problem))
@@ -108,6 +117,60 @@ def test_peak_bytes_bounds_the_solver_peak(make, coordinate):
     finally:
         tracemalloc.stop()
     assert peak <= sdp.cmap.peak_bytes() <= 3 * peak
+
+
+def _random_scalings(cmap, rng):
+    Ws = []
+    for g in cmap.groups:
+        shape = (g.copies, g.sectors, g.side, g.side)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        Ws.append(a @ _ct(a) + g.side * np.eye(g.side))
+    return Ws
+
+
+@pytest.mark.parametrize("make,coordinate", [
+    (lambda: build_primal(random_channel_problem(
+        np.random.default_rng(0), 2, [(2, 2)] * 2, memory=True)), False),
+    (lambda: selected_phase_program(6, 14)[0], True),
+], ids=["memory-2x22", "covariant-6"])
+def test_schur_overwrites_whatever_its_buffer_held(make, coordinate):
+    cmap = make().cmap
+    assert coordinate or any(e.padded for e in cmap.entries)
+    assert any(used is not None for used, _ in cmap._kernels) == coordinate
+    Ws = _random_scalings(cmap, np.random.default_rng(1))
+    out = np.full((cmap.m, cmap.m), np.nan)
+    H = cmap.schur(Ws, out)
+    assert H is out
+    np.testing.assert_array_equal(H, cmap.schur(Ws, np.zeros_like(out)))
+
+
+def test_schur_complement_is_one_array_per_solve(monkeypatch):
+    problem = random_channel_problem(np.random.default_rng(0), 2,
+                                     [(2, 2)] * 2, memory=True)
+    real = BlockConstraintMap.schur
+
+    def run(fresh):
+        handed = []
+
+        def wrapped(self, scalings, out):
+            H = real(self, scalings, out)
+            handed.append(H)
+            return H.copy() if fresh else H
+
+        monkeypatch.setattr(BlockConstraintMap, "schur", wrapped)
+        return solve(problem), handed
+
+    held, handed = run(fresh=False)
+    assert len(handed) == held.iterations  # one assembly an iteration
+    assert all(H is handed[0] for H in handed)
+    fresh, _ = run(fresh=True)
+    assert fresh.history == held.history
+    assert (fresh.lambda_, fresh.gamma_primal, fresh.gamma_dual) == (
+        held.lambda_, held.gamma_primal, held.gamma_dual)
+    np.testing.assert_array_equal(fresh.comb_certificate.op.data,
+                                  held.comb_certificate.op.data)
+    for (_, a), (_, b) in zip(fresh.tester.outcomes, held.tester.outcomes):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("make", [
@@ -331,7 +394,7 @@ def test_non_finite_newton_system_is_numerical_failure(
 def test_indefinite_schur_complement_is_numerical_failure(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(BlockConstraintMap, "schur",
-                        lambda self, Ws: -np.eye(self.m))
+                        lambda self, Ws, out: -np.eye(self.m))
     with pytest.raises(NumericalFailure,
                        match="Schur complement not positive definite") as err:
         solve(helstrom_problem())

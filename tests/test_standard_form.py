@@ -298,7 +298,8 @@ def _assert_kernels_match_dense_rows(sdp, rng):
         # a row's coefficient is the same on every copy
         expect += np.einsum("itkl,utlp,jtpq,utqk->ij", A, W, A, W,
                             optimize=True).real
-    np.testing.assert_allclose(cmap.schur(Ws), expect, rtol=1e-10)
+    np.testing.assert_allclose(cmap.schur(Ws, np.empty_like(expect)),
+                               expect, rtol=1e-10)
 
     X = [np.array([[rand_herm(rng, n) for _ in range(s)] for _ in range(k)])
          for k, s, n, _ in shapes]
