@@ -48,7 +48,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "grid-16", "grid-24",
          "memory-3x22", "memory-2x33", "covariant-12", "covariant-16",
-         "gates-3", "seq-4", "rotated-7")
+         "gates-3", "gates-4", "gates-5", "seq-4", "rotated-7")
 POLL_S = 0.05
 MEMORY_GIB = 3  # address-space limit of each child
 REPEAT_S = 6.0  # a child repeats its call while the calls total less

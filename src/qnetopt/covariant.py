@@ -12,17 +12,20 @@ q_max, read off the tightened dual, together with the invariant comb that
 certifies it.
 
 When every representative is diagonal (phases, and products of cyclic
-groups), the twirl multiplies entry (p, q) by the mean of a character,
-which is 0 or 1: it keeps a coordinate iff its row and column carry the
-same charge.  Those coordinates come in closed form from the diagonal
-phases (``diagonal_phases``, ``kept_coordinates``), and they are the
-program's level-N rows: the direct program's rows with the others left
-out.  The group acts locally, so twirling the Xi chain keeps it a chain,
-and the rows left out never bind; the dual's S^(N) lives on the kept
-coordinates, so it is invariant as it comes.  This is the
-block-diagonalisation of de Klerk, Pasechnik and Schrijver (Math. Program.
-109, 2007) and Gatermann and Parrilo (J. Pure Appl. Algebra 192, 2004),
-specialised to charge sectors.  Other actions, such as a cyclic shift,
+groups), each level of each factor carries a character, the phases that
+the group elements put on it (``diagonal_characters``), and a position
+carries the product of its levels' characters.  The twirl multiplies entry
+(p, q) by the mean of a character, which is 0 or 1: it keeps a coordinate
+iff its row and column carry the same character.  So the characters are
+sector labels of the kind the direct program already takes from the torus
+of the combs (``ChargeSectors``): the Xi chain and the rows of every level
+take the pair (charge, character), and the seed outcome, which need not be
+invariant, the charge only.  The group acts locally, so twirling the Xi
+chain keeps it a chain, and the rows left out never bind; the dual's S^(N)
+lives on the invariant coordinates, so it is invariant as it comes.  This
+is the block-diagonalisation of de Klerk, Pasechnik and Schrijver (Math.
+Program. 109, 2007) and Gatermann and Parrilo (J. Pure Appl. Algebra 192,
+2004), specialised to characters.  Other actions, such as a cyclic shift,
 solve the seed's orbit directly, as a discrimination problem with a uniform
 prior, and twirl its certificate.
 
@@ -48,10 +51,12 @@ from .networks import (CombSpace, QuantumComb, choi_of_channel,
                        validate_comb)
 from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import check_memory, slater_point, solve, tighten_dual
-from .sdp.ipm import SolverOptions, basis_layout, solve_ipm
-from .sdp.standard_form import build_primal, dual_from_y
+from .sdp.ipm import SolverOptions, solve_ipm
+from .sdp.standard_form import (ChargeSectors, build_primal, charge_sectors,
+                                dual_from_y)
 
 HOMOMORPHISM_TOL = 1e-10
+CHECK_ENTRIES = 1 << 20  # entries of a covariance check's temporaries
 
 
 @dataclass
@@ -135,14 +140,14 @@ def twirl(op: LabeledOperator, action: FiniteGroupAction) -> LabeledOperator:
     return op.with_data(acc / action.size)
 
 
-def diagonal_phases(action: FiniteGroupAction,
-                    factors: Sequence[SystemLabel]) -> Optional[np.ndarray]:
-    """The diagonals of every U_g on the factors, or None if one is not diagonal.
+def diagonal_characters(action: FiniteGroupAction,
+                        factors: Sequence[SystemLabel]) -> Optional[dict]:
+    """Per factor moved, the (dim, |G|) characters its levels carry, or None.
 
-    Row g of the (|G|, D) result is diag(unitary_for(elements[g], factors)),
-    the Kronecker product of the per-factor diagonals.
+    Column g is diag(rep[f][elements[g]]), conjugated for a conjugated label;
+    None if a representative is not diagonal.
     """
-    phases = np.ones((action.size, 1), dtype=complex)
+    characters = {}
     for f in factors:
         if f.id in action.rep:
             mats = np.array([action.rep[f.id][el] for el in action.elements],
@@ -155,23 +160,25 @@ def diagonal_phases(action: FiniteGroupAction,
                 return None
             if f.id in action.conjugated:
                 diag = diag.conj()
-        else:
-            diag = np.ones((action.size, f.dim))
+            characters[f.id] = diag.T
+    return characters
+
+
+def diagonal_phases(action: FiniteGroupAction,
+                    factors: Sequence[SystemLabel]) -> Optional[np.ndarray]:
+    """The diagonals of every U_g on the factors, or None if one is not diagonal.
+
+    Row g of the (|G|, D) result is diag(unitary_for(elements[g], factors)),
+    the Kronecker product of the per-factor diagonals (diagonal_characters).
+    """
+    characters = diagonal_characters(action, factors)
+    if characters is None:
+        return None
+    phases = np.ones((action.size, 1), dtype=complex)
+    for f in factors:
+        diag = characters.get(f.id, np.ones((f.dim, action.size))).T
         phases = (phases[:, :, None] * diag[:, None, :]).reshape(action.size, -1)
     return phases
-
-
-def kept_coordinates(phases: np.ndarray) -> np.ndarray:
-    """The Hermitian-basis coordinates the twirl of a diagonal action keeps.
-
-    twirl(X)[p, q] = X[p, q] mean_g ph_g[p] conj(ph_g[q]); that mean is the
-    average of a character of the group, so it is 1 when row and column
-    carry the same charge and 0 otherwise.  The twirl keeps the coordinates
-    on those positions and zeroes the others.
-    """
-    mean = phases.T @ phases.conj() / len(phases)
-    row, col, _ = basis_layout(phases.shape[1])
-    return np.flatnonzero(mean.real[row, col] > 0.5)
 
 
 def cyclic_group(n: int) -> Tuple[tuple, np.ndarray]:
@@ -225,14 +232,14 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
 
     For a diagonal action (phases from diagonal_phases) this is the
     one-outcome tester program for the seed comb with the normalization
-    imposed on twirl(T) instead of T: build_primal gets the kept
-    coordinates as the level-N rows.  Its dual asks for a dual chain whose
-    S^(N), which lives on the kept coordinates, dominates the seed; after
-    tightening, R = S^(N) / lambda is an invariant comb, whose chain is the
-    twirled dual chain, with lambda = S^(0).  Any other action solves the seed's orbit
-    (_orbit_solve).  q_max = 1 / lambda is the largest q with q * seed
-    dominated by an invariant comb.  Returns (lambda, R, the duality gap on
-    lambda's scale, the interior-point iterations, their IpmStep history).
+    imposed on twirl(T) instead of T, on the sectors of the seed's torus
+    (charge_sectors) and the action's characters.  Its dual asks for a dual
+    chain whose S^(N), on the invariant coordinates, dominates the seed;
+    after tightening, R = S^(N) / lambda is an invariant comb, with lambda =
+    S^(0).  Any other action solves the seed's orbit (_orbit_solve).  q_max
+    = 1 / lambda is the largest q with q * seed dominated by an invariant
+    comb.  Returns (lambda, R, the duality gap on lambda's scale, the
+    interior-point iterations, their IpmStep history).
     """
     opts = options if options is not None else SolverOptions()
     factors = space.factors()
@@ -246,7 +253,9 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
             space, (0,), np.ones(1),
             (QuantumComb(space, LabeledOperator(factors, seed)),),
             np.ones((1, 1)))
-        sdp = build_primal(reduced, kept_coordinates(phases))
+        sectors = ChargeSectors(charge_sectors(reduced).charges,
+                                diagonal_characters(action, factors))
+        sdp = build_primal(reduced, sectors)
         check_memory(sdp, action.size)
         res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                         slater_point(sdp), opts)
@@ -323,28 +332,41 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     n = action.size
     if np.max(np.abs(problem.prior - 1.0 / n)) > 1e-9:
         raise BadParameter("covariant reduction requires a uniform prior")
-    g = problem.payoff
-    for y in range(n):
-        shuffled = g[np.ix_(action.table[y], action.table[y])]
-        if np.max(np.abs(shuffled - g)) > 1e-9:
-            raise NotLeftInvariant(
-                "payoff changes under left translation by %r" % (action.elements[y],))
+    g, table = problem.payoff, action.table
+    # each check takes a chunk of elements at a time, CHECK_ENTRIES entries
+    width = max(1, CHECK_ENTRIES // g.size)
+    for y0 in range(0, n, width):
+        ys = table[y0:y0 + width]
+        err = np.abs(g[ys[:, :, None], ys[:, None, :]] - g).max(axis=(1, 2))
+        bad = np.flatnonzero(err > 1e-9)
+        if bad.size:
+            raise NotLeftInvariant("payoff changes under left translation by "
+                                   "%r" % (action.elements[y0 + bad[0]],))
     mats = [c.op.data for c in problem.combs]
     factors = problem.space.factors()
-    scale = 1.0 + max(float(np.max(np.abs(r))) for r in mats)
     phases = diagonal_phases(action, factors)
-    stack = np.array(mats)
-    for gi in range(n):
+    if phases is None:
+        stack, width = np.array(mats), 1
+    else:  # the combs' joint support: off it both sides below are exactly 0
+        rows, cols = np.nonzero(np.logical_or.reduce([r != 0 for r in mats]))
+        stack = np.array([r[rows, cols] for r in mats])
+        width = max(1, CHECK_ENTRIES // stack.size)
+    scale = 1.0 + float(np.abs(stack).max())
+    for g0 in range(0, n, width):
+        gs = np.arange(g0, min(g0 + width, n))
         if phases is None:
-            u = action.unitary_for(action.elements[gi], factors)
-            moved = u @ stack @ u.conj().T
+            u = action.unitary_for(action.elements[g0], factors)
+            moved = (u @ stack @ u.conj().T)[None]
         else:  # U R U^H = R * outer(ph, conj ph), for every x at once
-            moved = stack * np.outer(phases[gi], phases[gi].conj())
-        if np.max(np.abs(moved - stack[action.table[gi]])) > 1e-8 * scale:
+            ph = phases[gs]
+            moved = stack * (ph[:, rows] * ph[:, cols].conj())[:, None]
+        err = np.abs(moved - stack[table[gs]]).reshape(len(gs), -1).max(axis=1)
+        bad = np.flatnonzero(err > 1e-8 * scale)
+        if bad.size:
             raise NotLeftInvariant(
                 "combs do not form an orbit of the action (element %r)"
-                % (action.elements[gi],))
-    del stack, moved  # two K D^2 stacks, not to be held through the solve
+                % (action.elements[gs[bad[0]]],))
+    del stack, moved  # K D^2 entries each, not to be held through the solve
 
     e = action.identity_index
     weights = g[e] / n

@@ -110,10 +110,9 @@ def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     sectors.  It is added to the level-n rows as (I_out / d_out) (x)
     Delta_n, through the level's entries that read I_out (x) Xi^(n).
     Deltas are PSD for a feasible dual, so each corrected level still
-    dominates the original one; row 0 (S^(0)) is unchanged.  A covariant
-    program's level-N rows are the kept coordinates, so there the update is
-    the twirl of (I_out / d_out) (x) Delta_N, and Tr_out S^(N) equals the
-    twirl of S^(N-1) (x) I_in.
+    dominates the original one; row 0 (S^(0)) is unchanged.  Delta_n is 0
+    off the sectors of Xi^(n), whose labels every level's rows share (those
+    of a covariant program too), so the chain holds at full size.
     """
     y = np.array(y, dtype=float)
     cmap = sdp.cmap

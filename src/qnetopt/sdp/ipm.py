@@ -23,17 +23,16 @@ with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt), which one batched
 GEMM and an index gather give in closed form (basis_kernel); for n = 1
 that is the diagonal sum_k |W_kt|^2.  Entry pairs add R_i S R_j^T.  This
 is the structure-exploiting assembly of Fujisawa, Kojima and Nakata (Math.
-Program. 79, 1997), specialised to comb constraints.  A group of one block
-whose entries read only some coordinates (the kept coordinates of a
-covariant program) gets S on those only, entry by entry from W
-(coordinate_kernel), without the n^4 GEMM output.  The iteration keeps one
-(2 K, s, n, n) stack [X; Z] per group: one batched Cholesky and inverse an
-iteration serve the NT scaling and Z^-1, and one eigensolve of each
-direction [dX; dZ] gives both step lengths.  A group of side 1 is the
-nonnegative orthant, as in SDPT3's linear blocks (Toh, Todd and Tutuncu,
-Optim. Methods Softw. 11, 1999): its factor, inverse, NT scaling and step
-lengths are taken elementwise in closed form, with no LAPACK call.  The
-predictor and corrector share W R_d W and its image under A.  The Schur
+Program. 79, 1997), specialised to comb constraints; every group takes it,
+including those whose entries read only some coordinates (the outcome
+sectors of a covariant program).  The iteration keeps one (2 K, s, n, n)
+stack [X; Z] per group: one batched Cholesky and inverse an iteration serve
+the NT scaling and Z^-1, and one eigensolve of each direction [dX; dZ]
+gives both step lengths.  A group of side 1 is the nonnegative orthant, as
+in SDPT3's linear blocks (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
+1999): its factor, inverse, NT scaling and step lengths are taken
+elementwise in closed form, with no LAPACK call.  The predictor and
+corrector share W R_d W and its image under A.  The Schur
 complement H is one (m, m) array held for the whole loop: each iteration's
 assembly zeroes it and adds into it, and its Cholesky factor overwrites it,
 so no m x m array is allocated after the first.
@@ -57,7 +56,6 @@ _R2 = np.sqrt(0.5)
 STEP_FRACTION = 0.98     # share of the distance to the cone boundary taken
 MIN_SIGMA = 1e-10        # floor of the centering parameter
 FEAS_TOL_FACTOR = 100.0  # feasibility residuals may reach this times tol
-KERNEL_CHUNK = 1 << 16   # entries per row chunk of coordinate_kernel
 
 
 @dataclass(frozen=True)
@@ -192,43 +190,6 @@ def _block_diagonal(S: np.ndarray) -> np.ndarray:
     return out.reshape(s * d, s * d)
 
 
-def coordinate_kernel(L: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """basis_kernel(L[None, None])[0][np.ix_(coords, coords)], no n^4 GEMM.
-
-    Write B_a = alpha_a e_pq + conj(alpha_a) e_qp for coordinate a on (p, q),
-    with alpha 1/2 on the diagonal, 1/sqrt2 symmetric and i/sqrt2
-    antisymmetric.  L is Hermitian, so the four terms of Tr(B_a L B_c L)
-    pair into conjugates, and with (r, s) the position and beta the weight
-    of c:
-    S[a, c] = 2 Re alpha_a (beta_c L[q, r] conj L[p, s]
-                            + conj(beta_c) L[q, s] conj L[p, r]).
-    S is symmetric: each chunk of rows is formed right of the diagonal, in
-    about KERNEL_CHUNK entries, and mirrored below it.
-    """
-    row, col, imag = basis_layout(L.shape[-1])
-    p, q = row[coords], col[coords]
-    alpha = np.where(p == q, 0.5, _R2) * np.where(imag[coords], 1j, 1.0)
-    beta, beta_c = 2.0 * alpha, 2.0 * alpha.conj()  # the 2 of 2 Re
-    u = len(coords)
-    S = np.empty((u, u))
-    step = max(1, KERNEL_CHUNK // u)
-    for lo in range(0, u, step):
-        hi = min(lo + step, u)
-        r, c = p[lo:], q[lo:]
-        Lq, Lp = L[q[lo:hi]], L[p[lo:hi]].conj()
-        acc = Lq.take(r, axis=1)
-        acc *= Lp.take(c, axis=1)
-        acc *= beta[lo:]
-        t = Lq.take(c, axis=1)
-        t *= Lp.take(r, axis=1)
-        t *= beta_c[lo:]
-        acc += t
-        acc *= alpha[lo:hi, None]
-        S[lo:hi, lo:] = acc.real
-        S[hi:, lo:hi] = S[lo:hi, hi:].T
-    return S
-
-
 @dataclass
 class ConstraintEntry:
     """Coordinate map R of one row group on a block: the rows read R x.
@@ -280,26 +241,6 @@ class ConstraintEntry:
                                         minlength=size + 1)[1:]
 
 
-def _kernel_coords(entries: Sequence[ConstraintEntry], n: int):
-    """(used, entries): the coordinates a one-block group's rows read, if few.
-
-    When the entries together read fewer than n^2 coordinates, they are
-    returned remapped to positions in the sorted array `used`, so the Schur
-    pass needs the kernel on those only; otherwise used is None and the
-    entries are returned as they are.
-    """
-    read = np.zeros(n * n + 1, dtype=bool)  # index -1 marks the padding
-    for e in entries:
-        read[e.tensor] = True
-    used = np.flatnonzero(read[:-1])
-    if len(used) == n * n:
-        return None, entries
-    position = np.full(n * n + 1, -1)  # index -1 keeps the padding
-    position[used] = np.arange(len(used))
-    return used, [ConstraintEntry(e.row_start, position[e.tensor], e.scale)
-                  for e in entries]
-
-
 class BlockGroup(NamedTuple):
     """K copies of s sector blocks of one side n, which the entries read alike.
 
@@ -326,29 +267,24 @@ class BlockConstraintMap:
         self.groups = list(groups)
         self.sizes = [g.sectors * g.side ** 2 for g in self.groups]
         self.entries = [e for g in self.groups for e in g.entries]
-        self._kernels = [_kernel_coords(g.entries, g.side)
-                         if g.copies == g.sectors == 1 else (None, g.entries)
-                         for g in self.groups]
 
     def peak_bytes(self) -> int:
         """Estimated peak bytes of solve_ipm, from the shapes only.
 
         H (8 m^2), one array for the whole loop, factored in place, is
         alive while each group's kernel S is formed, about 30 s n^4
-        (basis_kernel) or, on u coordinates, 8 u^2 and 64 bytes a chunk
-        entry (coordinate_kernel), and its pairs added: S and products over
-        the R rows an entry reaches, 24 max(u, R)^2.  About 24 complex
-        (K, s, n, n) stacks a group besides.
+        (basis_kernel), and its pairs added: S and products over the R rows
+        an entry reaches, 24 max(s n^2, R)^2.  About 24 complex (K, s, n, n)
+        stacks a group besides, and 32 KB of small objects (array headers,
+        lists, the history).
         """
         kernel = 0
-        for g, (used, entries) in zip(self.groups, self._kernels):
-            u = g.sectors * g.side ** 2 if used is None else len(used)
-            formed = 30 * g.sectors * g.side ** 4 if used is None else \
-                8 * u * u + 64 * min(u * u, KERNEL_CHUNK + u)
-            rows = max(np.count_nonzero(e.tensor.max(1) >= 0) for e in entries)
-            kernel = max(kernel, formed, 24 * max(u, rows) ** 2)
-        stacks = sum(g.copies * g.sectors * g.side ** 2 for g in self.groups)
-        return 8 * self.m ** 2 + kernel + 24 * 16 * stacks
+        for g, size in zip(self.groups, self.sizes):
+            rows = max(np.count_nonzero(e.tensor.max(1) >= 0) for e in g.entries)
+            kernel = max(kernel, 30 * g.sectors * g.side ** 4,
+                         24 * max(size, rows) ** 2)
+        stacks = sum(g.copies * size for g, size in zip(self.groups, self.sizes))
+        return 8 * self.m ** 2 + kernel + 24 * 16 * stacks + (32 << 10)
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
@@ -376,10 +312,9 @@ class BlockConstraintMap:
         returned: solve_ipm hands in the same array every iteration.
         """
         out.fill(0.0)
-        for stack, (used, entries) in zip(scalings, self._kernels):
-            S = _block_diagonal(basis_kernel(stack)) if used is None else \
-                coordinate_kernel(stack[0, 0], used)
-            _add_pairs(out, S, entries)
+        for stack, g in zip(scalings, self.groups):
+            S = _block_diagonal(basis_kernel(stack))
+            _add_pairs(out, S, g.entries)
             del S  # a kernel can be as large as H: free it before the next
         return out
 

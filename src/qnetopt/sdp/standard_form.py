@@ -22,10 +22,12 @@ the constraint rows of each level are its invariant coordinates, those of
 the Hermitian basis whose row and column positions share a charge: the sum
 of the squared sector sides, not D_j^2.  A trivial torus has one sector per
 space and gives 1 + sum_j D_j^2 rows, which keeps the Schur complement
-positive definite.  A covariant program has fewer level-N rows: the
-coordinates its twirl keeps, and no others.  The sectors of one side are
-one block group of the solver: those of each Xi^(j), and those of every
-outcome block, the outcomes as its copies.
+positive definite.  A covariant program labels the chain's positions by
+the pair (charge, character of a diagonal group action) and its outcome's
+by the charge only, so its rows are the coordinates that both the torus
+and the twirl keep (ChargeSectors).  The sectors of one side are one block
+group of the solver: those of each Xi^(j), and those of every outcome
+block, the outcomes as its copies.
 
 Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
 in_j); with that choice every coefficient is either a basis element, a basis
@@ -37,13 +39,13 @@ and the sector maps are these maps composed with that index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..estimation import EstimationProblem, payoff_operators
+from ..networks import CombSpace
 from ..operators import LabeledOperator, SystemLabel
 from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
                   basis_layout, coordinate_index, hermitian_from_coords)
@@ -100,28 +102,75 @@ def block_sides(problem: EstimationProblem) -> List[int]:
 
 @dataclass(frozen=True)
 class ChargeSectors:
-    """A torus of local diagonal unitaries, as the charges of every level.
+    """Sector labels: a torus of local diagonal unitaries, and group characters.
 
     charges maps a factor id to a (dim, r) array, the charge of each of its
     levels: the phase phi_f(i) that level i gets, as a vector over an
-    orthonormal basis of the torus's r directions.  A position of a space
-    carries the sum of its levels' charges, and the positions of one charge
-    form a sector.  With no charges the torus is trivial, and every space
-    is one sector.
+    orthonormal basis of the torus's r directions.  characters maps a factor
+    id to a (dim, c) array, the phase that each of c group elements puts on
+    each level (diagonal_characters), absent for factors left alone.  A
+    position carries the sum of its levels' charges and the product of their
+    characters, and the positions that share both form a sector.  With
+    neither, every space is one sector.
     """
 
     charges: Mapping = field(default_factory=dict)
+    characters: Mapping = field(default_factory=dict)
 
     def labels(self, factors: Sequence[SystemLabel]) -> np.ndarray:
-        """The sector of each position of the space, numbered by charge."""
-        if not self.charges:
-            return np.zeros(math.prod(f.dim for f in factors), np.intp)
-        r = next(iter(self.charges.values())).shape[1]
-        q = np.zeros((1, r))
+        """The sector of each position of the space, numbered by label."""
+        return self._label(self._walk(factors))
+
+    def chain_labels(self, space: CombSpace):
+        """Labels of each Xi^(j) and level j, and the charge labels of level N.
+
+        One walk: Xi^(j+1) is level j with in(j+1), level j+1 with out(j+1) too.
+        """
+        walk, xi, level = None, [], []
+        for step in space.steps:
+            xi.append(self._label(self._walk([step.in_sys], walk)))
+            walk = self._walk([step.out_sys, step.in_sys], walk)
+            level.append(self._label(walk))
+        top = self._label(walk, False) if self.characters else level[-1]
+        return xi, level, top
+
+    def _walk(self, factors: Sequence[SystemLabel], walk=None):
+        """Each position's (charge, phases) once factors extend walk's space.
+
+        None is the empty space; with no characters, every phase is 1.
+        """
+        if walk is None:
+            r = max([v.shape[1] for v in self.charges.values()], default=0)
+            c = max([v.shape[1] for v in self.characters.values()], default=1)
+            walk = np.zeros((1, r)), np.ones((1, c))
         for f in factors:
-            q = (q[:, None, :] + self.charges[f.id][None]).reshape(-1, r)
+            q, phases = walk
+            add, mul = self.charges.get(f.id), self.characters.get(f.id)
+            walk = (np.repeat(q, f.dim, axis=0) if add is None else
+                    (q[:, None] + add).reshape(len(q) * f.dim, -1),
+                    np.repeat(phases, f.dim, axis=0) if mul is None else
+                    (phases[:, None] * mul).reshape(len(q) * f.dim, -1))
+        return walk
+
+    def _label(self, walk, characters: bool = True) -> np.ndarray:
+        q, phases = walk
         keys = np.rint(q * 10.0 ** CHARGE_DECIMALS).astype(np.int64)
-        return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+        if characters and self.characters:
+            # two positions carry one character when the mean over the group
+            # of their phases' ratio is 1, and it is 0 otherwise: label each
+            # by the first position of its character
+            same = (phases @ phases.conj().T).real > 0.5 * phases.shape[1]
+            keys = np.column_stack([keys, same.argmax(axis=1)])
+        if not keys.shape[1]:
+            return np.zeros(len(keys), np.intp)
+        # np.unique(keys, axis=0, return_inverse=True)[1], without its slow
+        # structured sort: each row's number among the distinct rows, sorted
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        ids = np.empty(len(keys), np.intp)
+        ids[order] = np.cumsum(np.r_[True, np.any(ordered[1:] != ordered[:-1],
+                                                  axis=1)]) - 1
+        return ids
 
 
 def charge_sectors(problem: EstimationProblem) -> ChargeSectors:
@@ -278,19 +327,18 @@ class StandardSdp:
 
 
 def build_primal(problem: EstimationProblem,
-                 kept: Optional[np.ndarray] = None,
                  sectors: Optional[ChargeSectors] = None) -> StandardSdp:
     """Assemble the block groups, objective, and the structured constraint map.
 
-    sectors is the torus whose charge sectors split the blocks and select
-    the rows (charge_sectors); None is the trivial torus, one sector a
-    space.  kept, which needs the trivial torus, lists the level-N
-    coordinates that the covariant program keeps, those that the twirl of
-    a diagonal group action leaves alone; they are then the level-N rows,
-    so the program imposes twirl(sum_est T_est) = twirl(I_out(N) (x)
-    Xi^(N)).  Twirling the Xi chain by the local action keeps it a chain,
-    so the rows left out never bind.  None keeps every coordinate, which
-    imposes sum_est T_est = I_out(N) (x) Xi^(N).
+    sectors labels the positions (charge_sectors, and a diagonal group
+    action's characters for a covariant program); None is one sector a
+    space.  Each Xi^(j) is split into its sectors, and the rows of every
+    level are its invariant coordinates, those whose row and column share a
+    sector.  The outcome blocks are split by charge only: a covariant
+    program's single outcome T need not be invariant under the group, and
+    its level-N rows impose twirl(T) = I_out(N) (x) Xi^(N).  The group acts
+    locally, so twirling the Xi chain keeps it a chain, and the rows left
+    out never bind.
 
     The program gets, in chain order, one block group per sector side of
     each chain operator, one copy holding the entry of the level below
@@ -311,14 +359,10 @@ def build_primal(problem: EstimationProblem,
     prefix = [1] + [sides[j] * d_out[j] for j in range(n_steps)]
     level_dims = tuple(prefix[1:])
 
-    # every level's rows: its invariant coordinates, or a covariant
-    # program's kept ones at level N, and the entry that reads
-    # I_out(j) (x) Xi^(j) on them
-    level_labels = [torus.labels(space.prefix_factors(j))
-                    for j in range(1, n_steps + 1)]
+    # every level's rows, its invariant coordinates, and the entry that
+    # reads I_out(j) (x) Xi^(j) on them
+    xi_labels, level_labels, outcome_labels = torus.chain_labels(space)
     coords = [_invariant_coords(labels) for labels in level_labels]
-    if kept is not None:
-        coords[-1] = np.asarray(kept)
     shrunk = [_shrunk_rows(prefix[j], d_out[j], d_in[j], coords[j])
               for j in range(n_steps)]
 
@@ -334,8 +378,7 @@ def build_primal(problem: EstimationProblem,
               for j in range(1, n_steps)]
     groups, positions, xi_groups, C = [], [], [], []
     for j in range(n_steps):
-        split = _side_groups(torus.labels(space.prefix_factors(j)
-                                          + (space.steps[j].in_sys,)))
+        split = _side_groups(xi_labels[j])
         xi_groups.append(tuple(range(len(groups), len(groups) + len(split))))
         for pos, pmap in split:
             s, n = pos.shape
@@ -348,7 +391,7 @@ def build_primal(problem: EstimationProblem,
 
     # objective: -G_est on each outcome's sectors, the outcomes as copies
     gops = payoff_operators(problem)
-    for pos, pmap in _side_groups(level_labels[-1]):
+    for pos, pmap in _side_groups(outcome_labels):
         s, n = pos.shape
         groups.append(BlockGroup(n_out, n, [ConstraintEntry(
             offsets[n_steps], _remap(coords[-1][:, None], pmap))], s))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from qnetopt import serde
 from qnetopt.covariant import (FiniteGroupAction, cyclic_group,
-                               diagonal_phases, kept_coordinates,
-                               phase_grid_problem)
+                               diagonal_characters, phase_grid_problem)
 from qnetopt.errors import NormalizationViolation, NotPSD, ParseError
 from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_channel_problem, random_density,
@@ -22,7 +21,8 @@ from qnetopt.operators import (HERM_TOL, LabeledOperator, SystemLabel,
                                min_eig, partial_trace, require_hermitian,
                                tensor)
 from qnetopt.sdp.ipm import basis_kernel, coords_from_hermitian
-from qnetopt.sdp.standard_form import build_primal
+from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
+                                       charge_sectors)
 
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LOG = []
@@ -209,7 +209,8 @@ def twirl_coordinates(action: FiniteGroupAction, factors) -> np.ndarray:
 
     P = (1/|G|) sum_g Re Tr(B_a U_g B_c U_g^H), the basis kernel of the stack
     of U_g; it is a symmetric projector because the twirl is a self-adjoint
-    idempotent.  The reference that the kept coordinates are checked against.
+    idempotent.  The reference that the invariant coordinates are checked
+    against.
     """
     us = np.stack([action.unitary_for(el, factors) for el in action.elements])
     return basis_kernel(us[:, None])[0] / action.size
@@ -218,15 +219,16 @@ def twirl_coordinates(action: FiniteGroupAction, factors) -> np.ndarray:
 def selected_phase_program(levels=3, grid=8):
     """The covariant program of a phase grid, and the group action.
 
-    One seed outcome, with the twirl's kept coordinates as the level-N rows,
-    as covariant_gamma builds it.
+    One seed outcome, on the sectors of its torus and the action's
+    characters, as covariant_gamma builds it.
     """
     problem, action = phase_grid_problem(levels, grid)
     space = problem.space
     reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
                                 np.ones((1, 1)))
-    kept = kept_coordinates(diagonal_phases(action, space.factors()))
-    return build_primal(reduced, kept), action
+    sectors = ChargeSectors(charge_sectors(reduced).charges,
+                            diagonal_characters(action, space.factors()))
+    return build_primal(reduced, sectors), action
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> list:

@@ -16,9 +16,10 @@ from qnetopt.estimation import EstimationProblem, payoff_operators
 from qnetopt.instances import (random_channel_problem, random_sequence_comb,
                                random_state_problem)
 from qnetopt.networks import QuantumComb, validate_comb, validate_tester
+from qnetopt.operators import SystemLabel
 from qnetopt.sdp import SolverOptions, certify_dual, engine, solve
-from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
-                                       charge_sectors)
+from qnetopt.sdp.standard_form import (CHARGE_DECIMALS, ChargeSectors,
+                                       build_primal, charge_sectors)
 
 
 def sector_sides(problem):
@@ -84,6 +85,23 @@ def test_a_sector_that_rounding_splits_gives_the_trivial_torus(monkeypatch):
     sol = solve(problem)
     assert sol.certificate.certified
     assert abs(sol.gamma_primal - phase_estimation_optimum(3).cos_max) <= 1e-7
+
+
+def test_sectors_are_numbered_as_np_unique_numbers_the_charges():
+    # the direct program's block and group order follows this numbering
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        r = int(rng.integers(1, 4))
+        factors = [SystemLabel("f%d" % i, int(d))
+                   for i, d in enumerate(rng.integers(1, 4, rng.integers(1, 4)))]
+        charges = {f.id: rng.integers(-3, 4, (f.dim, r)) / 7.0 for f in factors}
+        q = np.zeros((1, r))
+        for f in factors:
+            q = (q[:, None, :] + charges[f.id][None]).reshape(-1, r)
+        keys = np.rint(q * 10.0 ** CHARGE_DECIMALS).astype(np.int64)
+        np.testing.assert_array_equal(
+            ChargeSectors(charges).labels(factors),
+            np.unique(keys, axis=0, return_inverse=True)[1].ravel())
 
 
 def test_combs_and_payoffs_are_exactly_zero_off_the_sectors():

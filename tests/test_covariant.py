@@ -14,8 +14,8 @@ from conftest import (act, is_invariant, qubit_state_problem,
                       rotated_phase_grid, sequential_phase_problem,
                       twirl_coordinates)
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
-                               cyclic_group, diagonal_phases,
-                               kept_coordinates, phase_action,
+                               cyclic_group, diagonal_characters,
+                               diagonal_phases, phase_action,
                                phase_estimation_optimum,
                                phase_grid_problem, product_group, qmax_comb,
                                qmax_state, sum_of_phases, twirl,
@@ -29,8 +29,10 @@ from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import certify_dual, solve
-from qnetopt.sdp.ipm import coords_from_hermitian, hermitian_from_coords
-from qnetopt.sdp.standard_form import build_primal
+from qnetopt.sdp.ipm import (basis_layout, coords_from_hermitian,
+                             hermitian_from_coords)
+from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
+                                       charge_sectors)
 
 Q = SystemLabel("q", 2)
 X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -125,9 +127,17 @@ DIAGONAL_CASES = {
 }
 
 
+def _shared(labels):
+    """The coordinates whose row and column carry the same label."""
+    row, col, _ = basis_layout(len(labels))
+    return np.flatnonzero(labels[row] == labels[col])
+
+
 def _selector(problem, action):
+    """The coordinates whose row and column carry the same character."""
     factors = problem.space.factors()
-    return kept_coordinates(diagonal_phases(action, factors))
+    sectors = ChargeSectors(characters=diagonal_characters(action, factors))
+    return _shared(sectors.labels(factors))
 
 
 @pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
@@ -180,34 +190,35 @@ def test_covariant_result_carries_the_iteration_history(make):
     assert res.history[-1].rel_gap <= 1e-8
 
 
-def _level_n_nonzero_coords(sdp):
-    """Level-N coordinates whose row has a nonzero coefficient somewhere."""
+def _nonzero_rows(sdp):
+    """Whether each row has a nonzero coefficient somewhere."""
     ones = [np.broadcast_to(np.eye(c.shape[-1], dtype=complex), c.shape)
             for c in sdp.C]
     m = sdp.cmap.m
-    weight = np.diag(sdp.cmap.schur(ones, np.empty((m, m))))
-    top = sdp.num_steps
-    return sdp.level_coords(top)[weight[sdp.level_rows(top)] > 1e-12]
+    return np.diag(sdp.cmap.schur(ones, np.empty((m, m)))) > 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
 def test_reduced_rows_are_the_nonzero_rows_of_the_dense_program(case):
     problem, action = DIAGONAL_CASES[case]()
-    reduced = EstimationProblem(problem.space, (0,), np.ones(1),
-                                (problem.combs[0],), np.ones((1, 1)))
-    kept = _selector(problem, action)
-    # the dense twirl matrix reads the outcome on its nonzero rows only,
-    # and those are the kept coordinates; the computed P has zero rows
-    # near 1e-17
-    P = twirl_coordinates(action, problem.space.factors())
-    np.testing.assert_array_equal(
-        np.flatnonzero(np.abs(P).max(axis=1) > 1e-12), kept)
-    sdp = build_primal(reduced, kept)
-    np.testing.assert_array_equal(sdp.level_coords(sdp.num_steps), kept)
-    np.testing.assert_array_equal(_level_n_nonzero_coords(sdp), kept)
-    assert sdp.cmap.m == sdp.level_offsets[sdp.num_steps] + len(kept)
-    if case == "two-step":  # of the 256 coordinates of level 2
-        assert len(kept) == 96
+    space = problem.space
+    reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
+                                np.ones((1, 1)))
+    torus = charge_sectors(reduced)
+    sdp = build_primal(reduced, ChargeSectors(
+        torus.charges, diagonal_characters(action, space.factors())))
+    assert np.all(_nonzero_rows(sdp))
+    for j in range(1, sdp.num_steps + 1):
+        factors = space.prefix_factors(j)
+        # the dense twirl matrix reads level j on its nonzero rows only; the
+        # computed P has zero rows near 1e-17
+        P = twirl_coordinates(action, factors)
+        twirled = np.flatnonzero(np.abs(P).max(axis=1) > 1e-12)
+        charged = _shared(ChargeSectors(torus.charges).labels(factors))
+        np.testing.assert_array_equal(sdp.level_coords(j),
+                                      np.intersect1d(twirled, charged))
+        if case == "two-step" and j == 2:  # of the 256 coordinates of level 2
+            assert len(twirled) == 96
 
 
 PARITY_CASES = {
@@ -253,13 +264,16 @@ def test_rotated_phase_grid_solves_its_orbit(levels):
 
 
 def test_three_sequential_gates_match_the_phase_oracle():
-    # three uses of a qubit phase gate do as well as one 4-level probe
-    problem, action = sequential_phase_problem(3)
-    res = covariant_gamma(problem, action)
-    assert res.gamma_max == pytest.approx(
-        problem.payoff_shift + phase_estimation_optimum(4).cos_max, abs=1e-7)
-    # the level-3 rows are the kept coordinates only, of 4096
-    assert len(_selector(problem, action)) == 1280
+    # N uses of a qubit phase gate do as well as one (N + 1)-level probe
+    for steps in (2, 3, 4):
+        problem, action = sequential_phase_problem(steps)
+        res = covariant_gamma(problem, action)
+        assert res.gamma_max == pytest.approx(
+            problem.payoff_shift
+            + phase_estimation_optimum(steps + 1).cos_max, abs=1e-7)
+        assert _certifies(problem, res)
+    # the twirl keeps 1280 of the 4096 coordinates of the level-3 space
+    assert len(_selector(*sequential_phase_problem(3))) == 1280
 
 
 def test_product_group_structure():
@@ -440,6 +454,40 @@ def test_covariant_gamma_requires_orbit_combs(rng):
                              combs, problem.payoff, problem.payoff_shift)
     with pytest.raises(NotLeftInvariant):
         covariant_gamma(skew, action)
+
+
+@pytest.mark.parametrize("entries", [1, 100, 1 << 20])
+def test_covariance_checks_name_the_first_failing_element(entries, rng,
+                                                          monkeypatch):
+    # the checks take a chunk of elements at a time; any chunking names the
+    # element that a loop over the elements finds first
+    monkeypatch.setattr(qnetopt.covariant, "CHECK_ENTRIES", entries)
+    problem, action = phase_grid_problem(2)
+    assert covariant_gamma(problem, action).gamma_max == pytest.approx(
+        problem.payoff_shift + phase_estimation_optimum(2).cos_max, abs=1e-7)
+    payoff = problem.payoff.copy()
+    payoff[3, 4] += 0.3
+    moved = [y for y in range(action.size)
+             if np.abs(payoff[np.ix_(action.table[y], action.table[y])]
+                       - payoff).max() > 1e-9]
+    with pytest.raises(NotLeftInvariant, match="by %d$" % moved[0]):
+        covariant_gamma(EstimationProblem(
+            problem.space, problem.labels_x, problem.prior, problem.combs,
+            payoff, problem.payoff_shift), action)
+    step = problem.space.steps[0]
+    stray = comb_of_memoryless_sequence([choi_of_channel(
+        [random_unitary(rng, 2)], step.in_sys, step.out_sys)])
+    combs = problem.combs[:4] + (stray,) + problem.combs[5:]
+    mats = [c.op.data for c in combs]
+    factors = problem.space.factors()
+    moved = [g for g, el in enumerate(action.elements)
+             if max(np.abs(act(action, el, c.op).data - mats[action.table[g, x]]
+                           ).max() for x, c in enumerate(combs)) > 1e-8]
+    with pytest.raises(NotLeftInvariant, match=r"\(element %d\)" % moved[0]):
+        covariant_gamma(EstimationProblem(
+            problem.space, problem.labels_x, problem.prior, combs,
+            problem.payoff, problem.payoff_shift), action)
+    assert diagonal_phases(action, factors) is not None
 
 
 def test_phase_oracle_small_dimensions():

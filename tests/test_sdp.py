@@ -99,16 +99,14 @@ def _grid_program(levels):
     return build_primal(problem, sectors=charge_sectors(problem))
 
 
-@pytest.mark.parametrize("make,coordinate", [
-    (lambda: _grid_program(8), False),
-    (lambda: build_primal(random_channel_problem(
-        np.random.default_rng(0), 2, [(2, 2)] * 2, memory=True)), False),
-    (lambda: selected_phase_program(6, 14)[0], True),
+@pytest.mark.parametrize("make", [
+    lambda: _grid_program(8),
+    lambda: build_primal(random_channel_problem(
+        np.random.default_rng(0), 2, [(2, 2)] * 2, memory=True)),
+    lambda: selected_phase_program(6, 14)[0],
 ], ids=["grid-8-sectors", "memory-2x22", "covariant-6"])
-def test_peak_bytes_bounds_the_solver_peak(make, coordinate):
+def test_peak_bytes_bounds_the_solver_peak(make):
     sdp = make()
-    # only the covariant program has a block that takes coordinate_kernel
-    assert any(used is not None for used, _ in sdp.cmap._kernels) == coordinate
     X0, y0 = sdp.primal_start(), slater_point(sdp)
     tracemalloc.start()
     try:
@@ -128,15 +126,14 @@ def _random_scalings(cmap, rng):
     return Ws
 
 
-@pytest.mark.parametrize("make,coordinate", [
-    (lambda: build_primal(random_channel_problem(
-        np.random.default_rng(0), 2, [(2, 2)] * 2, memory=True)), False),
-    (lambda: selected_phase_program(6, 14)[0], True),
+@pytest.mark.parametrize("make", [
+    lambda: build_primal(random_channel_problem(
+        np.random.default_rng(0), 2, [(2, 2)] * 2, memory=True)),
+    lambda: selected_phase_program(6, 14)[0],
 ], ids=["memory-2x22", "covariant-6"])
-def test_schur_overwrites_whatever_its_buffer_held(make, coordinate):
+def test_schur_overwrites_whatever_its_buffer_held(make):
     cmap = make().cmap
-    assert coordinate or any(e.padded for e in cmap.entries)
-    assert any(used is not None for used, _ in cmap._kernels) == coordinate
+    assert any(e.padded for e in cmap.entries)
     Ws = _random_scalings(cmap, np.random.default_rng(1))
     out = np.full((cmap.m, cmap.m), np.nan)
     H = cmap.schur(Ws, out)

@@ -19,8 +19,7 @@ from qnetopt.estimation import payoff_operators
 from qnetopt.instances import random_channel_problem
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
-                             coordinate_kernel, coords_from_hermitian,
-                             hermitian_from_coords)
+                             coords_from_hermitian, hermitian_from_coords)
 from qnetopt.sdp.standard_form import (block_sides, build_primal,
                                        charge_sectors, dual_from_y)
 
@@ -228,7 +227,8 @@ def test_kernels_match_dense_rows(rng):
                 np.random.default_rng(9), 2, [(1, 3), (2, 2)], memory=True)),
             # the direct phase program: Tr_out reaches 1/3 of its rows
             build_primal(phase_grid_problem(3)[0]),
-            # the outcome group reads the kept coordinates only
+            # the covariant program: the outcome's charge sectors are read
+            # on the coordinates that also share a character only
             selected_phase_program()[0],
             # sector programs: groups of many sectors, of side 1 and more
             sector_program(phase_grid_problem(3)[0]),
@@ -247,25 +247,6 @@ def test_batched_basis_kernel_is_each_sectors_kernel(n, rng):
     if n == 1:  # the kernel of 1x1 sectors is sum_k |W_kt|^2
         np.testing.assert_allclose(batched[:, 0, 0],
                                    (np.abs(stack[:, :, 0, 0]) ** 2).sum(0))
-
-
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
-def test_coordinate_kernel_is_the_basis_kernel_restricted(n, k, rng):
-    # the kernel of k copies is the sum of each copy's kernel
-    stack = np.array([rand_herm(rng, n) for _ in range(k)])
-    full = basis_kernel(stack[:, None])[0]
-    half = n * (n - 1) // 2
-    for used in (np.arange(n * n),
-                 np.arange(n),                          # diagonal
-                 np.arange(n, n + half),                # symmetric
-                 np.arange(n + half, n * n),            # antisymmetric
-                 np.sort(rng.choice(n * n, (n * n + 1) // 2, replace=False))):
-        if len(used):
-            np.testing.assert_allclose(sum(coordinate_kernel(L, used)
-                                           for L in stack),
-                                       full[np.ix_(used, used)], atol=1e-12,
-                                       rtol=0)
 
 
 def test_restricted_top_level_scatters_through_its_coordinates(rng):
