@@ -10,15 +10,13 @@ factorizes and reproduces the counterexamples that break it.
 
 from . import errors
 from .operators import (DIMENSION_CAP, LabeledOperator, SystemLabel,
-                        embed_identity, min_eig, partial_trace,
-                        permute_systems)
+                        min_eig, partial_trace, permute_systems)
 from .networks import (CombSpace, QuantumComb, Tester, born_probability,
                        choi_of_channel, comb_of_memoryless_sequence,
                        comb_of_state, tensor_combs, tensor_testers,
-                       uniform_tester, validate_comb, validate_tester)
+                       validate_comb, validate_tester)
 from .estimation import (EstimationProblem, expected_payoff, joint_problem,
-                         payoff_operators, problem_from_raw_payoff,
-                         shifted_problem)
+                         payoff_operators, problem_from_raw_payoff)
 from .sdp import (CertificateReport, SdpSolution, SolverOptions, YklResult,
                   build_primal, certify_dual, slater_point, solve,
                   yuen_kennedy_lax)
@@ -26,7 +24,7 @@ from .covariant import (CovariantResult, FiniteGroupAction, PhaseOptimum,
                         SumOfPhases, TwoPhaseOptimum, covariant_gamma,
                         cyclic_group, phase_action,
                         phase_estimation_optimum, phase_grid_problem,
-                        product_group, qmax_comb, qmax_state, sum_of_phases,
+                        product_group, qmax_state, sum_of_phases,
                         twirl, two_phase_correlated, two_phase_payoff_matrix,
                         two_phase_problem)
 from .product_rule import (CorrelatedPayoffReport, MulticopyReport,
@@ -37,19 +35,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors", "DIMENSION_CAP", "LabeledOperator", "SystemLabel",
-    "embed_identity", "min_eig", "partial_trace",
-    "permute_systems", "CombSpace", "QuantumComb", "Tester",
-    "born_probability", "choi_of_channel", "comb_of_memoryless_sequence",
-    "comb_of_state", "tensor_combs", "tensor_testers", "uniform_tester",
-    "validate_comb", "validate_tester", "EstimationProblem",
-    "expected_payoff", "joint_problem", "payoff_operators",
-    "problem_from_raw_payoff", "shifted_problem", "CertificateReport",
+    "min_eig", "partial_trace", "permute_systems", "CombSpace",
+    "QuantumComb", "Tester", "born_probability", "choi_of_channel",
+    "comb_of_memoryless_sequence", "comb_of_state", "tensor_combs",
+    "tensor_testers", "validate_comb", "validate_tester",
+    "EstimationProblem", "expected_payoff", "joint_problem",
+    "payoff_operators", "problem_from_raw_payoff", "CertificateReport",
     "SdpSolution", "SolverOptions", "YklResult", "build_primal",
     "certify_dual", "slater_point", "solve", "yuen_kennedy_lax",
     "CovariantResult", "FiniteGroupAction", "PhaseOptimum", "SumOfPhases",
     "TwoPhaseOptimum", "covariant_gamma", "cyclic_group",
     "phase_action", "phase_estimation_optimum",
-    "phase_grid_problem", "product_group", "qmax_comb", "qmax_state",
+    "phase_grid_problem", "product_group", "qmax_state",
     "sum_of_phases", "twirl", "two_phase_correlated",
     "two_phase_payoff_matrix", "two_phase_problem", "CorrelatedPayoffReport",
     "MulticopyReport", "ProductRuleReport",

@@ -66,11 +66,8 @@ def _say(args, text: str) -> None:
 
 def _emit(args, doc) -> None:
     """Report to --out when given, else to stdout."""
-    text = serde.dumps(doc)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    text = serde.dump_path(doc, args.out or None)
+    if not args.out:
         sys.stdout.write(text)
 
 

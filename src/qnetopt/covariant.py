@@ -47,8 +47,7 @@ from .errors import (BadDimension, BadParameter, NotLeftInvariant,
                      ShapeMismatch)
 from .estimation import EstimationProblem, problem_from_raw_payoff
 from .networks import (CombSpace, QuantumComb, choi_of_channel,
-                       comb_of_memoryless_sequence, comb_of_state,
-                       validate_comb)
+                       comb_of_memoryless_sequence, comb_of_state)
 from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import check_memory, slater_point, solve, tighten_dual
 from .sdp.ipm import SolverOptions, solve_ipm
@@ -67,7 +66,8 @@ class FiniteGroupAction:
     id to one unitary per element; labels absent from rep are acted on
     trivially.  Labels listed in `conjugated` use the entrywise conjugate of
     their representative (the natural action on input factors of Choi
-    operators).
+    operators).  Each label's representatives are read once, into the
+    (|G|, d, d) stack that `representatives` returns.
     """
 
     elements: tuple
@@ -78,56 +78,81 @@ class FiniteGroupAction:
     def __post_init__(self):
         self.elements = tuple(self.elements)
         n = len(self.elements)
+        self._index = {el: g for g, el in enumerate(self.elements)}
+        if len(self._index) != n:
+            raise BadParameter("group elements repeat: %r" % (self.elements,))
         table = np.asarray(self.table, dtype=int)
         if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
             raise BadParameter("composition table is not an %d x %d index table" % (n, n))
+        for what, lines in (("row", table), ("column", table.T)):
+            bad = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
+            if bad.size:
+                raise BadParameter("%s %d of the composition table (element %r) "
+                                   "is not a permutation"
+                                   % (what, bad[0], self.elements[bad[0]]))
         self.table = table
         self.conjugated = frozenset(self.conjugated)
-        ident = None
-        for e in range(n):
-            if np.array_equal(table[e], np.arange(n)) and \
-                    np.array_equal(table[:, e], np.arange(n)):
-                ident = e
-                break
-        if ident is None:
+        ident = np.flatnonzero((table == np.arange(n)).all(axis=1)
+                               & (table.T == np.arange(n)).all(axis=1))
+        if not ident.size:
             raise BadParameter("table has no identity element")
-        self.identity_index = ident
+        self.identity_index = int(ident[0])
+        self._stacks = {}
         for lid, mats in self.rep.items():
-            us = [np.asarray(mats[el], dtype=complex) for el in self.elements]
+            us = []
+            for el in self.elements:
+                try:
+                    us.append(np.asarray(mats[el], dtype=complex))
+                except (KeyError, IndexError):
+                    raise BadParameter("rep[%r] has no representative for element %r"
+                                       % (lid, el))
+            shape = us[0].shape
             for el, u in zip(self.elements, us):
-                d = u.shape[0]
-                if u.shape != (d, d) or \
-                        np.max(np.abs(u.conj().T @ u - np.eye(d))) > HOMOMORPHISM_TOL:
+                if u.shape != shape or len(shape) != 2 or shape[0] != shape[1]:
+                    raise BadParameter("rep[%r][%r] has shape %r; a label's "
+                                       "representatives are square and of one shape"
+                                       % (lid, el, u.shape))
+            d = shape[0]
+            for el, u in zip(self.elements, us):
+                if np.max(np.abs(u.conj().T @ u - np.eye(d))) > HOMOMORPHISM_TOL:
                     raise BadParameter("rep[%r][%r] is not unitary" % (lid, el))
             for g in range(n):
                 for h in range(n):
                     prod = us[table[g, h]].conj().T @ (us[g] @ us[h])
-                    d = prod.shape[0]
                     phase = np.trace(prod) / d
                     if abs(abs(phase) - 1.0) > HOMOMORPHISM_TOL or \
                             np.max(np.abs(prod - phase * np.eye(d))) > 1e-9:
                         raise BadParameter(
                             "rep[%r] is not a homomorphism up to phase at (%r, %r)"
                             % (lid, self.elements[g], self.elements[h]))
+            stack = np.array(us)
+            self._stacks[lid] = stack.conj() if lid in self.conjugated else stack
+            self._stacks[lid].setflags(write=False)
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
+    def representatives(self, f: SystemLabel) -> Optional[np.ndarray]:
+        """The (|G|, dim, dim) representatives on factor f, None if it is left alone.
+
+        Conjugated for a label listed in `conjugated`; ShapeMismatch if the
+        representatives do not fit the factor's dimension.
+        """
+        stack = self._stacks.get(f.id)
+        if stack is not None and stack.shape[1:] != (f.dim, f.dim):
+            raise ShapeMismatch("rep[%r] has shape %r for dim-%d factor"
+                                % (f.id, stack.shape[1:], f.dim))
+        return stack
+
     def unitary_for(self, element, factors: Sequence[SystemLabel]) -> np.ndarray:
         """Kronecker product of the per-factor representatives."""
+        g = self._index[element]
         u = np.eye(1, dtype=complex)
         for f in factors:
-            if f.id in self.rep:
-                m = np.asarray(self.rep[f.id][element], dtype=complex)
-                if m.shape != (f.dim, f.dim):
-                    raise ShapeMismatch(
-                        "rep[%r] has shape %r for dim-%d factor" % (f.id, m.shape, f.dim))
-                if f.id in self.conjugated:
-                    m = m.conj()
-            else:
-                m = np.eye(f.dim, dtype=complex)
-            u = np.kron(u, m)
+            stack = self.representatives(f)
+            u = np.kron(u, np.eye(f.dim, dtype=complex) if stack is None
+                        else stack[g])
         return u
 
 
@@ -144,40 +169,33 @@ def diagonal_characters(action: FiniteGroupAction,
                         factors: Sequence[SystemLabel]) -> Optional[dict]:
     """Per factor moved, the (dim, |G|) characters its levels carry, or None.
 
-    Column g is diag(rep[f][elements[g]]), conjugated for a conjugated label;
-    None if a representative is not diagonal.
+    Column g is diag(representatives(f)[g]), conjugated for a conjugated
+    label; None if a representative is not diagonal.
     """
     characters = {}
     for f in factors:
-        if f.id in action.rep:
-            mats = np.array([action.rep[f.id][el] for el in action.elements],
-                            dtype=complex)
-            if mats.shape[1:] != (f.dim, f.dim):
-                raise ShapeMismatch("rep[%r] has shape %r for dim-%d factor"
-                                    % (f.id, mats.shape[1:], f.dim))
+        mats = action.representatives(f)
+        if mats is not None:
             diag = np.diagonal(mats, axis1=1, axis2=2)
             if np.count_nonzero(mats) != np.count_nonzero(diag):
                 return None
-            if f.id in action.conjugated:
-                diag = diag.conj()
             characters[f.id] = diag.T
     return characters
 
 
-def diagonal_phases(action: FiniteGroupAction,
-                    factors: Sequence[SystemLabel]) -> Optional[np.ndarray]:
-    """The diagonals of every U_g on the factors, or None if one is not diagonal.
+def diagonal_phases(characters: Mapping, factors: Sequence[SystemLabel],
+                    size: int) -> np.ndarray:
+    """The diagonals of every U_g on the factors, from the action's characters.
 
-    Row g of the (|G|, D) result is diag(unitary_for(elements[g], factors)),
-    the Kronecker product of the per-factor diagonals (diagonal_characters).
+    characters is diagonal_characters(action, factors) of an action with
+    `size` elements.  Row g of the (|G|, D) result is diag(unitary_for(
+    elements[g], factors)), the Kronecker product of the per-factor
+    characters.
     """
-    characters = diagonal_characters(action, factors)
-    if characters is None:
-        return None
-    phases = np.ones((action.size, 1), dtype=complex)
+    phases = np.ones((size, 1), dtype=complex)
     for f in factors:
-        diag = characters.get(f.id, np.ones((f.dim, action.size))).T
-        phases = (phases[:, :, None] * diag[:, None, :]).reshape(action.size, -1)
+        diag = characters.get(f.id, np.ones((f.dim, size))).T
+        phases = (phases[:, :, None] * diag[:, None, :]).reshape(size, -1)
     return phases
 
 
@@ -188,16 +206,16 @@ def cyclic_group(n: int) -> Tuple[tuple, np.ndarray]:
 
 
 def product_group(ea, ta, eb, tb) -> Tuple[tuple, np.ndarray]:
-    """Direct product; elements are (a, b) pairs in itertools.product order."""
+    """Direct product; elements are (a, b) pairs in itertools.product order.
+
+    Pair (a, b) has index a_index * |B| + b_index, so table[(a1, b1), (a2,
+    b2)] = ta[a1, a2] * |B| + tb[b1, b2].
+    """
     elements = tuple(itertools.product(ea, eb))
     na, nb = len(ea), len(eb)
-    table = np.zeros((na * nb, na * nb), dtype=int)
-    for i, (a1, b1) in enumerate(elements):
-        for j, (a2, b2) in enumerate(elements):
-            a = ta[ea.index(a1), ea.index(a2)]
-            b = tb[eb.index(b1), eb.index(b2)]
-            table[i, j] = a * nb + b
-    return elements, table
+    table = (np.asarray(ta, dtype=int)[:, None, :, None] * nb
+             + np.asarray(tb, dtype=int)[None, :, None, :])
+    return elements, table.reshape(na * nb, na * nb)
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +244,25 @@ class CovariantResult:
 
 
 def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
-                options: Optional[SolverOptions] = None,
-                phases: Optional[np.ndarray] = None):
+                characters: Optional[Mapping],
+                options: Optional[SolverOptions] = None):
     """Smallest lambda with lambda * R >= seed for an invariant comb R.
 
-    For a diagonal action (phases from diagonal_phases) this is the
-    one-outcome tester program for the seed comb with the normalization
+    characters is diagonal_characters(action, space.factors()), which the
+    caller reads once.  For a diagonal action (characters not None) this is
+    the one-outcome tester program for the seed comb with the normalization
     imposed on twirl(T) instead of T, on the sectors of the seed's torus
-    (charge_sectors) and the action's characters.  Its dual asks for a dual
-    chain whose S^(N), on the invariant coordinates, dominates the seed;
-    after tightening, R = S^(N) / lambda is an invariant comb, with lambda =
-    S^(0).  Any other action solves the seed's orbit (_orbit_solve).  q_max
-    = 1 / lambda is the largest q with q * seed dominated by an invariant
-    comb.  Returns (lambda, R, the duality gap on lambda's scale, the
-    interior-point iterations, their IpmStep history).
+    (charge_sectors) and those characters.  Its dual asks for a dual chain
+    whose S^(N), on the invariant coordinates, dominates the seed; after
+    tightening, R = S^(N) / lambda is an invariant comb, with lambda = S^(0).
+    Any other action (characters None) solves the seed's orbit
+    (_orbit_solve).  q_max = 1 / lambda is the largest q with q * seed
+    dominated by an invariant comb.  Returns (lambda, R, the duality gap on
+    lambda's scale, the interior-point iterations, their IpmStep history).
     """
     opts = options if options is not None else SolverOptions()
     factors = space.factors()
-    if phases is None:
-        phases = diagonal_phases(action, factors)
-    if phases is None:
+    if characters is None:
         lam, top, gap, iterations, history = _orbit_solve(space, seed,
                                                            action, opts)
     else:
@@ -253,8 +270,7 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
             space, (0,), np.ones(1),
             (QuantumComb(space, LabeledOperator(factors, seed)),),
             np.ones((1, 1)))
-        sectors = ChargeSectors(charge_sectors(reduced).charges,
-                                diagonal_characters(action, factors))
+        sectors = ChargeSectors(charge_sectors(reduced).charges, characters)
         sdp = build_primal(reduced, sectors)
         check_memory(sdp, action.size)
         res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
@@ -304,18 +320,10 @@ def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
     raises NotAState (comb_of_state) before any program is built.
     """
     comb = comb_of_state(rho0)
-    lam, inv, *_ = _qmax_solve(comb.space, comb.op.data, action, options)
+    characters = diagonal_characters(action, comb.space.factors())
+    lam, inv, *_ = _qmax_solve(comb.space, comb.op.data, action, characters,
+                               options)
     return 1.0 / lam, LabeledOperator(rho0.factors, inv.data)
-
-
-def qmax_comb(comb0: QuantumComb, action: FiniteGroupAction,
-              options: Optional[SolverOptions] = None):
-    """Comb version of qmax_state: domination within invariant combs."""
-    comb0 = validate_comb(comb0)
-    lam, inv, *_ = _qmax_solve(comb0.space, comb0.op.data, action, options)
-    opts = options if options is not None else SolverOptions()
-    comb = validate_comb(QuantumComb(comb0.space, inv), 100.0 * opts.tol)
-    return 1.0 / lam, comb
 
 
 def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
@@ -344,17 +352,18 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
                                    "%r" % (action.elements[y0 + bad[0]],))
     mats = [c.op.data for c in problem.combs]
     factors = problem.space.factors()
-    phases = diagonal_phases(action, factors)
-    if phases is None:
+    characters = diagonal_characters(action, factors)
+    if characters is None:
         stack, width = np.array(mats), 1
     else:  # the combs' joint support: off it both sides below are exactly 0
+        phases = diagonal_phases(characters, factors, n)
         rows, cols = np.nonzero(np.logical_or.reduce([r != 0 for r in mats]))
         stack = np.array([r[rows, cols] for r in mats])
         width = max(1, CHECK_ENTRIES // stack.size)
     scale = 1.0 + float(np.abs(stack).max())
     for g0 in range(0, n, width):
         gs = np.arange(g0, min(g0 + width, n))
-        if phases is None:
+        if characters is None:
             u = action.unitary_for(action.elements[g0], factors)
             moved = (u @ stack @ u.conj().T)[None]
         else:  # U R U^H = R * outer(ph, conj ph), for every x at once
@@ -376,7 +385,8 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
     seed = (seed + seed.conj().T) / 2.0
     lam, inv, gap, iterations, history = _qmax_solve(problem.space, seed,
-                                                     action, options, phases)
+                                                     action, characters,
+                                                     options)
     return CovariantResult(gamma_0 * lam, 1.0 / lam, gamma_0, inv, gap,
                            iterations, history)
 
@@ -395,9 +405,8 @@ def phase_action(out_sys: SystemLabel, in_sys: Optional[SystemLabel],
     """
     elements, table = cyclic_group(grid)
     levels = np.arange(out_sys.dim)
-    rep_out = {}
-    for j in range(grid):
-        rep_out[j] = np.diag(np.exp(2 * np.pi * 1j * j * levels / grid))
+    rep_out = {j: np.diag(np.exp(2 * np.pi * 1j * j * levels / grid))
+               for j in elements}
     return FiniteGroupAction(elements, table, {out_sys.id: rep_out})
 
 
@@ -418,17 +427,16 @@ def phase_grid_problem(levels: int, grid: Optional[int] = None
                            % (grid, 2 * levels))
     in_sys = SystemLabel("ph_in", levels)
     out_sys = SystemLabel("ph_out", levels)
-    combs = []
-    for j in range(grid):
-        u = np.diag(np.exp(2 * np.pi * 1j * j * np.arange(levels) / grid))
-        combs.append(comb_of_memoryless_sequence(
-            [choi_of_channel([u], in_sys, out_sys)]))
+    action = phase_action(out_sys, in_sys, grid)
+    combs = tuple(comb_of_memoryless_sequence(
+        [choi_of_channel([u], in_sys, out_sys)])
+        for u in action.representatives(out_sys))
     prior = np.full(grid, 1.0 / grid)
     payoff = 1.0 + np.cos(2 * np.pi * (np.arange(grid)[:, None]
                                        - np.arange(grid)[None, :]) / grid)
-    problem = EstimationProblem(combs[0].space, tuple(range(grid)), prior,
-                                tuple(combs), payoff, payoff_shift=1.0)
-    return problem, phase_action(out_sys, in_sys, grid)
+    problem = EstimationProblem(combs[0].space, action.elements, prior,
+                                combs, payoff, payoff_shift=1.0)
+    return problem, action
 
 
 @dataclass(frozen=True)
@@ -520,32 +528,24 @@ def two_phase_problem(p: float, d_grid: int = 8
     in_sys = SystemLabel("tp_in", 4)
     out_sys = SystemLabel("tp_out", 4)
     angles = 2 * np.pi * np.arange(d_grid) / d_grid
-    combs = []
-    labels = []
-    for j in range(d_grid):
-        ua = np.diag([1.0, np.exp(1j * angles[j])])
-        for k in range(d_grid):
-            ub = np.diag([1.0, np.exp(1j * angles[k])])
-            combs.append(comb_of_memoryless_sequence(
-                [choi_of_channel([np.kron(ua, ub)], in_sys, out_sys)]))
-            labels.append((j, k))
+    ea, ta = cyclic_group(d_grid)
+    elements, table = product_group(ea, ta, ea, ta)
+    rep_out = {(j, k): np.kron(np.diag([1.0, np.exp(1j * angles[j])]),
+                               np.diag([1.0, np.exp(1j * angles[k])]))
+               for j, k in elements}
+    action = FiniteGroupAction(elements, table, {out_sys.id: rep_out})
+    combs = tuple(comb_of_memoryless_sequence(
+        [choi_of_channel([u], in_sys, out_sys)])
+        for u in action.representatives(out_sys))
     n = d_grid * d_grid
     raw = np.zeros((n, n))
-    for ih, (jh, kh) in enumerate(labels):
-        for i, (j, k) in enumerate(labels):
+    for ih, (jh, kh) in enumerate(elements):
+        for i, (j, k) in enumerate(elements):
             da = angles[(jh - j) % d_grid]
             db = angles[(kh - k) % d_grid]
             raw[ih, i] = p * np.cos(da + db) + (1.0 - p) * np.cos(da - db)
-    problem = problem_from_raw_payoff(combs[0].space, tuple(labels),
-                                      np.full(n, 1.0 / n), tuple(combs), raw)
-
-    ea, ta = cyclic_group(d_grid)
-    elements, table = product_group(ea, ta, ea, ta)
-    rep_out = {}
-    for (j, k) in elements:
-        rep_out[(j, k)] = np.kron(np.diag([1.0, np.exp(1j * angles[j])]),
-                                  np.diag([1.0, np.exp(1j * angles[k])]))
-    action = FiniteGroupAction(elements, table, {out_sys.id: rep_out})
+    problem = problem_from_raw_payoff(combs[0].space, elements,
+                                      np.full(n, 1.0 / n), combs, raw)
     return problem, action
 
 

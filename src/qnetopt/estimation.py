@@ -16,7 +16,7 @@ functions record the constant added to make them nonnegative in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -170,12 +170,6 @@ def joint_problem(problems: Sequence[EstimationProblem]) -> EstimationProblem:
             c = tensor_combs(c, problems[k].combs[combo[k]])
         combs.append(QuantumComb(space, c.op))
     return EstimationProblem(space, tuple(labels), prior, tuple(combs), payoff)
-
-
-def shifted_problem(problem: EstimationProblem, shift: float) -> EstimationProblem:
-    """Add a constant to the payoff and record it in payoff_shift."""
-    return replace(problem, payoff=problem.payoff + shift,
-                   payoff_shift=problem.payoff_shift + shift)
 
 
 def problem_from_raw_payoff(space, labels_x, prior, combs,

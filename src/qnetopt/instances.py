@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimation import EstimationProblem
-from .networks import CombSpace, QuantumComb, comb_of_state, validate_comb
+from .networks import (CombSpace, QuantumComb, comb_of_memoryless_sequence,
+                       comb_of_state, validate_comb)
 from .operators import LabeledOperator, SystemLabel
 
 _counter = itertools.count()
@@ -138,15 +139,10 @@ def random_memory_comb(rng: np.random.Generator, space: CombSpace,
 def random_sequence_comb(rng: np.random.Generator, space: CombSpace,
                          d_env: int = 2) -> QuantumComb:
     """Random no-memory strategy comb: an independent channel per step."""
-    chois = []
-    for step in space.steps:
-        c = random_channel_choi(rng, step.in_sys.dim, step.out_sys.dim, d_env)
-        chois.append(LabeledOperator((step.out_sys, step.in_sys), c))
-    mats = [c.data for c in chois]
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = np.kron(acc, m)
-    return validate_comb(QuantumComb(space, LabeledOperator(space.factors(), acc)))
+    return comb_of_memoryless_sequence([LabeledOperator(
+        (step.out_sys, step.in_sys),
+        random_channel_choi(rng, step.in_sys.dim, step.out_sys.dim, d_env))
+        for step in space.steps])
 
 
 def random_channel_problem(rng: np.random.Generator, n_params: int,

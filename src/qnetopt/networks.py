@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (DuplicateLabel, NormalizationViolation, NotAState, NotPSD,
                      NotTracePreserving, ShapeMismatch)
-from .operators import (LabeledOperator, SystemLabel, identity_on, min_eig,
+from .operators import (LabeledOperator, SystemLabel, min_eig,
                         permute_systems, tensor, tensor_all, trace_middle)
 
 DEFAULT_TOL = 1e-8
@@ -78,9 +78,6 @@ class CombSpace:
 
     def out_dims(self) -> tuple:
         return tuple(s.out_sys.dim for s in self.steps)
-
-    def total_in_dim(self) -> int:
-        return int(np.prod(self.in_dims(), dtype=np.int64))
 
     def concat(self, other: "CombSpace") -> "CombSpace":
         return CombSpace(self.steps + other.steps)
@@ -279,17 +276,3 @@ def tensor_testers(a: Tester, b: Tester) -> Tester:
                      for ma, opa in a.outcomes for mb, opb in b.outcomes)
     return Tester(a.space.concat(b.space), outcomes)
 
-
-def uniform_tester(space: CombSpace, outcome_ids: Sequence) -> Tester:
-    """The maximally uninformative tester: equal PSD share of a mixed chain.
-
-    Every outcome operator equals I / (|M| * prod in_dims); the chain consists of
-    maximally mixed operators and every normalization holds with equality.
-    """
-    n_out = len(outcome_ids)
-    if n_out < 1:
-        raise ShapeMismatch("need at least one outcome")
-    factors = space.factors()
-    c = 1.0 / (n_out * space.total_in_dim())
-    op = identity_on(factors) * c
-    return Tester(space, tuple((m, op) for m in outcome_ids))

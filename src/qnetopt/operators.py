@@ -13,7 +13,7 @@ desk-scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,15 +106,6 @@ def _require_same_structure(a: LabeledOperator, b: LabeledOperator):
             "factor structures differ: %r vs %r" % (a.label_ids(), b.label_ids()))
 
 
-def identity(label: SystemLabel) -> LabeledOperator:
-    return LabeledOperator((label,), np.eye(label.dim))
-
-
-def identity_on(factors: Iterable[SystemLabel]) -> LabeledOperator:
-    factors = tuple(factors)
-    return LabeledOperator(factors, np.eye(_total_dim(factors)))
-
-
 def scalar_op(value=1.0) -> LabeledOperator:
     """A 1x1 operator on no factors (the empty tensor product)."""
     return LabeledOperator((), np.array([[value]], dtype=complex))
@@ -141,8 +132,9 @@ def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 
 
 def tensor_all(ops: Sequence[LabeledOperator]) -> LabeledOperator:
-    out = scalar_op(1.0)
-    for op in ops:
+    """Kronecker product of ops in order; the scalar 1 when there are none."""
+    out = ops[0] if ops else scalar_op(1.0)
+    for op in ops[1:]:
         out = tensor(out, op)
     return out
 
@@ -200,18 +192,6 @@ def permute_systems(a: LabeledOperator, order) -> LabeledOperator:
     new_factors = tuple(a.factors[p] for p in perm)
     n = a.dim
     return LabeledOperator(new_factors, t.reshape(n, n))
-
-
-def embed_identity(a: LabeledOperator, new: SystemLabel, position: int) -> LabeledOperator:
-    """Tensor an identity on `new` into the stated factor position."""
-    if new.id in a.label_ids():
-        raise DuplicateLabel("label %r already present" % new.id)
-    if not 0 <= position <= len(a.factors):
-        raise BadPermutation("position %d out of range" % position)
-    grown = tensor(a, identity(new))
-    order = list(a.label_ids())
-    order.insert(position, new.id)
-    return permute_systems(grown, order)
 
 
 def min_eig(a: LabeledOperator, rel: float = HERM_TOL) -> float:

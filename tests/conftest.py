@@ -17,9 +17,8 @@ from qnetopt.networks import (CombSpace, QuantumComb, Tester, choi_of_channel,
                               comb_of_memoryless_sequence, comb_of_state,
                               validate_comb, validate_tester)
 from qnetopt.operators import (HERM_TOL, LabeledOperator, SystemLabel,
-                               embed_identity, identity, identity_on,
-                               min_eig, partial_trace, require_hermitian,
-                               tensor)
+                               min_eig, partial_trace, permute_systems,
+                               require_hermitian, tensor)
 from qnetopt.sdp.ipm import basis_kernel, coords_from_hermitian
 from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
                                        charge_sectors)
@@ -86,6 +85,34 @@ def memory_combs(draw, prefix="h"):
 # ---------------------------------------------------------------------------
 # helpers only the tests call
 # ---------------------------------------------------------------------------
+
+
+def identity(label: SystemLabel) -> LabeledOperator:
+    return LabeledOperator((label,), np.eye(label.dim))
+
+
+def identity_on(factors) -> LabeledOperator:
+    factors = tuple(factors)
+    return LabeledOperator(factors, np.eye(int(np.prod([f.dim for f in factors]))))
+
+
+def embed_identity(a: LabeledOperator, new: SystemLabel,
+                   position: int) -> LabeledOperator:
+    """Tensor an identity on `new` into the stated factor position."""
+    order = list(a.label_ids())
+    order.insert(position, new.id)
+    return permute_systems(tensor(a, identity(new)), order)
+
+
+def uniform_tester(space: CombSpace, outcome_ids) -> Tester:
+    """The maximally uninformative tester: equal PSD share of a mixed chain.
+
+    Every outcome operator equals I / (|M| * prod in_dims); the chain consists
+    of maximally mixed operators and every normalization holds with equality.
+    """
+    c = 1.0 / (len(outcome_ids) * int(np.prod(space.in_dims())))
+    op = identity_on(space.factors()) * c
+    return Tester(space, tuple((m, op) for m in outcome_ids))
 
 
 def mixed_comb(space) -> QuantumComb:

@@ -1,0 +1,63 @@
+"""The package's surface: every function in src/ has a caller in src/.
+
+A function or method that only the tests reach is test scaffolding, and
+belongs in tests/conftest.py.  The scan is by name: a definition counts as
+used when its name occurs in src/qnetopt as a name or an attribute outside
+__init__.py, whose re-exports are not callers.  KEPT lists the exceptions.
+"""
+
+import ast
+import collections
+import os
+
+import qnetopt
+
+KEPT = {
+    "partial_trace": "the paper's partial trace of a labeled operator",
+    "born_probability": "the paper's generalized Born rule Tr[T_m R]",
+    "tensor_testers": "the paper's parallel composition of testers",
+    "covariant_gamma": "entry point of the covariant reduction; bench/ and "
+                       "scripts/ladder.py call it",
+    "random_problem": "scripts/random_corpus.py draws its corpus with it",
+    "problem_to_json": "bench/workloads.py writes the CLI corpus with it",
+}
+
+
+def _scan():
+    """(name, path) of every non-dunder def, and the count of each name's uses."""
+    root = os.path.dirname(qnetopt.__file__)
+    defs, uses = [], collections.Counter()
+    for dirpath, _, files in os.walk(root):
+        for fn in sorted(files):
+            if not fn.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, fn)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__")):
+                    defs.append((node.name, os.path.relpath(path, root)))
+                elif fn == "__init__.py":
+                    continue
+                elif isinstance(node, ast.Name):
+                    uses[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    uses[node.attr] += 1
+    return defs, uses
+
+
+def test_every_function_has_a_caller_in_src():
+    defs, uses = _scan()
+    unused = sorted("%s (%s)" % (name, path) for name, path in defs
+                    if not uses[name] and name not in KEPT)
+    assert not unused, "only the tests call: " + ", ".join(unused)
+
+
+def test_kept_names_are_defined_and_uncalled():
+    defs, uses = _scan()
+    defined = {name for name, _ in defs}
+    stale = sorted(name for name in KEPT
+                   if name not in defined or uses[name])
+    assert not stale, "KEPT entries to drop: " + ", ".join(stale)

@@ -17,10 +17,9 @@ from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                cyclic_group, diagonal_characters,
                                diagonal_phases, phase_action,
                                phase_estimation_optimum,
-                               phase_grid_problem, product_group, qmax_comb,
-                               qmax_state, sum_of_phases, twirl,
-                               two_phase_correlated, two_phase_payoff_matrix,
-                               two_phase_problem)
+                               phase_grid_problem, product_group, qmax_state,
+                               sum_of_phases, twirl, two_phase_correlated,
+                               two_phase_payoff_matrix, two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
                             NotAState, NotLeftInvariant)
 from qnetopt.estimation import EstimationProblem
@@ -46,6 +45,31 @@ def flip_action():
 def test_group_table_checked():
     with pytest.raises(BadParameter):
         FiniteGroupAction((0, 1), np.array([[0, 1], [1, 2]]), {})
+    with pytest.raises(BadParameter, match="elements repeat"):
+        FiniteGroupAction((0, 0), np.array([[0, 1], [1, 0]]), {})
+    # rows are permutations and 0 is an identity, but column 1 repeats 1
+    with pytest.raises(BadParameter, match="column 1 of the composition"):
+        FiniteGroupAction((0, 1, 2), [[0, 1, 2], [1, 2, 0], [2, 1, 0]], {})
+
+
+def test_table_rows_must_be_permutations():
+    with pytest.raises(BadParameter, match="row 1 of the composition table"):
+        FiniteGroupAction((0, 1), [[0, 1], [1, 1]], {})
+
+
+def test_rep_must_cover_every_element():
+    elements, table = cyclic_group(3)
+    partial = {"q": {0: np.eye(2), 1: np.eye(2)}}
+    with pytest.raises(BadParameter,
+                       match=r"rep\['q'\] has no representative for element 2"):
+        FiniteGroupAction(elements, table, partial)
+
+
+def test_rep_shapes_must_agree():
+    elements, table = cyclic_group(2)
+    mixed = {"q": {0: np.eye(2), 1: np.eye(3)}}
+    with pytest.raises(BadParameter, match=r"rep\['q'\]\[1\] has shape \(3, 3\)"):
+        FiniteGroupAction(elements, table, mixed)
 
 
 def test_rep_must_be_unitary():
@@ -154,7 +178,8 @@ def test_selector_is_the_dense_twirl_matrix(case):
 def test_diagonal_phases_are_the_unitary_diagonals():
     problem, action = sequential_phase_problem(2)
     factors = problem.space.factors()
-    phases = diagonal_phases(action, factors)
+    phases = diagonal_phases(diagonal_characters(action, factors), factors,
+                             action.size)
     for g, el in enumerate(action.elements):
         np.testing.assert_array_equal(np.diag(phases[g]),
                                       action.unitary_for(el, factors))
@@ -162,7 +187,7 @@ def test_diagonal_phases_are_the_unitary_diagonals():
 
 def test_shift_action_solves_its_orbit():
     problem, action = _shifted_qutrit_orbit()
-    assert diagonal_phases(action, _shift_action()[1]) is None
+    assert diagonal_characters(action, _shift_action()[1]) is None
     res = covariant_gamma(problem, action)
     assert res.gamma_max == pytest.approx(solve(problem).gamma_primal,
                                           abs=1e-7)
@@ -242,8 +267,8 @@ def _certifies(problem, res):
 def test_reduced_program_matches_dense_twirl_program(case, monkeypatch):
     problem, action = PARITY_CASES[case]()
     reduced = covariant_gamma(problem, action)
-    # without diagonal phases covariant_gamma solves the seed's orbit
-    monkeypatch.setattr("qnetopt.covariant.diagonal_phases",
+    # without diagonal characters covariant_gamma solves the seed's orbit
+    monkeypatch.setattr("qnetopt.covariant.diagonal_characters",
                         lambda action, factors: None)
     orbit = covariant_gamma(problem, action)
     assert reduced.gamma_max == pytest.approx(orbit.gamma_max, abs=1e-7)
@@ -255,7 +280,7 @@ def test_rotated_phase_grid_solves_its_orbit(levels):
     # a non-diagonal action; at 7 levels the Schur complement of a dense
     # twirl program, with its linearly dependent rows, is singular
     problem, action = rotated_phase_grid(levels)
-    assert diagonal_phases(action, problem.space.factors()) is None
+    assert diagonal_characters(action, problem.space.factors()) is None
     res = covariant_gamma(problem, action)
     assert res.gamma_max == pytest.approx(
         problem.payoff_shift + phase_estimation_optimum(levels).cos_max,
@@ -277,13 +302,19 @@ def test_three_sequential_gates_match_the_phase_oracle():
 
 
 def test_product_group_structure():
-    ea, ta = cyclic_group(2)
-    eb, tb = cyclic_group(3)
-    elements, table = product_group(ea, ta, eb, tb)
-    assert len(elements) == 6
-    assert elements[0] == (0, 0)
-    for row in table:
-        assert sorted(row) == list(range(6))
+    for na, nb in ((2, 3), (4, 4)):
+        ea, ta = cyclic_group(na)
+        eb, tb = cyclic_group(nb)
+        elements, table = product_group(ea, ta, eb, tb)
+        assert len(elements) == na * nb
+        assert elements[0] == (0, 0)
+        for row in table:
+            assert sorted(row) == list(range(na * nb))
+        # the composition law of Z_na x Z_nb, entry by entry
+        for i, (a1, b1) in enumerate(elements):
+            for j, (a2, b2) in enumerate(elements):
+                assert elements[table[i, j]] == ((a1 + a2) % na,
+                                                 (b1 + b2) % nb)
 
 
 def test_qmax_orthogonal_orbit():
@@ -340,16 +371,6 @@ def test_qmax_state_refuses_a_non_state(make, monkeypatch):
     rho = LabeledOperator((Q,), np.array([[1.2, 0.5], [0.5, -0.2]]))
     with pytest.raises(NotAState):
         qmax_state(rho, make())
-
-
-def test_qmax_comb_trivial_action():
-    lab_i, lab_o = SystemLabel("ci", 2), SystemLabel("co", 2)
-    comb = comb_of_memoryless_sequence([choi_of_channel([np.eye(2)], lab_i, lab_o)])
-    elements, table = cyclic_group(2)
-    action = FiniteGroupAction(elements, table, {})  # acts trivially
-    q, inv = qmax_comb(comb, action)
-    assert q == pytest.approx(1.0, abs=1e-6)
-    np.testing.assert_allclose(inv.op.data, comb.op.data, atol=1e-5)
 
 
 def test_covariant_gamma_matches_direct_solve():
@@ -410,6 +431,20 @@ def test_covariant_gamma_matches_phase_oracle(levels, grid):
     assert res.gamma_max == pytest.approx(
         problem.payoff_shift + phase_estimation_optimum(levels).cos_max,
         abs=1e-7)
+
+
+def test_covariant_gamma_reads_the_characters_once(monkeypatch):
+    calls = []
+    read = qnetopt.covariant.diagonal_characters
+
+    def counted(action, factors):
+        calls.append(factors)
+        return read(action, factors)
+
+    monkeypatch.setattr(qnetopt.covariant, "diagonal_characters", counted)
+    problem, action = phase_grid_problem(3)
+    covariant_gamma(problem, action)
+    assert len(calls) == 1
 
 
 def test_covariant_gamma_honours_memory_cap(monkeypatch):
@@ -487,7 +522,7 @@ def test_covariance_checks_name_the_first_failing_element(entries, rng,
         covariant_gamma(EstimationProblem(
             problem.space, problem.labels_x, problem.prior, combs,
             problem.payoff, problem.payoff_shift), action)
-    assert diagonal_phases(action, factors) is not None
+    assert diagonal_characters(action, factors) is not None
 
 
 def test_phase_oracle_small_dimensions():

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (helstrom_problem, hs_inner, is_psd,
-                      random_product_tester, state_problems)
+                      random_product_tester, state_problems, uniform_tester)
 from qnetopt.errors import BadParameter, DuplicateLabel, ShapeMismatch
 from qnetopt.estimation import (EstimationProblem, expected_payoff,
                                 joint_problem, payoff_operators,
-                                problem_from_raw_payoff, shifted_problem)
-from qnetopt.networks import born_probability, uniform_tester, validate_tester
+                                problem_from_raw_payoff)
+from qnetopt.networks import born_probability, validate_tester
 
 
 def test_prior_must_normalize():
@@ -87,13 +87,6 @@ def test_joint_problem_rejects_shared_labels():
     b = helstrom_problem("shared")
     with pytest.raises(DuplicateLabel):
         joint_problem([a, b])
-
-
-def test_shifted_problem_bookkeeping():
-    p = helstrom_problem()
-    s = shifted_problem(p, 0.25)
-    assert s.payoff_shift == pytest.approx(0.25)
-    np.testing.assert_allclose(s.payoff, p.payoff + 0.25)
 
 
 def test_problem_from_raw_payoff_shifts_negative_scores():

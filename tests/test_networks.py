@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (memory_combs, random_product_tester,
                       reference_validate_comb, reference_validate_tester,
-                      seeds)
+                      seeds, uniform_tester)
 from qnetopt import serde
 from qnetopt.errors import (BadPermutation, DimensionCap, NormalizationViolation,
                             NotAState, NotPSD, NotTracePreserving,
@@ -18,7 +18,7 @@ from qnetopt.instances import (random_density, random_memory_comb,
 from qnetopt.networks import (CombSpace, QuantumComb, Tester, born_probability,
                               choi_of_channel, comb_of_memoryless_sequence,
                               comb_of_state, tensor_combs, tensor_testers,
-                              uniform_tester, validate_comb, validate_tester)
+                              validate_comb, validate_tester)
 from qnetopt.operators import (DIMENSION_CAP, LabeledOperator, SystemLabel,
                                partial_trace, permute_systems)
 

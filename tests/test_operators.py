@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eig_hermitian, hs_inner, is_psd
+from conftest import (eig_hermitian, embed_identity, hs_inner, identity_on,
+                      is_psd)
 from qnetopt.errors import (BadPermutation, DimensionCap, DuplicateLabel,
                             NotHermitian, ShapeMismatch, UnknownLabel)
-from qnetopt.operators import (LabeledOperator, SystemLabel, embed_identity,
-                               identity_on, min_eig, partial_trace,
-                               permute_systems, scalar_op, tensor, tensor_all)
+from qnetopt.operators import (LabeledOperator, SystemLabel, min_eig,
+                               partial_trace, permute_systems, scalar_op,
+                               tensor, tensor_all)
 
 A = SystemLabel("a", 2)
 B = SystemLabel("b", 3)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qnetopt.errors import (BadParameter, DimensionCap, NonProductPayoff)
 from qnetopt.estimation import (EstimationProblem, expected_payoff,
-                                joint_problem, shifted_problem)
+                                joint_problem, problem_from_raw_payoff)
 from qnetopt.networks import tensor_testers
 from qnetopt.product_rule import (_pure_input, best_product_input_value,
                                   counterexample_correlated_payoff,
@@ -63,8 +63,11 @@ def test_supplied_joint_is_checked():
 
 
 def test_shifted_factor_rejected():
+    p = helstrom_problem()
+    shifted = problem_from_raw_payoff(p.space, p.labels_x, p.prior, p.combs,
+                                      p.payoff - 0.5)
     with pytest.raises(NonProductPayoff, match="shift"):
-        verify_product_rule([shifted_problem(helstrom_problem(), 0.5)])
+        verify_product_rule([shifted])
 
 
 def test_empty_factor_list_rejected():

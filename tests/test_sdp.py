@@ -1,6 +1,7 @@
 """Solver behavior: frozen optima, duality, certificates, failure modes."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,15 @@ from scipy.linalg import solve_triangular
 from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
                       is_invariant, mixed_comb, outcome_residuals,
                       qubit_state_problem, selected_phase_program,
-                      sequential_phase_problem, state_problems)
+                      sequential_phase_problem, state_problems,
+                      uniform_tester)
 from qnetopt import serde
 from qnetopt.cli import main
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
                             MaxIterations, NumericalFailure)
-from qnetopt.estimation import (expected_payoff, payoff_operators,
-                                shifted_problem)
+from qnetopt.estimation import expected_payoff, payoff_operators
 from qnetopt.instances import random_channel_problem
-from qnetopt.networks import QuantumComb, uniform_tester, validate_tester
+from qnetopt.networks import QuantumComb, validate_tester
 from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, engine, slater_point,
                          solve, yuen_kennedy_lax)
@@ -48,7 +49,7 @@ def test_single_parameter_payoff_is_the_constant():
 
 def test_shift_bookkeeping_in_solutions():
     base = helstrom_problem()
-    shifted = shifted_problem(base, 0.5)
+    shifted = replace(base, payoff=base.payoff + 0.5, payoff_shift=0.5)
     a, b = solve(base), solve(shifted)
     assert b.payoff_shift == pytest.approx(0.5)
     assert b.gamma_primal == pytest.approx(a.gamma_primal, abs=1e-6)
