@@ -5,11 +5,13 @@ depends on group-relative displacement and process operators forming an
 orbit, the full tester optimization collapses to a much smaller question:
 how large a multiple of the weighted seed operator fits under an invariant
 state (or comb).  An optimal tester can be taken covariant, so that question
-is the ordinary tester program (``sdp.standard_form.build_primal``) with a
-single seed outcome T whose normalization is imposed on twirl(T) rather
-than on T.  ``covariant_gamma`` solves it and returns gamma_max = gamma_0 /
-q_max, read off the tightened dual, together with the invariant comb that
-certifies it.
+is the ordinary tester program with a single seed outcome T whose
+normalization is imposed on twirl(T) rather than on T.  ``covariant_gamma``
+solves it and returns gamma_max = gamma_0 / q_max, read off the tightened
+dual, together with the invariant comb that certifies it.  It solves
+through ``solve``'s own pipeline (``sdp.engine.solve_program``), so the
+program's comb and its certificate R are validated, and R's margins
+checked, as ``solve`` does.
 
 When every representative is diagonal (phases, and products of cyclic
 groups), each level of each factor carries a character, the phases that
@@ -47,12 +49,12 @@ from .errors import (BadDimension, BadParameter, NotLeftInvariant,
                      ShapeMismatch)
 from .estimation import EstimationProblem, problem_from_raw_payoff
 from .networks import (CombSpace, QuantumComb, choi_of_channel,
-                       comb_of_memoryless_sequence, comb_of_state)
+                       comb_of_memoryless_sequence, comb_of_state,
+                       validate_comb)
 from .operators import LabeledOperator, SystemLabel
-from .sdp.engine import check_memory, slater_point, solve, tighten_dual
-from .sdp.ipm import SolverOptions, solve_ipm
-from .sdp.standard_form import (ChargeSectors, build_primal, charge_sectors,
-                                dual_from_y)
+from .sdp.engine import solve_program
+from .sdp.ipm import SolverOptions
+from .sdp.ipm import solve_ipm  # noqa: F401  bench/tracer.py wraps this name
 
 HOMOMORPHISM_TOL = 1e-10
 CHECK_ENTRIES = 1 << 20  # entries of a covariance check's temporaries
@@ -113,19 +115,24 @@ class FiniteGroupAction:
                                        "representatives are square and of one shape"
                                        % (lid, el, u.shape))
             d = shape[0]
-            for el, u in zip(self.elements, us):
-                if np.max(np.abs(u.conj().T @ u - np.eye(d))) > HOMOMORPHISM_TOL:
-                    raise BadParameter("rep[%r][%r] is not unitary" % (lid, el))
-            for g in range(n):
-                for h in range(n):
-                    prod = us[table[g, h]].conj().T @ (us[g] @ us[h])
-                    phase = np.trace(prod) / d
-                    if abs(abs(phase) - 1.0) > HOMOMORPHISM_TOL or \
-                            np.max(np.abs(prod - phase * np.eye(d))) > 1e-9:
-                        raise BadParameter(
-                            "rep[%r] is not a homomorphism up to phase at (%r, %r)"
-                            % (lid, self.elements[g], self.elements[h]))
             stack = np.array(us)
+            adj = stack.conj().swapaxes(1, 2)
+            err = np.abs(adj @ stack - np.eye(d)).max(axis=(1, 2))
+            bad = np.flatnonzero(err > HOMOMORPHISM_TOL)
+            if bad.size:
+                raise BadParameter("rep[%r][%r] is not unitary"
+                                   % (lid, self.elements[bad[0]]))
+            for g in range(n):  # U_gh^H U_g U_h, for every h at once
+                prod = adj[table[g]] @ (stack[g] @ stack)
+                phase = np.trace(prod, axis1=1, axis2=2) / d
+                err = np.abs(prod - phase[:, None, None] * np.eye(d))
+                bad = np.flatnonzero((np.abs(np.abs(phase) - 1.0)
+                                      > HOMOMORPHISM_TOL)
+                                     | (err.max(axis=(1, 2)) > 1e-9))
+                if bad.size:
+                    raise BadParameter(
+                        "rep[%r] is not a homomorphism up to phase at (%r, %r)"
+                        % (lid, self.elements[g], self.elements[bad[0]]))
             self._stacks[lid] = stack.conj() if lid in self.conjugated else stack
             self._stacks[lid].setflags(write=False)
 
@@ -230,8 +237,8 @@ class CovariantResult:
     gamma_max is the tightened dual value of the reduced program, an upper
     bound on the stored-scale optimum; invariant_op is the invariant comb R
     with gamma_max * R >= G_x for every x, so (gamma_max, R) certifies the
-    full problem.  gap, iterations and history (one IpmStep per iteration)
-    describe the reduced program's solve.
+    full problem.  gap (the interior point's duality gap), iterations and
+    history (one IpmStep per iteration) describe the reduced program's solve.
     """
 
     gamma_max: float
@@ -249,65 +256,38 @@ def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
     """Smallest lambda with lambda * R >= seed for an invariant comb R.
 
     characters is diagonal_characters(action, space.factors()), which the
-    caller reads once.  For a diagonal action (characters not None) this is
-    the one-outcome tester program for the seed comb with the normalization
-    imposed on twirl(T) instead of T, on the sectors of the seed's torus
-    (charge_sectors) and those characters.  Its dual asks for a dual chain
-    whose S^(N), on the invariant coordinates, dominates the seed; after
-    tightening, R = S^(N) / lambda is an invariant comb, with lambda = S^(0).
-    Any other action (characters None) solves the seed's orbit
-    (_orbit_solve).  q_max = 1 / lambda is the largest q with q * seed
-    dominated by an invariant comb.  Returns (lambda, R, the duality gap on
-    lambda's scale, the interior-point iterations, their IpmStep history).
+    caller reads once.  The program, solved by solve_program, discriminates
+    n combs under a uniform prior, scoring n for a hit, so its payoff
+    operators are the combs and its optimum is lambda.  For a diagonal
+    action (characters not None) the one comb is the seed, and the
+    characters, next to the seed's torus charges, impose the normalization
+    on twirl(T) instead of T: the dual's S^(N), on the invariant
+    coordinates, dominates the seed, and after tightening R = S^(N) / lambda
+    is an invariant comb, with lambda = S^(0).  For any other action the
+    combs are the seed's orbit U_g seed U_g^H.  Its certificate has lambda R
+    >= U_g seed U_g^H for every g; conjugating by U_g^H (projective phases
+    cancel) and averaging gives lambda twirl(R) >= seed, and twirl(R) is an
+    invariant comb.  q_max = 1 / lambda is the largest q with q * seed
+    dominated by an invariant comb.  Returns (lambda, R, the interior
+    point's duality gap, its iterations, their IpmStep history).
     """
-    opts = options if options is not None else SolverOptions()
     factors = space.factors()
     if characters is None:
-        lam, top, gap, iterations, history = _orbit_solve(space, seed,
-                                                           action, opts)
+        mats = [u @ seed @ u.conj().T for u in
+                (action.unitary_for(el, factors) for el in action.elements)]
     else:
-        reduced = EstimationProblem(
-            space, (0,), np.ones(1),
-            (QuantumComb(space, LabeledOperator(factors, seed)),),
-            np.ones((1, 1)))
-        sectors = ChargeSectors(charge_sectors(reduced).charges, characters)
-        sdp = build_primal(reduced, sectors)
-        check_memory(sdp, action.size)
-        res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
-                        slater_point(sdp), opts)
-        dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
-        lam = dual.s0
-        top = dual.operators[-1].data / lam
-        gap, iterations, history = res.gap, res.iterations, res.history
-    inv = LabeledOperator(factors, (top + top.conj().T) / 2.0)
-    return lam, inv, gap, iterations, history
-
-
-def _orbit_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
-                 opts: SolverOptions):
-    """_qmax_solve through the direct program of the seed's orbit.
-
-    The orbit problem discriminates the combs U_g seed U_g^H under a uniform
-    prior, scoring |G| for a hit, so that its payoff operators are the
-    combs themselves and its optimum is lambda.  Its certificate (lambda, R)
-    has lambda R >= U_g seed U_g^H for every g; conjugating by U_g^H
-    (projective phases cancel) and averaging gives lambda twirl(R) >= seed,
-    and twirl(R) is an invariant comb.  Returns (lambda, twirl(R), gap,
-    iterations, history).
-    """
-    factors = space.factors()
-    size = action.size
-    combs = []
-    for el in action.elements:
-        u = action.unitary_for(el, factors)
-        combs.append(QuantumComb(space,
-                                 LabeledOperator(factors, u @ seed @ u.conj().T)))
-    orbit = EstimationProblem(space, tuple(range(size)),
-                              np.full(size, 1.0 / size), tuple(combs),
-                              size * np.eye(size))
-    sol = solve(orbit, opts)
-    inv = twirl(sol.comb_certificate.op, action).data
-    return sol.lambda_, inv, sol.gap, sol.iterations, sol.history
+        mats = [seed]
+    n = len(mats)
+    problem = EstimationProblem(
+        space, tuple(range(n)), np.full(n, 1.0 / n),
+        tuple(QuantumComb(space, LabeledOperator(factors, m)) for m in mats),
+        n * np.eye(n))
+    _, res, dual, comb, _ = solve_program(
+        problem, options if options is not None else SolverOptions(),
+        characters, action.size)
+    top = comb.op if characters is not None else twirl(comb.op, action)
+    inv = LabeledOperator(factors, (top.data + top.data.conj().T) / 2.0)
+    return dual.s0, inv, res.gap, res.iterations, res.history
 
 
 def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
@@ -332,7 +312,8 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
 
     Requires parameter labels equal to the group elements, a uniform prior, a
     left-invariant payoff, and combs forming an orbit of the action; verifies
-    all four and raises NotLeftInvariant / BadParameter otherwise.
+    all four and raises NotLeftInvariant / BadParameter otherwise, and
+    NotPSD / NormalizationViolation if the comb at the identity is not one.
     """
     if problem.labels_x != action.elements:
         raise BadParameter("problem labels %r must equal the group elements"
@@ -350,6 +331,8 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         if bad.size:
             raise NotLeftInvariant("payoff changes under left translation by "
                                    "%r" % (action.elements[y0 + bad[0]],))
+    # the orbit check then covers every comb: local unitaries keep a comb a comb
+    validate_comb(problem.combs[action.identity_index])
     mats = [c.op.data for c in problem.combs]
     factors = problem.space.factors()
     characters = diagonal_characters(action, factors)
@@ -538,12 +521,10 @@ def two_phase_problem(p: float, d_grid: int = 8
         [choi_of_channel([u], in_sys, out_sys)])
         for u in action.representatives(out_sys))
     n = d_grid * d_grid
-    raw = np.zeros((n, n))
-    for ih, (jh, kh) in enumerate(elements):
-        for i, (j, k) in enumerate(elements):
-            da = angles[(jh - j) % d_grid]
-            db = angles[(kh - k) % d_grid]
-            raw[ih, i] = p * np.cos(da + db) + (1.0 - p) * np.cos(da - db)
+    j, k = np.divmod(np.arange(n), d_grid)  # element (j, k) has index j d + k
+    da = angles[(j[:, None] - j) % d_grid]
+    db = angles[(k[:, None] - k) % d_grid]
+    raw = p * np.cos(da + db) + (1.0 - p) * np.cos(da - db)
     problem = problem_from_raw_payoff(combs[0].space, elements,
                                       np.full(n, 1.0 / n), combs, raw)
     return problem, action

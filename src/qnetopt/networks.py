@@ -148,18 +148,20 @@ def choi_of_channel(kraus_list: Sequence[np.ndarray], in_label: SystemLabel,
 
 
 def comb_of_state(rho: LabeledOperator, tol: float = DEFAULT_TOL) -> QuantumComb:
-    """Single-step preparation comb for a density matrix on one factor."""
+    """Single-step preparation comb for a density matrix on one factor.
+
+    NotAState if validate_comb finds rho not PSD or not of unit trace.
+    """
     if len(rho.factors) != 1:
         raise ShapeMismatch("expected a single-factor state, got %r" % (rho.label_ids(),))
-    if abs(np.trace(rho.data) - 1.0) > tol:
-        raise NotAState("trace %.6f is not 1" % float(np.trace(rho.data).real))
-    if min_eig(rho) < -tol * max(1.0, float(np.max(np.abs(rho.data)))):
-        raise NotAState("state has a negative eigenvalue")
     out_sys = rho.factors[0]
     in_sys = SystemLabel(out_sys.id + "#src", 1)
     space = CombSpace(((in_sys, out_sys),))
     op = LabeledOperator((out_sys, in_sys), rho.data.copy())
-    return validate_comb(QuantumComb(space, op), tol)
+    try:  # a one-step comb with a trivial input is a state: PSD, trace 1
+        return validate_comb(QuantumComb(space, op), tol)
+    except (NotPSD, NormalizationViolation) as exc:
+        raise NotAState("not a state: %s" % exc) from exc
 
 
 def comb_of_memoryless_sequence(chois: Sequence[LabeledOperator],

@@ -17,7 +17,7 @@ dual objective is a normalized comb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
 from ..operators import LabeledOperator, min_eig
 from .ipm import SolverOptions, solve_ipm
-from .standard_form import (DualState, StandardSdp, build_primal,
-                            charge_sectors, dual_from_y)
+from .standard_form import (ChargeSectors, DualState, StandardSdp,
+                            build_primal, charge_sectors, dual_from_y)
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,50 @@ def check_memory(sdp: StandardSdp, outcomes: Optional[int] = None) -> int:
     return estimate
 
 
+def solve_program(problem: EstimationProblem, opts: SolverOptions,
+                  characters: Optional[Mapping] = None,
+                  outcomes: Optional[int] = None):
+    """solve short of the tester: (sdp, IpmResult, tightened dual, R, report).
+
+    characters (diagonal_characters) join the torus charges in the labels;
+    outcomes is check_memory's K.  R = S^(N) / S^(0), checked as solve does.
+    """
+    problem.validated()
+    sectors = ChargeSectors(charge_sectors(problem).charges, characters or {})
+    sdp = build_primal(problem, sectors)
+    check_memory(sdp, outcomes)
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                    slater_point(sdp), opts)
+    dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
+    top = LabeledOperator(problem.space.factors(),
+                          dual.operators[-1].data / dual.s0)
+    comb = _validated(validate_comb, QuantumComb(problem.space, top),
+                      10.0 * opts.tol, res)
+    margins = np.inf
+    for pos, c in zip(sdp.positions[sdp.outcome_groups],
+                      sdp.C[sdp.outcome_groups]):
+        block = comb.op.data[pos[:, :, None], pos[:, None, :]]
+        lowest = np.linalg.eigvalsh(dual.s0 * block + c)[..., 0]
+        margins = np.minimum(margins, lowest.min(axis=-1))
+    report = CertificateReport.of(dual.s0, problem, margins, 10.0 * opts.tol)
+    if not report.certified:
+        raise NumericalFailure(
+            "dual certificate margin %.3e below -%.1e"
+            % (report.min_margin, report.tol),
+            {"rel_gap": res.rel_gap, "iterations": res.iterations})
+    return sdp, res, dual, comb, report
+
+
+def _validated(validate, obj, tol: float, res):
+    """validate(obj, tol); NumericalFailure if the converged point fails."""
+    try:
+        return validate(obj, tol)
+    except (NotPSD, NormalizationViolation) as exc:
+        raise NumericalFailure(
+            "converged point failed validation: %s" % exc,
+            {"rel_gap": res.rel_gap, "iterations": res.iterations}) from exc
+
+
 def solve(problem: EstimationProblem,
           options: Optional[SolverOptions] = None) -> SdpSolution:
     """Optimize a tester for the problem and certify the result.
@@ -186,44 +230,15 @@ def solve(problem: EstimationProblem,
     that loop cannot reach the requested tolerance.
     """
     opts = options if options is not None else SolverOptions()
-    problem.validated()
-    space = problem.space
-    sdp = build_primal(problem, sectors=charge_sectors(problem))
-    check_memory(sdp)
-    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
-                    slater_point(sdp), opts)
-
-    factors = space.factors()
+    sdp, res, dual, comb, report = solve_program(problem, opts)
+    factors = problem.space.factors()
     outcomes = [(label, LabeledOperator(factors, sdp.outcome(k, res.X)))
                 for k, label in enumerate(problem.labels_x)]
-    check_tol = 10.0 * opts.tol
-    dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
-    lambda_ = dual.s0
-    top = LabeledOperator(factors, dual.operators[-1].data / lambda_)
-    try:
-        tester = validate_tester(Tester(space, tuple(outcomes)), check_tol)
-        comb = validate_comb(QuantumComb(space, top), check_tol)
-    except (NotPSD, NormalizationViolation) as exc:
-        raise NumericalFailure(
-            "converged point failed validation: %s" % exc,
-            {"rel_gap": res.rel_gap, "iterations": res.iterations}) from exc
-    margins = np.inf
-    for pos, c in zip(sdp.positions[sdp.outcome_groups],
-                      sdp.C[sdp.outcome_groups]):
-        block = comb.op.data[pos[:, :, None], pos[:, None, :]]
-        lowest = np.linalg.eigvalsh(lambda_ * block + c)[..., 0]
-        margins = np.minimum(margins, lowest.min(axis=-1))
-    report = CertificateReport.of(lambda_, problem, margins, check_tol)
-    if not report.certified:
-        raise NumericalFailure(
-            "dual certificate margin %.3e below -%.1e"
-            % (report.min_margin, check_tol),
-            {"rel_gap": res.rel_gap, "iterations": res.iterations})
-
+    tester = _validated(validate_tester, Tester(problem.space, tuple(outcomes)),
+                        report.tol, res)
     shift = problem.payoff_shift
-    gamma_primal = -res.pobj - shift
-    gamma_dual = -res.dobj - shift
-    return SdpSolution(gamma_primal, gamma_dual, tester, lambda_, comb, dual,
+    gamma_primal, gamma_dual = -res.pobj - shift, -res.dobj - shift
+    return SdpSolution(gamma_primal, gamma_dual, tester, dual.s0, comb, dual,
                        abs(gamma_dual - gamma_primal), res.rel_gap,
                        res.iterations, res.status, shift, report,
                        res.feas_primal, res.feas_dual, res.history)

@@ -4,6 +4,8 @@ A function or method that only the tests reach is test scaffolding, and
 belongs in tests/conftest.py.  The scan is by name: a definition counts as
 used when its name occurs in src/qnetopt as a name or an attribute outside
 __init__.py, whose re-exports are not callers.  KEPT lists the exceptions.
+The program pipeline (PIPELINE) is called from sdp/ only: every other module
+solves through sdp.engine's solve or solve_program.
 """
 
 import ast
@@ -23,28 +25,36 @@ KEPT = {
 }
 
 
-def _scan():
-    """(name, path) of every non-dunder def, and the count of each name's uses."""
+PIPELINE = {"build_primal", "solve_ipm", "slater_point", "tighten_dual",
+            "dual_from_y", "check_memory"}
+
+
+def _trees():
+    """(path relative to the package, parsed module) of every source file."""
     root = os.path.dirname(qnetopt.__file__)
-    defs, uses = [], collections.Counter()
     for dirpath, _, files in os.walk(root):
         for fn in sorted(files):
-            if not fn.endswith(".py"):
+            if fn.endswith(".py"):
+                path = os.path.join(dirpath, fn)
+                with open(path) as fh:
+                    yield os.path.relpath(path, root), ast.parse(fh.read(), path)
+
+
+def _scan():
+    """(name, path) of every non-dunder def, and the count of each name's uses."""
+    defs, uses = [], collections.Counter()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__")):
+                defs.append((node.name, path))
+            elif os.path.basename(path) == "__init__.py":
                 continue
-            path = os.path.join(dirpath, fn)
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and not (node.name.startswith("__")
-                                 and node.name.endswith("__")):
-                    defs.append((node.name, os.path.relpath(path, root)))
-                elif fn == "__init__.py":
-                    continue
-                elif isinstance(node, ast.Name):
-                    uses[node.id] += 1
-                elif isinstance(node, ast.Attribute):
-                    uses[node.attr] += 1
+            elif isinstance(node, ast.Name):
+                uses[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
     return defs, uses
 
 
@@ -61,3 +71,19 @@ def test_kept_names_are_defined_and_uncalled():
     stale = sorted(name for name in KEPT
                    if name not in defined or uses[name])
     assert not stale, "KEPT entries to drop: " + ", ".join(stale)
+
+
+def test_only_sdp_calls_the_program_pipeline():
+    calls = []
+    for path, tree in _trees():
+        if os.path.dirname(path) == "sdp":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in PIPELINE:
+                calls.append("%s:%d calls %s" % (path, node.lineno, name))
+    assert not calls, "; ".join(calls)

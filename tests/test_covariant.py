@@ -21,7 +21,7 @@ from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                sum_of_phases, twirl, two_phase_correlated,
                                two_phase_payoff_matrix, two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
-                            NotAState, NotLeftInvariant)
+                            NotAState, NotLeftInvariant, NotPSD)
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_pure_state, random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
@@ -85,7 +85,8 @@ def test_rep_must_compose():
     elements, table = cyclic_group(3)
     r = np.array([[0.0, -1.0], [1.0, 0.0]])
     bad = {"q": {0: np.eye(2), 1: r, 2: r}}
-    with pytest.raises(BadParameter):
+    # (1, 1) is the first failing pair in row-major order: r r = -I, not r
+    with pytest.raises(BadParameter, match=r"at \(1, 1\)$"):
         FiniteGroupAction(elements, table, bad)
 
 
@@ -366,8 +367,8 @@ def test_qmax_state_refuses_a_non_state(make, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a program was built for a non-state")
 
-    monkeypatch.setattr(qnetopt.covariant, "build_primal", unreachable)
-    monkeypatch.setattr(qnetopt.covariant, "solve", unreachable)
+    monkeypatch.setattr(qnetopt.sdp.engine, "build_primal", unreachable)
+    monkeypatch.setattr(qnetopt.sdp.engine, "solve_program", unreachable)
     rho = LabeledOperator((Q,), np.array([[1.2, 0.5], [0.5, -0.2]]))
     with pytest.raises(NotAState):
         qmax_state(rho, make())
@@ -451,10 +452,34 @@ def test_covariant_gamma_honours_memory_cap(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("solve_ipm ran past the memory cap")
 
-    monkeypatch.setattr(qnetopt.covariant, "solve_ipm", unreachable)
+    monkeypatch.setattr(qnetopt.sdp.engine, "solve_ipm", unreachable)
     monkeypatch.setattr(qnetopt.sdp.engine, "MEMORY_CAP_BYTES", 1 << 10)
     with pytest.raises(DimensionCap, match="estimated peak"):
         covariant_gamma(*phase_grid_problem(3))
+    # and on the orbit path, which a non-diagonal action takes
+    monkeypatch.setattr(qnetopt.covariant, "diagonal_characters",
+                        lambda action, factors: None)
+    with pytest.raises(DimensionCap, match="estimated peak"):
+        covariant_gamma(*phase_grid_problem(3))
+
+
+@pytest.mark.parametrize("path", ["diagonal", "orbit"])
+def test_covariant_gamma_refuses_an_orbit_of_non_combs(path, monkeypatch):
+    # every comb shifted by -0.3 I: still an orbit, with a left-invariant
+    # payoff, but no comb is PSD, and solve refuses the problem too
+    problem, action = phase_grid_problem(3, 8)
+    shift = 0.3 * np.eye(problem.combs[0].op.data.shape[0])
+    combs = tuple(QuantumComb(problem.space, c.op.with_data(c.op.data - shift))
+                  for c in problem.combs)
+    shifted = EstimationProblem(problem.space, problem.labels_x, problem.prior,
+                                combs, problem.payoff, problem.payoff_shift)
+    with pytest.raises(NotPSD):
+        solve(shifted)
+    if path == "orbit":
+        monkeypatch.setattr(qnetopt.covariant, "diagonal_characters",
+                            lambda action, factors: None)
+    with pytest.raises(NotPSD):
+        covariant_gamma(shifted, action)
 
 
 def test_covariant_gamma_requires_uniform_prior():
@@ -595,6 +620,14 @@ def test_two_phase_problem_is_shifted_by_one():
     assert problem.num_params == 64
     assert len(action.elements) == 64
     assert problem.payoff.min() >= -1e-12
+    # the broadcast payoff equals the entry-by-entry reference bit for bit
+    angles = 2 * np.pi * np.arange(8) / 8
+    raw = np.zeros((64, 64))
+    for ih, (jh, kh) in enumerate(action.elements):
+        for i, (j, k) in enumerate(action.elements):
+            da, db = angles[(jh - j) % 8], angles[(kh - k) % 8]
+            raw[ih, i] = 0.7 * np.cos(da + db) + (1.0 - 0.7) * np.cos(da - db)
+    np.testing.assert_array_equal(problem.payoff, raw + problem.payoff_shift)
 
 
 def test_sum_of_phases_frozen_ratios():
