@@ -132,8 +132,8 @@ def cmd_dual_check(args) -> int:
     return EXIT_OK if report.certified else EXIT_INVALID
 
 
-def _qubit_state_problem(vectors, priors) -> EstimationProblem:
-    lab = SystemLabel("q", 2)
+def _qubit_state_problem(vectors, priors, tag: str = "q") -> EstimationProblem:
+    lab = SystemLabel(tag, 2)
     combs = tuple(comb_of_state(LabeledOperator((lab,), np.outer(v, v.conj())))
                   for v in vectors)
     labels = tuple(range(len(vectors)))
@@ -141,9 +141,9 @@ def _qubit_state_problem(vectors, priors) -> EstimationProblem:
                              combs, np.eye(len(vectors)))
 
 
-def _helstrom_problem() -> EstimationProblem:
+def _helstrom_problem(tag: str = "q") -> EstimationProblem:
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    return _qubit_state_problem([np.array([1.0, 0.0]), plus], [0.5, 0.5])
+    return _qubit_state_problem([np.array([1.0, 0.0]), plus], [0.5, 0.5], tag)
 
 
 def _example_helstrom(args) -> dict:
@@ -237,13 +237,7 @@ def _example_multicopy(args) -> dict:
 
 
 def _example_product_rule(args) -> dict:
-    a = _helstrom_problem()
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    lab = SystemLabel("r", 2)
-    combs = tuple(comb_of_state(LabeledOperator((lab,), np.outer(v, v.conj())))
-                  for v in (np.array([1.0, 0.0]), plus))
-    b = EstimationProblem(combs[0].space, (0, 1), np.array([0.5, 0.5]), combs,
-                          np.eye(2))
+    a, b = _helstrom_problem(), _helstrom_problem("r")
     rep = verify_product_rule([a, b], _options(args))
     _say(args, "joint %s  product of factors %s  deviation %s  certified %s"
          % (_g(rep.gamma_joint), _g(rep.product_of_factors),

@@ -10,8 +10,10 @@ normalization is imposed on twirl(T) rather than on T.  ``covariant_gamma``
 solves it and returns gamma_max = gamma_0 / q_max, read off the tightened
 dual, together with the invariant comb that certifies it.  It solves
 through ``solve``'s own pipeline (``sdp.engine.solve_program``), so the
-program's comb and its certificate R are validated, and R's margins
-checked, as ``solve`` does.
+certificate R is validated, and R's margins checked, as ``solve`` does;
+the input combs are checked once, by the orbit check.  The result's gap,
+iterations and history are those of the program solved: the seed program
+for a diagonal action, the caller's problem for any other.
 
 When every representative is diagonal (phases, and products of cyclic
 groups), each level of each factor carries a character, the phases that
@@ -28,8 +30,9 @@ lives on the invariant coordinates, so it is invariant as it comes.  This
 is the block-diagonalisation of de Klerk, Pasechnik and Schrijver (Math.
 Program. 109, 2007) and Gatermann and Parrilo (J. Pure Appl. Algebra 192,
 2004), specialised to characters.  Other actions, such as a cyclic shift,
-solve the seed's orbit directly, as a discrimination problem with a uniform
-prior, and twirl its certificate.
+gain nothing from the seed: its program would have the |G| outcome blocks
+of the caller's, each a payoff operator over gamma_0.  They solve the
+caller's problem itself and twirl its certificate.
 
 The phase-estimation helpers cover the standard cyclic-group instances:
 single-phase optima on d levels, the correlated two-phase payoff, and the
@@ -48,7 +51,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import (BadDimension, BadParameter, NotLeftInvariant,
                      ShapeMismatch)
 from .estimation import EstimationProblem, problem_from_raw_payoff
-from .networks import (CombSpace, QuantumComb, choi_of_channel,
+from .networks import (QuantumComb, choi_of_channel,
                        comb_of_memoryless_sequence, comb_of_state,
                        validate_comb)
 from .operators import LabeledOperator, SystemLabel
@@ -226,19 +229,20 @@ def product_group(ea, ta, eb, tb) -> Tuple[tuple, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# invariant-domination programs (q_max)
+# the covariant reduction
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CovariantResult:
-    """Reduced covariant optimum: gamma_max * q_max = gamma_0.
+    """Covariant optimum: gamma_max * q_max = gamma_0.
 
-    gamma_max is the tightened dual value of the reduced program, an upper
-    bound on the stored-scale optimum; invariant_op is the invariant comb R
-    with gamma_max * R >= G_x for every x, so (gamma_max, R) certifies the
-    full problem.  gap (the interior point's duality gap), iterations and
-    history (one IpmStep per iteration) describe the reduced program's solve.
+    gamma_max is a tightened dual value, an upper bound on the stored-scale
+    optimum; invariant_op is the invariant comb R with gamma_max * R >= G_x
+    for every x, so (gamma_max, R) certifies the full problem.  gap (the
+    interior point's duality gap), iterations and history (one IpmStep per
+    iteration) describe the program covariant_gamma solved: the one-outcome
+    seed program for a diagonal action, the caller's problem otherwise.
     """
 
     gamma_max: float
@@ -250,70 +254,47 @@ class CovariantResult:
     history: tuple
 
 
-def _qmax_solve(space: CombSpace, seed: np.ndarray, action: FiniteGroupAction,
-                characters: Optional[Mapping],
-                options: Optional[SolverOptions] = None):
-    """Smallest lambda with lambda * R >= seed for an invariant comb R.
-
-    characters is diagonal_characters(action, space.factors()), which the
-    caller reads once.  The program, solved by solve_program, discriminates
-    n combs under a uniform prior, scoring n for a hit, so its payoff
-    operators are the combs and its optimum is lambda.  For a diagonal
-    action (characters not None) the one comb is the seed, and the
-    characters, next to the seed's torus charges, impose the normalization
-    on twirl(T) instead of T: the dual's S^(N), on the invariant
-    coordinates, dominates the seed, and after tightening R = S^(N) / lambda
-    is an invariant comb, with lambda = S^(0).  For any other action the
-    combs are the seed's orbit U_g seed U_g^H.  Its certificate has lambda R
-    >= U_g seed U_g^H for every g; conjugating by U_g^H (projective phases
-    cancel) and averaging gives lambda twirl(R) >= seed, and twirl(R) is an
-    invariant comb.  q_max = 1 / lambda is the largest q with q * seed
-    dominated by an invariant comb.  Returns (lambda, R, the interior
-    point's duality gap, its iterations, their IpmStep history).
-    """
-    factors = space.factors()
-    if characters is None:
-        mats = [u @ seed @ u.conj().T for u in
-                (action.unitary_for(el, factors) for el in action.elements)]
-    else:
-        mats = [seed]
-    n = len(mats)
-    problem = EstimationProblem(
-        space, tuple(range(n)), np.full(n, 1.0 / n),
-        tuple(QuantumComb(space, LabeledOperator(factors, m)) for m in mats),
-        n * np.eye(n))
-    _, res, dual, comb, _ = solve_program(
-        problem, options if options is not None else SolverOptions(),
-        characters, action.size)
-    top = comb.op if characters is not None else twirl(comb.op, action)
-    inv = LabeledOperator(factors, (top.data + top.data.conj().T) / 2.0)
-    return dual.s0, inv, res.gap, res.iterations, res.history
-
-
 def qmax_state(rho0: LabeledOperator, action: FiniteGroupAction,
                options: Optional[SolverOptions] = None):
     """Largest q with q * rho0 dominated by an invariant state.
 
-    Returns (q_max, rho) with rho the invariant optimizer.  For the
-    hit-or-miss payoff with a uniform prior over the orbit, the best success
-    probability is 1 / (orbit size * q_max).  A seed that is not a state
-    raises NotAState (comb_of_state) before any program is built.
+    Returns (q_max, rho) with rho the invariant optimizer: covariant_gamma
+    on the discrimination of rho0's orbit under a uniform prior, whose
+    gamma_0 is 1 / |G|.  For the hit-or-miss payoff with a uniform prior
+    over the orbit, the best success probability is 1 / (orbit size *
+    q_max).  A seed that is not a state raises NotAState (comb_of_state)
+    before any program is built.
     """
     comb = comb_of_state(rho0)
-    characters = diagonal_characters(action, comb.space.factors())
-    lam, inv, *_ = _qmax_solve(comb.space, comb.op.data, action, characters,
-                               options)
-    return 1.0 / lam, LabeledOperator(rho0.factors, inv.data)
+    us = (action.unitary_for(el, comb.op.factors) for el in action.elements)
+    combs = tuple(QuantumComb(comb.space, comb.op.with_data(
+        u @ comb.op.data @ u.conj().T)) for u in us)
+    n = action.size
+    res = covariant_gamma(EstimationProblem(
+        comb.space, action.elements, np.full(n, 1.0 / n), combs, np.eye(n)),
+        action, options)
+    return res.q_max, LabeledOperator(rho0.factors, res.invariant_op.data)
 
 
 def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
                     options: Optional[SolverOptions] = None) -> CovariantResult:
-    """Optimal payoff of a covariant problem via the reduced invariant program.
+    """Optimal payoff of a covariant problem, certified by an invariant comb.
 
     Requires parameter labels equal to the group elements, a uniform prior, a
     left-invariant payoff, and combs forming an orbit of the action; verifies
     all four and raises NotLeftInvariant / BadParameter otherwise, and
     NotPSD / NormalizationViolation if the comb at the identity is not one.
+    The orbit's combs are then combs, and so is the seed, their mixture.
+
+    For a diagonal action it solves the seed program: one outcome, the seed
+    sum_x g(e, x) R_x / (|G| gamma_0), with the normalization imposed on
+    twirl(T) through the characters; gamma_max = gamma_0 S^(0), and R =
+    S^(N) / S^(0) is invariant as it comes.  For any other action it solves
+    the problem itself: gamma_max = S^(0), and invariant_op is twirl(R).
+    gamma_max R >= G_y for every y, and conjugating by U_g^H maps G_y to
+    G_(g^-1 y) (the orbit and left-invariance), so averaging over g gives
+    gamma_max twirl(R) >= G_y.  Either way gap, iterations and history are
+    those of the program solved.
     """
     if problem.labels_x != action.elements:
         raise BadParameter("problem labels %r must equal the group elements"
@@ -365,13 +346,25 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     gamma_0 = float(weights.sum())
     if gamma_0 <= 1e-14:
         raise BadParameter("payoff row at the identity is all zero")
-    seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
-    seed = (seed + seed.conj().T) / 2.0
-    lam, inv, gap, iterations, history = _qmax_solve(problem.space, seed,
-                                                     action, characters,
-                                                     options)
-    return CovariantResult(gamma_0 * lam, 1.0 / lam, gamma_0, inv, gap,
-                           iterations, history)
+    opts = options if options is not None else SolverOptions()
+    if characters is None:
+        _, res, dual, comb, _ = solve_program(problem, opts)
+        gamma_max, q_max = dual.s0, gamma_0 / dual.s0
+        top = twirl(comb.op, action)
+    else:
+        seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
+        seed = (seed + seed.conj().T) / 2.0
+        seed_problem = EstimationProblem(
+            problem.space, (0,), np.ones(1),
+            (QuantumComb(problem.space, LabeledOperator(factors, seed)),),
+            np.eye(1))
+        _, res, dual, comb, _ = solve_program(seed_problem, opts, characters,
+                                              n)
+        gamma_max, q_max = gamma_0 * dual.s0, 1.0 / dual.s0
+        top = comb.op
+    inv = LabeledOperator(factors, (top.data + top.data.conj().T) / 2.0)
+    return CovariantResult(gamma_max, q_max, gamma_0, inv, res.gap,
+                           res.iterations, res.history)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import BadParameter, DuplicateLabel, OutcomeMismatch, ShapeMismatch
 from .networks import (CombSpace, QuantumComb, Tester, tensor_combs,
                        validate_comb)
-from .operators import LabeledOperator
 
 PRIOR_TOL = 1e-12
 
@@ -91,27 +90,18 @@ class EstimationProblem:
         return float(self.payoff.max())
 
 
-@dataclass(frozen=True)
-class PayoffOperators:
-    """One Hermitian PSD operator per candidate estimate."""
+def payoff_operators(problem: EstimationProblem) -> np.ndarray:
+    """G_est = sum_x prior(x) g(est, x) R_x on the canonical factor order.
 
-    labels_x: tuple
-    operators: tuple  # LabeledOperator per estimate, aligned with labels_x
-
-    def op_for(self, label) -> LabeledOperator:
-        return self.operators[self.labels_x.index(label)]
-
-
-def payoff_operators(problem: EstimationProblem) -> PayoffOperators:
-    """G_est = sum_x prior(x) g(est, x) R_x on the canonical factor order."""
+    A read-only Hermitian (K, D, D) stack, row k for labels_x[k].
+    """
     stack = np.array([c.op.data for c in problem.combs], dtype=complex)
     acc = np.tensordot(problem.payoff * problem.prior[None, :], stack, 1)
     del stack  # the combs' copy, freed before the Hermitian part is taken
     acc += acc.conj().swapaxes(-1, -2)
     acc /= 2.0
-    factors = problem.space.factors()
-    return PayoffOperators(problem.labels_x,
-                           tuple(LabeledOperator(factors, g) for g in acc))
+    acc.setflags(write=False)
+    return acc
 
 
 def expected_payoff(tester: Tester, problem: EstimationProblem) -> float:
@@ -125,10 +115,10 @@ def expected_payoff(tester: Tester, problem: EstimationProblem) -> float:
         raise OutcomeMismatch(
             "tester outcomes %r vs problem labels %r"
             % (tester.outcome_ids(), problem.labels_x))
-    gops = payoff_operators(problem)
+    G = payoff_operators(problem)
     total = 0.0
     for m, op in tester.outcomes:  # in canonical order, as Tester keeps them
-        total += float(np.trace(op.data @ gops.op_for(m).data).real)
+        total += float(np.trace(op.data @ G[problem.labels_x.index(m)]).real)
     return total
 
 

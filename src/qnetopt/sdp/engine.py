@@ -148,8 +148,8 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
     if comb.op.label_ids() != order:
         raise ShapeMismatch("comb factors %r do not match problem space %r"
                             % (comb.op.label_ids(), order))
-    margins = [min_eig(g.with_data(lambda_ * comb.op.data - g.data))
-               for g in payoff_operators(problem).operators]
+    margins = [min_eig(comb.op.with_data(lambda_ * comb.op.data - g))
+               for g in payoff_operators(problem)]
     return CertificateReport.of(lambda_, problem, margins, tol)
 
 
@@ -180,8 +180,8 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
 
     characters (diagonal_characters) join the torus charges in the labels;
     outcomes is check_memory's K.  R = S^(N) / S^(0), checked as solve does.
+    The caller has validated the problem's combs.
     """
-    problem.validated()
     sectors = ChargeSectors(charge_sectors(problem).charges, characters or {})
     sdp = build_primal(problem, sectors)
     check_memory(sdp, outcomes)
@@ -221,6 +221,7 @@ def solve(problem: EstimationProblem,
           options: Optional[SolverOptions] = None) -> SdpSolution:
     """Optimize a tester for the problem and certify the result.
 
+    The problem's combs are validated first (NotPSD, NormalizationViolation).
     The program runs on the charge sectors of the largest local diagonal torus
     that fixes the combs (charge_sectors).  The tester and the comb are
     validated at full size, the margins on the outcome sectors: R and every
@@ -230,7 +231,7 @@ def solve(problem: EstimationProblem,
     that loop cannot reach the requested tolerance.
     """
     opts = options if options is not None else SolverOptions()
-    sdp, res, dual, comb, report = solve_program(problem, opts)
+    sdp, res, dual, comb, report = solve_program(problem.validated(), opts)
     factors = problem.space.factors()
     outcomes = [(label, LabeledOperator(factors, sdp.outcome(k, res.X)))
                 for k, label in enumerate(problem.labels_x)]

@@ -390,14 +390,13 @@ def build_primal(problem: EstimationProblem,
             C.append(np.zeros((1, s, n, n), dtype=complex))
 
     # objective: -G_est on each outcome's sectors, the outcomes as copies
-    gops = payoff_operators(problem)
+    G = payoff_operators(problem)
     for pos, pmap in _side_groups(outcome_labels):
         s, n = pos.shape
         groups.append(BlockGroup(n_out, n, [ConstraintEntry(
             offsets[n_steps], _remap(coords[-1][:, None], pmap))], s))
         positions.append(pos)
-        ix = pos[:, :, None], pos[:, None, :]
-        C.append(-np.array([g.data[ix] for g in gops.operators]))
+        C.append(-G[:, pos[:, :, None], pos[:, None, :]])
 
     b = np.zeros(m)
     b[0] = 1.0

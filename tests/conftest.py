@@ -381,7 +381,8 @@ def chain_residuals(problem, dual):
 
 def outcome_residuals(problem, dual):
     """M_est = S^(N) - G_est on the full comb factors."""
-    return [dual.operators[-1] - g for g in payoff_operators(problem).operators]
+    top = dual.operators[-1]
+    return [top.with_data(top.data - g) for g in payoff_operators(problem)]
 
 
 def structural_row_values(sdp, xi_ops, t_ops):

@@ -18,8 +18,6 @@ KEPT = {
     "partial_trace": "the paper's partial trace of a labeled operator",
     "born_probability": "the paper's generalized Born rule Tr[T_m R]",
     "tensor_testers": "the paper's parallel composition of testers",
-    "covariant_gamma": "entry point of the covariant reduction; bench/ and "
-                       "scripts/ladder.py call it",
     "random_problem": "scripts/random_corpus.py draws its corpus with it",
     "problem_to_json": "bench/workloads.py writes the CLI corpus with it",
 }

@@ -25,7 +25,7 @@ from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_pure_state, random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
-                              choi_of_channel)
+                              comb_of_state, choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import certify_dual, solve
 from qnetopt.sdp.ipm import (basis_layout, coords_from_hermitian,
@@ -186,16 +186,6 @@ def test_diagonal_phases_are_the_unitary_diagonals():
                                       action.unitary_for(el, factors))
 
 
-def test_shift_action_solves_its_orbit():
-    problem, action = _shifted_qutrit_orbit()
-    assert diagonal_characters(action, _shift_action()[1]) is None
-    res = covariant_gamma(problem, action)
-    assert res.gamma_max == pytest.approx(solve(problem).gamma_primal,
-                                          abs=1e-7)
-    assert is_invariant(res.invariant_op, action, tol=1e-9)
-    assert _certifies(problem, res)
-
-
 def _shifted_qutrit_orbit():
     """A qutrit state and its orbit under the cyclic shift."""
     action, _ = _shift_action()
@@ -205,7 +195,48 @@ def _shifted_qutrit_orbit():
     return problem, action
 
 
-# a diagonal action solves the reduced program, the shift its seed's orbit
+def test_shift_action_solves_its_orbit():
+    problem, action = _shifted_qutrit_orbit()
+    assert diagonal_characters(action, _shift_action()[1]) is None
+    res = covariant_gamma(problem, action)
+    assert res.gamma_max == pytest.approx(solve(problem).lambda_, abs=1e-7)
+    assert res.gamma_max * res.q_max == pytest.approx(res.gamma_0, abs=1e-12)
+    assert is_invariant(res.invariant_op, action, tol=1e-9)
+    assert _certifies(problem, res)
+
+
+@pytest.mark.parametrize("make", [_shifted_qutrit_orbit,
+                                  lambda: rotated_phase_grid(3)],
+                         ids=["shift", "rotated"])
+def test_non_diagonal_action_solves_the_callers_problem(make, monkeypatch):
+    problem, action = make()
+    solved = []
+    real = qnetopt.covariant.solve_program
+
+    def recorded(program, *args):
+        solved.append(program)
+        return real(program, *args)
+
+    monkeypatch.setattr(qnetopt.covariant, "solve_program", recorded)
+    covariant_gamma(problem, action)
+    assert len(solved) == 1 and solved[0] is problem
+
+
+@pytest.mark.parametrize("make", [lambda: phase_grid_problem(3),
+                                  _shifted_qutrit_orbit],
+                         ids=["diagonal", "non-diagonal"])
+def test_covariant_gamma_validates_no_comb_twice(make, monkeypatch):
+    # the comb at the identity and the orbit check cover every input comb
+    problem, action = make()
+
+    def unreachable(self, tol=1e-8):
+        raise AssertionError("the problem's combs were validated again")
+
+    monkeypatch.setattr(EstimationProblem, "validated", unreachable)
+    assert _certifies(problem, covariant_gamma(problem, action))
+
+
+# a diagonal action solves the seed program, the shift the problem itself
 @pytest.mark.parametrize("make", [lambda: phase_grid_problem(3),
                                   _shifted_qutrit_orbit],
                          ids=["diagonal", "orbit"])
@@ -268,7 +299,7 @@ def _certifies(problem, res):
 def test_reduced_program_matches_dense_twirl_program(case, monkeypatch):
     problem, action = PARITY_CASES[case]()
     reduced = covariant_gamma(problem, action)
-    # without diagonal characters covariant_gamma solves the seed's orbit
+    # without diagonal characters covariant_gamma solves the problem itself
     monkeypatch.setattr("qnetopt.covariant.diagonal_characters",
                         lambda action, factors: None)
     orbit = covariant_gamma(problem, action)
@@ -329,14 +360,9 @@ def test_qmax_orthogonal_orbit():
 
 def test_qmax_projective_pauli_action():
     # X and Z anticommute, so the Pauli action of Z_2 x Z_2 is projective;
-    # the orbit path's certificate must not depend on the phases
-    e, t = cyclic_group(2)
-    elements, table = product_group(e, t, e, t)
-    rep = {(a, b): np.linalg.matrix_power(X_MAT, a)
-           @ np.linalg.matrix_power(np.diag([1.0, -1.0]), b)
-           for a, b in elements}
-    action = FiniteGroupAction(elements, table, {"q": rep})
-    q, rho = qmax_state(LabeledOperator((Q,), np.diag([1.0, 0.0])), action)
+    # the twirled certificate must not depend on the phases
+    q, rho = qmax_state(LabeledOperator((Q,), np.diag([1.0, 0.0])),
+                        _pauli_action())
     assert q == pytest.approx(0.5, abs=1e-7)
     np.testing.assert_allclose(rho.data, np.eye(2) / 2.0, atol=1e-6)
 
@@ -359,6 +385,34 @@ def test_qmax_state_under_a_diagonal_action():
     q, rho = qmax_state(LabeledOperator((Q,), plus), sign_action())
     assert q == pytest.approx(0.5, abs=1e-7)
     np.testing.assert_allclose(rho.data, np.eye(2) / 2.0, atol=1e-6)
+
+
+def _pauli_action():
+    e, t = cyclic_group(2)
+    elements, table = product_group(e, t, e, t)
+    rep = {(a, b): np.linalg.matrix_power(X_MAT, a)
+           @ np.linalg.matrix_power(np.diag([1.0, -1.0]), b)
+           for a, b in elements}
+    return FiniteGroupAction(elements, table, {"q": rep})
+
+
+@pytest.mark.parametrize("make", [flip_action, sign_action, _pauli_action],
+                         ids=["flip", "sign", "pauli"])
+def test_qmax_state_is_covariant_gamma_on_its_orbit(make):
+    action = make()
+    rho0 = LabeledOperator((Q,), np.array([[0.7, 0.3 - 0.1j],
+                                           [0.3 + 0.1j, 0.3]]))
+    q, rho = qmax_state(rho0, action)
+    comb = comb_of_state(rho0)
+    combs = tuple(QuantumComb(comb.space, act(action, el, comb.op))
+                  for el in action.elements)
+    n = action.size
+    res = covariant_gamma(EstimationProblem(
+        comb.space, action.elements, np.full(n, 1.0 / n), combs, np.eye(n)),
+        action)
+    assert q == res.q_max
+    assert rho.factors == rho0.factors
+    np.testing.assert_array_equal(rho.data, res.invariant_op.data)
 
 
 @pytest.mark.parametrize("make", [flip_action, sign_action],
@@ -456,7 +510,7 @@ def test_covariant_gamma_honours_memory_cap(monkeypatch):
     monkeypatch.setattr(qnetopt.sdp.engine, "MEMORY_CAP_BYTES", 1 << 10)
     with pytest.raises(DimensionCap, match="estimated peak"):
         covariant_gamma(*phase_grid_problem(3))
-    # and on the orbit path, which a non-diagonal action takes
+    # and on the path a non-diagonal action takes, the problem itself
     monkeypatch.setattr(qnetopt.covariant, "diagonal_characters",
                         lambda action, factors: None)
     with pytest.raises(DimensionCap, match="estimated peak"):

@@ -36,12 +36,12 @@ def test_repeated_labels_rejected():
 def test_payoff_operators_are_psd_and_linear():
     p = helstrom_problem()
     ops = payoff_operators(p)
-    for x in p.labels_x:
-        g = ops.op_for(x)
-        assert is_psd(g)
-        manual = sum(p.prior[j] * p.payoff[p.labels_x.index(x), j]
-                     * p.combs[j].op.data for j in range(2))
-        np.testing.assert_allclose(g.data, manual, atol=1e-12)
+    assert ops.shape == (2, 2, 2) and not ops.flags.writeable
+    for k, g in enumerate(ops):
+        assert is_psd(p.combs[k].op.with_data(g))
+        manual = sum(p.prior[j] * p.payoff[k, j] * p.combs[j].op.data
+                     for j in range(2))
+        np.testing.assert_allclose(g, manual, atol=1e-12)
 
 
 def test_expected_payoff_matches_born_sums(rng):
@@ -111,8 +111,9 @@ def test_payoff_pairing_consistent(problem):
     tester = validate_tester(uniform_tester(problem.space, problem.labels_x))
     ops = payoff_operators(problem)
     acc = 0.0
-    for x in problem.labels_x:
-        acc += hs_inner(ops.op_for(x), dict(tester.outcomes)[x]).real
+    for g, x in zip(ops, problem.labels_x):
+        t = dict(tester.outcomes)[x]
+        acc += hs_inner(t.with_data(g), t).real
     assert expected_payoff(tester, problem) == pytest.approx(acc, abs=1e-9)
 
 

@@ -16,7 +16,7 @@ from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
 from qnetopt import serde
 from qnetopt.cli import main
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
-                            MaxIterations, NumericalFailure)
+                            MaxIterations, NotPSD, NumericalFailure)
 from qnetopt.estimation import expected_payoff, payoff_operators
 from qnetopt.instances import random_channel_problem
 from qnetopt.networks import QuantumComb, validate_tester
@@ -55,6 +55,19 @@ def test_shift_bookkeeping_in_solutions():
     assert b.gamma_primal == pytest.approx(a.gamma_primal, abs=1e-6)
     # lambda certifies the stored (shifted) payoff scale
     assert b.lambda_ == pytest.approx(b.gamma_dual + 0.5, abs=1e-10)
+
+
+def test_solve_refuses_a_non_psd_comb_before_building(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a program was built for a non-comb")
+
+    problem = helstrom_problem()
+    bad = problem.combs[1].op.with_data(np.diag([1.2, -0.2]))
+    problem = replace(problem, combs=(problem.combs[0],
+                                      QuantumComb(problem.space, bad)))
+    monkeypatch.setattr(engine, "build_primal", unreachable)
+    with pytest.raises(NotPSD):
+        solve(problem)
 
 
 def test_max_iterations_raises_with_diagnostics():
@@ -476,8 +489,8 @@ def test_tighten_dual_makes_chain_exact(case):
     top = tight.operators[-1]
     if action is not None:  # the covariant program's S^(N) is invariant
         assert is_invariant(top, action)
-    for g in payoff_operators(problem).operators:
-        assert min_eig(top - g) >= -opts.tol
+    for g in payoff_operators(problem):
+        assert min_eig(top.with_data(top.data - g)) >= -opts.tol
 
 
 @settings(max_examples=20, deadline=None)

@@ -164,9 +164,9 @@ def test_primal_start_is_feasible():
 def test_objective_blocks_encode_payoff():
     for problem in (helstrom_problem(), phase_grid_problem(3)[0]):
         sdp = sector_program(problem)
-        for k, op in enumerate(payoff_operators(problem).operators):
+        for k, op in enumerate(payoff_operators(problem)):
             # the payoff is exactly zero off the sectors, so nothing is lost
-            assert np.array_equal(sdp.outcome(k, sdp.C), -op.data)
+            assert np.array_equal(sdp.outcome(k, sdp.C), -op)
         for gs in sdp.xi_groups:
             assert not any(np.any(sdp.C[g]) for g in gs)
 
