@@ -58,6 +58,7 @@ from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import solve_program
 from .sdp.ipm import SolverOptions
 from .sdp.ipm import solve_ipm  # noqa: F401  bench/tracer.py wraps this name
+from .sdp.standard_form import ChargeSectors
 
 HOMOMORPHISM_TOL = 1e-10
 CHECK_ENTRIES = 1 << 20  # entries of a covariance check's temporaries
@@ -193,22 +194,6 @@ def diagonal_characters(action: FiniteGroupAction,
     return characters
 
 
-def diagonal_phases(characters: Mapping, factors: Sequence[SystemLabel],
-                    size: int) -> np.ndarray:
-    """The diagonals of every U_g on the factors, from the action's characters.
-
-    characters is diagonal_characters(action, factors) of an action with
-    `size` elements.  Row g of the (|G|, D) result is diag(unitary_for(
-    elements[g], factors)), the Kronecker product of the per-factor
-    characters.
-    """
-    phases = np.ones((size, 1), dtype=complex)
-    for f in factors:
-        diag = characters.get(f.id, np.ones((f.dim, size))).T
-        phases = (phases[:, :, None] * diag[:, None, :]).reshape(size, -1)
-    return phases
-
-
 def cyclic_group(n: int) -> Tuple[tuple, np.ndarray]:
     elements = tuple(range(n))
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
@@ -320,7 +305,10 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     if characters is None:
         stack, width = np.array(mats), 1
     else:  # the combs' joint support: off it both sides below are exactly 0
-        phases = diagonal_phases(characters, factors, n)
+        # row g is diag(unitary_for(elements[g], factors)); one row of ones,
+        # broadcast, when the action moves none of the factors
+        _, phases = ChargeSectors(characters=characters).walk(factors)
+        phases = np.broadcast_to(phases.T, (n, len(phases)))
         rows, cols = np.nonzero(np.logical_or.reduce([r != 0 for r in mats]))
         stack = np.array([r[rows, cols] for r in mats])
         width = max(1, CHECK_ENTRIES // stack.size)

@@ -80,10 +80,10 @@ class EstimationProblem:
     def num_params(self) -> int:
         return len(self.labels_x)
 
-    def validated(self, tol: float = 1e-8) -> "EstimationProblem":
+    def validated(self) -> "EstimationProblem":
         """Re-run validate_comb on every comb; returns self on success."""
         for c in self.combs:
-            validate_comb(c, tol)
+            validate_comb(c)
         return self
 
     def g_max(self) -> float:

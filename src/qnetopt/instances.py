@@ -9,7 +9,7 @@ still re-checked by the callers' validators rather than trusted.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,20 +20,17 @@ from .operators import LabeledOperator, SystemLabel
 
 _counter = itertools.count()
 
+#: Memory and environment dimensions of the random combs' dilations.
+MEMORY_DIM = 2
+ENV_DIM = 2
+
 
 def _fresh(tag: str) -> str:
     return "%s%d" % (tag, next(_counter))
 
 
-def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def random_density(rng: np.random.Generator, dim: int,
-                   rank: Optional[int] = None) -> np.ndarray:
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -51,13 +48,13 @@ def random_isometry(rng: np.random.Generator, d_from: int, d_to: int) -> np.ndar
     return random_unitary(rng, d_to)[:, :d_from]
 
 
-def random_channel_choi(rng: np.random.Generator, d_in: int, d_out: int,
-                        d_env: int = 2) -> np.ndarray:
+def random_channel_choi(rng: np.random.Generator, d_in: int,
+                        d_out: int) -> np.ndarray:
     """Choi matrix of a random channel via a dilated isometry."""
-    v = random_isometry(rng, d_in, d_out * d_env)
-    kraus = v.reshape(d_out, d_env, d_in)
+    v = random_isometry(rng, d_in, d_out * ENV_DIM)
+    kraus = v.reshape(d_out, ENV_DIM, d_in)
     choi = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    for e in range(d_env):
+    for e in range(ENV_DIM):
         w = kraus[:, e, :].reshape(-1)
         choi += np.outer(w, w.conj())
     return choi
@@ -75,25 +72,18 @@ def random_payoff(rng: np.random.Generator, n: int, delta: bool) -> np.ndarray:
 
 
 def random_state_problem(rng: np.random.Generator, n_states: int, dim: int,
-                         delta: bool = True, pure: bool = False
-                         ) -> EstimationProblem:
+                         delta: bool = True) -> EstimationProblem:
     """Discrimination-style problem over random states on one fresh system."""
     lab = SystemLabel(_fresh("s"), dim)
-    combs = []
-    for _ in range(n_states):
-        if pure:
-            v = random_pure_state(rng, dim)
-            rho = np.outer(v, v.conj())
-        else:
-            rho = random_density(rng, dim)
-        combs.append(comb_of_state(LabeledOperator((lab,), rho)))
+    combs = [comb_of_state(LabeledOperator((lab,), random_density(rng, dim)))
+             for _ in range(n_states)]
     labels = tuple(range(n_states))
     return EstimationProblem(combs[0].space, labels, random_prior(rng, n_states),
                              tuple(combs), random_payoff(rng, n_states, delta))
 
 
-def random_memory_comb(rng: np.random.Generator, space: CombSpace,
-                       d_mem: int = 2, d_env: int = 2) -> QuantumComb:
+def random_memory_comb(rng: np.random.Generator,
+                       space: CombSpace) -> QuantumComb:
     """Random strategy comb from chained step isometries with memory.
 
     Step s maps (memory x in_s) isometrically into (out_s x memory x env_s);
@@ -103,15 +93,15 @@ def random_memory_comb(rng: np.random.Generator, space: CombSpace,
     steps = space.steps
     n = len(steps)
     if n == 1:
-        return random_sequence_comb(rng, space, d_env)
+        return random_sequence_comb(rng, space)
     t = np.ones((1, 1, 1), dtype=complex)  # (kept legs, memory, input legs)
     kept_dims = []  # interleaved (out_s, env_s)
     in_dims = []
     m_prev = 1
     for s, step in enumerate(steps):
-        m_next = d_mem if s < n - 1 else 1
+        m_next = MEMORY_DIM if s < n - 1 else 1
         # environment large enough for the dilation to be an isometry
-        e_dim = max(d_env, -(-m_prev * step.in_sys.dim
+        e_dim = max(ENV_DIM, -(-m_prev * step.in_sys.dim
                              // (step.out_sys.dim * m_next)))
         v = random_isometry(rng, m_prev * step.in_sys.dim,
                             step.out_sys.dim * m_next * e_dim)
@@ -136,12 +126,12 @@ def random_memory_comb(rng: np.random.Generator, space: CombSpace,
     return validate_comb(QuantumComb(space, LabeledOperator(outs + ins, r)))
 
 
-def random_sequence_comb(rng: np.random.Generator, space: CombSpace,
-                         d_env: int = 2) -> QuantumComb:
+def random_sequence_comb(rng: np.random.Generator,
+                         space: CombSpace) -> QuantumComb:
     """Random no-memory strategy comb: an independent channel per step."""
     return comb_of_memoryless_sequence([LabeledOperator(
         (step.out_sys, step.in_sys),
-        random_channel_choi(rng, step.in_sys.dim, step.out_sys.dim, d_env))
+        random_channel_choi(rng, step.in_sys.dim, step.out_sys.dim))
         for step in space.steps])
 
 

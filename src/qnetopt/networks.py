@@ -120,11 +120,12 @@ class Tester:
 
 
 def choi_of_channel(kraus_list: Sequence[np.ndarray], in_label: SystemLabel,
-                    out_label: SystemLabel, tol: float = DEFAULT_TOL) -> LabeledOperator:
+                    out_label: SystemLabel) -> LabeledOperator:
     """Choi operator of the channel with the given Kraus operators.
 
     Factors are ordered (out, in).  Raises NotTracePreserving when the Kraus
-    sum deviates from the identity by more than tol in max-entry norm.
+    sum deviates from the identity by more than DEFAULT_TOL in max-entry
+    norm.
     """
     ks = [np.asarray(k, dtype=complex) for k in kraus_list]
     if not ks:
@@ -135,7 +136,7 @@ def choi_of_channel(kraus_list: Sequence[np.ndarray], in_label: SystemLabel,
                 "Kraus shape %r does not map dim %d -> dim %d"
                 % (k.shape, in_label.dim, out_label.dim))
     acc = sum(k.conj().T @ k for k in ks)
-    if np.max(np.abs(acc - np.eye(in_label.dim))) > tol:
+    if np.max(np.abs(acc - np.eye(in_label.dim))) > DEFAULT_TOL:
         raise NotTracePreserving(
             "Kraus operators are not trace preserving (residual %.3e)"
             % float(np.max(np.abs(acc - np.eye(in_label.dim)))))
@@ -147,7 +148,7 @@ def choi_of_channel(kraus_list: Sequence[np.ndarray], in_label: SystemLabel,
     return LabeledOperator((out_label, in_label), data)
 
 
-def comb_of_state(rho: LabeledOperator, tol: float = DEFAULT_TOL) -> QuantumComb:
+def comb_of_state(rho: LabeledOperator) -> QuantumComb:
     """Single-step preparation comb for a density matrix on one factor.
 
     NotAState if validate_comb finds rho not PSD or not of unit trace.
@@ -159,13 +160,13 @@ def comb_of_state(rho: LabeledOperator, tol: float = DEFAULT_TOL) -> QuantumComb
     space = CombSpace(((in_sys, out_sys),))
     op = LabeledOperator((out_sys, in_sys), rho.data.copy())
     try:  # a one-step comb with a trivial input is a state: PSD, trace 1
-        return validate_comb(QuantumComb(space, op), tol)
+        return validate_comb(QuantumComb(space, op))
     except (NotPSD, NormalizationViolation) as exc:
         raise NotAState("not a state: %s" % exc) from exc
 
 
-def comb_of_memoryless_sequence(chois: Sequence[LabeledOperator],
-                                tol: float = DEFAULT_TOL) -> QuantumComb:
+def comb_of_memoryless_sequence(chois: Sequence[LabeledOperator]
+                                ) -> QuantumComb:
     """Comb of a time-ordered sequence of independent channels (their Chois)."""
     steps = []
     for c in chois:
@@ -175,12 +176,12 @@ def comb_of_memoryless_sequence(chois: Sequence[LabeledOperator],
         steps.append((in_sys, out_sys))
     space = CombSpace(tuple(steps))
     op = tensor_all(chois)
-    return validate_comb(QuantumComb(space, op), tol)
+    return validate_comb(QuantumComb(space, op))
 
 
 def _check_psd(op: LabeledOperator, tol: float, what: str):
     scale = max(1.0, float(np.max(np.abs(op.data))) if op.data.size else 1.0)
-    me = min_eig(op)
+    me = min_eig(op.data)
     if me < -tol * scale:
         raise NotPSD("%s has eigenvalue %.3e below -tol*scale" % (what, me))
 

@@ -23,7 +23,7 @@ from .errors import (BadPermutation, DimensionCap, DuplicateLabel,
 #: Hard cap on the total dimension of any single operator.
 DIMENSION_CAP = 4096
 
-#: Default relative scale for the Hermiticity check.
+#: Relative scale of min_eig's Hermiticity check.
 HERM_TOL = 1e-10
 
 
@@ -111,18 +111,6 @@ def scalar_op(value=1.0) -> LabeledOperator:
     return LabeledOperator((), np.array([[value]], dtype=complex))
 
 
-def is_hermitian(a: LabeledOperator, rel: float = HERM_TOL) -> bool:
-    d = a.data
-    scale = 1.0 + (float(np.max(np.abs(d))) if d.size else 0.0)
-    return float(np.max(np.abs(d - d.conj().T))) <= rel * scale if d.size else True
-
-
-def require_hermitian(a: LabeledOperator, rel: float = HERM_TOL):
-    if not is_hermitian(a, rel):
-        resid = float(np.max(np.abs(a.data - a.data.conj().T)))
-        raise NotHermitian("matrix is not Hermitian (residual %.3e)" % resid)
-
-
 def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Kronecker product; a's factors first, then b's.  Labels must be disjoint."""
     overlap = set(a.label_ids()) & set(b.label_ids())
@@ -194,7 +182,26 @@ def permute_systems(a: LabeledOperator, order) -> LabeledOperator:
     return LabeledOperator(new_factors, t.reshape(n, n))
 
 
-def min_eig(a: LabeledOperator, rel: float = HERM_TOL) -> float:
-    require_hermitian(a, rel)
-    return float(np.linalg.eigvalsh((a.data + a.data.conj().T) / 2.0)[0])
+def min_eig(a: np.ndarray):
+    """Smallest eigenvalue of each matrix's Hermitian part; a is (..., n, n).
+
+    The package's only positivity test.  NotHermitian if a matrix is off
+    Hermitian by more than HERM_TOL times 1 + its largest entry.  A float
+    for one matrix, an array of a's leading shape for a stack.
+    """
+    # the ufunc always allocates, so h is a fresh copy even for real a;
+    # it is made a's Hermitian part below
+    h = np.conjugate(a).swapaxes(-1, -2)
+    residual = np.abs(a - h).max(axis=(-2, -1))
+    # "not <=" fails a NaN residual, and isinf an infinite one (whose scale
+    # is infinite too), so no matrix with a non-finite entry passes
+    if not residual.max() <= HERM_TOL:  # else every matrix passes: scale >= 1
+        scale = 1.0 + np.abs(a).max(axis=(-2, -1))
+        bad = ~(residual <= HERM_TOL * scale) | np.isinf(residual)
+        if bad.any():
+            raise NotHermitian("matrix is not Hermitian (residual %.3e)"
+                               % residual[bad].max())
+    h += a
+    h /= 2.0
+    return np.linalg.eigvalsh(h)[..., 0]
 

@@ -26,6 +26,9 @@ from .sdp import CertificateReport, SdpSolution, SolverOptions, certify_dual, so
 from .covariant import (two_phase_correlated, two_phase_payoff_matrix,
                         two_phase_problem)
 
+#: Points of best_product_input_value's grid of angles over [0, pi/2].
+PRODUCT_SAMPLES = 37
+
 
 @dataclass(frozen=True)
 class ProductRuleReport:
@@ -188,15 +191,16 @@ def _covariant_qubit_povm(grid: int) -> list:
     return povm
 
 
-def best_product_input_value(p: float, samples: int = 37) -> float:
+def best_product_input_value(p: float) -> float:
     """Brute-force max of the two-phase form over product inputs e (x) f.
 
     Real nonnegative amplitudes suffice: every term of the form pairs
     conjugate amplitude products, so phases can only lower the modulus.  The
-    sample grid over [0, pi/2] includes pi/4, where the maximum 1/4 sits.
+    PRODUCT_SAMPLES-point grid over [0, pi/2] includes pi/4, where the
+    maximum 1/4 sits.
     """
     q = two_phase_payoff_matrix(p)
-    angles = np.linspace(0.0, np.pi / 2.0, samples)
+    angles = np.linspace(0.0, np.pi / 2.0, PRODUCT_SAMPLES)
     best = -np.inf
     for alpha in angles:
         e = np.array([np.cos(alpha), np.sin(alpha)])

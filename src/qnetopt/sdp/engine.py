@@ -148,7 +148,7 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
     if comb.op.label_ids() != order:
         raise ShapeMismatch("comb factors %r do not match problem space %r"
                             % (comb.op.label_ids(), order))
-    margins = [min_eig(comb.op.with_data(lambda_ * comb.op.data - g))
+    margins = [min_eig(lambda_ * comb.op.data - g)
                for g in payoff_operators(problem)]
     return CertificateReport.of(lambda_, problem, margins, tol)
 
@@ -195,9 +195,8 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
     margins = np.inf
     for pos, c in zip(sdp.positions[sdp.outcome_groups],
                       sdp.C[sdp.outcome_groups]):
-        block = comb.op.data[pos[:, :, None], pos[:, None, :]]
-        lowest = np.linalg.eigvalsh(dual.s0 * block + c)[..., 0]
-        margins = np.minimum(margins, lowest.min(axis=-1))
+        block = dual.s0 * comb.op.data[pos[:, :, None], pos[:, None, :]]
+        margins = np.minimum(margins, min_eig(block + c).min(axis=-1))
     report = CertificateReport.of(dual.s0, problem, margins, 10.0 * opts.tol)
     if not report.certified:
         raise NumericalFailure(

@@ -119,7 +119,7 @@ class ChargeSectors:
 
     def labels(self, factors: Sequence[SystemLabel]) -> np.ndarray:
         """The sector of each position of the space, numbered by label."""
-        return self._label(self._walk(factors))
+        return self._label(self.walk(factors))
 
     def chain_labels(self, space: CombSpace):
         """Labels of each Xi^(j) and level j, and the charge labels of level N.
@@ -128,16 +128,17 @@ class ChargeSectors:
         """
         walk, xi, level = None, [], []
         for step in space.steps:
-            xi.append(self._label(self._walk([step.in_sys], walk)))
-            walk = self._walk([step.out_sys, step.in_sys], walk)
+            xi.append(self._label(self.walk([step.in_sys], walk)))
+            walk = self.walk([step.out_sys, step.in_sys], walk)
             level.append(self._label(walk))
         top = self._label(walk, False) if self.characters else level[-1]
         return xi, level, top
 
-    def _walk(self, factors: Sequence[SystemLabel], walk=None):
+    def walk(self, factors: Sequence[SystemLabel], walk=None):
         """Each position's (charge, phases) once factors extend walk's space.
 
-        None is the empty space; with no characters, every phase is 1.
+        None is the empty space.  Phase column g is element g's: with no
+        characters on the factors there is one column, and every phase is 1.
         """
         if walk is None:
             r = max([v.shape[1] for v in self.charges.values()], default=0)

@@ -16,9 +16,8 @@ from qnetopt.instances import (random_channel_problem, random_density,
 from qnetopt.networks import (CombSpace, QuantumComb, Tester, choi_of_channel,
                               comb_of_memoryless_sequence, comb_of_state,
                               validate_comb, validate_tester)
-from qnetopt.operators import (HERM_TOL, LabeledOperator, SystemLabel,
-                               min_eig, partial_trace, permute_systems,
-                               require_hermitian, tensor)
+from qnetopt.operators import (LabeledOperator, SystemLabel, min_eig,
+                               partial_trace, permute_systems, tensor)
 from qnetopt.sdp.ipm import basis_kernel, coords_from_hermitian
 from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
                                        charge_sectors)
@@ -122,17 +121,10 @@ def mixed_comb(space) -> QuantumComb:
     return validate_comb(QuantumComb(space, op))
 
 
-def eig_hermitian(a: LabeledOperator, rel: float = HERM_TOL):
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    require_hermitian(a, rel)
-    vals, vecs = np.linalg.eigh((a.data + a.data.conj().T) / 2.0)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def is_psd(a: LabeledOperator, tol: float = 1e-8) -> bool:
     """True iff the smallest eigenvalue is >= -tol * max(1, max-entry norm)."""
     scale = max(1.0, float(np.max(np.abs(a.data))) if a.data.size else 1.0)
-    return min_eig(a) >= -tol * scale
+    return min_eig(a.data) >= -tol * scale
 
 
 def hs_inner(a: LabeledOperator, b: LabeledOperator) -> complex:
@@ -256,6 +248,11 @@ def selected_phase_program(levels=3, grid=8):
     sectors = ChargeSectors(charge_sectors(reduced).charges,
                             diagonal_characters(action, space.factors()))
     return build_primal(reduced, sectors), action
+
+
+def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> list:

@@ -5,7 +5,9 @@ belongs in tests/conftest.py.  The scan is by name: a definition counts as
 used when its name occurs in src/qnetopt as a name or an attribute outside
 __init__.py, whose re-exports are not callers.  KEPT lists the exceptions.
 The program pipeline (PIPELINE) is called from sdp/ only: every other module
-solves through sdp.engine's solve or solve_program.
+solves through sdp.engine's solve or solve_program.  Positivity is tested
+by operators.min_eig alone: no other module calls eigvalsh, except in the
+functions EIGVALSH lists, which test no positivity.
 """
 
 import ast
@@ -26,6 +28,12 @@ KEPT = {
 PIPELINE = {"build_primal", "solve_ipm", "slater_point", "tighten_dual",
             "dual_from_y", "check_memory"}
 
+# eigvalsh calls outside operators.min_eig, which test no positivity
+EIGVALSH = {
+    ("sdp/ipm.py", "_step_pair"): "the step lengths' generalized eigenvalues",
+    ("sdp/engine.py", "slater_point"): "the top payoff eigenvalue",
+}
+
 
 def _trees():
     """(path relative to the package, parsed module) of every source file."""
@@ -36,6 +44,12 @@ def _trees():
                 path = os.path.join(dirpath, fn)
                 with open(path) as fh:
                     yield os.path.relpath(path, root), ast.parse(fh.read(), path)
+
+
+def _called(call: ast.Call):
+    """The name a call calls: f of f(...) and of obj.f(...)."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def _scan():
@@ -77,11 +91,21 @@ def test_only_sdp_calls_the_program_pipeline():
         if os.path.dirname(path) == "sdp":
             continue
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                getattr(func, "attr", None)
-            if name in PIPELINE:
-                calls.append("%s:%d calls %s" % (path, node.lineno, name))
+            if isinstance(node, ast.Call) and _called(node) in PIPELINE:
+                calls.append("%s:%d calls %s"
+                             % (path, node.lineno, _called(node)))
     assert not calls, "; ".join(calls)
+
+
+def test_only_min_eig_tests_positivity():
+    calls = []
+    for path, tree in _trees():
+        if path == "operators.py":
+            continue
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and (path, fn.name) in EIGVALSH for node in ast.walk(fn)}
+        calls += ["%s:%d" % (path, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in exempt
+                  and _called(node) == "eigvalsh"]
+    assert not calls, "eigvalsh outside min_eig: " + ", ".join(calls)

@@ -59,6 +59,20 @@ def test_validate_broken_comb_is_invalid_exit(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal",
+                                                         "off-diagonal"])
+def test_validate_non_finite_comb_is_invalid_exit(tmp_path, capsys, entry,
+                                                  value):
+    doc = serde.comb_to_json(helstrom_problem().combs[0])
+    doc["matrix"][entry[0]][entry[1]][0] = float(value)
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps(doc))
+    rc, _out, err = run(capsys, "validate", str(path))
+    assert rc == 2
+    assert "not Hermitian" in err
+
+
 def test_solve_writes_solution_and_dual_check_accepts_it(
         problem_file, tmp_path, capsys):
     sol_path = tmp_path / "solution.json"

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import qnetopt
 from conftest import (act, is_invariant, qubit_state_problem,
-                      rotated_phase_grid, sequential_phase_problem,
-                      twirl_coordinates)
+                      random_pure_state, rotated_phase_grid,
+                      sequential_phase_problem, twirl_coordinates)
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                cyclic_group, diagonal_characters,
-                               diagonal_phases, phase_action,
+                               phase_action,
                                phase_estimation_optimum,
                                phase_grid_problem, product_group, qmax_state,
                                sum_of_phases, twirl, two_phase_correlated,
@@ -23,7 +23,7 @@ from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
                             NotAState, NotLeftInvariant, NotPSD)
 from qnetopt.estimation import EstimationProblem
-from qnetopt.instances import random_pure_state, random_unitary
+from qnetopt.instances import random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               comb_of_state, choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
@@ -179,10 +179,12 @@ def test_selector_is_the_dense_twirl_matrix(case):
 def test_diagonal_phases_are_the_unitary_diagonals():
     problem, action = sequential_phase_problem(2)
     factors = problem.space.factors()
-    phases = diagonal_phases(diagonal_characters(action, factors), factors,
-                             action.size)
+    sectors = ChargeSectors(characters=diagonal_characters(action, factors))
+    _, phases = sectors.walk(factors)
+    assert phases.shape == (action.unitary_for(0, factors).shape[0],
+                            action.size)
     for g, el in enumerate(action.elements):
-        np.testing.assert_array_equal(np.diag(phases[g]),
+        np.testing.assert_array_equal(np.diag(phases[:, g]),
                                       action.unitary_for(el, factors))
 
 
@@ -385,6 +387,21 @@ def test_qmax_state_under_a_diagonal_action():
     q, rho = qmax_state(LabeledOperator((Q,), plus), sign_action())
     assert q == pytest.approx(0.5, abs=1e-7)
     np.testing.assert_allclose(rho.data, np.eye(2) / 2.0, atol=1e-6)
+
+
+def test_qmax_state_under_an_action_on_no_factor_of_the_state():
+    # the action moves only a label the state lacks: the orbit is three
+    # copies of rho0, and the program is that of the identity acting on q
+    rho0 = LabeledOperator((Q,), np.array([[0.7, 0.3 - 0.1j],
+                                           [0.3 + 0.1j, 0.3]]))
+    q, rho = qmax_state(rho0, phase_action(SystemLabel("z", 2), None, 3))
+    elements, table = cyclic_group(3)
+    same, same_rho = qmax_state(rho0, FiniteGroupAction(
+        elements, table, {"q": {g: np.eye(2) for g in elements}}))
+    assert q == same
+    np.testing.assert_array_equal(rho.data, same_rho.data)
+    assert q == pytest.approx(1.0, abs=1e-7)
+    np.testing.assert_allclose(rho.data, rho0.data, atol=1e-7)
 
 
 def _pauli_action():

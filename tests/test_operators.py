@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (eig_hermitian, embed_identity, hs_inner, identity_on,
-                      is_psd)
+from conftest import embed_identity, hs_inner, identity_on, is_psd
 from qnetopt.errors import (BadPermutation, DimensionCap, DuplicateLabel,
                             NotHermitian, ShapeMismatch, UnknownLabel)
 from qnetopt.operators import (LabeledOperator, SystemLabel, min_eig,
@@ -109,16 +108,54 @@ def test_scalar_op_behaves_like_a_number():
 def test_eig_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotHermitian):
-        eig_hermitian(LabeledOperator((A,), m))
+        min_eig(LabeledOperator((A,), m).data)
 
 
 def test_min_eig_and_psd(rng):
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     pos = LabeledOperator((A, C), g @ g.conj().T)
     assert is_psd(pos)
-    assert min_eig(pos) >= -1e-10
+    assert min_eig(pos.data) >= -1e-10
     neg = LabeledOperator((A, C), pos.data - 3.0 * np.eye(4) * np.abs(pos.data).max())
     assert not is_psd(neg)
+    # a stack: one minimum per matrix, each that of a lone eigvalsh call
+    for d in (2, 7, 36):
+        g = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+        stack = g + g.conj().swapaxes(-1, -2)
+        lowest = min_eig(stack)
+        assert lowest.shape == (2, 3)
+        loop = [[np.linalg.eigvalsh(m)[0] for m in row] for row in stack]
+        np.testing.assert_array_equal(lowest, loop)
+        stack[1, 2, 0, -1] += 1e-6
+        with pytest.raises(NotHermitian):
+            min_eig(stack)
+        stack[1, 2, 0, -1] = np.nan  # a NaN entry is not Hermitian either
+        with pytest.raises(NotHermitian):
+            min_eig(stack)
+
+
+def test_min_eig_leaves_a_real_input_alone(rng):
+    g = rng.normal(size=(5, 5))
+    a = g + g.T
+    a[0, 1] += 1e-12  # asymmetric, but within HERM_TOL
+    a.flags.writeable = False
+    before = a.copy()
+    assert min_eig(a) == min_eig(a.astype(complex))
+    np.testing.assert_array_equal(a, before)
+    w = before.copy()  # a writable real input is not overwritten either
+    min_eig(w)
+    np.testing.assert_array_equal(w, before)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.inf],
+                         ids=["nan", "inf", "imaginary-inf"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal",
+                                                         "off-diagonal"])
+def test_min_eig_rejects_non_finite_entries(entry, value):
+    a = np.eye(3, dtype=complex)
+    a[entry] = value
+    with pytest.raises(NotHermitian):
+        min_eig(a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -447,9 +447,9 @@ def test_slater_point_is_strictly_feasible_on_random_problems():
         sdp = build_primal(p)
         point = dual_from_y(sdp, slater_point(sdp))
         for r in chain_residuals(p, point):
-            assert min_eig(r) > 1e-9
+            assert min_eig(r.data) > 1e-9
         for r in outcome_residuals(p, point):
-            assert min_eig(r) > 1e-9
+            assert min_eig(r.data) > 1e-9
 
 
 def sector_program(problem):
@@ -485,12 +485,12 @@ def test_tighten_dual_makes_chain_exact(case):
         assert np.max(np.abs(r.data)) <= 1e-12
     assert tight.s0 == raw.s0
     for new, old in zip(tight.operators, raw.operators):
-        assert min_eig(new - old) >= -1e-12
+        assert min_eig(new.data - old.data) >= -1e-12
     top = tight.operators[-1]
     if action is not None:  # the covariant program's S^(N) is invariant
         assert is_invariant(top, action)
     for g in payoff_operators(problem):
-        assert min_eig(top.with_data(top.data - g)) >= -opts.tol
+        assert min_eig(top.data - g) >= -opts.tol
 
 
 @settings(max_examples=20, deadline=None)
@@ -539,7 +539,7 @@ def test_ykl_trine_states():
     total = sum(m.data for m in res.povm)
     np.testing.assert_allclose(total, np.eye(2), atol=1e-6)
     assert res.slack < 1e-6
-    assert min_eig(res.witness) > -1e-8
+    assert min_eig(res.witness.data) > -1e-8
 
 
 def test_ykl_rejects_mixed_labels():
