@@ -70,16 +70,13 @@ class FiniteGroupAction:
 
     table[i, j] is the index of elements[i] * elements[j].  rep maps a label
     id to one unitary per element; labels absent from rep are acted on
-    trivially.  Labels listed in `conjugated` use the entrywise conjugate of
-    their representative (the natural action on input factors of Choi
-    operators).  Each label's representatives are read once, into the
+    trivially.  Each label's representatives are read once, into the
     (|G|, d, d) stack that `representatives` returns.
     """
 
     elements: tuple
     table: np.ndarray
     rep: Mapping
-    conjugated: frozenset = frozenset()
 
     def __post_init__(self):
         self.elements = tuple(self.elements)
@@ -97,7 +94,6 @@ class FiniteGroupAction:
                                    "is not a permutation"
                                    % (what, bad[0], self.elements[bad[0]]))
         self.table = table
-        self.conjugated = frozenset(self.conjugated)
         ident = np.flatnonzero((table == np.arange(n)).all(axis=1)
                                & (table.T == np.arange(n)).all(axis=1))
         if not ident.size:
@@ -137,8 +133,8 @@ class FiniteGroupAction:
                     raise BadParameter(
                         "rep[%r] is not a homomorphism up to phase at (%r, %r)"
                         % (lid, self.elements[g], self.elements[bad[0]]))
-            self._stacks[lid] = stack.conj() if lid in self.conjugated else stack
-            self._stacks[lid].setflags(write=False)
+            stack.setflags(write=False)
+            self._stacks[lid] = stack
 
     @property
     def size(self) -> int:
@@ -147,8 +143,8 @@ class FiniteGroupAction:
     def representatives(self, f: SystemLabel) -> Optional[np.ndarray]:
         """The (|G|, dim, dim) representatives on factor f, None if it is left alone.
 
-        Conjugated for a label listed in `conjugated`; ShapeMismatch if the
-        representatives do not fit the factor's dimension.
+        ShapeMismatch if the representatives do not fit the factor's
+        dimension.
         """
         stack = self._stacks.get(f.id)
         if stack is not None and stack.shape[1:] != (f.dim, f.dim):
@@ -180,8 +176,8 @@ def diagonal_characters(action: FiniteGroupAction,
                         factors: Sequence[SystemLabel]) -> Optional[dict]:
     """Per factor moved, the (dim, |G|) characters its levels carry, or None.
 
-    Column g is diag(representatives(f)[g]), conjugated for a conjugated
-    label; None if a representative is not diagonal.
+    Column g is diag(representatives(f)[g]); None if a representative is
+    not diagonal.
     """
     characters = {}
     for f in factors:

@@ -57,13 +57,11 @@ class NormalizationViolation(QnetoptError):
         Max-entry norm of the violated equality.
     """
 
-    def __init__(self, level, residual, message=None):
+    def __init__(self, level, residual):
         self.level = level
         self.residual = residual
-        if message is None:
-            message = "normalization violated at level %d (residual %.3e)" % (
-                level, residual)
-        super().__init__(message)
+        super().__init__("normalization violated at level %d (residual %.3e)"
+                         % (level, residual))
 
 
 class OutcomeMismatch(QnetoptError):
@@ -79,7 +77,7 @@ class MaxIterations(QnetoptError):
 
 
 class NumericalFailure(QnetoptError):
-    """Solver made no progress or a factorization failed beyond repair."""
+    """Solver made no progress or a factorization failed."""
 
     def __init__(self, message, diagnostics=None):
         self.diagnostics = diagnostics or {}

@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from .estimation import EstimationProblem
-from .networks import (CombSpace, QuantumComb, comb_of_memoryless_sequence,
-                       comb_of_state, validate_comb)
+from .networks import (CombSpace, QuantumComb, choi_of_channel,
+                       comb_of_memoryless_sequence, comb_of_state,
+                       validate_comb)
 from .operators import LabeledOperator, SystemLabel
 
 _counter = itertools.count()
@@ -46,18 +47,6 @@ def random_isometry(rng: np.random.Generator, d_from: int, d_to: int) -> np.ndar
     if d_to < d_from:
         raise ValueError("isometry needs d_to >= d_from")
     return random_unitary(rng, d_to)[:, :d_from]
-
-
-def random_channel_choi(rng: np.random.Generator, d_in: int,
-                        d_out: int) -> np.ndarray:
-    """Choi matrix of a random channel via a dilated isometry."""
-    v = random_isometry(rng, d_in, d_out * ENV_DIM)
-    kraus = v.reshape(d_out, ENV_DIM, d_in)
-    choi = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    for e in range(ENV_DIM):
-        w = kraus[:, e, :].reshape(-1)
-        choi += np.outer(w, w.conj())
-    return choi
 
 
 def random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -128,11 +117,18 @@ def random_memory_comb(rng: np.random.Generator,
 
 def random_sequence_comb(rng: np.random.Generator,
                          space: CombSpace) -> QuantumComb:
-    """Random no-memory strategy comb: an independent channel per step."""
-    return comb_of_memoryless_sequence([LabeledOperator(
-        (step.out_sys, step.in_sys),
-        random_channel_choi(rng, step.in_sys.dim, step.out_sys.dim))
-        for step in space.steps])
+    """Random no-memory strategy comb: an independent channel per step.
+
+    Each channel's Kraus operators are the ENV_DIM slices of a random
+    isometry from in_s into out_s x env.
+    """
+    chois = []
+    for step in space.steps:
+        d_in, d_out = step.in_sys.dim, step.out_sys.dim
+        v = random_isometry(rng, d_in, d_out * ENV_DIM)
+        kraus = v.reshape(d_out, ENV_DIM, d_in).transpose(1, 0, 2)
+        chois.append(choi_of_channel(kraus, step.in_sys, step.out_sys))
+    return comb_of_memoryless_sequence(chois)
 
 
 def random_channel_problem(rng: np.random.Generator, n_params: int,

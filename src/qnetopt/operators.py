@@ -86,25 +86,6 @@ class LabeledOperator:
     def with_data(self, data: np.ndarray) -> "LabeledOperator":
         return LabeledOperator(self.factors, data)
 
-    def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        _require_same_structure(self, other)
-        return LabeledOperator(self.factors, self.data + other.data)
-
-    def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        _require_same_structure(self, other)
-        return LabeledOperator(self.factors, self.data - other.data)
-
-    def __mul__(self, scalar) -> "LabeledOperator":
-        return LabeledOperator(self.factors, self.data * scalar)
-
-    __rmul__ = __mul__
-
-
-def _require_same_structure(a: LabeledOperator, b: LabeledOperator):
-    if a.factors != b.factors:
-        raise ShapeMismatch(
-            "factor structures differ: %r vs %r" % (a.label_ids(), b.label_ids()))
-
 
 def scalar_op(value=1.0) -> LabeledOperator:
     """A 1x1 operator on no factors (the empty tensor product)."""

@@ -31,7 +31,8 @@ the NT scaling and Z^-1, and one eigensolve of each direction [dX; dZ]
 gives both step lengths.  A group of side 1 is the nonnegative orthant, as
 in SDPT3's linear blocks (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
 1999): its factor, inverse, NT scaling and step lengths are taken
-elementwise in closed form, with no LAPACK call.  The predictor and
+elementwise in closed form, with no LAPACK call.  A LAPACK call that fails
+stops the solve and names its block (_lapack).  The predictor and
 corrector share W R_d W and its image under A.  The Schur
 complement H is one (m, m) array held for the whole loop: each iteration's
 assembly zeroes it and adds into it, and its Cholesky factor overwrites it,
@@ -251,7 +252,7 @@ class BlockGroup(NamedTuple):
     copies: int
     side: int
     entries: list
-    sectors: int = 1
+    sectors: int
 
 
 class BlockConstraintMap:
@@ -370,41 +371,41 @@ class IpmResult:
     history: tuple  # one IpmStep per iteration, in order
 
 
-def _chol_jitter(M: np.ndarray, what: str):
-    """Cholesky with escalating diagonal jitter; raises NumericalFailure."""
-    n = M.shape[0]
-    scale = max(1.0, float(np.trace(M).real) / max(n, 1))
-    jitter = 0.0
-    for _ in range(6):
+def _lapack(call, stack: np.ndarray, ids, it: int, what: str):
+    """call(stack), batched; a LinAlgError stops the solve: NumericalFailure.
+
+    It names the first block that fails on its own, ids numbering those of
+    the stack or of each half [X; Z], or block None if none does.
+    """
+    try:
+        return call(stack)
+    except np.linalg.LinAlgError as exc:
+        failure, where, block = exc, ": %s" % exc, None
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+    names = ["primal block", "dual block"] if len(flat) > len(ids) else ["block"]
+    for i, M in enumerate(flat):
         try:
-            return np.linalg.cholesky(M + jitter * np.eye(n)) if jitter else \
-                np.linalg.cholesky(M)
+            call(M)
         except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
-    raise NumericalFailure("Cholesky failed for %s" % what,
-                           {"jitter": jitter, "dim": n})
+            block = int(ids[i % len(ids)])
+            where = " for %s %d" % (names[i // len(ids)], block)
+            break
+    raise NumericalFailure(what + where,
+                           {"iteration": it, "block": block}) from failure
 
 
-def _chol_pair(XZ: np.ndarray, ids):
+def _chol_pair(XZ: np.ndarray, ids, it: int):
     """Cholesky factors L of a stacked [X; Z] and their inverses L^-1.
 
-    Only failing blocks get jitter; ids numbers the blocks of each half, in
-    the order of the flat stack.  On side 1, L = sqrt(x) and L^-1 = 1 / L
-    when every entry is positive; a zero, negative or NaN entry takes the
-    LAPACK path, as any other side does.
+    A block that is not positive definite stops the solve (_lapack).  On
+    side 1, L = sqrt(x) and L^-1 = 1 / L when every entry is positive; a
+    zero, negative or NaN entry takes the LAPACK path, as any other side does.
     """
     if XZ.shape[-1] == 1 and (XZ.real > 0).all():
         L = np.sqrt(XZ.real).astype(XZ.dtype)
         return L, 1.0 / L
-    try:
-        L = np.linalg.cholesky(XZ)
-    except np.linalg.LinAlgError:
-        names = ["%s block %d" % (half, b) for half in ("primal", "dual")
-                 for b in ids]
-        flat = XZ.reshape((-1,) + XZ.shape[-2:])
-        L = np.array([_chol_jitter(M, what) for M, what in
-                      zip(flat, names)]).reshape(XZ.shape)
-    return L, np.linalg.inv(L)
+    L = _lapack(np.linalg.cholesky, XZ, ids, it, "Cholesky failed")
+    return L, _lapack(np.linalg.inv, L, ids, it, "Cholesky inverse failed")
 
 
 def _ct(M: np.ndarray) -> np.ndarray:
@@ -415,22 +416,20 @@ def _herm(M: np.ndarray) -> np.ndarray:
     return (M + _ct(M)) / 2.0
 
 
-def _step_pair(Linv: np.ndarray, D: np.ndarray):
+def _step_pair(Linv: np.ndarray, D: np.ndarray, ids, it: int):
     """Largest (alpha_p, alpha_d) keeping each half of [X; Z] + alpha D >= 0.
 
     Linv stacks the inverse factors L^-1: I + alpha L^-1 D L^-H >= 0, whose
-    one triangle eigvalsh reads.  On side 1 that eigenvalue is d |l^-1|^2,
-    multiplied in the matmuls' order so that it is eigvalsh's to the bit.  A
-    half that D keeps >= 0 gets inf.
+    one triangle eigvalsh reads; ids numbers the blocks of each half, and
+    an eigensolve that fails stops the solve (_lapack).  On side 1 that
+    eigenvalue is d |l^-1|^2, multiplied in the matmuls' order so that it
+    is eigvalsh's to the bit.  A half that D keeps >= 0 gets inf.
     """
     if D.shape[-1] == 1:
         lam = (Linv * D * Linv.conj()).real[..., 0, 0]
     else:
-        try:
-            lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure("step-length eigenvalues: %s" % exc,
-                                   {}) from exc
+        lam = _lapack(np.linalg.eigvalsh, Linv @ D @ _ct(Linv), ids, it,
+                      "step-length eigenvalues failed")[..., 0]
     k = len(lam) // 2
     return tuple(np.inf if low >= -1e-13 else -1.0 / low
                  for low in (float(lam[:k].min()), float(lam[k:].min())))
@@ -441,25 +440,14 @@ def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int)
 
     On side 1, s = l_z l_x, G = l_x / sqrt(s) and G^-1 = sqrt(s) / l_x, so
     W = sqrt(x / z), the orthant's scaling.  An s that is not finite and
-    positive raises, naming its block.
+    positive raises, naming its block, and so does an SVD that fails.
     """
     side1 = Lx.shape[-1] == 1
     if side1:
         s = (Lz.conj() * Lx).real[..., 0]
     else:
-        M = _ct(Lz) @ Lx
-        try:
-            _, s, vh = np.linalg.svd(M)
-        except np.linalg.LinAlgError as exc:
-            block = None  # name the first block that fails on its own
-            for b, Mb in zip(ids, M.reshape((-1,) + M.shape[-2:])):
-                try:
-                    np.linalg.svd(Mb)
-                except np.linalg.LinAlgError:
-                    block = int(b)
-                    break
-            raise NumericalFailure("NT scaling SVD: %s" % exc,
-                                   {"iteration": it, "block": block}) from exc
+        _, s, vh = _lapack(np.linalg.svd, _ct(Lz) @ Lx, ids, it,
+                           "NT scaling SVD failed")
     broken = np.flatnonzero(~(s.min(axis=-1) > 0))
     if broken.size:
         raise NumericalFailure("NT scaling broke down",
@@ -522,7 +510,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
 
         # Nesterov-Todd scaling, one stacked call per group; the inverse
         # factors also serve Z^-1 and every step length of the iteration
-        Ls, Linvs = zip(*[_chol_pair(xz, ids)
+        Ls, Linvs = zip(*[_chol_pair(xz, ids, it)
                           for xz, ids in zip(XZ, group_ids)])
         Gs, Ginvs, svals = zip(*[
             _nt_scaling(lf[:k], li[:k], lf[k:], ids, it)
@@ -556,7 +544,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             return D, dy
 
         def step(D):
-            pairs = zip(*[_step_pair(li, d) for li, d in zip(Linvs, D)])
+            pairs = zip(*[_step_pair(li, d, ids, it)
+                          for li, d, ids in zip(Linvs, D, group_ids)])
             return [min(1.0, STEP_FRACTION * min(al)) for al in pairs]
 
         # predictor, Rc = -X: r_p - A(-X - W R_d W) = b + A(W R_d W)
@@ -592,5 +581,3 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                     {"iteration": it, "rel_gap": rel_gap, "mu": mu})
         else:
             slow_steps = 0
-
-    raise NumericalFailure("interior-point loop exited abnormally", {})

@@ -53,7 +53,7 @@ from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
 CHARGE_DECIMALS = 8  # charges that agree to this many decimals are equal
 
 
-def _grown_rows(d: int, d_in: int, coords=slice(None)) -> np.ndarray:
+def _grown_rows(d: int, d_in: int, coords) -> np.ndarray:
     """Coordinates of B_a (x) I_in on side d * d_in: d_in unit entries a row.
 
     One row per coordinate a in coords of side d.
@@ -64,8 +64,7 @@ def _grown_rows(d: int, d_in: int, coords=slice(None)) -> np.ndarray:
                             imag[:, None], d * d_in)
 
 
-def _shrunk_rows(pre: int, d_out: int, d_in: int,
-                 coords=slice(None)) -> np.ndarray:
+def _shrunk_rows(pre: int, d_out: int, d_in: int, coords) -> np.ndarray:
     """Coordinates of Tr_out B_a for B_a on (pre, out, in): one unit or none.
 
     e_PQ traces to e_P'Q' (output index dropped) if P and Q share the output

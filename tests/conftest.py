@@ -110,14 +110,16 @@ def uniform_tester(space: CombSpace, outcome_ids) -> Tester:
     of maximally mixed operators and every normalization holds with equality.
     """
     c = 1.0 / (len(outcome_ids) * int(np.prod(space.in_dims())))
-    op = identity_on(space.factors()) * c
+    op = identity_on(space.factors())
+    op = op.with_data(op.data * c)
     return Tester(space, tuple((m, op) for m in outcome_ids))
 
 
 def mixed_comb(space) -> QuantumComb:
     """The maximally mixed valid comb: identity over the product of out dims."""
     d_out_total = int(np.prod(space.out_dims(), dtype=np.int64))
-    op = identity_on(space.factors()) * (1.0 / d_out_total)
+    op = identity_on(space.factors())
+    op = op.with_data(op.data * (1.0 / d_out_total))
     return validate_comb(QuantumComb(space, op))
 
 
@@ -311,7 +313,8 @@ def reference_validate_comb(comb: QuantumComb, tol: float = 1e-8):
     for n in range(comb.space.num_steps, 0, -1):
         step = comb.space.steps[n - 1]
         traced = partial_trace(current, [step.out_sys.id])
-        reduced = partial_trace(traced, [step.in_sys.id]) * (1.0 / step.in_sys.dim)
+        reduced = partial_trace(traced, [step.in_sys.id])
+        reduced = reduced.with_data(reduced.data * (1.0 / step.in_sys.dim))
         expected = embed_identity(reduced, step.in_sys,
                                   traced.label_ids().index(step.in_sys.id))
         residual = float(np.max(np.abs(traced.data - expected.data)))
@@ -329,11 +332,11 @@ def reference_validate_tester(tester: Tester, tol: float = 1e-8) -> list:
     for m, op in tester.outcomes:
         if not is_psd(op, tol):
             raise NotPSD("outcome %r" % (m,))
-    total = tester.outcomes[0][1]
-    for _, op in tester.outcomes[1:]:
-        total = total + op
+    total = tester.outcomes[0][1].with_data(
+        sum(op.data for _, op in tester.outcomes))
     last = steps[-1]
-    xi = partial_trace(total, [last.out_sys.id]) * (1.0 / last.out_sys.dim)
+    xi = partial_trace(total, [last.out_sys.id])
+    xi = xi.with_data(xi.data * (1.0 / last.out_sys.dim))
     expected = embed_identity(xi, last.out_sys,
                               total.label_ids().index(last.out_sys.id))
     residual = float(np.max(np.abs(total.data - expected.data)))
@@ -343,7 +346,8 @@ def reference_validate_tester(tester: Tester, tol: float = 1e-8) -> list:
     for n in range(len(steps), 1, -1):
         prev_out = steps[n - 2].out_sys
         traced = partial_trace(xi, [steps[n - 1].in_sys.id])
-        xi = partial_trace(traced, [prev_out.id]) * (1.0 / prev_out.dim)
+        xi = partial_trace(traced, [prev_out.id])
+        xi = xi.with_data(xi.data * (1.0 / prev_out.dim))
         expected = embed_identity(xi, prev_out,
                                   traced.label_ids().index(prev_out.id))
         residual = float(np.max(np.abs(traced.data - expected.data)))
@@ -369,10 +373,10 @@ def chain_residuals(problem, dual):
     for j, step in enumerate(problem.space.steps, start=1):
         traced = partial_trace(dual.operators[j - 1], [step.out_sys.id])
         if j == 1:
-            grown = identity(step.in_sys) * dual.s0
+            grown = identity(step.in_sys).data * dual.s0
         else:
-            grown = tensor(dual.operators[j - 2], identity(step.in_sys))
-        out.append(grown - traced)
+            grown = tensor(dual.operators[j - 2], identity(step.in_sys)).data
+        out.append(traced.with_data(grown - traced.data))
     return out
 
 
@@ -391,10 +395,8 @@ def structural_row_values(sdp, xi_ops, t_ops):
         if j < len(steps):
             traced = partial_trace(xi_ops[j], [steps[j].in_sys.id])
         else:
-            traced = t_ops[0]
-            for t in t_ops[1:]:
-                traced = traced + t
+            traced = t_ops[0].with_data(sum(t.data for t in t_ops))
         grown = embed_identity(xi_ops[j - 1], steps[j - 1].out_sys, 2 * (j - 1))
-        coords = coords_from_hermitian((traced - grown).data)
+        coords = coords_from_hermitian(traced.data - grown.data)
         vals[sdp.level_rows(j)] = coords[sdp.level_coords(j)]
     return vals

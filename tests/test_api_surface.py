@@ -6,8 +6,9 @@ used when its name occurs in src/qnetopt as a name or an attribute outside
 __init__.py, whose re-exports are not callers.  KEPT lists the exceptions.
 The program pipeline (PIPELINE) is called from sdp/ only: every other module
 solves through sdp.engine's solve or solve_program.  Positivity is tested
-by operators.min_eig alone: no other module calls eigvalsh, except in the
-functions EIGVALSH lists, which test no positivity.
+by operators.min_eig alone: no other module names eigvalsh, to call it or
+to pass it on, except in the functions EIGVALSH lists, which test no
+positivity.
 """
 
 import ast
@@ -28,7 +29,7 @@ KEPT = {
 PIPELINE = {"build_primal", "solve_ipm", "slater_point", "tighten_dual",
             "dual_from_y", "check_memory"}
 
-# eigvalsh calls outside operators.min_eig, which test no positivity
+# uses of eigvalsh outside operators.min_eig, which test no positivity
 EIGVALSH = {
     ("sdp/ipm.py", "_step_pair"): "the step lengths' generalized eigenvalues",
     ("sdp/engine.py", "slater_point"): "the top payoff eigenvalue",
@@ -106,6 +107,6 @@ def test_only_min_eig_tests_positivity():
                   if isinstance(fn, ast.FunctionDef)
                   and (path, fn.name) in EIGVALSH for node in ast.walk(fn)}
         calls += ["%s:%d" % (path, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and id(node) not in exempt
-                  and _called(node) == "eigvalsh"]
+                  if id(node) not in exempt and "eigvalsh" in (
+                      getattr(node, "id", None), getattr(node, "attr", None))]
     assert not calls, "eigvalsh outside min_eig: " + ", ".join(calls)

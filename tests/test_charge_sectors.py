@@ -57,8 +57,9 @@ def test_random_problems_have_the_trivial_torus(make):
 def test_a_tiny_full_comb_mixed_in_gives_the_trivial_torus():
     problem = phase_grid_problem(3)[0]
     noise = random_sequence_comb(np.random.default_rng(1), problem.space)
-    mixed = validate_comb(QuantumComb(
-        problem.space, problem.combs[0].op * (1.0 - 1e-12) + noise.op * 1e-12))
+    op = problem.combs[0].op
+    mixed = validate_comb(QuantumComb(problem.space, op.with_data(
+        op.data * (1.0 - 1e-12) + noise.op.data * 1e-12)))
     combs = (mixed,) + problem.combs[1:]
     assert charge_sectors(problem).charges != {}
     assert charge_sectors(EstimationProblem(

@@ -114,14 +114,15 @@ def test_twirl_is_an_invariant_projection(seed):
 
 
 def _shift_action():
-    """Z_3 by the cyclic shift on a qutrit and, conjugated, on a qubit."""
+    """Z_3 by the cyclic shift on a qutrit and a conjugated turn on a qubit."""
     elements, table = cyclic_group(3)
     shift = np.roll(np.eye(3), 1, axis=0)
     basis = random_unitary(np.random.default_rng(3), 2)
     turn = basis @ np.diag([1.0, np.exp(2j * np.pi / 3)]) @ basis.conj().T
     rep = {"s": {j: np.linalg.matrix_power(shift, j) for j in elements},
-           "t": {j: np.linalg.matrix_power(turn, j) for j in elements}}
-    action = FiniteGroupAction(elements, table, rep, conjugated={"t"})
+           "t": {j: np.conj(np.linalg.matrix_power(turn, j))
+                 for j in elements}}
+    action = FiniteGroupAction(elements, table, rep)
     return action, (SystemLabel("t", 2), SystemLabel("s", 3))
 
 

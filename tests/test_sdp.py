@@ -21,8 +21,8 @@ from qnetopt.estimation import expected_payoff, payoff_operators
 from qnetopt.instances import random_channel_problem
 from qnetopt.networks import QuantumComb, validate_tester
 from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
-from qnetopt.sdp import (SolverOptions, certify_dual, engine, slater_point,
-                         solve, yuen_kennedy_lax)
+from qnetopt.sdp import (SolverOptions, certify_dual, engine, ipm,
+                         slater_point, solve, yuen_kennedy_lax)
 from qnetopt.sdp.engine import tighten_dual
 from qnetopt.covariant import phase_grid_problem
 from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _ct,
@@ -233,13 +233,29 @@ def test_four_by_four_memory_comb_is_refused_by_its_estimate(
 
 
 def test_step_length_eigen_failure_is_numerical_failure(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    eigvalsh = np.linalg.eigvalsh
 
+    def no_convergence(a, *args, **kwargs):
+        if a.ndim > 2 or a[0, 0].real < 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+
+    # [dX; dZ] of 2 + 2 blocks; dual block 8 fails on its own
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-    eye = np.array([np.eye(2)] * 2)
-    with pytest.raises(NumericalFailure, match="step-length"):
-        _step_pair(eye, -eye)
+    eye = np.array([np.eye(2)] * 4)
+    D = eye.copy()
+    D[3] *= -1.0
+    with pytest.raises(NumericalFailure,
+                       match="^step-length eigenvalues failed for dual block 8$"
+                       ) as err:
+        _step_pair(eye, D, [7, 8], 4)
+    assert err.value.diagnostics == {"iteration": 4, "block": 8}
+    # a batched failure that no block reproduces names no block
+    with pytest.raises(NumericalFailure,
+                       match="^step-length eigenvalues failed: Eigenvalues"
+                       ) as err:
+        _step_pair(eye, eye, [7, 8], 4)
+    assert err.value.diagnostics == {"iteration": 4, "block": None}
 
 
 def _reference_step(L, delta):
@@ -264,40 +280,54 @@ def test_batched_step_length_matches_per_block_reference(rng, n):
     Linv = np.linalg.inv(L)
     dX, dZ = herm(4), herm(4) - 5.0 * n * np.eye(n)
     for D in (np.concatenate([dX, dZ]), np.concatenate([dZ, dX])):
-        steps = _step_pair(Linv, D)
+        steps = _step_pair(Linv, D, range(4), 0)
         for half, step in zip((slice(0, 4), slice(4, 8)), steps):
             assert np.isfinite(step)
             assert step == pytest.approx(_reference_step(L[half], D[half]),
                                          rel=1e-9)
     psd = a[:4].conj().transpose(0, 2, 1) @ a[:4]
-    ap, ad = _step_pair(Linv, np.concatenate([psd, dZ]))
+    ap, ad = _step_pair(Linv, np.concatenate([psd, dZ]), range(4), 0)
     assert ap == np.inf == _reference_step(L[:4], psd)
     assert ad == pytest.approx(_reference_step(L[4:], dZ), rel=1e-9)
-    ap, ad = _step_pair(Linv, np.concatenate([dX, psd]))
+    ap, ad = _step_pair(Linv, np.concatenate([dX, psd]), range(4), 0)
     assert np.isfinite(ap) and ad == np.inf
 
 
 @pytest.mark.parametrize("n", [1, 4])
-def test_stacked_cholesky_jitters_only_the_failing_block(rng, n):
-    # a stacked [X; Z] of 3 + 3 blocks; only a failing block gets jitter
+def test_stacked_cholesky_failure_names_the_first_failing_block(
+        rng, n, monkeypatch):
+    # a stacked [X; Z] of 3 + 3 blocks: a block that is not positive
+    # definite stops the solve, and the first one to fail is named
     a = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
     M = a @ a.conj().transpose(0, 2, 1) + np.eye(n)
     singular, indefinite = np.full(n, 2.0), np.ones(n)
     singular[-1], indefinite[-1] = 0.0, -1.0
-    for bad, name in ((1, "primal block 7"), (4, "dual block 7")):
-        XZ = M.copy()
-        XZ[bad] = np.diag(singular)  # PSD but singular
-        L, Linv = _chol_pair(XZ, [5, 6, 7])
-        for i in set(range(6)) - {bad}:
-            np.testing.assert_array_equal(L[i], np.linalg.cholesky(XZ[i]))
-        np.testing.assert_array_equal(Linv, np.linalg.inv(L))
-        assert L[bad][-1, -1].real > 0
-        np.testing.assert_allclose(L[bad] @ L[bad].conj().T, XZ[bad],
-                                   atol=1e-12)
+    for bad, half in ((1, "primal"), (4, "dual")):
+        for broken in (singular, indefinite):
+            XZ = M.copy()
+            XZ[bad] = np.diag(broken)
+            XZ[bad + 1] = np.diag(indefinite)
+            with pytest.raises(NumericalFailure, match="^Cholesky failed for "
+                               "%s block 6$" % half) as err:
+                _chol_pair(XZ, [5, 6, 7], 2)
+            assert err.value.diagnostics == {"iteration": 2, "block": 6}
 
-        XZ[bad + 1] = np.diag(indefinite)
-        with pytest.raises(NumericalFailure, match=name):
-            _chol_pair(XZ, [5, 6, 7])
+    # a batched factor or inverse that fails where no block does names no
+    # block (side 1 factors positive blocks with no LAPACK call)
+    if n == 1:
+        return
+    for name, what in (("cholesky", "Cholesky"), ("inv", "Cholesky inverse")):
+        def batch_fails(x, call=getattr(np.linalg, name)):
+            if x.ndim > 2:
+                raise np.linalg.LinAlgError("batch")
+            return call(x)
+
+        monkeypatch.setattr(np.linalg, name, batch_fails)
+        with pytest.raises(NumericalFailure,
+                           match="^%s failed: batch$" % what) as err:
+            _chol_pair(M, [5, 6, 7], 2)
+        assert err.value.diagnostics == {"iteration": 2, "block": None}
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -312,8 +342,8 @@ def test_nt_scaling_failures_name_their_block(n):
     nan = eye.copy()
     nan[1] = np.nan
     # side 1 has no SVD to fail: its product s is NaN
-    with pytest.raises(NumericalFailure,
-                       match="broke down" if n == 1 else "SVD") as err:
+    with pytest.raises(NumericalFailure, match="broke down" if n == 1 else
+                       "^NT scaling SVD failed for block 5$") as err:
         _nt_scaling(nan, eye, eye, ids, 3)
     assert err.value.diagnostics == {"iteration": 3, "block": 5}
 
@@ -324,7 +354,7 @@ def test_side_one_closed_forms_match_lapack(rng):
     k, shape = 3, (6, 5, 1, 1)
     XZ = rng.uniform(1e-3, 1e3, size=shape) + 0j
     D = rng.normal(size=shape) + 0j
-    L, Linv = _chol_pair(XZ, np.arange(15))
+    L, Linv = _chol_pair(XZ, np.arange(15), 0)
     np.testing.assert_array_equal(L, np.linalg.cholesky(XZ))
     np.testing.assert_allclose(Linv, np.linalg.inv(L), rtol=1e-14, atol=0)
     G, Ginv, s = _nt_scaling(L[:k], Linv[:k], L[k:], np.arange(15), 0)
@@ -343,7 +373,8 @@ def test_side_one_closed_forms_match_lapack(rng):
 
     lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[..., 0]
     ref = (-1.0 / lam[:k].min(), -1.0 / lam[k:].min())
-    assert _step_pair(Linv, D) == pytest.approx(ref, rel=1e-14, abs=0)
+    assert _step_pair(Linv, D, np.arange(15), 0) == pytest.approx(
+        ref, rel=1e-14, abs=0)
 
 
 def test_solve_ipm_keeps_one_stack_per_group():
@@ -363,9 +394,10 @@ def test_solve_ipm_keeps_one_stack_per_group():
     y0 = slater_point(sdp)
     y0[entry.row_start + np.flatnonzero(entry.tensor[:, 0] == 0)] += 1e6
     first = sum(g.copies * g.sectors for g in groups[:second])
-    with pytest.raises(NumericalFailure,
-                       match="Cholesky failed for dual block %d$" % first):
+    with pytest.raises(NumericalFailure, match="Cholesky failed for dual "
+                       "block %d$" % first) as err:
         solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(), y0)
+    assert err.value.diagnostics == {"iteration": 0, "block": first}
 
 
 # apply_A runs three times an iteration (residual, A(W R_d W), corrector), so
@@ -417,6 +449,55 @@ def test_indefinite_schur_complement_is_numerical_failure(
     assert "Schur complement not positive definite" in capsys.readouterr().err
 
 
+def _solve_and_cli_fail(match, tmp_path, capsys) -> dict:
+    """Helstrom's solve raises NumericalFailure, and CLI solve exits 6."""
+    with pytest.raises(NumericalFailure, match=match) as err:
+        solve(helstrom_problem())
+    path = tmp_path / "problem.json"
+    serde.dump_path(serde.problem_to_json(helstrom_problem()), str(path))
+    assert main(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == 6
+    stderr = capsys.readouterr().err
+    assert stderr == "numerical failure: %s\n" % err.value
+    return err.value.diagnostics
+
+
+def test_collapsed_step_lengths_are_numerical_failure(
+        tmp_path, monkeypatch, capsys):
+    # three short steps in a row stop the loop at iteration 2
+    monkeypatch.setattr(ipm, "_step_pair", lambda *args: (1e-6, 1e-6))
+    diagnostics = _solve_and_cli_fail(
+        r"^step lengths collapsed \(alpha_p=9\.80e-07, alpha_d=9\.80e-07\)$",
+        tmp_path, capsys)
+    assert sorted(diagnostics) == ["iteration", "mu", "rel_gap"]
+    assert diagnostics["iteration"] == 2
+    assert diagnostics["rel_gap"] > 0 and diagnostics["mu"] > 0
+
+
+# halving S^(0) and every S^(j) keeps R = S^(N) / S^(0) and halves lambda,
+# so R validates and the margins fail; scaling S^(N) alone breaks R's
+# normalization
+@pytest.mark.parametrize("s0, top, match", [
+    (0.5, 0.5, r"^dual certificate margin -\d\.\d{3}e-0\d below -1\.0e-07$"),
+    (1.0, 2.0, r"^converged point failed validation: normalization violated "
+               r"at level 0 "),
+], ids=["margin", "normalization"])
+def test_a_converged_point_that_fails_its_checks_is_numerical_failure(
+        s0, top, match, tmp_path, monkeypatch, capsys):
+    sol = solve(helstrom_problem())
+    real = engine.dual_from_y
+
+    def scaled(sdp, y):
+        dual = real(sdp, y)
+        *lower, last = dual.operators
+        ops = [op.with_data(op.data * s0) for op in lower]
+        return replace(dual, s0=dual.s0 * s0,
+                       operators=tuple(ops + [last.with_data(last.data * top)]))
+
+    monkeypatch.setattr(engine, "dual_from_y", scaled)
+    assert _solve_and_cli_fail(match, tmp_path, capsys) == {
+        "rel_gap": sol.rel_gap, "iterations": sol.iterations}
+
+
 def test_certify_dual_rejects_negative_lambda():
     p = helstrom_problem()
     with pytest.raises(BadParameter):
@@ -425,7 +506,8 @@ def test_certify_dual_rejects_negative_lambda():
 
 def test_certify_dual_rejects_invalid_comb():
     p = helstrom_problem()
-    bad = QuantumComb(p.space, mixed_comb(p.space).op * 2.0)
+    op = mixed_comb(p.space).op
+    bad = QuantumComb(p.space, op.with_data(op.data * 2.0))
     with pytest.raises(InvalidComb):
         certify_dual(1.0, bad, p)
 
