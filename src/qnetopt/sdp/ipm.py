@@ -18,7 +18,10 @@ coordinates: x_a = Re<B_a, X> in the orthonormal Hermitian basis B
 each of its rows reads a scaled sum of coordinates, R x, of the copies
 summed, s n^2 coordinates sector-major.  So A^T y is one (s, n, n) stack
 per group, the same for every copy, and broadcasting hands it to each.
-The Schur complement then needs, per group, only the block-diagonal S
+A and A^T run through one scatter plan a group, built once: a sparse map
+between the rows and the floats of the copies' sum, as SDPT3 holds each
+block's A (Toh, Todd and Tutuncu, Optim. Methods Softw. 11, 1999), so each
+is one bincount a group.  The Schur complement then needs, per group, only the block-diagonal S
 with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt), which one batched
 GEMM and an index gather give in closed form (basis_kernel); for n = 1
 that is the diagonal sum_k |W_kt|^2.  Entry pairs add R_i S R_j^T.  This
@@ -29,14 +32,13 @@ sectors of a covariant program).  The iteration keeps one (2 K, s, n, n)
 stack [X; Z] per group: one batched Cholesky and inverse an iteration serve
 the NT scaling and Z^-1, and one eigensolve of each direction [dX; dZ]
 gives both step lengths.  A group of side 1 is the nonnegative orthant, as
-in SDPT3's linear blocks (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
-1999): its factor, inverse, NT scaling and step lengths are taken
-elementwise in closed form, with no LAPACK call.  A LAPACK call that fails
-stops the solve and names its block (_lapack).  The predictor and
-corrector share W R_d W and its image under A.  The Schur
-complement H is one (m, m) array held for the whole loop: each iteration's
-assembly zeroes it and adds into it, and its Cholesky factor overwrites it,
-so no m x m array is allocated after the first.
+in SDPT3's linear blocks: its factor, inverse, NT scaling and step lengths
+are taken elementwise in closed form, with no LAPACK call.  A LAPACK call
+that fails stops the solve and names its block (_lapack).  The predictor
+and corrector share W R_d W and its image under A.  The Schur complement H
+is one (m, m) array held for the whole loop: each iteration's assembly
+zeroes it and adds into it, and its Cholesky factor overwrites it, so no
+m x m array is allocated after the first.
 """
 
 from __future__ import annotations
@@ -114,36 +116,14 @@ def _float_positions(n: int):
             np.concatenate([2 * diag, 2 * lo, 2 * lo + 1]), w, v)
 
 
-def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
-    """Re<B_a, h>: (..., n, n) -> (..., n^2); the Hermitian part's coordinates."""
-    n = h.shape[-1]
-    i, j, w, v = _float_positions(n)
-    f = np.ascontiguousarray(h, dtype=complex).reshape(
-        h.shape[:-2] + (n * n,)).view(float)
-    return w * f.take(i, axis=-1) + v * f.take(j, axis=-1)
-
-
-@functools.lru_cache(maxsize=None)
-def _float_sources(n: int):
-    """Each float f[t] of a Hermitian matrix is wt[t] * coords[src[t]].
-
-    The imaginary parts of the diagonal get weight zero.
-    """
-    i, j, w, v = _float_positions(n)
-    src = np.zeros(2 * n * n, dtype=np.intp)
-    wt = np.zeros(2 * n * n)
-    src[i] = src[j] = np.arange(n * n)
-    np.add.at(wt, i, w)
-    np.add.at(wt, j, v)  # the diagonal's two halves add up to one
-    return src, wt
-
-
 def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
-    """sum_a coords[..., a] B_a, the transpose of coords_from_hermitian."""
-    src, wt = _float_sources(n)
-    f = np.asarray(coords, dtype=float).take(src, axis=-1)
-    f *= wt
-    return f.view(complex).reshape(f.shape[:-1] + (n, n))
+    """sum_a coords[..., a] B_a: (..., n^2) -> (..., n, n)."""
+    i, j, w, v = _float_positions(n)
+    coords = np.asarray(coords, dtype=float)
+    f = np.zeros(coords.shape[:-1] + (2 * n * n,))
+    f[..., i] = w * coords
+    f[..., j] += v * coords  # the diagonal's two halves add up to one
+    return f.view(complex).reshape(coords.shape[:-1] + (n, n))
 
 
 def basis_kernel(stack: np.ndarray) -> np.ndarray:
@@ -234,10 +214,7 @@ class ConstraintEntry:
 
     def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
         """R^T @ y, the block's size coordinates."""
-        if self.identity and size == len(self.tensor):
-            return y
-        width = self.tensor.shape[1]
-        weights = y if width == 1 else np.repeat(y, width)
+        weights = np.repeat(y, self.tensor.shape[1])
         return self.scale * np.bincount(self.tensor.ravel() + 1, weights,
                                         minlength=size + 1)[1:]
 
@@ -255,12 +232,39 @@ class BlockGroup(NamedTuple):
     sectors: int
 
 
+def _scatter_plan(g: BlockGroup):
+    """(rows, floats, weights): A on the group as one scatter of its floats.
+
+    Coordinate c of sector t is w f[i] + v f[j] over the floats f of the
+    copies' sum, t 2 n^2 onwards (_float_positions); a diagonal's two halves
+    are one float of weight 1.  Each unit c of each entry's tensor gives
+    its row these two (float, weight) records, the weight times the
+    entry's scale, in the tensor's order; zero weights are dropped.
+    """
+    i, j, w, v = _float_positions(g.side)
+    w, v = np.where(i == j, 1.0, w), np.where(i == j, 0.0, v)
+    start = 2 * g.side ** 2 * np.arange(g.sectors)[:, None]
+    floats = np.stack([start + i, start + j], axis=-1).reshape(-1, 2)
+    weights = np.tile(np.stack([w, v], axis=-1), (g.sectors, 1))
+    parts = []
+    for e in g.entries:
+        r, k = np.nonzero(e.tensor >= 0)
+        c = e.tensor[r, k]
+        parts.append((np.repeat(e.row_start + r, 2), floats[c].ravel(),
+                      e.scale * weights[c].ravel()))
+    rows, fl, wt = (np.concatenate(a) for a in zip(*parts))
+    keep = wt != 0.0
+    return rows[keep], fl[keep], wt[keep]
+
+
 class BlockConstraintMap:
     """The linear map A and its adjoint, with a structured Schur assembler.
 
     They act on one (K, s, n, n) stack per block group, in the order of
     groups.  entries lists every group's entries, and sizes the number of
-    coordinates they read in each group.
+    coordinates they read in each group.  plans holds each group's entries
+    as one scatter plan (_scatter_plan), SDPT3's precomputed A of a block:
+    A is one bincount a group onto the rows, A^T one onto the floats.
     """
 
     def __init__(self, m: int, groups: Sequence[BlockGroup]):
@@ -268,6 +272,7 @@ class BlockConstraintMap:
         self.groups = list(groups)
         self.sizes = [g.sectors * g.side ** 2 for g in self.groups]
         self.entries = [e for g in self.groups for e in g.entries]
+        self.plans = [_scatter_plan(g) for g in self.groups]
 
     def peak_bytes(self) -> int:
         """Estimated peak bytes of solve_ipm, from the shapes only.
@@ -276,7 +281,8 @@ class BlockConstraintMap:
         alive while each group's kernel S is formed, about 30 s n^4
         (basis_kernel), and its pairs added: S and products over the R rows
         an entry reaches, 24 max(s n^2, R)^2.  About 24 complex (K, s, n, n)
-        stacks a group besides, and 32 KB of small objects (array headers,
+        stacks a group besides, the scatter plans (24 bytes a record) and a
+        call's gather of them, and 32 KB of small objects (array headers,
         lists, the history).
         """
         kernel = 0
@@ -285,24 +291,30 @@ class BlockConstraintMap:
             kernel = max(kernel, 30 * g.sectors * g.side ** 4,
                          24 * max(size, rows) ** 2)
         stacks = sum(g.copies * size for g, size in zip(self.groups, self.sizes))
-        return 8 * self.m ** 2 + kernel + 24 * 16 * stacks + (32 << 10)
+        plans = sum(len(rows) for rows, _, _ in self.plans)
+        return (8 * self.m ** 2 + kernel + 24 * 16 * stacks + 40 * plans
+                + (32 << 10))
 
     def apply_A(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         y = np.zeros(self.m)
-        for g, st in zip(self.groups, stacks):
-            # the copies summed, the sectors' coordinates one after another
-            coords = coords_from_hermitian(st.sum(axis=0)).ravel()
-            for e in g.entries:
-                y[e.rows] += e.left(coords)
+        for (rows, floats, weights), st in zip(self.plans, stacks):
+            # the copies summed, as floats; a real stack's sum is cast
+            f = np.ascontiguousarray(st.sum(axis=0), dtype=complex).view(float)
+            y += np.bincount(rows, weights * f.ravel().take(floats),
+                             minlength=self.m)
         return y
 
     def apply_AT(self, y: np.ndarray) -> List[np.ndarray]:
-        """Per group, the (s, n, n) sector blocks that every copy gets."""
+        """Per group, the (s, n, n) sector blocks that every copy gets.
+
+        They are exactly Hermitian: a coordinate's two floats receive the
+        same products, negated on the imaginary lower one, in the same order.
+        """
         out = []
-        for g, size in zip(self.groups, self.sizes):
-            coords = sum(e.adjoint(y[e.rows], size) for e in g.entries)
-            out.append(hermitian_from_coords(coords.reshape(g.sectors, -1),
-                                             g.side))
+        for g, (rows, floats, weights) in zip(self.groups, self.plans):
+            f = np.bincount(floats, weights * y.take(rows),
+                            minlength=2 * g.sectors * g.side ** 2)
+            out.append(f.view(complex).reshape(g.sectors, g.side, g.side))
         return out
 
     def schur(self, scalings: Sequence[np.ndarray],
@@ -448,7 +460,7 @@ def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int)
     else:
         _, s, vh = _lapack(np.linalg.svd, _ct(Lz) @ Lx, ids, it,
                            "NT scaling SVD failed")
-    broken = np.flatnonzero(~(s.min(axis=-1) > 0))
+    broken = np.flatnonzero(~((s > 0) & (s < np.inf)).all(axis=-1))
     if broken.size:
         raise NumericalFailure("NT scaling broke down",
                                {"iteration": it, "block": int(ids[broken[0]])})
@@ -520,13 +532,14 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
 
         # shift H's diagonal, check it finite once (so its factor is; each
         # solve checks only its right-hand side) and factor it in place: H.T
-        # is the Fortran-ordered view LAPACK overwrites
+        # is the Fortran-ordered view LAPACK overwrites, through its lower
+        # triangle (H is symmetric, and dpotrf's lower path is the faster)
         H = cmap.schur(Ws, H)
         H.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
         if not np.isfinite(H).all():
             raise NumericalFailure("Schur complement not finite at iteration %d"
                                    % it, {"iteration": it})
-        Hf, info = cho_factor(H.T, clean=0, overwrite_a=1)
+        Hf, info = cho_factor(H.T, lower=1, clean=0, overwrite_a=1)
         if info:
             raise NumericalFailure("Schur complement not positive definite",
                                    {"iteration": it})
@@ -536,7 +549,7 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
             if not np.isfinite(rhs).all():
                 raise NumericalFailure("Newton right-hand side not finite at "
                                        "iteration %d" % it, {"iteration": it})
-            dy = cho_solve(Hf, rhs)[0]
+            dy = cho_solve(Hf, rhs, lower=1)[0]
             D = []
             for rc, w, rd, a in zip(Rc, Ws, R_d, cmap.apply_AT(dy)):
                 dz = rd - a  # exactly Hermitian, as R_d and A^T dy are

@@ -18,7 +18,7 @@ from qnetopt.networks import (CombSpace, QuantumComb, Tester, choi_of_channel,
                               validate_comb, validate_tester)
 from qnetopt.operators import (LabeledOperator, SystemLabel, min_eig,
                                partial_trace, permute_systems, tensor)
-from qnetopt.sdp.ipm import basis_kernel, coords_from_hermitian
+from qnetopt.sdp.ipm import _float_positions, basis_kernel
 from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
                                        charge_sectors)
 
@@ -84,6 +84,15 @@ def memory_combs(draw, prefix="h"):
 # ---------------------------------------------------------------------------
 # helpers only the tests call
 # ---------------------------------------------------------------------------
+
+
+def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
+    """Re<B_a, h>: (..., n, n) -> (..., n^2); the Hermitian part's coordinates."""
+    n = h.shape[-1]
+    i, j, w, v = _float_positions(n)
+    f = np.ascontiguousarray(h, dtype=complex).reshape(
+        h.shape[:-2] + (n * n,)).view(float)
+    return w * f.take(i, axis=-1) + v * f.take(j, axis=-1)
 
 
 def identity(label: SystemLabel) -> LabeledOperator:

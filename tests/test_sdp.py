@@ -348,6 +348,18 @@ def test_nt_scaling_failures_name_their_block(n):
     assert err.value.diagnostics == {"iteration": 3, "block": 5}
 
 
+def test_side_one_infinite_nt_scaling_names_its_block():
+    # s = l_z l_x is inf, which passes s > 0; the scaling would be NaN
+    eye = np.ones((3, 2, 1, 1), dtype=complex)
+    Lx = eye.copy()
+    Lx[1, 0] = np.inf
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="^NT scaling broke down$") \
+            as err:
+        _nt_scaling(Lx, eye, eye, np.arange(10, 16), 3)
+    assert err.value.diagnostics == {"iteration": 3, "block": 12}
+
+
 def test_side_one_closed_forms_match_lapack(rng):
     # [X; Z] of K = 3 copies of 5 one-by-one sectors, and a direction whose
     # halves both leave the cone

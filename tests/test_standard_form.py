@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (helstrom_problem, seeds, selected_phase_program,
-                      state_problems, structural_row_values)
+from conftest import (coords_from_hermitian, helstrom_problem, seeds,
+                      selected_phase_program, state_problems,
+                      structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
 from qnetopt.estimation import payoff_operators
-from qnetopt.instances import random_channel_problem
+from qnetopt.instances import random_channel_problem, random_state_problem
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
-                             coords_from_hermitian, hermitian_from_coords)
+                             hermitian_from_coords)
 from qnetopt.sdp.standard_form import (block_sides, build_primal,
                                        charge_sectors, dual_from_y)
 
@@ -213,6 +214,47 @@ def _dense_rows(cmap):
     per_row = [cmap.apply_AT(unit) for unit in np.eye(cmap.m)]
     return [np.stack([stacks[g] for stacks in per_row])
             for g in range(len(cmap.groups))]
+
+
+# programs whose scatter plans, between them, hold groups of side 1 and
+# more, of one and of several sectors, and padded, width-2, scaled and
+# identity entries
+PLAN_PROGRAMS = {
+    "grid-3-sectors": lambda: sector_program(phase_grid_problem(3)[0]),
+    "memory-2x22": lambda: build_primal(random_channel_problem(
+        np.random.default_rng(0), 2, [(2, 2)] * 2, memory=True)),
+    "covariant-seed": lambda: selected_phase_program()[0],
+    "states-3x3": lambda: build_primal(
+        random_state_problem(np.random.default_rng(1), 3, 3)),
+}
+
+
+def test_plan_programs_hold_every_kind_of_group_and_entry():
+    groups = [g for make in PLAN_PROGRAMS.values() for g in make().cmap.groups]
+    entries = [e for g in groups for e in g.entries]
+    assert {min(g.side, 2) for g in groups} == {1, 2}
+    assert {min(g.sectors, 2) for g in groups} == {1, 2}
+    assert any(e.padded for e in entries)
+    assert any(e.tensor.shape[1] == 2 for e in entries)
+    assert any(e.scale != 1.0 for e in entries)
+    assert any(e.identity for e in entries)
+
+
+@pytest.mark.parametrize("name", PLAN_PROGRAMS)
+def test_scatter_plans_are_adjoint_and_hermitian(name, rng):
+    cmap = PLAN_PROGRAMS[name]().cmap
+    y = rng.normal(size=cmap.m)
+    ATy = cmap.apply_AT(y)
+    for M in ATy:  # bitwise, not to rounding
+        assert np.array_equal(M, M.conj().swapaxes(-1, -2))
+    X = [np.array([[rand_herm(rng, g.side) for _ in range(g.sectors)]
+                   for _ in range(g.copies)]) for g in cmap.groups]
+    pairing = sum(np.vdot(Xg, np.broadcast_to(Ag, Xg.shape)).real
+                  for Ag, Xg in zip(ATy, X))
+    assert np.dot(cmap.apply_A(X), y) == pytest.approx(pairing, rel=1e-13)
+    real = [Xg.real for Xg in X]
+    assert np.array_equal(cmap.apply_A(real),
+                          cmap.apply_A([Xg.astype(complex) for Xg in real]))
 
 
 def test_kernels_match_dense_rows(rng):
