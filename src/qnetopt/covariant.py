@@ -332,8 +332,8 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         raise BadParameter("payoff row at the identity is all zero")
     opts = options if options is not None else SolverOptions()
     if characters is None:
-        _, res, dual, comb, _ = solve_program(problem, opts)
-        gamma_max, q_max = dual.s0, gamma_0 / dual.s0
+        _, res, lambda_, comb, _ = solve_program(problem, opts)
+        gamma_max, q_max = lambda_, gamma_0 / lambda_
         top = twirl(comb.op, action)
     else:
         seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
@@ -342,9 +342,9 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
             problem.space, (0,), np.ones(1),
             (QuantumComb(problem.space, LabeledOperator(factors, seed)),),
             np.eye(1))
-        _, res, dual, comb, _ = solve_program(seed_problem, opts, characters,
-                                              n)
-        gamma_max, q_max = gamma_0 * dual.s0, 1.0 / dual.s0
+        _, res, lambda_, comb, _ = solve_program(seed_problem, opts,
+                                                 characters, n)
+        gamma_max, q_max = gamma_0 * lambda_, 1.0 / lambda_
         top = comb.op
     inv = LabeledOperator(factors, (top.data + top.data.conj().T) / 2.0)
     return CovariantResult(gamma_max, q_max, gamma_0, inv, res.gap,

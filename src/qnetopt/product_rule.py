@@ -152,9 +152,11 @@ def counterexample_multicopy(psi0: np.ndarray, psi1: np.ndarray,
     if float(a.size) ** copies > DIMENSION_CAP:
         raise DimensionCap("%d copies of a dim-%d system exceed the cap"
                            % (copies, a.size))
-    pi0, pi1 = float(priors[0]), float(priors[1])
-    if abs(pi0 + pi1 - 1.0) > 1e-9 or pi0 < 0 or pi1 < 0:
+    p = np.asarray(priors, dtype=float)
+    if p.shape != (2,) or not np.all(np.isfinite(p)) or np.any(p < 0) \
+            or abs(p.sum() - 1.0) > 1e-9:
         raise BadParameter("priors must be a length-2 distribution")
+    pi0, pi1 = float(p[0]), float(p[1])
     c = abs(np.vdot(a, b))
     p1 = _binary_pure_success(pi0, pi1, c)
     pk = _binary_pure_success(pi0, pi1, c ** copies)

@@ -6,12 +6,12 @@ validated tester together with a scalar-times-comb certificate: a pair
 (lambda, R) with R a valid comb and lambda * R dominating every payoff
 operator, which upper-bounds the payoff of *every* admissible strategy.
 
-The certificate comes from the dual chain, read off the row multipliers: the
-raw dual satisfies its chain conditions as inequalities, and a mixing
-correction of the multipliers (add the shortfall, averaged over a maximally
-mixed state on each output) turns them into exact equalities without breaking
-positivity.  After that correction the top-level dual operator divided by the
-dual objective is a normalized comb.
+The certificate is read off the row multipliers y through the program's own
+A and A^T.  The raw dual satisfies its chain conditions as inequalities; a
+mixing correction of the multipliers (add the shortfall, averaged over a
+maximally mixed state on each output) turns them into exact equalities
+without breaking positivity.  After it, lambda = -y[0], and -A^T y on the
+outcome groups is lambda R on the outcome sectors, R a normalized comb.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
 from ..operators import LabeledOperator, min_eig
 from .ipm import SolverOptions, solve_ipm
-from .standard_form import (ChargeSectors, DualState, StandardSdp,
-                            build_primal, charge_sectors, dual_from_y)
+from .standard_form import (ChargeSectors, StandardSdp, build_primal,
+                            charge_sectors)
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ class SdpSolution:
 
     gamma_primal and gamma_dual are reported on the caller's original score
     scale (payoff_shift already subtracted); lambda_ stays on the stored
-    nonnegative scale, so lambda_ == gamma_dual + payoff_shift.  history
-    holds one IpmStep per interior-point iteration, in order.
+    nonnegative scale, so lambda_ == gamma_dual + payoff_shift, and
+    lambda_ * comb_certificate is -A^T y on the outcome groups (solve_program).
+    history holds one IpmStep per interior-point iteration, in order.
     """
 
     gamma_primal: float
@@ -67,7 +68,6 @@ class SdpSolution:
     tester: Tester
     lambda_: float
     comb_certificate: QuantumComb
-    dual: DualState
     gap: float
     rel_gap: float
     iterations: int
@@ -106,9 +106,9 @@ def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     """Row multipliers whose chain inequalities hold as equalities.
 
     Level by level, the shortfall Delta_n = S^(n-1) (x) I_in - Tr_out S^(n)
-    is the dual slack of the Xi^(n) block, read group by group of its
-    sectors.  It is added to the level-n rows as (I_out / d_out) (x)
-    Delta_n, through the level's entries that read I_out (x) Xi^(n).
+    is -A^T y on the Xi^(n) groups, their dual slack (C is 0 there).  The
+    level-n rows of A(Delta_n), 0 on the other groups, over d_out, are
+    added to those of y, so S^(n) = -y there gains I_out / d_out (x) Delta_n.
     Deltas are PSD for a feasible dual, so each corrected level still
     dominates the original one; row 0 (S^(0)) is unchanged.  Delta_n is 0
     off the sectors of Xi^(n), whose labels every level's rows share (those
@@ -116,16 +116,12 @@ def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     """
     y = np.array(y, dtype=float)
     cmap = sdp.cmap
-    for n in range(1, sdp.num_steps + 1):
-        updates = []
-        for g in sdp.xi_groups[n - 1]:
-            lower, shrunk = cmap.groups[g].entries
-            size = cmap.sizes[g]
-            delta = -(lower.adjoint(y[lower.rows], size)
-                      + shrunk.adjoint(y[shrunk.rows], size))
-            updates.append((shrunk.rows, shrunk.left(delta)))
-        for rows, update in updates:
-            y[rows] += update / sdp.problem.space.steps[n - 1].out_sys.dim
+    for n, groups in enumerate(sdp.xi_groups, start=1):
+        delta = [-a[None] if g in groups else np.zeros((1,) + a.shape)
+                 for g, a in enumerate(cmap.apply_AT(y))]
+        rows = sdp.level_rows(n)
+        d_out = sdp.problem.space.steps[n - 1].out_sys.dim
+        y[rows] += cmap.apply_A(delta)[rows] / d_out
     return y
 
 
@@ -176,34 +172,36 @@ def check_memory(sdp: StandardSdp, outcomes: Optional[int] = None) -> int:
 def solve_program(problem: EstimationProblem, opts: SolverOptions,
                   characters: Optional[Mapping] = None,
                   outcomes: Optional[int] = None):
-    """solve short of the tester: (sdp, IpmResult, tightened dual, R, report).
+    """solve short of the tester: (sdp, IpmResult, lambda, R, report).
 
     characters (diagonal_characters) join the torus charges in the labels;
-    outcomes is check_memory's K.  R = S^(N) / S^(0), checked as solve does.
-    The caller has validated the problem's combs.
+    outcomes is check_memory's K.  With y the tightened multipliers, lambda
+    = -y[0] and R's outcome-sector blocks are -A^T y / lambda; R is checked
+    as solve does, and the margins on those blocks.  The caller has
+    validated the problem's combs.
     """
     sectors = ChargeSectors(charge_sectors(problem).charges, characters or {})
     sdp = build_primal(problem, sectors)
     check_memory(sdp, outcomes)
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
-    dual = dual_from_y(sdp, tighten_dual(sdp, res.y))
-    top = LabeledOperator(problem.space.factors(),
-                          dual.operators[-1].data / dual.s0)
+    y = tighten_dual(sdp, res.y)
+    lambda_ = float(-y[0])
+    groups = sdp.outcome_groups
+    blocks = [-a / lambda_ for a in sdp.cmap.apply_AT(y)[groups]]
+    top = LabeledOperator(problem.space.factors(), sdp.outcome(blocks))
     comb = _validated(validate_comb, QuantumComb(problem.space, top),
                       10.0 * opts.tol, res)
     margins = np.inf
-    for pos, c in zip(sdp.positions[sdp.outcome_groups],
-                      sdp.C[sdp.outcome_groups]):
-        block = dual.s0 * comb.op.data[pos[:, :, None], pos[:, None, :]]
-        margins = np.minimum(margins, min_eig(block + c).min(axis=-1))
-    report = CertificateReport.of(dual.s0, problem, margins, 10.0 * opts.tol)
+    for r, c in zip(blocks, sdp.C[groups]):
+        margins = np.minimum(margins, min_eig(lambda_ * r + c).min(axis=-1))
+    report = CertificateReport.of(lambda_, problem, margins, 10.0 * opts.tol)
     if not report.certified:
         raise NumericalFailure(
             "dual certificate margin %.3e below -%.1e"
             % (report.min_margin, report.tol),
             {"rel_gap": res.rel_gap, "iterations": res.iterations})
-    return sdp, res, dual, comb, report
+    return sdp, res, lambda_, comb, report
 
 
 def _validated(validate, obj, tol: float, res):
@@ -230,15 +228,16 @@ def solve(problem: EstimationProblem,
     that loop cannot reach the requested tolerance.
     """
     opts = options if options is not None else SolverOptions()
-    sdp, res, dual, comb, report = solve_program(problem.validated(), opts)
+    sdp, res, lambda_, comb, report = solve_program(problem.validated(), opts)
     factors = problem.space.factors()
-    outcomes = [(label, LabeledOperator(factors, sdp.outcome(k, res.X)))
-                for k, label in enumerate(problem.labels_x)]
+    X = res.X[sdp.outcome_groups]
+    outcomes = [(label, LabeledOperator(factors, sdp.outcome(x)))
+                for label, x in zip(problem.labels_x, zip(*X))]
     tester = _validated(validate_tester, Tester(problem.space, tuple(outcomes)),
                         report.tol, res)
     shift = problem.payoff_shift
     gamma_primal, gamma_dual = -res.pobj - shift, -res.dobj - shift
-    return SdpSolution(gamma_primal, gamma_dual, tester, dual.s0, comb, dual,
+    return SdpSolution(gamma_primal, gamma_dual, tester, lambda_, comb,
                        abs(gamma_dual - gamma_primal), res.rel_gap,
                        res.iterations, res.status, shift, report,
                        res.feas_primal, res.feas_dual, res.history)
@@ -283,7 +282,8 @@ def yuen_kennedy_lax(states: Sequence[LabeledOperator],
     sol = solve(problem, options)
 
     povm = [LabeledOperator((label,), t.data) for _, t in sol.tester.outcomes]
-    witness = LabeledOperator((label,), sol.dual.operators[-1].data)
+    witness = LabeledOperator((label,),
+                              sol.lambda_ * sol.comb_certificate.op.data)
     resid = sum(m.data @ (witness.data - w * s.data)
                 for m, w, s in zip(povm, priors, states))
     slack = float(np.linalg.norm(resid, 2))

@@ -9,7 +9,7 @@ honest error bound.
 
 The program is its block groups: each is K copies of s sector blocks of
 one side n, held as one (K, s, n, n) stack.  C, the start X0 and the
-result's X and Z come as one such stack per group; blocks are numbered
+result's X come as one such stack per group; blocks are numbered
 group by group, copy by copy.  (The copies are the outcome blocks of a
 tester; the sectors are the charge sectors of one block, or of every
 outcome block.)  Constraints are supplied as a BlockConstraintMap in
@@ -116,16 +116,6 @@ def _float_positions(n: int):
             np.concatenate([2 * diag, 2 * lo, 2 * lo + 1]), w, v)
 
 
-def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
-    """sum_a coords[..., a] B_a: (..., n^2) -> (..., n, n)."""
-    i, j, w, v = _float_positions(n)
-    coords = np.asarray(coords, dtype=float)
-    f = np.zeros(coords.shape[:-1] + (2 * n * n,))
-    f[..., i] = w * coords
-    f[..., j] += v * coords  # the diagonal's two halves add up to one
-    return f.view(complex).reshape(coords.shape[:-1] + (n, n))
-
-
 def basis_kernel(stack: np.ndarray) -> np.ndarray:
     """S_t[a, c] = Re sum_k Tr(B_a L_kt B_c L_kt^H) for a (K, s, n, n) stack L.
 
@@ -211,12 +201,6 @@ class ConstraintEntry:
         if self.scale != 1.0:
             out *= self.scale
         return out
-
-    def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
-        """R^T @ y, the block's size coordinates."""
-        weights = np.repeat(y, self.tensor.shape[1])
-        return self.scale * np.bincount(self.tensor.ravel() + 1, weights,
-                                        minlength=size + 1)[1:]
 
 
 class BlockGroup(NamedTuple):
@@ -367,11 +351,10 @@ IpmStep = namedtuple("IpmStep", "it pobj dobj rel_gap feas_p feas_d mu sigma "
 
 @dataclass
 class IpmResult:
-    """The optimum: X and Z one (K, s, n, n) stack per group, as C was."""
+    """The optimum: X one (K, s, n, n) stack per group, as C was, and y."""
 
     X: List[np.ndarray]
     y: np.ndarray
-    Z: List[np.ndarray]
     iterations: int
     status: str
     pobj: float
@@ -476,8 +459,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
               opts: SolverOptions = SolverOptions()) -> IpmResult:
     """Run the predictor-corrector loop from the given strictly feasible pair.
 
-    C and X0 hold one (K, s, n, n) stack per group of cmap, and so do the
-    result's X and Z; A^T y, one (s, n, n) stack, broadcasts over the K
+    C and X0 hold one (K, s, n, n) stack per group of cmap, and so does
+    the result's X; A^T y, one (s, n, n) stack, broadcasts over the K
     copies.
     """
     halves = [g.copies for g in cmap.groups]
@@ -511,8 +494,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                                    sigma, ap, ad))
         feas_tol = opts.tol * FEAS_TOL_FACTOR
         if rel_gap <= opts.tol and feas_p <= feas_tol and feas_d <= feas_tol:
-            return IpmResult(list(X), y, list(Z), it, "optimal", pobj, dobj,
-                             gap, rel_gap, feas_p, feas_d, tuple(history))
+            return IpmResult(list(X), y, it, "optimal", pobj, dobj, gap,
+                             rel_gap, feas_p, feas_d, tuple(history))
         if it == opts.max_iter:
             raise MaxIterations(
                 "no convergence in %d iterations (relative gap %.3e)"

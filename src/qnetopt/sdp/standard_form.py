@@ -46,9 +46,9 @@ import numpy as np
 
 from ..estimation import EstimationProblem, payoff_operators
 from ..networks import CombSpace
-from ..operators import LabeledOperator, SystemLabel
+from ..operators import SystemLabel
 from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
-                  basis_layout, coordinate_index, hermitian_from_coords)
+                  basis_layout, coordinate_index)
 
 CHARGE_DECIMALS = 8  # charges that agree to this many decimals are equal
 
@@ -303,13 +303,12 @@ class StandardSdp:
     def outcome_groups(self) -> slice:
         return slice(self.xi_groups[-1][-1] + 1, None)
 
-    def outcome(self, k: int, X: Sequence[np.ndarray]) -> np.ndarray:
-        """Outcome k at full size from the group stacks X, 0 off-sector."""
+    def outcome(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Full size from the outcome groups' (s, n, n) blocks; 0 off them."""
         side = self.level_dims[-1]
         out = np.zeros((side, side), dtype=complex)
-        groups = self.outcome_groups
-        for pos, x in zip(self.positions[groups], X[groups]):
-            out[pos[:, :, None], pos[:, None, :]] = x[k]
+        for pos, x in zip(self.positions[self.outcome_groups], blocks):
+            out[pos[:, :, None], pos[:, None, :]] = x
         return out
 
     def primal_start(self) -> List[np.ndarray]:
@@ -403,29 +402,3 @@ def build_primal(problem: EstimationProblem,
     return StandardSdp(problem, level_dims, tuple(offsets),
                        BlockConstraintMap(m, groups), tuple(C), b,
                        tuple(coords), tuple(positions), tuple(xi_groups))
-
-
-# ---------------------------------------------------------------------------
-# the dual program, in operator form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Dual variables: a scalar S^(0) and one Hermitian S^(j) per level."""
-
-    s0: float
-    operators: tuple  # LabeledOperator for S^(1)..S^(N) on the step prefixes
-
-
-def dual_from_y(sdp: StandardSdp, y: np.ndarray) -> DualState:
-    """Recover the operator-form dual variables from the row multipliers."""
-    space = sdp.problem.space
-    dual_ops = []
-    for j in range(1, sdp.num_steps + 1):
-        d = sdp.level_dims[j - 1]
-        coords = np.zeros(d * d)
-        coords[sdp.level_coords(j)] = -y[sdp.level_rows(j)]
-        mat = hermitian_from_coords(coords, d)
-        dual_ops.append(LabeledOperator(space.prefix_factors(j), mat))
-    return DualState(float(-y[0]), tuple(dual_ops))

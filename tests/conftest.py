@@ -1,6 +1,8 @@
 """Shared fixtures, instance builders, test-only helpers, and the acceptance
 summary hook."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -93,6 +95,38 @@ def coords_from_hermitian(h: np.ndarray) -> np.ndarray:
     f = np.ascontiguousarray(h, dtype=complex).reshape(
         h.shape[:-2] + (n * n,)).view(float)
     return w * f.take(i, axis=-1) + v * f.take(j, axis=-1)
+
+
+def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
+    """sum_a coords[..., a] B_a: (..., n^2) -> (..., n, n)."""
+    i, j, w, v = _float_positions(n)
+    coords = np.asarray(coords, dtype=float)
+    f = np.zeros(coords.shape[:-1] + (2 * n * n,))
+    f[..., i] = w * coords
+    f[..., j] += v * coords  # the diagonal's two halves add up to one
+    return f.view(complex).reshape(coords.shape[:-1] + (n, n))
+
+
+# the dual chain: the scalar S^(0), and S^(1)..S^(N) as labeled operators on
+# the step prefixes
+DualChain = namedtuple("DualChain", "s0 operators")
+
+
+def dual_from_y(sdp, y: np.ndarray) -> DualChain:
+    """The dual chain at full size from the row multipliers, level by level.
+
+    S^(j) is minus level j's rows on its coordinates, 0 on the others: a
+    route apart from the program's A^T, for the tests' partial-trace checks.
+    """
+    space = sdp.problem.space
+    ops = []
+    for j in range(1, sdp.num_steps + 1):
+        d = sdp.level_dims[j - 1]
+        coords = np.zeros(d * d)
+        coords[sdp.level_coords(j)] = -y[sdp.level_rows(j)]
+        ops.append(LabeledOperator(space.prefix_factors(j),
+                                   hermitian_from_coords(coords, d)))
+    return DualChain(float(-y[0]), tuple(ops))
 
 
 def identity(label: SystemLabel) -> LabeledOperator:

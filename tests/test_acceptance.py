@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 from conftest import (HELSTROM_VALUE, coords_from_hermitian, helstrom_problem,
-                      random_product_pair, random_product_tester,
-                      record_acceptance)
+                      hermitian_from_coords, random_product_pair,
+                      random_product_tester, record_acceptance)
 
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                cyclic_group, phase_estimation_optimum,
@@ -23,7 +23,6 @@ from qnetopt.product_rule import (counterexample_correlated_payoff,
                                   counterexample_multicopy,
                                   verify_product_rule)
 from qnetopt.sdp import certify_dual, solve
-from qnetopt.sdp.ipm import hermitian_from_coords
 
 
 def _finish(number, label, ok, detail):

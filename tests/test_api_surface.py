@@ -4,11 +4,11 @@ A function or method that only the tests reach is test scaffolding, and
 belongs in tests/conftest.py.  The scan is by name: a definition counts as
 used when its name occurs in src/qnetopt as a name or an attribute outside
 __init__.py, whose re-exports are not callers.  KEPT lists the exceptions.
-The program pipeline (PIPELINE) is called from sdp/ only: every other module
-solves through sdp.engine's solve or solve_program.  Positivity is tested
-by operators.min_eig alone: no other module names eigvalsh, to call it or
-to pass it on, except in the functions EIGVALSH lists, which test no
-positivity.
+The program pipeline (PIPELINE) is defined in sdp/ and called from there
+only: every other module solves through sdp.engine's solve or
+solve_program.  Positivity is tested by operators.min_eig alone: no other
+module names eigvalsh, to call it or to pass it on, except in the
+functions EIGVALSH lists, which test no positivity.
 """
 
 import ast
@@ -27,7 +27,7 @@ KEPT = {
 
 
 PIPELINE = {"build_primal", "solve_ipm", "slater_point", "tighten_dual",
-            "dual_from_y", "check_memory"}
+            "check_memory"}
 
 # uses of eigvalsh outside operators.min_eig, which test no positivity
 EIGVALSH = {
@@ -84,6 +84,13 @@ def test_kept_names_are_defined_and_uncalled():
     stale = sorted(name for name in KEPT
                    if name not in defined or uses[name])
     assert not stale, "KEPT entries to drop: " + ", ".join(stale)
+
+
+def test_pipeline_names_are_defined_in_sdp():
+    defs, _ = _scan()
+    defined = {name for name, path in defs if os.path.dirname(path) == "sdp"}
+    stale = sorted(PIPELINE - defined)
+    assert not stale, "PIPELINE entries to drop: " + ", ".join(stale)
 
 
 def test_only_sdp_calls_the_program_pipeline():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnetopt
-from conftest import (act, coords_from_hermitian, is_invariant,
-                      qubit_state_problem, random_pure_state,
+from conftest import (act, coords_from_hermitian, hermitian_from_coords,
+                      is_invariant, qubit_state_problem, random_pure_state,
                       rotated_phase_grid,
                       sequential_phase_problem, twirl_coordinates)
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
@@ -29,7 +29,7 @@ from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
                               comb_of_state, choi_of_channel)
 from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import certify_dual, solve
-from qnetopt.sdp.ipm import basis_layout, hermitian_from_coords
+from qnetopt.sdp.ipm import basis_layout
 from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
                                        charge_sectors)
 

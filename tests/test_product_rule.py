@@ -125,6 +125,13 @@ def test_multicopy_guards():
         counterexample_multicopy(e0, PLUS, [0.5, 0.5], 13)
 
 
+@pytest.mark.parametrize("priors", [[np.nan, 0.5], [0.5, 0.5, 0.7], [1.0]],
+                         ids=["nan", "three", "one"])
+def test_multicopy_priors_must_be_a_finite_pair(priors):
+    with pytest.raises(BadParameter, match="length-2 distribution"):
+        counterexample_multicopy(np.array([1.0, 0.0]), PLUS, priors, 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 8))
 def test_multicopy_advantage_is_nonnegative(seed, copies):

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from scipy.linalg import solve_triangular
 
-from conftest import (HELSTROM_VALUE, chain_residuals, helstrom_problem,
-                      is_invariant, mixed_comb, outcome_residuals,
-                      qubit_state_problem, selected_phase_program,
-                      sequential_phase_problem, state_problems,
-                      uniform_tester)
+from conftest import (HELSTROM_VALUE, chain_residuals, dual_from_y,
+                      helstrom_problem, is_invariant, mixed_comb,
+                      outcome_residuals, qubit_state_problem,
+                      selected_phase_program, sequential_phase_problem,
+                      state_problems, uniform_tester)
 from qnetopt import serde
 from qnetopt.cli import main
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
                             MaxIterations, NotPSD, NumericalFailure)
 from qnetopt.estimation import expected_payoff, payoff_operators
-from qnetopt.instances import random_channel_problem
+from qnetopt.instances import random_channel_problem, random_density
 from qnetopt.networks import QuantumComb, validate_tester
 from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, engine, ipm,
@@ -27,8 +27,7 @@ from qnetopt.sdp.engine import tighten_dual
 from qnetopt.covariant import phase_grid_problem
 from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _ct,
                              _nt_scaling, _step_pair, solve_ipm)
-from qnetopt.sdp.standard_form import (build_primal, charge_sectors,
-                                       dual_from_y)
+from qnetopt.sdp.standard_form import build_primal, charge_sectors
 
 
 def test_helstrom_two_pure_states():
@@ -394,9 +393,9 @@ def test_solve_ipm_keeps_one_stack_per_group():
     groups = sdp.cmap.groups
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp))
-    assert len(res.X) == len(res.Z) == len(groups)
-    for g, x, z in zip(groups, res.X, res.Z):
-        assert x.shape == z.shape == (g.copies, g.sectors, g.side, g.side)
+    assert len(res.X) == len(groups)
+    for g, x in zip(groups, res.X):
+        assert x.shape == (g.copies, g.sectors, g.side, g.side)
 
     # raising the rows that read coordinate 0 of the second outcome group
     # makes that group's dual slack indefinite (Xi^(1)'s only grows); its
@@ -485,9 +484,9 @@ def test_collapsed_step_lengths_are_numerical_failure(
     assert diagnostics["rel_gap"] > 0 and diagnostics["mu"] > 0
 
 
-# halving S^(0) and every S^(j) keeps R = S^(N) / S^(0) and halves lambda,
-# so R validates and the margins fail; scaling S^(N) alone breaks R's
-# normalization
+# halving row 0 and every level's rows keeps R = S^(N) / S^(0) and halves
+# lambda, so R validates and the margins fail; scaling the level-N rows
+# alone breaks R's normalization
 @pytest.mark.parametrize("s0, top, match", [
     (0.5, 0.5, r"^dual certificate margin -\d\.\d{3}e-0\d below -1\.0e-07$"),
     (1.0, 2.0, r"^converged point failed validation: normalization violated "
@@ -496,16 +495,15 @@ def test_collapsed_step_lengths_are_numerical_failure(
 def test_a_converged_point_that_fails_its_checks_is_numerical_failure(
         s0, top, match, tmp_path, monkeypatch, capsys):
     sol = solve(helstrom_problem())
-    real = engine.dual_from_y
+    real = engine.tighten_dual
 
     def scaled(sdp, y):
-        dual = real(sdp, y)
-        *lower, last = dual.operators
-        ops = [op.with_data(op.data * s0) for op in lower]
-        return replace(dual, s0=dual.s0 * s0,
-                       operators=tuple(ops + [last.with_data(last.data * top)]))
+        y = real(sdp, y)
+        y[:sdp.level_offsets[-2]] *= s0
+        y[sdp.level_rows(sdp.num_steps)] *= top
+        return y
 
-    monkeypatch.setattr(engine, "dual_from_y", scaled)
+    monkeypatch.setattr(engine, "tighten_dual", scaled)
     assert _solve_and_cli_fail(match, tmp_path, capsys) == {
         "rel_gap": sol.rel_gap, "iterations": sol.iterations}
 
@@ -634,6 +632,24 @@ def test_ykl_trine_states():
     np.testing.assert_allclose(total, np.eye(2), atol=1e-6)
     assert res.slack < 1e-6
     assert min_eig(res.witness.data) > -1e-8
+
+
+def test_ykl_witness_dominates_every_weighted_state(rng):
+    """W = lambda R tops each p_i rho_i, and Tr W is the success probability.
+
+    Tr W is lambda, the dual value, which exceeds p_succ by the duality gap:
+    a tight tol brings that gap well below 1e-8.
+    """
+    lab = SystemLabel("y", 3)
+    states = [LabeledOperator((lab,), random_density(rng, 3))
+              for _ in range(4)]
+    priors = rng.dirichlet(np.ones(4))
+    res = yuen_kennedy_lax(states, priors, SolverOptions(tol=1e-10))
+    for p, rho in zip(priors, states):
+        assert min_eig(res.witness.data - p * rho.data) >= -1e-8
+    trace = np.trace(res.witness.data).real
+    assert trace == pytest.approx(res.solution.lambda_, rel=1e-12)
+    assert abs(trace - res.p_succ) <= 1e-8
 
 
 def test_ykl_rejects_mixed_labels():

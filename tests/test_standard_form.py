@@ -12,17 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (coords_from_hermitian, helstrom_problem, seeds,
-                      selected_phase_program, state_problems,
-                      structural_row_values)
+from conftest import (coords_from_hermitian, dual_from_y, helstrom_problem,
+                      hermitian_from_coords, seeds, selected_phase_program,
+                      state_problems, structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
 from qnetopt.estimation import payoff_operators
 from qnetopt.instances import random_channel_problem, random_state_problem
 from qnetopt.operators import LabeledOperator
-from qnetopt.sdp.ipm import (_float_positions, basis_kernel,
-                             hermitian_from_coords)
+from qnetopt.sdp.ipm import _float_positions, basis_kernel
 from qnetopt.sdp.standard_form import (block_sides, build_primal,
-                                       charge_sectors, dual_from_y)
+                                       charge_sectors)
 
 
 def sector_program(problem):
@@ -167,7 +166,8 @@ def test_objective_blocks_encode_payoff():
         sdp = sector_program(problem)
         for k, op in enumerate(payoff_operators(problem)):
             # the payoff is exactly zero off the sectors, so nothing is lost
-            assert np.array_equal(sdp.outcome(k, sdp.C), -op)
+            blocks = [c[k] for c in sdp.C[sdp.outcome_groups]]
+            assert np.array_equal(sdp.outcome(blocks), -op)
         for gs in sdp.xi_groups:
             assert not any(np.any(sdp.C[g]) for g in gs)
 
