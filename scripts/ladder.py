@@ -136,23 +136,19 @@ COVARIANT = {"covariant": _phase_grid, "gates": _gates, "rotated": _rotated}
 
 
 def _record_estimates() -> list:
-    """Wrap check_memory where the package looks it up; collect its results.
+    """Wrap check_memory where the engine looks it up; collect its results.
 
     Each estimate lands in the returned list, which stays empty on a tree
     without check_memory.
     """
-    import importlib
+    from qnetopt.sdp import engine
     estimates = []
-    for name in ("qnetopt.sdp.engine", "qnetopt.covariant"):
-        module = importlib.import_module(name)
-        check = getattr(module, "check_memory", None)
-        if check is None:
-            continue
-
-        def wrapped(*args, _check=check, **kwargs):
-            estimates.append(_check(*args, **kwargs))
+    check = getattr(engine, "check_memory", None)
+    if check is not None:
+        def wrapped(*args, **kwargs):
+            estimates.append(check(*args, **kwargs))
             return estimates[-1]
-        module.check_memory = wrapped
+        engine.check_memory = wrapped
     return estimates
 
 

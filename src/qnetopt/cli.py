@@ -55,9 +55,6 @@ EXIT_MAXITER = 5
 EXIT_NUMERICAL = 6
 EXIT_USAGE = 7
 
-EXAMPLE_NAMES = ("helstrom", "ykl", "qmax", "phase", "two-phase",
-                 "sum-phases", "multicopy", "product-rule")
-
 
 def _say(args, text: str) -> None:
     if not getattr(args, "quiet", False):
@@ -245,17 +242,20 @@ def _example_product_rule(args) -> dict:
     return serde.product_report_to_json(rep)
 
 
+EXAMPLES = {"helstrom": _example_helstrom, "ykl": _example_ykl,
+            "qmax": _example_qmax, "phase": _example_phase,
+            "two-phase": _example_two_phase,
+            "sum-phases": _example_sum_phases,
+            "multicopy": _example_multicopy,
+            "product-rule": _example_product_rule}
+EXAMPLE_NAMES = tuple(EXAMPLES)
+
+
 def cmd_example(args) -> int:
-    handlers = {"helstrom": _example_helstrom, "ykl": _example_ykl,
-                "qmax": _example_qmax, "phase": _example_phase,
-                "two-phase": _example_two_phase,
-                "sum-phases": _example_sum_phases,
-                "multicopy": _example_multicopy,
-                "product-rule": _example_product_rule}
-    if args.name not in handlers:
+    if args.name not in EXAMPLES:
         raise UnknownExample("unknown example %r (have: %s)"
                              % (args.name, ", ".join(EXAMPLE_NAMES)))
-    _emit(args, handlers[args.name](args))
+    _emit(args, EXAMPLES[args.name](args))
     return EXIT_OK
 
 

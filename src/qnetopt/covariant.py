@@ -356,12 +356,12 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
 # ---------------------------------------------------------------------------
 
 
-def phase_action(out_sys: SystemLabel, in_sys: Optional[SystemLabel],
-                 grid: int) -> FiniteGroupAction:
+def phase_action(out_sys: SystemLabel, grid: int) -> FiniteGroupAction:
     """Cyclic phase group diag(1, w, w^2, ...) with w = exp(2 pi i / grid).
 
-    The output factor carries the representation; the input factor, when
-    given, is acted on trivially (phases are applied after the process).
+    The output factor carries the representation; every other factor, the
+    input among them, is acted on trivially (phases are applied after the
+    process).
     """
     elements, table = cyclic_group(grid)
     levels = np.arange(out_sys.dim)
@@ -387,7 +387,7 @@ def phase_grid_problem(levels: int, grid: Optional[int] = None
                            % (grid, 2 * levels))
     in_sys = SystemLabel("ph_in", levels)
     out_sys = SystemLabel("ph_out", levels)
-    action = phase_action(out_sys, in_sys, grid)
+    action = phase_action(out_sys, grid)
     combs = tuple(comb_of_memoryless_sequence(
         [choi_of_channel([u], in_sys, out_sys)])
         for u in action.representatives(out_sys))

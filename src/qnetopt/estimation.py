@@ -28,6 +28,16 @@ from .networks import (CombSpace, QuantumComb, Tester, tensor_combs,
 PRIOR_TOL = 1e-12
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """A read-only float copy of values; BadParameter if numpy cannot read it."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise BadParameter("%s is not an array of numbers: %s" % (what, e))
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Finite-parameter estimation task: prior, process combs, payoff matrix."""
@@ -44,8 +54,7 @@ class EstimationProblem:
         object.__setattr__(self, "labels_x", labels)
         if len(set(labels)) != len(labels):
             raise BadParameter("parameter labels repeat: %r" % (labels,))
-        prior = np.asarray(self.prior, dtype=float).copy()
-        prior.setflags(write=False)
+        prior = float_array(self.prior, "prior")
         object.__setattr__(self, "prior", prior)
         if prior.shape != (len(labels),):
             raise ShapeMismatch("prior length %r vs %d labels" % (prior.shape, len(labels)))
@@ -55,15 +64,17 @@ class EstimationProblem:
             raise BadParameter("prior has negative entries")
         if abs(float(prior.sum()) - 1.0) > 1e-9:
             raise BadParameter("prior sums to %.12f, not 1" % float(prior.sum()))
-        payoff = np.asarray(self.payoff, dtype=float).copy()
-        payoff.setflags(write=False)
+        payoff = float_array(self.payoff, "payoff")
         object.__setattr__(self, "payoff", payoff)
         if payoff.shape != (len(labels), len(labels)):
             raise ShapeMismatch("payoff shape %r vs %d labels" % (payoff.shape, len(labels)))
         if not np.isfinite(payoff).all():
             raise BadParameter("payoff has non-finite entries")
-        if not np.isfinite(self.payoff_shift):
-            raise BadParameter("payoff_shift %r is not finite" % self.payoff_shift)
+        shift = float_array(self.payoff_shift, "payoff_shift")
+        if shift.shape or not np.isfinite(shift):
+            raise BadParameter("payoff_shift %r is not a finite number"
+                               % (self.payoff_shift,))
+        object.__setattr__(self, "payoff_shift", float(shift))
         if np.any(payoff < -1e-12):
             raise BadParameter(
                 "payoff has negative entries (min %.3e); apply a shift first"

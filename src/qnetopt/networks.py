@@ -73,12 +73,6 @@ class CombSpace:
     def factor_ids(self) -> tuple:
         return tuple(f.id for f in self.factors())
 
-    def in_dims(self) -> tuple:
-        return tuple(s.in_sys.dim for s in self.steps)
-
-    def out_dims(self) -> tuple:
-        return tuple(s.out_sys.dim for s in self.steps)
-
     def concat(self, other: "CombSpace") -> "CombSpace":
         return CombSpace(self.steps + other.steps)
 

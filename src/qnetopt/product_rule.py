@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BadParameter, DimensionCap, NonProductPayoff
-from .estimation import EstimationProblem, expected_payoff, joint_problem
+from .estimation import (EstimationProblem, expected_payoff, float_array,
+                         joint_problem)
 from .networks import Tester, tensor_combs, validate_tester
 from .operators import DIMENSION_CAP, LabeledOperator, trace_middle
 from .sdp import CertificateReport, SdpSolution, SolverOptions, certify_dual, solve
@@ -152,7 +153,7 @@ def counterexample_multicopy(psi0: np.ndarray, psi1: np.ndarray,
     if float(a.size) ** copies > DIMENSION_CAP:
         raise DimensionCap("%d copies of a dim-%d system exceed the cap"
                            % (copies, a.size))
-    p = np.asarray(priors, dtype=float)
+    p = float_array(priors, "priors")
     if p.shape != (2,) or not np.all(np.isfinite(p)) or np.any(p < 0) \
             or abs(p.sum() - 1.0) > 1e-9:
         raise BadParameter("priors must be a length-2 distribution")

@@ -82,7 +82,7 @@ class SdpSolution:
 def slater_point(sdp: StandardSdp) -> np.ndarray:
     """Row multipliers of a strictly feasible dual chain of scaled identities.
 
-    Level j's rows hold -c_j on its diagonal coordinates, the coordinates of
+    Level j's rows, j = 0..N, hold -c_j on its diagonal coordinates, those of
     -c_j I.  c_N tops every payoff eigenvalue, read from C, the payoffs' only
     copy, so the top level dominates with definite margin; each step down
     doubles the traced-out scale, which keeps the chain inequalities strict
@@ -93,12 +93,11 @@ def slater_point(sdp: StandardSdp) -> np.ndarray:
                   for c in sdp.C[sdp.outcome_groups])
     c = max(problem.g_max(), 1.5 * lam_max, 1.0)
     y = np.zeros(sdp.cmap.m)
-    for j in range(sdp.num_steps, 0, -1):
-        diagonal = sdp.level_coords(j) < sdp.level_dims[j - 1]
+    for j in range(sdp.num_steps, -1, -1):
+        diagonal = sdp.coords[j] < sdp.level_dims[j]
         y[sdp.level_offsets[j] + np.flatnonzero(diagonal)] = -c
-        step = problem.space.steps[j - 1]
-        c = 2.0 * step.out_sys.dim * step.in_sys.dim * c
-    y[0] = -c
+        if j:
+            c = 2.0 * (sdp.level_dims[j] // sdp.level_dims[j - 1]) * c
     return y
 
 

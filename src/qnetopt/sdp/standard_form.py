@@ -8,7 +8,8 @@ tester normalization recursion, written level by level:
     level j:      Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j) = 0     (1 <= j < N)
     level N:      sum_est T_est - I_out(N) (x) Xi^(N) = 0
 
-and the objective is  max sum_est <G_est, T_est>.
+and the objective is  max sum_est <G_est, T_est>.  Level 0 is the base
+case, on the 1x1 space of Xi^(0) = 1, whose side is D_0 = 1.
 
 Blocks are complex Hermitian and every coefficient is a Hermitian operator,
 so row values and objective numbers are Hilbert-Schmidt inner products on the
@@ -21,7 +22,7 @@ charges.  Each tester block is therefore split into its charge sectors, and
 the constraint rows of each level are its invariant coordinates, those of
 the Hermitian basis whose row and column positions share a charge: the sum
 of the squared sector sides, not D_j^2.  A trivial torus has one sector per
-space and gives 1 + sum_j D_j^2 rows, which keeps the Schur complement
+space and gives sum_(j=0..N) D_j^2 rows, which keeps the Schur complement
 positive definite.  A covariant program labels the chain's positions by
 the pair (charge, character of a diagonal group action) and its outcome's
 by the charge only, so its rows are the coordinates that both the torus
@@ -81,19 +82,6 @@ def _shrunk_rows(pre: int, d_out: int, d_in: int, coords) -> np.ndarray:
     return np.where(same_out, idx, -1)[:, None]
 
 
-def block_sides(problem: EstimationProblem) -> List[int]:
-    """Sides of the tester blocks: Xi^(1)..Xi^(N), then one per estimate.
-
-    Xi^(j) has side D_(j-1) d_in(j), where D_j = prod_(i<=j) d_out(i) d_in(i)
-    is the side of level j; every outcome block has side D_N.
-    """
-    sides, d = [], 1
-    for step in problem.space.steps:
-        sides.append(d * step.in_sys.dim)
-        d = sides[-1] * step.out_sys.dim
-    return sides + [d] * problem.num_params
-
-
 # ---------------------------------------------------------------------------
 # charge sectors
 # ---------------------------------------------------------------------------
@@ -121,11 +109,13 @@ class ChargeSectors:
         return self._label(self.walk(factors))
 
     def chain_labels(self, space: CombSpace):
-        """Labels of each Xi^(j) and level j, and the charge labels of level N.
+        """Labels of each Xi^(j), of levels 0..N, and the charge labels of N.
 
-        One walk: Xi^(j+1) is level j with in(j+1), level j+1 with out(j+1) too.
+        One walk from level 0, the one position of Xi^(0) = 1: Xi^(j+1) is
+        level j with in(j+1), level j+1 with out(j+1) too.
         """
-        walk, xi, level = None, [], []
+        walk = self.walk([])
+        xi, level = [], [self._label(walk)]
         for step in space.steps:
             xi.append(self._label(self.walk([step.in_sys], walk)))
             walk = self.walk([step.out_sys, step.in_sys], walk)
@@ -222,8 +212,6 @@ def charge_sectors(problem: EstimationProblem) -> ChargeSectors:
 
 def _invariant_coords(labels: np.ndarray) -> np.ndarray:
     """The coordinates whose row and column share a sector, ascending."""
-    if not np.count_nonzero(labels):
-        return np.arange(len(labels) ** 2)
     row, col, _ = basis_layout(len(labels))
     return np.flatnonzero(labels[row] == labels[col])
 
@@ -271,16 +259,18 @@ class StandardSdp:
     each, then those of the outcome blocks' sectors, outcome k the copy k.
     positions[g] holds the (s, n) positions of group g's sectors in their
     tester block.  C, -G_est on outcome est's sectors and so all of it
-    (charge_sectors), is the objective's only copy.
+    (charge_sectors), is the objective's only copy.  The rows run over the
+    levels 0..N of the chain, level 0 the 1x1 space of Xi^(0) = 1, whose
+    one coordinate is the row of b = 1.
     """
 
     problem: EstimationProblem
-    level_dims: tuple     # side of each constraint level space, 1..N
+    level_dims: tuple     # side D_j of each constraint level space, 0..N
     level_offsets: tuple  # first row of each level 0..N, then the row count
     cmap: BlockConstraintMap
     C: tuple              # objective stacks (min <C, X> convention)
     b: np.ndarray
-    coords: tuple         # per level 1..N, each row's level-space coordinate
+    coords: tuple         # per level 0..N, each row's level-space coordinate
     positions: tuple      # per group, its sectors' positions (s, n)
     xi_groups: tuple      # per step, the cmap groups of Xi^(j)'s sectors
 
@@ -294,10 +284,6 @@ class StandardSdp:
 
     def level_rows(self, j: int) -> slice:
         return slice(self.level_offsets[j], self.level_offsets[j + 1])
-
-    def level_coords(self, j: int) -> np.ndarray:
-        """Coordinate of each row of level j >= 1 in its level space."""
-        return self.coords[j - 1]
 
     @property
     def outcome_groups(self) -> slice:
@@ -339,6 +325,8 @@ def build_primal(problem: EstimationProblem,
     locally, so twirling the Xi chain keeps it a chain, and the rows left
     out never bind.
 
+    The levels run 0..N alike, level 0 the 1x1 space of Xi^(0) = 1: its
+    one row reads Tr Xi^(1), and b is 1 there and 0 on every other row.
     The program gets, in chain order, one block group per sector side of
     each chain operator, one copy holding the entry of the level below
     that reads Xi^(j) and the level-j entry -I_out(j) (x) Xi^(j); then one
@@ -348,42 +336,31 @@ def build_primal(problem: EstimationProblem,
     """
     torus = sectors if sectors is not None else ChargeSectors()
     space = problem.space
-    n_steps = space.num_steps
-    n_out = problem.num_params
-    d_in = space.in_dims()
-    d_out = space.out_dims()
 
-    sides = block_sides(problem)
-    # prefix dims D_j = D_(j-1) * d_in_j * d_out_j, D_0 = 1
-    prefix = [1] + [sides[j] * d_out[j] for j in range(n_steps)]
-    level_dims = tuple(prefix[1:])
-
-    # every level's rows, its invariant coordinates, and the entry that
-    # reads I_out(j) (x) Xi^(j) on them
+    # levels 0..N, level 0 the 1x1 space of Xi^(0) = 1: the side D_j of
+    # each, and its rows, its invariant coordinates
     xi_labels, level_labels, outcome_labels = torus.chain_labels(space)
+    level_dims = tuple(len(labels) for labels in level_labels)
     coords = [_invariant_coords(labels) for labels in level_labels]
-    shrunk = [_shrunk_rows(prefix[j], d_out[j], d_in[j], coords[j])
-              for j in range(n_steps)]
-
-    offsets = [0, 1]
+    offsets = [0]
     for c in coords:
         offsets.append(offsets[-1] + len(c))
     m = offsets[-1]
 
-    # lower[j] reads Xi^(j+1) at level j; level 0 reads its trace, the sum
-    # of its diagonal coordinates
-    lower = [np.arange(sides[0])[None, :]]
-    lower += [_grown_rows(prefix[j], d_in[j], coords[j - 1])
-              for j in range(1, n_steps)]
+    # level j reads Xi^(j+1) through B_a (x) I_in(j+1), its partial trace,
+    # and level j + 1 through -Tr_out(j+1) B_a, minus I_out(j+1) (x) Xi^(j+1)
     groups, positions, xi_groups, C = [], [], [], []
-    for j in range(n_steps):
+    for j, step in enumerate(space.steps):
+        d, d_in, d_out = level_dims[j], step.in_sys.dim, step.out_sys.dim
+        lower = _grown_rows(d, d_in, coords[j])
+        upper = _shrunk_rows(d, d_out, d_in, coords[j + 1])
         split = _side_groups(xi_labels[j])
         xi_groups.append(tuple(range(len(groups), len(groups) + len(split))))
         for pos, pmap in split:
             s, n = pos.shape
             groups.append(BlockGroup(1, n, [
-                ConstraintEntry(offsets[j], _remap(lower[j], pmap)),
-                ConstraintEntry(offsets[j + 1], _remap(shrunk[j], pmap),
+                ConstraintEntry(offsets[j], _remap(lower, pmap)),
+                ConstraintEntry(offsets[j + 1], _remap(upper, pmap),
                                 -1.0)], s))
             positions.append(pos)
             C.append(np.zeros((1, s, n, n), dtype=complex))
@@ -392,8 +369,8 @@ def build_primal(problem: EstimationProblem,
     G = payoff_operators(problem)
     for pos, pmap in _side_groups(outcome_labels):
         s, n = pos.shape
-        groups.append(BlockGroup(n_out, n, [ConstraintEntry(
-            offsets[n_steps], _remap(coords[-1][:, None], pmap))], s))
+        groups.append(BlockGroup(problem.num_params, n, [ConstraintEntry(
+            offsets[space.num_steps], _remap(coords[-1][:, None], pmap))], s))
         positions.append(pos)
         C.append(-G[:, pos[:, :, None], pos[:, None, :]])
 

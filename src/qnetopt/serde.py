@@ -48,9 +48,13 @@ def _label_to_json(lab: SystemLabel) -> dict:
 
 def _label_from_json(doc) -> SystemLabel:
     try:
-        return SystemLabel(str(doc["id"]), int(doc["dim"]))
-    except (KeyError, TypeError, ValueError) as e:
+        ident, dim = str(doc["id"]), doc["dim"]
+    except (KeyError, TypeError) as e:
         raise ParseError("bad factor header: %s" % e)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ParseError("bad factor header: dim %r is not an integer >= 1"
+                         % (dim,))
+    return SystemLabel(ident, dim)
 
 
 def steps_to_json(space: CombSpace) -> list:

@@ -121,9 +121,9 @@ def dual_from_y(sdp, y: np.ndarray) -> DualChain:
     space = sdp.problem.space
     ops = []
     for j in range(1, sdp.num_steps + 1):
-        d = sdp.level_dims[j - 1]
+        d = sdp.level_dims[j]
         coords = np.zeros(d * d)
-        coords[sdp.level_coords(j)] = -y[sdp.level_rows(j)]
+        coords[sdp.coords[j]] = -y[sdp.level_rows(j)]
         ops.append(LabeledOperator(space.prefix_factors(j),
                                    hermitian_from_coords(coords, d)))
     return DualChain(float(-y[0]), tuple(ops))
@@ -152,7 +152,8 @@ def uniform_tester(space: CombSpace, outcome_ids) -> Tester:
     Every outcome operator equals I / (|M| * prod in_dims); the chain consists
     of maximally mixed operators and every normalization holds with equality.
     """
-    c = 1.0 / (len(outcome_ids) * int(np.prod(space.in_dims())))
+    c = 1.0 / (len(outcome_ids)
+               * int(np.prod([s.in_sys.dim for s in space.steps])))
     op = identity_on(space.factors())
     op = op.with_data(op.data * c)
     return Tester(space, tuple((m, op) for m in outcome_ids))
@@ -160,7 +161,8 @@ def uniform_tester(space: CombSpace, outcome_ids) -> Tester:
 
 def mixed_comb(space) -> QuantumComb:
     """The maximally mixed valid comb: identity over the product of out dims."""
-    d_out_total = int(np.prod(space.out_dims(), dtype=np.int64))
+    d_out_total = int(np.prod([s.out_sys.dim for s in space.steps],
+                              dtype=np.int64))
     op = identity_on(space.factors())
     op = op.with_data(op.data * (1.0 / d_out_total))
     return validate_comb(QuantumComb(space, op))
@@ -316,7 +318,8 @@ def random_product_tester(rng: np.random.Generator, space: CombSpace,
                           n_outcomes: int) -> Tester:
     """Random causal tester without memory: fresh input states per step and
     one POVM measuring all outputs jointly."""
-    d_out = int(np.prod(space.out_dims(), dtype=np.int64))
+    d_out = int(np.prod([s.out_sys.dim for s in space.steps],
+                        dtype=np.int64))
     povm = random_povm(rng, d_out, n_outcomes)
     in_part = np.array([[1.0]])
     for step in space.steps:
@@ -441,5 +444,5 @@ def structural_row_values(sdp, xi_ops, t_ops):
             traced = t_ops[0].with_data(sum(t.data for t in t_ops))
         grown = embed_identity(xi_ops[j - 1], steps[j - 1].out_sys, 2 * (j - 1))
         coords = coords_from_hermitian(traced.data - grown.data)
-        vals[sdp.level_rows(j)] = coords[sdp.level_coords(j)]
+        vals[sdp.level_rows(j)] = coords[sdp.coords[j]]
     return vals

@@ -8,7 +8,8 @@ The program pipeline (PIPELINE) is defined in sdp/ and called from there
 only: every other module solves through sdp.engine's solve or
 solve_program.  Positivity is tested by operators.min_eig alone: no other
 module names eigvalsh, to call it or to pass it on, except in the
-functions EIGVALSH lists, which test no positivity.
+functions EIGVALSH lists, which test no positivity.  Every parameter of
+every function, self and cls aside, is read in the function's body.
 """
 
 import ast
@@ -117,3 +118,21 @@ def test_only_min_eig_tests_positivity():
                   if id(node) not in exempt and "eigvalsh" in (
                       getattr(node, "id", None), getattr(node, "attr", None))]
     assert not calls, "eigvalsh outside min_eig: " + ", ".join(calls)
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += ["%s:%d %s(%s)" % (path, fn.lineno, fn.name, p.arg)
+                       for p in params
+                       if p.arg not in read and p.arg not in ("self", "cls")]
+    assert not unread, "parameters never read: " + ", ".join(unread)

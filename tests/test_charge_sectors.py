@@ -33,7 +33,7 @@ def test_phase_grid_has_one_level_sector_and_singletons(levels):
     assert sector_sides(problem) == [levels] + [1] * (levels ** 2 - levels)
     sdp = build_primal(problem, sectors=charge_sectors(problem))
     # one row for the trace, then the invariant coordinates of level 1
-    assert len(sdp.level_coords(1)) == 2 * levels ** 2 - levels
+    assert len(sdp.coords[1]) == 2 * levels ** 2 - levels
     assert sdp.cmap.m == 1 + 2 * levels ** 2 - levels
     # the input levels carry distinct charges: Xi^(1) is diagonal
     assert [sdp.positions[g].shape for g in sdp.xi_groups[0]] == [(levels, 1)]

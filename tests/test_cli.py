@@ -265,6 +265,19 @@ def test_malformed_problem_is_parse_exit(problem_file, tmp_path, capsys,
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("dim", [0, -3, 2.5, "2", True])
+def test_bad_factor_dim_is_parse_exit(tmp_path, capsys, dim):
+    # a dim must be a JSON integer >= 1: none is rounded, read from a
+    # string, or left for the dimension cap to refuse
+    doc = serde.problem_to_json(helstrom_problem())
+    doc["steps"][0]["out"]["dim"] = dim
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "validate", str(path))
+    assert rc == 3 and out == ""
+    assert err.startswith("parse error:") and "dim" in err
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2], "lambda", 5, {"comb_certificate": [1, 2], "lambda": 1.0},
 ], ids=["list", "string", "number", "certificate-list"])

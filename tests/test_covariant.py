@@ -275,7 +275,7 @@ def test_reduced_rows_are_the_nonzero_rows_of_the_dense_program(case):
         P = twirl_coordinates(action, factors)
         twirled = np.flatnonzero(np.abs(P).max(axis=1) > 1e-12)
         charged = _shared(ChargeSectors(torus.charges).labels(factors))
-        np.testing.assert_array_equal(sdp.level_coords(j),
+        np.testing.assert_array_equal(sdp.coords[j],
                                       np.intersect1d(twirled, charged))
         if case == "two-step" and j == 2:  # of the 256 coordinates of level 2
             assert len(twirled) == 96
@@ -395,7 +395,7 @@ def test_qmax_state_under_an_action_on_no_factor_of_the_state():
     # copies of rho0, and the program is that of the identity acting on q
     rho0 = LabeledOperator((Q,), np.array([[0.7, 0.3 - 0.1j],
                                            [0.3 + 0.1j, 0.3]]))
-    q, rho = qmax_state(rho0, phase_action(SystemLabel("z", 2), None, 3))
+    q, rho = qmax_state(rho0, phase_action(SystemLabel("z", 2), 3))
     elements, table = cyclic_group(3)
     same, same_rho = qmax_state(rho0, FiniteGroupAction(
         elements, table, {"q": {g: np.eye(2) for g in elements}}))
@@ -485,7 +485,7 @@ def test_reduced_result_certifies_full_problem(make):
 def test_covariant_state_family_matches_direct_solve(levels, grid):
     # the probe |+> under diag(1, w^j, w^2j, ...): every level of the state
     # has its own charge, so the twirl keeps just the diagonal coordinates
-    action = phase_action(SystemLabel("s", levels), None, grid)
+    action = phase_action(SystemLabel("s", levels), grid)
     plus = np.full(levels, 1.0 / np.sqrt(levels))
     d = np.arange(grid)
     payoff = 1.0 + np.cos(2 * np.pi * (d[:, None] - d[None, :]) / grid)

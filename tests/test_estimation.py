@@ -27,6 +27,20 @@ def test_negative_payoff_rejected():
                           np.array([[1.0, -0.2], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("prior", "ab"), ("prior", [[0.5], [0.5, 0.5]]),
+    ("payoff", "ab"), ("payoff", [[1.0, 0.0], [0.0]]),
+    ("payoff_shift", "abc"),
+], ids=["prior-string", "prior-ragged", "payoff-string", "payoff-ragged",
+        "shift-string"])
+def test_unreadable_numbers_are_bad_parameters(field, value):
+    p = helstrom_problem()
+    fields = dict(prior=p.prior, payoff=p.payoff, payoff_shift=0.0)
+    fields[field] = value
+    with pytest.raises(BadParameter, match=field):
+        EstimationProblem(p.space, p.labels_x, combs=p.combs, **fields)
+
+
 def test_repeated_labels_rejected():
     p = helstrom_problem()
     with pytest.raises(BadParameter):

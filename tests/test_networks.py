@@ -159,7 +159,8 @@ def _walk_case(seed):
     if seed % 2 == 0:
         comb = random_memory_comb(g, space)
         w = max(0.0, g.uniform(-0.25, 0.5))  # a third stay rank-deficient
-        mixed = np.eye(len(grow) * prefix) / np.prod(space.out_dims())
+        mixed = np.eye(len(grow) * prefix) / np.prod(
+            [s.out_sys.dim for s in space.steps])
         data = (1.0 - w) * comb.op.data + w * mixed + shift
         return QuantumComb(space, LabeledOperator(factors, data))
     (m, first), *rest = uniform_tester(space, ("a", "b", "c")).outcomes

@@ -132,6 +132,13 @@ def test_multicopy_priors_must_be_a_finite_pair(priors):
         counterexample_multicopy(np.array([1.0, 0.0]), PLUS, priors, 2)
 
 
+@pytest.mark.parametrize("priors", ["ab", [[0.5], [0.5, 0.5]]],
+                         ids=["string", "ragged"])
+def test_multicopy_unreadable_priors_are_bad_parameters(priors):
+    with pytest.raises(BadParameter, match="priors"):
+        counterexample_multicopy(np.array([1.0, 0.0]), PLUS, priors, 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 8))
 def test_multicopy_advantage_is_nonnegative(seed, copies):

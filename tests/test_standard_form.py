@@ -20,8 +20,7 @@ from qnetopt.estimation import payoff_operators
 from qnetopt.instances import random_channel_problem, random_state_problem
 from qnetopt.operators import LabeledOperator
 from qnetopt.sdp.ipm import _float_positions, basis_kernel
-from qnetopt.sdp.standard_form import (block_sides, build_primal,
-                                       charge_sectors)
+from qnetopt.sdp.standard_form import build_primal, charge_sectors
 
 
 def sector_program(problem):
@@ -196,12 +195,10 @@ def test_adjoint_identity_sector_programs(make, rng):
 
 def _assert_rows_agree(sdp, g):
     space = sdp.problem.space
-    sides = block_sides(sdp.problem)
-    xi_ops = [LabeledOperator(space.prefix_factors(j - 1)
-                              + (space.steps[j - 1].in_sys,),
-                              rand_herm(g, sides[j - 1]))
-              for j in range(1, sdp.num_steps + 1)]
-    t_ops = [LabeledOperator(space.factors(), rand_herm(g, sides[-1]))
+    xi_ops = [LabeledOperator(space.prefix_factors(j) + (step.in_sys,),
+                              rand_herm(g, d * step.in_sys.dim))
+              for j, (d, step) in enumerate(zip(sdp.level_dims, space.steps))]
+    t_ops = [LabeledOperator(space.factors(), rand_herm(g, sdp.level_dims[-1]))
              for k in range(sdp.num_outcomes)]
     direct = structural_row_values(sdp, xi_ops, t_ops)
     assembled = sdp.cmap.apply_A(
@@ -294,8 +291,8 @@ def test_batched_basis_kernel_is_each_sectors_kernel(n, rng):
 def test_restricted_top_level_scatters_through_its_coordinates(rng):
     sdp = selected_phase_program()[0]
     top = sdp.num_steps
-    coords = sdp.level_coords(top)
-    d = sdp.level_dims[top - 1]
+    coords = sdp.coords[top]
+    d = sdp.level_dims[top]
     assert sdp.cmap.m == 1 + len(coords) < 1 + d * d
     y = rng.normal(size=sdp.cmap.m)
     expect = np.zeros(d * d)
