@@ -9,11 +9,12 @@ is the ordinary tester program with a single seed outcome T whose
 normalization is imposed on twirl(T) rather than on T.  ``covariant_gamma``
 solves it and returns gamma_max = gamma_0 / q_max, read off the tightened
 dual, together with the invariant comb that certifies it.  It solves
-through ``solve``'s own pipeline (``sdp.engine.solve_program``), so the
-certificate R is validated, and R's margins checked, as ``solve`` does;
-the input combs are checked once, by the orbit check.  The result's gap,
-iterations and history are those of the program solved: the seed program
-for a diagonal action, the caller's problem for any other.
+through ``solve``'s own pipeline (``sdp.engine.solve_program``, which
+builds the seed program too), so R is validated, and its margins checked,
+as ``solve`` does.  Both premises are checked element by element against
+the identity, and the input combs once, by that orbit check.  The result's
+gap, iterations and history are those of the program solved: the seed
+program for a diagonal action, the caller's problem for any other.
 
 When every representative is diagonal (phases, and products of cyclic
 groups), each level of each factor carries a character, the phases that
@@ -61,7 +62,6 @@ from .sdp.ipm import solve_ipm  # noqa: F401  bench/tracer.py wraps this name
 from .sdp.standard_form import ChargeSectors
 
 HOMOMORPHISM_TOL = 1e-10
-CHECK_ENTRIES = 1 << 20  # entries of a covariance check's temporaries
 
 
 @dataclass
@@ -262,91 +262,76 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     """Optimal payoff of a covariant problem, certified by an invariant comb.
 
     Requires parameter labels equal to the group elements, a uniform prior, a
-    left-invariant payoff, and combs forming an orbit of the action; verifies
-    all four and raises NotLeftInvariant / BadParameter otherwise, and
-    NotPSD / NormalizationViolation if the comb at the identity is not one.
-    The orbit's combs are then combs, and so is the seed, their mixture.
+    left-invariant payoff, g(y, x) = g(e, y^-1 x), and combs forming an orbit
+    of the action, R_x = U_x R_e U_x^H; verifies all four and raises
+    NotLeftInvariant (naming the first failing y or x) / BadParameter
+    otherwise, and NotPSD / NormalizationViolation if R_e is not a comb.  The
+    group law extends both checks to every pair: the orbit's, in the
+    Frobenius norm for a non-diagonal action, within twice its bound.
 
-    For a diagonal action it solves the seed program: one outcome, the seed
-    sum_x g(e, x) R_x / (|G| gamma_0), with the normalization imposed on
-    twirl(T) through the characters; gamma_max = gamma_0 S^(0), and R =
-    S^(N) / S^(0) is invariant as it comes.  For any other action it solves
-    the problem itself: gamma_max = S^(0), and invariant_op is twirl(R).
-    gamma_max R >= G_y for every y, and conjugating by U_g^H maps G_y to
-    G_(g^-1 y) (the orbit and left-invariance), so averaging over g gives
-    gamma_max twirl(R) >= G_y.  Either way gap, iterations and history are
-    those of the program solved.
+    For a diagonal action solve_program solves the seed program that it
+    builds from the weights g(e, x) / |G| and the characters: one outcome,
+    the seed sum_x g(e, x) R_x / (|G| gamma_0), with the normalization
+    imposed on twirl(T); gamma_max = gamma_0 S^(0), and R = S^(N) / S^(0) is
+    invariant as it comes.  For any other action it solves the problem
+    itself: gamma_max = S^(0), and invariant_op is twirl(R).  gamma_max R >=
+    G_y for every y, and conjugating by U_g^H maps G_y to G_(g^-1 y), so
+    averaging over g gives gamma_max twirl(R) >= G_y.  Either way gap,
+    iterations and history are those of the program solved.
     """
     if problem.labels_x != action.elements:
         raise BadParameter("problem labels %r must equal the group elements"
                            % (problem.labels_x,))
-    n = action.size
+    n, e, table = action.size, action.identity_index, action.table
     if np.max(np.abs(problem.prior - 1.0 / n)) > 1e-9:
         raise BadParameter("covariant reduction requires a uniform prior")
-    g, table = problem.payoff, action.table
-    # each check takes a chunk of elements at a time, CHECK_ENTRIES entries
-    width = max(1, CHECK_ENTRIES // g.size)
-    for y0 in range(0, n, width):
-        ys = table[y0:y0 + width]
-        err = np.abs(g[ys[:, :, None], ys[:, None, :]] - g).max(axis=(1, 2))
-        bad = np.flatnonzero(err > 1e-9)
-        if bad.size:
-            raise NotLeftInvariant("payoff changes under left translation by "
-                                   "%r" % (action.elements[y0 + bad[0]],))
+    g = problem.payoff
+    # row y^-1 of the table holds y^-1 x; rows are permutations, so one e each
+    inverse = np.nonzero(table == e)[1]
+    bad = np.flatnonzero(np.abs(g - g[e, table[inverse]]).max(axis=1) > 1e-9)
+    if bad.size:
+        raise NotLeftInvariant("payoff g(y, x) is not g(e, y^-1 x) at y = "
+                               "%r" % (action.elements[bad[0]],))
     # the orbit check then covers every comb: local unitaries keep a comb a comb
-    validate_comb(problem.combs[action.identity_index])
+    validate_comb(problem.combs[e])
     mats = [c.op.data for c in problem.combs]
+    scale = 1.0 + max(float(np.abs(r).max()) for r in mats)
     factors = problem.space.factors()
     characters = diagonal_characters(action, factors)
-    if characters is None:
-        stack, width = np.array(mats), 1
-    else:  # the combs' joint support: off it both sides below are exactly 0
-        # row g is diag(unitary_for(elements[g], factors)); one row of ones,
-        # broadcast, when the action moves none of the factors
+    if characters is None:  # one full-size conjugation per x
+        us = (action.unitary_for(el, factors) for el in action.elements)
+        err = [np.linalg.norm(u @ mats[e] @ u.conj().T - r)
+               for u, r in zip(us, mats)]
+    else:  # off the combs' joint support both sides are exactly 0
+        support = np.zeros(mats[e].shape, dtype=bool)
+        for r in mats:
+            support |= r != 0
+        rows, cols = np.nonzero(support)
+        # row x is diag(U_x); one row of ones, broadcast, when the action
+        # moves none of the factors; U R U^H = R * outer(ph, conj ph)
         _, phases = ChargeSectors(characters=characters).walk(factors)
-        phases = np.broadcast_to(phases.T, (n, len(phases)))
-        rows, cols = np.nonzero(np.logical_or.reduce([r != 0 for r in mats]))
+        ph = np.broadcast_to(phases.T, (n, len(phases)))
         stack = np.array([r[rows, cols] for r in mats])
-        width = max(1, CHECK_ENTRIES // stack.size)
-    scale = 1.0 + float(np.abs(stack).max())
-    for g0 in range(0, n, width):
-        gs = np.arange(g0, min(g0 + width, n))
-        if characters is None:
-            u = action.unitary_for(action.elements[g0], factors)
-            moved = (u @ stack @ u.conj().T)[None]
-        else:  # U R U^H = R * outer(ph, conj ph), for every x at once
-            ph = phases[gs]
-            moved = stack * (ph[:, rows] * ph[:, cols].conj())[:, None]
-        err = np.abs(moved - stack[table[gs]]).reshape(len(gs), -1).max(axis=1)
-        bad = np.flatnonzero(err > 1e-8 * scale)
-        if bad.size:
-            raise NotLeftInvariant(
-                "combs do not form an orbit of the action (element %r)"
-                % (action.elements[gs[bad[0]]],))
-    del stack, moved  # K D^2 entries each, not to be held through the solve
+        err = np.abs(stack[e] * (ph[:, rows] * ph[:, cols].conj())
+                     - stack).max(axis=1)
+    bad = np.flatnonzero(np.array(err) > 1e-8 * scale)
+    if bad.size:
+        raise NotLeftInvariant("combs do not form an orbit of the action "
+                               "(element %r)" % (action.elements[bad[0]],))
 
-    e = action.identity_index
     weights = g[e] / n
     gamma_0 = float(weights.sum())
     if gamma_0 <= 1e-14:
         raise BadParameter("payoff row at the identity is all zero")
     opts = options if options is not None else SolverOptions()
+    seed = None if characters is None else (weights, characters)
+    _, res, lambda_, comb, _ = solve_program(problem, opts, seed)
     if characters is None:
-        _, res, lambda_, comb, _ = solve_program(problem, opts)
-        gamma_max, q_max = lambda_, gamma_0 / lambda_
         top = twirl(comb.op, action)
-    else:
-        seed = sum(w * r for w, r in zip(weights, mats)) / gamma_0
-        seed = (seed + seed.conj().T) / 2.0
-        seed_problem = EstimationProblem(
-            problem.space, (0,), np.ones(1),
-            (QuantumComb(problem.space, LabeledOperator(factors, seed)),),
-            np.eye(1))
-        _, res, lambda_, comb, _ = solve_program(seed_problem, opts,
-                                                 characters, n)
-        gamma_max, q_max = gamma_0 * lambda_, 1.0 / lambda_
-        top = comb.op
-    inv = LabeledOperator(factors, (top.data + top.data.conj().T) / 2.0)
+        inv = top.with_data((top.data + top.data.conj().T) / 2.0)
+        gamma_max, q_max = lambda_, gamma_0 / lambda_
+    else:  # -A^T y / lambda is exactly Hermitian
+        inv, gamma_max, q_max = comb.op, gamma_0 * lambda_, 1.0 / lambda_
     return CovariantResult(gamma_max, q_max, gamma_0, inv, res.gap,
                            res.iterations, res.history)
 

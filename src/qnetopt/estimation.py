@@ -29,8 +29,10 @@ PRIOR_TOL = 1e-12
 
 
 def float_array(values, what: str) -> np.ndarray:
-    """A read-only float copy of values; BadParameter if numpy cannot read it."""
+    """A read-only float copy of values; BadParameter if complex or unreadable."""
     try:
+        if np.iscomplexobj(values):  # numpy would keep an array's real part
+            raise TypeError("complex values")
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError) as e:
         raise BadParameter("%s is not an array of numbers: %s" % (what, e))

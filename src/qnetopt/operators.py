@@ -173,7 +173,8 @@ def min_eig(a: np.ndarray):
     # the ufunc always allocates, so h is a fresh copy even for real a;
     # it is made a's Hermitian part below
     h = np.conjugate(a).swapaxes(-1, -2)
-    residual = np.abs(a - h).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf: rejected below
+        residual = np.abs(a - h).max(axis=(-2, -1))
     # "not <=" fails a NaN residual, and isinf an infinite one (whose scale
     # is infinite too), so no matrix with a non-finite entry passes
     if not residual.max() <= HERM_TOL:  # else every matrix passes: scale >= 1

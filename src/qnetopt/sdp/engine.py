@@ -17,7 +17,7 @@ outcome groups is lambda R on the outcome sectors, R a normalized comb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class SdpSolution:
     gap: float
     rel_gap: float
     iterations: int
-    status: str
     payoff_shift: float
     certificate: CertificateReport
     feas_primal: float
@@ -153,14 +152,13 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
 MEMORY_CAP_BYTES = 4 << 30
 
 
-def check_memory(sdp: StandardSdp, outcomes: Optional[int] = None) -> int:
+def check_memory(sdp: StandardSdp, k: int) -> int:
     """The estimated peak bytes of solving sdp; DimensionCap over the cap.
 
     cmap.peak_bytes(), which counts C, plus three complex (K, D, D) stacks, K
-    the outcomes or group elements: combs, payoffs and their Hermitian part in
+    the caller's outcomes: combs, payoffs and their Hermitian part in
     build_primal; combs, tester and validation temporaries after the solve.
     """
-    k = sdp.num_outcomes if outcomes is None else outcomes
     estimate = sdp.cmap.peak_bytes() + 3 * 16 * k * sdp.level_dims[-1] ** 2
     if estimate > MEMORY_CAP_BYTES:
         raise DimensionCap("estimated peak of %d MB exceeds the %d MB cap"
@@ -169,19 +167,28 @@ def check_memory(sdp: StandardSdp, outcomes: Optional[int] = None) -> int:
 
 
 def solve_program(problem: EstimationProblem, opts: SolverOptions,
-                  characters: Optional[Mapping] = None,
-                  outcomes: Optional[int] = None):
+                  seed: Optional[tuple] = None):
     """solve short of the tester: (sdp, IpmResult, lambda, R, report).
 
-    characters (diagonal_characters) join the torus charges in the labels;
-    outcomes is check_memory's K.  With y the tightened multipliers, lambda
-    = -y[0] and R's outcome-sector blocks are -A^T y / lambda; R is checked
-    as solve does, and the margins on those blocks.  The caller has
-    validated the problem's combs.
+    seed = (weights, characters) solves problem's one-outcome seed program
+    instead (covariant_gamma): the comb sum_x w_x R_x / sum_x w_x, Hermitian
+    part taken, the characters (diagonal_characters) joining the torus
+    charges in the labels.  With y the tightened multipliers, lambda = -y[0]
+    and R's outcome-sector blocks are -A^T y / lambda; R is checked as solve
+    does, and the margins on those blocks.  The caller has validated the
+    problem's combs.
     """
-    sectors = ChargeSectors(charge_sectors(problem).charges, characters or {})
-    sdp = build_primal(problem, sectors)
-    check_memory(sdp, outcomes)
+    k, characters = len(problem.combs), {}
+    if seed is not None:
+        weights, characters = seed
+        r = sum(w * c.op.data for w, c in zip(weights, problem.combs))
+        r = r / float(weights.sum())
+        r = LabeledOperator(problem.space.factors(), (r + r.conj().T) / 2.0)
+        problem = EstimationProblem(problem.space, (0,), np.ones(1),
+                                    (QuantumComb(problem.space, r),), np.eye(1))
+    sdp = build_primal(problem, ChargeSectors(charge_sectors(problem).charges,
+                                              characters))
+    check_memory(sdp, k)
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
     y = tighten_dual(sdp, res.y)
@@ -238,7 +245,7 @@ def solve(problem: EstimationProblem,
     gamma_primal, gamma_dual = -res.pobj - shift, -res.dobj - shift
     return SdpSolution(gamma_primal, gamma_dual, tester, lambda_, comb,
                        abs(gamma_dual - gamma_primal), res.rel_gap,
-                       res.iterations, res.status, shift, report,
+                       res.iterations, shift, report,
                        res.feas_primal, res.feas_dual, res.history)
 
 

@@ -356,7 +356,6 @@ class IpmResult:
     X: List[np.ndarray]
     y: np.ndarray
     iterations: int
-    status: str
     pobj: float
     dobj: float
     gap: float
@@ -494,8 +493,8 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                                    sigma, ap, ad))
         feas_tol = opts.tol * FEAS_TOL_FACTOR
         if rel_gap <= opts.tol and feas_p <= feas_tol and feas_d <= feas_tol:
-            return IpmResult(list(X), y, it, "optimal", pobj, dobj, gap,
-                             rel_gap, feas_p, feas_d, tuple(history))
+            return IpmResult(list(X), y, it, pobj, dobj, gap, rel_gap,
+                             feas_p, feas_d, tuple(history))
         if it == opts.max_iter:
             raise MaxIterations(
                 "no convergence in %d iterations (relative gap %.3e)"

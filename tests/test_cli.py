@@ -73,6 +73,52 @@ def test_validate_non_finite_comb_is_invalid_exit(tmp_path, capsys, entry,
     assert "not Hermitian" in err
 
 
+@pytest.fixture
+def solution_doc(problem_file, tmp_path, capsys):
+    path = tmp_path / "solution.json"
+    assert run(capsys, "solve", problem_file, "--out", str(path),
+               "--quiet")[0] == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key, says", [
+    ("tester", "OK tester: 2 outcomes"),
+    ("comb_certificate", "OK comb: 1 steps"),
+])
+def test_validate_a_solutions_tester_and_comb(solution_doc, key, says,
+                                              tmp_path, capsys):
+    path = tmp_path / ("%s.json" % key)
+    path.write_text(json.dumps(solution_doc[key]))
+    rc, _out, err = run(capsys, "validate", str(path))
+    assert rc == 0
+    assert says in err
+
+
+def test_validate_tester_with_a_non_psd_outcome_is_invalid_exit(
+        solution_doc, tmp_path, capsys):
+    # move -I from one outcome to the other: the sum, and so the
+    # normalization, stays, and the first outcome is no longer PSD
+    doc = solution_doc["tester"]
+    shift = np.eye(2)
+    (a, ma), (b, mb) = doc["outcomes"].items()
+    doc["outcomes"] = {
+        a: serde.complex_to_json(serde.complex_from_json(ma) - shift),
+        b: serde.complex_to_json(serde.complex_from_json(mb) + shift)}
+    path = tmp_path / "tester.json"
+    path.write_text(json.dumps(doc))
+    rc, _out, err = run(capsys, "validate", str(path))
+    assert rc == 2
+    assert "outcome" in err
+
+
+def test_validate_an_object_of_no_known_kind_is_parse_exit(tmp_path, capsys):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"foo": 1}))
+    rc, _out, err = run(capsys, "validate", str(path))
+    assert rc == 3
+    assert "neither a comb, a tester, nor a problem" in err
+
+
 def test_solve_writes_solution_and_dual_check_accepts_it(
         problem_file, tmp_path, capsys):
     sol_path = tmp_path / "solution.json"

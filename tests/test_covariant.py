@@ -22,7 +22,8 @@ from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                sum_of_phases, twirl, two_phase_correlated,
                                two_phase_payoff_matrix, two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
-                            NotAState, NotLeftInvariant, NotPSD)
+                            NotAState, NotLeftInvariant, NotPSD,
+                            NumericalFailure)
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
@@ -30,8 +31,8 @@ from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
 from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import certify_dual, solve
 from qnetopt.sdp.ipm import basis_layout
-from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
-                                       charge_sectors)
+from qnetopt.sdp.standard_form import (ChargeSectors, StandardSdp,
+                                       build_primal, charge_sectors)
 
 Q = SystemLabel("q", 2)
 X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -223,6 +224,28 @@ def test_non_diagonal_action_solves_the_callers_problem(make, monkeypatch):
     monkeypatch.setattr(qnetopt.covariant, "solve_program", recorded)
     covariant_gamma(problem, action)
     assert len(solved) == 1 and solved[0] is problem
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve(phase_grid_problem(3)[0]),
+    lambda: covariant_gamma(*phase_grid_problem(3)),
+    lambda: covariant_gamma(*rotated_phase_grid(3)),
+], ids=["direct", "seed", "non-diagonal"])
+def test_every_route_validates_its_lift_at_full_size(call, monkeypatch):
+    # a lift that drops one outcome-sector block, the one with the largest
+    # entry (some hold only rounding), fails R's validation
+    real = StandardSdp.outcome
+
+    def dropped(self, blocks):
+        blocks = [b.copy() for b in blocks]
+        pairs = [(g, s) for g, b in enumerate(blocks) for s in range(len(b))]
+        g, s = max(pairs, key=lambda gs: np.abs(blocks[gs[0]][gs[1]]).max())
+        blocks[g][s] = 0.0
+        return real(self, blocks)
+
+    monkeypatch.setattr(StandardSdp, "outcome", dropped)
+    with pytest.raises(NumericalFailure, match="failed validation"):
+        call()
 
 
 @pytest.mark.parametrize("make", [lambda: phase_grid_problem(3),
@@ -588,38 +611,39 @@ def test_covariant_gamma_requires_orbit_combs(rng):
         covariant_gamma(skew, action)
 
 
-@pytest.mark.parametrize("entries", [1, 100, 1 << 20])
-def test_covariance_checks_name_the_first_failing_element(entries, rng,
-                                                          monkeypatch):
-    # the checks take a chunk of elements at a time; any chunking names the
-    # element that a loop over the elements finds first
-    monkeypatch.setattr(qnetopt.covariant, "CHECK_ENTRIES", entries)
+def test_covariance_checks_name_the_first_failing_element(rng):
+    # each check compares every element with the identity e, and names the
+    # first element that a loop over the elements finds failing: a payoff row
+    # y with g(y, x) != g(e, y^-1 x), a comb R_x != U_x R_e U_x^H
     problem, action = phase_grid_problem(2)
-    assert covariant_gamma(problem, action).gamma_max == pytest.approx(
-        problem.payoff_shift + phase_estimation_optimum(2).cos_max, abs=1e-7)
+    e, table = action.identity_index, action.table
     payoff = problem.payoff.copy()
+    payoff[4, 1] += 0.3
     payoff[3, 4] += 0.3
+    inverse = [list(row).index(e) for row in table]
     moved = [y for y in range(action.size)
-             if np.abs(payoff[np.ix_(action.table[y], action.table[y])]
-                       - payoff).max() > 1e-9]
-    with pytest.raises(NotLeftInvariant, match="by %d$" % moved[0]):
+             if np.abs(payoff[y] - payoff[e, table[inverse[y]]]).max() > 1e-9]
+    assert moved == [3, 4]
+    with pytest.raises(NotLeftInvariant, match="y = %d$" % moved[0]):
         covariant_gamma(EstimationProblem(
             problem.space, problem.labels_x, problem.prior, problem.combs,
             payoff, problem.payoff_shift), action)
-    step = problem.space.steps[0]
-    stray = comb_of_memoryless_sequence([choi_of_channel(
-        [random_unitary(rng, 2)], step.in_sys, step.out_sys)])
-    combs = problem.combs[:4] + (stray,) + problem.combs[5:]
-    mats = [c.op.data for c in combs]
-    factors = problem.space.factors()
-    moved = [g for g, el in enumerate(action.elements)
-             if max(np.abs(act(action, el, c.op).data - mats[action.table[g, x]]
-                           ).max() for x, c in enumerate(combs)) > 1e-8]
-    with pytest.raises(NotLeftInvariant, match=r"\(element %d\)" % moved[0]):
-        covariant_gamma(EstimationProblem(
-            problem.space, problem.labels_x, problem.prior, combs,
-            problem.payoff, problem.payoff_shift), action)
-    assert diagonal_characters(action, factors) is not None
+    for problem, action in (phase_grid_problem(2), rotated_phase_grid(2)):
+        step = problem.space.steps[0]
+        stray = comb_of_memoryless_sequence([choi_of_channel(
+            [random_unitary(rng, 2)], step.in_sys, step.out_sys)])
+        combs = tuple(stray if x in (2, 4) else c
+                      for x, c in enumerate(problem.combs))
+        e = action.identity_index
+        moved = [x for x, el in enumerate(action.elements)
+                 if np.abs(act(action, el, combs[e].op).data
+                           - combs[x].op.data).max() > 1e-8]
+        assert moved == [2, 4]
+        with pytest.raises(NotLeftInvariant,
+                           match=r"\(element %d\)" % moved[0]):
+            covariant_gamma(EstimationProblem(
+                problem.space, problem.labels_x, problem.prior, combs,
+                problem.payoff, problem.payoff_shift), action)
 
 
 def test_phase_oracle_small_dimensions():

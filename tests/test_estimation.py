@@ -31,8 +31,11 @@ def test_negative_payoff_rejected():
     ("prior", "ab"), ("prior", [[0.5], [0.5, 0.5]]),
     ("payoff", "ab"), ("payoff", [[1.0, 0.0], [0.0]]),
     ("payoff_shift", "abc"),
+    # numpy would cast a complex array to its real part, with only a warning
+    ("prior", np.array([0.5 + 0.3j, 0.5])),
+    ("payoff", np.array([[1.0, 0.2j], [0.0, 1.0]])),
 ], ids=["prior-string", "prior-ragged", "payoff-string", "payoff-ragged",
-        "shift-string"])
+        "shift-string", "prior-complex-array", "payoff-complex-array"])
 def test_unreadable_numbers_are_bad_parameters(field, value):
     p = helstrom_problem()
     fields = dict(prior=p.prior, payoff=p.payoff, payoff_shift=0.0)

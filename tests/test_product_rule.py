@@ -132,8 +132,9 @@ def test_multicopy_priors_must_be_a_finite_pair(priors):
         counterexample_multicopy(np.array([1.0, 0.0]), PLUS, priors, 2)
 
 
-@pytest.mark.parametrize("priors", ["ab", [[0.5], [0.5, 0.5]]],
-                         ids=["string", "ragged"])
+@pytest.mark.parametrize("priors", ["ab", [[0.5], [0.5, 0.5]],
+                                    np.array([0.5 + 0.3j, 0.5])],
+                         ids=["string", "ragged", "complex-array"])
 def test_multicopy_unreadable_priors_are_bad_parameters(priors):
     with pytest.raises(BadParameter, match="priors"):
         counterexample_multicopy(np.array([1.0, 0.0]), PLUS, priors, 2)
