@@ -611,10 +611,13 @@ def test_covariant_gamma_requires_orbit_combs(rng):
         covariant_gamma(skew, action)
 
 
-def test_covariance_checks_name_the_first_failing_element(rng):
+@pytest.mark.parametrize("seed", [1, 100, 1 << 20])
+def test_covariance_checks_name_the_first_failing_element(seed):
     # each check compares every element with the identity e, and names the
     # first element that a loop over the elements finds failing: a payoff row
-    # y with g(y, x) != g(e, y^-1 x), a comb R_x != U_x R_e U_x^H
+    # y with g(y, x) != g(e, y^-1 x), a comb R_x != U_x R_e U_x^H; the seed
+    # draws the stray channel, so the orbit check is named on several combs
+    rng = np.random.default_rng(seed)
     problem, action = phase_grid_problem(2)
     e, table = action.identity_index, action.table
     payoff = problem.payoff.copy()
