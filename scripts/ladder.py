@@ -11,8 +11,11 @@ memory or time is a result, not a crash.  The child repeats the call while
 the calls so far total under REPEAT_S seconds, up to MAX_CALLS calls, so a
 sub-second rung is timed more than once.  A record holds the median wall
 seconds of those calls and how many there were, the child's peak RSS
-(ru_maxrss), its peak RSS when the first call returns (first_rss_mb, which
-the allocator's state after repeated calls cannot raise), the median over
+(ru_maxrss) when the last call returns, before the certificate check
+(peak_rss_mb; a timeout, refused, memory_limit or error record has the
+whole child's, from wait4), its peak RSS when the first call returns
+(first_rss_mb, which the allocator's state after repeated calls cannot
+raise), the median over
 its calls of the minor page faults each call took (minflt, from getrusage
 around the call: pages the allocator mapped afresh), iterations, gamma
 (on the caller's score scale), its distance to the oracle where there is
@@ -153,7 +156,7 @@ def _record_estimates() -> list:
 
 
 def run_rung(name: str) -> dict:
-    """Set up and time one rung in this process; the record, without RSS."""
+    """Set up and time one rung in this process; the record."""
     from qnetopt.errors import DimensionCap
     kind, _, arg = name.partition("-")
     if kind == "grid":
@@ -185,6 +188,8 @@ def run_rung(name: str) -> dict:
         return {"outcome": "refused", "detail": str(exc)}
     except MemoryError as exc:
         return {"outcome": "memory_limit", "detail": str(exc)}
+    # the calls' peak: the certificate check below builds full-size payoffs
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if kind in COVARIANT:
         from qnetopt.networks import QuantumComb
         from qnetopt.sdp import certify_dual
@@ -198,7 +203,8 @@ def run_rung(name: str) -> dict:
     rec = {"outcome": "ok", "wall_s": statistics.median(walls),
            "calls": len(walls), "iterations": result.iterations,
            "gamma": gamma, "certified": bool(certified),
-           "first_rss_mb": first_mb, "minflt": statistics.median_low(faults),
+           "peak_rss_mb": peak_mb, "first_rss_mb": first_mb,
+           "minflt": statistics.median_low(faults),
            "estimate_mb": max(estimates) / 2 ** 20 if estimates else None}
     if oracle is not None:
         rec["oracle_distance"] = abs(gamma - oracle)
@@ -212,7 +218,11 @@ def _limits(memory_bytes: int):
 
 
 def spawn(name: str, src: str, memory_bytes: int, budget_s: float) -> dict:
-    """Run one rung in a child process under the limits; wait4 gives its RSS."""
+    """Run one rung in a child process under the limits.
+
+    The record's peak_rss_mb is the child's own when it wrote one, else
+    the whole child's from wait4.
+    """
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryFile("w+") as out, \
@@ -249,7 +259,7 @@ def spawn(name: str, src: str, memory_bytes: int, budget_s: float) -> dict:
         rec = {"outcome": "memory_limit"}
     else:
         rec = {"outcome": "error", "exit": proc.returncode, "error": error}
-    rec["peak_rss_mb"] = peak_mb
+    rec.setdefault("peak_rss_mb", peak_mb)
     return rec
 
 

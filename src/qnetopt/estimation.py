@@ -15,15 +15,15 @@ functions record the constant added to make them nonnegative in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, DuplicateLabel, OutcomeMismatch, ShapeMismatch
-from .networks import (CombSpace, QuantumComb, Tester, tensor_combs,
-                       validate_comb)
+from .errors import BadParameter, OutcomeMismatch, ShapeMismatch
+from .networks import CombSpace, Tester, tensor_combs, validate_comb
 
 PRIOR_TOL = 1e-12
 
@@ -86,7 +86,7 @@ class EstimationProblem:
         if len(combs) != len(labels):
             raise ShapeMismatch("%d combs vs %d labels" % (len(combs), len(labels)))
         for c in combs:
-            if c.space.factor_ids() != self.space.factor_ids():
+            if c.space != self.space:
                 raise ShapeMismatch("comb space differs from problem space")
 
     @property
@@ -120,10 +120,13 @@ def payoff_operators(problem: EstimationProblem) -> np.ndarray:
 def expected_payoff(tester: Tester, problem: EstimationProblem) -> float:
     """gamma[T] = sum_est Tr[T_est G_est], computed with the stored payoff.
 
-    Outcome ids must coincide with the problem's parameter labels as sets.
+    The tester must be on the problem's space (ShapeMismatch), and its
+    outcome ids must coincide with the problem's parameter labels as sets.
     The value is on the stored-payoff scale; subtract problem.payoff_shift to
     get back to the unshifted score.
     """
+    if tester.space != problem.space:
+        raise ShapeMismatch("tester space differs from problem space")
     if sorted(map(repr, tester.outcome_ids())) != sorted(map(repr, problem.labels_x)):
         raise OutcomeMismatch(
             "tester outcomes %r vs problem labels %r"
@@ -144,35 +147,19 @@ def joint_problem(problems: Sequence[EstimationProblem]) -> EstimationProblem:
     """
     if not problems:
         raise BadParameter("need at least one problem")
-    all_ids = [lid for p in problems for lid in p.space.factor_ids()]
-    if len(set(all_ids)) != len(all_ids):
-        raise DuplicateLabel("factor labels repeat across problems")
     space = problems[0].space
-    for p in problems[1:]:
-        space = space.concat(p.space)
-
     labels = [(x,) for x in problems[0].labels_x]
-    for p in problems[1:]:
-        labels = [lx + (x,) for lx in labels for x in p.labels_x]
-    labels = [tuple(l) for l in labels]
-
     prior = problems[0].prior
-    for p in problems[1:]:
-        prior = np.outer(prior, p.prior).reshape(-1)
-
     payoff = problems[0].payoff
-    for p in problems[1:]:
+    for p in problems[1:]:  # concat raises DuplicateLabel for shared labels
+        space = space.concat(p.space)
+        labels = [lx + (x,) for lx in labels for x in p.labels_x]
+        prior = np.outer(prior, p.prior).reshape(-1)
         payoff = np.einsum("ij,kl->ikjl", payoff, p.payoff).reshape(
             payoff.shape[0] * p.payoff.shape[0], -1)
-
-    index_lists = [range(p.num_params) for p in problems]
-    combs = []
-    for combo in itertools.product(*index_lists):
-        c = problems[0].combs[combo[0]]
-        for k in range(1, len(problems)):
-            c = tensor_combs(c, problems[k].combs[combo[k]])
-        combs.append(QuantumComb(space, c.op))
-    return EstimationProblem(space, tuple(labels), prior, tuple(combs), payoff)
+    combs = tuple(functools.reduce(tensor_combs, chosen)
+                  for chosen in itertools.product(*(p.combs for p in problems)))
+    return EstimationProblem(space, tuple(labels), prior, combs, payoff)
 
 
 def problem_from_raw_payoff(space, labels_x, prior, combs,

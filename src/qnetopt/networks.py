@@ -12,9 +12,9 @@ Conventions fixed here and used end-to-end:
   With this choice  Tr[choi(C) (A_out (x) B_in^T)] = Tr[A C(B)]  and the partial
   trace over the output equals the identity on the input.
 * A comb on steps s = 1..N lives on (out_1, in_1, ..., out_N, in_N), the
-  canonical factor order.  QuantumComb and Tester store their operators in
-  that order from construction, whatever order they were given in, so no
-  code downstream permutes or checks it again.
+  canonical factor order.  QuantumComb and Tester store their operators on
+  exactly space.factors(), dims included, whatever order they were given
+  in, so downstream "same space?" is CombSpace equality.
 * A step with input dimension 1 is a preparation; output dimension 1 is a sink.
 """
 
@@ -70,18 +70,24 @@ class CombSpace:
             out.extend([s.out_sys, s.in_sys])
         return tuple(out)
 
-    def factor_ids(self) -> tuple:
-        return tuple(f.id for f in self.factors())
-
     def concat(self, other: "CombSpace") -> "CombSpace":
         return CombSpace(self.steps + other.steps)
 
 
 def _canonical(op: LabeledOperator, space: CombSpace) -> LabeledOperator:
-    """op in the space's factor order; BadPermutation if its labels differ."""
-    want = space.factor_ids()
-    if op.label_ids() != want:
+    """op in the space's factor order, permuted by labels.
+
+    BadPermutation if its labels differ from the space's, ShapeMismatch if
+    a factor's dimension does.
+    """
+    want = space.factors()
+    if op.factors != want:
         op = permute_systems(op, want)
+        bad = ["%s: %d, not %d" % (f.id, f.dim, w.dim)
+               for f, w in zip(op.factors, want) if f != w]
+        if bad:
+            raise ShapeMismatch("factor dims differ from the space's: "
+                                + "; ".join(bad))
     return op
 
 
@@ -250,10 +256,10 @@ def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:
 def born_probability(t_m: LabeledOperator, comb) -> float:
     """Generalized Born rule p(m|R) = Tr[T_m R]."""
     op = comb.op if isinstance(comb, QuantumComb) else comb
-    if sorted(t_m.label_ids()) != sorted(op.label_ids()):
+    if set(t_m.factors) != set(op.factors):
         raise ShapeMismatch(
             "tester factors %r do not match comb factors %r"
-            % (t_m.label_ids(), op.label_ids()))
+            % (t_m.factors, op.factors))
     t_aligned = permute_systems(t_m, op.label_ids())
     val = complex(np.trace(t_aligned.data @ op.data))
     scale = max(1.0, abs(val))

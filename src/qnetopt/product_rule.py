@@ -57,7 +57,7 @@ def _check_joint_matches(joint: EstimationProblem,
         raise NonProductPayoff("joint prior is not the product of the factors")
     if np.max(np.abs(joint.payoff - reference.payoff)) > 1e-12:
         raise NonProductPayoff("joint payoff is not the product of the factors")
-    if joint.space.factor_ids() != reference.space.factor_ids():
+    if joint.space != reference.space:
         raise NonProductPayoff("joint space is not the concatenation of the factors")
     for a, b in zip(joint.combs, reference.combs):
         if np.max(np.abs(a.op.data - b.op.data)) > 1e-10:

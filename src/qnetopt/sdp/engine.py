@@ -138,10 +138,9 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
         comb = validate_comb(comb, max(tol, 1e-8))
     except (NotPSD, NormalizationViolation, ShapeMismatch) as exc:
         raise InvalidComb(str(exc)) from exc
-    order = problem.space.factor_ids()
-    if comb.op.label_ids() != order:
-        raise ShapeMismatch("comb factors %r do not match problem space %r"
-                            % (comb.op.label_ids(), order))
+    if comb.space != problem.space:
+        raise ShapeMismatch("comb space %r does not match problem space %r"
+                            % (comb.space.factors(), problem.space.factors()))
     margins = [min_eig(lambda_ * comb.op.data - g)
                for g in payoff_operators(problem)]
     return CertificateReport.of(lambda_, problem, margins, tol)

@@ -131,7 +131,7 @@ def problem_to_json(problem: EstimationProblem) -> dict:
 def problem_from_json(doc) -> EstimationProblem:
     try:
         space = space_from_json(doc["steps"])
-        labels = tuple(str(x) for x in doc["labels_x"])
+        labels = doc["labels_x"]
         prior = np.asarray(doc["prior"], dtype=float)
         payoff = np.asarray(doc["payoff"], dtype=float)
         raw_combs = doc["combs"]
@@ -140,8 +140,11 @@ def problem_from_json(doc) -> EstimationProblem:
         raise ParseError("problem file missing key %s" % e)
     except (TypeError, ValueError) as e:
         raise ParseError("bad problem payload: %s" % e)
+    if not isinstance(labels, list):
+        raise ParseError("problem labels_x must be a list")
     if not isinstance(raw_combs, dict):
         raise ParseError("problem combs must be an object")
+    labels = tuple(str(x) for x in labels)
     factors = space.factors()
     combs = []
     for x in labels:

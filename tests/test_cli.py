@@ -13,6 +13,8 @@ from conftest import HELSTROM_VALUE, helstrom_problem
 
 from qnetopt import serde
 from qnetopt.cli import EXAMPLE_NAMES, build_parser, main
+from qnetopt.networks import comb_of_state
+from qnetopt.operators import LabeledOperator, SystemLabel
 from qnetopt.sdp import solve
 
 
@@ -311,6 +313,21 @@ def test_malformed_problem_is_parse_exit(problem_file, tmp_path, capsys,
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("labels", ["01", {"0": 0, "1": 1}],
+                         ids=["string", "object"])
+def test_labels_that_are_not_a_list_are_parse_exit(tmp_path, capsys, command,
+                                                   labels):
+    doc = serde.problem_to_json(helstrom_problem())
+    doc["labels_x"] = labels  # iterating either would give '0' and '1'
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, command, str(path),
+                       *(["--out", "/dev/null"] if command == "solve" else []))
+    assert rc == 3 and out == ""
+    assert err == "parse error: problem labels_x must be a list\n"
+
+
 @pytest.mark.parametrize("dim", [0, -3, 2.5, "2", True])
 def test_bad_factor_dim_is_parse_exit(tmp_path, capsys, dim):
     # a dim must be a JSON integer >= 1: none is rounded, read from a
@@ -346,6 +363,21 @@ def test_dual_check_accepts_bare_comb_with_lambda(problem_file, tmp_path,
     assert run(capsys, "dual-check", problem_file, str(path))[0] == 0
 
 
+@pytest.mark.parametrize("factor", [SystemLabel("hel", 3),
+                                    SystemLabel("other", 2)],
+                         ids=["other-dims", "other-ids"])
+def test_dual_check_certificate_on_another_space_is_invalid_exit(
+        problem_file, tmp_path, capsys, factor):
+    mixed = LabeledOperator((factor,), np.eye(factor.dim) / factor.dim)
+    doc = {"comb_certificate": serde.comb_to_json(comb_of_state(mixed)),
+           "lambda": 1.0}
+    path = tmp_path / "solution.json"
+    serde.dump_path(doc, str(path))
+    rc, _out, err = run(capsys, "dual-check", problem_file, str(path))
+    assert rc == 2
+    assert "match problem space" in err
+
+
 def test_dual_check_needs_lambda(problem_file, tmp_path, capsys):
     sol = solve(helstrom_problem())
     path = tmp_path / "nolam.json"
@@ -373,6 +405,32 @@ def test_example_two_phase_document(tmp_path, capsys):
     assert doc["gamma_joint"] == pytest.approx(0.35, abs=1e-5)
     assert doc["bell_sq_overlap"] >= 0.999
     assert doc["product_grid_value"] == pytest.approx(0.25, abs=1e-9)
+
+
+SQRT_HALF, SQRT_3_4 = np.sqrt(0.5), np.sqrt(0.75)
+
+
+@pytest.mark.parametrize("name, expected, tol", [
+    ("ykl", {"p_success": 2.0 / 3.0}, 1e-7),
+    ("qmax", {"q_max": 0.5, "p_success": 1.0,
+              "invariant_state_diag": [0.5, 0.5]}, 1e-7),
+    ("multicopy", {"p_single": (1 + SQRT_HALF) / 2,
+                   "p_multi": (1 + SQRT_3_4) / 2,
+                   "advantage": (1 + SQRT_3_4) / 2 - ((1 + SQRT_HALF) / 2) ** 2},
+     1e-12),
+    ("product-rule", {"gamma_joint": ((1 + SQRT_HALF) / 2) ** 2}, 2e-6),
+])
+def test_example_reports(tmp_path, capsys, name, expected, tol):
+    out = tmp_path / "rep.json"
+    assert run(capsys, "example", name, "--quiet", "--out", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+    for key, value in expected.items():
+        assert doc[key] == pytest.approx(value, abs=tol), key
+    if name == "ykl":
+        assert doc["witness_slack"] <= 1e-6
+    if name == "product-rule":
+        assert doc["certified"] is True
+        assert doc["relative_deviation"] <= 1e-6
 
 
 def test_example_emits_to_stdout_by_default(capsys):

@@ -23,7 +23,7 @@ from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                two_phase_payoff_matrix, two_phase_problem)
 from qnetopt.errors import (BadDimension, BadParameter, DimensionCap,
                             NotAState, NotLeftInvariant, NotPSD,
-                            NumericalFailure)
+                            NumericalFailure, ShapeMismatch)
 from qnetopt.estimation import EstimationProblem
 from qnetopt.instances import random_unitary
 from qnetopt.networks import (QuantumComb, comb_of_memoryless_sequence,
@@ -51,6 +51,13 @@ def test_group_table_checked():
     # rows are permutations and 0 is an identity, but column 1 repeats 1
     with pytest.raises(BadParameter, match="column 1 of the composition"):
         FiniteGroupAction((0, 1, 2), [[0, 1, 2], [1, 2, 0], [2, 1, 0]], {})
+
+
+def test_table_needs_an_identity():
+    # rows and columns are permutations, but no row or column is the identity
+    table = (-np.arange(3)[:, None] - np.arange(3)[None, :]) % 3
+    with pytest.raises(BadParameter, match="no identity element"):
+        FiniteGroupAction((0, 1, 2), table, {})
 
 
 def test_table_rows_must_be_permutations():
@@ -587,6 +594,31 @@ def test_covariant_gamma_requires_uniform_prior():
                              problem.payoff_shift)
     with pytest.raises(BadParameter, match="uniform"):
         covariant_gamma(skew, action)
+
+
+def test_covariant_gamma_requires_representatives_of_the_factor_dim():
+    problem, _action = phase_grid_problem(4)
+    qubit_action = phase_action(SystemLabel("ph_out", 2), len(problem.labels_x))
+    with pytest.raises(ShapeMismatch, match=r"rep\['ph_out'\] has shape"):
+        covariant_gamma(problem, qubit_action)
+
+
+def test_covariant_gamma_requires_labels_equal_to_the_elements():
+    problem, action = phase_grid_problem(2)
+    shifted = EstimationProblem(problem.space,
+                                tuple(x + 1 for x in problem.labels_x),
+                                problem.prior, problem.combs, problem.payoff,
+                                problem.payoff_shift)
+    with pytest.raises(BadParameter, match="must equal the group elements"):
+        covariant_gamma(shifted, action)
+
+
+def test_covariant_gamma_requires_a_nonzero_identity_row():
+    problem, action = phase_grid_problem(2)
+    zero = EstimationProblem(problem.space, problem.labels_x, problem.prior,
+                             problem.combs, np.zeros_like(problem.payoff))
+    with pytest.raises(BadParameter, match="row at the identity is all zero"):
+        covariant_gamma(zero, action)
 
 
 def test_covariant_gamma_requires_invariant_payoff():

@@ -10,7 +10,9 @@ from qnetopt.errors import BadParameter, DuplicateLabel, ShapeMismatch
 from qnetopt.estimation import (EstimationProblem, expected_payoff,
                                 joint_problem, payoff_operators,
                                 problem_from_raw_payoff)
-from qnetopt.networks import born_probability, validate_tester
+from qnetopt.networks import born_probability, comb_of_state, validate_tester
+from qnetopt.operators import LabeledOperator, SystemLabel
+from qnetopt.sdp import solve
 
 
 def test_prior_must_normalize():
@@ -81,6 +83,17 @@ def test_expected_payoff_rejects_outcome_mismatch(rng):
         expected_payoff(validate_tester(t), p)
 
 
+@pytest.mark.parametrize("factor", [SystemLabel("hel", 3),
+                                    SystemLabel("other", 2)],
+                         ids=["other-dims", "other-ids"])
+def test_expected_payoff_rejects_a_tester_on_another_space(factor):
+    p = helstrom_problem()
+    mixed = LabeledOperator((factor,), np.eye(factor.dim) / factor.dim)
+    space = comb_of_state(mixed).space
+    with pytest.raises(ShapeMismatch, match="tester space differs"):
+        expected_payoff(uniform_tester(space, p.labels_x), p)
+
+
 def test_joint_problem_structure():
     a = helstrom_problem("ja")
     b = helstrom_problem("jb")
@@ -139,3 +152,12 @@ def test_comb_space_mismatch_rejected():
     b = helstrom_problem("mb")
     with pytest.raises(ShapeMismatch):
         EstimationProblem(a.space, a.labels_x, a.prior, b.combs, a.payoff)
+
+
+def test_combs_on_the_same_ids_with_other_dims_are_a_shape_mismatch():
+    qubit = comb_of_state(LabeledOperator((SystemLabel("q", 2),), np.eye(2) / 2))
+    qutrit = comb_of_state(LabeledOperator((SystemLabel("q", 3),),
+                                           np.eye(3) / 3))
+    with pytest.raises(ShapeMismatch, match="comb space differs"):
+        solve(EstimationProblem(qubit.space, (0, 1), [0.5, 0.5],
+                                (qubit, qutrit), np.eye(2)))

@@ -93,6 +93,21 @@ def test_tester_needs_an_outcome():
         validate_tester(Tester(space, ()))
 
 
+@pytest.mark.parametrize("order", [("q", "q#src"), ("q#src", "q")])
+def test_an_operator_on_the_space_ids_with_other_dims_is_a_shape_mismatch(
+        order):
+    qubit = comb_of_state(LabeledOperator((SystemLabel("q", 2),), np.eye(2) / 2))
+    qutrit = comb_of_state(LabeledOperator((SystemLabel("q", 3),),
+                                           np.eye(3) / 3))
+    op = permute_systems(qutrit.op, order)
+    with pytest.raises(ShapeMismatch, match="q: 3, not 2"):
+        validate_comb(QuantumComb(qubit.space, op))
+    with pytest.raises(ShapeMismatch, match="q: 3, not 2"):
+        Tester(qubit.space, ((0, op),))
+    with pytest.raises(ShapeMismatch, match="do not match comb factors"):
+        born_probability(op, qubit)
+
+
 def test_uniform_tester_chain_and_probabilities(rng):
     space = CombSpace(((I2, O2),))
     u = uniform_tester(space, ("a", "b", "c"))
@@ -253,7 +268,7 @@ def test_combs_and_testers_store_the_canonical_factor_order(rng):
     combs = [random_memory_comb(rng, space) for _ in range(2)]
     moved = [QuantumComb(space, permute_systems(c.op, shuffled)) for c in combs]
     for c, m in zip(combs, moved):
-        assert m.op.label_ids() == space.factor_ids()
+        assert m.op.factors == space.factors()
         np.testing.assert_array_equal(m.op.data, c.op.data)
         assert serde.comb_to_json(m) == serde.comb_to_json(c)
 
@@ -261,7 +276,7 @@ def test_combs_and_testers_store_the_canonical_factor_order(rng):
     moved_tester = Tester(space, tuple((k, permute_systems(op, shuffled))
                                        for k, op in tester.outcomes))
     for (_, op), (_, mop) in zip(tester.outcomes, moved_tester.outcomes):
-        assert mop.label_ids() == space.factor_ids()
+        assert mop.factors == space.factors()
         np.testing.assert_array_equal(mop.data, op.data)
     assert serde.tester_to_json(moved_tester) == serde.tester_to_json(tester)
 

@@ -62,6 +62,15 @@ def test_supplied_joint_is_checked():
         verify_product_rule([a, b], joint=correlated)
 
 
+def test_supplied_joint_on_other_dims_is_rejected():
+    a, b = helstrom_problem("a"), helstrom_problem("b")
+    qutrit_b = qubit_state_problem("b", [np.eye(3)[0], np.append(PLUS, 0.0)],
+                                   [0.5, 0.5])
+    joint = joint_problem([a, qutrit_b])  # same ids, labels, prior and payoff
+    with pytest.raises(NonProductPayoff, match="space"):
+        verify_product_rule([a, b], joint=joint)
+
+
 def test_shifted_factor_rejected():
     p = helstrom_problem()
     shifted = problem_from_raw_payoff(p.space, p.labels_x, p.prior, p.combs,
