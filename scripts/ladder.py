@@ -9,7 +9,8 @@ in a fresh Python process with BLAS pinned to one thread, an address-space
 limit of MEMORY_GIB (RLIMIT_AS) and a wall-clock budget, so running out of
 memory or time is a result, not a crash.  The child repeats the call while
 the calls so far total under REPEAT_S seconds, up to MAX_CALLS calls, so a
-sub-second rung is timed more than once.  A record holds the median wall
+sub-second rung is timed more than once.  A record holds the seconds the
+child took to build the rung's problem, once (build_s), the median wall
 seconds of those calls and how many there were, the child's peak RSS
 (ru_maxrss) when the last call returns, before the certificate check
 (peak_rss_mb; a timeout, refused, memory_limit or error record has the
@@ -157,8 +158,9 @@ def _record_estimates() -> list:
 
 def run_rung(name: str) -> dict:
     """Set up and time one rung in this process; the record."""
-    from qnetopt.errors import DimensionCap
+    from qnetopt.errors import DimensionCap  # loads the whole package
     kind, _, arg = name.partition("-")
+    start = time.perf_counter()
     if kind == "grid":
         call, oracle = _grid(int(arg))
     elif kind == "seq":
@@ -171,6 +173,7 @@ def run_rung(name: str) -> dict:
         call = lambda: covariant_gamma(problem, action)
     else:
         call, oracle = _memory(arg)
+    build_s = time.perf_counter() - start
     estimates = _record_estimates()
     walls, faults = [], []
     try:
@@ -200,7 +203,8 @@ def run_rung(name: str) -> dict:
     else:
         gamma = result.gamma_primal
         certified = result.certificate.certified
-    rec = {"outcome": "ok", "wall_s": statistics.median(walls),
+    rec = {"outcome": "ok", "build_s": build_s,
+           "wall_s": statistics.median(walls),
            "calls": len(walls), "iterations": result.iterations,
            "gamma": gamma, "certified": bool(certified),
            "peak_rss_mb": peak_mb, "first_rss_mb": first_mb,

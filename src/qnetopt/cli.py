@@ -116,11 +116,10 @@ def cmd_dual_check(args) -> int:
     else:
         comb = serde.comb_from_json(doc)
     try:
-        raw = doc["lambda"]
-        lam = np.nan if isinstance(raw, bool) else float(raw)
-    except (KeyError, TypeError, ValueError):
+        lam = serde.json_number(doc["lambda"], "lambda")
+    except (KeyError, ParseError):
         lam = np.nan
-    if not 0.0 <= lam < np.inf:  # NaN too; JSON's true is not a number here
+    if not 0.0 <= lam < np.inf:  # NaN too
         raise ParseError("certificate file needs a finite, nonnegative "
                          "numeric 'lambda'")
     report = certify_dual(lam, comb, problem, tol=args.tol)

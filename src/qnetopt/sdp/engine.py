@@ -10,8 +10,9 @@ The certificate is read off the row multipliers y through the program's own
 A and A^T.  The raw dual satisfies its chain conditions as inequalities; a
 mixing correction of the multipliers (add the shortfall, averaged over a
 maximally mixed state on each output) turns them into exact equalities
-without breaking positivity.  After it, lambda = -y[0], and -A^T y on the
-outcome groups is lambda R on the outcome sectors, R a normalized comb.
+without breaking positivity.  After it, lambda = -b.y, the trace of the
+first level of the dual chain that has rows, and -A^T y on the outcome
+groups is lambda R on the outcome sectors, R a normalized comb.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def slater_point(sdp: StandardSdp) -> np.ndarray:
     """Row multipliers of a strictly feasible dual chain of scaled identities.
 
     Level j's rows, j = 0..N, hold -c_j on its diagonal coordinates, those of
-    -c_j I.  c_N tops every payoff eigenvalue, read from C, the payoffs' only
+    -c_j I (no level below the first step with an input has rows).  c_N tops
+    every payoff eigenvalue, read from C, the payoffs' only
     copy, so the top level dominates with definite margin; each step down
     doubles the traced-out scale, which keeps the chain inequalities strict
     whatever the step dimensions.
@@ -108,13 +110,16 @@ def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     level-n rows of A(Delta_n), 0 on the other groups, over d_out, are
     added to those of y, so S^(n) = -y there gains I_out / d_out (x) Delta_n.
     Deltas are PSD for a feasible dual, so each corrected level still
-    dominates the original one; row 0 (S^(0)) is unchanged.  Delta_n is 0
-    off the sectors of Xi^(n), whose labels every level's rows share (those
-    of a covariant program too), so the chain holds at full size.
+    dominates the original one; the first level with rows, and so lambda =
+    -b.y, is unchanged.  A fixed Xi^(n) has no group and no slack.  Delta_n
+    is 0 off the sectors of Xi^(n), whose labels every level's rows share
+    (those of a covariant program too), so the chain holds at full size.
     """
     y = np.array(y, dtype=float)
     cmap = sdp.cmap
     for n, groups in enumerate(sdp.xi_groups, start=1):
+        if not groups:  # Xi^(n) is fixed: no slack to close
+            continue
         delta = [-a[None] if g in groups else np.zeros((1,) + a.shape)
                  for g, a in enumerate(cmap.apply_AT(y))]
         rows = sdp.level_rows(n)
@@ -172,9 +177,10 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
     seed = (weights, characters) solves problem's one-outcome seed program
     instead (covariant_gamma): the comb sum_x w_x R_x / sum_x w_x, Hermitian
     part taken, the characters (diagonal_characters) joining the torus
-    charges in the labels.  With y the tightened multipliers, lambda = -y[0]
-    and R's outcome-sector blocks are -A^T y / lambda; R is checked as solve
-    does, and the margins on those blocks.  The caller has validated the
+    charges in the labels.  With y the tightened multipliers, lambda = -b.y
+    (-y[0] when step 1 has an input, Tr S^(1) for a state problem) and R's
+    outcome-sector blocks are -A^T y / lambda; R is checked as solve does,
+    and the margins on those blocks.  The caller has validated the
     problem's combs.
     """
     k, characters = len(problem.combs), {}
@@ -191,7 +197,7 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
     y = tighten_dual(sdp, res.y)
-    lambda_ = float(-y[0])
+    lambda_ = float(-np.dot(sdp.b, y))
     groups = sdp.outcome_groups
     blocks = [-a / lambda_ for a in sdp.cmap.apply_AT(y)[groups]]
     top = LabeledOperator(problem.space.factors(), sdp.outcome(blocks))

@@ -9,7 +9,11 @@ tester normalization recursion, written level by level:
     level N:      sum_est T_est - I_out(N) (x) Xi^(N) = 0
 
 and the objective is  max sum_est <G_est, T_est>.  Level 0 is the base
-case, on the 1x1 space of Xi^(0) = 1, whose side is D_0 = 1.
+case, on the 1x1 space of Xi^(0) = 1, whose side is D_0 = 1.  A leading
+step with no input fixes its Xi^(j) = I: it has no block, the levels below
+the first step with an input have no rows, and that level's I_out (x) Xi
+is the right-hand side.  So level 0 has a row only when step 1 has an
+input, and a state problem is  sum_est T_est = I.
 
 Blocks are complex Hermitian and every coefficient is a Hermitian operator,
 so row values and objective numbers are Hilbert-Schmidt inner products on the
@@ -22,13 +26,13 @@ charges.  Each tester block is therefore split into its charge sectors, and
 the constraint rows of each level are its invariant coordinates, those of
 the Hermitian basis whose row and column positions share a charge: the sum
 of the squared sector sides, not D_j^2.  A trivial torus has one sector per
-space and gives sum_(j=0..N) D_j^2 rows, which keeps the Schur complement
-positive definite.  A covariant program labels the chain's positions by
-the pair (charge, character of a diagonal group action) and its outcome's
-by the charge only, so its rows are the coordinates that both the torus
-and the twirl keep (ChargeSectors).  The sectors of one side are one block
-group of the solver: those of each Xi^(j), and those of every outcome
-block, the outcomes as its copies.
+space and gives sum_j D_j^2 rows over the levels that have rows, which
+keeps the Schur complement positive definite.  A covariant program labels
+the chain's positions by the pair (charge, character of a diagonal group
+action) and its outcome's by the charge only, so its rows are the
+coordinates that both the torus and the twirl keep (ChargeSectors).  The
+sectors of one side are one block group of the solver: those of each
+Xi^(j), and those of every outcome block, the outcomes as its copies.
 
 Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
 in_j); with that choice every coefficient is either a basis element, a basis
@@ -256,12 +260,13 @@ class StandardSdp:
 
     The program's blocks are the cmap groups' (copies, sectors, n, n) stacks:
     first, step by step, the groups of Xi^(j)'s sectors (xi_groups), one copy
-    each, then those of the outcome blocks' sectors, outcome k the copy k.
-    positions[g] holds the (s, n) positions of group g's sectors in their
-    tester block.  C, -G_est on outcome est's sectors and so all of it
-    (charge_sectors), is the objective's only copy.  The rows run over the
-    levels 0..N of the chain, level 0 the 1x1 space of Xi^(0) = 1, whose
-    one coordinate is the row of b = 1.
+    each and none for a fixed Xi^(j), then those of the outcome blocks'
+    sectors, outcome k the copy k.  positions[g] holds the (s, n) positions
+    of group g's sectors in their tester block.  C, -G_est on outcome est's
+    sectors and so all of it (charge_sectors), is the objective's only copy.
+    The rows run over the levels 0..N of the chain, level 0 the 1x1 space
+    of Xi^(0) = 1, from the first step with an input on; b is the identity's
+    coordinates on that level (e_0 when it is level 0).
     """
 
     problem: EstimationProblem
@@ -287,7 +292,7 @@ class StandardSdp:
 
     @property
     def outcome_groups(self) -> slice:
-        return slice(self.xi_groups[-1][-1] + 1, None)
+        return slice(sum(map(len, self.xi_groups)), None)
 
     def outcome(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Full size from the outcome groups' (s, n, n) blocks; 0 off them."""
@@ -325,11 +330,15 @@ def build_primal(problem: EstimationProblem,
     locally, so twirling the Xi chain keeps it a chain, and the rows left
     out never bind.
 
-    The levels run 0..N alike, level 0 the 1x1 space of Xi^(0) = 1: its
-    one row reads Tr Xi^(1), and b is 1 there and 0 on every other row.
-    The program gets, in chain order, one block group per sector side of
-    each chain operator, one copy holding the entry of the level below
-    that reads Xi^(j) and the level-j entry -I_out(j) (x) Xi^(j); then one
+    The levels run 0..N alike, level 0 the 1x1 space of Xi^(0) = 1, whose
+    one row reads Tr Xi^(1).  The recursion from Tr Xi^(1) = 1 fixes
+    Xi^(j) = I for the leading steps with no input: they get no group, the
+    levels below the first step with an input get no rows, and b is the
+    identity's coordinates on that level (e_0 when step 1 has an input)
+    and 0 on every other row.  The program gets, in chain order, one block
+    group per sector side of each other chain operator, one copy holding
+    the entry of the level below that reads Xi^(j) and the level-j entry
+    -I_out(j) (x) Xi^(j); then one
     group per sector side of the outcome space, a copy per outcome, which
     share the level-N entry.  Its objective is zero on the chain and -G_est
     on outcome est's sectors, gathered from each G_est and then negated.
@@ -338,10 +347,14 @@ def build_primal(problem: EstimationProblem,
     space = problem.space
 
     # levels 0..N, level 0 the 1x1 space of Xi^(0) = 1: the side D_j of
-    # each, and its rows, its invariant coordinates
+    # each, and its rows, its invariant coordinates, none below the first
+    # step with an input
+    first = next((j for j, step in enumerate(space.steps)
+                  if step.in_sys.dim > 1), space.num_steps)
     xi_labels, level_labels, outcome_labels = torus.chain_labels(space)
     level_dims = tuple(len(labels) for labels in level_labels)
-    coords = [_invariant_coords(labels) for labels in level_labels]
+    coords = [_invariant_coords(labels) if j >= first else np.zeros(0, np.intp)
+              for j, labels in enumerate(level_labels)]
     offsets = [0]
     for c in coords:
         offsets.append(offsets[-1] + len(c))
@@ -349,8 +362,8 @@ def build_primal(problem: EstimationProblem,
 
     # level j reads Xi^(j+1) through B_a (x) I_in(j+1), its partial trace,
     # and level j + 1 through -Tr_out(j+1) B_a, minus I_out(j+1) (x) Xi^(j+1)
-    groups, positions, xi_groups, C = [], [], [], []
-    for j, step in enumerate(space.steps):
+    groups, positions, xi_groups, C = [], [], [()] * first, []
+    for j, step in enumerate(space.steps[first:], start=first):
         d, d_in, d_out = level_dims[j], step.in_sys.dim, step.out_sys.dim
         lower = _grown_rows(d, d_in, coords[j])
         upper = _shrunk_rows(d, d_out, d_in, coords[j + 1])
@@ -374,8 +387,9 @@ def build_primal(problem: EstimationProblem,
         positions.append(pos)
         C.append(-G[:, pos[:, :, None], pos[:, None, :]])
 
+    # I_out(first) (x) Xi^(first) = I on level first: 1 on its diagonal rows
     b = np.zeros(m)
-    b[0] = 1.0
+    b[offsets[first] + np.flatnonzero(coords[first] < level_dims[first])] = 1.0
     return StandardSdp(problem, level_dims, tuple(offsets),
                        BlockConstraintMap(m, groups), tuple(C), b,
                        tuple(coords), tuple(positions), tuple(xi_groups))

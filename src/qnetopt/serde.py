@@ -32,11 +32,33 @@ def complex_to_json(data: np.ndarray) -> list:
     return np.stack([data.real, data.imag], axis=-1).tolist()
 
 
-def complex_from_json(doc) -> np.ndarray:
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; ParseError for anything else (true, "1")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError("%s must be a JSON number, got %r" % (what, value))
     try:
-        arr = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ParseError("bad matrix payload: %s" % e)
+        return float(value)
+    except OverflowError as e:
+        raise ParseError("%s is out of range: %s" % (what, e))
+
+
+def _numbers(doc, what: str) -> np.ndarray:
+    """A nested list of JSON numbers as a float array; ParseError otherwise.
+
+    The dtype NumPy infers tells numbers from strings, bools and nulls, so no
+    entry is looked at from Python.
+    """
+    try:
+        arr = np.asarray(doc)
+    except ValueError as e:  # ragged
+        raise ParseError("bad %s payload: %s" % (what, e))
+    if arr.dtype.kind not in "iuf":
+        raise ParseError("%s entries must be JSON numbers" % what)
+    return arr.astype(float, copy=False)
+
+
+def complex_from_json(doc) -> np.ndarray:
+    arr = _numbers(doc, "matrix")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ParseError("matrix entries must be [re, im] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
@@ -132,13 +154,13 @@ def problem_from_json(doc) -> EstimationProblem:
     try:
         space = space_from_json(doc["steps"])
         labels = doc["labels_x"]
-        prior = np.asarray(doc["prior"], dtype=float)
-        payoff = np.asarray(doc["payoff"], dtype=float)
+        prior = _numbers(doc["prior"], "prior")
+        payoff = _numbers(doc["payoff"], "payoff")
         raw_combs = doc["combs"]
-        shift = float(doc.get("payoff_shift", 0.0))
+        shift = json_number(doc.get("payoff_shift", 0.0), "payoff_shift")
     except KeyError as e:
         raise ParseError("problem file missing key %s" % e)
-    except (TypeError, ValueError) as e:
+    except TypeError as e:
         raise ParseError("bad problem payload: %s" % e)
     if not isinstance(labels, list):
         raise ParseError("problem labels_x must be a list")

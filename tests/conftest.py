@@ -112,11 +112,19 @@ def hermitian_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
 DualChain = namedtuple("DualChain", "s0 operators")
 
 
+def first_level(sdp) -> int:
+    """The level of the first step with an input: the lowest with rows."""
+    return next(j for j, c in enumerate(sdp.coords) if len(c))
+
+
 def dual_from_y(sdp, y: np.ndarray) -> DualChain:
     """The dual chain at full size from the row multipliers, level by level.
 
     S^(j) is minus level j's rows on its coordinates, 0 on the others: a
     route apart from the program's A^T, for the tests' partial-trace checks.
+    A level below the first step with an input has no rows: its S^(j) is
+    Tr_out(j+1) S^(j+1), as the fixed Xi^(j+1) = I asks, and S^(0) is
+    lambda = -b.y.
     """
     space = sdp.problem.space
     ops = []
@@ -126,7 +134,10 @@ def dual_from_y(sdp, y: np.ndarray) -> DualChain:
         coords[sdp.coords[j]] = -y[sdp.level_rows(j)]
         ops.append(LabeledOperator(space.prefix_factors(j),
                                    hermitian_from_coords(coords, d)))
-    return DualChain(float(-y[0]), tuple(ops))
+    for j in range(first_level(sdp) - 1, 0, -1):
+        traced = partial_trace(ops[j], [space.steps[j].out_sys.id])
+        ops[j - 1] = ops[j - 1].with_data(traced.data)
+    return DualChain(float(-np.dot(sdp.b, y)), tuple(ops))
 
 
 def identity(label: SystemLabel) -> LabeledOperator:
@@ -433,16 +444,23 @@ def outcome_residuals(problem, dual):
 
 
 def structural_row_values(sdp, xi_ops, t_ops):
-    """Constraint row values of labeled Xi^(1..N) and outcome operators."""
+    """Constraint row values of labeled Xi^(1..N) and outcome operators.
+
+    Rows start at the first step with an input; that level's row reads no
+    Xi below it, whose fixed I_out (x) Xi is on the right-hand side b.
+    """
     steps = sdp.problem.space.steps
+    first = first_level(sdp)
     vals = np.zeros(sdp.cmap.m)
-    vals[0] = float(np.trace(xi_ops[0].data).real)
-    for j in range(1, len(steps) + 1):
+    if first == 0:
+        vals[0] = float(np.trace(xi_ops[0].data).real)
+    for j in range(max(first, 1), len(steps) + 1):
         if j < len(steps):
-            traced = partial_trace(xi_ops[j], [steps[j].in_sys.id])
+            traced = partial_trace(xi_ops[j], [steps[j].in_sys.id]).data
         else:
-            traced = t_ops[0].with_data(sum(t.data for t in t_ops))
-        grown = embed_identity(xi_ops[j - 1], steps[j - 1].out_sys, 2 * (j - 1))
-        coords = coords_from_hermitian(traced.data - grown.data)
-        vals[sdp.level_rows(j)] = coords[sdp.coords[j]]
+            traced = sum(t.data for t in t_ops)
+        if j > first:
+            traced = traced - embed_identity(xi_ops[j - 1], steps[j - 1].out_sys,
+                                             2 * (j - 1)).data
+        vals[sdp.level_rows(j)] = coords_from_hermitian(traced)[sdp.coords[j]]
     return vals

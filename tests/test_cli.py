@@ -232,8 +232,7 @@ def test_dual_check_rejects_scaled_lambda(problem_file, tmp_path, capsys):
     assert "certified False" in err
 
 
-# JSON's true loads as a bool, which float() would take as 1.0; a string
-# goes through float(), as payoff_shift's does
+# a JSON number only: float() would take true as 1.0 and "-1" as -1.0
 @pytest.mark.parametrize("lam", ["-Infinity", "Infinity", "NaN", "true",
                                  "false", "-1.0", "-1e-300", '"-1"', '"nan"'])
 def test_dual_check_rejects_non_finite_lambda(problem_file, tmp_path, capsys,
@@ -249,14 +248,46 @@ def test_dual_check_rejects_non_finite_lambda(problem_file, tmp_path, capsys,
                    "nonnegative numeric 'lambda'\n")
 
 
-def test_dual_check_reads_a_numeric_string_lambda(problem_file, tmp_path,
-                                                  capsys):
+def test_dual_check_rejects_a_numeric_string_lambda(problem_file, tmp_path,
+                                                    capsys):
     doc = serde.solution_to_json(solve(helstrom_problem()))
-    doc["lambda"] = repr(doc["lambda"])  # as problem files' payoff_shift
+    doc["lambda"] = repr(doc["lambda"])  # the right value, as a string
     path = tmp_path / "lambda.json"
     serde.dump_path(doc, str(path))
-    rc, _out, err = run(capsys, "dual-check", problem_file, str(path))
-    assert rc == 0 and "certified True" in err
+    rc, out, err = run(capsys, "dual-check", problem_file, str(path))
+    assert rc == 3 and out == ""
+    assert err == ("parse error: certificate file needs a finite, "
+                   "nonnegative numeric 'lambda'\n")
+
+
+def _first_matrix_entry(doc):
+    return next(iter(doc["combs"].values()))[0]
+
+
+# Helstrom's own values, as strings or as true: float() would read each
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("field, edit", [
+    ("prior", lambda doc: doc["prior"].__setitem__(0, "0.5")),
+    ("payoff", lambda doc: doc["payoff"][1].__setitem__(0, "0")),
+    ("matrix", lambda doc: _first_matrix_entry(doc).__setitem__(
+        0, ["1.0", "0"])),
+    ("payoff_shift", lambda doc: doc.__setitem__("payoff_shift", "0")),
+    ("payoff_shift", lambda doc: doc.__setitem__("payoff_shift", True)),
+], ids=["prior", "payoff", "matrix", "shift-string", "shift-true"])
+def test_a_problem_number_that_is_no_json_number_is_parse_exit(
+        tmp_path, capsys, command, field, edit):
+    doc = serde.problem_to_json(helstrom_problem())
+    edit(doc)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "solution.json"
+    argv = [command, str(path)]
+    if command == "solve":
+        argv += ["--out", str(out_path)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert err.startswith("parse error: %s " % field)
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])

@@ -21,6 +21,7 @@ def test_a_rung_records_its_solve(tmp_path):
     assert rec["outcome"] == "ok" and rec["certified"]
     assert rec["iterations"] > 0 and rec["oracle_distance"] < 1e-7
     assert rec["wall_s"] > 0 and rec["peak_rss_mb"] > 0
+    assert rec["build_s"] > 0
     assert 0 < rec["estimate_mb"] < rec["peak_rss_mb"]  # no interpreter in it
     assert 0 < rec["first_rss_mb"] <= rec["peak_rss_mb"]
     assert isinstance(rec["minflt"], int) and rec["minflt"] >= 0

@@ -17,7 +17,8 @@ from qnetopt import serde
 from qnetopt.cli import main
 from qnetopt.errors import (BadParameter, DimensionCap, InvalidComb,
                             MaxIterations, NotPSD, NumericalFailure)
-from qnetopt.estimation import expected_payoff, payoff_operators
+from qnetopt.estimation import (expected_payoff, joint_problem,
+                                payoff_operators)
 from qnetopt.instances import random_channel_problem, random_density
 from qnetopt.networks import QuantumComb, validate_tester
 from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
@@ -460,12 +461,16 @@ def test_indefinite_schur_complement_is_numerical_failure(
     assert "Schur complement not positive definite" in capsys.readouterr().err
 
 
-def _solve_and_cli_fail(match, tmp_path, capsys) -> dict:
-    """Helstrom's solve raises NumericalFailure, and CLI solve exits 6."""
+def _solve_and_cli_fail(match, tmp_path, capsys, problem=None) -> dict:
+    """The solve raises NumericalFailure, and CLI solve exits 6.
+
+    problem defaults to Helstrom's.
+    """
+    problem = problem if problem is not None else helstrom_problem()
     with pytest.raises(NumericalFailure, match=match) as err:
-        solve(helstrom_problem())
+        solve(problem)
     path = tmp_path / "problem.json"
-    serde.dump_path(serde.problem_to_json(helstrom_problem()), str(path))
+    serde.dump_path(serde.problem_to_json(problem), str(path))
     assert main(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == 6
     stderr = capsys.readouterr().err
     assert stderr == "numerical failure: %s\n" % err.value
@@ -484,17 +489,22 @@ def test_collapsed_step_lengths_are_numerical_failure(
     assert diagnostics["rel_gap"] > 0 and diagnostics["mu"] > 0
 
 
-# halving row 0 and every level's rows keeps R = S^(N) / S^(0) and halves
-# lambda, so R validates and the margins fail; scaling the level-N rows
-# alone breaks R's normalization
-@pytest.mark.parametrize("s0, top, match", [
-    (0.5, 0.5, r"^dual certificate margin -\d\.\d{3}e-0\d below -1\.0e-07$"),
-    (1.0, 2.0, r"^converged point failed validation: normalization violated "
-               r"at level 0 "),
+# halving every level's rows keeps R = S^(N) / lambda and halves lambda =
+# -b.y, so R validates and the margins fail; scaling the level-N rows alone
+# breaks R's normalization when lambda reads a lower level, as it does once
+# step 1 has an input (a state problem's lambda is Tr S^(1) itself)
+@pytest.mark.parametrize("s0, top, make, match", [
+    (0.5, 0.5, helstrom_problem,
+     r"^dual certificate margin -\d\.\d{3}e-0\d below -1\.0e-07$"),
+    (1.0, 2.0, lambda: random_channel_problem(np.random.default_rng(2), 2,
+                                              [(2, 2)]),
+     r"^converged point failed validation: normalization violated "
+     r"at level 0 "),
 ], ids=["margin", "normalization"])
 def test_a_converged_point_that_fails_its_checks_is_numerical_failure(
-        s0, top, match, tmp_path, monkeypatch, capsys):
-    sol = solve(helstrom_problem())
+        s0, top, make, match, tmp_path, monkeypatch, capsys):
+    problem = make()
+    sol = solve(problem)
     real = engine.tighten_dual
 
     def scaled(sdp, y):
@@ -504,7 +514,7 @@ def test_a_converged_point_that_fails_its_checks_is_numerical_failure(
         return y
 
     monkeypatch.setattr(engine, "tighten_dual", scaled)
-    assert _solve_and_cli_fail(match, tmp_path, capsys) == {
+    assert _solve_and_cli_fail(match, tmp_path, capsys, problem) == {
         "rel_gap": sol.rel_gap, "iterations": sol.iterations}
 
 
@@ -550,6 +560,9 @@ def sector_program(problem):
 
 TIGHTEN_CASES = {
     "helstrom": lambda: (build_primal(helstrom_problem()), None),
+    # two steps with no input: no chain variable, and S^(1) is traced down
+    "joint-states": lambda: (build_primal(joint_problem([
+        helstrom_problem(), helstrom_problem("hel2")])), None),
     # two steps with d_out != d_in, so dividing by the wrong one shows
     "memory-2step": lambda: (build_primal(random_channel_problem(
         np.random.default_rng(3), 2, [(2, 3), (3, 2)], memory=True)), None),

@@ -13,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (coords_from_hermitian, dual_from_y, helstrom_problem,
-                      hermitian_from_coords, seeds, selected_phase_program,
-                      state_problems, structural_row_values)
+                      hermitian_from_coords, reference_validate_comb, seeds,
+                      selected_phase_program, state_problems,
+                      structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
-from qnetopt.estimation import payoff_operators
+from qnetopt.estimation import joint_problem, payoff_operators
 from qnetopt.instances import random_channel_problem, random_state_problem
 from qnetopt.operators import LabeledOperator
+from qnetopt.sdp import SolverOptions
+from qnetopt.sdp.engine import solve_program, tighten_dual
 from qnetopt.sdp.ipm import _float_positions, basis_kernel
 from qnetopt.sdp.standard_form import build_primal, charge_sectors
 
@@ -169,6 +172,61 @@ def test_objective_blocks_encode_payoff():
             assert np.array_equal(sdp.outcome(blocks), -op)
         for gs in sdp.xi_groups:
             assert not any(np.any(sdp.C[g]) for g in gs)
+
+
+# per problem: the Xi^(j) that are variables, the groups and the rows; a
+# leading step with no input fixes Xi^(j) = I, and the levels below the first
+# step with an input (level D_j has D_j^2 rows) are dropped
+REDUCTION_CASES = {
+    # level 0 (1 row) dropped: 2 groups and m = 5 before
+    "helstrom": (helstrom_problem, [False], 1, 4),
+    # levels 0 and 1 (1 + 4 rows) dropped: 3 groups and m = 41 before
+    "joint-states": (lambda: joint_problem([
+        helstrom_problem(), random_state_problem(np.random.default_rng(1), 2,
+                                                 3)]), [False, False], 1, 36),
+    # a comb that prepares a qubit and then applies a channel to it: level 0
+    # dropped, 3 groups and m = 69 before
+    "prepare-then-channel": (lambda: random_channel_problem(
+        np.random.default_rng(4), 2, [(1, 2), (2, 2)], memory=True),
+        [False, True], 2, 68),
+    # step 1 has an input: nothing dropped, b = e_0
+    "channel": (lambda: random_channel_problem(
+        np.random.default_rng(5), 2, [(2, 2)]), [True], 2, 17),
+}
+
+
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_leading_input_free_steps_carry_no_chain_variable(case):
+    make, variables, n_groups, m = REDUCTION_CASES[case]
+    problem = make()
+    sdp = build_primal(problem)
+    assert [bool(gs) for gs in sdp.xi_groups] == variables
+    assert (len(sdp.cmap.groups), sdp.cmap.m) == (n_groups, m)
+    first = variables.index(True) if True in variables else len(variables)
+    dims = np.array(sdp.level_dims)
+    assert sdp.level_offsets[first] == 0
+    assert m == np.sum(dims[first:] ** 2)
+    # b is the identity's coordinates on the first level with rows
+    rows = sdp.level_rows(first)
+    expect = np.zeros(m)
+    expect[rows] = coords_from_hermitian(np.eye(dims[first]))[
+        sdp.coords[first]]
+    assert np.array_equal(sdp.b, expect)
+    if first == 0:
+        assert np.array_equal(sdp.b, np.eye(m)[0])
+
+    # lambda = -b.y is the tightened Tr S^(first), and R validates at full
+    # size; solve_program runs on the charge sectors, so read its program
+    opts = SolverOptions()
+    sdp, res, lambda_, comb, report = solve_program(problem.validated(), opts)
+    assert report.certified
+    y = tighten_dual(sdp, res.y)
+    d = sdp.level_dims[first]
+    coords = np.zeros(d * d)
+    coords[sdp.coords[first]] = -y[sdp.level_rows(first)]
+    assert lambda_ == pytest.approx(
+        np.trace(hermitian_from_coords(coords, d)).real, rel=1e-12)
+    reference_validate_comb(comb, 1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,7 +405,9 @@ def test_dual_vector_round_trip(rng):
     sdp = build_primal(helstrom_problem())
     y = rng.normal(size=sdp.cmap.m)
     dual = dual_from_y(sdp, y)
-    assert dual.s0 == -y[0]
+    # Helstrom has no level-0 row: S^(0) = lambda is Tr S^(1)
+    assert dual.s0 == pytest.approx(np.trace(dual.operators[0].data).real,
+                                    rel=1e-13)
     for j, op in enumerate(dual.operators, start=1):
         np.testing.assert_allclose(coords_from_hermitian(op.data),
                                    -y[sdp.level_rows(j)], atol=1e-12)
