@@ -22,8 +22,9 @@ around the call: pages the allocator mapped afresh), iterations, gamma
 (on the caller's score scale), its distance to the oracle where there is
 one, whether the certificate checks on the full problem (not timed), the
 largest peak-memory estimate the call checked (estimate_mb, null on a tree
-without check_memory), and the outcome: ok, timeout, memory_limit, refused
-(DimensionCap) or error.
+without check_memory), the largest row count m among the programs it
+checked (rows, null alike), and the outcome: ok, timeout, memory_limit,
+refused (DimensionCap) or error.
 
     python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --side parent=OLD/src --side change=src \\
@@ -139,21 +140,22 @@ def _rotated(levels):
 COVARIANT = {"covariant": _phase_grid, "gates": _gates, "rotated": _rotated}
 
 
-def _record_estimates() -> list:
-    """Wrap check_memory where the engine looks it up; collect its results.
+def _record_estimates() -> tuple:
+    """Wrap check_memory where the engine looks it up; collect what it saw.
 
-    Each estimate lands in the returned list, which stays empty on a tree
-    without check_memory.
+    Each estimate lands in the first returned list and each program's row
+    count m in the second; both stay empty on a tree without check_memory.
     """
     from qnetopt.sdp import engine
-    estimates = []
+    estimates, rows = [], []
     check = getattr(engine, "check_memory", None)
     if check is not None:
-        def wrapped(*args, **kwargs):
-            estimates.append(check(*args, **kwargs))
+        def wrapped(sdp, *args, **kwargs):
+            rows.append(sdp.cmap.m)
+            estimates.append(check(sdp, *args, **kwargs))
             return estimates[-1]
         engine.check_memory = wrapped
-    return estimates
+    return estimates, rows
 
 
 def run_rung(name: str) -> dict:
@@ -174,7 +176,7 @@ def run_rung(name: str) -> dict:
     else:
         call, oracle = _memory(arg)
     build_s = time.perf_counter() - start
-    estimates = _record_estimates()
+    estimates, rows = _record_estimates()
     walls, faults = [], []
     try:
         while len(walls) < MAX_CALLS and sum(walls) < REPEAT_S:
@@ -209,7 +211,8 @@ def run_rung(name: str) -> dict:
            "gamma": gamma, "certified": bool(certified),
            "peak_rss_mb": peak_mb, "first_rss_mb": first_mb,
            "minflt": statistics.median_low(faults),
-           "estimate_mb": max(estimates) / 2 ** 20 if estimates else None}
+           "estimate_mb": max(estimates) / 2 ** 20 if estimates else None,
+           "rows": max(rows) if rows else None}
     if oracle is not None:
         rec["oracle_distance"] = abs(gamma - oracle)
     return rec

@@ -7,8 +7,8 @@ how large a multiple of the weighted seed operator fits under an invariant
 state (or comb).  An optimal tester can be taken covariant, so that question
 is the ordinary tester program with a single seed outcome T whose
 normalization is imposed on twirl(T) rather than on T.  ``covariant_gamma``
-solves it and returns gamma_max = gamma_0 / q_max, read off the tightened
-dual, together with the invariant comb that certifies it.  It solves
+solves it and returns gamma_max = gamma_0 / q_max, read off the dual,
+together with the invariant comb that certifies it.  It solves
 through ``solve``'s own pipeline (``sdp.engine.solve_program``, which
 builds the seed program too), so R is validated, and its margins checked,
 as ``solve`` does.  Both premises are checked element by element against
@@ -23,11 +23,12 @@ carries the product of its levels' characters.  The twirl multiplies entry
 (p, q) by the mean of a character, which is 0 or 1: it keeps a coordinate
 iff its row and column carry the same character.  So the characters are
 sector labels of the kind the direct program already takes from the torus
-of the combs (``ChargeSectors``): the Xi chain and the rows of every level
-take the pair (charge, character), and the seed outcome, which need not be
-invariant, the charge only.  The group acts locally, so twirling the Xi
-chain keeps it a chain, and the rows left out never bind; the dual's S^(N)
-lives on the invariant coordinates, so it is invariant as it comes.  This
+of the combs (``ChargeSectors``): the rows of every level take the pair
+(charge, character), and the seed outcome, which need not be invariant, the
+charge only.  The group acts locally, so the twirl commutes with the
+partial traces and output blocks that make the tester chain, and the rows
+left out never bind; -A^T y lives on the invariant coordinates, so the
+dual comb is invariant as it comes.  This
 is the block-diagonalisation of de Klerk, Pasechnik and Schrijver (Math.
 Program. 109, 2007) and Gatermann and Parrilo (J. Pure Appl. Algebra 192,
 2004), specialised to characters.  Other actions, such as a cyclic shift,
@@ -218,7 +219,7 @@ def product_group(ea, ta, eb, tb) -> Tuple[tuple, np.ndarray]:
 class CovariantResult:
     """Covariant optimum: gamma_max * q_max = gamma_0.
 
-    gamma_max is a tightened dual value, an upper bound on the stored-scale
+    gamma_max is a dual value, an upper bound on the stored-scale
     optimum; invariant_op is the invariant comb R with gamma_max * R >= G_x
     for every x, so (gamma_max, R) certifies the full problem.  gap (the
     interior point's duality gap), iterations and history (one IpmStep per

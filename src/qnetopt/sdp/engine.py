@@ -7,12 +7,11 @@ validated tester together with a scalar-times-comb certificate: a pair
 operator, which upper-bounds the payoff of *every* admissible strategy.
 
 The certificate is read off the row multipliers y through the program's own
-A and A^T.  The raw dual satisfies its chain conditions as inequalities; a
-mixing correction of the multipliers (add the shortfall, averaged over a
-maximally mixed state on each output) turns them into exact equalities
-without breaking positivity.  After it, lambda = -b.y, the trace of the
-first level of the dual chain that has rows, and -A^T y on the outcome
-groups is lambda R on the outcome sectors, R a normalized comb.
+A and A^T.  The rows are written on the outcome sum alone (standard_form),
+and range(A^T) is the span of the combs, so -A^T y on the outcome groups
+is lambda R for a comb R and lambda = -b.y, with no correction of y: R's
+normalization is exact by construction, and its positivity is the dual
+slack's.  R is still validated at full size.
 """
 
 from __future__ import annotations
@@ -80,51 +79,35 @@ class SdpSolution:
 
 
 def slater_point(sdp: StandardSdp) -> np.ndarray:
-    """Row multipliers of a strictly feasible dual chain of scaled identities.
+    """Row multipliers of a strictly feasible dual: -A^T y = c I exactly.
 
-    Level j's rows, j = 0..N, hold -c_j on its diagonal coordinates, those of
-    -c_j I (no level below the first step with an input has rows).  c_N tops
-    every payoff eigenvalue, read from C, the payoffs' only
-    copy, so the top level dominates with definite margin; each step down
-    doubles the traced-out scale, which keeps the chain inequalities strict
-    whatever the step dimensions.
+    Level j's rows, j = 0..N, hold -c prod_(k>j) d_out(k) on its diagonal
+    coordinates and 0 elsewhere (no level below the first step with an
+    input has rows).  A level-j diagonal row reads the projector P_j onto
+    the level's position with every later output at 0 less the same
+    position with out(j) at 0, so the sum telescopes to c times the
+    identity: c I is lambda times the comb I / prod_k d_out(k).  c tops
+    every payoff eigenvalue, read from C, the payoffs' only copy, so the
+    dual slack c I - G_est is definite.
     """
     problem = sdp.problem
-    lam_max = max(float(np.linalg.eigvalsh(-c)[..., -1].max())
-                  for c in sdp.C[sdp.outcome_groups])
+    lam_max = max(float(np.linalg.eigvalsh(-c)[..., -1].max()) for c in sdp.C)
     c = max(problem.g_max(), 1.5 * lam_max, 1.0)
     y = np.zeros(sdp.cmap.m)
-    for j in range(sdp.num_steps, -1, -1):
-        diagonal = sdp.coords[j] < sdp.level_dims[j]
-        y[sdp.level_offsets[j] + np.flatnonzero(diagonal)] = -c
-        if j:
-            c = 2.0 * (sdp.level_dims[j] // sdp.level_dims[j - 1]) * c
+    for j, coords in enumerate(sdp.coords):
+        outs = [step.out_sys.dim for step in problem.space.steps[j:]]
+        y[sdp.level_rows(j)][coords < sdp.level_dims[j]] = \
+            -c * float(np.prod(outs))
     return y
 
 
-def tighten_dual(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
-    """Row multipliers whose chain inequalities hold as equalities.
+def tighten_dual(y: np.ndarray) -> np.ndarray:
+    """The row multipliers as they are: y itself.
 
-    Level by level, the shortfall Delta_n = S^(n-1) (x) I_in - Tr_out S^(n)
-    is -A^T y on the Xi^(n) groups, their dual slack (C is 0 there).  The
-    level-n rows of A(Delta_n), 0 on the other groups, over d_out, are
-    added to those of y, so S^(n) = -y there gains I_out / d_out (x) Delta_n.
-    Deltas are PSD for a feasible dual, so each corrected level still
-    dominates the original one; the first level with rows, and so lambda =
-    -b.y, is unchanged.  A fixed Xi^(n) has no group and no slack.  Delta_n
-    is 0 off the sectors of Xi^(n), whose labels every level's rows share
-    (those of a covariant program too), so the chain holds at full size.
+    The chain is exact for every y (standard_form: range(A^T) is the span
+    of the combs), so there is nothing to tighten.  The name stays only as
+    the target of the benchmark tracer's engine.tighten span.
     """
-    y = np.array(y, dtype=float)
-    cmap = sdp.cmap
-    for n, groups in enumerate(sdp.xi_groups, start=1):
-        if not groups:  # Xi^(n) is fixed: no slack to close
-            continue
-        delta = [-a[None] if g in groups else np.zeros((1,) + a.shape)
-                 for g, a in enumerate(cmap.apply_AT(y))]
-        rows = sdp.level_rows(n)
-        d_out = sdp.problem.space.steps[n - 1].out_sys.dim
-        y[rows] += cmap.apply_A(delta)[rows] / d_out
     return y
 
 
@@ -177,11 +160,10 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
     seed = (weights, characters) solves problem's one-outcome seed program
     instead (covariant_gamma): the comb sum_x w_x R_x / sum_x w_x, Hermitian
     part taken, the characters (diagonal_characters) joining the torus
-    charges in the labels.  With y the tightened multipliers, lambda = -b.y
-    (-y[0] when step 1 has an input, Tr S^(1) for a state problem) and R's
-    outcome-sector blocks are -A^T y / lambda; R is checked as solve does,
-    and the margins on those blocks.  The caller has validated the
-    problem's combs.
+    charges in the labels.  lambda = -b.y (-y[0] when step 1 has an input)
+    and R's outcome-sector blocks are -A^T y / lambda, a comb as they come;
+    R is checked as solve does, and the margins on those blocks.  The
+    caller has validated the problem's combs.
     """
     k, characters = len(problem.combs), {}
     if seed is not None:
@@ -196,15 +178,14 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
     check_memory(sdp, k)
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
-    y = tighten_dual(sdp, res.y)
+    y = tighten_dual(res.y)
     lambda_ = float(-np.dot(sdp.b, y))
-    groups = sdp.outcome_groups
-    blocks = [-a / lambda_ for a in sdp.cmap.apply_AT(y)[groups]]
+    blocks = [-a / lambda_ for a in sdp.cmap.apply_AT(y)]
     top = LabeledOperator(problem.space.factors(), sdp.outcome(blocks))
     comb = _validated(validate_comb, QuantumComb(problem.space, top),
                       10.0 * opts.tol, res)
     margins = np.inf
-    for r, c in zip(blocks, sdp.C[groups]):
+    for r, c in zip(blocks, sdp.C):
         margins = np.minimum(margins, min_eig(lambda_ * r + c).min(axis=-1))
     report = CertificateReport.of(lambda_, problem, margins, 10.0 * opts.tol)
     if not report.certified:
@@ -241,9 +222,8 @@ def solve(problem: EstimationProblem,
     opts = options if options is not None else SolverOptions()
     sdp, res, lambda_, comb, report = solve_program(problem.validated(), opts)
     factors = problem.space.factors()
-    X = res.X[sdp.outcome_groups]
     outcomes = [(label, LabeledOperator(factors, sdp.outcome(x)))
-                for label, x in zip(problem.labels_x, zip(*X))]
+                for label, x in zip(problem.labels_x, zip(*res.X))]
     tester = _validated(validate_tester, Tester(problem.space, tuple(outcomes)),
                         report.tol, res)
     shift = problem.payoff_shift

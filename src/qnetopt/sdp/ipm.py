@@ -21,17 +21,18 @@ per group, the same for every copy, and broadcasting hands it to each.
 A and A^T run through one scatter plan a group, built once: a sparse map
 between the rows and the floats of the copies' sum, as SDPT3 holds each
 block's A (Toh, Todd and Tutuncu, Optim. Methods Softw. 11, 1999), so each
-is one bincount a group.  The Schur complement then needs, per group, only the block-diagonal S
-with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt B_c W_kt), which one batched
-GEMM and an index gather give in closed form (basis_kernel); for n = 1
-that is the diagonal sum_k |W_kt|^2.  Entry pairs add R_i S R_j^T.  This
-is the structure-exploiting assembly of Fujisawa, Kojima and Nakata (Math.
-Program. 79, 1997), specialised to comb constraints; every group takes it,
-including those whose entries read only some coordinates (the outcome
-sectors of a covariant program).  The iteration keeps one (2 K, s, n, n)
-stack [X; Z] per group: one batched Cholesky and inverse an iteration serve
-the NT scaling and Z^-1, and one eigensolve of each direction [dX; dZ]
-gives both step lengths.  A group of side 1 is the nonnegative orthant, as
+is one bincount a group.  The Schur complement then needs, per group,
+only the block-diagonal S with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt
+B_c W_kt), which one batched GEMM and an index gather give in closed form
+(basis_kernel); for n = 1 that is the diagonal sum_k |W_kt|^2.  The
+group's R, all its entries together, then adds R S R^T: one row gather and
+one column gather.  This is the structure-exploiting assembly of Fujisawa,
+Kojima and Nakata (Math. Program. 79, 1997), specialised to comb
+constraints; every group takes it, including those whose entries read
+only some coordinates (the outcome sectors of a covariant program).  The
+iteration keeps one (2 K, s, n, n) stack [X; Z] per group: one batched
+Cholesky and inverse an iteration serve the NT scaling and Z^-1, and one
+eigensolve of each direction [dX; dZ] gives both step lengths.  A group of side 1 is the nonnegative orthant, as
 in SDPT3's linear blocks: its factor, inverse, NT scaling and step lengths
 are taken elementwise in closed form, with no LAPACK call.  A LAPACK call
 that fails stops the solve and names its block (_lapack).  The predictor
@@ -59,6 +60,7 @@ _R2 = np.sqrt(0.5)
 STEP_FRACTION = 0.98     # share of the distance to the cone boundary taken
 MIN_SIGMA = 1e-10        # floor of the centering parameter
 FEAS_TOL_FACTOR = 100.0  # feasibility residuals may reach this times tol
+LAYOUT_CACHE = 8         # sides whose index layouts are kept (basis_layout)
 
 
 @dataclass(frozen=True)
@@ -74,12 +76,14 @@ class SolverOptions:
                                "%r and %r" % (self.tol, self.max_iter))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
 def basis_layout(n: int):
     """Position (row[a], col[a]), row <= col, of each basis coordinate a.
 
     The Hermitian basis of side n is e_ii, then (e_ij + e_ji)/sqrt2, then
     i(e_ij - e_ji)/sqrt2 (imag[a] true), pairs i < j in row-major order.
+    The layouts of the last LAYOUT_CACHE sides are kept: at side n they
+    take 17 n^2 bytes, 285 MB at n = 4096.
     """
     iu, ju = np.triu_indices(n, 1)
     diag = np.arange(n)
@@ -96,7 +100,7 @@ def coordinate_index(row, col, imag, n: int):
     return np.where(row == col, row, n + pair + imag * (n * (n - 1) // 2))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
 def _flat_positions(n: int):
     """Flat index of the diagonal, and of each pair's upper and lower entry."""
     row, col, _ = basis_layout(n)
@@ -104,7 +108,7 @@ def _flat_positions(n: int):
     return row[:n] * (n + 1), row[n:h] * n + col[n:h], col[n:h] * n + row[n:h]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
 def _float_positions(n: int):
     """coords = w f[i] + v f[j] over the (re, im) floats f of a matrix."""
     diag, up, lo = _flat_positions(n)
@@ -161,46 +165,17 @@ def _block_diagonal(S: np.ndarray) -> np.ndarray:
     return out.reshape(s * d, s * d)
 
 
-@dataclass
-class ConstraintEntry:
+class ConstraintEntry(NamedTuple):
     """Coordinate map R of one row group on a block: the rows read R x.
 
     R is scale times the tensor's unit map, on rows row_start onwards, one
     per tensor row: the integer tensor (rows, k) lists the coordinates whose
-    unit vectors sum to each row, with -1 padding short rows.  On a block of
-    r coordinates, the tensor 0..r-1 at scale 1 is the identity (identity).
+    unit vectors sum to each row, with -1 padding short rows.
     """
 
     row_start: int
     tensor: np.ndarray
     scale: float = 1.0
-
-    def __post_init__(self):
-        t = self.tensor
-        self.padded = t.min(initial=0) < 0
-        self.identity = self.scale == 1.0 and t.shape[1:] == (1,) and \
-            np.array_equal(t[:, 0], np.arange(len(t)))
-
-    @property
-    def rows(self) -> slice:
-        return slice(self.row_start, self.row_start + len(self.tensor))
-
-    def left(self, M: np.ndarray) -> np.ndarray:
-        """R @ M, for M with the block's coordinates along axis 0."""
-        if self.identity and len(M) == len(self.tensor):
-            return M
-        t = self.tensor
-        if t.shape[1] == 1:
-            out = M.take(t[:, 0], axis=0)
-            if self.padded:
-                out[t[:, 0] < 0] = 0.0
-        else:
-            if self.padded:  # index -1 reads an appended zero row
-                M = np.concatenate([M, np.zeros((1,) + M.shape[1:])])
-            out = M.take(t, axis=0).sum(axis=1)
-        if self.scale != 1.0:
-            out *= self.scale
-        return out
 
 
 class BlockGroup(NamedTuple):
@@ -241,6 +216,65 @@ def _scatter_plan(g: BlockGroup):
     return rows[keep], fl[keep], wt[keep]
 
 
+def _span(idx: np.ndarray):
+    """idx as a slice when it is consecutive: a block, not a scatter."""
+    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
+def _row_map(g: BlockGroup):
+    """(rows, buckets): the group's R on the rows it reaches, by unit count.
+
+    rows is the number of rows reached.  The rows of one level (of the
+    entries that start on one row) that read k units make a bucket (pos,
+    where, units, weights): pos picks them out of the rows reached, where
+    places their columns of R S R^T in H, and row i of the (n, k) units
+    reads sum_p w_p[i] x[units[i, p]], w_p the p-th of weights, the
+    entries' scales, or None when all of them are 1.  pos and where are
+    slices when the rows are consecutive, as a level's are on one group.
+    """
+    parts = []
+    for e in g.entries:
+        r, k = np.nonzero(e.tensor >= 0)
+        parts.append((e.row_start + r, np.full(len(r), e.row_start),
+                      e.tensor[r, k], np.full(len(r), float(e.scale))))
+    rows, level, units, weights = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    rows, starts, counts = np.unique(rows[order], return_index=True,
+                                     return_counts=True)
+    level, units, weights = level[order][starts], units[order], weights[order]
+    reached = _span(rows)
+    buckets = []
+    for lv, k in sorted(set(zip(level.tolist(), counts.tolist()))):
+        p = np.flatnonzero((level == lv) & (counts == k))
+        take = starts[p][:, None] + np.arange(k)
+        cols = _span(rows[p])
+        where = (np.ix_(rows, rows[p]) if isinstance(reached, np.ndarray)
+                 and isinstance(cols, np.ndarray) else (reached, cols))
+        buckets.append((_span(p), where, units[take],
+                        [None if (w == 1).all() else w
+                         for w in weights[take].T]))
+    return len(rows), buckets
+
+
+def _gather(M: np.ndarray, units: np.ndarray, weights, axis: int,
+            out=None) -> np.ndarray:
+    """sum_p w_p M.take(units[:, p], axis): R M, or M R^T, for one bucket.
+
+    The first take lands in out, when given.
+    """
+    for p, (u, w) in enumerate(zip(units.T, weights)):
+        part = np.take(M, u, axis=axis, out=None if p else out, mode="clip")
+        if w is not None:
+            part *= w[:, None] if axis == 0 else w
+        if p:
+            out += part
+        else:
+            out = part
+    return out
+
+
 class BlockConstraintMap:
     """The linear map A and its adjoint, with a structured Schur assembler.
 
@@ -249,6 +283,7 @@ class BlockConstraintMap:
     coordinates they read in each group.  plans holds each group's entries
     as one scatter plan (_scatter_plan), SDPT3's precomputed A of a block:
     A is one bincount a group onto the rows, A^T one onto the floats.
+    row_maps holds each group's R in coordinates (_row_map), for schur.
     """
 
     def __init__(self, m: int, groups: Sequence[BlockGroup]):
@@ -257,23 +292,25 @@ class BlockConstraintMap:
         self.sizes = [g.sectors * g.side ** 2 for g in self.groups]
         self.entries = [e for g in self.groups for e in g.entries]
         self.plans = [_scatter_plan(g) for g in self.groups]
+        self.row_maps = [_row_map(g) for g in self.groups]
 
     def peak_bytes(self) -> int:
         """Estimated peak bytes of solve_ipm, from the shapes only.
 
         H (8 m^2), one array for the whole loop, factored in place, is
         alive while each group's kernel S is formed, about 30 s n^4
-        (basis_kernel), and its pairs added: S and products over the R rows
-        an entry reaches, 24 max(s n^2, R)^2.  About 24 complex (K, s, n, n)
-        stacks a group besides, the scatter plans (24 bytes a record) and a
-        call's gather of them, and 32 KB of small objects (array headers,
-        lists, the history).
+        (basis_kernel), and while R S R^T is gathered from it over the r
+        rows R reaches, with size = s n^2: S, R S and a bucket's gather of
+        S, 8 (size^2 + 2 r size), then R S and a bucket's two column
+        gathers, 8 (r size + 2 r^2).  About 24 complex (K, s, n, n) stacks a
+        group besides, the scatter plans (24 bytes a record) and a call's
+        gather of them, and 32 KB of small objects (array headers, lists,
+        the history).
         """
         kernel = 0
-        for g, size in zip(self.groups, self.sizes):
-            rows = max(np.count_nonzero(e.tensor.max(1) >= 0) for e in g.entries)
+        for g, size, (r, _) in zip(self.groups, self.sizes, self.row_maps):
             kernel = max(kernel, 30 * g.sectors * g.side ** 4,
-                         24 * max(size, rows) ** 2)
+                         8 * max(size, r) * (size + 2 * r))
         stacks = sum(g.copies * size for g, size in zip(self.groups, self.sizes))
         plans = sum(len(rows) for rows, _, _ in self.plans)
         return (8 * self.m ** 2 + kernel + 24 * 16 * stacks + 40 * plans
@@ -306,41 +343,24 @@ class BlockConstraintMap:
         """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W.
 
         H is assembled into out, an (m, m) array that is zeroed first, and
-        returned: solve_ipm hands in the same array every iteration.
+        returned: solve_ipm hands in the same array every iteration.  A
+        group adds R S R^T on the rows it reaches: one row gather of its
+        kernel S, weighted and summed row by row, then one column gather of
+        that, alike.
         """
         out.fill(0.0)
-        for stack, g in zip(scalings, self.groups):
+        for stack, (rows, buckets) in zip(scalings, self.row_maps):
             S = _block_diagonal(basis_kernel(stack))
-            _add_pairs(out, S, g.entries)
+            RS = np.empty((rows, len(S)))
+            for pos, _, units, weights in buckets:
+                if isinstance(pos, slice):
+                    _gather(S, units, weights, 0, RS[pos])
+                else:
+                    RS[pos] = _gather(S, units, weights, 0)
             del S  # a kernel can be as large as H: free it before the next
+            for _, where, units, weights in buckets:
+                out[where] += _gather(RS, units, weights, 1)
         return out
-
-
-def _add_pairs(H: np.ndarray, S: np.ndarray, entries: Sequence[ConstraintEntry]):
-    """H[rows_i, rows_j] += R_i S R_j^T over the pairs of one block group.
-
-    A padded one-unit entry paired with itself adds scale^2 S[t, t] on the
-    rows it reaches only (Tr_out reaches 1/d_out of them), never the mostly
-    zero block over all its rows.
-    """
-    for i, ei in enumerate(entries):
-        if ei.padded and ei.tensor.shape[1] == 1:
-            reached = np.flatnonzero(ei.tensor[:, 0] >= 0)
-            t, r = ei.tensor[reached], ei.row_start + reached[:, None]
-            block = S[t, t.T]
-            block *= ei.scale ** 2
-            H[r, r.T] += block
-            others = entries[i + 1:]
-        else:
-            others = entries[i:]
-        if not others:
-            continue
-        left = ei.left(S)
-        for ej in others:
-            hij = ej.left(left.T).T
-            H[ei.rows, ej.rows] += hij
-            if ej is not ei:
-                H[ej.rows, ei.rows] += hij.T
 
 
 # iterate it of a solve, its scaled residuals feas_p and feas_d, and the step

@@ -1,45 +1,57 @@
 """Tester optimization as a block-diagonal SDP in standard form.
 
-Variable blocks are the tester chain operators Xi^(1)..Xi^(N) followed by one
-outcome operator per candidate estimate.  The equality constraints are the
-tester normalization recursion, written level by level:
+The variables are the outcome operators T_est, one block per candidate
+estimate, and the objective is  max sum_est <G_est, T_est>.  A tester is
+normalized by the chain (Chiribella, D'Ariano and Perinotti, PRA 80,
+022339, 2009)
 
-    level 0:      Tr_in1[Xi^(1)] = 1
-    level j:      Tr_in(j+1)[Xi^(j+1)] - I_out(j) (x) Xi^(j) = 0     (1 <= j < N)
-    level N:      sum_est T_est - I_out(N) (x) Xi^(N) = 0
+    sum_est T_est = I_out(N) (x) Xi^(N)
+    Tr_in(j) Xi^(j) = I_out(j-1) (x) Xi^(j-1)      (1 < j <= N)
+    Tr Xi^(1) = 1
 
-and the objective is  max sum_est <G_est, T_est>.  Level 0 is the base
-case, on the 1x1 space of Xi^(0) = 1, whose side is D_0 = 1.  A leading
-step with no input fixes its Xi^(j) = I: it has no block, the levels below
-the first step with an input have no rows, and that level's I_out (x) Xi
-is the right-hand side.  So level 0 has a row only when step 1 has an
-input, and a state problem is  sum_est T_est = I.
+which fixes each Xi^(j) as a partial trace of S = sum_est T_est, and a
+partial trace of a PSD operator is PSD.  So the chain operators are implied
+variables, which presolve removes (Andersen and Andersen, Math. Program. 71,
+1995), and the rows are written on S alone.  Level j, j = 0..N, is the
+space of I_out(j) (x) Xi^(j), with factors (out_1, in_1, ..., out_j, in_j):
+a position of level j is (p, o, i), a level-(j-1) position, an out(j)
+level and an in(j) level, and level 0 is the 1x1 space of Xi^(0) = 1.
+With M_N = S and M_(j-1) = Tr_in(j) of the out(j)-(0, 0) block of M_j,
+the chain says M_j = I_out(j) (x) Xi^(j) for Xi^(j) that block:
+
+    level j > first:  M_j[a] = 0                 if a's out(j) indices differ
+                      M_j[a] - M_j[a0] = 0       if both are o >= 1, a0
+                                                 the coordinate with o = 0
+    level first:      M_first = I
+
+A coordinate whose two out(j) indices are both 0 is one of Xi^(j)'s and
+gives no row.  first is the level of the first step with an input: a
+leading step with no input fixes its Xi^(j) = I, so the levels below first
+have no rows, first = 0 when step 1 has an input (the row Tr Xi^(1) = 1),
+and a state problem is  sum_est T_est = I.  Each level-j row is a +-1 sum
+of prod_(k>j) d_in(k) coordinates of S, twice that many for a difference
+row.  The rows are independent, and range(A^T) is the span of the combs:
+-A^T y is lambda R for a comb R and lambda = -b.y, so the dual is a
+scalar times a comb as it comes.
 
 Blocks are complex Hermitian and every coefficient is a Hermitian operator,
 so row values and objective numbers are Hilbert-Schmidt inner products on the
 operators themselves.  The combs are often fixed by a torus of local
 diagonal unitaries, a phase on each level of each factor (charge_sectors
 finds the largest one).  Such a torus maps testers to testers and leaves
-every payoff unchanged, so an optimal tester and an optimal dual chain can
-be taken invariant: block diagonal by charge, the sum of a position's level
-charges.  Each tester block is therefore split into its charge sectors, and
-the constraint rows of each level are its invariant coordinates, those of
-the Hermitian basis whose row and column positions share a charge: the sum
-of the squared sector sides, not D_j^2.  A trivial torus has one sector per
-space and gives sum_j D_j^2 rows over the levels that have rows, which
-keeps the Schur complement positive definite.  A covariant program labels
-the chain's positions by the pair (charge, character of a diagonal group
-action) and its outcome's by the charge only, so its rows are the
-coordinates that both the torus and the twirl keep (ChargeSectors).  The
-sectors of one side are one block group of the solver: those of each
-Xi^(j), and those of every outcome block, the outcomes as its copies.
-
-Chain operators use the factor order (out_1, in_1, ..., out_{j-1}, in_{j-1},
-in_j); with that choice every coefficient is either a basis element, a basis
-element with an identity appended, or a partial trace of one, and no factor
-permutations appear in the hot path.  A sector's positions are kept in
-ascending order, so each of its coordinates is one coordinate of its block,
-and the sector maps are these maps composed with that index.
+every payoff unchanged, so an optimal tester can be taken invariant: block
+diagonal by charge, the sum of a position's level charges.  Each outcome
+block is therefore split into its charge sectors, and the rows of each
+level are its invariant coordinates, those of the Hermitian basis whose
+row and column positions share a charge: the sum of the squared sector
+sides, not D_j^2, less Xi^(j)'s.  A covariant program labels the levels'
+positions by the pair (charge, character of a diagonal group action) and
+its outcome's by the charge only, so its rows are the coordinates that
+both the torus and the twirl keep (ChargeSectors).  The sectors of one
+side are one block group of the solver, the outcomes as its copies.  A
+sector's positions are kept in ascending order, so each of its coordinates
+is one coordinate of its block, and the group maps are the maps to S's
+coordinates composed with that index.
 """
 
 from __future__ import annotations
@@ -58,32 +70,21 @@ from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
 CHARGE_DECIMALS = 8  # charges that agree to this many decimals are equal
 
 
-def _grown_rows(d: int, d_in: int, coords) -> np.ndarray:
-    """Coordinates of B_a (x) I_in on side d * d_in: d_in unit entries a row.
+def _lifted(steps, side: int, row, col, imag) -> np.ndarray:
+    """The coordinates of S whose sum is M_j's coordinate (row, col, imag).
 
-    One row per coordinate a in coords of side d.
+    steps are the steps j+1..N, and side is S's.  M_(k-1) is Tr_in(k) of
+    M_k's out(k)-(0, 0) block, so a level-(k-1) position p reads the
+    positions (p d_out(k) + 0) d_in(k) + i, i over in(k), alike on both
+    sides.  One row per coordinate, of prod_(k>j) d_in(k) units.
     """
-    row, col, imag = (x[coords] for x in basis_layout(d))
-    k = np.arange(d_in)
-    return coordinate_index(row[:, None] * d_in + k, col[:, None] * d_in + k,
-                            imag[:, None], d * d_in)
-
-
-def _shrunk_rows(pre: int, d_out: int, d_in: int, coords) -> np.ndarray:
-    """Coordinates of Tr_out B_a for B_a on (pre, out, in): one unit or none.
-
-    e_PQ traces to e_P'Q' (output index dropped) if P and Q share the output
-    index and to zero otherwise; dropping it keeps P' < Q'.  One row per
-    coordinate a in coords.
-    """
-    row, col, imag = (x[coords] for x in basis_layout(pre * d_out * d_in))
-
-    def keep(i):
-        return i // (d_out * d_in) * d_in + i % d_in
-
-    idx = coordinate_index(keep(row), keep(col), imag, pre * d_in)
-    same_out = row // d_in % d_out == col // d_in % d_out
-    return np.where(same_out, idx, -1)[:, None]
+    row, col = row[:, None], col[:, None]
+    for step in steps:
+        d_in, grow = step.in_sys.dim, step.out_sys.dim * step.in_sys.dim
+        k = np.arange(d_in)
+        row = (row[:, :, None] * grow + k).reshape(len(row), -1)
+        col = (col[:, :, None] * grow + k).reshape(len(col), -1)
+    return coordinate_index(row, col, imag[:, None], side)
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +114,18 @@ class ChargeSectors:
         return self._label(self.walk(factors))
 
     def chain_labels(self, space: CombSpace):
-        """Labels of each Xi^(j), of levels 0..N, and the charge labels of N.
+        """Labels of levels 0..N, and the charge labels of level N.
 
-        One walk from level 0, the one position of Xi^(0) = 1: Xi^(j+1) is
-        level j with in(j+1), level j+1 with out(j+1) too.
+        One walk from level 0, the one position of Xi^(0) = 1: level j+1
+        is level j with out(j+1) and in(j+1).
         """
         walk = self.walk([])
-        xi, level = [], [self._label(walk)]
+        level = [self._label(walk)]
         for step in space.steps:
-            xi.append(self._label(self.walk([step.in_sys], walk)))
             walk = self.walk([step.out_sys, step.in_sys], walk)
             level.append(self._label(walk))
         top = self._label(walk, False) if self.characters else level[-1]
-        return xi, level, top
+        return level, top
 
     def walk(self, factors: Sequence[SystemLabel], walk=None):
         """Each position's (charge, phases) once factors extend walk's space.
@@ -258,15 +258,14 @@ def _remap(tensor: np.ndarray, pmap: Optional[np.ndarray]) -> np.ndarray:
 class StandardSdp:
     """Block groups, objective, constraint map, and right-hand side.
 
-    The program's blocks are the cmap groups' (copies, sectors, n, n) stacks:
-    first, step by step, the groups of Xi^(j)'s sectors (xi_groups), one copy
-    each and none for a fixed Xi^(j), then those of the outcome blocks'
-    sectors, outcome k the copy k.  positions[g] holds the (s, n) positions
-    of group g's sectors in their tester block.  C, -G_est on outcome est's
-    sectors and so all of it (charge_sectors), is the objective's only copy.
-    The rows run over the levels 0..N of the chain, level 0 the 1x1 space
-    of Xi^(0) = 1, from the first step with an input on; b is the identity's
-    coordinates on that level (e_0 when it is level 0).
+    The program's blocks are the cmap groups' (copies, sectors, n, n)
+    stacks, those of the outcome blocks' sectors, outcome k the copy k.
+    positions[g] holds the (s, n) positions of group g's sectors in an
+    outcome block.  C, -G_est on outcome est's sectors and so all of it
+    (charge_sectors), is the objective's only copy.  The rows run over the
+    levels 0..N, from the first step with an input on, and read S =
+    sum_est T_est; b is the identity's coordinates on that first level
+    (e_0 when it is level 0) and 0 on every other row.
     """
 
     problem: EstimationProblem
@@ -277,7 +276,6 @@ class StandardSdp:
     b: np.ndarray
     coords: tuple         # per level 0..N, each row's level-space coordinate
     positions: tuple      # per group, its sectors' positions (s, n)
-    xi_groups: tuple      # per step, the cmap groups of Xi^(j)'s sectors
 
     @property
     def num_steps(self) -> int:
@@ -290,30 +288,25 @@ class StandardSdp:
     def level_rows(self, j: int) -> slice:
         return slice(self.level_offsets[j], self.level_offsets[j + 1])
 
-    @property
-    def outcome_groups(self) -> slice:
-        return slice(sum(map(len, self.xi_groups)), None)
-
     def outcome(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Full size from the outcome groups' (s, n, n) blocks; 0 off them."""
+        """Full size from the groups' (s, n, n) blocks; 0 off them."""
         side = self.level_dims[-1]
         out = np.zeros((side, side), dtype=complex)
-        for pos, x in zip(self.positions[self.outcome_groups], blocks):
+        for pos, x in zip(self.positions, blocks):
             out[pos[:, :, None], pos[:, None, :]] = x
         return out
 
     def primal_start(self) -> List[np.ndarray]:
-        """The uniform tester chain: strictly feasible, all equalities exact.
+        """The uniform tester: strictly feasible, all equalities exact.
 
-        Xi^(j) is I / (d_in(1) ... d_in(j)), and each outcome I_N / K.
+        Each outcome is I / (K d_in(1) ... d_in(N)).
         """
-        scale, c = [], 1.0
-        for step, groups in zip(self.problem.space.steps, self.xi_groups):
+        c = 1.0
+        for step in self.problem.space.steps:
             c = c / step.in_sys.dim
-            scale += [c] * len(groups)
-        scale += [c / self.num_outcomes] * (len(self.positions) - len(scale))
-        return [v * np.broadcast_to(np.eye(st.shape[-1]), st.shape)
-                for v, st in zip(scale, self.C)]
+        return [c / self.num_outcomes * np.broadcast_to(np.eye(st.shape[-1]),
+                                                        st.shape)
+                for st in self.C]
 
 
 def build_primal(problem: EstimationProblem,
@@ -322,74 +315,75 @@ def build_primal(problem: EstimationProblem,
 
     sectors labels the positions (charge_sectors, and a diagonal group
     action's characters for a covariant program); None is one sector a
-    space.  Each Xi^(j) is split into its sectors, and the rows of every
-    level are its invariant coordinates, those whose row and column share a
-    sector.  The outcome blocks are split by charge only: a covariant
-    program's single outcome T need not be invariant under the group, and
-    its level-N rows impose twirl(T) = I_out(N) (x) Xi^(N).  The group acts
-    locally, so twirling the Xi chain keeps it a chain, and the rows left
-    out never bind.
+    space.  The rows of every level are its invariant coordinates, those
+    whose row and column share a sector, less Xi^(j)'s.  The outcome blocks
+    are split by charge only: a covariant program's single outcome T need
+    not be invariant under the group, and its rows impose the chain on
+    twirl(T).  The group acts locally, so the twirl commutes with the
+    partial traces and the out(j)-(0, 0) blocks that make the chain, and
+    the rows left out never bind.
 
-    The levels run 0..N alike, level 0 the 1x1 space of Xi^(0) = 1, whose
-    one row reads Tr Xi^(1).  The recursion from Tr Xi^(1) = 1 fixes
-    Xi^(j) = I for the leading steps with no input: they get no group, the
-    levels below the first step with an input get no rows, and b is the
-    identity's coordinates on that level (e_0 when step 1 has an input)
-    and 0 on every other row.  The program gets, in chain order, one block
-    group per sector side of each other chain operator, one copy holding
-    the entry of the level below that reads Xi^(j) and the level-j entry
-    -I_out(j) (x) Xi^(j); then one
-    group per sector side of the outcome space, a copy per outcome, which
-    share the level-N entry.  Its objective is zero on the chain and -G_est
-    on outcome est's sectors, gathered from each G_est and then negated.
+    The rows start at the first step with an input, whose level keeps all
+    its coordinates, M_first = b; a later level j reads M_j, at -1 the o = 0
+    coordinate too on a difference row (the module docstring).  The
+    program gets one block group per sector side of the outcome space, a
+    copy per outcome.  Each level gives a group one entry, reading the
+    units that fall in it, and a difference row's -1 units one more on the
+    same rows.  The objective is -G_est on outcome est's sectors, gathered
+    from each G_est and then negated.
     """
     torus = sectors if sectors is not None else ChargeSectors()
     space = problem.space
-
-    # levels 0..N, level 0 the 1x1 space of Xi^(0) = 1: the side D_j of
-    # each, and its rows, its invariant coordinates, none below the first
-    # step with an input
     first = next((j for j, step in enumerate(space.steps)
                   if step.in_sys.dim > 1), space.num_steps)
-    xi_labels, level_labels, outcome_labels = torus.chain_labels(space)
+    level_labels, outcome_labels = torus.chain_labels(space)
     level_dims = tuple(len(labels) for labels in level_labels)
-    coords = [_invariant_coords(labels) if j >= first else np.zeros(0, np.intp)
-              for j, labels in enumerate(level_labels)]
-    offsets = [0]
-    for c in coords:
+    side = level_dims[-1]
+
+    # per level: its rows' coordinates, and their +1 and -1 units on S
+    coords, units, offsets = [], [], [0]
+    for j, labels in enumerate(level_labels):
+        c = _invariant_coords(labels) if j >= first else np.zeros(0, np.intp)
+        row, col, imag = (x[c] for x in basis_layout(level_dims[j]))
+        shift = None
+        if j > first:
+            step = space.steps[j - 1]
+            d_in, d_out = step.in_sys.dim, step.out_sys.dim
+            o_r, o_c = row // d_in % d_out, col // d_in % d_out
+            # the rows whose out(j) indices differ, then the difference rows
+            keep = np.flatnonzero((o_r > 0) | (o_c > 0))
+            keep = keep[np.argsort(o_r[keep] == o_c[keep], kind="stable")]
+            c, row, col, imag = c[keep], row[keep], col[keep], imag[keep]
+            same = (o_r == o_c)[keep]
+            shift = np.where(same, o_r[keep] * d_in, 0)
+        if len(c):
+            lifted = _lifted(space.steps[j:], side, row, col, imag)
+            minus = None if shift is None else np.where(same[:, None], _lifted(
+                space.steps[j:], side, row - shift, col - shift, imag), -1)
+            units.append((offsets[-1], lifted, minus))
+        coords.append(c)
         offsets.append(offsets[-1] + len(c))
     m = offsets[-1]
 
-    # level j reads Xi^(j+1) through B_a (x) I_in(j+1), its partial trace,
-    # and level j + 1 through -Tr_out(j+1) B_a, minus I_out(j+1) (x) Xi^(j+1)
-    groups, positions, xi_groups, C = [], [], [()] * first, []
-    for j, step in enumerate(space.steps[first:], start=first):
-        d, d_in, d_out = level_dims[j], step.in_sys.dim, step.out_sys.dim
-        lower = _grown_rows(d, d_in, coords[j])
-        upper = _shrunk_rows(d, d_out, d_in, coords[j + 1])
-        split = _side_groups(xi_labels[j])
-        xi_groups.append(tuple(range(len(groups), len(groups) + len(split))))
-        for pos, pmap in split:
-            s, n = pos.shape
-            groups.append(BlockGroup(1, n, [
-                ConstraintEntry(offsets[j], _remap(lower, pmap)),
-                ConstraintEntry(offsets[j + 1], _remap(upper, pmap),
-                                -1.0)], s))
-            positions.append(pos)
-            C.append(np.zeros((1, s, n, n), dtype=complex))
-
-    # objective: -G_est on each outcome's sectors, the outcomes as copies
+    # one group per sector side, a copy per outcome; the objective -G_est
     G = payoff_operators(problem)
+    groups, positions, C = [], [], []
     for pos, pmap in _side_groups(outcome_labels):
         s, n = pos.shape
-        groups.append(BlockGroup(problem.num_params, n, [ConstraintEntry(
-            offsets[space.num_steps], _remap(coords[-1][:, None], pmap))], s))
+        entries = []
+        for start, plus, minus in units:
+            for tensor, scale in ((plus, 1.0), (minus, -1.0)):
+                if tensor is not None:
+                    tensor = _remap(tensor, pmap)
+                    if tensor.max(initial=-1) >= 0:
+                        entries.append(ConstraintEntry(start, tensor, scale))
+        groups.append(BlockGroup(problem.num_params, n, entries, s))
         positions.append(pos)
         C.append(-G[:, pos[:, :, None], pos[:, None, :]])
 
-    # I_out(first) (x) Xi^(first) = I on level first: 1 on its diagonal rows
+    # M_first = I: 1 on its diagonal rows
     b = np.zeros(m)
     b[offsets[first] + np.flatnonzero(coords[first] < level_dims[first])] = 1.0
     return StandardSdp(problem, level_dims, tuple(offsets),
                        BlockConstraintMap(m, groups), tuple(C), b,
-                       tuple(coords), tuple(positions), tuple(xi_groups))
+                       tuple(coords), tuple(positions))

@@ -120,23 +120,37 @@ def first_level(sdp) -> int:
 def dual_from_y(sdp, y: np.ndarray) -> DualChain:
     """The dual chain at full size from the row multipliers, level by level.
 
-    S^(j) is minus level j's rows on its coordinates, 0 on the others: a
-    route apart from the program's A^T, for the tests' partial-trace checks.
-    A level below the first step with an input has no rows: its S^(j) is
-    Tr_out(j+1) S^(j+1), as the fixed Xi^(j+1) = I asks, and S^(0) is
-    lambda = -b.y.
+    A route apart from the program's A^T, for the tests' partial-trace
+    checks.  Level j's rows read M_j - I_out(j) (x) <0|M_j|0>, the (0, 0)
+    block on out(j), and the first level with rows reads M_first itself;
+    M_(j-1) is Tr_in(j) <0|M_j|0>, and M_N the outcomes' sum.  So S^(N), the
+    negated adjoint at y, is the sum over the levels of Y_j - |0><0| (x)
+    Tr_out(j) Y_j (Y_first alone), with Y_j minus level j's rows on its
+    coordinates, each lifted to level N by |0><0|_out (x) I_in a step.
+    S^(j-1) is Tr_out(j),in(j) S^(j) / d_in(j), and S^(0) is lambda = -b.y.
     """
     space = sdp.problem.space
-    ops = []
-    for j in range(1, sdp.num_steps + 1):
+    first = first_level(sdp)
+    top = None
+    for j in range(first, sdp.num_steps + 1):
         d = sdp.level_dims[j]
         coords = np.zeros(d * d)
         coords[sdp.coords[j]] = -y[sdp.level_rows(j)]
-        ops.append(LabeledOperator(space.prefix_factors(j),
-                                   hermitian_from_coords(coords, d)))
-    for j in range(first_level(sdp) - 1, 0, -1):
-        traced = partial_trace(ops[j], [space.steps[j].out_sys.id])
-        ops[j - 1] = ops[j - 1].with_data(traced.data)
+        level = LabeledOperator(space.prefix_factors(j),
+                                hermitian_from_coords(coords, d))
+        if j > first:
+            out, inp = space.steps[j - 1].out_sys, space.steps[j - 1].in_sys
+            traced = partial_trace(level, [out.id])
+            lifted = np.kron(top.data, np.kron(out_zero(out).data,
+                                                np.eye(inp.dim)))
+            level = level.with_data(
+                level.data - embed(traced, out_zero(out), 2 * (j - 1)).data
+                + lifted)
+        top = level
+    ops = [top]
+    for step in space.steps[:0:-1]:
+        reduced = partial_trace(ops[0], [step.out_sys.id, step.in_sys.id])
+        ops.insert(0, reduced.with_data(reduced.data / step.in_sys.dim))
     return DualChain(float(-np.dot(sdp.b, y)), tuple(ops))
 
 
@@ -149,12 +163,25 @@ def identity_on(factors) -> LabeledOperator:
     return LabeledOperator(factors, np.eye(int(np.prod([f.dim for f in factors]))))
 
 
+def out_zero(label: SystemLabel) -> LabeledOperator:
+    """|0><0| on one factor."""
+    e = np.zeros((label.dim, label.dim))
+    e[0, 0] = 1.0
+    return LabeledOperator((label,), e)
+
+
+def embed(a: LabeledOperator, b: LabeledOperator,
+          position: int) -> LabeledOperator:
+    """Tensor the one-factor b into the stated factor position of a."""
+    order = list(a.label_ids())
+    order.insert(position, b.factors[0].id)
+    return permute_systems(tensor(a, b), order)
+
+
 def embed_identity(a: LabeledOperator, new: SystemLabel,
                    position: int) -> LabeledOperator:
     """Tensor an identity on `new` into the stated factor position."""
-    order = list(a.label_ids())
-    order.insert(position, new.id)
-    return permute_systems(tensor(a, identity(new)), order)
+    return embed(a, identity(new), position)
 
 
 def uniform_tester(space: CombSpace, outcome_ids) -> Tester:
@@ -443,24 +470,28 @@ def outcome_residuals(problem, dual):
     return [top.with_data(top.data - g) for g in payoff_operators(problem)]
 
 
-def structural_row_values(sdp, xi_ops, t_ops):
-    """Constraint row values of labeled Xi^(1..N) and outcome operators.
+def structural_row_values(sdp, t_ops):
+    """Constraint row values of labeled outcome operators.
 
-    Rows start at the first step with an input; that level's row reads no
-    Xi below it, whose fixed I_out (x) Xi is on the right-hand side b.
+    M_N is their sum and M_(j-1) = Tr_in(j) <0|M_j|0>, the (0, 0) block on
+    out(j).  Level j's rows read M_j - I_out(j) (x) <0|M_j|0> on their
+    coordinates, and the first level with rows reads M_first itself, whose
+    right-hand side b is the identity.
     """
     steps = sdp.problem.space.steps
     first = first_level(sdp)
     vals = np.zeros(sdp.cmap.m)
-    if first == 0:
-        vals[0] = float(np.trace(xi_ops[0].data).real)
-    for j in range(max(first, 1), len(steps) + 1):
-        if j < len(steps):
-            traced = partial_trace(xi_ops[j], [steps[j].in_sys.id]).data
-        else:
-            traced = sum(t.data for t in t_ops)
+    level = t_ops[0].with_data(sum(t.data for t in t_ops))
+    for j in range(len(steps), first - 1, -1):
+        read = level
         if j > first:
-            traced = traced - embed_identity(xi_ops[j - 1], steps[j - 1].out_sys,
-                                             2 * (j - 1)).data
-        vals[sdp.level_rows(j)] = coords_from_hermitian(traced)[sdp.coords[j]]
+            out, inp = steps[j - 1].out_sys, steps[j - 1].in_sys
+            rest = identity_on(f for f in level.factors if f != out)
+            project = embed(rest, out_zero(out), 2 * (j - 1))
+            block = partial_trace(level.with_data(project.data @ level.data),
+                                  [out.id])
+            read = level.with_data(
+                level.data - embed_identity(block, out, 2 * (j - 1)).data)
+            level = partial_trace(block, [inp.id])
+        vals[sdp.level_rows(j)] = coords_from_hermitian(read.data)[sdp.coords[j]]
     return vals

@@ -31,12 +31,16 @@ def sector_sides(problem):
 def test_phase_grid_has_one_level_sector_and_singletons(levels):
     problem = phase_grid_problem(levels)[0]
     assert sector_sides(problem) == [levels] + [1] * (levels ** 2 - levels)
-    sdp = build_primal(problem, sectors=charge_sectors(problem))
-    # one row for the trace, then the invariant coordinates of level 1
-    assert len(sdp.coords[1]) == 2 * levels ** 2 - levels
-    assert sdp.cmap.m == 1 + 2 * levels ** 2 - levels
-    # the input levels carry distinct charges: Xi^(1) is diagonal
-    assert [sdp.positions[g].shape for g in sdp.xi_groups[0]] == [(levels, 1)]
+    torus = charge_sectors(problem)
+    sdp = build_primal(problem, sectors=torus)
+    # one row for the trace, then the invariant coordinates of level 1, less
+    # Xi^(1)'s: the input levels carry distinct charges, so Xi^(1) is
+    # diagonal and levels of them
+    labels = torus.labels(problem.space.factors())
+    invariant = np.count_nonzero(labels[:, None] == labels[None, :])
+    assert invariant == 2 * levels ** 2 - levels
+    assert len(sdp.coords[1]) == invariant - levels
+    assert sdp.cmap.m == 1 + 2 * levels ** 2 - 2 * levels
 
 
 def test_two_phase_splits_four_and_twelve_singletons():
@@ -126,7 +130,7 @@ def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
     monkeypatch.setattr(engine, "build_primal", build)
     problem = phase_grid_problem(levels)[0]
     sol = solve(problem)
-    assert built[0].cmap.m == 1 + 2 * levels ** 2 - levels
+    assert built[0].cmap.m == 1 + 2 * levels ** 2 - 2 * levels
     oracle = phase_estimation_optimum(levels).cos_max
     assert abs(sol.gamma_primal - oracle) <= 1e-7
     assert abs(sol.gamma_dual - oracle) <= 1e-7
@@ -170,7 +174,7 @@ def test_outcome_blocks_hold_the_largest_payoff_eigenvalue(name):
     problem = PROBLEMS[name]()
     sdp = build_primal(problem, sectors=charge_sectors(problem))
     blocks = max(np.linalg.eigvalsh(-c)[..., -1].max()
-                 for c in sdp.C[sdp.outcome_groups])
+                 for c in sdp.C)
     full = np.linalg.eigvalsh(payoff_operators(problem))[:, -1].max()
     assert abs(blocks - full) <= 1e-12 * abs(full)
 

@@ -305,8 +305,15 @@ def test_reduced_rows_are_the_nonzero_rows_of_the_dense_program(case):
         P = twirl_coordinates(action, factors)
         twirled = np.flatnonzero(np.abs(P).max(axis=1) > 1e-12)
         charged = _shared(ChargeSectors(torus.charges).labels(factors))
-        np.testing.assert_array_equal(sdp.coords[j],
-                                      np.intersect1d(twirled, charged))
+        # less Xi^(j)'s: the coordinates whose positions both sit at out(j)
+        # level 0 (out(j) is the second factor from the end)
+        outs = np.unravel_index(np.arange(sdp.level_dims[j]),
+                                [f.dim for f in factors])[-2]
+        row, col, _ = basis_layout(sdp.level_dims[j])
+        xi = np.flatnonzero((outs[row] == 0) & (outs[col] == 0))
+        np.testing.assert_array_equal(
+            np.sort(sdp.coords[j]),
+            np.setdiff1d(np.intersect1d(twirled, charged), xi))
         if case == "two-step" and j == 2:  # of the 256 coordinates of level 2
             assert len(twirled) == 96
 

@@ -23,6 +23,9 @@ def test_a_rung_records_its_solve(tmp_path):
     assert rec["wall_s"] > 0 and rec["peak_rss_mb"] > 0
     assert rec["build_s"] > 0
     assert 0 < rec["estimate_mb"] < rec["peak_rss_mb"]  # no interpreter in it
+    # the 4-level grid's sector program: the trace row, then the invariant
+    # coordinates of level 1 less Xi^(1)'s, 2 L^2 - 2 L
+    assert rec["rows"] == 1 + 2 * 4 ** 2 - 2 * 4
     assert 0 < rec["first_rss_mb"] <= rec["peak_rss_mb"]
     assert isinstance(rec["minflt"], int) and rec["minflt"] >= 0
     # a sub-second rung is timed over several calls, at most five

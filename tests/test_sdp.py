@@ -11,6 +11,7 @@ from scipy.linalg import solve_triangular
 from conftest import (HELSTROM_VALUE, chain_residuals, dual_from_y,
                       helstrom_problem, is_invariant, mixed_comb,
                       outcome_residuals, qubit_state_problem,
+                      reference_validate_comb,
                       selected_phase_program, sequential_phase_problem,
                       state_problems, uniform_tester)
 from qnetopt import serde
@@ -25,7 +26,7 @@ from qnetopt.operators import LabeledOperator, SystemLabel, min_eig
 from qnetopt.sdp import (SolverOptions, certify_dual, engine, ipm,
                          slater_point, solve, yuen_kennedy_lax)
 from qnetopt.sdp.engine import tighten_dual
-from qnetopt.covariant import phase_grid_problem
+from qnetopt.covariant import covariant_gamma, phase_grid_problem
 from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _ct,
                              _nt_scaling, _step_pair, solve_ipm)
 from qnetopt.sdp.standard_form import build_primal, charge_sectors
@@ -79,6 +80,8 @@ def test_iteration_counts_are_pinned():
     # every per-iteration cost is multiplied by these; a change of one shows
     assert solve(phase_grid_problem(4)[0]).iterations == 8
     assert solve(helstrom_problem()).iterations == 6
+    # the covariant seed program, 9 iterations while it had chain groups
+    assert covariant_gamma(*phase_grid_problem(3, 24)).iterations == 7
 
 
 def test_ipm_history_records_every_iteration():
@@ -146,7 +149,7 @@ def _random_scalings(cmap, rng):
 ], ids=["memory-2x22", "covariant-6"])
 def test_schur_overwrites_whatever_its_buffer_held(make):
     cmap = make().cmap
-    assert any(e.padded for e in cmap.entries)
+    assert any((e.tensor < 0).any() for e in cmap.entries)  # padded
     Ws = _random_scalings(cmap, np.random.default_rng(1))
     out = np.full((cmap.m, cmap.m), np.nan)
     H = cmap.schur(Ws, out)
@@ -398,14 +401,20 @@ def test_solve_ipm_keeps_one_stack_per_group():
     for g, x in zip(groups, res.X):
         assert x.shape == (g.copies, g.sectors, g.side, g.side)
 
-    # raising the rows that read coordinate 0 of the second outcome group
-    # makes that group's dual slack indefinite (Xi^(1)'s only grows); its
-    # first block fails, numbered group by group
-    second = sdp.xi_groups[-1][-1] + 2
-    entry, = groups[second].entries
+    # raising a top-level row that reads a diagonal coordinate of the second
+    # group at +1 makes that coordinate's dual slack indefinite (the -1 unit
+    # of a difference row, on an out-0 position, only grows); the block of
+    # its sector fails first, numbered group by group
+    second, top = 1, sdp.level_offsets[-2]
+    n = groups[second].side
+    row, coord = next((e.row_start + r, e.tensor[r, 0])
+                      for e in groups[second].entries
+                      if e.scale > 0 and e.row_start == top
+                      for r in range(len(e.tensor))
+                      if 0 <= e.tensor[r, 0] and e.tensor[r, 0] % n ** 2 < n)
     y0 = slater_point(sdp)
-    y0[entry.row_start + np.flatnonzero(entry.tensor[:, 0] == 0)] += 1e6
-    first = sum(g.copies * g.sectors for g in groups[:second])
+    y0[row] += 1e6
+    first = sum(g.copies * g.sectors for g in groups[:second]) + coord // n ** 2
     with pytest.raises(NumericalFailure, match="Cholesky failed for dual "
                        "block %d$" % first) as err:
         solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(), y0)
@@ -489,26 +498,27 @@ def test_collapsed_step_lengths_are_numerical_failure(
     assert diagnostics["rel_gap"] > 0 and diagnostics["mu"] > 0
 
 
-# halving every level's rows keeps R = S^(N) / lambda and halves lambda =
-# -b.y, so R validates and the margins fail; scaling the level-N rows alone
-# breaks R's normalization when lambda reads a lower level, as it does once
-# step 1 has an input (a state problem's lambda is Tr S^(1) itself)
+# halving every row keeps R = -A^T y / lambda and halves lambda = -b.y, so R
+# validates and the margins fail.  No y breaks R's normalization: range(A^T)
+# is the span of the combs, with lambda = -b.y.  Doubling the rows above
+# the first level with rows gives 2 R - M for the part M that its rows
+# read, which is not PSD at a rank-deficient optimum
 @pytest.mark.parametrize("s0, top, make, match", [
     (0.5, 0.5, helstrom_problem,
      r"^dual certificate margin -\d\.\d{3}e-0\d below -1\.0e-07$"),
     (1.0, 2.0, lambda: random_channel_problem(np.random.default_rng(2), 2,
                                               [(2, 2)]),
-     r"^converged point failed validation: normalization violated "
-     r"at level 0 "),
-], ids=["margin", "normalization"])
+     r"^converged point failed validation: comb operator has eigenvalue "),
+], ids=["margin", "positivity"])
 def test_a_converged_point_that_fails_its_checks_is_numerical_failure(
         s0, top, make, match, tmp_path, monkeypatch, capsys):
     problem = make()
     sol = solve(problem)
+    sdp = build_primal(problem, charge_sectors(problem))
     real = engine.tighten_dual
 
-    def scaled(sdp, y):
-        y = real(sdp, y)
+    def scaled(y):
+        y = real(y).copy()
         y[:sdp.level_offsets[-2]] *= s0
         y[sdp.level_rows(sdp.num_steps)] *= top
         return y
@@ -548,8 +558,12 @@ def test_slater_point_is_strictly_feasible_on_random_problems():
                                    memory=True)
         sdp = build_primal(p)
         point = dual_from_y(sdp, slater_point(sdp))
+        # the chain is exact, S^(N) = c I, and c tops every payoff
         for r in chain_residuals(p, point):
-            assert min_eig(r.data) > 1e-9
+            assert np.max(np.abs(r.data)) <= 1e-12 * point.s0
+        top = point.operators[-1].data
+        np.testing.assert_allclose(top, top[0, 0] * np.eye(len(top)),
+                                   rtol=0, atol=1e-12 * top[0, 0])
         for r in outcome_residuals(p, point):
             assert min_eig(r.data) > 1e-9
 
@@ -570,7 +584,7 @@ TIGHTEN_CASES = {
         np.random.default_rng(8), 2, [(2, 1), (1, 2), (2, 1)],
         memory=True)), None),
     "selected-phase3": selected_phase_program,
-    # Xi^(2) has sectors of two sides, so two groups to tighten
+    # Xi^(2) has sectors of two sides, and the outcome several groups
     "sectors-phase-2step": lambda: (sector_program(
         sequential_phase_problem(2)[0]), None),
 }
@@ -578,20 +592,23 @@ TIGHTEN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TIGHTEN_CASES))
 def test_tighten_dual_makes_chain_exact(case):
-    """Tightening the raw interior-point dual closes every chain inequality."""
+    """The raw interior-point dual closes every chain condition as it comes."""
     sdp, action = TIGHTEN_CASES[case]()
     problem = sdp.problem
     opts = SolverOptions()
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
+    assert tighten_dual(res.y) is res.y  # nothing left to tighten
     raw = dual_from_y(sdp, res.y)
-    tight = dual_from_y(sdp, tighten_dual(sdp, res.y))
-    for r in chain_residuals(problem, tight):
-        assert np.max(np.abs(r.data)) <= 1e-12
-    assert tight.s0 == raw.s0
-    for new, old in zip(tight.operators, raw.operators):
-        assert min_eig(new.data - old.data) >= -1e-12
-    top = tight.operators[-1]
+    for r in chain_residuals(problem, raw):
+        assert np.max(np.abs(r.data)) <= 1e-12 * raw.s0
+    top = raw.operators[-1]
+    # -A^T y / lambda is that S^(N) / S^(0), and a comb at 1e-12
+    np.testing.assert_allclose(
+        sdp.outcome([-a for a in sdp.cmap.apply_AT(res.y)]), top.data,
+        rtol=0, atol=1e-12 * raw.s0)
+    reference_validate_comb(QuantumComb(problem.space, top.with_data(
+        top.data / raw.s0)), 1e-12)
     if action is not None:  # the covariant program's S^(N) is invariant
         assert is_invariant(top, action)
     for g in payoff_operators(problem):

@@ -12,17 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (coords_from_hermitian, dual_from_y, helstrom_problem,
-                      hermitian_from_coords, reference_validate_comb, seeds,
-                      selected_phase_program, state_problems,
-                      structural_row_values)
+from conftest import (comb_spaces, coords_from_hermitian, dual_from_y,
+                      helstrom_problem, hermitian_from_coords, memory_combs,
+                      reference_validate_comb, seeds, selected_phase_program,
+                      state_problems, structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
-from qnetopt.estimation import joint_problem, payoff_operators
-from qnetopt.instances import random_channel_problem, random_state_problem
+from qnetopt.estimation import (EstimationProblem, joint_problem,
+                                payoff_operators)
+from qnetopt.instances import (random_channel_problem, random_memory_comb,
+                               random_state_problem)
+from qnetopt.networks import QuantumComb, validate_comb
 from qnetopt.operators import LabeledOperator
-from qnetopt.sdp import SolverOptions
+from qnetopt.sdp import SolverOptions, slater_point
 from qnetopt.sdp.engine import solve_program, tighten_dual
-from qnetopt.sdp.ipm import _float_positions, basis_kernel
+from qnetopt.sdp.ipm import (LAYOUT_CACHE, _flat_positions, _float_positions,
+                             basis_kernel, basis_layout, solve_ipm)
 from qnetopt.sdp.standard_form import build_primal, charge_sectors
 
 
@@ -30,19 +34,10 @@ def sector_program(problem):
     return build_primal(problem, sectors=charge_sectors(problem))
 
 
-def group_owners(sdp):
-    """Per group, the tester blocks whose sectors it stacks, copy by copy."""
-    outcomes = range(sdp.num_steps, sdp.num_steps + sdp.num_outcomes)
-    owners = {g: (j,) for j, gs in enumerate(sdp.xi_groups) for g in gs}
-    return [owners.get(g, outcomes) for g in range(len(sdp.positions))]
-
-
-def group_stacks(sdp, tester_blocks):
-    """The group stacks of full-size tester blocks: their sector parts."""
-    return [np.array([[tester_blocks[t][np.ix_(p, p)] for p in pos]
-                      for t in owners], dtype=complex)
-            for owners, pos in zip(group_owners(sdp),
-                                   sdp.positions)]
+def group_stacks(sdp, outcome_blocks):
+    """The group stacks of full-size outcome blocks: their sector parts."""
+    return [np.array([[t[np.ix_(p, p)] for p in pos] for t in outcome_blocks],
+                     dtype=complex) for pos in sdp.positions]
 
 
 def rand_herm(g, d):
@@ -90,6 +85,18 @@ def test_basis_is_orthonormal_and_hermitian(d):
     np.testing.assert_allclose(s, np.conj(np.transpose(s, (0, 2, 1))), atol=1e-14)
 
 
+def test_layout_caches_keep_a_few_sides():
+    # at side 4096 one side's layouts take 285 MB, so no cache keeps every
+    # side it has seen
+    for n in range(1, 4 * LAYOUT_CACHE):
+        basis_kernel(np.eye(n, dtype=complex)[None, None])
+        _float_positions(n)
+    for cache in (basis_layout, _flat_positions, _float_positions):
+        info = cache.cache_info()
+        assert info.maxsize == LAYOUT_CACHE <= 16
+        assert info.currsize == LAYOUT_CACHE
+
+
 def test_coords_round_trip(rng):
     h = rand_herm(rng, 3)
     c = coords_from_hermitian(h)
@@ -129,20 +136,14 @@ def test_block_layout_and_row_partition():
         n = sdp.num_steps
         groups = sdp.cmap.groups
         assert len(sdp.positions) == len(groups) == len(sdp.C)
-        owners = group_owners(sdp)
-        for g, c, pos, own in zip(groups, sdp.C, sdp.positions, owners):
+        for g, c, pos in zip(groups, sdp.C, sdp.positions):
             assert pos.shape == (g.sectors, g.side)
             assert c.shape == (g.copies, g.sectors, g.side, g.side)
-            assert len(own) == g.copies
-        # every tester block is in a group, and its sectors partition its
-        # positions
-        assert sorted({t for own in owners for t in own}) == \
-            list(range(n + sdp.num_outcomes))
-        for t in range(n + sdp.num_outcomes):
-            positions = np.concatenate([pos.ravel() for pos, own in
-                                        zip(sdp.positions, owners)
-                                        if t in own])
-            assert sorted(positions) == list(range(len(positions)))
+            # no chain group: every group holds the outcome blocks
+            assert g.copies == sdp.num_outcomes
+        # the sectors partition the outcome positions
+        positions = np.concatenate([pos.ravel() for pos in sdp.positions])
+        assert sorted(positions) == list(range(sdp.level_dims[-1]))
         covered = []
         for j in range(n + 1):
             sl = sdp.level_rows(j)
@@ -168,44 +169,45 @@ def test_objective_blocks_encode_payoff():
         sdp = sector_program(problem)
         for k, op in enumerate(payoff_operators(problem)):
             # the payoff is exactly zero off the sectors, so nothing is lost
-            blocks = [c[k] for c in sdp.C[sdp.outcome_groups]]
+            blocks = [c[k] for c in sdp.C]
             assert np.array_equal(sdp.outcome(blocks), -op)
-        for gs in sdp.xi_groups:
-            assert not any(np.any(sdp.C[g]) for g in gs)
 
 
-# per problem: the Xi^(j) that are variables, the groups and the rows; a
-# leading step with no input fixes Xi^(j) = I, and the levels below the first
-# step with an input (level D_j has D_j^2 rows) are dropped
+# per problem: the first level with rows, and m; a leading step with no
+# input fixes Xi^(j) = I, and the levels below the first step with an input
+# are dropped.  That level keeps its D^2 rows, and each later level j its
+# D_j^2 less Xi^(j)'s (D_(j-1) d_in(j))^2
 REDUCTION_CASES = {
-    # level 0 (1 row) dropped: 2 groups and m = 5 before
-    "helstrom": (helstrom_problem, [False], 1, 4),
-    # levels 0 and 1 (1 + 4 rows) dropped: 3 groups and m = 41 before
+    # level 0 (1 row) dropped: 2 groups and m = 5 with a chain variable
+    "helstrom": (helstrom_problem, 1, 4),
+    # levels 0 and 1 (1 + 4 rows) dropped: 3 groups and m = 41 with chain
+    # variables
     "joint-states": (lambda: joint_problem([
         helstrom_problem(), random_state_problem(np.random.default_rng(1), 2,
-                                                 3)]), [False, False], 1, 36),
+                                                 3)]), 2, 36),
     # a comb that prepares a qubit and then applies a channel to it: level 0
-    # dropped, 3 groups and m = 69 before
+    # dropped, and Xi^(2)'s 16 rows; 3 groups and m = 69 with chain
+    # variables
     "prepare-then-channel": (lambda: random_channel_problem(
-        np.random.default_rng(4), 2, [(1, 2), (2, 2)], memory=True),
-        [False, True], 2, 68),
-    # step 1 has an input: nothing dropped, b = e_0
+        np.random.default_rng(4), 2, [(1, 2), (2, 2)], memory=True), 1, 52),
+    # step 1 has an input: b = e_0, and Xi^(1)'s 4 rows dropped from level 1
     "channel": (lambda: random_channel_problem(
-        np.random.default_rng(5), 2, [(2, 2)]), [True], 2, 17),
+        np.random.default_rng(5), 2, [(2, 2)]), 0, 13),
 }
 
 
 @pytest.mark.parametrize("case", REDUCTION_CASES)
 def test_leading_input_free_steps_carry_no_chain_variable(case):
-    make, variables, n_groups, m = REDUCTION_CASES[case]
+    make, first, m = REDUCTION_CASES[case]
     problem = make()
     sdp = build_primal(problem)
-    assert [bool(gs) for gs in sdp.xi_groups] == variables
-    assert (len(sdp.cmap.groups), sdp.cmap.m) == (n_groups, m)
-    first = variables.index(True) if True in variables else len(variables)
+    assert [g.copies for g in sdp.cmap.groups] == [sdp.num_outcomes]
+    assert sdp.cmap.m == m
     dims = np.array(sdp.level_dims)
+    ins = [1] + [step.in_sys.dim for step in problem.space.steps]
     assert sdp.level_offsets[first] == 0
-    assert m == np.sum(dims[first:] ** 2)
+    assert m == dims[first] ** 2 + np.sum(
+        dims[first + 1:] ** 2 - (dims[first:-1] * ins[first + 1:]) ** 2)
     # b is the identity's coordinates on the first level with rows
     rows = sdp.level_rows(first)
     expect = np.zeros(m)
@@ -215,12 +217,13 @@ def test_leading_input_free_steps_carry_no_chain_variable(case):
     if first == 0:
         assert np.array_equal(sdp.b, np.eye(m)[0])
 
-    # lambda = -b.y is the tightened Tr S^(first), and R validates at full
-    # size; solve_program runs on the charge sectors, so read its program
+    # lambda = -b.y is Tr S^(first), and R validates at full size;
+    # solve_program runs on the charge sectors, so read its program
     opts = SolverOptions()
     sdp, res, lambda_, comb, report = solve_program(problem.validated(), opts)
     assert report.certified
-    y = tighten_dual(sdp, res.y)
+    y = tighten_dual(res.y)
+    assert y is res.y
     d = sdp.level_dims[first]
     coords = np.zeros(d * d)
     coords[sdp.coords[first]] = -y[sdp.level_rows(first)]
@@ -253,15 +256,24 @@ def test_adjoint_identity_sector_programs(make, rng):
 
 def _assert_rows_agree(sdp, g):
     space = sdp.problem.space
-    xi_ops = [LabeledOperator(space.prefix_factors(j) + (step.in_sys,),
-                              rand_herm(g, d * step.in_sys.dim))
-              for j, (d, step) in enumerate(zip(sdp.level_dims, space.steps))]
     t_ops = [LabeledOperator(space.factors(), rand_herm(g, sdp.level_dims[-1]))
              for k in range(sdp.num_outcomes)]
-    direct = structural_row_values(sdp, xi_ops, t_ops)
-    assembled = sdp.cmap.apply_A(
-        group_stacks(sdp, [op.data for op in xi_ops + t_ops]))
+    direct = structural_row_values(sdp, t_ops)
+    assembled = sdp.cmap.apply_A(group_stacks(sdp, [op.data for op in t_ops]))
     np.testing.assert_allclose(assembled, direct, atol=1e-10)
+    # and the adjoint: -A^T y is dual_from_y's S^(N) on the sectors
+    y = g.normal(size=sdp.cmap.m)
+    top = dual_from_y(sdp, y).operators[-1].data
+    np.testing.assert_allclose(sdp.outcome([-a for a in sdp.cmap.apply_AT(y)]),
+                               top * _on_sectors(sdp), atol=1e-10)
+
+
+def _on_sectors(sdp):
+    """1 on the positions pairs that share a sector, 0 off them."""
+    mask = np.zeros((sdp.level_dims[-1],) * 2)
+    for pos in sdp.positions:
+        mask[pos[:, :, None], pos[:, None, :]] = 1.0
+    return mask
 
 
 def _dense_rows(cmap):
@@ -289,10 +301,11 @@ def test_plan_programs_hold_every_kind_of_group_and_entry():
     entries = [e for g in groups for e in g.entries]
     assert {min(g.side, 2) for g in groups} == {1, 2}
     assert {min(g.sectors, 2) for g in groups} == {1, 2}
-    assert any(e.padded for e in entries)
+    assert any((e.tensor < 0).any() for e in entries)  # padded
     assert any(e.tensor.shape[1] == 2 for e in entries)
     assert any(e.scale != 1.0 for e in entries)
-    assert any(e.identity for e in entries)
+    assert any(e.scale == 1.0 and np.array_equal(  # the identity
+        e.tensor, np.arange(len(e.tensor))[:, None]) for e in entries)
 
 
 @pytest.mark.parametrize("name", PLAN_PROGRAMS)
@@ -352,12 +365,16 @@ def test_restricted_top_level_scatters_through_its_coordinates(rng):
     coords = sdp.coords[top]
     d = sdp.level_dims[top]
     assert sdp.cmap.m == 1 + len(coords) < 1 + d * d
+    # the rows read only the coordinates that both labels keep: -A^T y is
+    # dual_from_y's S^(N), and 0 on every coordinate no row reads
     y = rng.normal(size=sdp.cmap.m)
-    expect = np.zeros(d * d)
-    expect[coords] = -y[sdp.level_rows(top)]
-    dual = dual_from_y(sdp, y)
-    np.testing.assert_allclose(coords_from_hermitian(dual.operators[-1].data),
-                               expect, atol=1e-12)
+    dual = dual_from_y(sdp, y).operators[-1].data
+    scattered = sdp.outcome([-a for a in sdp.cmap.apply_AT(y)])
+    np.testing.assert_allclose(scattered, dual, atol=1e-12)
+    read = np.zeros(d * d, dtype=bool)
+    read[coords] = True
+    read[:d] = True  # the level-0 row reads the out-0 diagonal
+    assert not np.any(coords_from_hermitian(scattered)[~read])
 
 
 def _assert_kernels_match_dense_rows(sdp, rng):
@@ -373,9 +390,11 @@ def _assert_kernels_match_dense_rows(sdp, rng):
     expect = np.zeros((cmap.m, cmap.m))
     for A, W in zip(dense, Ws):
         # sum_b Re Tr(A_i W_b A_j W_b) over blocks b = (copy u, sector t);
-        # a row's coefficient is the same on every copy
+        # a row's coefficient is the same on every copy; the greedy path
+        # with room for the (t, k, l, p, q) intermediate, which the default
+        # limit (the largest input) refuses when m < n^2
         expect += np.einsum("itkl,utlp,jtpq,utqk->ij", A, W, A, W,
-                            optimize=True).real
+                            optimize=("greedy", 1 << 24)).real
     np.testing.assert_allclose(cmap.schur(Ws, np.empty_like(expect)),
                                expect, rtol=1e-10)
 
@@ -411,3 +430,76 @@ def test_dual_vector_round_trip(rng):
     for j, op in enumerate(dual.operators, start=1):
         np.testing.assert_allclose(coords_from_hermitian(op.data),
                                    -y[sdp.level_rows(j)], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the program on the outcome sum alone, over drawn comb spaces: memoryful
+# combs of one or two steps, input-free steps included
+# ---------------------------------------------------------------------------
+
+
+def comb_problem(space, g, combs=()):
+    """Three outcomes: the given combs, random memory combs for the rest."""
+    combs = tuple(combs) + tuple(random_memory_comb(g, space)
+                                 for _ in range(3 - len(combs)))
+    return EstimationProblem(space, (0, 1, 2), np.full(3, 1.0 / 3), combs,
+                             g.uniform(size=(3, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(comb=memory_combs(), seed=seeds)
+def test_the_program_reads_the_outcome_sum_alone(comb, seed):
+    problem = comb_problem(comb.space, np.random.default_rng(seed), [comb])
+    sdp = build_primal(problem)
+    # no chain group: every group holds the three outcome blocks
+    assert [g.copies for g in sdp.cmap.groups] == [3]
+    # the first level with rows keeps D^2 of them, a later level D_j^2 less
+    # Xi^(j)'s (D_(j-1) d_in(j))^2
+    dims = np.array(sdp.level_dims)
+    ins = np.array([1] + [s.in_sys.dim for s in problem.space.steps])
+    first = next(j for j, c in enumerate(sdp.coords) if len(c))
+    assert sdp.cmap.m == dims[first] ** 2 + np.sum(
+        dims[first + 1:] ** 2 - (dims[first:-1] * ins[first + 1:]) ** 2)
+    # the uniform tester meets every row
+    np.testing.assert_allclose(sdp.cmap.apply_A(sdp.primal_start()), sdp.b,
+                               rtol=0, atol=1e-13)
+    # the Slater point's dual is c I exactly, c over every payoff
+    top = sdp.outcome([-a for a in sdp.cmap.apply_AT(slater_point(sdp))])
+    c = top[0, 0].real
+    np.testing.assert_allclose(top, c * np.eye(len(top)), rtol=0,
+                               atol=1e-13 * c)
+    assert c > np.linalg.eigvalsh(payoff_operators(problem))[:, -1].max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(space=comb_spaces(max_dim=2), seed=seeds)
+def test_dense_A_has_full_row_rank(space, seed):
+    sdp = build_primal(comb_problem(space, np.random.default_rng(seed)))
+    m = sdp.cmap.m
+    dense = np.concatenate([a.reshape(m, -1) for a in _dense_rows(sdp.cmap)],
+                           axis=1)
+    assert np.linalg.matrix_rank(np.hstack([dense.real, dense.imag])) == m
+
+
+@settings(max_examples=12, deadline=None)
+@given(space=comb_spaces(max_dim=2), seed=seeds)
+def test_the_raw_dual_is_a_scalar_times_a_comb(space, seed):
+    problem = comb_problem(space, np.random.default_rng(seed))
+    sdp = build_primal(problem)
+    res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
+                    slater_point(sdp))
+    lambda_ = -np.dot(sdp.b, res.y)
+    top = sdp.outcome([-a / lambda_ for a in sdp.cmap.apply_AT(res.y)])
+    validate_comb(QuantumComb(space, LabeledOperator(space.factors(), top)),
+                  1e-12)
+
+
+def test_an_input_free_step_after_an_input_has_no_chain_variable():
+    # Tr_in Xi^(3) = Xi^(3) = I_out(2) (x) Xi^(2): 85 rows and three chain
+    # groups before; now levels 1 and 3 (d_out = 1) are all Xi^(j)'s
+    problem = random_channel_problem(np.random.default_rng(8), 2,
+                                     [(2, 1), (1, 2), (2, 1)], memory=True)
+    sdp = build_primal(problem)
+    assert sdp.cmap.m == 13
+    assert [g.copies for g in sdp.cmap.groups] == [2]
+    assert [len(c) for c in sdp.coords] == [1, 0, 12, 0]
