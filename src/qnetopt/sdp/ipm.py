@@ -1,7 +1,8 @@
 """Feasible-start primal-dual interior-point core for block-diagonal SDPs.
 
 Solves   min <C, X>  s.t.  A(X) = b,  X >= 0 (block diagonal, complex Hermitian)
-and its dual simultaneously, with Nesterov-Todd scaling and a Mehrotra
+and its dual simultaneously, along the HKM direction (Helmberg, Rendl,
+Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996) with a Mehrotra
 predictor-corrector step.  The caller supplies strictly feasible primal and
 dual starting points; with those, every iterate stays (numerically) feasible,
 so primal and dual objectives bracket the optimum and the duality gap is an
@@ -22,24 +23,25 @@ A and A^T run through one scatter plan a group, built once: a sparse map
 between the rows and the floats of the copies' sum, as SDPT3 holds each
 block's A (Toh, Todd and Tutuncu, Optim. Methods Softw. 11, 1999), so each
 is one bincount a group.  The Schur complement then needs, per group,
-only the block-diagonal S with blocks S_t[a, c] = Re sum_k Tr(B_a W_kt
-B_c W_kt), which one batched GEMM and an index gather give in closed form
-(basis_kernel); for n = 1 that is the diagonal sum_k |W_kt|^2.  The
+only the block-diagonal S with blocks S_t[a, c] = Re sum_k Tr(B_a X_kt
+B_c Z^-1_kt), which one batched GEMM and an index gather give in closed
+form (basis_kernel); for n = 1 that is the diagonal sum_k x_kt / z_kt.  The
 group's R, all its entries together, then adds R S R^T: one row gather and
 one column gather.  This is the structure-exploiting assembly of Fujisawa,
 Kojima and Nakata (Math. Program. 79, 1997), specialised to comb
 constraints; every group takes it, including those whose entries read
 only some coordinates (the outcome sectors of a covariant program).  The
 iteration keeps one (2 K, s, n, n) stack [X; Z] per group: one batched
-Cholesky and inverse an iteration serve the NT scaling and Z^-1, and one
-eigensolve of each direction [dX; dZ] gives both step lengths.  A group of side 1 is the nonnegative orthant, as
-in SDPT3's linear blocks: its factor, inverse, NT scaling and step lengths
-are taken elementwise in closed form, with no LAPACK call.  A LAPACK call
-that fails stops the solve and names its block (_lapack).  The predictor
-and corrector share W R_d W and its image under A.  The Schur complement H
-is one (m, m) array held for the whole loop: each iteration's assembly
-zeroes it and adds into it, and its Cholesky factor overwrites it, so no
-m x m array is allocated after the first.
+Cholesky and inverse an iteration give Z^-1 = L_z^-H L_z^-1, and one
+eigensolve of each direction [dX; dZ] in those inverse factors gives both
+step lengths.  A group of side 1 is the nonnegative orthant, as in SDPT3's
+linear blocks: its inverse factor and step lengths are taken elementwise
+in closed form, with no LAPACK call.  A LAPACK call that fails stops the
+solve and names its block (_lapack).  The predictor and corrector share
+X R_d Z^-1 and its image under A.  The Schur complement H is one (m, m)
+array held for the whole loop: each iteration's assembly zeroes it and
+adds into it, and its Cholesky factor overwrites it, so no m x m array is
+allocated after the first.
 """
 
 from __future__ import annotations
@@ -120,19 +122,27 @@ def _float_positions(n: int):
             np.concatenate([2 * diag, 2 * lo, 2 * lo + 1]), w, v)
 
 
-def basis_kernel(stack: np.ndarray) -> np.ndarray:
-    """S_t[a, c] = Re sum_k Tr(B_a L_kt B_c L_kt^H) for a (K, s, n, n) stack L.
+def basis_kernel(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """S_t[a, c] = Re sum_k Tr(B_a X_kt B_c Y_kt^H), symmetrised in X and Y.
 
-    The (s, n^2, n^2) kernels of the s sectors come from one batched GEMM,
-    G_t[(q, r), (p, s)] = sum_k L_kt[q, r] conj(L_kt[p, s]); for n = 1 its
+    X and Y are (K, s, n, n) stacks, and S is the mean of that sum and the
+    one with X and Y swapped.  For Hermitian X and Y the two are equal, so
+    S is the HKM kernel Re sum_k Tr(B_a X_kt B_c Y_kt) of X and Y = Z^-1.
+    The (s, n^2, n^2) kernels of the s sectors come from one batched GEMM
+    of [X; Y] / 2 against conj [Y; X]: G_t[(q, r), (p, s)] = sum_k (X_kt[q,
+    r] conj(Y_kt[p, s]) + Y_kt[q, r] conj(X_kt[p, s])) / 2; for n = 1 its
     real part is S.  Transposed to T[(p, q), (r, s)] it turns each trace
     into vec(B_a)^T T vec(B_c).  Each B_a has at most two nonzero entries
-    and T[(q, p), (s, r)] = conj T[(p, q), (r, s)], so S is a gather of the
-    rows p <= q of T at the diagonal, upper and lower positions.
+    and, as G is symmetrised, T[(q, p), (s, r)] = conj T[(p, q), (r, s)],
+    so S is a gather of the rows p <= q of T at the diagonal, upper and
+    lower positions.
     """
-    k, s, n, _ = stack.shape
-    flat = stack.reshape(k, s, n * n)
-    G = flat.transpose(1, 2, 0) @ flat.transpose(1, 0, 2).conj()
+    k, s, n, _ = X.shape
+    P = np.concatenate([X, Y]).reshape(2 * k, s, n * n)
+    P *= 0.5  # exact, so G is exactly the halved sum
+    Q = np.concatenate([Y, X]).reshape(2 * k, s, n * n)
+    G = P.transpose(1, 2, 0) @ Q.transpose(1, 0, 2).conj()
+    del P, Q
     if n == 1:
         return G.real.copy()
     G = G.reshape(s, n, n, n, n)
@@ -338,19 +348,18 @@ class BlockConstraintMap:
             out.append(f.view(complex).reshape(g.sectors, g.side, g.side))
         return out
 
-    def schur(self, scalings: Sequence[np.ndarray],
-              out: np.ndarray) -> np.ndarray:
-        """H[i, j] = sum_blocks Re Tr(A_i W A_j W) for the group stacks of W.
+    def schur(self, pairs: Sequence[tuple], out: np.ndarray) -> np.ndarray:
+        """The HKM Schur complement H[i, j] = sum_blocks Re Tr(A_i X A_j Z^-1).
 
-        H is assembled into out, an (m, m) array that is zeroed first, and
-        returned: solve_ipm hands in the same array every iteration.  A
-        group adds R S R^T on the rows it reaches: one row gather of its
-        kernel S, weighted and summed row by row, then one column gather of
-        that, alike.
+        pairs holds each group's stacks (X, Z^-1).  H is assembled into
+        out, an (m, m) array that is zeroed first, and returned: solve_ipm
+        hands in the same array every iteration.  A group adds R S R^T on
+        the rows it reaches: one row gather of its kernel S, weighted and
+        summed row by row, then one column gather of that, alike.
         """
         out.fill(0.0)
-        for stack, (rows, buckets) in zip(scalings, self.row_maps):
-            S = _block_diagonal(basis_kernel(stack))
+        for (X, Zinv), (rows, buckets) in zip(pairs, self.row_maps):
+            S = _block_diagonal(basis_kernel(X, Zinv))
             RS = np.empty((rows, len(S)))
             for pos, _, units, weights in buckets:
                 if isinstance(pos, slice):
@@ -409,17 +418,16 @@ def _lapack(call, stack: np.ndarray, ids, it: int, what: str):
 
 
 def _chol_pair(XZ: np.ndarray, ids, it: int):
-    """Cholesky factors L of a stacked [X; Z] and their inverses L^-1.
+    """Inverse Cholesky factors L^-1 of a stacked [X; Z].
 
     A block that is not positive definite stops the solve (_lapack).  On
-    side 1, L = sqrt(x) and L^-1 = 1 / L when every entry is positive; a
-    zero, negative or NaN entry takes the LAPACK path, as any other side does.
+    side 1, L^-1 = 1 / sqrt(x) when every entry is positive; a zero,
+    negative or NaN entry takes the LAPACK path, as any other side does.
     """
     if XZ.shape[-1] == 1 and (XZ.real > 0).all():
-        L = np.sqrt(XZ.real).astype(XZ.dtype)
-        return L, 1.0 / L
+        return 1.0 / np.sqrt(XZ.real).astype(XZ.dtype)
     L = _lapack(np.linalg.cholesky, XZ, ids, it, "Cholesky failed")
-    return L, _lapack(np.linalg.inv, L, ids, it, "Cholesky inverse failed")
+    return _lapack(np.linalg.inv, L, ids, it, "Cholesky inverse failed")
 
 
 def _ct(M: np.ndarray) -> np.ndarray:
@@ -447,30 +455,6 @@ def _step_pair(Linv: np.ndarray, D: np.ndarray, ids, it: int):
     k = len(lam) // 2
     return tuple(np.inf if low >= -1e-13 else -1.0 / low
                  for low in (float(lam[:k].min()), float(lam[k:].min())))
-
-
-def _nt_scaling(Lx: np.ndarray, Lxinv: np.ndarray, Lz: np.ndarray, ids, it: int):
-    """G = Lx V diag(s)^-1/2, G^-1 and s from Lz^H Lx = U diag(s) V^H; W = G G^H.
-
-    On side 1, s = l_z l_x, G = l_x / sqrt(s) and G^-1 = sqrt(s) / l_x, so
-    W = sqrt(x / z), the orthant's scaling.  An s that is not finite and
-    positive raises, naming its block, and so does an SVD that fails.
-    """
-    side1 = Lx.shape[-1] == 1
-    if side1:
-        s = (Lz.conj() * Lx).real[..., 0]
-    else:
-        _, s, vh = _lapack(np.linalg.svd, _ct(Lz) @ Lx, ids, it,
-                           "NT scaling SVD failed")
-    broken = np.flatnonzero(~((s > 0) & (s < np.inf)).all(axis=-1))
-    if broken.size:
-        raise NumericalFailure("NT scaling broke down",
-                               {"iteration": it, "block": int(ids[broken[0]])})
-    if side1:
-        r = np.sqrt(s)[..., None]
-        return Lx / r, r * Lxinv, s
-    return ((Lx @ _ct(vh)) / np.sqrt(s)[..., None, :],
-            np.sqrt(s)[..., :, None] * (vh @ Lxinv), s)
 
 
 def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
@@ -522,21 +506,17 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                 {"iterations": it, "rel_gap": rel_gap, "gap": gap,
                  "pobj": pobj, "dobj": dobj})
 
-        # Nesterov-Todd scaling, one stacked call per group; the inverse
-        # factors also serve Z^-1 and every step length of the iteration
-        Ls, Linvs = zip(*[_chol_pair(xz, ids, it)
-                          for xz, ids in zip(XZ, group_ids)])
-        Gs, Ginvs, svals = zip(*[
-            _nt_scaling(lf[:k], li[:k], lf[k:], ids, it)
-            for lf, li, k, ids in zip(Ls, Linvs, halves, group_ids)])
-        Ws = [g @ _ct(g) for g in Gs]
-        A_WRW = cmap.apply_A([w @ rd @ w for w, rd in zip(Ws, R_d)])
+        # Z^-1 = L_z^-H L_z^-1, one stacked factor of [X; Z] a group; the
+        # inverse factors also serve every step length of the iteration
+        Linvs = [_chol_pair(xz, ids, it) for xz, ids in zip(XZ, group_ids)]
+        Zinvs = [_ct(li[k:]) @ li[k:] for li, k in zip(Linvs, halves)]
+        A_XRZ = cmap.apply_A([x @ rd @ zi for x, rd, zi in zip(X, R_d, Zinvs)])
 
         # shift H's diagonal, check it finite once (so its factor is; each
         # solve checks only its right-hand side) and factor it in place: H.T
         # is the Fortran-ordered view LAPACK overwrites, through its lower
         # triangle (H is symmetric, and dpotrf's lower path is the faster)
-        H = cmap.schur(Ws, H)
+        H = cmap.schur(list(zip(X, Zinvs)), H)
         H.flat[::cmap.m + 1] += 1e-14 * max(1.0, float(np.trace(H)) / cmap.m)
         if not np.isfinite(H).all():
             raise NumericalFailure("Schur complement not finite at iteration %d"
@@ -547,15 +527,15 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                                    {"iteration": it})
 
         def newton(rhs, Rc):
-            """dy, and per group [dX; dZ], for rhs = r_p - A(Rc - W R_d W)."""
+            """dy, and per group [dX; dZ]: rhs = r_p - A(Rc - X R_d Z^-1)."""
             if not np.isfinite(rhs).all():
                 raise NumericalFailure("Newton right-hand side not finite at "
                                        "iteration %d" % it, {"iteration": it})
             dy = cho_solve(Hf, rhs, lower=1)[0]
             D = []
-            for rc, w, rd, a in zip(Rc, Ws, R_d, cmap.apply_AT(dy)):
+            for rc, x, zi, rd, a in zip(Rc, X, Zinvs, R_d, cmap.apply_AT(dy)):
                 dz = rd - a  # exactly Hermitian, as R_d and A^T dy are
-                D.append(np.concatenate([_herm(rc - w @ dz @ w), dz]))
+                D.append(np.concatenate([_herm(rc - x @ dz @ zi), dz]))
             return D, dy
 
         def step(D):
@@ -563,22 +543,17 @@ def solve_ipm(cmap: BlockConstraintMap, C: Sequence[np.ndarray], b: np.ndarray,
                           for li, d, ids in zip(Linvs, D, group_ids)])
             return [min(1.0, STEP_FRACTION * min(al)) for al in pairs]
 
-        # predictor, Rc = -X: r_p - A(-X - W R_d W) = b + A(W R_d W)
-        D_a, _ = newton(b + A_WRW, [-x for x in X])
+        # predictor, Rc = -X: r_p - A(-X - X R_d Z^-1) = b + A(X R_d Z^-1)
+        D_a, _ = newton(b + A_XRZ, [-x for x in X])
         ap, ad = step(D_a)
         mu_aff = sum(np.vdot(xz[:k] + ap * d[:k], xz[k:] + ad * d[k:]).real
                      for xz, d, k in zip(XZ, D_a, halves)) / nu
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, MIN_SIGMA, 1.0))
 
-        # corrector with Mehrotra second-order term in the scaled space
-        Rc = []
-        for x, li, g, ginv, s, d, k in zip(X, Linvs, Gs, Ginvs, svals, D_a,
-                                           halves):
-            cross = _herm((ginv @ d[:k] @ _ct(ginv)) @ (_ct(g) @ d[k:] @ g))
-            cross = 2.0 * cross / (s[..., :, None] + s[..., None, :])
-            Rc.append(sigma * mu * (_ct(li[k:]) @ li[k:]) - x
-                      - g @ cross @ _ct(g))
-        D, dy = newton(r_p - cmap.apply_A(Rc) + A_WRW, Rc)
+        # corrector with Mehrotra's second-order term dX_a dZ_a Z^-1
+        Rc = [sigma * mu * zi - x - d[:k] @ d[k:] @ zi
+              for x, zi, d, k in zip(X, Zinvs, D_a, halves)]
+        D, dy = newton(r_p - cmap.apply_A(Rc) + A_XRZ, Rc)
         ap, ad = step(D)
 
         # X, Z and the directions stay exactly Hermitian: no projection

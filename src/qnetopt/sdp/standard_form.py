@@ -278,10 +278,6 @@ class StandardSdp:
     positions: tuple      # per group, its sectors' positions (s, n)
 
     @property
-    def num_steps(self) -> int:
-        return self.problem.space.num_steps
-
-    @property
     def num_outcomes(self) -> int:
         return self.problem.num_params
 

@@ -16,6 +16,7 @@ job of the validators, which the command-line front end calls explicitly.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Optional
 
@@ -45,14 +46,19 @@ def json_number(value, what: str) -> float:
 def _numbers(doc, what: str) -> np.ndarray:
     """A nested list of JSON numbers as a float array; ParseError otherwise.
 
-    The dtype NumPy infers tells numbers from strings, bools and nulls, so no
-    entry is looked at from Python.
+    The dtype NumPy infers tells numbers from strings, nulls and all-bool
+    lists.  Beside a number, NumPy reads true as 1, so the types of a numeric
+    list's entries are collected too, with no Python loop over the entries.
     """
     try:
         arr = np.asarray(doc)
     except ValueError as e:  # ragged
         raise ParseError("bad %s payload: %s" % (what, e))
-    if arr.dtype.kind not in "iuf":
+    entries = doc
+    for _ in range(arr.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    if arr.dtype.kind not in "iuf" or (
+            arr.ndim and bool in set(map(type, entries))):
         raise ParseError("%s entries must be JSON numbers" % what)
     return arr.astype(float, copy=False)
 

@@ -132,7 +132,7 @@ def dual_from_y(sdp, y: np.ndarray) -> DualChain:
     space = sdp.problem.space
     first = first_level(sdp)
     top = None
-    for j in range(first, sdp.num_steps + 1):
+    for j in range(first, sdp.problem.space.num_steps + 1):
         d = sdp.level_dims[j]
         coords = np.zeros(d * d)
         coords[sdp.coords[j]] = -y[sdp.level_rows(j)]
@@ -312,12 +312,12 @@ def twirl_coordinates(action: FiniteGroupAction, factors) -> np.ndarray:
     """The twirl in Hermitian-basis coordinates: P[a, c] = Re<B_a, twirl(B_c)>.
 
     P = (1/|G|) sum_g Re Tr(B_a U_g B_c U_g^H), the basis kernel of the stack
-    of U_g; it is a symmetric projector because the twirl is a self-adjoint
-    idempotent.  The reference that the invariant coordinates are checked
-    against.
+    of U_g paired with itself; it is a symmetric projector because the twirl
+    is a self-adjoint idempotent.  The reference that the invariant
+    coordinates are checked against.
     """
     us = np.stack([action.unitary_for(el, factors) for el in action.elements])
-    return basis_kernel(us[:, None])[0] / action.size
+    return basis_kernel(us[:, None], us[:, None])[0] / action.size
 
 
 def selected_phase_program(levels=3, grid=8):

@@ -113,12 +113,19 @@ def test_validate_tester_with_a_non_psd_outcome_is_invalid_exit(
     assert "outcome" in err
 
 
-def test_validate_an_object_of_no_known_kind_is_parse_exit(tmp_path, capsys):
+@pytest.mark.parametrize("doc, says", [
+    ({"foo": 1}, "file is neither a comb, a tester, nor a problem"),
+    ({"outcomes": {"0": [[[1, 0]]]}}, "tester file missing key 'steps'"),
+    ({"steps": [{"in": {"id": "i", "dim": 1}, "out": {"id": "o", "dim": 1}}],
+      "outcomes": {}}, "tester outcomes must be a non-empty object"),
+], ids=["no-known-kind", "tester-no-steps", "tester-no-outcomes"])
+def test_validate_a_malformed_object_is_parse_exit(tmp_path, capsys, doc,
+                                                   says):
     path = tmp_path / "other.json"
-    path.write_text(json.dumps({"foo": 1}))
+    path.write_text(json.dumps(doc))
     rc, _out, err = run(capsys, "validate", str(path))
     assert rc == 3
-    assert "neither a comb, a tester, nor a problem" in err
+    assert err == "parse error: %s\n" % says
 
 
 def test_solve_writes_solution_and_dual_check_accepts_it(
@@ -209,16 +216,17 @@ def test_dual_check_bad_tol_is_usage_exit(problem_file, tmp_path, capsys,
     assert rc == 2 and "certified False" in err
 
 
-def test_solve_svd_failure_is_numerical_exit(problem_file, tmp_path, capsys,
-                                             monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def test_solve_lapack_failure_is_numerical_exit(problem_file, tmp_path,
+                                                capsys, monkeypatch):
+    # the interior point inverts its Cholesky factors every iteration
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(np.linalg, "inv", singular)
     rc, _out, err = run(capsys, "solve", problem_file,
                         "--out", str(tmp_path / "solution.json"))
     assert rc == 6
-    assert "numerical failure" in err
+    assert err.startswith("numerical failure: Cholesky inverse failed")
 
 
 def test_dual_check_rejects_scaled_lambda(problem_file, tmp_path, capsys):
@@ -273,7 +281,13 @@ def _first_matrix_entry(doc):
         0, ["1.0", "0"])),
     ("payoff_shift", lambda doc: doc.__setitem__("payoff_shift", "0")),
     ("payoff_shift", lambda doc: doc.__setitem__("payoff_shift", True)),
-], ids=["prior", "payoff", "matrix", "shift-string", "shift-true"])
+    # NumPy reads true as 1 beside numbers
+    ("prior", lambda doc: doc.__setitem__("prior", [True, 0.5])),
+    ("payoff", lambda doc: doc.__setitem__("payoff", [[True, 0], [0, 1]])),
+    ("matrix", lambda doc: _first_matrix_entry(doc).__setitem__(
+        0, [True, 0.0])),
+], ids=["prior", "payoff", "matrix", "shift-string", "shift-true",
+        "prior-true", "payoff-true", "matrix-true"])
 def test_a_problem_number_that_is_no_json_number_is_parse_exit(
         tmp_path, capsys, command, field, edit):
     doc = serde.problem_to_json(helstrom_problem())
@@ -328,12 +342,19 @@ def test_non_finite_problem_input_is_usage_exit(tmp_path, capsys, command,
     ("payoff_shift", "abc"),
     ("payoff_shift", None),
     ("payoff_shift", [1]),
+    ("payoff_shift", 10 ** 400),  # no float holds it
     ("combs", 5),
-], ids=["shift-string", "shift-null", "shift-list", "combs-number"])
+    ("combs", {"0": [[[1, 0]], [[1, 0], [0, 0]]]}),
+    ("steps", KeyError),  # the key is deleted
+], ids=["shift-string", "shift-null", "shift-list", "shift-huge",
+        "combs-number", "combs-ragged", "no-steps"])
 def test_malformed_problem_is_parse_exit(problem_file, tmp_path, capsys,
                                          command, key, value):
     doc = serde.problem_to_json(helstrom_problem())
-    doc[key] = value
+    if value is KeyError:
+        del doc[key]
+    else:
+        doc[key] = value
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     argv = [command, str(path)]

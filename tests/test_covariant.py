@@ -285,7 +285,8 @@ def _nonzero_rows(sdp):
     ones = [np.broadcast_to(np.eye(c.shape[-1], dtype=complex), c.shape)
             for c in sdp.C]
     m = sdp.cmap.m
-    return np.diag(sdp.cmap.schur(ones, np.empty((m, m)))) > 1e-12
+    return np.diag(sdp.cmap.schur(list(zip(ones, ones)),
+                                   np.empty((m, m)))) > 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
@@ -298,7 +299,7 @@ def test_reduced_rows_are_the_nonzero_rows_of_the_dense_program(case):
     sdp = build_primal(reduced, ChargeSectors(
         torus.charges, diagonal_characters(action, space.factors())))
     assert np.all(_nonzero_rows(sdp))
-    for j in range(1, sdp.num_steps + 1):
+    for j in range(1, sdp.problem.space.num_steps + 1):
         factors = space.prefix_factors(j)
         # the dense twirl matrix reads level j on its nonzero rows only; the
         # computed P has zero rows near 1e-17

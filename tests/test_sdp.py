@@ -28,7 +28,7 @@ from qnetopt.sdp import (SolverOptions, certify_dual, engine, ipm,
 from qnetopt.sdp.engine import tighten_dual
 from qnetopt.covariant import covariant_gamma, phase_grid_problem
 from qnetopt.sdp.ipm import (BlockConstraintMap, _chol_pair, _ct,
-                             _nt_scaling, _step_pair, solve_ipm)
+                             _step_pair, solve_ipm)
 from qnetopt.sdp.standard_form import build_primal, charge_sectors
 
 
@@ -133,13 +133,13 @@ def test_peak_bytes_bounds_the_solver_peak(make):
     assert peak <= sdp.cmap.peak_bytes() <= 3 * peak
 
 
-def _random_scalings(cmap, rng):
-    Ws = []
+def _random_pairs(cmap, rng):
+    pairs = []
     for g in cmap.groups:
-        shape = (g.copies, g.sectors, g.side, g.side)
+        shape = (2, g.copies, g.sectors, g.side, g.side)
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        Ws.append(a @ _ct(a) + g.side * np.eye(g.side))
-    return Ws
+        pairs.append(tuple(a @ _ct(a) + g.side * np.eye(g.side)))
+    return pairs
 
 
 @pytest.mark.parametrize("make", [
@@ -150,11 +150,11 @@ def _random_scalings(cmap, rng):
 def test_schur_overwrites_whatever_its_buffer_held(make):
     cmap = make().cmap
     assert any((e.tensor < 0).any() for e in cmap.entries)  # padded
-    Ws = _random_scalings(cmap, np.random.default_rng(1))
+    pairs = _random_pairs(cmap, np.random.default_rng(1))
     out = np.full((cmap.m, cmap.m), np.nan)
-    H = cmap.schur(Ws, out)
+    H = cmap.schur(pairs, out)
     assert H is out
-    np.testing.assert_array_equal(H, cmap.schur(Ws, np.zeros_like(out)))
+    np.testing.assert_array_equal(H, cmap.schur(pairs, np.zeros_like(out)))
 
 
 def test_schur_complement_is_one_array_per_solve(monkeypatch):
@@ -165,8 +165,8 @@ def test_schur_complement_is_one_array_per_solve(monkeypatch):
     def run(fresh):
         handed = []
 
-        def wrapped(self, scalings, out):
-            H = real(self, scalings, out)
+        def wrapped(self, pairs, out):
+            H = real(self, pairs, out)
             handed.append(H)
             return H.copy() if fresh else H
 
@@ -333,57 +333,17 @@ def test_stacked_cholesky_failure_names_the_first_failing_block(
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_nt_scaling_failures_name_their_block(n):
-    eye = np.array([np.eye(n)] * 3, dtype=complex)
-    ids = np.array([4, 5, 6])
-    singular = eye.copy()
-    singular[2, -1, -1] = 0.0
-    with pytest.raises(NumericalFailure, match="broke down") as err:
-        _nt_scaling(singular, eye, eye, ids, 0)
-    assert err.value.diagnostics == {"iteration": 0, "block": 6}
-    nan = eye.copy()
-    nan[1] = np.nan
-    # side 1 has no SVD to fail: its product s is NaN
-    with pytest.raises(NumericalFailure, match="broke down" if n == 1 else
-                       "^NT scaling SVD failed for block 5$") as err:
-        _nt_scaling(nan, eye, eye, ids, 3)
-    assert err.value.diagnostics == {"iteration": 3, "block": 5}
-
-
-def test_side_one_infinite_nt_scaling_names_its_block():
-    # s = l_z l_x is inf, which passes s > 0; the scaling would be NaN
-    eye = np.ones((3, 2, 1, 1), dtype=complex)
-    Lx = eye.copy()
-    Lx[1, 0] = np.inf
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(NumericalFailure, match="^NT scaling broke down$") \
-            as err:
-        _nt_scaling(Lx, eye, eye, np.arange(10, 16), 3)
-    assert err.value.diagnostics == {"iteration": 3, "block": 12}
-
-
 def test_side_one_closed_forms_match_lapack(rng):
     # [X; Z] of K = 3 copies of 5 one-by-one sectors, and a direction whose
     # halves both leave the cone
     k, shape = 3, (6, 5, 1, 1)
     XZ = rng.uniform(1e-3, 1e3, size=shape) + 0j
     D = rng.normal(size=shape) + 0j
-    L, Linv = _chol_pair(XZ, np.arange(15), 0)
-    np.testing.assert_array_equal(L, np.linalg.cholesky(XZ))
-    np.testing.assert_allclose(Linv, np.linalg.inv(L), rtol=1e-14, atol=0)
-    G, Ginv, s = _nt_scaling(L[:k], Linv[:k], L[k:], np.arange(15), 0)
-
-    # the SVD path, as it runs on any other side
-    _, s_ref, vh = np.linalg.svd(_ct(L[k:]) @ L[:k])
-    G_ref = (L[:k] @ _ct(vh)) / np.sqrt(s_ref)[..., None, :]
-    Ginv_ref = np.sqrt(s_ref)[..., :, None] * (vh @ np.linalg.inv(L[:k]))
-    np.testing.assert_allclose(s, s_ref, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(G @ _ct(G), G_ref @ _ct(G_ref), rtol=1e-14,
-                               atol=0)
-    np.testing.assert_allclose(Ginv, Ginv_ref, rtol=1e-14, atol=0)
-    # W = sqrt(x / z), the orthant's Nesterov-Todd scaling
-    np.testing.assert_allclose(G @ _ct(G), np.sqrt(XZ[:k] / XZ[k:]),
+    Linv = _chol_pair(XZ, np.arange(15), 0)
+    np.testing.assert_allclose(Linv, np.linalg.inv(np.linalg.cholesky(XZ)),
+                               rtol=1e-14, atol=0)
+    # Z^-1 = L_z^-H L_z^-1 is 1 / z, the orthant's
+    np.testing.assert_allclose(_ct(Linv[k:]) @ Linv[k:], 1.0 / XZ[k:],
                                rtol=1e-14, atol=0)
 
     lam = np.linalg.eigvalsh(Linv @ D @ _ct(Linv))[..., 0]
@@ -421,8 +381,9 @@ def test_solve_ipm_keeps_one_stack_per_group():
     assert err.value.diagnostics == {"iteration": 0, "block": first}
 
 
-# apply_A runs three times an iteration (residual, A(W R_d W), corrector), so
-# its fifth call feeds iteration 1's predictor; schur runs once an iteration
+# apply_A runs three times an iteration (residual, A(X R_d Z^-1),
+# corrector), so its fifth call feeds iteration 1's predictor; schur runs
+# once an iteration
 @pytest.mark.parametrize("method, calls, what", [
     ("apply_A", 4, "right-hand side"),
     ("schur", 1, "Schur complement"),
@@ -458,7 +419,7 @@ def test_non_finite_newton_system_is_numerical_failure(
 def test_indefinite_schur_complement_is_numerical_failure(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(BlockConstraintMap, "schur",
-                        lambda self, Ws, out: -np.eye(self.m))
+                        lambda self, pairs, out: -np.eye(self.m))
     with pytest.raises(NumericalFailure,
                        match="Schur complement not positive definite") as err:
         solve(helstrom_problem())
@@ -520,7 +481,7 @@ def test_a_converged_point_that_fails_its_checks_is_numerical_failure(
     def scaled(y):
         y = real(y).copy()
         y[:sdp.level_offsets[-2]] *= s0
-        y[sdp.level_rows(sdp.num_steps)] *= top
+        y[sdp.level_rows(sdp.problem.space.num_steps)] *= top
         return y
 
     monkeypatch.setattr(engine, "tighten_dual", scaled)

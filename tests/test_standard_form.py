@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import (comb_spaces, coords_from_hermitian, dual_from_y,
                       helstrom_problem, hermitian_from_coords, memory_combs,
-                      reference_validate_comb, seeds, selected_phase_program,
+                      qubit_state_problem, reference_validate_comb, seeds,
+                      selected_phase_program, sequential_phase_problem,
                       state_problems, structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
 from qnetopt.estimation import (EstimationProblem, joint_problem,
@@ -89,7 +90,7 @@ def test_layout_caches_keep_a_few_sides():
     # at side 4096 one side's layouts take 285 MB, so no cache keeps every
     # side it has seen
     for n in range(1, 4 * LAYOUT_CACHE):
-        basis_kernel(np.eye(n, dtype=complex)[None, None])
+        basis_kernel(*[np.eye(n, dtype=complex)[None, None]] * 2)
         _float_positions(n)
     for cache in (basis_layout, _flat_positions, _float_positions):
         info = cache.cache_info()
@@ -133,7 +134,7 @@ def test_hermitian_from_coords_matches_two_pass_scatter(d, rng):
 def test_block_layout_and_row_partition():
     problem = phase_grid_problem(3)[0]
     for sdp in (build_primal(problem), sector_program(problem)):
-        n = sdp.num_steps
+        n = sdp.problem.space.num_steps
         groups = sdp.cmap.groups
         assert len(sdp.positions) == len(groups) == len(sdp.C)
         for g, c, pos in zip(groups, sdp.C, sdp.positions):
@@ -326,6 +327,7 @@ def test_scatter_plans_are_adjoint_and_hermitian(name, rng):
 
 
 def test_kernels_match_dense_rows(rng):
+    kinds = set()
     for sdp in (
             build_primal(random_channel_problem(
                 np.random.default_rng(7), 3, [(2, 2), (2, 2)], memory=True)),
@@ -342,26 +344,37 @@ def test_kernels_match_dense_rows(rng):
             selected_phase_program()[0],
             # sector programs: groups of many sectors, of side 1 and more
             sector_program(phase_grid_problem(3)[0]),
-            sector_program(two_phase_problem(1.0, 4)[0])):
+            sector_program(two_phase_problem(1.0, 4)[0]),
+            # several sectors of side 2 and more
+            sector_program(sequential_phase_problem(2)[0]),
+            # a qutrit's 2 + 1 block: one sector of side 1
+            sector_program(qubit_state_problem(
+                "q3", [np.array([1.0, 0.0, 0.0]),
+                       np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+                       np.array([0.0, 0.0, 1.0])], [0.4, 0.3, 0.3]))):
         _assert_kernels_match_dense_rows(sdp, rng)
+        kinds |= {(min(g.side, 2), min(g.sectors, 2)) for g in sdp.cmap.groups}
+    # groups of side 1 and more, each with one sector and with several
+    assert kinds == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_basis_kernel_is_each_sectors_kernel(n, rng):
-    stack = np.array([[rand_herm(rng, n) for _ in range(4)] for _ in range(3)])
-    batched = basis_kernel(stack)
+    X, Y = (np.array([[rand_herm(rng, n) for _ in range(4)] for _ in range(3)])
+            for _ in range(2))
+    batched = basis_kernel(X, Y)
     assert batched.shape == (4, n * n, n * n)
     for t in range(4):
-        np.testing.assert_array_equal(batched[t],
-                                      basis_kernel(stack[:, t:t + 1])[0])
-    if n == 1:  # the kernel of 1x1 sectors is sum_k |W_kt|^2
+        np.testing.assert_array_equal(
+            batched[t], basis_kernel(X[:, t:t + 1], Y[:, t:t + 1])[0])
+    if n == 1:  # the kernel of 1x1 sectors is sum_k x_kt y_kt
         np.testing.assert_allclose(batched[:, 0, 0],
-                                   (np.abs(stack[:, :, 0, 0]) ** 2).sum(0))
+                                   (X * Y).real[:, :, 0, 0].sum(0))
 
 
 def test_restricted_top_level_scatters_through_its_coordinates(rng):
     sdp = selected_phase_program()[0]
-    top = sdp.num_steps
+    top = sdp.problem.space.num_steps
     coords = sdp.coords[top]
     d = sdp.level_dims[top]
     assert sdp.cmap.m == 1 + len(coords) < 1 + d * d
@@ -383,20 +396,26 @@ def _assert_kernels_match_dense_rows(sdp, rng):
     for A in dense:
         np.testing.assert_allclose(A, A.conj().swapaxes(-1, -2), atol=1e-14)
     shapes = [(g.copies, g.sectors, g.side, g.side) for g in cmap.groups]
-    Ws = []
+    pairs = []
     for shape in shapes:
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        Ws.append(a @ a.conj().swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1]))
+        # X != Z^-1: a kernel that forgot to symmetrise in the two would
+        # still pass with one stack in both places
+        a = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+        pairs.append(tuple(a @ a.conj().swapaxes(-1, -2)
+                           + shape[-1] * np.eye(shape[-1])))
     expect = np.zeros((cmap.m, cmap.m))
-    for A, W in zip(dense, Ws):
-        # sum_b Re Tr(A_i W_b A_j W_b) over blocks b = (copy u, sector t);
-        # a row's coefficient is the same on every copy; the greedy path
-        # with room for the (t, k, l, p, q) intermediate, which the default
-        # limit (the largest input) refuses when m < n^2
-        expect += np.einsum("itkl,utlp,jtpq,utqk->ij", A, W, A, W,
+    for A, (Xg, Zinv) in zip(dense, pairs):
+        # sum_b Re Tr(A_i X_b A_j Z^-1_b) over blocks b = (copy u, sector
+        # t); a row's coefficient is the same on every copy; the greedy
+        # path with room for the (t, k, l, p, q) intermediate, which the
+        # default limit (the largest input) refuses when m < n^2
+        expect += np.einsum("itkl,utlp,jtpq,utqk->ij", A, Xg, A, Zinv,
                             optimize=("greedy", 1 << 24)).real
-    np.testing.assert_allclose(cmap.schur(Ws, np.empty_like(expect)),
-                               expect, rtol=1e-10)
+    # 1e-12 relative, to each entry and to the largest: cancellation leaves
+    # the einsum's small entries only that accurate
+    np.testing.assert_allclose(cmap.schur(pairs, np.empty_like(expect)),
+                               expect, rtol=1e-12,
+                               atol=1e-12 * np.abs(expect).max())
 
     X = [np.array([[rand_herm(rng, n) for _ in range(s)] for _ in range(k)])
          for k, s, n, _ in shapes]
