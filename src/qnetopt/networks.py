@@ -193,7 +193,7 @@ def _reduce(m: np.ndarray, pre: int, d: int, post: int, level, tol):
                 * np.eye(d).reshape(1, d, 1, 1, d, 1))
     residual = float(np.max(np.abs(
         m.reshape(pre, d, post, pre, d, post) - expected)))
-    if residual > tol:
+    if not residual <= tol:  # NaN where a trace overflowed
         raise NormalizationViolation(level, residual)
     return reduced
 
@@ -206,21 +206,25 @@ def _walk(m: np.ndarray, steps: tuple, tol: float, tester: bool):
     tester's must be I_out (x) Xi^(n), whose trace over in_n carries on.  The
     scalar left at the bottom must be 1.  NormalizationViolation levels: n
     for step n, except N+1 for a tester's top step, and 0 for the scalar.
+    Entries near the float maximum can overflow a trace: the level that
+    reads it fails, on an infinite or NaN residual.
     """
     top = len(steps)
-    for n in range(top, 0, -1):
-        d_out, d_in = steps[n - 1].out_sys.dim, steps[n - 1].in_sys.dim
-        pre = len(m) // (d_out * d_in)
-        if tester:
-            xi = _reduce(m, pre, d_out, d_in, top + 1 if n == top else n, tol)
-            m = trace_middle(xi, pre, d_in, 1)
-        else:
-            m = _reduce(trace_middle(m, pre, d_out, d_in), pre, d_in, 1, n,
-                        tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(top, 0, -1):
+            d_out, d_in = steps[n - 1].out_sys.dim, steps[n - 1].in_sys.dim
+            pre = len(m) // (d_out * d_in)
+            if tester:
+                xi = _reduce(m, pre, d_out, d_in, top + 1 if n == top else n,
+                             tol)
+                m = trace_middle(xi, pre, d_in, 1)
+            else:
+                m = _reduce(trace_middle(m, pre, d_out, d_in), pre, d_in, 1,
+                            n, tol)
     # off the real axis np.abs rounds differently from abs(): a tester's
     # level-0 residual is the first, a comb's the second
     miss = float((np.abs if tester else abs)(m[0, 0] - 1.0))
-    if miss > tol:
+    if not miss <= tol:
         raise NormalizationViolation(0, miss)
 
 

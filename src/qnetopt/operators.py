@@ -183,7 +183,11 @@ def min_eig(a: np.ndarray):
         if bad.any():
             raise NotHermitian("matrix is not Hermitian (residual %.3e)"
                                % residual[bad].max())
-    h += a
-    h /= 2.0
+    try:
+        with np.errstate(over="raise"):
+            h += a
+        h /= 2.0
+    except FloatingPointError:  # entries near the float maximum: halve first
+        h = np.conjugate(a).swapaxes(-1, -2) / 2.0 + a / 2.0
     return np.linalg.eigvalsh(h)[..., 0]
 

@@ -150,7 +150,9 @@ def counterexample_multicopy(psi0: np.ndarray, psi1: np.ndarray,
             raise BadParameter("states must be unit vectors")
     if copies < 1:
         raise BadParameter("copies must be >= 1")
-    if float(a.size) ** copies > DIMENSION_CAP:
+    # a dimension of 2 or more passes the cap within its bit length of
+    # copies, so no power past that is formed
+    if a.size ** min(copies, DIMENSION_CAP.bit_length()) > DIMENSION_CAP:
         raise DimensionCap("%d copies of a dim-%d system exceed the cap"
                            % (copies, a.size))
     p = float_array(priors, "priors")

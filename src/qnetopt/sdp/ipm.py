@@ -10,38 +10,38 @@ honest error bound.
 
 The program is its block groups: each is K copies of s sector blocks of
 one side n, held as one (K, s, n, n) stack.  C, the start X0 and the
-result's X come as one such stack per group; blocks are numbered
-group by group, copy by copy.  (The copies are the outcome blocks of a
-tester; the sectors are the charge sectors of one block, or of every
-outcome block.)  Constraints are supplied as a BlockConstraintMap in
-coordinates: x_a = Re<B_a, X> in the orthonormal Hermitian basis B
-(basis_layout), and each row group's entry is a unit coordinate map R:
-each of its rows reads a scaled sum of coordinates, R x, of the copies
-summed, s n^2 coordinates sector-major.  So A^T y is one (s, n, n) stack
-per group, the same for every copy, and broadcasting hands it to each.
-A and A^T run through one scatter plan a group, built once: a sparse map
-between the rows and the floats of the copies' sum, as SDPT3 holds each
-block's A (Toh, Todd and Tutuncu, Optim. Methods Softw. 11, 1999), so each
-is one bincount a group.  The Schur complement then needs, per group,
-only the block-diagonal S with blocks S_t[a, c] = Re sum_k Tr(B_a X_kt
-B_c Z^-1_kt), which one batched GEMM and an index gather give in closed
-form (basis_kernel); for n = 1 that is the diagonal sum_k x_kt / z_kt.  The
-group's R, all its entries together, then adds R S R^T: one row gather and
-one column gather.  This is the structure-exploiting assembly of Fujisawa,
-Kojima and Nakata (Math. Program. 79, 1997), specialised to comb
-constraints; every group takes it, including those whose entries read
-only some coordinates (the outcome sectors of a covariant program).  The
-iteration keeps one (2 K, s, n, n) stack [X; Z] per group: one batched
-Cholesky and inverse an iteration give Z^-1 = L_z^-H L_z^-1, and one
-eigensolve of each direction [dX; dZ] in those inverse factors gives both
-step lengths.  A group of side 1 is the nonnegative orthant, as in SDPT3's
-linear blocks: its inverse factor and step lengths are taken elementwise
-in closed form, with no LAPACK call.  A LAPACK call that fails stops the
-solve and names its block (_lapack).  The predictor and corrector share
-X R_d Z^-1 and its image under A.  The Schur complement H is one (m, m)
-array held for the whole loop: each iteration's assembly zeroes it and
-adds into it, and its Cholesky factor overwrites it, so no m x m array is
-allocated after the first.
+result's X come as one such stack per group; blocks are numbered group by
+group, copy by copy.  (The copies are the outcome blocks of a tester; the
+sectors are the charge sectors of one block, or of every outcome block.)
+Constraints are supplied as a BlockConstraintMap in coordinates: x_a =
+Re<B_a, X> in the orthonormal Hermitian basis B (basis_layout), and each
+group's entries are its unit coordinate map R: each row reads a +-1 sum of
+coordinates, R x, of the copies summed, s n^2 coordinates sector-major,
+and an entry lists only the units on its group.  So A^T y is one (s, n, n)
+stack per group, the same for every copy, and broadcasting hands it to
+each.  A and A^T run through one scatter plan a group, built once: a
+sparse map between the rows and the floats of the copies' sum, as SDPT3
+holds each block's A (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
+1999), so each is one bincount a group.  The Schur complement then needs,
+per group, only the block-diagonal S with blocks S_t[a, c] = Re sum_k
+Tr(B_a X_kt B_c Z^-1_kt), which one batched GEMM and an index gather give
+in closed form (basis_kernel); for n = 1 that is the diagonal sum_k x_kt /
+z_kt.  R then adds R S R^T, entry by entry: one row gather and one column
+gather.  This is the structure-exploiting assembly of Fujisawa, Kojima and
+Nakata (Math. Program. 79, 1997), specialised to comb constraints; every
+group takes it, including those that a row reads only in part (the
+outcome sectors of a covariant program).  The iteration keeps one (2 K, s,
+n, n) stack [X; Z] per group: one batched Cholesky and inverse an
+iteration give Z^-1 = L_z^-H L_z^-1, and one eigensolve of each direction
+[dX; dZ] in those inverse factors gives both step lengths.  A group of
+side 1 is the nonnegative orthant, as in SDPT3's linear blocks: its
+inverse factor and step lengths are taken elementwise in closed form, with
+no LAPACK call.  A LAPACK call that fails stops the solve and names its
+block (_lapack).  The predictor and corrector share X R_d Z^-1 and its
+image under A.  The Schur complement H is one (m, m) array held for the
+whole loop: each iteration's assembly zeroes it and adds into it, and its
+Cholesky factor overwrites it, so no m x m array is allocated after the
+first.
 """
 
 from __future__ import annotations
@@ -176,16 +176,16 @@ def _block_diagonal(S: np.ndarray) -> np.ndarray:
 
 
 class ConstraintEntry(NamedTuple):
-    """Coordinate map R of one row group on a block: the rows read R x.
+    """Coordinate map R of some rows on a block group: the rows read R x.
 
-    R is scale times the tensor's unit map, on rows row_start onwards, one
-    per tensor row: the integer tensor (rows, k) lists the coordinates whose
-    unit vectors sum to each row, with -1 padding short rows.
+    Row rows[i] reads sum_p weights[p] x[tensor[i, p]]: the integer tensor
+    (r, k) lists the group coordinates of each row's units, +1 units first,
+    and weights (k,) their signs.
     """
 
-    row_start: int
+    rows: np.ndarray
     tensor: np.ndarray
-    scale: float = 1.0
+    weights: np.ndarray
 
 
 class BlockGroup(NamedTuple):
@@ -207,21 +207,18 @@ def _scatter_plan(g: BlockGroup):
     Coordinate c of sector t is w f[i] + v f[j] over the floats f of the
     copies' sum, t 2 n^2 onwards (_float_positions); a diagonal's two halves
     are one float of weight 1.  Each unit c of each entry's tensor gives
-    its row these two (float, weight) records, the weight times the
-    entry's scale, in the tensor's order; zero weights are dropped.
+    its row these two (float, weight) records, the weight times the unit's
+    sign, in the tensor's order; zero weights are dropped.
     """
     i, j, w, v = _float_positions(g.side)
     w, v = np.where(i == j, 1.0, w), np.where(i == j, 0.0, v)
     start = 2 * g.side ** 2 * np.arange(g.sectors)[:, None]
     floats = np.stack([start + i, start + j], axis=-1).reshape(-1, 2)
     weights = np.tile(np.stack([w, v], axis=-1), (g.sectors, 1))
-    parts = []
-    for e in g.entries:
-        r, k = np.nonzero(e.tensor >= 0)
-        c = e.tensor[r, k]
-        parts.append((np.repeat(e.row_start + r, 2), floats[c].ravel(),
-                      e.scale * weights[c].ravel()))
-    rows, fl, wt = (np.concatenate(a) for a in zip(*parts))
+    rows, fl, wt = (np.concatenate(a) for a in zip(*[
+        (np.repeat(e.rows, 2 * e.tensor.shape[1]), floats[e.tensor].ravel(),
+         (e.weights[:, None] * weights[e.tensor]).ravel())
+        for e in g.entries]))
     keep = wt != 0.0
     return rows[keep], fl[keep], wt[keep]
 
@@ -233,55 +230,43 @@ def _span(idx: np.ndarray):
     return idx
 
 
-def _row_map(g: BlockGroup):
-    """(rows, buckets): the group's R on the rows it reaches, by unit count.
+def _row_map(g: BlockGroup, m: int):
+    """(rows, placed): the group's R on the rows it reaches, entry by entry.
 
-    rows is the number of rows reached.  The rows of one level (of the
-    entries that start on one row) that read k units make a bucket (pos,
-    where, units, weights): pos picks them out of the rows reached, where
-    places their columns of R S R^T in H, and row i of the (n, k) units
-    reads sum_p w_p[i] x[units[i, p]], w_p the p-th of weights, the
-    entries' scales, or None when all of them are 1.  pos and where are
-    slices when the rows are consecutive, as a level's are on one group.
+    rows is the number of rows reached, of the m.  Each entry is placed as
+    (pos, where, entry): pos picks its rows out of the rows reached, and
+    where places their columns of R S R^T in H; each is a slice when the
+    rows are consecutive, as they are on a group that every row reads whole.
     """
-    parts = []
+    reached = np.zeros(m, bool)
     for e in g.entries:
-        r, k = np.nonzero(e.tensor >= 0)
-        parts.append((e.row_start + r, np.full(len(r), e.row_start),
-                      e.tensor[r, k], np.full(len(r), float(e.scale))))
-    rows, level, units, weights = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(rows, kind="stable")
-    rows, starts, counts = np.unique(rows[order], return_index=True,
-                                     return_counts=True)
-    level, units, weights = level[order][starts], units[order], weights[order]
-    reached = _span(rows)
-    buckets = []
-    for lv, k in sorted(set(zip(level.tolist(), counts.tolist()))):
-        p = np.flatnonzero((level == lv) & (counts == k))
-        take = starts[p][:, None] + np.arange(k)
-        cols = _span(rows[p])
-        where = (np.ix_(rows, rows[p]) if isinstance(reached, np.ndarray)
-                 and isinstance(cols, np.ndarray) else (reached, cols))
-        buckets.append((_span(p), where, units[take],
-                        [None if (w == 1).all() else w
-                         for w in weights[take].T]))
-    return len(rows), buckets
+        reached[e.rows] = True
+    rows = np.flatnonzero(reached)
+    index = np.cumsum(reached) - 1
+    span = _span(rows)
+    placed = []
+    for e in g.entries:
+        cols = _span(e.rows)
+        where = (np.ix_(rows, e.rows) if isinstance(span, np.ndarray)
+                 and isinstance(cols, np.ndarray) else (span, cols))
+        placed.append((_span(index[e.rows]), where, e))
+    return len(rows), placed
 
 
-def _gather(M: np.ndarray, units: np.ndarray, weights, axis: int,
+def _gather(M: np.ndarray, e: ConstraintEntry, axis: int,
             out=None) -> np.ndarray:
-    """sum_p w_p M.take(units[:, p], axis): R M, or M R^T, for one bucket.
+    """sum_p w_p M.take(e.tensor[:, p], axis): R M, or M R^T, for one entry.
 
     The first take lands in out, when given.
     """
-    for p, (u, w) in enumerate(zip(units.T, weights)):
-        part = np.take(M, u, axis=axis, out=None if p else out, mode="clip")
-        if w is not None:
-            part *= w[:, None] if axis == 0 else w
-        if p:
+    for p, (u, w) in enumerate(zip(e.tensor.T, e.weights)):
+        part = M.take(u, axis=axis, out=None if p else out, mode="clip")
+        if not p:
+            out = part if w > 0 else np.negative(part, out=part)
+        elif w > 0:
             out += part
         else:
-            out = part
+            out -= part
     return out
 
 
@@ -293,7 +278,7 @@ class BlockConstraintMap:
     coordinates they read in each group.  plans holds each group's entries
     as one scatter plan (_scatter_plan), SDPT3's precomputed A of a block:
     A is one bincount a group onto the rows, A^T one onto the floats.
-    row_maps holds each group's R in coordinates (_row_map), for schur.
+    row_maps places each group's entries in H (_row_map), for schur.
     """
 
     def __init__(self, m: int, groups: Sequence[BlockGroup]):
@@ -302,7 +287,7 @@ class BlockConstraintMap:
         self.sizes = [g.sectors * g.side ** 2 for g in self.groups]
         self.entries = [e for g in self.groups for e in g.entries]
         self.plans = [_scatter_plan(g) for g in self.groups]
-        self.row_maps = [_row_map(g) for g in self.groups]
+        self.row_maps = [_row_map(g, self.m) for g in self.groups]
 
     def peak_bytes(self) -> int:
         """Estimated peak bytes of solve_ipm, from the shapes only.
@@ -310,8 +295,8 @@ class BlockConstraintMap:
         H (8 m^2), one array for the whole loop, factored in place, is
         alive while each group's kernel S is formed, about 30 s n^4
         (basis_kernel), and while R S R^T is gathered from it over the r
-        rows R reaches, with size = s n^2: S, R S and a bucket's gather of
-        S, 8 (size^2 + 2 r size), then R S and a bucket's two column
+        rows R reaches, with size = s n^2: S, R S and an entry's gather of
+        S, 8 (size^2 + 2 r size), then R S and an entry's two column
         gathers, 8 (r size + 2 r^2).  About 24 complex (K, s, n, n) stacks a
         group besides, the scatter plans (24 bytes a record) and a call's
         gather of them, and 32 KB of small objects (array headers, lists,
@@ -358,17 +343,17 @@ class BlockConstraintMap:
         summed row by row, then one column gather of that, alike.
         """
         out.fill(0.0)
-        for (X, Zinv), (rows, buckets) in zip(pairs, self.row_maps):
+        for (X, Zinv), (rows, placed) in zip(pairs, self.row_maps):
             S = _block_diagonal(basis_kernel(X, Zinv))
             RS = np.empty((rows, len(S)))
-            for pos, _, units, weights in buckets:
+            for pos, _, e in placed:
                 if isinstance(pos, slice):
-                    _gather(S, units, weights, 0, RS[pos])
+                    _gather(S, e, 0, RS[pos])
                 else:
-                    RS[pos] = _gather(S, units, weights, 0)
+                    RS[pos] = _gather(S, e, 0)
             del S  # a kernel can be as large as H: free it before the next
-            for _, where, units, weights in buckets:
-                out[where] += _gather(RS, units, weights, 1)
+            for _, where, e in placed:
+                out[where] += _gather(RS, e, 1)
         return out
 
 

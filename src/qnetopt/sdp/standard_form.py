@@ -49,9 +49,10 @@ positions by the pair (charge, character of a diagonal group action) and
 its outcome's by the charge only, so its rows are the coordinates that
 both the torus and the twirl keep (ChargeSectors).  The sectors of one
 side are one block group of the solver, the outcomes as its copies.  A
-sector's positions are kept in ascending order, so each of its coordinates
-is one coordinate of its block, and the group maps are the maps to S's
-coordinates composed with that index.
+sector's positions are kept in ascending order, so a unit on S's positions
+(P, Q), P <= Q, is the coordinate of the positions' indices in their
+sector, and each group lists, for the rows that reach it, only the units
+that fall on it.
 """
 
 from __future__ import annotations
@@ -70,21 +71,20 @@ from .ipm import (BlockConstraintMap, BlockGroup, ConstraintEntry,
 CHARGE_DECIMALS = 8  # charges that agree to this many decimals are equal
 
 
-def _lifted(steps, side: int, row, col, imag) -> np.ndarray:
-    """The coordinates of S whose sum is M_j's coordinate (row, col, imag).
+def _lifted(steps, row, col):
+    """The positions (P, Q) on S of the units whose sum is M_j's (row, col).
 
-    steps are the steps j+1..N, and side is S's.  M_(k-1) is Tr_in(k) of
-    M_k's out(k)-(0, 0) block, so a level-(k-1) position p reads the
-    positions (p d_out(k) + 0) d_in(k) + i, i over in(k), alike on both
-    sides.  One row per coordinate, of prod_(k>j) d_in(k) units.
+    steps are the steps j+1..N.  M_(k-1) is Tr_in(k) of M_k's out(k)-(0, 0)
+    block, so a level-(k-1) position p reads the positions (p d_out(k) + 0)
+    d_in(k) + i, i over in(k), alike on both sides.  One row per coordinate,
+    of prod_(k>j) d_in(k) units, and P <= Q wherever row <= col.
     """
     row, col = row[:, None], col[:, None]
     for step in steps:
         d_in, grow = step.in_sys.dim, step.out_sys.dim * step.in_sys.dim
-        k = np.arange(d_in)
-        row = (row[:, :, None] * grow + k).reshape(len(row), -1)
-        col = (col[:, :, None] * grow + k).reshape(len(col), -1)
-    return coordinate_index(row, col, imag[:, None], side)
+        row, col = ((x[:, :, None] * grow + np.arange(d_in)).reshape(
+            len(x), x.shape[1] * d_in) for x in (row, col))
+    return row, col
 
 
 # ---------------------------------------------------------------------------
@@ -221,32 +221,24 @@ def _invariant_coords(labels: np.ndarray) -> np.ndarray:
 
 
 def _side_groups(labels: np.ndarray) -> list:
-    """A block space's sectors, grouped by side: (positions, map) pairs.
+    """A block space's sectors, grouped by side: (positions, sector, local).
 
-    positions is (s, n): the s sectors of side n, each ascending.  map[c]
-    is the group coordinate of the block coordinate c, t n^2 plus the local
-    coordinate in sector t, or -1 off the group; map[-1] = -1 keeps padding.
-    A single sector needs no map (None): its coordinates are the block's.
+    positions is (s, n): the s sectors of side n, each ascending.  sector[p]
+    and local[p] are position p's sector in the group and its index in that
+    sector, -1 off the group, so a coordinate on positions (p, q) of one
+    sector is the group's sector[p] n^2 + coordinate_index(local[p],
+    local[q], imag, n).
     """
-    if not np.count_nonzero(labels):
-        return [(np.arange(len(labels))[None], None)]
     order = np.argsort(labels, kind="stable")
     counts = np.bincount(labels)
-    sectors = np.split(order, np.cumsum(counts)[:-1])
-    side = len(labels)
     groups = []
     for n in dict.fromkeys(counts.tolist()):
-        pos = np.array([p for p in sectors if len(p) == n])
-        row, col, imag = basis_layout(n)
-        parent = coordinate_index(pos[:, row], pos[:, col], imag, side)
-        pmap = np.full(side * side + 1, -1)
-        pmap[parent.ravel()] = np.arange(parent.size)
-        groups.append((pos, pmap))
+        pos = order[(counts == n)[labels[order]]].reshape(-1, n)
+        sector, local = np.full((2, len(labels)), -1)
+        sector[pos] = np.arange(len(pos))[:, None]
+        local[pos] = np.arange(n)
+        groups.append((pos, sector, local))
     return groups
-
-
-def _remap(tensor: np.ndarray, pmap: Optional[np.ndarray]) -> np.ndarray:
-    return tensor if pmap is None else pmap[tensor]
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +315,10 @@ def build_primal(problem: EstimationProblem,
     its coordinates, M_first = b; a later level j reads M_j, at -1 the o = 0
     coordinate too on a difference row (the module docstring).  The
     program gets one block group per sector side of the outcome space, a
-    copy per outcome.  Each level gives a group one entry, reading the
-    units that fall in it, and a difference row's -1 units one more on the
-    same rows.  The objective is -G_est on outcome est's sectors, gathered
+    copy per outcome.  A level's rows that reach a group are split by how
+    many +1 and how many -1 units they read on it, each split one entry of
+    the group: each row's units on the group, +1 first (ConstraintEntry).
+    The objective is -G_est on outcome est's sectors, gathered
     from each G_est and then negated.
     """
     torus = sectors if sectors is not None else ChargeSectors()
@@ -334,14 +327,15 @@ def build_primal(problem: EstimationProblem,
                   if step.in_sys.dim > 1), space.num_steps)
     level_labels, outcome_labels = torus.chain_labels(space)
     level_dims = tuple(len(labels) for labels in level_labels)
-    side = level_dims[-1]
 
-    # per level: its rows' coordinates, and their +1 and -1 units on S
+    # per level: its rows' coordinates, and its units in two blocks of rows,
+    # those that read +1 units and the difference rows, which read +1 units
+    # then as many -1 units: their positions on S, imag, and signs
     coords, units, offsets = [], [], [0]
     for j, labels in enumerate(level_labels):
         c = _invariant_coords(labels) if j >= first else np.zeros(0, np.intp)
         row, col, imag = (x[c] for x in basis_layout(level_dims[j]))
-        shift = None
+        d, shift = len(c), 0  # rows d on: M_j at (o, o) less at (0, 0)
         if j > first:
             step = space.steps[j - 1]
             d_in, d_out = step.in_sys.dim, step.out_sys.dim
@@ -350,29 +344,38 @@ def build_primal(problem: EstimationProblem,
             keep = np.flatnonzero((o_r > 0) | (o_c > 0))
             keep = keep[np.argsort(o_r[keep] == o_c[keep], kind="stable")]
             c, row, col, imag = c[keep], row[keep], col[keep], imag[keep]
-            same = (o_r == o_c)[keep]
-            shift = np.where(same, o_r[keep] * d_in, 0)
-        if len(c):
-            lifted = _lifted(space.steps[j:], side, row, col, imag)
-            minus = None if shift is None else np.where(same[:, None], _lifted(
-                space.steps[j:], side, row - shift, col - shift, imag), -1)
-            units.append((offsets[-1], lifted, minus))
+            d = np.count_nonzero(o_r[keep] != o_c[keep])
+            shift = o_r[keep][d:] * d_in
+        rows = offsets[-1] + np.arange(len(c))
         coords.append(c)
         offsets.append(offsets[-1] + len(c))
+        if len(c):
+            P, Q = _lifted(space.steps[j:], row, col)
+            signs = np.ones(P.shape[1])
+            units.append((rows[:d], P[:d], Q[:d], imag[:d], signs))
+        if d < len(c):
+            Pm, Qm = _lifted(space.steps[j:], row[d:] - shift, col[d:] - shift)
+            units.append((rows[d:], np.hstack([P[d:], Pm]),
+                          np.hstack([Q[d:], Qm]), imag[d:],
+                          np.concatenate([signs, -signs])))
     m = offsets[-1]
 
     # one group per sector side, a copy per outcome; the objective -G_est
     G = payoff_operators(problem)
     groups, positions, C = [], [], []
-    for pos, pmap in _side_groups(outcome_labels):
+    for pos, sector, local in _side_groups(outcome_labels):
         s, n = pos.shape
         entries = []
-        for start, plus, minus in units:
-            for tensor, scale in ((plus, 1.0), (minus, -1.0)):
-                if tensor is not None:
-                    tensor = _remap(tensor, pmap)
-                    if tensor.max(initial=-1) >= 0:
-                        entries.append(ConstraintEntry(start, tensor, scale))
+        for rows, P, Q, imag, signs in units:
+            on = local[P] >= 0  # the lift keeps P and Q in one sector
+            split = on @ np.where(signs > 0, 1, len(signs) + 1)
+            for key in np.unique(split[split > 0]):
+                r = np.flatnonzero(split == key)
+                p, q, live = P[r], Q[r], on[r]
+                coord = sector[p] * n * n + coordinate_index(
+                    local[p], local[q], imag[r, None], n)
+                entries.append(ConstraintEntry(
+                    rows[r], coord[live].reshape(len(r), -1), signs[live[0]]))
         groups.append(BlockGroup(problem.num_params, n, entries, s))
         positions.append(pos)
         C.append(-G[:, pos[:, :, None], pos[:, None, :]])

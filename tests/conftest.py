@@ -321,12 +321,16 @@ def twirl_coordinates(action: FiniteGroupAction, factors) -> np.ndarray:
 
 
 def selected_phase_program(levels=3, grid=8):
-    """The covariant program of a phase grid, and the group action.
+    """The covariant program of a phase grid, and the group action."""
+    return seed_program(*phase_grid_problem(levels, grid))
+
+
+def seed_program(problem, action):
+    """The covariant program of a problem, and the group action.
 
     One seed outcome, on the sectors of its torus and the action's
     characters, as covariant_gamma builds it.
     """
-    problem, action = phase_grid_problem(levels, grid)
     space = problem.space
     reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
                                 np.ones((1, 1)))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import HELSTROM_VALUE, helstrom_problem
+from conftest import HELSTROM_VALUE, helstrom_problem, random_state_problem
 
 from qnetopt import serde
 from qnetopt.cli import EXAMPLE_NAMES, build_parser, main
@@ -73,6 +73,31 @@ def test_validate_non_finite_comb_is_invalid_exit(tmp_path, capsys, entry,
     rc, _out, err = run(capsys, "validate", str(path))
     assert rc == 2
     assert "not Hermitian" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "dual-check"])
+def test_a_comb_near_the_float_maximum_is_invalid_exit(tmp_path, capsys,
+                                                       command):
+    # a qutrit state's comb, every entry 1e308: M + M^H overflows, but its
+    # Hermitian part is finite, so the comb fails on its trace, which
+    # overflows to a NaN residual
+    problem = random_state_problem(np.random.default_rng(0), 2, 3)
+    huge = [[[1e308, 0.0]] * 3] * 3
+    problem_path, path = tmp_path / "problem.json", tmp_path / "input.json"
+    doc = serde.problem_to_json(problem)
+    serde.dump_path(doc, str(problem_path))
+    if command == "solve":
+        doc["combs"]["0"] = huge
+        argv = [str(path), "--quiet"]
+    else:
+        doc = dict(serde.comb_to_json(problem.combs[0]), matrix=huge)
+        if command == "dual-check":
+            doc["lambda"] = 1.0
+        argv = [str(problem_path)] * (command == "dual-check") + [str(path)]
+    path.write_text(json.dumps(doc))
+    rc, _out, err = run(capsys, command, *argv)
+    assert rc == 2
+    assert err == "invalid: normalization violated at level 1 (residual nan)\n"
 
 
 @pytest.fixture
@@ -499,8 +524,10 @@ def test_example_unknown_name_is_usage_exit(capsys):
     assert "unknown example" in err
 
 
-def test_example_multicopy_cap_exit(capsys):
-    rc, _out, err = run(capsys, "example", "multicopy", "--copies", "13")
+# 2^1024 overflows a float
+@pytest.mark.parametrize("copies", ["13", "1024", "1000000000"])
+def test_example_multicopy_cap_exit(capsys, copies):
+    rc, _out, err = run(capsys, "example", "multicopy", "--copies", copies)
     assert rc == 4
     assert "dimension cap" in err
 

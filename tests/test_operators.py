@@ -158,6 +158,17 @@ def test_min_eig_rejects_non_finite_entries(entry, value):
         min_eig(a)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_min_eig_of_entries_near_the_float_maximum_is_finite(dtype):
+    # a + a^H overflows; halved first, the Hermitian parts are finite: all
+    # ones times 1e308, of spectrum {0, 0, 3e308}, and 1e308 I
+    a = np.stack([np.full((3, 3), 1e308), 1e308 * np.eye(3)]).astype(dtype)
+    a.flags.writeable = False
+    lowest = min_eig(a)
+    assert abs(lowest[0]) <= 1e-14 * 1e308
+    assert lowest[1] == 1e308
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_partial_trace_is_trace_preserving(seed):

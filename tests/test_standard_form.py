@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import (comb_spaces, coords_from_hermitian, dual_from_y,
                       helstrom_problem, hermitian_from_coords, memory_combs,
-                      qubit_state_problem, reference_validate_comb, seeds,
-                      selected_phase_program, sequential_phase_problem,
-                      state_problems, structural_row_values)
+                      qubit_state_problem, reference_validate_comb,
+                      seed_program, seeds, selected_phase_program,
+                      sequential_phase_problem, state_problems,
+                      structural_row_values)
 from qnetopt.covariant import phase_grid_problem, two_phase_problem
 from qnetopt.estimation import (EstimationProblem, joint_problem,
                                 payoff_operators)
@@ -285,8 +286,8 @@ def _dense_rows(cmap):
 
 
 # programs whose scatter plans, between them, hold groups of side 1 and
-# more, of one and of several sectors, and padded, width-2, scaled and
-# identity entries
+# more, of one and of several sectors, rows split between groups, and
+# width-2, signed and identity entries
 PLAN_PROGRAMS = {
     "grid-3-sectors": lambda: sector_program(phase_grid_problem(3)[0]),
     "memory-2x22": lambda: build_primal(random_channel_problem(
@@ -298,15 +299,33 @@ PLAN_PROGRAMS = {
 
 
 def test_plan_programs_hold_every_kind_of_group_and_entry():
-    groups = [g for make in PLAN_PROGRAMS.values() for g in make().cmap.groups]
+    cmaps = [make().cmap for make in PLAN_PROGRAMS.values()]
+    groups = [g for cmap in cmaps for g in cmap.groups]
     entries = [e for g in groups for e in g.entries]
     assert {min(g.side, 2) for g in groups} == {1, 2}
     assert {min(g.sectors, 2) for g in groups} == {1, 2}
-    assert any((e.tensor < 0).any() for e in entries)  # padded
+    assert any(len(np.unique(rows)) < len(rows) for rows in (  # split rows
+        np.concatenate([e.rows for e in cmap.entries]) for cmap in cmaps))
     assert any(e.tensor.shape[1] == 2 for e in entries)
-    assert any(e.scale != 1.0 for e in entries)
-    assert any(e.scale == 1.0 and np.array_equal(  # the identity
+    assert any((e.weights < 0).any() for e in entries)
+    assert any((e.weights == 1).all() and np.array_equal(  # the identity
         e.tensor, np.arange(len(e.tensor))[:, None]) for e in entries)
+
+
+def test_groups_hold_only_the_units_they_read():
+    # the covariant seed program of four gates: its rows reach some groups
+    cmap = seed_program(*sequential_phase_problem(4))[0].cmap
+    assert len(cmap.groups) > 2
+    for g, dense in zip(cmap.groups, _dense_rows(cmap)):
+        rows = np.concatenate([e.rows for e in g.entries])
+        reached = np.flatnonzero(dense.reshape(cmap.m, -1).any(axis=1))
+        assert 0 < len(reached) < cmap.m
+        np.testing.assert_array_equal(np.sort(rows), reached)  # each once
+        for e in g.entries:
+            assert e.tensor.shape == (len(e.rows), len(e.weights))
+            assert 0 <= e.tensor.min()
+            assert e.tensor.max() < g.sectors * g.side ** 2
+            assert set(np.abs(e.weights)) == {1.0}
 
 
 @pytest.mark.parametrize("name", PLAN_PROGRAMS)
