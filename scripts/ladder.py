@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """The performance ladder: each rung in its own process, under limits.
 
-A rung is one call: a direct ``solve`` of a phase grid, of a memoryful
-random comb or of N sequential uses of a qubit phase gate (seq-N), or
+A rung is one call: a ``solve`` of a phase grid, of a memoryful random
+comb or of N sequential uses of a qubit phase gate (seq-N; ``solve`` finds
+the orbit of the grids and of seq-N and solves their seed program), or
 ``covariant_gamma`` on a phase grid, on N sequential gates (gates-N), or on
 a phase grid rotated by a random unitary (a non-diagonal action).  Each runs
 in a fresh Python process with BLAS pinned to one thread, an address-space
@@ -23,8 +24,10 @@ around the call: pages the allocator mapped afresh), iterations, gamma
 one, whether the certificate checks on the full problem (not timed), the
 largest peak-memory estimate the call checked (estimate_mb, null on a tree
 without check_memory), the largest row count m among the programs it
-checked (rows, null alike), and the outcome: ok, timeout, memory_limit,
-refused (DimensionCap) or error.
+checked (rows, null alike), the route a ``solve`` took ("direct" or
+"orbit"; null for ``covariant_gamma`` and on a tree whose solutions carry
+none), and the outcome: ok, timeout, memory_limit, refused (DimensionCap)
+or error.
 
     python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --side parent=OLD/src --side change=src \\
@@ -53,7 +56,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 RUNGS = ("grid-4", "grid-6", "grid-8", "grid-9", "grid-16", "grid-24",
          "memory-3x22", "memory-2x33", "covariant-12", "covariant-16",
-         "gates-3", "gates-4", "gates-5", "seq-4", "rotated-7")
+         "gates-3", "gates-4", "gates-5", "seq-4", "seq-5", "rotated-7")
 POLL_S = 0.05
 MEMORY_GIB = 3  # address-space limit of each child
 REPEAT_S = 6.0  # a child repeats its call while the calls total less
@@ -212,7 +215,8 @@ def run_rung(name: str) -> dict:
            "peak_rss_mb": peak_mb, "first_rss_mb": first_mb,
            "minflt": statistics.median_low(faults),
            "estimate_mb": max(estimates) / 2 ** 20 if estimates else None,
-           "rows": max(rows) if rows else None}
+           "rows": max(rows) if rows else None,
+           "route": getattr(result, "route", None)}
     if oracle is not None:
         rec["oracle_distance"] = abs(gamma - oracle)
     return rec

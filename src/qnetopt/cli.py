@@ -102,8 +102,9 @@ def cmd_solve(args) -> int:
     problem = serde.problem_from_json(serde.load_path(args.path))
     sol = solve(problem, _options(args))
     _emit(args, serde.solution_to_json(sol))
-    _say(args, "gamma %s  lambda %s  gap %s  (%d iterations)"
-         % (_g(sol.gamma_primal), _g(sol.lambda_), _g(sol.gap), sol.iterations))
+    _say(args, "gamma %s  lambda %s  gap %s  (%d iterations, %s route)"
+         % (_g(sol.gamma_primal), _g(sol.lambda_), _g(sol.gap), sol.iterations,
+            sol.route))
     ok = sol.rel_gap <= args.tol and sol.certificate.certified
     return EXIT_OK if ok else EXIT_INVALID
 

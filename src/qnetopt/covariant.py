@@ -12,9 +12,12 @@ together with the invariant comb that certifies it.  It solves
 through ``solve``'s own pipeline (``sdp.engine.solve_program``, which
 builds the seed program too), so R is validated, and its margins checked,
 as ``solve`` does.  Both premises are checked element by element against
-the identity, and the input combs once, by that orbit check.  The result's
-gap, iterations and history are those of the program solved: the seed
-program for a diagonal action, the caller's problem for any other.
+the identity, by the helpers of ``solve``'s own orbit detection
+(``payoff_misfits``, ``orbit_misfits``), and the input combs once, by that
+orbit check.  The result's gap, iterations and history are those of the
+program solved: the seed program for a diagonal action, the caller's
+problem for any other.  ``solve`` finds a diagonal orbit with no action
+given and solves the same seed program (``sdp.standard_form.diagonal_orbit``).
 
 When every representative is diagonal (phases, and products of cyclic
 groups), each level of each factor carries a character, the phases that
@@ -60,7 +63,8 @@ from .operators import LabeledOperator, SystemLabel
 from .sdp.engine import solve_program
 from .sdp.ipm import SolverOptions
 from .sdp.ipm import solve_ipm  # noqa: F401  bench/tracer.py wraps this name
-from .sdp.standard_form import ChargeSectors
+from .sdp.standard_form import (ORBIT_TOL, ChargeSectors, joint_entries,
+                                 orbit_misfits, payoff_misfits)
 
 HOMOMORPHISM_TOL = 1e-10
 
@@ -289,33 +293,24 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     g = problem.payoff
     # row y^-1 of the table holds y^-1 x; rows are permutations, so one e each
     inverse = np.nonzero(table == e)[1]
-    bad = np.flatnonzero(np.abs(g - g[e, table[inverse]]).max(axis=1) > 1e-9)
+    bad = np.flatnonzero(payoff_misfits(g, table[inverse], e))
     if bad.size:
         raise NotLeftInvariant("payoff g(y, x) is not g(e, y^-1 x) at y = "
                                "%r" % (action.elements[bad[0]],))
     # the orbit check then covers every comb: local unitaries keep a comb a comb
     validate_comb(problem.combs[e])
-    mats = [c.op.data for c in problem.combs]
-    scale = 1.0 + max(float(np.abs(r).max()) for r in mats)
     factors = problem.space.factors()
     characters = diagonal_characters(action, factors)
     if characters is None:  # one full-size conjugation per x
+        mats = [c.op.data for c in problem.combs]
+        scale = 1.0 + max(float(np.abs(r).max()) for r in mats)
         us = (action.unitary_for(el, factors) for el in action.elements)
-        err = [np.linalg.norm(u @ mats[e] @ u.conj().T - r)
-               for u, r in zip(us, mats)]
-    else:  # off the combs' joint support both sides are exactly 0
-        support = np.zeros(mats[e].shape, dtype=bool)
-        for r in mats:
-            support |= r != 0
-        rows, cols = np.nonzero(support)
-        # row x is diag(U_x); one row of ones, broadcast, when the action
-        # moves none of the factors; U R U^H = R * outer(ph, conj ph)
+        bad = np.flatnonzero([np.linalg.norm(u @ mats[e] @ u.conj().T - r)
+                              > ORBIT_TOL * scale for u, r in zip(us, mats)])
+    else:
         _, phases = ChargeSectors(characters=characters).walk(factors)
-        ph = np.broadcast_to(phases.T, (n, len(phases)))
-        stack = np.array([r[rows, cols] for r in mats])
-        err = np.abs(stack[e] * (ph[:, rows] * ph[:, cols].conj())
-                     - stack).max(axis=1)
-    bad = np.flatnonzero(np.array(err) > 1e-8 * scale)
+        bad = np.flatnonzero(orbit_misfits(joint_entries(problem.combs), e,
+                                           phases))
     if bad.size:
         raise NotLeftInvariant("combs do not form an orbit of the action "
                                "(element %r)" % (action.elements[bad[0]],))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (DuplicateLabel, NormalizationViolation, NotAState, NotPSD,
                      NotTracePreserving, ShapeMismatch)
-from .operators import (LabeledOperator, SystemLabel, min_eig,
+from .operators import (LabeledOperator, SystemLabel, batches, min_eig,
                         permute_systems, tensor, tensor_all, trace_middle)
 
 DEFAULT_TOL = 1e-8
@@ -179,11 +179,21 @@ def comb_of_memoryless_sequence(chois: Sequence[LabeledOperator]
     return validate_comb(QuantumComb(space, op))
 
 
-def _check_psd(op: LabeledOperator, tol: float, what: str):
-    scale = max(1.0, float(np.max(np.abs(op.data))) if op.data.size else 1.0)
-    me = min_eig(op.data)
-    if me < -tol * scale:
-        raise NotPSD("%s has eigenvalue %.3e below -tol*scale" % (what, me))
+def _check_psd(mats: Sequence[np.ndarray], tol: float, what):
+    """NotPSD naming the first of mats, what(k) matrix k's name, with an
+    eigenvalue below -tol * max(1, its largest entry).
+
+    The matrices go to min_eig as stacks, one a batch (operators.batches).
+    """
+    for part in batches(len(mats), mats[0].nbytes):
+        ops = mats[part]
+        ops = np.array(ops) if len(ops) > 1 else ops[0][None]
+        scale = np.maximum(1.0, np.abs(ops).max(axis=(-2, -1)))
+        me = min_eig(ops)
+        bad = np.flatnonzero(me < -tol * scale)
+        if bad.size:
+            raise NotPSD("%s has eigenvalue %.3e below -tol*scale"
+                         % (what(part.start + bad[0]), me[bad[0]]))
 
 
 def _reduce(m: np.ndarray, pre: int, d: int, post: int, level, tol):
@@ -235,7 +245,7 @@ def validate_comb(comb: QuantumComb, tol: float = DEFAULT_TOL) -> QuantumComb:
     partial trace of the level above; the level-0 one is the scalar 1.
     Raises NotPSD or NormalizationViolation(level, residual).
     """
-    _check_psd(comb.op, tol, "comb operator")
+    _check_psd([comb.op.data], tol, lambda _: "comb operator")
     _walk(comb.op.data, comb.space.steps, tol, tester=False)
     return comb
 
@@ -250,9 +260,8 @@ def validate_tester(tester: Tester, tol: float = DEFAULT_TOL) -> Tester:
     """
     if not tester.outcomes:
         raise ShapeMismatch("a tester needs at least one outcome")
-    for m, op in tester.outcomes:
-        _check_psd(op, tol, "outcome %r" % (m,))
     arrays = [op.data for _, op in tester.outcomes]
+    _check_psd(arrays, tol, lambda k: "outcome %r" % (tester.outcomes[k][0],))
     _walk(sum(arrays[1:], arrays[0]), tester.space.steps, tol, tester=True)
     return tester
 

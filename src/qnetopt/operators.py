@@ -26,6 +26,10 @@ DIMENSION_CAP = 4096
 #: Relative scale of min_eig's Hermiticity check.
 HERM_TOL = 1e-10
 
+#: Bytes of matrices a batched min_eig call takes (batches), so a stack of
+#: large matrices keeps the temporaries of one batch.
+MIN_EIG_BATCH_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class SystemLabel:
@@ -161,6 +165,15 @@ def permute_systems(a: LabeledOperator, order) -> LabeledOperator:
     new_factors = tuple(a.factors[p] for p in perm)
     n = a.dim
     return LabeledOperator(new_factors, t.reshape(n, n))
+
+
+def batches(count: int, item_bytes: int) -> list:
+    """Slices of range(count), each of at most MIN_EIG_BATCH_BYTES of items.
+
+    Each slice holds one item at least.
+    """
+    step = max(1, MIN_EIG_BATCH_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def min_eig(a: np.ndarray):

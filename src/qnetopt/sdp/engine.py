@@ -12,6 +12,10 @@ and range(A^T) is the span of the combs, so -A^T y on the outcome groups
 is lambda R for a comb R and lambda = -b.y, with no correction of y: R's
 normalization is exact by construction, and its positivity is the dual
 slack's.  R is still validated at full size.
+
+When the combs are an orbit of a group of local diagonal unitaries, solve
+takes the seed program of that orbit instead and lifts its outcome to
+every label (_orbit_solution); SdpSolution.route names the program run.
 """
 
 from __future__ import annotations
@@ -21,16 +25,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import (BadParameter, DimensionCap, InvalidComb,
+from ..errors import (BadParameter, DimensionCap, InvalidComb, MaxIterations,
                       NormalizationViolation, NotPSD, NumericalFailure,
                       ShapeMismatch)
 from ..estimation import EstimationProblem, payoff_operators
 from ..networks import (QuantumComb, Tester, comb_of_state, validate_comb,
                         validate_tester)
-from ..operators import LabeledOperator, min_eig
+from ..operators import LabeledOperator, batches, min_eig
 from .ipm import SolverOptions, solve_ipm
 from .standard_form import (ChargeSectors, StandardSdp, build_primal,
-                            charge_sectors)
+                            charge_sectors, diagonal_orbit)
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ class SdpSolution:
     scale (payoff_shift already subtracted); lambda_ stays on the stored
     nonnegative scale, so lambda_ == gamma_dual + payoff_shift, and
     lambda_ * comb_certificate is -A^T y on the outcome groups (solve_program).
-    history holds one IpmStep per interior-point iteration, in order.
+    history holds one IpmStep per interior-point iteration, in order, of
+    the program solved.  route is "direct" for the caller's K-outcome
+    program and "orbit" for the seed program of a diagonal orbit (solve).
     """
 
     gamma_primal: float
@@ -76,6 +82,7 @@ class SdpSolution:
     feas_primal: float
     feas_dual: float
     history: tuple
+    route: str
 
 
 def slater_point(sdp: StandardSdp) -> np.ndarray:
@@ -129,8 +136,9 @@ def certify_dual(lambda_: float, comb: QuantumComb, problem: EstimationProblem,
     if comb.space != problem.space:
         raise ShapeMismatch("comb space %r does not match problem space %r"
                             % (comb.space.factors(), problem.space.factors()))
-    margins = [min_eig(lambda_ * comb.op.data - g)
-               for g in payoff_operators(problem)]
+    r, G = lambda_ * comb.op.data, payoff_operators(problem)
+    margins = np.concatenate([min_eig(r - G[part])
+                              for part in batches(len(G), r.nbytes)])
     return CertificateReport.of(lambda_, problem, margins, tol)
 
 
@@ -154,16 +162,19 @@ def check_memory(sdp: StandardSdp, k: int) -> int:
 
 
 def solve_program(problem: EstimationProblem, opts: SolverOptions,
-                  seed: Optional[tuple] = None):
+                  seed: Optional[tuple] = None,
+                  torus: Optional[ChargeSectors] = None):
     """solve short of the tester: (sdp, IpmResult, lambda, R, report).
 
     seed = (weights, characters) solves problem's one-outcome seed program
-    instead (covariant_gamma): the comb sum_x w_x R_x / sum_x w_x, Hermitian
-    part taken, the characters (diagonal_characters) joining the torus
-    charges in the labels.  lambda = -b.y (-y[0] when step 1 has an input)
-    and R's outcome-sector blocks are -A^T y / lambda, a comb as they come;
-    R is checked as solve does, and the margins on those blocks.  The
-    caller has validated the problem's combs.
+    instead (covariant_gamma, and solve on a diagonal orbit): the comb
+    sum_x w_x R_x / sum_x w_x, Hermitian part taken, the characters
+    (diagonal_characters) joining the torus charges in the labels.  torus
+    is the combs' (charge_sectors), taken from the program's own combs when
+    None.  lambda = -b.y (-y[0] when step 1 has an input) and R's
+    outcome-sector blocks are -A^T y / lambda, a comb as they come; R is
+    checked as solve does, and the margins on those blocks.  The caller
+    has validated the problem's combs.
     """
     k, characters = len(problem.combs), {}
     if seed is not None:
@@ -173,8 +184,9 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
         r = LabeledOperator(problem.space.factors(), (r + r.conj().T) / 2.0)
         problem = EstimationProblem(problem.space, (0,), np.ones(1),
                                     (QuantumComb(problem.space, r),), np.eye(1))
-    sdp = build_primal(problem, ChargeSectors(charge_sectors(problem).charges,
-                                              characters))
+    if torus is None:
+        torus = charge_sectors(problem)
+    sdp = build_primal(problem, ChargeSectors(torus.charges, characters))
     check_memory(sdp, k)
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
@@ -188,12 +200,16 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
     for r, c in zip(blocks, sdp.C):
         margins = np.minimum(margins, min_eig(lambda_ * r + c).min(axis=-1))
     report = CertificateReport.of(lambda_, problem, margins, 10.0 * opts.tol)
+    _check_certified(report, res)
+    return sdp, res, lambda_, comb, report
+
+
+def _check_certified(report: CertificateReport, res):
     if not report.certified:
         raise NumericalFailure(
             "dual certificate margin %.3e below -%.1e"
             % (report.min_margin, report.tol),
             {"rel_gap": res.rel_gap, "iterations": res.iterations})
-    return sdp, res, lambda_, comb, report
 
 
 def _validated(validate, obj, tol: float, res):
@@ -212,7 +228,12 @@ def solve(problem: EstimationProblem,
 
     The problem's combs are validated first (NotPSD, NormalizationViolation).
     The program runs on the charge sectors of the largest local diagonal torus
-    that fixes the combs (charge_sectors).  The tester and the comb are
+    that fixes the combs (charge_sectors).  When the combs are an orbit of
+    a group of local diagonal unitaries, with a uniform prior and a
+    left-invariant payoff (diagonal_orbit), solve takes the orbit route: it
+    solves the one-outcome seed program and lifts its outcome to every label
+    (_orbit_solution); a route that fails any check falls back to the
+    direct program, the caller's K outcomes.  The tester and the comb are
     validated at full size, the margins on the outcome sectors: R and every
     G_est are exactly zero off them.  Raises DimensionCap when the program's
     estimated peak memory exceeds MEMORY_CAP_BYTES (check_memory), before the
@@ -220,18 +241,81 @@ def solve(problem: EstimationProblem,
     that loop cannot reach the requested tolerance.
     """
     opts = options if options is not None else SolverOptions()
-    sdp, res, lambda_, comb, report = solve_program(problem.validated(), opts)
+    torus = charge_sectors(problem.validated())
+    orbit = diagonal_orbit(problem, torus)
+    if orbit is not None:
+        try:
+            return _orbit_solution(problem, opts, torus, orbit)
+        except (MaxIterations, NumericalFailure):
+            pass  # the direct program decides
+    sdp, res, lambda_, comb, report = solve_program(problem, opts, torus=torus)
+    return _solution(problem, (sdp.outcome(x) for x in zip(*res.X)), res,
+                     lambda_, comb, report, (res.pobj, res.dobj), "direct")
+
+
+def _solution(problem: EstimationProblem, outcomes, res, lambda_: float,
+              comb: QuantumComb, report: CertificateReport, objectives: tuple,
+              route: str) -> SdpSolution:
+    """The SdpSolution of the full-size outcomes, their tester validated.
+
+    outcomes yields one array a label, each copied into the tester before
+    the next is made.  objectives are the primal and dual values on the
+    stored scale, in the min <C, X> convention.
+    """
     factors = problem.space.factors()
-    outcomes = [(label, LabeledOperator(factors, sdp.outcome(x)))
-                for label, x in zip(problem.labels_x, zip(*res.X))]
-    tester = _validated(validate_tester, Tester(problem.space, tuple(outcomes)),
-                        report.tol, res)
+    tester = _validated(validate_tester, Tester(problem.space, tuple(
+        (label, LabeledOperator(factors, t))
+        for label, t in zip(problem.labels_x, outcomes))), report.tol, res)
     shift = problem.payoff_shift
-    gamma_primal, gamma_dual = -res.pobj - shift, -res.dobj - shift
+    gamma_primal, gamma_dual = (-v - shift for v in objectives)
     return SdpSolution(gamma_primal, gamma_dual, tester, lambda_, comb,
                        abs(gamma_dual - gamma_primal), res.rel_gap,
                        res.iterations, shift, report,
-                       res.feas_primal, res.feas_dual, res.history)
+                       res.feas_primal, res.feas_dual, res.history, route)
+
+
+def _orbit_solution(problem: EstimationProblem, opts: SolverOptions,
+                    torus: ChargeSectors, orbit: tuple) -> SdpSolution:
+    """solve on a diagonal orbit (diagonal_orbit), from the seed program.
+
+    The seed program of the weights g(e, .) / K (solve_program) gives the
+    outcome T and the certificate (lambda_seed, R), R invariant.  An
+    optimal tester is then covariant, T_y = U_y T U_y^H / K, a phase mask
+    on T, and lambda = gamma_0 lambda_seed, gamma_0 = sum_x g(e, x) / K:
+    lambda R >= G_e, and conjugating by U_y maps G_e to G_y.  The tester
+    is validated at full size.  The margins of lambda R - G_y, every y, and
+    gamma_primal, the tester's payoff, are taken on the outcome sectors of
+    the caller's torus, which the seed program is built on: R and every G_y
+    vanish off them.  The bracket [gamma_primal, lambda] must pass the
+    interior point's test; any failed check is NumericalFailure.  rel_gap,
+    iterations and history are the seed program's.
+    """
+    characters, phases = orbit
+    k = problem.num_params
+    weights = problem.payoff[0] / k
+    gamma_0 = float(weights.sum())
+    sdp, res, lambda_, comb, seed = solve_program(
+        problem, opts, (weights, characters), torus)
+    lambda_ *= gamma_0
+    w = problem.payoff * problem.prior
+    primal, margins = 0.0, np.inf
+    for pos, x in zip(sdp.positions, res.X):
+        at = pos[:, :, None], pos[:, None, :]
+        g = np.tensordot(w, np.array([c.op.data[at] for c in problem.combs]), 1)
+        g = (g + g.conj().swapaxes(-1, -2)) / 2.0
+        ph = np.moveaxis(phases[pos], -1, 0)  # (K, s, n)
+        t = ph[..., :, None] * x[0] * ph[..., None, :].conj()
+        primal += float(np.vdot(g, t).real) / k
+        margins = np.minimum(
+            margins, min_eig(lambda_ * comb.op.data[at] - g).min(axis=-1))
+    report = CertificateReport.of(lambda_, problem, margins, seed.tol)
+    _check_certified(report, res)
+    gap = abs(lambda_ - primal)
+    if not gap <= opts.tol * (1.0 + abs(primal) + abs(lambda_)):
+        raise NumericalFailure("lifted gap %.3e above the tolerance" % gap)
+    top = sdp.outcome([x[0] for x in res.X]) / k
+    return _solution(problem, (top * np.outer(ph, ph.conj()) for ph in phases.T),
+                     res, lambda_, comb, report, (-primal, -lambda_), "orbit")
 
 
 @dataclass(frozen=True)

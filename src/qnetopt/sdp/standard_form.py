@@ -52,7 +52,9 @@ side are one block group of the solver, the outcomes as its copies.  A
 sector's positions are kept in ascending order, so a unit on S's positions
 (P, Q), P <= Q, is the coordinate of the positions' indices in their
 sector, and each group lists, for the rows that reach it, only the units
-that fall on it.
+that fall on it.  diagonal_orbit finds when the combs are, besides, an
+orbit of a group of local diagonal unitaries, whose characters give solve
+the one-outcome seed program of covariant_gamma.
 """
 
 from __future__ import annotations
@@ -157,14 +159,21 @@ class ChargeSectors:
             keys = np.column_stack([keys, same.argmax(axis=1)])
         if not keys.shape[1]:
             return np.zeros(len(keys), np.intp)
-        # np.unique(keys, axis=0, return_inverse=True)[1], without its slow
-        # structured sort: each row's number among the distinct rows, sorted
-        order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        ids = np.empty(len(keys), np.intp)
-        ids[order] = np.cumsum(np.r_[True, np.any(ordered[1:] != ordered[:-1],
-                                                  axis=1)]) - 1
-        return ids
+        return _row_ids(keys)
+
+
+def _row_ids(keys: np.ndarray) -> np.ndarray:
+    """Each row's number among the distinct rows of keys, sorted.
+
+    np.unique(keys, axis=0, return_inverse=True)[1], without its slow
+    structured sort.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    ids = np.empty(len(keys), np.intp)
+    ids[order] = np.cumsum(np.r_[True, np.any(ordered[1:] != ordered[:-1],
+                                              axis=1)]) - 1
+    return ids
 
 
 def charge_sectors(problem: EstimationProblem) -> ChargeSectors:
@@ -212,6 +221,135 @@ def charge_sectors(problem: EstimationProblem) -> ChargeSectors:
             np.count_nonzero(support[labels[:, None] != labels]):
         return ChargeSectors()
     return torus
+
+
+# ---------------------------------------------------------------------------
+# diagonal orbits
+# ---------------------------------------------------------------------------
+
+ORBIT_TOL = 1e-8     # |U_x R_e U_x^H - R_x| against 1 + the largest |R|
+PAYOFF_TOL = 1e-9    # |g(y, x) - g(e, y^-1 x)|
+PHASE_TURNS = 1 << 24  # phases that round alike at 2^-24 turn are equal
+
+
+def joint_entries(combs) -> tuple:
+    """The combs' joint support (rows, cols), and their (K, nnz) values there."""
+    support = combs[0].op.data != 0
+    for c in combs[1:]:
+        support |= c.op.data != 0
+    rows, cols = np.nonzero(support)
+    return rows, cols, np.array([c.op.data[rows, cols] for c in combs])
+
+
+def orbit_misfits(entries: tuple, e: int, phases: np.ndarray) -> np.ndarray:
+    """Whether each comb x misses U_x R_e U_x^H by over ORBIT_TOL.
+
+    entries is joint_entries' triple; column x of the (D, c) phases is
+    diag(U_x), one column of ones serving every x.  Off the joint support
+    both sides are exactly 0, and U R U^H is R times outer(ph, conj ph).
+    """
+    rows, cols, stack = entries
+    ph = np.broadcast_to(phases.T, (len(stack), len(phases)))
+    scale = 1.0 + float(np.abs(stack).max())
+    err = np.abs(stack[e] * (ph[:, rows] * ph[:, cols].conj())
+                 - stack).max(axis=1)
+    return err > ORBIT_TOL * scale
+
+
+def payoff_misfits(payoff: np.ndarray, quotient: np.ndarray,
+                   e: int) -> np.ndarray:
+    """Whether each row y misses g(y, x) = g(e, y^-1 x) by over PAYOFF_TOL.
+
+    quotient[y, x] is the index of y^-1 x.
+    """
+    return np.abs(payoff - payoff[e, quotient]).max(axis=1) > PAYOFF_TOL
+
+
+def _read_phases(factors, rows, cols, ratio) -> dict:
+    """Per factor moved, the (dim, K) phases of U_x, R_x = U_x R_0 U_x^H.
+
+    ratio, R_x / R_0 on the joint support at unit modulus, reads prod_f
+    u_f(p_f) conj(u_f(q_f)) at entry (p, q).  Where every later factor's
+    levels agree, and with the earlier factors' phases divided out, that
+    is u_f(a) conj(u_f(b)) on f's levels a, b: a walk along those entries
+    from level 0 (phase 1, and again from the lowest level left) reads f's
+    levels for every label at once.  Unread levels keep phase 1.  The
+    phases are fixed only up to the torus that fixes R_0: the caller
+    checks them.
+    """
+    dims = [f.dim for f in factors]
+    lr, lc = np.unravel_index(rows, dims), np.unravel_index(cols, dims)
+    later, agree = [], np.ones(len(rows), bool)
+    for a, b in zip(lr[::-1], lc[::-1]):
+        later.append(agree)
+        agree = agree & (a == b)
+    characters = {}
+    for f, a, b, same in zip(factors, lr, lc, later[::-1]):
+        edge = np.flatnonzero(same & (a != b))
+        ea, eb, r = a[edge], b[edge], ratio[:, edge].conj()
+        u = np.ones((len(ratio), f.dim), complex)
+        known = np.zeros(f.dim, bool)
+        known[0] = True
+        while True:
+            step = np.flatnonzero(known[ea] & ~known[eb])
+            if not step.size:
+                left = eb[~known[eb]]
+                if not left.size:
+                    break
+                known[left.min()] = True
+                continue
+            new, first = np.unique(eb[step], return_index=True)
+            u[:, new] = r[:, step[first]] * u[:, ea[step[first]]]
+            known[new] = True
+        if np.count_nonzero(u != 1.0):
+            characters[f.id] = u.T
+            ratio = ratio * (u[:, a].conj() * u[:, b])
+    return characters
+
+
+def diagonal_orbit(problem: EstimationProblem,
+                   torus: ChargeSectors) -> Optional[tuple]:
+    """(characters, phases) of local diagonal U_x, a group with R_x = U_x R_0
+    U_x^H; None if the combs are no such orbit.
+
+    characters maps each factor moved to its (dim, K) phases, column x
+    U_x's (diagonal_characters' form), and column x of the (D, K) phases is
+    diag(U_x); U_0 = I.  Only a nontrivial torus (charge_sectors) holds
+    such an orbit.  The combs must share one zero pattern, on which U_x is
+    read (_read_phases), and be U_x R_0 U_x^H (orbit_misfits).  The U_x
+    must be distinct and hold every U_y^-1 U_x, matched by their phases
+    rounded to PHASE_TURNS: the group's quotient table.  The prior must be
+    uniform, the payoff left-invariant (payoff_misfits) and g(e, .) not 0.
+    """
+    k = problem.num_params
+    if not torus.charges or k < 2 \
+            or np.abs(problem.prior - 1.0 / k).max() > 1e-9 \
+            or problem.payoff[0].sum() <= 1e-14 * k:
+        return None
+    entries = joint_entries(problem.combs)
+    rows, cols, stack = entries
+    if np.count_nonzero(stack) < stack.size:
+        return None
+    ratio = stack / stack[0]
+    factors = problem.space.factors()
+    characters = _read_phases(factors, rows, cols, ratio / np.abs(ratio))
+    if not characters:
+        return None
+    _, phases = ChargeSectors(characters=characters).walk(factors)
+    if orbit_misfits(entries, 0, phases).any():
+        return None
+    v = np.concatenate(list(characters.values())).T  # (K, levels moved)
+    quotient = v.conj()[:, None] * v
+    turns = np.angle(np.concatenate([v, quotient.reshape(k * k, -1)]))
+    keys = np.rint(turns * (PHASE_TURNS / (2.0 * np.pi))).astype(np.int64)
+    ids = _row_ids(keys % PHASE_TURNS)
+    index = np.full(len(keys), -1)
+    index[ids[:k]] = np.arange(k)
+    quotient = index[ids[k:]].reshape(k, k)
+    if np.count_nonzero(index >= 0) < k or (quotient < 0).any() \
+            or payoff_misfits(problem.payoff, quotient, 0).any():
+        return None
+    return characters, phases
 
 
 def _invariant_coords(labels: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ from qnetopt.networks import (CombSpace, QuantumComb, Tester, choi_of_channel,
                               validate_comb, validate_tester)
 from qnetopt.operators import (LabeledOperator, SystemLabel, min_eig,
                                partial_trace, permute_systems, tensor)
+from qnetopt.sdp import SolverOptions, engine
 from qnetopt.sdp.ipm import _float_positions, basis_kernel
 from qnetopt.sdp.standard_form import (ChargeSectors, build_primal,
-                                       charge_sectors)
+                                       charge_sectors, diagonal_orbit)
 
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LOG = []
@@ -288,6 +289,21 @@ def rotated_phase_grid(levels):
                                 combs, problem.payoff, problem.payoff_shift)
     return rotated, FiniteGroupAction(action.elements, action.table,
                                       {step.out_sys.id: rep})
+
+
+def skewed_prior(problem):
+    """problem under a non-uniform prior: the same combs, and no orbit."""
+    prior = np.linspace(1.0, 2.0, problem.num_params)
+    return EstimationProblem(problem.space, problem.labels_x,
+                             prior / prior.sum(), problem.combs,
+                             problem.payoff, problem.payoff_shift)
+
+
+def orbit_route(problem):
+    """solve's orbit route itself, with no fallback to the direct program."""
+    torus = charge_sectors(problem)
+    return engine._orbit_solution(problem, SolverOptions(), torus,
+                                  diagonal_orbit(problem, torus))
 
 
 def qubit_state_problem(tag, vectors, priors, payoff=None):

@@ -22,7 +22,8 @@ from qnetopt.operators import LabeledOperator, SystemLabel, partial_trace
 from qnetopt.product_rule import (counterexample_correlated_payoff,
                                   counterexample_multicopy,
                                   verify_product_rule)
-from qnetopt.sdp import certify_dual, solve
+from qnetopt.sdp import SolverOptions, certify_dual, solve
+from qnetopt.sdp.engine import solve_program
 
 
 def _finish(number, label, ok, detail):
@@ -136,9 +137,10 @@ def test_c7_two_copies_beat_independent_singles():
 
 def test_c8_covariant_reduction_agrees_with_direct_solve():
     problem, action = phase_grid_problem(2)
-    direct = solve(problem)
+    # the caller's K-outcome program: solve would take the orbit route
+    _, direct, _, _, _ = solve_program(problem, SolverOptions())
     red = covariant_gamma(problem, action)
-    stored = direct.gamma_primal + problem.payoff_shift
+    stored = -direct.pobj
     err_gamma = abs(red.gamma_max - stored)
     err_split = abs(red.gamma_max * red.q_max - red.gamma_0)
 

@@ -118,8 +118,8 @@ def test_combs_and_payoffs_are_exactly_zero_off_the_sectors():
             assert not np.any(op[off])
 
 
-@pytest.mark.parametrize("levels", [3, 4, 5, 6])
-def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
+def _built_programs(monkeypatch):
+    """The programs solve builds, in order, once it is called."""
     built = []
     real_build = engine.build_primal
 
@@ -128,8 +128,17 @@ def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(engine, "build_primal", build)
+    return built
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5, 6])
+def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
+    built = _built_programs(monkeypatch)
+    # no orbit found: solve takes the caller's K-outcome program
+    monkeypatch.setattr(engine, "diagonal_orbit", lambda problem, torus: None)
     problem = phase_grid_problem(levels)[0]
     sol = solve(problem)
+    assert sol.route == "direct"
     assert built[0].cmap.m == 1 + 2 * levels ** 2 - 2 * levels
     oracle = phase_estimation_optimum(levels).cos_max
     assert abs(sol.gamma_primal - oracle) <= 1e-7
@@ -137,6 +146,29 @@ def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
     assert sol.certificate.certified
 
     # the full-size tester is valid and exactly zero off the sectors
+    validate_tester(sol.tester, 1e-7)
+    labels = charge_sectors(problem).labels(problem.space.factors())
+    off = labels[:, None] != labels[None, :]
+    for _, op in sol.tester.outcomes:
+        assert not np.any(op.data[off])
+    assert not np.any(sol.comb_certificate.op.data[off])
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5, 6])
+def test_orbit_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
+    built = _built_programs(monkeypatch)
+    problem = phase_grid_problem(levels)[0]
+    sol = solve(problem)
+    # the seed program alone: the characters split the diagonal sector
+    # into singletons, so level 1 keeps its L^2 diagonal coordinates less
+    # Xi^(1)'s L
+    assert sol.route == "orbit" and len(built) == 1
+    assert built[0].cmap.m == 1 + levels ** 2 - levels
+    oracle = phase_estimation_optimum(levels).cos_max
+    assert abs(sol.gamma_primal - oracle) <= 1e-7
+    assert abs(sol.gamma_dual - oracle) <= 1e-7
+    assert sol.certificate.certified
+    assert len(sol.certificate.margins) == problem.num_params
     validate_tester(sol.tester, 1e-7)
     labels = charge_sectors(problem).labels(problem.space.factors())
     off = labels[:, None] != labels[None, :]

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import qnetopt
 from conftest import (act, coords_from_hermitian, hermitian_from_coords,
-                      is_invariant, qubit_state_problem, random_pure_state,
-                      rotated_phase_grid,
-                      sequential_phase_problem, twirl_coordinates)
+                      is_invariant, orbit_route, qubit_state_problem,
+                      random_pure_state, rotated_phase_grid,
+                      sequential_phase_problem, skewed_prior,
+                      twirl_coordinates)
 from qnetopt.covariant import (FiniteGroupAction, covariant_gamma,
                                cyclic_group, diagonal_characters,
                                phase_action,
@@ -233,11 +234,13 @@ def test_non_diagonal_action_solves_the_callers_problem(make, monkeypatch):
     assert len(solved) == 1 and solved[0] is problem
 
 
+# the direct case: the grid's sectors, but a non-uniform prior: no orbit
 @pytest.mark.parametrize("call", [
-    lambda: solve(phase_grid_problem(3)[0]),
+    lambda: solve(skewed_prior(phase_grid_problem(3)[0])),
+    lambda: orbit_route(phase_grid_problem(3)[0]),
     lambda: covariant_gamma(*phase_grid_problem(3)),
     lambda: covariant_gamma(*rotated_phase_grid(3)),
-], ids=["direct", "seed", "non-diagonal"])
+], ids=["direct", "orbit", "seed", "non-diagonal"])
 def test_every_route_validates_its_lift_at_full_size(call, monkeypatch):
     # a lift that drops one outcome-sector block, the one with the largest
     # entry (some hold only rounding), fails R's validation
