@@ -306,6 +306,12 @@ def orbit_route(problem):
                                   diagonal_orbit(problem, torus))
 
 
+@pytest.fixture
+def direct_route(monkeypatch):
+    """solve finds no orbit, so it solves the caller's K-outcome program."""
+    monkeypatch.setattr(engine, "diagonal_orbit", lambda problem, torus: None)
+
+
 def qubit_state_problem(tag, vectors, priors, payoff=None):
     lab = SystemLabel(tag, len(vectors[0]))
     combs = tuple(comb_of_state(LabeledOperator((lab,), np.outer(v, v.conj())))

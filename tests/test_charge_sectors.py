@@ -132,10 +132,9 @@ def _built_programs(monkeypatch):
 
 
 @pytest.mark.parametrize("levels", [3, 4, 5, 6])
-def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
+def test_direct_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch,
+                                                      direct_route):
     built = _built_programs(monkeypatch)
-    # no orbit found: solve takes the caller's K-outcome program
-    monkeypatch.setattr(engine, "diagonal_orbit", lambda problem, torus: None)
     problem = phase_grid_problem(levels)[0]
     sol = solve(problem)
     assert sol.route == "direct"
@@ -177,10 +176,12 @@ def test_orbit_solve_on_the_sectors_matches_the_oracle(levels, monkeypatch):
     assert not np.any(sol.comb_certificate.op.data[off])
 
 
-# sector programs, then programs of the trivial torus
+# sector programs, then programs of the trivial torus; the sector
+# programs' combs are orbits, which solve takes the orbit route on
 PROBLEMS = {"grid-%d" % levels: lambda levels=levels:
             phase_grid_problem(levels)[0] for levels in range(3, 9)}
 PROBLEMS["two-phase"] = lambda: two_phase_problem(0.7, 4)[0]
+ORBITS = list(PROBLEMS)
 PROBLEMS["memory-2x22"] = lambda: random_channel_problem(
     np.random.default_rng(6), 2, [(2, 2), (2, 2)], memory=True)
 PROBLEMS["states-4x3"] = lambda: random_state_problem(
@@ -189,15 +190,29 @@ TOL = 10 * SolverOptions().tol  # the tolerance solve certifies with
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-def test_solve_margins_on_the_sectors_are_the_full_size_margins(name):
+def test_solve_margins_on_the_sectors_are_the_full_size_margins(
+        name, direct_route):
     problem = PROBLEMS[name]()
     sol = solve(problem)
+    assert sol.route == "direct"
     full = certify_dual(sol.lambda_, sol.comb_certificate, problem, TOL)
     if charge_sectors(problem).charges:
         np.testing.assert_allclose(sol.certificate.margins, full.margins,
                                    rtol=0, atol=1e-12)
     else:  # one sector, the whole space: the same matrices
         assert sol.certificate.margins == full.margins
+    assert sol.certificate.certified and full.certified
+
+
+@pytest.mark.parametrize("name", ORBITS)
+def test_orbit_margins_on_the_sectors_are_the_full_size_margins(name):
+    # one margin a caller outcome, lambda R - G_y on the torus blocks
+    problem = PROBLEMS[name]()
+    sol = solve(problem)
+    assert sol.route == "orbit"
+    full = certify_dual(sol.lambda_, sol.comb_certificate, problem, TOL)
+    np.testing.assert_allclose(sol.certificate.margins, full.margins,
+                               rtol=0, atol=1e-12)
     assert sol.certificate.certified and full.certified
 
 

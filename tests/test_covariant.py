@@ -487,20 +487,25 @@ def test_qmax_state_refuses_a_non_state(make, monkeypatch):
         qmax_state(rho, make())
 
 
+# solve would take the orbit route, the seed program covariant_gamma solves
+@pytest.mark.usefixtures("direct_route")
 def test_covariant_gamma_matches_direct_solve():
     problem, action = phase_grid_problem(2)
     direct = solve(problem)
+    assert direct.route == "direct"
     red = covariant_gamma(problem, action)
     stored_gamma = direct.gamma_primal + problem.payoff_shift
     assert red.gamma_max == pytest.approx(stored_gamma, abs=1e-6)
     assert red.gamma_max * red.q_max == pytest.approx(red.gamma_0, abs=1e-8)
 
 
+@pytest.mark.usefixtures("direct_route")
 def test_covariant_gamma_two_step_matches_direct_and_oracle():
     problem, action = sequential_phase_problem(2)
     red = covariant_gamma(problem, action)
-    assert red.gamma_max == pytest.approx(solve(problem).gamma_primal + 1.0,
-                                          abs=1e-6)
+    direct = solve(problem)
+    assert direct.route == "direct"
+    assert red.gamma_max == pytest.approx(direct.gamma_primal + 1.0, abs=1e-6)
     # two uses of a qubit phase gate reach three phase levels
     assert red.gamma_max == pytest.approx(
         1.0 + phase_estimation_optimum(3).cos_max, abs=1e-6)

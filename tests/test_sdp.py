@@ -76,8 +76,11 @@ def test_max_iterations_raises_with_diagnostics():
     assert "iteration" in str(err.value).lower() or err.value.diagnostics
 
 
-def test_iteration_counts_are_pinned():
+def test_iteration_counts_are_pinned(monkeypatch):
     # every per-iteration cost is multiplied by these; a change of one shows
+    # the 4-level grid's seed program (orbit route), then its K outcomes
+    assert solve(phase_grid_problem(4)[0]).iterations == 8
+    monkeypatch.setattr(engine, "diagonal_orbit", lambda problem, torus: None)
     assert solve(phase_grid_problem(4)[0]).iterations == 8
     assert solve(helstrom_problem()).iterations == 6
     # the covariant seed program, 9 iterations while it had chain groups
@@ -194,7 +197,7 @@ def test_schur_complement_is_one_array_per_solve(monkeypatch):
     lambda: random_channel_problem(np.random.default_rng(0), 2,
                                    [(2, 2)] * 2, memory=True),
 ], ids=["grid-12", "grid-16", "memory-2x22"])
-def test_check_memory_bounds_the_whole_solve(make):
+def test_check_memory_bounds_the_whole_solve(make, direct_route):
     problem = make()
     estimate = engine.check_memory(
         build_primal(problem, sectors=charge_sectors(problem)),
@@ -207,6 +210,29 @@ def test_check_memory_bounds_the_whole_solve(make):
     finally:
         tracemalloc.stop()
     assert peak <= estimate <= 3 * peak
+
+
+@pytest.mark.parametrize("levels", [12, 16])
+def test_check_memory_bounds_the_orbit_route(levels, monkeypatch):
+    # the estimate the route checks: the seed program and K full-size stacks
+    estimates = []
+    real_check = engine.check_memory
+
+    def check(sdp, k):
+        estimates.append(real_check(sdp, k))
+        return estimates[-1]
+
+    monkeypatch.setattr(engine, "check_memory", check)
+    problem = phase_grid_problem(levels)[0]
+    combs = sum(c.op.data.nbytes for c in problem.combs)
+    tracemalloc.start()
+    try:
+        sol = solve(problem)
+        peak = tracemalloc.get_traced_memory()[1] + combs
+    finally:
+        tracemalloc.stop()
+    assert sol.route == "orbit" and len(estimates) == 1
+    assert peak <= estimates[0] <= 3 * peak
 
 
 def _unreachable(*args, **kwargs):
