@@ -8,16 +8,15 @@ state (or comb).  An optimal tester can be taken covariant, so that question
 is the ordinary tester program with a single seed outcome T whose
 normalization is imposed on twirl(T) rather than on T.  ``covariant_gamma``
 solves it and returns gamma_max = gamma_0 / q_max, read off the dual,
-together with the invariant comb that certifies it.  It solves
-through ``solve``'s own pipeline (``sdp.engine.solve_program``, which
-builds the seed program too), so R is validated, and its margins checked,
-as ``solve`` does.  Both premises are checked element by element against
-the identity, by the helpers of ``solve``'s own orbit detection
-(``payoff_misfits``, ``orbit_misfits``), and the input combs once, by that
-orbit check.  The result's gap, iterations and history are those of the
-program solved: the seed program for a diagonal action, the caller's
-problem for any other.  ``solve`` finds a diagonal orbit with no action
-given and solves the same seed program (``sdp.standard_form.diagonal_orbit``).
+together with the invariant comb that certifies it.  Both premises are
+checked element by element against the identity, by the helpers of
+``solve``'s own orbit detection (``payoff_misfits``, ``orbit_misfits``),
+and the input combs once, by that orbit check.  A diagonal action's orbit
+takes the one seed path that ``solve`` takes on an orbit it finds
+(``sdp.engine.solve_program``), which checks gamma_max R >= G_x for every
+caller outcome x.  Any other action solves the caller's problem and
+twirls R, on the twirl argument.  gap, iterations and history are those
+of the program solved: the seed program, or the caller's problem.
 
 When every representative is diagonal (phases, and products of cyclic
 groups), each level of each factor carries a character, the phases that
@@ -225,7 +224,8 @@ class CovariantResult:
 
     gamma_max is a dual value, an upper bound on the stored-scale
     optimum; invariant_op is the invariant comb R with gamma_max * R >= G_x
-    for every x, so (gamma_max, R) certifies the full problem.  gap (the
+    for every x, checked for a diagonal action and kept by the twirl
+    otherwise, so (gamma_max, R) certifies the full problem.  gap (the
     interior point's duality gap), iterations and history (one IpmStep per
     iteration) describe the program covariant_gamma solved: the one-outcome
     seed program for a diagonal action, the caller's problem otherwise.
@@ -274,15 +274,15 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     group law extends both checks to every pair: the orbit's, in the
     Frobenius norm for a non-diagonal action, within twice its bound.
 
-    For a diagonal action solve_program solves the seed program that it
-    builds from the weights g(e, x) / |G| and the characters: one outcome,
-    the seed sum_x g(e, x) R_x / (|G| gamma_0), with the normalization
-    imposed on twirl(T); gamma_max = gamma_0 S^(0), and R = S^(N) / S^(0) is
-    invariant as it comes.  For any other action it solves the problem
-    itself: gamma_max = S^(0), and invariant_op is twirl(R).  gamma_max R >=
-    G_y for every y, and conjugating by U_g^H maps G_y to G_(g^-1 y), so
-    averaging over g gives gamma_max twirl(R) >= G_y.  Either way gap,
-    iterations and history are those of the program solved.
+    For a diagonal action solve_program solves the orbit's seed program:
+    one outcome, sum_x g(e, x) R_x / (|G| gamma_0), with the normalization
+    imposed on twirl(T); R = S^(N) / S^(0) is invariant as it comes, and
+    gamma_max R >= G_y is checked for every y.  For any other action it
+    solves the problem itself, and invariant_op is twirl(R): conjugating by
+    U_g^H maps G_y to G_(g^-1 y), so averaging gamma_max R >= G_y over g
+    gives gamma_max twirl(R) >= G_y.  gamma_max is solve_program's lambda
+    and q_max = gamma_0 / gamma_max; gap, iterations and history are those
+    of the program solved.
     """
     if problem.labels_x != action.elements:
         raise BadParameter("problem labels %r must equal the group elements"
@@ -302,7 +302,7 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
     factors = problem.space.factors()
     characters = diagonal_characters(action, factors)
     if characters is None:  # one full-size conjugation per x
-        mats = [c.op.data for c in problem.combs]
+        orbit, mats = None, [c.op.data for c in problem.combs]
         scale = 1.0 + max(float(np.abs(r).max()) for r in mats)
         us = (action.unitary_for(el, factors) for el in action.elements)
         bad = np.flatnonzero([np.linalg.norm(u @ mats[e] @ u.conj().T - r)
@@ -311,25 +311,22 @@ def covariant_gamma(problem: EstimationProblem, action: FiniteGroupAction,
         _, phases = ChargeSectors(characters=characters).walk(factors)
         bad = np.flatnonzero(orbit_misfits(joint_entries(problem.combs), e,
                                            phases))
+        orbit = characters, phases, e
     if bad.size:
         raise NotLeftInvariant("combs do not form an orbit of the action "
                                "(element %r)" % (action.elements[bad[0]],))
 
-    weights = g[e] / n
-    gamma_0 = float(weights.sum())
+    gamma_0 = float((g[e] / n).sum())
     if gamma_0 <= 1e-14:
         raise BadParameter("payoff row at the identity is all zero")
     opts = options if options is not None else SolverOptions()
-    seed = None if characters is None else (weights, characters)
-    _, res, lambda_, comb, _ = solve_program(problem, opts, seed)
-    if characters is None:
+    _, res, _, gamma_max, comb, _ = solve_program(problem, opts, orbit)
+    inv = comb.op  # -A^T y / lambda is exactly Hermitian
+    if orbit is None:
         top = twirl(comb.op, action)
         inv = top.with_data((top.data + top.data.conj().T) / 2.0)
-        gamma_max, q_max = lambda_, gamma_0 / lambda_
-    else:  # -A^T y / lambda is exactly Hermitian
-        inv, gamma_max, q_max = comb.op, gamma_0 * lambda_, 1.0 / lambda_
-    return CovariantResult(gamma_max, q_max, gamma_0, inv, res.gap,
-                           res.iterations, res.history)
+    return CovariantResult(gamma_max, gamma_0 / gamma_max, gamma_0, inv,
+                           res.gap, res.iterations, res.history)
 
 
 # ---------------------------------------------------------------------------

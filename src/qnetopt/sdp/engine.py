@@ -13,9 +13,12 @@ is lambda R for a comb R and lambda = -b.y, with no correction of y: R's
 normalization is exact by construction, and its positivity is the dual
 slack's.  R is still validated at full size.
 
-When the combs are an orbit of a group of local diagonal unitaries, solve
-takes the seed program of that orbit instead and lifts its outcome to
-every label (_orbit_solution); SdpSolution.route names the program run.
+A diagonal orbit, R_x = U_x R_e U_x^H for local diagonal U_x, takes one
+seed path, solve_program's, whether solve finds it (diagonal_orbit) or
+covariant_gamma is given it, and lambda R >= G_y is checked on every
+caller outcome y.  solve lifts the seed outcome to every label
+(_orbit_solution); SdpSolution.route names the program run.
+covariant_gamma's other branch twirls R, on the twirl argument alone.
 """
 
 from __future__ import annotations
@@ -162,31 +165,38 @@ def check_memory(sdp: StandardSdp, k: int) -> int:
 
 
 def solve_program(problem: EstimationProblem, opts: SolverOptions,
-                  seed: Optional[tuple] = None,
+                  orbit: Optional[tuple] = None,
                   torus: Optional[ChargeSectors] = None):
-    """solve short of the tester: (sdp, IpmResult, lambda, R, report).
+    """solve short of the tester: (sdp, IpmResult, primal, lambda, R, report).
 
-    seed = (weights, characters) solves problem's one-outcome seed program
-    instead (covariant_gamma, and solve on a diagonal orbit): the comb
-    sum_x w_x R_x / sum_x w_x, Hermitian part taken, the characters
-    (diagonal_characters) joining the torus charges in the labels.  torus
-    is the combs' (charge_sectors), taken from the program's own combs when
-    None.  lambda = -b.y (-y[0] when step 1 has an input) and R's
-    outcome-sector blocks are -A^T y / lambda, a comb as they come; R is
-    checked as solve does, and the margins on those blocks.  The caller
-    has validated the problem's combs.
+    torus is the caller's (charge_sectors), found when None.  orbit =
+    (characters, phases, e), column x of the (D, K) phases diag(U_x) (one
+    column of ones serves every x) and e the identity's index, solves the
+    seed program instead: one outcome, the comb sum_x w_x R_x / gamma_0, w
+    = g(e, .) / K, gamma_0 = sum_x w_x.  lambda = -b.y (-y[0] when step 1
+    has an input), times gamma_0 on an orbit, and R's outcome-sector blocks
+    are -A^T y / -b.y, a comb as they come; R is checked as solve does.  One
+    margin of lambda R - G_y a caller outcome y is taken on the outcome
+    sectors, off which R and every G_y vanish: on an orbit G_y is summed
+    from the combs, so lambda R >= G_y is checked, not argued.  primal is
+    -pobj, or on an orbit the lifted tester's payoff, T_y = U_y T U_y^H /
+    K.  The caller has validated the problem's combs.
     """
-    k, characters = len(problem.combs), {}
-    if seed is not None:
-        weights, characters = seed
-        r = sum(w * c.op.data for w, c in zip(weights, problem.combs))
-        r = r / float(weights.sum())
-        r = LabeledOperator(problem.space.factors(), (r + r.conj().T) / 2.0)
-        problem = EstimationProblem(problem.space, (0,), np.ones(1),
-                                    (QuantumComb(problem.space, r),), np.eye(1))
+    k, program, characters = problem.num_params, problem, {}
     if torus is None:
         torus = charge_sectors(problem)
-    sdp = build_primal(problem, ChargeSectors(torus.charges, characters))
+    if orbit is not None:
+        characters, phases, e = orbit
+        phases = np.broadcast_to(phases, (len(phases), k))
+        weights = problem.payoff[e] / k
+        gamma_0 = float(weights.sum())
+        seed = sum(w * c.op.data for w, c in zip(weights, problem.combs))
+        seed = seed / gamma_0
+        seed = QuantumComb(problem.space, LabeledOperator(
+            problem.space.factors(), (seed + seed.conj().T) / 2.0))
+        program = EstimationProblem(problem.space, (0,), np.ones(1), (seed,),
+                                    np.eye(1))
+    sdp = build_primal(program, ChargeSectors(torus.charges, characters))
     check_memory(sdp, k)
     res = solve_ipm(sdp.cmap, sdp.C, sdp.b, sdp.primal_start(),
                     slater_point(sdp), opts)
@@ -196,12 +206,24 @@ def solve_program(problem: EstimationProblem, opts: SolverOptions,
     top = LabeledOperator(problem.space.factors(), sdp.outcome(blocks))
     comb = _validated(validate_comb, QuantumComb(problem.space, top),
                       10.0 * opts.tol, res)
-    margins = np.inf
-    for r, c in zip(blocks, sdp.C):
-        margins = np.minimum(margins, min_eig(lambda_ * r + c).min(axis=-1))
+    primal, margins, side = -res.pobj, np.inf, sdp.level_dims[-1]
+    if orbit is not None:
+        lambda_, primal = gamma_0 * lambda_, 0.0
+        w = problem.payoff * problem.prior
+    for pos, r, cost, x in zip(sdp.positions, blocks, sdp.C, res.X):
+        g = -cost
+        if orbit is not None:  # G_y, and the payoff of T_y, on the sectors
+            at = pos[:, :, None] * side + pos[:, None, :]
+            g = np.tensordot(w, [c.op.data.take(at) for c in problem.combs],
+                             1)
+            g = (g + g.conj().swapaxes(-1, -2)) / 2.0
+            ph = np.moveaxis(phases[pos], -1, 0)  # (K, s, n)
+            t = ph[..., :, None] * x[0] * ph[..., None, :].conj()
+            primal += float(np.vdot(g, t).real) / k
+        margins = np.minimum(margins, min_eig(lambda_ * r - g).min(axis=-1))
     report = CertificateReport.of(lambda_, problem, margins, 10.0 * opts.tol)
     _check_certified(report, res)
-    return sdp, res, lambda_, comb, report
+    return sdp, res, primal, lambda_, comb, report
 
 
 def _check_certified(report: CertificateReport, res):
@@ -248,26 +270,27 @@ def solve(problem: EstimationProblem,
             return _orbit_solution(problem, opts, torus, orbit)
         except (MaxIterations, NumericalFailure):
             pass  # the direct program decides
-    sdp, res, lambda_, comb, report = solve_program(problem, opts, torus=torus)
+    sdp, res, primal, lambda_, comb, report = solve_program(problem, opts,
+                                                            torus=torus)
     return _solution(problem, (sdp.outcome(x) for x in zip(*res.X)), res,
-                     lambda_, comb, report, (res.pobj, res.dobj), "direct")
+                     primal, lambda_, comb, report, "direct")
 
 
-def _solution(problem: EstimationProblem, outcomes, res, lambda_: float,
-              comb: QuantumComb, report: CertificateReport, objectives: tuple,
+def _solution(problem: EstimationProblem, outcomes, res, primal: float,
+              lambda_: float, comb: QuantumComb, report: CertificateReport,
               route: str) -> SdpSolution:
     """The SdpSolution of the full-size outcomes, their tester validated.
 
     outcomes yields one array a label, each copied into the tester before
-    the next is made.  objectives are the primal and dual values on the
-    stored scale, in the min <C, X> convention.
+    the next is made.  primal and lambda_ are the primal and dual values on
+    the stored scale (solve_program).
     """
     factors = problem.space.factors()
     tester = _validated(validate_tester, Tester(problem.space, tuple(
         (label, LabeledOperator(factors, t))
         for label, t in zip(problem.labels_x, outcomes))), report.tol, res)
     shift = problem.payoff_shift
-    gamma_primal, gamma_dual = (-v - shift for v in objectives)
+    gamma_primal, gamma_dual = primal - shift, lambda_ - shift
     return SdpSolution(gamma_primal, gamma_dual, tester, lambda_, comb,
                        abs(gamma_dual - gamma_primal), res.rel_gap,
                        res.iterations, shift, report,
@@ -278,44 +301,21 @@ def _orbit_solution(problem: EstimationProblem, opts: SolverOptions,
                     torus: ChargeSectors, orbit: tuple) -> SdpSolution:
     """solve on a diagonal orbit (diagonal_orbit), from the seed program.
 
-    The seed program of the weights g(e, .) / K (solve_program) gives the
-    outcome T and the certificate (lambda_seed, R), R invariant.  An
-    optimal tester is then covariant, T_y = U_y T U_y^H / K, a phase mask
-    on T, and lambda = gamma_0 lambda_seed, gamma_0 = sum_x g(e, x) / K:
-    lambda R >= G_e, and conjugating by U_y maps G_e to G_y.  The tester
-    is validated at full size.  The margins of lambda R - G_y, every y, and
-    gamma_primal, the tester's payoff, are taken on the outcome sectors of
-    the caller's torus, which the seed program is built on: R and every G_y
-    vanish off them.  The bracket [gamma_primal, lambda] must pass the
-    interior point's test; any failed check is NumericalFailure.  rel_gap,
+    solve_program solves the seed program at e = 0 and checks lambda R >=
+    G_y for every y; the tester is the covariant T_y = U_y T U_y^H / K, a
+    phase mask on the seed outcome T.  The bracket [primal, lambda] must
+    pass the interior point's test, or NumericalFailure; rel_gap,
     iterations and history are the seed program's.
     """
     characters, phases = orbit
-    k = problem.num_params
-    weights = problem.payoff[0] / k
-    gamma_0 = float(weights.sum())
-    sdp, res, lambda_, comb, seed = solve_program(
-        problem, opts, (weights, characters), torus)
-    lambda_ *= gamma_0
-    w = problem.payoff * problem.prior
-    primal, margins = 0.0, np.inf
-    for pos, x in zip(sdp.positions, res.X):
-        at = pos[:, :, None], pos[:, None, :]
-        g = np.tensordot(w, np.array([c.op.data[at] for c in problem.combs]), 1)
-        g = (g + g.conj().swapaxes(-1, -2)) / 2.0
-        ph = np.moveaxis(phases[pos], -1, 0)  # (K, s, n)
-        t = ph[..., :, None] * x[0] * ph[..., None, :].conj()
-        primal += float(np.vdot(g, t).real) / k
-        margins = np.minimum(
-            margins, min_eig(lambda_ * comb.op.data[at] - g).min(axis=-1))
-    report = CertificateReport.of(lambda_, problem, margins, seed.tol)
-    _check_certified(report, res)
+    sdp, res, primal, lambda_, comb, report = solve_program(
+        problem, opts, (characters, phases, 0), torus)
     gap = abs(lambda_ - primal)
     if not gap <= opts.tol * (1.0 + abs(primal) + abs(lambda_)):
         raise NumericalFailure("lifted gap %.3e above the tolerance" % gap)
-    top = sdp.outcome([x[0] for x in res.X]) / k
+    top = sdp.outcome([x[0] for x in res.X]) / problem.num_params
     return _solution(problem, (top * np.outer(ph, ph.conj()) for ph in phases.T),
-                     res, lambda_, comb, report, (-primal, -lambda_), "orbit")
+                     res, primal, lambda_, comb, report, "orbit")
 
 
 @dataclass(frozen=True)

@@ -314,9 +314,10 @@ def diagonal_orbit(problem: EstimationProblem,
 
     characters maps each factor moved to its (dim, K) phases, column x
     U_x's (diagonal_characters' form), and column x of the (D, K) phases is
-    diag(U_x); U_0 = I.  Only a nontrivial torus (charge_sectors) holds
-    such an orbit.  The combs must share one zero pattern, on which U_x is
-    read (_read_phases), and be U_x R_0 U_x^H (orbit_misfits).  The U_x
+    diag(U_x); U_0 = I.  Detection runs only on a nontrivial torus
+    (charge_sectors): combs with no zero entry, such as three qubit PSK
+    states, get None.  The combs must share one zero pattern, on which U_x
+    is read (_read_phases), and be U_x R_0 U_x^H (orbit_misfits).  The U_x
     must be distinct and hold every U_y^-1 U_x, matched by their phases
     rounded to PHASE_TURNS: the group's quotient table.  The prior must be
     uniform, the payoff left-invariant (payoff_misfits) and g(e, .) not 0.

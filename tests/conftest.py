@@ -350,13 +350,14 @@ def selected_phase_program(levels=3, grid=8):
 def seed_program(problem, action):
     """The covariant program of a problem, and the group action.
 
-    One seed outcome, on the sectors of its torus and the action's
-    characters, as covariant_gamma builds it.
+    One seed outcome, comb 0, on the sectors of the caller's torus (that of
+    all of problem's combs) and the action's characters, the sectors
+    covariant_gamma builds its seed program on.
     """
     space = problem.space
     reduced = EstimationProblem(space, (0,), np.ones(1), (problem.combs[0],),
                                 np.ones((1, 1)))
-    sectors = ChargeSectors(charge_sectors(reduced).charges,
+    sectors = ChargeSectors(charge_sectors(problem).charges,
                             diagonal_characters(action, space.factors()))
     return build_primal(reduced, sectors), action
 

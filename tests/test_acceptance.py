@@ -138,7 +138,7 @@ def test_c7_two_copies_beat_independent_singles():
 def test_c8_covariant_reduction_agrees_with_direct_solve():
     problem, action = phase_grid_problem(2)
     # the caller's K-outcome program: solve would take the orbit route
-    _, direct, _, _, _ = solve_program(problem, SolverOptions())
+    _, direct, _, _, _, _ = solve_program(problem, SolverOptions())
     red = covariant_gamma(problem, action)
     stored = -direct.pobj
     err_gamma = abs(red.gamma_max - stored)

@@ -659,6 +659,22 @@ def test_covariant_gamma_requires_orbit_combs(rng):
         covariant_gamma(skew, action)
 
 
+def test_a_comb_off_the_orbit_fails_the_per_outcome_margins(monkeypatch):
+    # comb 3 is comb 5, and the orbit check is told that every comb fits:
+    # gamma_max R then misses G_3 by about 0.35, and the margins of every
+    # caller outcome, not only the seed's, catch it
+    problem, action = phase_grid_problem(3, 8)
+    combs = list(problem.combs)
+    combs[3] = combs[5]
+    off = EstimationProblem(problem.space, problem.labels_x, problem.prior,
+                            tuple(combs), problem.payoff, problem.payoff_shift)
+    monkeypatch.setattr(qnetopt.covariant, "orbit_misfits",
+                        lambda entries, e, phases: np.zeros(len(entries[2]),
+                                                            bool))
+    with pytest.raises(NumericalFailure, match="dual certificate margin"):
+        covariant_gamma(off, action)
+
+
 @pytest.mark.parametrize("seed", [1, 100, 1 << 20])
 def test_covariance_checks_name_the_first_failing_element(seed):
     # each check compares every element with the identity e, and names the

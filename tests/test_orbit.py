@@ -35,9 +35,9 @@ ORBITS = {
 
 def _direct(problem):
     """The caller's K-outcome program: (gamma_primal, lambda) unshifted."""
-    _, res, lambda_, _, report = solve_program(problem, SolverOptions())
+    _, _, primal, lambda_, _, report = solve_program(problem, SolverOptions())
     assert report.certified
-    return -res.pobj - problem.payoff_shift, lambda_
+    return primal - problem.payoff_shift, lambda_
 
 
 def _same_solution(a, b):

@@ -222,7 +222,8 @@ def test_leading_input_free_steps_carry_no_chain_variable(case):
     # lambda = -b.y is Tr S^(first), and R validates at full size;
     # solve_program runs on the charge sectors, so read its program
     opts = SolverOptions()
-    sdp, res, lambda_, comb, report = solve_program(problem.validated(), opts)
+    sdp, res, _, lambda_, comb, report = solve_program(problem.validated(),
+                                                       opts)
     assert report.certified
     y = tighten_dual(res.y)
     assert y is res.y
